@@ -65,13 +65,14 @@ impl<'a> TileView<'a> {
         }
     }
 
-    /// Streaming cursor over the coded key stream (`None` for raw views or
-    /// corrupt streams).
+    /// Streaming cursor over the coded key stream; `None` for raw views
+    /// only. A coded stream whose header does not parse yields the empty
+    /// cursor — its bytes must never reach the raw-SNB loops.
     #[inline]
     fn cursor(&self) -> Option<TileCursor<'a>> {
         match self.codec {
             Codec::RawSnb => None,
-            c => c.cursor(self.bytes).ok(),
+            c => c.cursor(self.bytes).or_else(|_| c.cursor(&[])).ok(),
         }
     }
 
@@ -346,6 +347,26 @@ mod tests {
                 looped.sort_unstable();
                 assert_eq!(looped, want, "{} block loop edges={edges}", codec.name());
             }
+        }
+    }
+
+    #[test]
+    fn corrupt_coded_view_yields_no_edges() {
+        // A count header above the per-tile bound, then bytes that would
+        // read as three raw SNB edges with locals past the partition: the
+        // view must not fall through to the raw loops.
+        let tiling = Tiling::new(1 << 12, 10, GraphKind::Directed).unwrap();
+        let coord = TileCoord { row: 3, col: 3 };
+        let mut bytes = vec![0xFF; 9];
+        bytes.extend_from_slice(&[0x01, 0xFF, 0xFF]);
+        assert_eq!(bytes.len() % 4, 0);
+        for codec in Codec::CODED {
+            assert!(codec.cursor(&bytes).is_err(), "{}", codec.name());
+            let v = TileView::coded(&tiling, coord, EdgeEncoding::Snb, codec, &bytes);
+            assert_eq!(v.edge_count(), 0, "{}", codec.name());
+            assert_eq!(v.edges().len(), 0, "{}", codec.name());
+            assert_eq!(v.edges().count(), 0, "{}", codec.name());
+            v.for_each_edge(|s, d| panic!("{} yielded ({s}, {d})", codec.name()));
         }
     }
 

@@ -43,7 +43,7 @@ pub mod stats;
 pub mod store;
 pub mod stream;
 
-pub use bitcodec::{codec_impl, BitReader, BitWriter, Codec, TileCodec, TileCursor, ZETA_K};
+pub use bitcodec::{BitReader, BitWriter, Codec, TileCursor, ZETA_K};
 pub use cfile::{
     compress_store_files, migrate_legacy_store, write_compressed, CompressedPaths,
     CompressedTileFile, CompressionReport,
