@@ -34,7 +34,7 @@ use gstore_scr::{CacheHint, CachePool, PoolStats};
 use gstore_tile::{Codec, TileIndex};
 use std::collections::{HashMap, HashSet};
 use std::io;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Instant;
 
 /// Minimum size of the recency window (accesses) so tiny caches still see
@@ -57,31 +57,32 @@ struct TileHeat {
     count: u32,
 }
 
+/// Accesses considered "recent": proportional to the resident set so a
+/// bigger cache protects a longer history.
+fn recency_window(resident: usize) -> u64 {
+    (resident as u64 * 8).max(MIN_RECENCY_WINDOW)
+}
+
 /// Recency/frequency state behind the hot-tile cache: a monotone access
 /// counter and per-tile [`TileHeat`]. The derived oracle classifies tiles
 /// as `Needed` (repeat traffic inside the window), `Unknown` (seen once
 /// recently), or `NotNeeded` (stale).
-struct HotState {
-    pool: CachePool,
-    heat: HashMap<u64, TileHeat>,
+#[derive(Default)]
+struct Heat {
+    tiles: HashMap<u64, TileHeat>,
     seq: u64,
     /// Stamp of the last proactive [`CachePool::analyze`] pass.
     analyzed: u64,
 }
 
-impl HotState {
-    /// Accesses considered "recent": proportional to the resident set so
-    /// a bigger cache protects a longer history.
-    fn window(&self) -> u64 {
-        (self.pool.len() as u64 * 8).max(MIN_RECENCY_WINDOW)
-    }
-
-    fn touch(&mut self, tile: u64) {
+impl Heat {
+    /// Records one access to `tile`; `resident` is the pool's tile count.
+    fn touch(&mut self, tile: u64, resident: usize) {
         self.seq += 1;
-        let window = self.window();
+        let window = recency_window(resident);
         let seq = self.seq;
         let h = self
-            .heat
+            .tiles
             .entry(tile)
             .or_insert(TileHeat { last: 0, count: 0 });
         // A gap longer than the window resets the streak: old popularity
@@ -92,17 +93,18 @@ impl HotState {
             h.count.saturating_add(1)
         };
         h.last = seq;
-        if self.heat.len() > self.pool.len() + HEAT_PRUNE_SLACK {
+        if self.tiles.len() > resident + HEAT_PRUNE_SLACK {
             let horizon = seq.saturating_sub(window);
-            self.heat.retain(|_, h| h.last > horizon);
+            self.tiles.retain(|_, h| h.last > horizon);
         }
     }
 
-    fn insert(&mut self, tile: u64, data: &[u8]) {
-        let window = self.window();
+    /// Offers a fetched tile to `pool` under this history's oracle.
+    fn insert(&mut self, pool: &mut CachePool, tile: u64, data: &[u8]) {
+        let window = recency_window(pool.len());
         let horizon = self.seq.saturating_sub(window);
-        let heat = &self.heat;
-        let oracle = move |t: u64| match heat.get(&t) {
+        let tiles = &self.tiles;
+        let oracle = move |t: u64| match tiles.get(&t) {
             Some(h) if h.last > horizon && h.count >= HOT_TOUCHES => CacheHint::Needed,
             Some(h) if h.last > horizon => CacheHint::Unknown,
             _ => CacheHint::NotNeeded,
@@ -112,10 +114,10 @@ impl HotState {
         // set. Misses are the only path that inserts, so an all-hit
         // steady state pays nothing.
         if self.seq.saturating_sub(self.analyzed) >= window {
-            self.pool.analyze(&oracle);
+            pool.analyze(&oracle);
             self.analyzed = self.seq;
         }
-        self.pool.insert(tile, data, &oracle);
+        pool.insert(tile, data, &oracle);
     }
 }
 
@@ -146,7 +148,16 @@ pub struct PointReader {
     index: TileIndex,
     backend: Arc<dyn StorageBackend>,
     buffers: BufferPool,
-    hot: Mutex<HotState>,
+    /// The hot-tile cache. A hit decodes straight out of the arena under
+    /// the *shared* lock, so readers of the same hot tile run in parallel;
+    /// only a miss's insert (with its periodic analyze) and
+    /// [`PointReader::clear_cache`] take it exclusively — nothing is ever
+    /// decoded under an exclusive lock.
+    pool: RwLock<CachePool>,
+    /// Access history feeding the pool's oracle. Held for one map update
+    /// per tile access, or across an insert by a thread that already holds
+    /// `pool` exclusively. Lock order: `pool`, then `heat`.
+    heat: Mutex<Heat>,
     recorder: Option<Arc<dyn Recorder>>,
     /// When present, tile misses go through this private ring instead of
     /// synchronous `read_at` calls. See [`PointReader::with_uring_io`].
@@ -171,12 +182,8 @@ impl PointReader {
             index,
             backend,
             buffers: BufferPool::with_recorder(recorder.clone()),
-            hot: Mutex::new(HotState {
-                pool: CachePool::new(cache_bytes),
-                heat: HashMap::new(),
-                seq: 0,
-                analyzed: 0,
-            }),
+            pool: RwLock::new(CachePool::new(cache_bytes)),
+            heat: Mutex::new(Heat::default()),
             recorder,
             uring: None,
         }
@@ -210,12 +217,12 @@ impl PointReader {
 
     /// Hot-tile cache counters (inserts, rejects, evictions).
     pub fn cache_stats(&self) -> PoolStats {
-        self.hot.lock().unwrap().pool.stats()
+        self.pool_shared().stats()
     }
 
     /// Tiles currently resident in the hot cache.
     pub fn cache_resident(&self) -> usize {
-        self.hot.lock().unwrap().pool.len()
+        self.pool_shared().len()
     }
 
     /// I/O buffer-pool counters; `outstanding == 0` whenever no request is
@@ -230,11 +237,21 @@ impl PointReader {
 
     /// Drops every cached tile and the recency history.
     pub fn clear_cache(&self) {
-        let mut hot = self.hot.lock().unwrap();
-        hot.pool.clear();
-        hot.heat.clear();
-        hot.seq = 0;
-        hot.analyzed = 0;
+        let mut pool = self.pool_exclusive();
+        pool.clear();
+        *self.heat() = Heat::default();
+    }
+
+    fn pool_shared(&self) -> RwLockReadGuard<'_, CachePool> {
+        self.pool.read().expect("hot-tile pool lock poisoned")
+    }
+
+    fn pool_exclusive(&self) -> RwLockWriteGuard<'_, CachePool> {
+        self.pool.write().expect("hot-tile pool lock poisoned")
+    }
+
+    fn heat(&self) -> MutexGuard<'_, Heat> {
+        self.heat.lock().expect("tile heat lock poisoned")
     }
 
     fn check_vertex(&self, v: VertexId) -> Result<()> {
@@ -321,21 +338,23 @@ impl PointReader {
                 }
             };
 
-            let mut hot = self.hot.lock().unwrap();
-            hot.touch(idx);
-            if let Some(bytes) = hot.pool.tile_data(idx) {
-                touch.cache_hits += 1;
-                decode(bytes, f);
-                continue;
+            {
+                let pool = self.pool_shared();
+                self.heat().touch(idx, pool.len());
+                if let Some(bytes) = pool.tile_data(idx) {
+                    touch.cache_hits += 1;
+                    decode(bytes, f);
+                    continue;
+                }
             }
-            drop(hot);
 
             let len = (range.end - range.start) as usize;
             let buf = self.fetch_tile(idx, range.start, len)?;
             touch.tiles_fetched += 1;
             touch.bytes_read += len as u64;
             decode(buf.as_slice(), f);
-            self.hot.lock().unwrap().insert(idx, buf.as_slice());
+            let mut pool = self.pool_exclusive();
+            self.heat().insert(&mut pool, idx, buf.as_slice());
         }
         Ok(())
     }
@@ -471,9 +490,11 @@ mod tests {
     use super::*;
     use gstore_graph::gen::{generate_rmat, RmatParams};
     use gstore_graph::{Csr, CsrDirection, Edge, EdgeList, GraphKind};
-    use gstore_io::{FaultBackend, FaultPolicy, MemBackend};
+    use gstore_io::{FaultBackend, FaultPolicy, JitterBackend, MemBackend};
     use gstore_metrics::FlightRecorder;
     use gstore_tile::{ConversionOptions, TileStore};
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Barrier;
 
     fn reader_for(store: &TileStore, cache_bytes: u64) -> PointReader {
         let index = TileIndex::raw(
@@ -629,6 +650,130 @@ mod tests {
         assert_eq!(m.cache_hits, 5 * cold.tiles_fetched);
         assert!(m.cache_hit_rate() > 0.5);
         assert_eq!(reader.buffer_stats().outstanding, 0);
+    }
+
+    /// Counts reads and bytes on their way to the real backend.
+    struct CountingBackend {
+        inner: Arc<dyn StorageBackend>,
+        reads: AtomicU64,
+        bytes: AtomicU64,
+    }
+
+    impl StorageBackend for CountingBackend {
+        fn len(&self) -> u64 {
+            self.inner.len()
+        }
+
+        fn read_at(&self, offset: u64, buf: &mut [u8]) -> io::Result<()> {
+            self.reads.fetch_add(1, Ordering::Relaxed);
+            self.bytes.fetch_add(buf.len() as u64, Ordering::Relaxed);
+            self.inner.read_at(offset, buf)
+        }
+    }
+
+    /// Four threads on one reader whose cache holds a quarter of the
+    /// store: hits (decoded under the shared pool lock), misses, inserts
+    /// and evictions all interleave, with `JitterBackend` stretching every
+    /// miss. Every answer must equal the CSR's and every counter must add
+    /// up.
+    #[test]
+    fn concurrent_readers_agree_with_csr_through_hits_misses_and_evictions() {
+        const THREADS: u64 = 4;
+        const REQUESTS: u64 = 300;
+        let el = generate_rmat(&RmatParams::kron(9, 8)).unwrap();
+        let store = TileStore::build(&el, &ConversionOptions::new(4).with_group_side(2)).unwrap();
+        let csr = Csr::from_edge_list(&el, CsrDirection::Out);
+        let n = el.vertex_count();
+        for codec in [Codec::RawSnb, Codec::ZetaGap] {
+            let (index, data) = gstore_tile::encode_store(&store, codec).unwrap();
+            let cache_bytes = data.len() as u64 / 4;
+            let counted = Arc::new(CountingBackend {
+                inner: Arc::new(JitterBackend::new(Arc::new(MemBackend::new(data)), 20)),
+                reads: AtomicU64::new(0),
+                bytes: AtomicU64::new(0),
+            });
+            let rec = Arc::new(FlightRecorder::new());
+            let reader = PointReader::with_recorder(
+                index,
+                Arc::clone(&counted) as Arc<dyn StorageBackend>,
+                cache_bytes,
+                Some(Arc::clone(&rec) as Arc<dyn Recorder>),
+            );
+            // Non-empty tiles one adjacency scan of `v` visits.
+            let tiles_of = |v: VertexId| {
+                let layout = &reader.index().layout;
+                let p = layout.tiling().partition_of(v);
+                layout
+                    .touching_tile_indices(p)
+                    .into_iter()
+                    .filter(|&t| !reader.index().tile_byte_range(t).is_empty())
+                    .count() as u64
+            };
+
+            let start = Barrier::new(THREADS as usize);
+            let visits: u64 = std::thread::scope(|scope| {
+                let workers: Vec<_> = (0..THREADS)
+                    .map(|t| {
+                        let (reader, csr, start, tiles_of) = (&reader, &csr, &start, &tiles_of);
+                        scope.spawn(move || {
+                            let mut rng = t + 1;
+                            let mut visits = 0;
+                            start.wait();
+                            for i in 0..REQUESTS {
+                                let draw = splitmix64(&mut rng);
+                                // Half the traffic on eight hot vertices — a
+                                // set that moves every 75 requests, so tiles
+                                // go stale and get evicted — half uniform.
+                                let hot_base = i / 75 * 64;
+                                let v = if i % 2 == 0 {
+                                    hot_base + draw % 8
+                                } else {
+                                    draw % n
+                                };
+                                visits += tiles_of(v);
+                                let want = sorted(csr.neighbors(v).to_vec());
+                                match i % 3 {
+                                    0 => assert_eq!(sorted(reader.neighbors(v).unwrap()), want),
+                                    1 => assert_eq!(reader.degree(v).unwrap(), csr.degree(v)),
+                                    _ => {
+                                        let mut ball = want;
+                                        ball.push(v);
+                                        ball.sort_unstable();
+                                        ball.dedup();
+                                        assert_eq!(reader.khop(v, 1).unwrap(), ball);
+                                    }
+                                }
+                            }
+                            visits
+                        })
+                    })
+                    .collect();
+                workers.into_iter().map(|w| w.join().unwrap()).sum()
+            });
+
+            let m = rec.snapshot().pointread;
+            let stats = reader.cache_stats();
+            assert_eq!(m.lookups, THREADS * REQUESTS, "{codec:?}");
+            // Every tile visit was either a hit or a fetch, and every
+            // fetch is a read the backend saw.
+            assert_eq!(m.cache_hits + m.tiles_fetched, visits, "{codec:?}");
+            assert_eq!(m.tiles_fetched, counted.reads.load(Ordering::Relaxed));
+            assert_eq!(m.bytes_read, counted.bytes.load(Ordering::Relaxed));
+            // All four kinds of event happened. A fetch offers its tile to
+            // the pool once (two racing fetches of one tile count once).
+            assert!(m.cache_hits > 0 && m.tiles_fetched > 0, "{m:?}");
+            assert!(stats.inserted > 0, "{stats:?}");
+            assert!(
+                stats.evicted_not_needed + stats.evicted_unknown > 0,
+                "{stats:?}"
+            );
+            assert!(stats.inserted + stats.rejected <= m.tiles_fetched);
+            assert_eq!(reader.buffer_stats().outstanding, 0);
+            let pool = reader.pool_shared();
+            pool.debug_validate().unwrap();
+            assert!(pool.bytes() <= cache_bytes);
+            assert_eq!(pool.len(), reader.cache_resident());
+        }
     }
 
     #[test]

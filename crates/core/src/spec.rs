@@ -17,6 +17,7 @@ use crate::pointread::PointReader;
 use gstore_graph::{GraphError, Result, VertexId};
 use gstore_tile::Tiling;
 use std::fmt;
+use std::io::Write;
 use std::str::FromStr;
 
 /// PageRank damping used by every spec-driven surface (CLI, serve, bench).
@@ -325,52 +326,116 @@ pub enum QueryValue {
     Walk(Vec<VertexId>),
 }
 
-fn join_ids(vs: &[VertexId]) -> String {
-    vs.iter()
-        .map(|v| v.to_string())
-        .collect::<Vec<_>>()
-        .join(",")
+/// Appends `v` in decimal, without going through `fmt`.
+fn push_u64(out: &mut Vec<u8>, mut v: u64) {
+    let mut digits = [0u8; 20]; // u64::MAX has 20 digits
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[at..]);
 }
 
-fn split_ids(s: &str) -> Result<Vec<VertexId>> {
-    if s.is_empty() {
-        return Ok(Vec::new());
+/// Appends `label` (a tag and/or ` key=`) followed by `v`.
+fn push_field(out: &mut Vec<u8>, label: &str, v: u64) {
+    out.extend_from_slice(label.as_bytes());
+    push_u64(out, v);
+}
+
+/// Appends `<tag> n=<len> v=<id>,<id>,…`.
+fn push_id_list(out: &mut Vec<u8>, tag: &str, vs: &[VertexId]) {
+    out.extend_from_slice(tag.as_bytes());
+    push_field(out, " n=", vs.len() as u64);
+    out.extend_from_slice(b" v=");
+    for (i, &v) in vs.iter().enumerate() {
+        if i > 0 {
+            out.push(b',');
+        }
+        push_u64(out, v);
     }
-    s.split(',')
-        .map(|v| {
-            v.parse()
-                .map_err(|_| GraphError::Format(format!("bad vertex id {v:?} in result")))
-        })
-        .collect()
+}
+
+/// Parses a comma-separated id list in one pass over its bytes (decimal
+/// digits only — what [`push_u64`] writes).
+fn split_ids(s: &str) -> Result<Vec<VertexId>> {
+    let bad = || GraphError::Format("malformed vertex id list in result".into());
+    let mut ids = Vec::new();
+    if s.is_empty() {
+        return Ok(ids);
+    }
+    // `id` is `None` between a comma and the next digit.
+    let mut id: Option<u64> = None;
+    for b in s.bytes() {
+        match b {
+            b'0'..=b'9' => {
+                let grown = id.unwrap_or(0).checked_mul(10).ok_or_else(bad)?;
+                id = Some(grown.checked_add(u64::from(b - b'0')).ok_or_else(bad)?);
+            }
+            b',' => ids.push(id.take().ok_or_else(bad)?),
+            _ => return Err(bad()),
+        }
+    }
+    ids.push(id.ok_or_else(bad)?);
+    Ok(ids)
 }
 
 impl QueryValue {
     /// Stable one-line text form (the wire payload of an OK reply).
     pub fn encode(&self) -> String {
+        let mut out = Vec::new();
+        self.encode_into(&mut out);
+        String::from_utf8(out).expect("encode_into writes ASCII only")
+    }
+
+    /// Appends [`Self::encode`]'s text to `out`, digit by digit: no
+    /// per-id allocation, no intermediate `String`. The serve daemon
+    /// points this at its per-connection frame buffer.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             QueryValue::Bfs { visited, max_depth } => {
-                format!("bfs visited={visited} max_depth={max_depth}")
+                push_field(out, "bfs visited=", *visited);
+                push_field(out, " max_depth=", u64::from(*max_depth));
             }
             QueryValue::PageRank { top } => {
-                let pairs: Vec<String> = top.iter().map(|(v, r)| format!("{v}:{r:e}")).collect();
-                format!("pagerank top={}", pairs.join(","))
+                out.extend_from_slice(b"pagerank top=");
+                for (i, (v, r)) in top.iter().enumerate() {
+                    if i > 0 {
+                        out.push(b',');
+                    }
+                    push_u64(out, *v);
+                    // `{:e}` is the round-trip float form; at most
+                    // PAGERANK_TOP of them, so `fmt` is fine here.
+                    write!(out, ":{r:e}").expect("writing to a Vec cannot fail");
+                }
             }
-            QueryValue::Wcc { components } => format!("wcc components={components}"),
-            QueryValue::KCore { k, members } => format!("kcore k={k} members={members}"),
-            QueryValue::Degrees { max, total } => format!("degrees max={max} total={total}"),
-            QueryValue::Neighbors(vs) => {
-                format!("neighbors n={} v={}", vs.len(), join_ids(vs))
+            QueryValue::Wcc { components } => push_field(out, "wcc components=", *components),
+            QueryValue::KCore { k, members } => {
+                push_field(out, "kcore k=", *k);
+                push_field(out, " members=", *members);
             }
-            QueryValue::Degree(d) => format!("degree d={d}"),
-            QueryValue::Khop(vs) => format!("khop n={} v={}", vs.len(), join_ids(vs)),
-            QueryValue::Walk(vs) => format!("walk n={} v={}", vs.len(), join_ids(vs)),
+            QueryValue::Degrees { max, total } => {
+                push_field(out, "degrees max=", *max);
+                push_field(out, " total=", *total);
+            }
+            QueryValue::Neighbors(vs) => push_id_list(out, "neighbors", vs),
+            QueryValue::Degree(d) => push_field(out, "degree d=", *d),
+            QueryValue::Khop(vs) => push_id_list(out, "khop", vs),
+            QueryValue::Walk(vs) => push_id_list(out, "walk", vs),
         }
     }
 
     /// Parses [`Self::encode`]'s output back into the value.
     pub fn decode(line: &str) -> Result<QueryValue> {
         let bad = || GraphError::Format(format!("malformed query result {line:?}"));
-        let mut it = line.split_whitespace();
+        // The encoder separates with single spaces; splitting on that one
+        // byte (not on Unicode whitespace) is a memchr over the long
+        // `v=` token of a list reply.
+        let mut it = line.split(' ').filter(|tok| !tok.is_empty());
         let tag = it.next().ok_or_else(bad)?;
         let mut fields = std::collections::HashMap::new();
         for tok in it {
@@ -480,6 +545,8 @@ mod tests {
     use super::*;
     use crate::inmem::{run_in_memory, store_from_edges};
     use gstore_graph::gen::{generate_rmat, RmatParams};
+    use proptest::collection::vec;
+    use proptest::prelude::any;
 
     #[test]
     fn parse_display_round_trip() {
@@ -620,6 +687,12 @@ mod tests {
             "bfs visited=3",
             "bfs visited=x max_depth=1",
             "neighbors n=2 v=1",
+            "neighbors n=2 v=1,",
+            "neighbors n=2 v=,1",
+            "neighbors n=2 v=1,,2",
+            "neighbors n=1 v=+1",
+            "neighbors n=1 v=18446744073709551616",
+            "khop n=1 v=1x",
             "pagerank top=1",
             "degree",
         ] {
@@ -627,6 +700,105 @@ mod tests {
                 matches!(QueryValue::decode(bad), Err(GraphError::Format(_))),
                 "{bad:?} must be rejected"
             );
+        }
+    }
+
+    /// The `format!`/`join` encoder this module shipped before
+    /// `encode_into` — the reference the wire text must keep matching
+    /// byte for byte.
+    fn reference_encode(value: &QueryValue) -> String {
+        let join_ids = |vs: &[VertexId]| {
+            let ids: Vec<String> = vs.iter().map(|v| v.to_string()).collect();
+            ids.join(",")
+        };
+        match value {
+            QueryValue::Bfs { visited, max_depth } => {
+                format!("bfs visited={visited} max_depth={max_depth}")
+            }
+            QueryValue::PageRank { top } => {
+                let pairs: Vec<String> = top.iter().map(|(v, r)| format!("{v}:{r:e}")).collect();
+                format!("pagerank top={}", pairs.join(","))
+            }
+            QueryValue::Wcc { components } => format!("wcc components={components}"),
+            QueryValue::KCore { k, members } => format!("kcore k={k} members={members}"),
+            QueryValue::Degrees { max, total } => format!("degrees max={max} total={total}"),
+            QueryValue::Neighbors(vs) => format!("neighbors n={} v={}", vs.len(), join_ids(vs)),
+            QueryValue::Degree(d) => format!("degree d={d}"),
+            QueryValue::Khop(vs) => format!("khop n={} v={}", vs.len(), join_ids(vs)),
+            QueryValue::Walk(vs) => format!("walk n={} v={}", vs.len(), join_ids(vs)),
+        }
+    }
+
+    /// Every variant built from one pool of generated numbers.
+    fn all_variants(ids: Vec<VertexId>, a: u64, b: u64, ranks: Vec<f64>) -> Vec<QueryValue> {
+        vec![
+            QueryValue::Bfs {
+                visited: a,
+                max_depth: b as u32,
+            },
+            QueryValue::PageRank {
+                top: ids.iter().copied().zip(ranks).collect(),
+            },
+            QueryValue::Wcc { components: a },
+            QueryValue::KCore { k: a, members: b },
+            QueryValue::Degrees { max: a, total: b },
+            QueryValue::Neighbors(ids.clone()),
+            QueryValue::Degree(b),
+            QueryValue::Khop(ids.clone()),
+            QueryValue::Walk(ids),
+        ]
+    }
+
+    fn assert_codec_holds(value: &QueryValue) {
+        let text = value.encode();
+        assert_eq!(text, reference_encode(value));
+        // `encode_into` appends: what is already in the buffer stays.
+        let mut framed = b"OK ".to_vec();
+        value.encode_into(&mut framed);
+        assert_eq!(framed, format!("OK {text}").into_bytes());
+        assert_eq!(&QueryValue::decode(&text).unwrap(), value);
+    }
+
+    #[test]
+    fn encode_edge_cases_match_the_reference() {
+        let ranks = vec![0.0, 1.0, 1.5e-7, f64::MIN_POSITIVE, f64::MAX, -2.5];
+        for ids in [
+            vec![],
+            vec![0],
+            vec![u64::MAX],
+            vec![9, 10, 99, 100, u64::MAX - 1, u64::MAX],
+        ] {
+            for (a, b) in [(0, 0), (u64::MAX, u64::MAX), (10, 1_000_000)] {
+                for value in all_variants(ids.clone(), a, b, ranks.clone()) {
+                    assert_codec_holds(&value);
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// `encode_into` writes the reference encoder's text for every
+        /// variant, and the text still decodes to the value.
+        #[test]
+        fn encode_into_matches_the_reference_encoder(
+            ids in vec(any::<u64>(), 0..40),
+            small_ids in vec(0u64..1000, 0..40),
+            a in any::<u64>(),
+            b in any::<u64>(),
+            rank_bits in vec(any::<u64>(), 40),
+        ) {
+            // Any finite f64, not just [0, 1): the `{:e}` form must
+            // round-trip whatever a rank could ever be.
+            let ranks: Vec<f64> = rank_bits
+                .into_iter()
+                .map(f64::from_bits)
+                .map(|r| if r.is_finite() { r } else { 0.25 })
+                .collect();
+            for ids in [ids, small_ids] {
+                for value in all_variants(ids, a, b, ranks.clone()) {
+                    assert_codec_holds(&value);
+                }
+            }
         }
     }
 

@@ -31,7 +31,7 @@
 pub mod proto;
 mod queue;
 
-pub use proto::{read_frame, write_frame, Reply, MAX_FRAME};
+pub use proto::{read_frame, write_frame, Reply, MAX_FRAME, MAX_REQUEST};
 
 use crate::queue::{Admission, QueuedSweep};
 use gstore_core::spec::run_point;
@@ -42,7 +42,7 @@ use gstore_core::{
 use gstore_graph::{GraphError, Result};
 use gstore_metrics::{NoopRecorder, Recorder};
 use gstore_tile::Tiling;
-use std::io;
+use std::io::{self, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -88,9 +88,18 @@ struct Shared {
     degrees: Vec<u64>,
     walk_seed: u64,
     shutdown: AtomicBool,
-    /// Clones of live connection streams, so shutdown can unblock their
-    /// reads. Slots are cleared as connections exit.
-    conns: Mutex<Vec<Option<TcpStream>>>,
+    /// One slot per live connection. A connection thread frees its slot
+    /// as it exits and the accept loop reuses free slots, so the table is
+    /// bounded by the peak number of concurrent connections, not by how
+    /// many the daemon has ever accepted.
+    conns: Mutex<Vec<Option<Conn>>>,
+}
+
+/// What shutdown needs of a live connection: a clone of its stream to
+/// unblock the read, and its thread to join.
+struct Conn {
+    stream: TcpStream,
+    thread: JoinHandle<()>,
 }
 
 /// A running daemon. Dropping the handle *without* calling
@@ -99,7 +108,7 @@ struct Shared {
 pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    accept_thread: Option<JoinHandle<Vec<JoinHandle<()>>>>,
+    accept_thread: Option<JoinHandle<()>>,
     sweep_thread: Option<JoinHandle<GStoreEngine>>,
 }
 
@@ -119,20 +128,24 @@ impl ServerHandle {
     /// inspection (`aio_in_flight`, `buffer_pool_stats`, `metrics`).
     pub fn shutdown(mut self) -> GStoreEngine {
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        // Unblock connection reads; threads then exit on their own.
-        for stream in self.shared.conns.lock().unwrap().iter().flatten() {
-            let _ = stream.shutdown(Shutdown::Both);
-        }
-        // Unblock the accept loop with a throwaway connection.
+        // Unblock the accept loop with a throwaway connection; once it is
+        // joined the connection table can only shrink.
         let _ = TcpStream::connect(self.addr);
-        let conn_threads = self
-            .accept_thread
+        self.accept_thread
             .take()
             .expect("shutdown runs once")
             .join()
             .expect("accept thread never panics");
-        for t in conn_threads {
-            let _ = t.join();
+        // Unblock connection reads and join their threads. The slots are
+        // emptied under the lock and joined outside it: an exiting thread
+        // takes the lock to free its own slot.
+        let live: Vec<Conn> = {
+            let mut conns = self.shared.conns.lock().expect("conns lock poisoned");
+            conns.iter_mut().filter_map(Option::take).collect()
+        };
+        for conn in live {
+            let _ = conn.stream.shutdown(Shutdown::Both);
+            let _ = conn.thread.join();
         }
         // Only now close admission: connections waiting on in-flight
         // sweep replies needed the loop alive to finish first.
@@ -206,54 +219,73 @@ pub fn serve(mut engine: GStoreEngine, opts: ServeOptions) -> Result<ServerHandl
     })
 }
 
-/// Accepts connections until shutdown; returns the connection threads it
-/// spawned so shutdown can join every one of them.
-fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) -> Vec<JoinHandle<()>> {
-    let mut threads = Vec::new();
+/// Accepts connections until shutdown, giving each a thread and a slot in
+/// the connection table.
+fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
     loop {
         let accepted = listener.accept();
         if shared.shutdown.load(Ordering::SeqCst) {
             break;
         }
-        let stream = match accepted {
-            Ok((stream, _)) => stream,
-            Err(_) => continue,
+        let Ok((stream, _)) = accepted else { continue };
+        let Ok(clone) = stream.try_clone() else {
+            continue;
         };
-        let slot = {
-            let mut conns = shared.conns.lock().unwrap();
-            match stream.try_clone() {
-                Ok(clone) => {
-                    conns.push(Some(clone));
-                    conns.len() - 1
-                }
-                Err(_) => continue,
-            }
-        };
+        // The table stays locked across the spawn so the new thread cannot
+        // free its slot before the slot is filled.
+        let mut conns = shared.conns.lock().expect("conns lock poisoned");
+        let slot = conns.iter().position(Option::is_none).unwrap_or_else(|| {
+            conns.push(None);
+            conns.len() - 1
+        });
         let conn_shared = Arc::clone(shared);
-        if let Ok(t) = thread::Builder::new()
+        let spawned = thread::Builder::new()
             .name("gstore-conn".into())
             .spawn(move || {
                 connection_loop(stream, &conn_shared);
-                conn_shared.conns.lock().unwrap()[slot] = None;
-            })
-        {
-            threads.push(t);
+                // Frees the slot — and with it this thread's own handle,
+                // which detaches a thread that has nothing left to do.
+                // After shutdown emptied the table there is nothing to free.
+                conn_shared.conns.lock().expect("conns lock poisoned")[slot] = None;
+            });
+        if let Ok(thread) = spawned {
+            conns[slot] = Some(Conn {
+                stream: clone,
+                thread,
+            });
         }
     }
-    threads
 }
 
 /// Serves one connection: a frame in, a reply frame out, until the peer
 /// closes (or shutdown unblocks the read). Query-level failures reply
-/// `ERR` and keep going; only transport-level failures end the loop.
-fn connection_loop(mut stream: TcpStream, shared: &Arc<Shared>) {
+/// `ERR` and keep going; only transport-level failures — a request header
+/// claiming more than [`MAX_REQUEST`] among them — end the loop.
+///
+/// Each frame costs one `read` (through the `BufReader`) and one `write`
+/// (header and payload assembled in `frame`); both buffers are reused for
+/// the life of the connection.
+fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
     shared.rec.serve_connection_opened();
-    while let Ok(Some(line)) = read_frame(&mut stream) {
-        let reply = answer(&line, shared);
-        let Some(reply) = reply else { break };
-        if write_frame(&mut stream, &reply.encode()).is_err() {
+    // One segment per frame already avoids the Nagle/delayed-ACK stall
+    // for strict request/reply traffic; NODELAY covers peers that pipeline.
+    let _ = stream.set_nodelay(true);
+    let mut reader = BufReader::new(stream);
+    let mut request = Vec::new();
+    let mut frame = Vec::new();
+    while let Ok(true) = proto::read_frame_into(&mut reader, MAX_REQUEST, &mut request) {
+        let Ok(line) = proto::frame_text(&request) else {
+            break;
+        };
+        let Some(reply) = answer(line, shared) else {
+            break;
+        };
+        let sent = proto::build_frame(&mut frame, |buf| reply.encode_into(buf))
+            .and_then(|()| reader.get_mut().write_all(&frame));
+        if sent.is_err() {
             break;
         }
+        proto::trim_buffer(&mut frame);
     }
     shared.rec.serve_connection_closed();
 }
@@ -345,27 +377,39 @@ fn sweep_loop(
 /// A blocking client for the serve protocol: one stream, one outstanding
 /// query at a time. This is what `gstore client` and the tests drive.
 pub struct Client {
-    stream: TcpStream,
+    reader: BufReader<TcpStream>,
+    /// Frame buffers, reused across queries like the daemon's.
+    request: Vec<u8>,
+    reply: Vec<u8>,
 }
 
 impl Client {
     /// Connects to a daemon.
     pub fn connect(addr: &str) -> io::Result<Client> {
+        let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
         Ok(Client {
-            stream: TcpStream::connect(addr)?,
+            reader: BufReader::new(stream),
+            request: Vec::new(),
+            reply: Vec::new(),
         })
     }
 
     /// Sends one query spec and waits for its reply.
     pub fn query(&mut self, spec: &str) -> io::Result<Reply> {
-        write_frame(&mut self.stream, spec)?;
-        match read_frame(&mut self.stream)? {
-            Some(line) => Reply::parse(&line),
-            None => Err(io::Error::new(
+        proto::build_frame(&mut self.request, |buf| {
+            buf.extend_from_slice(spec.as_bytes())
+        })?;
+        self.reader.get_mut().write_all(&self.request)?;
+        if !proto::read_frame_into(&mut self.reader, MAX_FRAME, &mut self.reply)? {
+            return Err(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
                 "server closed the connection",
-            )),
+            ));
         }
+        let reply = Reply::parse(proto::frame_text(&self.reply)?);
+        proto::trim_buffer(&mut self.reply);
+        reply
     }
 
     /// Like [`Client::query`], but retries `BUSY` replies (bounded) so
@@ -379,5 +423,68 @@ impl Client {
             }
         }
         self.query(spec)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gstore_graph::gen::{generate_rmat, RmatParams};
+    use gstore_scr::ScrConfig;
+    use gstore_tile::{ConversionOptions, TileStore};
+    use std::time::{Duration, Instant};
+
+    /// The connection table as `(slots, live)`.
+    fn conn_table(handle: &ServerHandle) -> (usize, usize) {
+        let conns = handle.shared.conns.lock().unwrap();
+        (conns.len(), conns.iter().flatten().count())
+    }
+
+    /// 500 connections over the daemon's life, never more than two at a
+    /// time: the table must end no larger than that peak (it grew by one
+    /// slot and one thread handle per connection before slots were
+    /// reused), and shutdown must still account for every thread.
+    #[test]
+    fn connection_table_is_bounded_by_peak_concurrency() {
+        const PEAK: usize = 2;
+        let el = generate_rmat(&RmatParams::kron(8, 6)).unwrap();
+        let store = TileStore::build(&el, &ConversionOptions::new(4)).unwrap();
+        let seg = (store.data_bytes() / 4).max(512);
+        let engine = GStoreEngine::builder()
+            .store(&store)
+            .scr(ScrConfig::new(seg, seg * 3).unwrap())
+            .metrics(true)
+            .build()
+            .unwrap();
+        let handle = serve(engine, ServeOptions::default()).unwrap();
+        let addr = handle.local_addr().to_string();
+
+        for round in 0..500 / PEAK {
+            let mut clients: Vec<Client> =
+                (0..PEAK).map(|_| Client::connect(&addr).unwrap()).collect();
+            for client in &mut clients {
+                assert!(matches!(client.query("degree:0").unwrap(), Reply::Value(_)));
+            }
+            drop(clients);
+            // A slot is freed by its own thread once it sees the close;
+            // wait for that so the next round finds the table empty.
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while conn_table(&handle).1 > 0 {
+                assert!(
+                    Instant::now() < deadline,
+                    "round {round}: slots never freed"
+                );
+                thread::sleep(Duration::from_micros(50));
+            }
+            assert!(conn_table(&handle).0 <= PEAK, "round {round}");
+        }
+
+        let engine = handle.shutdown();
+        let m = engine.metrics().unwrap().serve;
+        assert_eq!(m.connections_opened, 500);
+        assert_eq!(m.connections_closed, 500);
+        assert_eq!(m.point_queries, 500);
+        assert_eq!(engine.aio_in_flight(), 0);
+        assert_eq!(engine.buffer_pool_stats().outstanding, 0);
     }
 }

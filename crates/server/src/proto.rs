@@ -27,42 +27,107 @@ use std::io::{self, Read, Write};
 /// which at 20 bytes per vertex still fits millions of ids.
 pub const MAX_FRAME: usize = 64 << 20;
 
-/// Writes one frame: `u32` LE length + payload.
-pub fn write_frame(w: &mut impl Write, payload: &str) -> io::Result<()> {
-    let bytes = payload.as_bytes();
-    if bytes.len() > MAX_FRAME {
+/// Ceiling on a *request* frame as the daemon reads it. Requests are
+/// `QuerySpec` text (tens of bytes); a header claiming more tears the
+/// connection down before anything is allocated for it.
+pub const MAX_REQUEST: usize = 64 << 10;
+
+/// Bytes of the `u32` LE length prefix.
+const HEADER: usize = 4;
+
+/// Buffer capacity a connection keeps between frames; one that grew past
+/// this for a huge reply is released instead of pinned for the
+/// connection's life.
+const KEEP_CAPACITY: usize = 1 << 20;
+
+/// Assembles one whole frame in `buf`: reserves the header, lets `fill`
+/// append the payload, then back-patches the length. The caller sends
+/// `buf` with a single `write_all`, so header and payload leave in one
+/// segment — two writes on a TCP socket make the second wait (Nagle) for
+/// an ACK the peer delays by ~40 ms.
+pub(crate) fn build_frame(buf: &mut Vec<u8>, fill: impl FnOnce(&mut Vec<u8>)) -> io::Result<()> {
+    buf.clear();
+    buf.extend_from_slice(&[0; HEADER]);
+    fill(buf);
+    let len = buf.len() - HEADER;
+    if len > MAX_FRAME {
         return Err(io::Error::new(
             io::ErrorKind::InvalidInput,
-            format!("frame of {} bytes exceeds MAX_FRAME", bytes.len()),
+            format!("frame of {len} bytes exceeds MAX_FRAME"),
         ));
     }
-    w.write_all(&(bytes.len() as u32).to_le_bytes())?;
-    w.write_all(bytes)?;
+    buf[..HEADER].copy_from_slice(&(len as u32).to_le_bytes());
+    Ok(())
+}
+
+/// Drops a buffer that one oversized frame grew past [`KEEP_CAPACITY`].
+pub(crate) fn trim_buffer(buf: &mut Vec<u8>) {
+    if buf.capacity() > KEEP_CAPACITY {
+        *buf = Vec::new();
+    }
+}
+
+/// Writes one frame: `u32` LE length + payload, as a single `write`.
+pub fn write_frame(w: &mut impl Write, payload: &str) -> io::Result<()> {
+    let mut frame = Vec::with_capacity(HEADER + payload.len());
+    build_frame(&mut frame, |buf| buf.extend_from_slice(payload.as_bytes()))?;
+    w.write_all(&frame)?;
     w.flush()
+}
+
+/// Reads one frame's payload into `buf`, refusing a length above `max`
+/// before allocating for it. `Ok(false)` is a clean end of stream (the
+/// peer closed between frames); an EOF in the middle of a frame is an
+/// error. `buf` grows with the bytes that actually arrive, never with the
+/// length the header merely claims.
+pub(crate) fn read_frame_into(
+    r: &mut impl Read,
+    max: usize,
+    buf: &mut Vec<u8>,
+) -> io::Result<bool> {
+    let mut len_buf = [0u8; HEADER];
+    // A clean close may surface as 0 bytes before any header byte.
+    match r.read(&mut len_buf) {
+        Ok(0) => return Ok(false),
+        Ok(n) => r.read_exact(&mut len_buf[n..])?,
+        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(false),
+        Err(e) => return Err(e),
+    }
+    let len = u32::from_le_bytes(len_buf) as usize;
+    if len > max {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("frame length {len} exceeds the {max}-byte limit"),
+        ));
+    }
+    buf.clear();
+    // Room for a typical frame in one step; past that `read_to_end` grows
+    // the buffer only as bytes arrive.
+    buf.reserve(len.min(MAX_REQUEST));
+    if r.by_ref().take(len as u64).read_to_end(buf)? < len {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            format!("frame truncated at {} of {len} bytes", buf.len()),
+        ));
+    }
+    Ok(true)
 }
 
 /// Reads one frame. `Ok(None)` is a clean end of stream (the peer closed
 /// between frames); an EOF in the middle of a frame is an error.
 pub fn read_frame(r: &mut impl Read) -> io::Result<Option<String>> {
-    let mut len_buf = [0u8; 4];
-    // A clean close may surface as 0 bytes before any header byte.
-    match r.read(&mut len_buf) {
-        Ok(0) => return Ok(None),
-        Ok(n) => r.read_exact(&mut len_buf[n..])?,
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(e),
+    let mut payload = Vec::new();
+    if !read_frame_into(r, MAX_FRAME, &mut payload)? {
+        return Ok(None);
     }
-    let len = u32::from_le_bytes(len_buf) as usize;
-    if len > MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame length {len} exceeds MAX_FRAME"),
-        ));
-    }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
     String::from_utf8(payload)
         .map(Some)
+        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "frame is not UTF-8"))
+}
+
+/// A frame payload as text; anything else is a malformed frame.
+pub(crate) fn frame_text(payload: &[u8]) -> io::Result<&str> {
+    std::str::from_utf8(payload)
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "frame is not UTF-8"))
 }
 
@@ -98,14 +163,29 @@ impl Reply {
 
     /// The reply's frame payload.
     pub fn encode(&self) -> String {
+        let mut out = Vec::new();
+        self.encode_into(&mut out);
+        String::from_utf8(out).expect("replies are built from UTF-8 text")
+    }
+
+    /// Appends [`Self::encode`]'s text to `out` — for the daemon, the
+    /// connection's frame buffer, so a reply is written once, in place.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
-            Reply::Value(v) => format!("OK {}", v.encode()),
+            Reply::Value(v) => {
+                out.extend_from_slice(b"OK ");
+                v.encode_into(out);
+            }
             Reply::Error { code, message } => {
+                out.extend_from_slice(b"ERR ");
+                out.extend_from_slice(code.as_bytes());
+                out.push(b' ');
                 // Keep the payload one line: the frame is text, and a
                 // multi-line message would complicate logging clients.
-                format!("ERR {code} {}", message.replace('\n', " "))
+                // `\n` is a single byte in UTF-8, so the swap is bytewise.
+                out.extend(message.bytes().map(|b| if b == b'\n' { b' ' } else { b }));
             }
-            Reply::Busy => "BUSY".to_string(),
+            Reply::Busy => out.extend_from_slice(b"BUSY"),
         }
     }
 
@@ -149,6 +229,85 @@ mod tests {
         assert_eq!(read_frame(&mut r).unwrap().unwrap(), "");
         assert_eq!(read_frame(&mut r).unwrap().unwrap(), "wcc");
         assert_eq!(read_frame(&mut r).unwrap(), None); // clean EOF
+    }
+
+    /// Counts `write` calls; accepts whatever it is given.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// One `write` per frame is what keeps header and payload in one TCP
+    /// segment; a second one would wait out the peer's delayed ACK.
+    #[test]
+    fn a_frame_is_one_write() {
+        for len in [0, 5, 64 << 10] {
+            let payload = "x".repeat(len);
+            let mut w = CountingWriter::default();
+            write_frame(&mut w, &payload).unwrap();
+            assert_eq!(w.writes, 1, "{len}-byte payload");
+            assert_eq!(w.bytes.len(), 4 + len);
+            assert_eq!(
+                read_frame(&mut w.bytes.as_slice()).unwrap().unwrap(),
+                payload
+            );
+        }
+    }
+
+    #[test]
+    fn wire_image_is_pinned() {
+        let mut wire = Vec::new();
+        write_frame(&mut wire, "degree:7").unwrap();
+        assert_eq!(wire, b"\x08\0\0\0degree:7");
+
+        // A reply built in place (the daemon's path) and one sent through
+        // `write_frame(encode())` are the same bytes.
+        let reply = Reply::Value(QueryValue::Neighbors(vec![1, 20, 300]));
+        let mut in_place = Vec::new();
+        build_frame(&mut in_place, |buf| reply.encode_into(buf)).unwrap();
+        assert_eq!(in_place, b"\x1b\0\0\0OK neighbors n=3 v=1,20,300");
+        wire.clear();
+        write_frame(&mut wire, &reply.encode()).unwrap();
+        assert_eq!(wire, in_place);
+
+        let multi_line = Reply::Error {
+            code: "io".into(),
+            message: "disk\ngone".into(),
+        };
+        assert_eq!(multi_line.encode(), "ERR io disk gone");
+        assert_eq!(Reply::Busy.encode(), "BUSY");
+    }
+
+    /// A header may claim up to `max` bytes, but memory follows the bytes
+    /// that arrive: a 4-byte header alone must not buy a 64 MiB buffer.
+    #[test]
+    fn buffer_grows_with_bytes_received_not_with_the_claim() {
+        let mut wire = (MAX_FRAME as u32).to_le_bytes().to_vec();
+        wire.extend_from_slice(b"only these");
+        let mut buf = Vec::new();
+        let err = read_frame_into(&mut wire.as_slice(), MAX_FRAME, &mut buf).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        assert!(buf.capacity() <= MAX_REQUEST, "{} bytes", buf.capacity());
+
+        // Above the caller's limit nothing is read or reserved at all.
+        let mut wire = (MAX_REQUEST as u32 + 1).to_le_bytes().to_vec();
+        wire.extend_from_slice(b"xx");
+        let mut buf = Vec::new();
+        let err = read_frame_into(&mut wire.as_slice(), MAX_REQUEST, &mut buf).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(buf.capacity(), 0);
     }
 
     #[test]

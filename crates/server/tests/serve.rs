@@ -9,9 +9,12 @@ use gstore_core::{GStoreEngine, QueryValue, SweepQuery};
 use gstore_graph::gen::{generate_rmat, RmatParams};
 use gstore_io::{MemBackend, StorageBackend};
 use gstore_scr::ScrConfig;
-use gstore_server::{serve, Client, Reply, ServeOptions};
+use gstore_server::{read_frame, serve, Client, Reply, ServeOptions, MAX_REQUEST};
 use gstore_tile::{ConversionOptions, TileIndex, TileStore};
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// PageRank solo-vs-batch agreement bound (established in the multi-query
 /// engine tests); everything else compares exactly.
@@ -404,4 +407,65 @@ fn single_client_queue_depth_stays_at_one() {
     assert_eq!(m.queries_queued, 3);
     assert_eq!(m.queue_depth_hist[0], 3); // depth 1 -> bucket [1, 2)
     assert_eq!(m.queue_depth_percentile(0.99), 1);
+}
+
+/// A served point read costs about what the direct call costs. With the
+/// frame sent as two writes (header, then payload) each direction of a
+/// round trip waited out the peer's delayed ACK: ≥ 80 ms per request on
+/// loopback. One segment per frame makes it sub-millisecond; the
+/// threshold sits an order of magnitude from both.
+#[test]
+fn point_round_trips_do_not_stall_on_the_wire() {
+    let store = small_store();
+    let handle = serve(engine_for(&store), ServeOptions::default()).unwrap();
+    let mut client = Client::connect(&handle.local_addr().to_string()).unwrap();
+
+    let mut latencies: Vec<Duration> = (0..50)
+        .map(|i| {
+            let spec = format!("degree:{i}");
+            let t = Instant::now();
+            expect_value(client.query(&spec).unwrap(), &spec);
+            t.elapsed()
+        })
+        .collect();
+    latencies.sort();
+    let median = latencies[latencies.len() / 2];
+    assert!(
+        median < Duration::from_millis(10),
+        "median served degree took {median:?}"
+    );
+    drop(client);
+    handle.shutdown();
+}
+
+/// Requests are QuerySpec text. A header claiming a megabyte is refused
+/// before a byte is allocated for it: that connection is closed, and the
+/// daemon goes on serving everyone else.
+#[test]
+fn oversized_request_header_closes_only_that_connection() {
+    let store = small_store();
+    let handle = serve(engine_for(&store), ServeOptions::default()).unwrap();
+    let addr = handle.local_addr().to_string();
+    let mut bystander = Client::connect(&addr).unwrap();
+    expect_value(bystander.query("degree:0").unwrap(), "degree:0");
+
+    let mut hostile = TcpStream::connect(&addr).unwrap();
+    hostile.write_all(&(1u32 << 20).to_le_bytes()).unwrap();
+    // The daemon hangs up without reading the (absent) payload and
+    // without replying.
+    let mut rest = Vec::new();
+    assert_eq!(hostile.read_to_end(&mut rest).unwrap(), 0);
+
+    // The largest request the daemon does accept is still answered (with
+    // a typed ERR: it is not a query).
+    let mut padded = TcpStream::connect(&addr).unwrap();
+    gstore_server::write_frame(&mut padded, &"x".repeat(MAX_REQUEST)).unwrap();
+    let reply = read_frame(&mut padded).unwrap().expect("a reply frame");
+    assert!(reply.starts_with("ERR invalid_parameter "), "{reply:.60}");
+
+    expect_value(bystander.query("degree:1").unwrap(), "degree:1");
+    drop((bystander, padded));
+    let engine = handle.shutdown();
+    assert_eq!(engine.metrics().unwrap().serve.point_queries, 2);
+    assert_eq!(engine.aio_in_flight(), 0);
 }

@@ -143,10 +143,21 @@ fn builder_sources_are_equivalent() {
     }
     assert_eq!(depths[0], depths[1]);
     assert_eq!(depths[1], depths[2]);
-    assert_eq!(stats[0].iterations, stats[1].iterations);
-    assert_eq!(stats[0].bytes_read, stats[1].bytes_read);
-    assert_eq!(stats[1].bytes_read, stats[2].bytes_read);
-    assert_eq!(stats[0].edges_processed, stats[2].edges_processed);
+    // What the run did is the same whatever the source; *where* a tile
+    // came from is not. SCR admits tiles in I/O completion order, which
+    // differs between a file and memory, so one small tile can be served
+    // from disk under one source and from the pool under another —
+    // `bytes_read` and the fetched/cached split may differ by that tile.
+    // Their sum, and everything computed from the tiles, may not.
+    for s in &stats[1..] {
+        assert_eq!(s.iterations, stats[0].iterations);
+        assert_eq!(s.edges_processed, stats[0].edges_processed);
+        assert_eq!(s.tiles_processed, stats[0].tiles_processed);
+        assert_eq!(
+            s.tiles_fetched + s.tiles_from_cache,
+            stats[0].tiles_fetched + stats[0].tiles_from_cache
+        );
+    }
 }
 
 /// `EngineConfig` survives as the builder's plain-data output; the knob
