@@ -38,7 +38,8 @@ pub enum UpdateMode {
     /// propagation in both directions). Off-diagonal tiles are split into
     /// two work items — a destination-side item keyed by the column
     /// partition and a source-side item keyed by the row partition — each
-    /// decoding the tile once and applying one side's updates.
+    /// walking the tile's resident raw bytes and applying one side's
+    /// updates.
     ShardedBoth,
 }
 

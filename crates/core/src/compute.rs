@@ -1,42 +1,58 @@
 //! The compute phase: how a batch of resident tiles is turned into
 //! algorithm updates (§V.C two-level parallelism).
 //!
-//! Two executors share this module:
+//! One executor, [`process_batch_queries`], serves every caller — the
+//! engine's slide runs and rewind batches, and the K = 1 wrappers
+//! ([`process_batch`] and friends) the benches replay it through. A batch
+//! goes through it in two steps:
 //!
-//! * **Column-sharded** (the default for algorithms whose
-//!   [`Algorithm::update_mode`] opts in): each tile becomes one or two
-//!   *work items* keyed by the vertex partition its updates write —
-//!   destination-column for destination-side writes, source-row for
-//!   source-side writes. Partitions are assigned to `S` disjoint shards
-//!   (greedy LPT on byte weight, `S` = worker count), each shard runs
-//!   sequentially, and shards run in parallel. Because a partition maps to
-//!   exactly one shard, no two concurrent work items ever write the same
-//!   vertex — metadata updates become plain load+store writes with no
-//!   `lock`-prefixed RMW (see [`crate::atomics::AtomicF64::add_unsync`]).
-//!   Within a shard, items are processed in ascending linear tile index,
-//!   which *is* physical-group-major order (§V.A): one group's row/col
-//!   metadata stays LLC-resident across its q×q tiles before the shard
-//!   moves on.
+//! * **Decode stage** (coded stores only). The batch is cut into *waves*
+//!   of at most [`WAVE_KEYS`] keys; a wave's tiles are decoded once, in
+//!   parallel, into one reused scratch laid out as raw SNB
+//!   ([`DecodeStage`]), and every consumer of the wave — destination-side
+//!   item, source-side item, each query of the batch, sharded or atomic —
+//!   reads a plain raw [`TileView`] over its slice. Raw stores skip the
+//!   stage: their views borrow the caller's bytes.
 //!
-//! * **Atomic** (the fallback, and the only path for algorithms like BFS
-//!   whose CAS-once writes are already cheap): tiles are split into
-//!   byte-weighted contiguous chunks on the shared-index work queue, so
-//!   one RMAT hub tile no longer serializes the whole batch.
+//! * **Apply**, per wave (a raw batch is one wave), by update mode:
 //!
-//! Both paths produce identical results for integer metadata; PageRank's
+//!   * **Column-sharded** (algorithms whose [`Algorithm::update_mode`] opts
+//!     in): each tile becomes one or two *work items* keyed by the vertex
+//!     partition its updates write — destination-column for
+//!     destination-side writes, source-row for source-side writes.
+//!     Partitions are assigned to `S` disjoint shards (greedy LPT on byte
+//!     weight, `S` = worker count), each shard runs sequentially, and
+//!     shards run in parallel. Because a partition maps to exactly one
+//!     shard, no two concurrent work items ever write the same vertex —
+//!     metadata updates become plain load+store writes with no
+//!     `lock`-prefixed RMW (see [`crate::atomics::AtomicF64::add_unsync`]).
+//!     Within a shard, items are processed in ascending linear tile index,
+//!     which *is* physical-group-major order (§V.A): one group's row/col
+//!     metadata stays LLC-resident across its q×q tiles before the shard
+//!     moves on.
+//!
+//!   * **Atomic** (the fallback, and the only path for algorithms like BFS
+//!     whose CAS-once writes are already cheap): tiles are split into
+//!     byte-weighted contiguous chunks on the shared-index work queue, so
+//!     one RMAT hub tile no longer serializes the whole batch.
+//!
+//! Both modes produce identical results for integer metadata; PageRank's
 //! floating-point accumulation order differs between them (and with the
 //! shard count), within the documented tolerance of the engine tests.
 
 use crate::algorithm::{Algorithm, ShardSides, UpdateMode};
 use crate::view::TileView;
-use gstore_tile::TileIndex;
+use gstore_graph::{GraphError, Result};
+use gstore_tile::{EdgeEncoding, TileCursor, TileIndex, SNB_EDGE_BYTES};
 use rayon::prelude::*;
+use std::sync::Mutex;
+use std::time::Instant;
 
 /// What one batch's compute pass did — the engine folds these into
 /// [`crate::RunStats`] and the flight recorder's `compute` group.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BatchOutcome {
-    /// Edges decoded and applied (each stored tuple counted once).
+    /// Edges applied (each stored tuple counted once per consuming query).
     pub edges: u64,
     /// Edges that went through the sharded (plain-write) path.
     pub sharded_edges: u64,
@@ -48,6 +64,13 @@ pub struct BatchOutcome {
     /// Physical-group visits across all shards' scheduling order (a group
     /// processed contiguously counts once per shard that touches it).
     pub groups_scheduled: u64,
+    /// Keys the decode stage decoded: the stored edges of the batch's
+    /// tiles, each once however many items and queries consumed them.
+    /// 0 on raw stores.
+    pub decoded_edges: u64,
+    /// Set by the K = 1 wrappers when a coded tile's stream disagreed with
+    /// the index: that tile's wave and every later one were not applied.
+    pub corrupt_tile: Option<u64>,
 }
 
 impl BatchOutcome {
@@ -60,206 +83,52 @@ impl BatchOutcome {
     }
 }
 
-/// One sharded work item: a tile plus which endpoint sides to apply.
-/// `key` is the partition every write lands in — the sharding unit.
-struct WorkItem<'a> {
-    tile: u64,
-    bytes: &'a [u8],
-    sides: ShardSides,
-    key: u32,
-}
-
-/// Processes a batch of resident tiles, choosing the executor from the
-/// algorithm's [`Algorithm::update_mode`] (`force_atomic` pins the
-/// fallback, e.g. for A/B benchmarking).
+/// Processes a batch of resident tiles for one algorithm, in the mode its
+/// [`Algorithm::update_mode`] declares (`force_atomic` pins the fallback,
+/// e.g. for A/B benchmarking): [`process_batch_queries`] with K = 1.
 pub fn process_batch(
     index: &TileIndex,
     alg: &dyn Algorithm,
     batch: &[(u64, &[u8])],
     force_atomic: bool,
 ) -> BatchOutcome {
-    let mode = alg.update_mode();
-    if force_atomic || mode == UpdateMode::Atomic {
-        process_batch_atomic(index, alg, batch)
+    let mode = if force_atomic {
+        UpdateMode::Atomic
     } else {
-        process_batch_sharded(index, alg, batch, mode)
-    }
+        alg.update_mode()
+    };
+    process_batch_sharded(index, alg, batch, mode)
 }
 
-/// Atomic fallback: byte-weighted chunks on the shared-index work queue.
+/// [`process_batch`] pinned to the atomic fallback.
 pub fn process_batch_atomic(
     index: &TileIndex,
     alg: &dyn Algorithm,
     batch: &[(u64, &[u8])],
 ) -> BatchOutcome {
-    let tiling = *index.layout.tiling();
-    let encoding = index.encoding;
-    let codec = index.codec;
-    let edges: u64 = rayon::par_weighted_chunks(
-        batch,
-        |&(_, bytes)| bytes.len().max(1) as u64,
-        |chunk| {
-            chunk
-                .iter()
-                .map(|&(t, bytes)| {
-                    let coord = index.layout.coord_at(t);
-                    let view = TileView::coded(&tiling, coord, encoding, codec, bytes);
-                    alg.process_tile(&view);
-                    view.edge_count()
-                })
-                .sum::<u64>()
-        },
-    )
-    .into_iter()
-    .sum();
-    BatchOutcome {
-        edges,
-        atomic_edges: edges,
-        groups_scheduled: group_visits(index, batch.iter().map(|&(t, _)| t)),
-        ..BatchOutcome::default()
-    }
+    process_batch_sharded(index, alg, batch, UpdateMode::Atomic)
 }
 
-/// Column-sharded executor: conflict-free plain-write updates.
+/// [`process_batch`] in an explicit update mode.
 pub fn process_batch_sharded(
     index: &TileIndex,
     alg: &dyn Algorithm,
     batch: &[(u64, &[u8])],
     mode: UpdateMode,
 ) -> BatchOutcome {
-    let shards = plan_shards(index, batch, mode, rayon::current_num_threads().max(1));
-    let per_shard: Vec<BatchOutcome> = shards
-        .par_iter()
-        .map(|shard| run_shard(index, alg, shard))
-        .collect();
-    let mut out = BatchOutcome::default();
-    for s in per_shard {
-        out.absorb(s);
+    let masked: Vec<(u64, &[u8], u64)> = batch.iter().map(|&(t, bytes)| (t, bytes, 1)).collect();
+    match run_queries(
+        index,
+        &[QueryRef { alg, mode }],
+        &masked,
+        &mut DecodeStage::default(),
+    ) {
+        Ok(out) => out.aggregate(),
+        Err(corrupt) => BatchOutcome {
+            corrupt_tile: Some(corrupt.tile),
+            ..BatchOutcome::default()
+        },
     }
-    out
-}
-
-/// Builds the per-shard work-item lists for one batch. Exposed to the
-/// bench crate (and tests) so the schedule itself can be inspected.
-fn plan_shards<'a>(
-    index: &TileIndex,
-    batch: &[(u64, &'a [u8])],
-    mode: UpdateMode,
-    shard_count: usize,
-) -> Vec<Vec<WorkItem<'a>>> {
-    let mut items: Vec<WorkItem<'a>> = Vec::with_capacity(batch.len() * 2);
-    for &(t, bytes) in batch {
-        let coord = index.layout.coord_at(t);
-        match mode {
-            UpdateMode::Atomic => unreachable!("atomic mode has no shard plan"),
-            UpdateMode::ShardedDst => items.push(WorkItem {
-                tile: t,
-                bytes,
-                sides: ShardSides {
-                    src: false,
-                    dst: true,
-                },
-                key: coord.col,
-            }),
-            UpdateMode::ShardedBoth => {
-                if coord.row == coord.col {
-                    items.push(WorkItem {
-                        tile: t,
-                        bytes,
-                        sides: ShardSides {
-                            src: true,
-                            dst: true,
-                        },
-                        key: coord.col,
-                    });
-                } else {
-                    // Off-diagonal tiles split: the same bytes are decoded
-                    // twice, once per endpoint side, each item keyed by
-                    // the partition it writes. Decode is cheap relative to
-                    // the RMW traffic this removes.
-                    items.push(WorkItem {
-                        tile: t,
-                        bytes,
-                        sides: ShardSides {
-                            src: false,
-                            dst: true,
-                        },
-                        key: coord.col,
-                    });
-                    items.push(WorkItem {
-                        tile: t,
-                        bytes,
-                        sides: ShardSides {
-                            src: true,
-                            dst: false,
-                        },
-                        key: coord.row,
-                    });
-                }
-            }
-        }
-    }
-
-    // Greedy LPT: heaviest partition first onto the lightest shard.
-    let partitions = index.layout.tiling().partitions() as usize;
-    let mut weight = vec![0u64; partitions];
-    for it in &items {
-        weight[it.key as usize] += (it.bytes.len() as u64).max(1);
-    }
-    let mut order: Vec<u32> = (0..partitions as u32)
-        .filter(|&p| weight[p as usize] > 0)
-        .collect();
-    order.sort_by_key(|&p| std::cmp::Reverse(weight[p as usize]));
-    let shard_count = shard_count.min(order.len().max(1));
-    let mut shard_of = vec![usize::MAX; partitions];
-    let mut load = vec![0u64; shard_count];
-    for p in order {
-        let lightest = (0..shard_count).min_by_key(|&s| load[s]).unwrap();
-        shard_of[p as usize] = lightest;
-        load[lightest] += weight[p as usize];
-    }
-
-    let mut shards: Vec<Vec<WorkItem<'a>>> = (0..shard_count).map(|_| Vec::new()).collect();
-    for it in items {
-        let s = shard_of[it.key as usize];
-        shards[s].push(it);
-    }
-    // Ascending linear tile index == physical-group-major order: a
-    // group's q×q resident tiles are consecutive, so its row/col
-    // metadata is touched in one contiguous burst per shard.
-    for shard in &mut shards {
-        shard.sort_by_key(|it| it.tile);
-    }
-    shards
-}
-
-/// Runs one shard's items sequentially (the shard owns its partitions —
-/// plain writes only).
-fn run_shard(index: &TileIndex, alg: &dyn Algorithm, items: &[WorkItem<'_>]) -> BatchOutcome {
-    let tiling = *index.layout.tiling();
-    let encoding = index.encoding;
-    let codec = index.codec;
-    let mut out = BatchOutcome::default();
-    let mut last_group = u64::MAX;
-    for it in items {
-        let coord = index.layout.coord_at(it.tile);
-        let view = TileView::coded(&tiling, coord, encoding, codec, it.bytes);
-        alg.process_tile_sharded(&view, it.sides);
-        let ec = view.edge_count();
-        // Count each tile's edges exactly once — on its destination-side
-        // item (every tile has exactly one).
-        if it.sides.dst {
-            out.edges += ec;
-            out.sharded_edges += ec;
-        }
-        out.plain_updates += ec * (it.sides.src as u64 + it.sides.dst as u64);
-        let g = index.layout.group_of_tile(it.tile).tile_start;
-        if g != last_group {
-            out.groups_scheduled += 1;
-            last_group = g;
-        }
-    }
-    out
 }
 
 /// One query's slot in a shared-scan compute dispatch: the algorithm and
@@ -270,13 +139,18 @@ pub struct QueryRef<'q> {
     pub mode: UpdateMode,
 }
 
-/// Per-query outcomes of one shared batch. `groups_scheduled` belongs to
-/// the shared schedule (tiles are decoded once for all interested
-/// queries), so it is a batch-level number, not a per-query one.
+/// Per-query outcomes of one shared batch. `groups_scheduled`,
+/// `decoded_edges` and `decode_ns` belong to the shared schedule (tiles
+/// are decoded once for all interested queries), so they are batch-level
+/// numbers, not per-query ones.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MultiBatchOutcome {
     pub per_query: Vec<BatchOutcome>,
     pub groups_scheduled: u64,
+    /// Keys the decode stage decoded (see [`BatchOutcome::decoded_edges`]).
+    pub decoded_edges: u64,
+    /// Wall time of the decode stage's waves; 0 unless the stage is timed.
+    pub decode_ns: u64,
 }
 
 impl MultiBatchOutcome {
@@ -286,6 +160,7 @@ impl MultiBatchOutcome {
     pub fn aggregate(&self) -> BatchOutcome {
         let mut out = BatchOutcome {
             groups_scheduled: self.groups_scheduled,
+            decoded_edges: self.decoded_edges,
             ..BatchOutcome::default()
         };
         for q in &self.per_query {
@@ -298,7 +173,217 @@ impl MultiBatchOutcome {
     }
 }
 
-/// A sharded work item of the shared scan: one tile decode serving every
+/// Keys one wave of the decode stage holds: 256 Ki keys = 1 MiB of raw
+/// SNB. A constant, not a knob — the bound is what keeps the stage's
+/// memory off the run's peak (a rewind batch is the whole SCR pool:
+/// decoded at once it is three times the pool), and past a few tiles per
+/// worker a longer wave buys nothing.
+pub const WAVE_KEYS: usize = 256 << 10;
+
+/// The decode stage's scratch: one wave of decoded keys laid out as raw
+/// SNB, owned by the engine and reused by every batch of every run.
+#[derive(Debug, Default)]
+pub struct DecodeStage {
+    raw: Vec<u8>,
+    timed: bool,
+}
+
+impl DecodeStage {
+    /// `timed`: take one `Instant` pair per wave and report the sum as
+    /// [`MultiBatchOutcome::decode_ns`].
+    pub fn new(timed: bool) -> Self {
+        DecodeStage {
+            raw: Vec::new(),
+            timed,
+        }
+    }
+
+    /// Bytes the scratch holds (0 until a coded batch arrives).
+    #[cfg(test)]
+    pub(crate) fn scratch_bytes(&self) -> usize {
+        self.raw.capacity()
+    }
+}
+
+/// A coded tile whose stream disagrees with the trusted index.
+#[derive(Debug)]
+struct CorruptTile {
+    tile: u64,
+    what: String,
+}
+
+impl From<CorruptTile> for GraphError {
+    fn from(c: CorruptTile) -> Self {
+        GraphError::Format(format!("coded tile {} is corrupt: {}", c.tile, c.what))
+    }
+}
+
+/// One tile's share of a wave: `keys` keys from where `cursor` stands,
+/// into `out`. The mutex only makes the job shareable with the worker
+/// that claims it; it is locked once.
+struct DecodeJob<'a, 's> {
+    /// Position of the tile in the batch.
+    item: usize,
+    keys: usize,
+    /// Keys of the tile later waves still have to decode.
+    left: u64,
+    state: Mutex<(TileCursor<'a>, &'s mut [u8])>,
+}
+
+impl<'a, 's> DecodeJob<'a, 's> {
+    /// Gives the tile as many of its `left` keys as `rest` has room for,
+    /// and that much of the front of `rest`.
+    fn push(
+        jobs: &mut Vec<Self>,
+        rest: &mut &'s mut [u8],
+        item: usize,
+        cursor: TileCursor<'a>,
+        left: u64,
+    ) {
+        let keys = left.min((rest.len() / SNB_EDGE_BYTES) as u64) as usize;
+        let (out, tail) = std::mem::take(rest).split_at_mut(keys * SNB_EDGE_BYTES);
+        *rest = tail;
+        jobs.push(DecodeJob {
+            item,
+            keys,
+            left: left - keys as u64,
+            state: Mutex::new((cursor, out)),
+        });
+    }
+
+    fn run(&self, tile: u64) -> std::result::Result<(), CorruptTile> {
+        const BLOCK: usize = 256;
+        let mut state = self
+            .state
+            .lock()
+            .expect("no other holder can have panicked");
+        let (cursor, out) = &mut *state;
+        let mut keys = [0u32; BLOCK];
+        for chunk in out.chunks_mut(BLOCK * SNB_EDGE_BYTES) {
+            let want = chunk.len() / SNB_EDGE_BYTES;
+            let got = cursor.next_block(&mut keys[..want]);
+            if got < want {
+                return Err(CorruptTile {
+                    tile,
+                    what: "its stream ends before the edge count the index gives".into(),
+                });
+            }
+            // A key is `(src << 16) | dst`; an SNB record read as one
+            // little-endian word is `(dst << 16) | src`.
+            for (record, key) in chunk.chunks_exact_mut(SNB_EDGE_BYTES).zip(&keys[..want]) {
+                record.copy_from_slice(&key.rotate_left(16).to_le_bytes());
+            }
+        }
+        if self.left == 0 && cursor.overran() {
+            return Err(CorruptTile {
+                tile,
+                what: "its stream is shorter than its edges need".into(),
+            });
+        }
+        Ok(())
+    }
+}
+
+/// Cuts a coded batch into waves of [`WAVE_KEYS`] keys, batch order kept.
+/// A wave that fills up inside a tile leaves that tile's cursor for the
+/// next one to resume, so a tile larger than a wave is decoded in slices.
+struct Waves<'a, 'b> {
+    index: &'b TileIndex,
+    batch: &'b [(u64, &'a [u8], u64)],
+    /// First batch item no wave has opened yet.
+    next: usize,
+    /// The tile the previous wave stopped inside: its batch position, its
+    /// cursor, the keys still to come.
+    carry: Option<(usize, TileCursor<'a>, u64)>,
+}
+
+impl<'a> Waves<'a, '_> {
+    fn pending(&self) -> bool {
+        self.carry.is_some() || self.next < self.batch.len()
+    }
+
+    /// Decodes the next wave into `raw` (one wave long) and returns its
+    /// layout: `(batch position, keys)` per slice, slices back to back
+    /// from the front. A tile's slice is sized from the index, never from
+    /// the stream's own count header, and a stream that holds another
+    /// count is an error.
+    fn decode_next(
+        &mut self,
+        raw: &mut [u8],
+    ) -> std::result::Result<Vec<(usize, usize)>, CorruptTile> {
+        let mut jobs = Vec::new();
+        let mut rest = raw;
+        if let Some((item, cursor, left)) = self.carry.take() {
+            DecodeJob::push(&mut jobs, &mut rest, item, cursor, left);
+        }
+        while !rest.is_empty() && self.next < self.batch.len() {
+            let (tile, bytes, _) = self.batch[self.next];
+            let t = tile as usize;
+            let expected = self.index.start_edge[t + 1] - self.index.start_edge[t];
+            let cursor = self.index.codec.cursor(bytes).map_err(|e| CorruptTile {
+                tile,
+                what: e.to_string(),
+            })?;
+            if cursor.remaining() != expected {
+                return Err(CorruptTile {
+                    tile,
+                    what: format!(
+                        "its stream claims {} edges, the index gives {expected}",
+                        cursor.remaining()
+                    ),
+                });
+            }
+            DecodeJob::push(&mut jobs, &mut rest, self.next, cursor, expected);
+            self.next += 1;
+        }
+
+        let batch = self.batch;
+        for chunk in rayon::par_weighted_chunks(
+            &jobs,
+            |job| job.keys.max(1) as u64,
+            |chunk| chunk.iter().try_for_each(|job| job.run(batch[job.item].0)),
+        ) {
+            chunk?;
+        }
+
+        let layout = jobs.iter().map(|job| (job.item, job.keys)).collect();
+        // Only the last tile of a wave can be unfinished.
+        if let Some(job) = jobs.pop().filter(|job| job.left > 0) {
+            let (cursor, _) = job.state.into_inner().expect("no holder can have panicked");
+            self.carry = Some((job.item, cursor, job.left));
+        }
+        Ok(layout)
+    }
+}
+
+/// Which queries of a batch run in which update mode, as query bitmasks.
+#[derive(Debug, Clone, Copy, Default)]
+struct ModeMasks {
+    atomic: u64,
+    /// Sharded queries: all of them write the destination side.
+    dst: u64,
+    /// The sharded queries that also write the source side.
+    both: u64,
+}
+
+impl ModeMasks {
+    fn of(queries: &[QueryRef<'_>]) -> Self {
+        let mut masks = ModeMasks::default();
+        for (q, qr) in queries.iter().enumerate() {
+            match qr.mode {
+                UpdateMode::Atomic => masks.atomic |= 1 << q,
+                UpdateMode::ShardedDst => masks.dst |= 1 << q,
+                UpdateMode::ShardedBoth => {
+                    masks.dst |= 1 << q;
+                    masks.both |= 1 << q;
+                }
+            }
+        }
+        masks
+    }
+}
+
+/// A sharded work item of the shared scan: one resident tile serving every
 /// query whose bit is set. `dst_mask`/`src_mask` say which queries apply
 /// destination-side / source-side updates from this item; all of them
 /// write only partition `key`, so the single-query conflict-freedom
@@ -322,45 +407,90 @@ pub(crate) fn for_each_bit(mut bits: u64, mut f: impl FnMut(usize)) {
 
 /// Processes one shared batch for a whole query batch: each item is
 /// `(tile, bytes, mask)` where bit `q` of `mask` means query `q`'s
-/// frontier covers the tile. Every tile is decoded once and dispatched to
-/// all interested queries back-to-back — while its `TileView` and group
-/// metadata are hot — with atomic-mode queries on the byte-weighted
-/// fallback executor and sharded queries on the column-sharded schedule.
+/// frontier covers the tile. A coded tile is decoded once, by the decode
+/// stage, and every tile is dispatched to all interested queries
+/// back-to-back — while its `TileView` and group metadata are hot — with
+/// atomic-mode queries on the byte-weighted fallback executor and sharded
+/// queries on the column-sharded schedule.
+///
+/// Fails with [`GraphError::Format`], naming the tile, when a coded tile's
+/// stream does not hold the edges the index says it does; waves before
+/// that tile's have been applied by then.
 pub fn process_batch_queries(
     index: &TileIndex,
     queries: &[QueryRef<'_>],
     batch: &[(u64, &[u8], u64)],
-) -> MultiBatchOutcome {
+    stage: &mut DecodeStage,
+) -> Result<MultiBatchOutcome> {
+    Ok(run_queries(index, queries, batch, stage)?)
+}
+
+fn run_queries(
+    index: &TileIndex,
+    queries: &[QueryRef<'_>],
+    batch: &[(u64, &[u8], u64)],
+    stage: &mut DecodeStage,
+) -> std::result::Result<MultiBatchOutcome, CorruptTile> {
     let k = queries.len();
     assert!(k <= 64, "tile masks are u64: at most 64 queries per batch");
+    let modes = ModeMasks::of(queries);
     let mut out = MultiBatchOutcome {
         per_query: vec![BatchOutcome::default(); k],
-        groups_scheduled: 0,
+        ..MultiBatchOutcome::default()
     };
-    let mut atomic_mask = 0u64;
-    let mut dst_mask_all = 0u64;
-    let mut both_mask_all = 0u64;
-    for (q, qr) in queries.iter().enumerate() {
-        match qr.mode {
-            UpdateMode::Atomic => atomic_mask |= 1 << q,
-            UpdateMode::ShardedDst => dst_mask_all |= 1 << q,
-            UpdateMode::ShardedBoth => {
-                dst_mask_all |= 1 << q;
-                both_mask_all |= 1 << q;
-            }
-        }
+    if !index.is_coded() {
+        apply_wave(index, queries, modes, index.encoding, batch, &mut out);
+        return Ok(out);
     }
 
-    let tiling = *index.layout.tiling();
-    let encoding = index.encoding;
-    let codec = index.codec;
+    if stage.raw.is_empty() {
+        stage.raw = vec![0; WAVE_KEYS * SNB_EDGE_BYTES];
+    }
+    let mut waves = Waves {
+        index,
+        batch,
+        next: 0,
+        carry: None,
+    };
+    while waves.pending() {
+        let started = stage.timed.then(Instant::now);
+        let layout = waves.decode_next(&mut stage.raw)?;
+        out.decode_ns += started.map_or(0, |t| t.elapsed().as_nanos() as u64);
+        let mut at = 0;
+        let wave: Vec<(u64, &[u8], u64)> = layout
+            .into_iter()
+            .map(|(item, keys)| {
+                let (tile, _, mask) = batch[item];
+                let raw = &stage.raw[at..at + keys * SNB_EDGE_BYTES];
+                at += raw.len();
+                (tile, raw, mask)
+            })
+            .collect();
+        out.decoded_edges += (at / SNB_EDGE_BYTES) as u64;
+        apply_wave(index, queries, modes, EdgeEncoding::Snb, &wave, &mut out);
+    }
+    Ok(out)
+}
 
-    // --- Atomic queries: byte-weighted chunks, each tile decoded once
-    // and fed to every interested atomic query. ---
-    let atomic_tiles: Vec<(u64, &[u8], u64)> = batch
+/// Applies one wave of raw tiles (a whole raw batch, or what the decode
+/// stage just produced) to every interested query.
+fn apply_wave(
+    index: &TileIndex,
+    queries: &[QueryRef<'_>],
+    modes: ModeMasks,
+    encoding: EdgeEncoding,
+    tiles: &[(u64, &[u8], u64)],
+    out: &mut MultiBatchOutcome,
+) {
+    let k = queries.len();
+    let tiling = *index.layout.tiling();
+
+    // --- Atomic queries: byte-weighted chunks, each tile fed to every
+    // interested atomic query. ---
+    let atomic_tiles: Vec<(u64, &[u8], u64)> = tiles
         .iter()
         .filter_map(|&(t, bytes, m)| {
-            let am = m & atomic_mask;
+            let am = m & modes.atomic;
             (am != 0).then_some((t, bytes, am))
         })
         .collect();
@@ -372,7 +502,7 @@ pub fn process_batch_queries(
                 let mut edges = vec![0u64; k];
                 for &(t, bytes, m) in chunk {
                     let coord = index.layout.coord_at(t);
-                    let view = TileView::coded(&tiling, coord, encoding, codec, bytes);
+                    let view = TileView::new(&tiling, coord, encoding, bytes);
                     let ec = view.edge_count();
                     for_each_bit(m, |q| {
                         queries[q].alg.process_tile(&view);
@@ -391,15 +521,36 @@ pub fn process_batch_queries(
         out.groups_scheduled += group_visits(index, atomic_tiles.iter().map(|&(t, _, _)| t));
     }
 
-    // --- Sharded queries: the PR-3 column-sharded schedule, with each
-    // item fanning out to every sharded query that wants the tile. ---
-    let mut items: Vec<MultiItem<'_>> = Vec::with_capacity(batch.len() * 2);
-    for &(t, bytes, m) in batch {
-        let dm = m & dst_mask_all;
+    // --- Sharded queries: the column-sharded schedule, with each item
+    // fanning out to every sharded query that wants the tile. ---
+    let shards = plan_shards(index, tiles, modes, rayon::current_num_threads().max(1));
+    let per_shard: Vec<(Vec<BatchOutcome>, u64)> = shards
+        .par_iter()
+        .map(|shard| run_multi_shard(index, queries, encoding, shard))
+        .collect();
+    for (per_query, groups) in per_shard {
+        for (dst, src) in out.per_query.iter_mut().zip(per_query) {
+            dst.absorb(src);
+        }
+        out.groups_scheduled += groups;
+    }
+}
+
+/// Builds the per-shard work-item lists of one wave's sharded queries
+/// (none when no sharded query wants any of its tiles).
+fn plan_shards<'a>(
+    index: &TileIndex,
+    tiles: &[(u64, &'a [u8], u64)],
+    modes: ModeMasks,
+    shard_count: usize,
+) -> Vec<Vec<MultiItem<'a>>> {
+    let mut items: Vec<MultiItem<'a>> = Vec::with_capacity(tiles.len() * 2);
+    for &(t, bytes, m) in tiles {
+        let dm = m & modes.dst;
         if dm == 0 {
             continue;
         }
-        let bm = m & both_mask_all;
+        let bm = m & modes.both;
         let coord = index.layout.coord_at(t);
         if coord.row == coord.col {
             items.push(MultiItem {
@@ -410,6 +561,9 @@ pub fn process_batch_queries(
                 src_mask: bm,
             });
         } else {
+            // Off-diagonal tiles split into a destination-side and a
+            // source-side item over the same resident bytes, each keyed by
+            // the partition it writes.
             items.push(MultiItem {
                 tile: t,
                 bytes,
@@ -428,68 +582,61 @@ pub fn process_batch_queries(
             }
         }
     }
-    if !items.is_empty() {
-        // Greedy LPT over partitions, weighted by bytes × fan-out, then
-        // group-major order within each shard — identical to the
-        // single-query planner when every mask is one bit.
-        let partitions = index.layout.tiling().partitions() as usize;
-        let mut weight = vec![0u64; partitions];
-        for it in &items {
-            let fanout = u64::from((it.dst_mask | it.src_mask).count_ones());
-            weight[it.key as usize] += (it.bytes.len() as u64).max(1) * fanout;
-        }
-        let mut order: Vec<u32> = (0..partitions as u32)
-            .filter(|&p| weight[p as usize] > 0)
-            .collect();
-        order.sort_by_key(|&p| std::cmp::Reverse(weight[p as usize]));
-        let shard_count = rayon::current_num_threads().max(1).min(order.len().max(1));
-        let mut shard_of = vec![usize::MAX; partitions];
-        let mut load = vec![0u64; shard_count];
-        for p in order {
-            let lightest = (0..shard_count).min_by_key(|&s| load[s]).unwrap();
-            shard_of[p as usize] = lightest;
-            load[lightest] += weight[p as usize];
-        }
-        let mut shards: Vec<Vec<MultiItem<'_>>> = (0..shard_count).map(|_| Vec::new()).collect();
-        for it in items {
-            let s = shard_of[it.key as usize];
-            shards[s].push(it);
-        }
-        for shard in &mut shards {
-            shard.sort_by_key(|it| it.tile);
-        }
-
-        let per_shard: Vec<(Vec<BatchOutcome>, u64)> = shards
-            .par_iter()
-            .map(|shard| run_multi_shard(index, queries, shard))
-            .collect();
-        for (per_query, groups) in per_shard {
-            for (dst, src) in out.per_query.iter_mut().zip(per_query) {
-                dst.absorb(src);
-            }
-            out.groups_scheduled += groups;
-        }
+    if items.is_empty() {
+        return Vec::new();
     }
-    out
+
+    // Greedy LPT over partitions, weighted by bytes × fan-out: heaviest
+    // partition first onto the lightest shard.
+    let partitions = index.layout.tiling().partitions() as usize;
+    let mut weight = vec![0u64; partitions];
+    for it in &items {
+        let fanout = u64::from((it.dst_mask | it.src_mask).count_ones());
+        weight[it.key as usize] += (it.bytes.len() as u64).max(1) * fanout;
+    }
+    let mut order: Vec<u32> = (0..partitions as u32)
+        .filter(|&p| weight[p as usize] > 0)
+        .collect();
+    order.sort_by_key(|&p| std::cmp::Reverse(weight[p as usize]));
+    let shard_count = shard_count.min(order.len().max(1));
+    let mut shard_of = vec![usize::MAX; partitions];
+    let mut load = vec![0u64; shard_count];
+    for p in order {
+        let lightest = (0..shard_count).min_by_key(|&s| load[s]).unwrap();
+        shard_of[p as usize] = lightest;
+        load[lightest] += weight[p as usize];
+    }
+    let mut shards: Vec<Vec<MultiItem<'a>>> = (0..shard_count).map(|_| Vec::new()).collect();
+    for it in items {
+        let s = shard_of[it.key as usize];
+        shards[s].push(it);
+    }
+    // Ascending linear tile index == physical-group-major order: a
+    // group's q×q resident tiles are consecutive, so its row/col
+    // metadata is touched in one contiguous burst per shard.
+    for shard in &mut shards {
+        shard.sort_by_key(|it| it.tile);
+    }
+    shards
 }
 
-/// Runs one shard of the shared scan sequentially: each tile is decoded
-/// once and every interested query processes it back-to-back while the
-/// view and the tile's group metadata are LLC-resident.
+/// Runs one shard of the shared scan sequentially (the shard owns its
+/// partitions — plain writes only): every interested query processes a
+/// tile back-to-back while the view and the tile's group metadata are
+/// LLC-resident.
 fn run_multi_shard(
     index: &TileIndex,
     queries: &[QueryRef<'_>],
+    encoding: EdgeEncoding,
     items: &[MultiItem<'_>],
 ) -> (Vec<BatchOutcome>, u64) {
     let tiling = *index.layout.tiling();
-    let encoding = index.encoding;
-    let codec = index.codec;
     let mut out = vec![BatchOutcome::default(); queries.len()];
     let mut groups = 0u64;
     let mut last_group = u64::MAX;
     for it in items {
         let coord = index.layout.coord_at(it.tile);
-        let view = TileView::coded(&tiling, coord, encoding, codec, it.bytes);
+        let view = TileView::new(&tiling, coord, encoding, it.bytes);
         let ec = view.edge_count();
         for_each_bit(it.dst_mask | it.src_mask, |q| {
             let sides = ShardSides {
@@ -497,8 +644,8 @@ fn run_multi_shard(
                 dst: (it.dst_mask >> q) & 1 == 1,
             };
             queries[q].alg.process_tile_sharded(&view, sides);
-            // As in the single-query executor: a tile's edges are counted
-            // once per consuming query, on its destination-side item.
+            // A tile's edges are counted once per consuming query, on its
+            // destination-side item (every tile has exactly one).
             if sides.dst {
                 out[q].edges += ec;
                 out[q].sharded_edges += ec;
@@ -542,11 +689,11 @@ pub fn llc_resident_estimate(index: &TileIndex) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithms::{KCore, PageRank, Wcc};
+    use crate::algorithms::{Bfs, KCore, PageRank, Wcc};
     use crate::inmem::store_from_edges;
     use gstore_graph::gen::{generate_rmat, RmatParams};
-    use gstore_graph::GraphKind;
-    use gstore_tile::TileStore;
+    use gstore_graph::{Edge, EdgeList, GraphKind};
+    use gstore_tile::{encode_store, Codec, TileStore};
 
     fn index_of(store: &TileStore) -> TileIndex {
         TileIndex::raw(
@@ -562,6 +709,20 @@ mod tests {
             .collect()
     }
 
+    /// Every tile of a coded store (`encode_store`'s index and blob).
+    fn coded_batch<'a>(index: &TileIndex, data: &'a [u8]) -> Vec<(u64, &'a [u8])> {
+        (0..index.tile_count())
+            .map(|t| {
+                let r = index.tile_byte_range(t);
+                (t, &data[r.start as usize..r.end as usize])
+            })
+            .collect()
+    }
+
+    fn masked<'a>(batch: &[(u64, &'a [u8])], mask: u64) -> Vec<(u64, &'a [u8], u64)> {
+        batch.iter().map(|&(t, b)| (t, b, mask)).collect()
+    }
+
     fn degrees(el: &gstore_graph::EdgeList) -> Vec<u64> {
         gstore_graph::degree::CompactDegrees::from_edge_list(el)
             .unwrap()
@@ -570,13 +731,19 @@ mod tests {
 
     #[test]
     fn shard_plan_is_conflict_free_and_complete() {
+        // One sharded-both query: the K = 1 schedule every wrapper runs.
+        let modes = ModeMasks {
+            atomic: 0,
+            dst: 1,
+            both: 1,
+        };
         for kind in [GraphKind::Undirected, GraphKind::Directed] {
             let el = generate_rmat(&RmatParams::kron(8, 8).with_kind(kind)).unwrap();
             let store = store_from_edges(&el, 3);
             let index = index_of(&store);
-            let batch = full_batch(&store);
+            let batch = masked(&full_batch(&store), 1);
             for shard_count in [1usize, 2, 7] {
-                let shards = plan_shards(&index, &batch, UpdateMode::ShardedBoth, shard_count);
+                let shards = plan_shards(&index, &batch, modes, shard_count);
                 assert!(shards.len() <= shard_count);
                 // No partition appears in two shards.
                 let mut owner = std::collections::HashMap::new();
@@ -588,19 +755,30 @@ mod tests {
                 // Every tile has exactly one dst-side item (edge counting)
                 // and off-diagonal tiles also one src-side item.
                 let mut dst_items = std::collections::HashMap::new();
+                let mut src_items = std::collections::HashMap::new();
                 for it in shards.iter().flatten() {
-                    if it.sides.dst {
+                    if it.dst_mask != 0 {
                         *dst_items.entry(it.tile).or_insert(0) += 1;
                     }
+                    if it.src_mask != 0 {
+                        *src_items.entry(it.tile).or_insert(0) += 1;
+                    }
                 }
-                for &(t, _) in &batch {
+                for &(t, _, _) in &batch {
                     assert_eq!(dst_items.get(&t), Some(&1), "tile {t}");
+                    assert_eq!(src_items.get(&t), Some(&1), "tile {t}");
                 }
                 // Group-major within each shard: tile indices ascend.
                 for shard in &shards {
                     assert!(shard.windows(2).all(|w| w[0].tile <= w[1].tile));
                 }
             }
+            // A wave no sharded query wants plans no shard at all.
+            let atomic_only = ModeMasks {
+                atomic: 1,
+                ..ModeMasks::default()
+            };
+            assert!(plan_shards(&index, &batch, atomic_only, 4).is_empty());
         }
     }
 
@@ -628,6 +806,9 @@ mod tests {
         assert_eq!(s.atomic_edges, 0);
         assert!(s.plain_updates > 0);
         assert!(s.groups_scheduled > 0);
+        // Raw stores never enter the decode stage.
+        assert_eq!((a.decoded_edges, s.decoded_edges), (0, 0));
+        assert_eq!((a.corrupt_tile, s.corrupt_tile), (None, None));
         // One sweep of min-propagation from identical start labels is
         // order-independent on the *final* labels only at fixpoint; run
         // both to convergence instead.
@@ -700,77 +881,6 @@ mod tests {
     }
 
     #[test]
-    fn single_query_batch_matches_single_query_executor() {
-        // K=1 through the multi-query path must reproduce process_batch
-        // exactly: same LPT weights (fan-out 1), same stable ordering,
-        // same counters, same metadata — for every update mode.
-        let el = generate_rmat(&RmatParams::kron(8, 8)).unwrap();
-        let store = store_from_edges(&el, 3);
-        let index = index_of(&store);
-        let batch = full_batch(&store);
-        let masked: Vec<(u64, &[u8], u64)> = batch.iter().map(|&(t, b)| (t, b, 1u64)).collect();
-
-        // Sharded-both (WCC) to convergence on both paths.
-        let mut wcc_single = Wcc::new(*store.layout().tiling());
-        let mut wcc_multi = Wcc::new(*store.layout().tiling());
-        for iter in 0..200 {
-            wcc_single.begin_iteration(iter);
-            let single = process_batch(&index, &wcc_single, &batch, false);
-            let done_single = wcc_single.end_iteration(iter);
-            wcc_multi.begin_iteration(iter);
-            let multi = process_batch_queries(
-                &index,
-                &[QueryRef {
-                    alg: &wcc_multi,
-                    mode: wcc_multi.update_mode(),
-                }],
-                &masked,
-            );
-            let done_multi = wcc_multi.end_iteration(iter);
-            assert_eq!(multi.per_query.len(), 1);
-            // Per-query outcomes carry no groups_scheduled (it belongs to
-            // the shared schedule); everything else matches exactly.
-            assert_eq!(
-                BatchOutcome {
-                    groups_scheduled: single.groups_scheduled,
-                    ..multi.per_query[0]
-                },
-                single
-            );
-            assert_eq!(multi.groups_scheduled, single.groups_scheduled);
-            assert_eq!(multi.aggregate(), single);
-            assert_eq!(done_single, done_multi);
-            if done_single == crate::IterationOutcome::Converged {
-                break;
-            }
-        }
-        assert_eq!(wcc_single.labels(), wcc_multi.labels());
-
-        // Atomic fallback: same algorithm forced through the atomic pass.
-        let mut wcc_single = Wcc::new(*store.layout().tiling());
-        let mut wcc_multi = Wcc::new(*store.layout().tiling());
-        wcc_single.begin_iteration(0);
-        let single = process_batch(&index, &wcc_single, &batch, true);
-        wcc_multi.begin_iteration(0);
-        let multi = process_batch_queries(
-            &index,
-            &[QueryRef {
-                alg: &wcc_multi,
-                mode: UpdateMode::Atomic,
-            }],
-            &masked,
-        );
-        assert_eq!(
-            BatchOutcome {
-                groups_scheduled: single.groups_scheduled,
-                ..multi.per_query[0]
-            },
-            single
-        );
-        assert_eq!(multi.per_query[0].atomic_edges, single.edges);
-    }
-
-    #[test]
     fn mixed_query_batch_isolates_per_query_state_and_counters() {
         // Three queries of three modes over one shared scan: each must end
         // with the same metadata as a solo run, and per-query counters
@@ -803,8 +913,7 @@ mod tests {
             wcc.begin_iteration(iter);
             kc.begin_iteration(iter);
             pr.begin_iteration(iter);
-            let masked: Vec<(u64, &[u8], u64)> =
-                batch.iter().map(|&(t, b)| (t, b, 0b111u64)).collect();
+            let masked = masked(&batch, 0b111);
             let multi = process_batch_queries(
                 &index,
                 &[
@@ -822,7 +931,9 @@ mod tests {
                     },
                 ],
                 &masked,
-            );
+                &mut DecodeStage::default(),
+            )
+            .unwrap();
             wcc.end_iteration(iter);
             kc.end_iteration(iter);
             pr.end_iteration(iter);
@@ -886,7 +997,9 @@ mod tests {
                 },
             ],
             &masked,
-        );
+            &mut DecodeStage::default(),
+        )
+        .unwrap();
         let edges_of = |t: u64| index.start_edge[t as usize + 1] - index.start_edge[t as usize];
         let even: u64 = (0..store.tile_count())
             .filter(|t| t % 2 == 0)
@@ -899,6 +1012,239 @@ mod tests {
         assert_eq!(multi.per_query[0].edges, even);
         assert_eq!(multi.per_query[1].edges, odd);
         assert_eq!(multi.aggregate().edges, el.edge_count());
+    }
+
+    /// Runs `algs` as one K-query batch over every tile until all
+    /// converge (or 200 sweeps); returns the physical decode count and the
+    /// per-query edge counts of the first sweep, and the scratch's size.
+    fn run_to_convergence(
+        index: &TileIndex,
+        batch: &[(u64, &[u8])],
+        algs: &mut [&mut dyn Algorithm],
+    ) -> (MultiBatchOutcome, usize) {
+        let mut stage = DecodeStage::default();
+        let batch = masked(batch, (1 << algs.len()) - 1);
+        let mut first = None;
+        let mut live = vec![true; algs.len()];
+        for iter in 0..200 {
+            for alg in algs.iter_mut() {
+                alg.begin_iteration(iter);
+            }
+            let queries: Vec<QueryRef<'_>> = algs
+                .iter()
+                .map(|alg| QueryRef {
+                    alg: &**alg,
+                    mode: alg.update_mode(),
+                })
+                .collect();
+            let out = process_batch_queries(index, &queries, &batch, &mut stage).unwrap();
+            drop(queries);
+            first.get_or_insert(out);
+            for (alg, live) in algs.iter_mut().zip(&mut live) {
+                *live &= alg.end_iteration(iter) == crate::IterationOutcome::Continue;
+            }
+            if !live.iter().any(|&l| l) {
+                break;
+            }
+        }
+        (first.unwrap(), stage.scratch_bytes())
+    }
+
+    #[test]
+    fn coded_tiles_are_decoded_once_per_batch() {
+        // The decode-once claim, pinned by a count: a sweep decodes each
+        // stored edge once, whether one symmetric PageRank consumes a tile
+        // as two work items or four queries of two modes share it.
+        for kind in [GraphKind::Undirected, GraphKind::Directed] {
+            let el = generate_rmat(&RmatParams::kron(8, 8).with_kind(kind)).unwrap();
+            let store = store_from_edges(&el, 3);
+            let tiling = *store.layout().tiling();
+            let deg = degrees(&el);
+            let raw_index = index_of(&store);
+            let raw_batch = full_batch(&store);
+
+            let mut bfs_raw = Bfs::new(tiling, 0);
+            let mut wcc_raw = Wcc::new(tiling);
+            let mut kc_raw = KCore::new(tiling, 2);
+            let mut pr_raw = PageRank::new(tiling, deg.clone(), 0.85).with_iterations(4);
+            let (out, scratch) = run_to_convergence(
+                &raw_index,
+                &raw_batch,
+                &mut [&mut bfs_raw, &mut wcc_raw, &mut kc_raw, &mut pr_raw],
+            );
+            assert_eq!((out.decoded_edges, out.decode_ns, scratch), (0, 0, 0));
+
+            for codec in Codec::CODED {
+                let (index, data) = encode_store(&store, codec).unwrap();
+                let batch = coded_batch(&index, &data);
+                let what = format!("{} {kind:?}", codec.name());
+
+                let mut pr = PageRank::new(tiling, deg.clone(), 0.85).with_iterations(4);
+                pr.begin_iteration(0);
+                let solo = process_batch(&index, &pr, &batch, false);
+                assert_eq!(solo.decoded_edges, el.edge_count(), "{what}");
+                assert_eq!(solo.edges, el.edge_count(), "{what}");
+                assert_eq!(solo.atomic_edges, 0, "{what}");
+
+                let mut bfs = Bfs::new(tiling, 0);
+                let mut wcc = Wcc::new(tiling);
+                let mut kc = KCore::new(tiling, 2);
+                let mut pr = PageRank::new(tiling, deg.clone(), 0.85).with_iterations(4);
+                let (out, _) =
+                    run_to_convergence(&index, &batch, &mut [&mut bfs, &mut wcc, &mut kc, &mut pr]);
+                assert_eq!(out.decoded_edges, el.edge_count(), "{what}");
+                for q in &out.per_query {
+                    assert_eq!(q.edges, el.edge_count(), "{what}");
+                }
+                // BFS takes the atomic pass, the rest the sharded one,
+                // over the same decoded slices.
+                assert_eq!(out.per_query[0].atomic_edges, el.edge_count(), "{what}");
+                assert_eq!(out.per_query[1].sharded_edges, el.edge_count(), "{what}");
+                assert_eq!(out.aggregate().edges, 4 * el.edge_count(), "{what}");
+                assert_eq!(bfs.depths(), bfs_raw.depths(), "{what}");
+                assert_eq!(wcc.labels(), wcc_raw.labels(), "{what}");
+                assert_eq!(kc.membership(), kc_raw.membership(), "{what}");
+                for (c, r) in pr.ranks().iter().zip(pr_raw.ranks()) {
+                    assert!((c - r).abs() < 1e-9, "{what}: {c} vs {r}");
+                }
+            }
+        }
+    }
+
+    /// 8 Ki vertices in 2 × 2 directed tiles of 4096²: tile (0, 1) holds
+    /// 300 000 distinct edges — more than a wave — and the others a few,
+    /// so the wave that fills up inside the dense tile starts on a small
+    /// one and the wave that finishes it goes on to the next.
+    fn dense_tile_edges() -> EdgeList {
+        let mut edges = Vec::new();
+        for i in 0..300_000u64 {
+            edges.push(Edge::new(
+                i % 4096,
+                4096 + (i / 4096) * 53 + (i % 4096) % 53,
+            ));
+        }
+        for i in 0..500u64 {
+            edges.push(Edge::new(i * 7 % 4096, i * 11 % 4096));
+            edges.push(Edge::new(4096 + i * 5 % 4096, i * 13 % 4096));
+            edges.push(Edge::new(4096 + i * 3 % 4096, 4096 + i * 17 % 4096));
+        }
+        EdgeList::new(8192, GraphKind::Directed, edges).unwrap()
+    }
+
+    #[test]
+    fn tile_larger_than_a_wave_is_decoded_in_slices() {
+        let el = dense_tile_edges();
+        let store = store_from_edges(&el, 12);
+        assert_eq!(store.tile_count(), 4);
+        assert!((0..4).any(|t| store.tile_edge_count(t) > WAVE_KEYS as u64));
+        let tiling = *store.layout().tiling();
+        let raw_index = index_of(&store);
+        let raw_batch = full_batch(&store);
+        let mut bfs_raw = Bfs::new(tiling, 0);
+        let mut wcc_raw = Wcc::new(tiling);
+        run_to_convergence(&raw_index, &raw_batch, &mut [&mut bfs_raw, &mut wcc_raw]);
+
+        for codec in [Codec::ZetaGap, Codec::EliasFano] {
+            let (index, data) = encode_store(&store, codec).unwrap();
+            let batch = coded_batch(&index, &data);
+            let mut bfs = Bfs::new(tiling, 0);
+            let mut wcc = Wcc::new(tiling);
+            let (out, scratch) = run_to_convergence(&index, &batch, &mut [&mut bfs, &mut wcc]);
+            assert_eq!(out.decoded_edges, el.edge_count(), "{}", codec.name());
+            assert_eq!(out.per_query[0].edges, el.edge_count(), "{}", codec.name());
+            assert_eq!(out.per_query[1].edges, el.edge_count(), "{}", codec.name());
+            assert_eq!(bfs.depths(), bfs_raw.depths(), "{}", codec.name());
+            assert_eq!(wcc.labels(), wcc_raw.labels(), "{}", codec.name());
+            // The scratch is one wave, however large the batch.
+            assert_eq!(scratch, WAVE_KEYS * SNB_EDGE_BYTES, "{}", codec.name());
+        }
+    }
+
+    #[test]
+    fn empty_tiles_and_empty_batches_pass_through_the_stage() {
+        // 40 edges over a 16 × 16 grid: most tiles are empty.
+        let edges = (0..40u64).map(|i| Edge::new(i * 37 % 256, i * 91 % 256));
+        let el = EdgeList::new(256, GraphKind::Directed, edges.collect()).unwrap();
+        let store = store_from_edges(&el, 4);
+        let tiling = *store.layout().tiling();
+        for codec in Codec::CODED {
+            let (index, data) = encode_store(&store, codec).unwrap();
+            let batch = coded_batch(&index, &data);
+            assert!(batch.iter().filter(|(_, b)| b.is_empty()).count() > 200);
+            let wcc = Wcc::new(tiling);
+            let all = process_batch(&index, &wcc, &batch, false);
+            assert_eq!((all.edges, all.decoded_edges), (40, 40), "{}", codec.name());
+
+            let empties: Vec<(u64, &[u8])> = batch
+                .iter()
+                .copied()
+                .filter(|(_, b)| b.is_empty())
+                .collect();
+            for batch in [&empties[..], &[]] {
+                let sharded = process_batch(&index, &wcc, batch, false);
+                let atomic = process_batch(&index, &wcc, batch, true);
+                for out in [sharded, atomic] {
+                    assert_eq!((out.edges, out.decoded_edges), (0, 0), "{}", codec.name());
+                    assert_eq!(out.corrupt_tile, None, "{}", codec.name());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn corrupt_coded_tile_is_reported_and_not_applied() {
+        let el = generate_rmat(&RmatParams::kron(8, 8)).unwrap();
+        let store = store_from_edges(&el, 3);
+        let tiling = *store.layout().tiling();
+        for codec in Codec::CODED {
+            let (index, data) = encode_store(&store, codec).unwrap();
+            let batch = coded_batch(&index, &data);
+            let (victim, good) = *batch.iter().max_by_key(|(_, b)| b.len()).unwrap();
+            assert!(good[0] < 0x7F, "a one-byte count header");
+
+            let mut bad_count = good.to_vec();
+            bad_count[0] += 1;
+            let unparsable = vec![0xFF; good.len().max(10)];
+            let mut cases = vec![("count + 1", bad_count), ("no header", unparsable)];
+            if matches!(codec, Codec::ZetaGap | Codec::EliasFano) {
+                // The header stands and the stream runs dry: ζ reads on
+                // past its end, Elias-Fano stops short.
+                let mut short = good.to_vec();
+                short[good.len() / 2..].fill(0);
+                cases.push(("zeroed tail", short));
+            }
+            for (what, bad) in &cases {
+                let what = format!("{}: {what}", codec.name());
+                let batch: Vec<(u64, &[u8])> = batch
+                    .iter()
+                    .map(|&(t, b)| (t, if t == victim { &bad[..] } else { b }))
+                    .collect();
+                let wcc = Wcc::new(tiling);
+                for force_atomic in [false, true] {
+                    let out = process_batch(&index, &wcc, &batch, force_atomic);
+                    assert_eq!(out.corrupt_tile, Some(victim), "{what}");
+                    assert_eq!(out.edges, 0, "{what}");
+                }
+                // One wave holds this whole store, and a wave is decoded
+                // before any of it is applied: nothing was written.
+                assert!(index.edge_count() < WAVE_KEYS as u64);
+                assert!(wcc.labels().iter().enumerate().all(|(v, &l)| l == v as u64));
+                let err = process_batch_queries(
+                    &index,
+                    &[QueryRef {
+                        alg: &wcc,
+                        mode: UpdateMode::ShardedBoth,
+                    }],
+                    &masked(&batch, 1),
+                    &mut DecodeStage::default(),
+                )
+                .unwrap_err();
+                let GraphError::Format(msg) = &err else {
+                    panic!("{what}: {err:?}");
+                };
+                assert!(msg.contains(&format!("tile {victim} ")), "{what}: {msg}");
+            }
+        }
     }
 
     #[test]

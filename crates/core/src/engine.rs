@@ -15,7 +15,7 @@
 //! batching of group reads into one `io_submit`.
 
 use crate::algorithm::{Algorithm, IterationOutcome, RunStats, UpdateMode};
-use crate::compute::{self, QueryRef};
+use crate::compute::{self, DecodeStage, QueryRef};
 use crate::query::{BatchRunStats, QueryBatch, QueryOutcome};
 use gstore_graph::{GraphError, Result};
 use gstore_io::{
@@ -378,6 +378,9 @@ pub struct GStoreEngine {
     /// The builder's fault-injection knob, kept so point readers (which
     /// own private I/O paths) inherit the same policy.
     io_fault: Option<IoFaultInjector>,
+    /// The compute phase's decode scratch (coded stores), reused by every
+    /// batch of every run.
+    decode: DecodeStage,
 }
 
 /// Proactive-caching oracle (§VI.C): combines every *active* query's
@@ -483,6 +486,7 @@ impl GStoreEngine {
             pool,
             recorder,
             io_fault,
+            decode: DecodeStage::new(config.metrics),
         })
     }
 
@@ -764,7 +768,20 @@ impl GStoreEngine {
                         )
                     })
                     .collect();
-                self.compute_batch_multi(&queries, &resident, &mut agg, &mut per);
+                if let Err(e) = Self::compute_batch_multi(
+                    &self.index,
+                    self.recorder.as_deref(),
+                    &mut self.decode,
+                    &queries,
+                    &resident,
+                    &mut agg,
+                    &mut per,
+                ) {
+                    // The first segment's reads are already out: reap
+                    // them, as a failed slide does.
+                    let _ = self.aio.drain();
+                    return Err(e);
+                }
                 agg.tiles_from_cache += resident.len() as u64;
                 agg.tiles_processed += resident.len() as u64;
                 if let Some(rec) = &self.recorder {
@@ -828,7 +845,7 @@ impl GStoreEngine {
                         for (ri, run) in seg_runs[k].iter().enumerate() {
                             if run.len == 0 {
                                 let run_tiles = &segments[k][run.tiles.clone()];
-                                let (c_ns, i_ns) = self.process_run_multi(
+                                let (c_ns, i_ns) = match self.process_run_multi(
                                     &queries,
                                     &active,
                                     &union,
@@ -840,7 +857,13 @@ impl GStoreEngine {
                                     &[],
                                     run.offset,
                                     recording,
-                                );
+                                ) {
+                                    Ok(ns) => ns,
+                                    Err(e) => {
+                                        failed = Some(e);
+                                        break 'slide;
+                                    }
+                                };
                                 slide_compute_ns += c_ns;
                                 cache_insert_ns += i_ns;
                                 seg_left[k] -= 1;
@@ -887,7 +910,7 @@ impl GStoreEngine {
                             Ok(buf) => {
                                 let run = &seg_runs[k][ri];
                                 let run_tiles = &segments[k][run.tiles.clone()];
-                                let (c_ns, i_ns) = self.process_run_multi(
+                                let (c_ns, i_ns) = match self.process_run_multi(
                                     &queries,
                                     &active,
                                     &union,
@@ -899,7 +922,13 @@ impl GStoreEngine {
                                     buf.as_slice(),
                                     run.offset,
                                     recording,
-                                );
+                                ) {
+                                    Ok(ns) => ns,
+                                    Err(e) => {
+                                        failed = Some(e);
+                                        break 'slide;
+                                    }
+                                };
                                 slide_compute_ns += c_ns;
                                 cache_insert_ns += i_ns;
                                 runs_streamed += 1;
@@ -1104,7 +1133,8 @@ impl GStoreEngine {
     /// bytes copied are the `CachePool::insert` memcpys for tiles the
     /// oracle accepts, reported to the recorder as `bytes_copied`
     /// (everything else as `bytes_borrowed`). Returns
-    /// `(compute_ns, cache_insert_ns)`, both 0 when not recording.
+    /// `(compute_ns, cache_insert_ns)`, both 0 when not recording. A run
+    /// holding a corrupt coded tile fails before any of it is cached.
     ///
     /// Accounting: the aggregate counts physical work (each tile/byte/run
     /// once); each query counts what it *consumed*, so per-query sums
@@ -1124,7 +1154,7 @@ impl GStoreEngine {
         data: &[u8],
         base: u64,
         recording: bool,
-    ) -> (u64, u64) {
+    ) -> Result<(u64, u64)> {
         let t0 = recording.then(Instant::now);
         let batch: Vec<(u64, &[u8], u64)> = run_tiles
             .iter()
@@ -1139,7 +1169,15 @@ impl GStoreEngine {
                 (t, bytes, union.mask_of(t))
             })
             .collect();
-        self.compute_batch_multi(queries, &batch, agg, per);
+        Self::compute_batch_multi(
+            &self.index,
+            self.recorder.as_deref(),
+            &mut self.decode,
+            queries,
+            &batch,
+            agg,
+            per,
+        )?;
         agg.tiles_processed += batch.len() as u64;
         agg.tiles_fetched += batch.len() as u64;
         agg.bytes_read += data.len() as u64;
@@ -1193,20 +1231,24 @@ impl GStoreEngine {
             }
             insert_ns = t1.map_or(0, |t| t.elapsed().as_nanos() as u64);
         }
-        (compute_ns, insert_ns)
+        Ok((compute_ns, insert_ns))
     }
 
     /// Runs one masked batch through the shared compute dispatcher,
     /// folding per-query outcomes into each query's stats and the sum
-    /// into the aggregate and the flight recorder's `compute` group.
+    /// into the aggregate and the flight recorder's `compute` and `codec`
+    /// groups. Takes the engine's fields one by one: callers hold borrows
+    /// of the cache pool across the call.
     fn compute_batch_multi(
-        &self,
+        index: &TileIndex,
+        recorder: Option<&FlightRecorder>,
+        decode: &mut DecodeStage,
         queries: &[QueryRef<'_>],
         batch: &[(u64, &[u8], u64)],
         agg: &mut RunStats,
         per: &mut [RunStats],
-    ) {
-        let out = compute::process_batch_queries(&self.index, queries, batch);
+    ) -> Result<()> {
+        let out = compute::process_batch_queries(index, queries, batch, decode)?;
         for (q, o) in out.per_query.iter().enumerate() {
             per[q].edges_processed += o.edges;
             per[q].sharded_edges += o.sharded_edges;
@@ -1216,9 +1258,14 @@ impl GStoreEngine {
         agg.edges_processed += a.edges;
         agg.sharded_edges += a.sharded_edges;
         agg.atomic_edges += a.atomic_edges;
-        if let Some(rec) = &self.recorder {
+        if let Some(rec) = recorder {
             rec.compute_batch(a.edges, a.plain_updates, a.atomic_edges, a.groups_scheduled);
+            if out.decoded_edges > 0 {
+                rec.codec_decoded_edges(out.decoded_edges);
+                rec.codec_decode_ns(out.decode_ns);
+            }
         }
+        Ok(())
     }
 }
 
@@ -1755,6 +1802,35 @@ mod tests {
     }
 
     #[test]
+    fn decode_scratch_stays_one_wave_whatever_the_batch() {
+        // The pool holds the whole ζ store, so every iteration after the
+        // first is one rewind batch of 512 Ki edges — two waves' worth. The
+        // scratch is sized on the first coded batch and never again.
+        let (el, store) = kron_store(15, 16, 12, 4);
+        assert!(el.edge_count() >= 2 * compute::WAVE_KEYS as u64);
+        let (index, data) = gstore_tile::encode_store(&store, gstore_tile::Codec::ZetaGap).unwrap();
+        let seg = (data.len() as u64 / 4).max(256);
+        let mut engine = GStoreEngine::builder()
+            .backend(index, Arc::new(MemBackend::new(data.clone())))
+            .scr(ScrConfig::new(seg, seg * 2 + data.len() as u64 * 2).unwrap())
+            .build()
+            .unwrap();
+        assert_eq!(engine.decode.scratch_bytes(), 0);
+        let deg = gstore_graph::CompactDegrees::from_edge_list(&el)
+            .unwrap()
+            .to_vec();
+        let mut pr = PageRank::new(*store.layout().tiling(), deg, 0.85).with_iterations(3);
+        let stats = engine.run(&mut pr, 3).unwrap();
+        assert_eq!(stats.tiles_from_cache, store.tile_count() * 2);
+        assert_eq!(engine.decode.scratch_bytes(), compute::WAVE_KEYS * 4);
+
+        // A raw engine never allocates it.
+        let mut raw = tiny(&store).build().unwrap();
+        raw.run(&mut Wcc::new(*store.layout().tiling()), 2).unwrap();
+        assert_eq!(raw.decode.scratch_bytes(), 0);
+    }
+
+    #[test]
     fn recorder_reconciles_with_run_stats() {
         // The flight recorder observes the same run from below (AIO
         // completions, pool events) — its totals must reconcile with the
@@ -2123,10 +2199,16 @@ mod tests {
             assert!((a - b).abs() < 1e-9, "{a} vs {b}");
         }
         // Each query's iteration count and edge consumption match its
-        // sequential run (convergence is per-query, not batch-global).
+        // sequential run (convergence is per-query, not batch-global) —
+        // for BFS and PageRank. How many sweeps WCC and k-core take to
+        // reach their fixed point depends on which shard's writes a
+        // concurrent read sees on >= 2 threads; only the fixed point
+        // itself, pinned above, is theirs to keep.
         for (q, s) in out.per_query.iter().zip(&seq_stats) {
-            assert_eq!(q.stats.iterations, s.iterations, "{}", q.name);
-            assert_eq!(q.stats.edges_processed, s.edges_processed, "{}", q.name);
+            if matches!(q.name.as_str(), "bfs" | "pagerank") {
+                assert_eq!(q.stats.iterations, s.iterations, "{}", q.name);
+                assert_eq!(q.stats.edges_processed, s.edges_processed, "{}", q.name);
+            }
         }
         // The shared scan amortized I/O: the batch read fewer bytes than
         // the sequential runs combined, and the books balance.

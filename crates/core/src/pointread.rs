@@ -31,7 +31,7 @@ use gstore_io::{
 };
 use gstore_metrics::Recorder;
 use gstore_scr::{CacheHint, CachePool, PoolStats};
-use gstore_tile::{Codec, TileIndex};
+use gstore_tile::{Codec, EdgeEncoding, TileIndex, SNB_EDGE_BYTES};
 use std::collections::{HashMap, HashSet};
 use std::io;
 use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -295,6 +295,20 @@ impl PointReader {
             let scan = |bytes: &[u8], f: &mut dyn FnMut(VertexId)| {
                 let view =
                     TileView::coded(tiling, coord, self.index.encoding, self.index.codec, bytes);
+                // A column tile of a raw symmetric store. Its records are in
+                // no order of destination, and sorting them by source — what
+                // would turn the row side into a lookup — would leave this
+                // side a scan: so the scan itself is made fast, on the
+                // 16-bit locals, a block at a time.
+                if as_dst
+                    && !as_src
+                    && !self.index.is_coded()
+                    && self.index.encoding == EdgeEncoding::Snb
+                {
+                    let local = (v - view.dst_base) as u16;
+                    scan_snb_column(bytes, local, |s| f(view.src_base + s as u64));
+                    return;
+                }
                 // Elias-Fano streams are monotone in `(src << 16) | dst`, so
                 // a pure source lookup skips straight to `v`'s key range
                 // instead of decoding the whole tile.
@@ -473,6 +487,29 @@ impl PointReader {
     }
 }
 
+/// Hands `f` the source local of every raw SNB record whose destination
+/// local is `dst`, in stored order. A vertex's records are a few among a
+/// tile's thousands, so records are tested a block at a time without a
+/// branch per record — a loop the compiler vectorises — and only a block
+/// that holds a match is walked.
+fn scan_snb_column(bytes: &[u8], dst: u16, mut f: impl FnMut(u16)) {
+    const BLOCK: usize = 32;
+    let is_match = |r: &[u8]| u16::from_le_bytes([r[2], r[3]]) == dst;
+    let mut walk = |records: &[u8]| {
+        for r in records.chunks_exact(SNB_EDGE_BYTES).filter(|r| is_match(r)) {
+            f(u16::from_le_bytes([r[0], r[1]]));
+        }
+    };
+    let mut blocks = bytes.chunks_exact(BLOCK * SNB_EDGE_BYTES);
+    for block in &mut blocks {
+        let records = block.chunks_exact(SNB_EDGE_BYTES);
+        if records.fold(false, |hit, r| hit | is_match(r)) {
+            walk(block);
+        }
+    }
+    walk(blocks.remainder());
+}
+
 /// SplitMix64: the walk's step generator. Small, seedable, and decoupled
 /// from the vendored `rand` shim so the walk stream is stable even if the
 /// shim's generator changes.
@@ -509,6 +546,36 @@ mod tests {
     fn sorted(mut v: Vec<VertexId>) -> Vec<VertexId> {
         v.sort_unstable();
         v
+    }
+
+    #[test]
+    fn snb_column_scan_finds_what_a_record_by_record_filter_finds() {
+        // 1000 records: whole blocks and a remainder; locals drawn from a
+        // small range so matches land in most blocks, some blocks hold
+        // several and some none.
+        let mut state = 7u64;
+        let records: Vec<(u16, u16)> = (0..1000)
+            .map(|_| {
+                let r = splitmix64(&mut state);
+                ((r % 40) as u16, ((r >> 20) % 40) as u16)
+            })
+            .collect();
+        let bytes: Vec<u8> = records
+            .iter()
+            .flat_map(|&(s, d)| [s.to_le_bytes(), d.to_le_bytes()].concat())
+            .collect();
+        for dst in [3, 39, 999] {
+            for len in [records.len(), 33, 32, 31, 0] {
+                let want: Vec<u16> = records[..len]
+                    .iter()
+                    .filter(|&&(_, d)| d == dst)
+                    .map(|&(s, _)| s)
+                    .collect();
+                let mut got = Vec::new();
+                scan_snb_column(&bytes[..len * 4], dst, |s| got.push(s));
+                assert_eq!(got, want, "dst {dst} len {len}");
+            }
+        }
     }
 
     #[test]

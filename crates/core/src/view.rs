@@ -3,11 +3,13 @@
 //! Algorithms receive a [`TileView`] per tile: the tile's bytes plus the
 //! coordinate context needed to reconstruct global vertex IDs from SNB
 //! locals. Decoding is a streaming iterator — tile bytes are never
-//! materialised as tuple vectors on the hot path. Codec-compressed tiles
-//! ([`Codec`]) decode on the fly through the same block loop: a cursor
-//! refills fixed-size stack buffers of `(src << 16) | dst` keys straight
-//! from the bit stream, so compressed stores never allocate decompressed
-//! tile copies.
+//! materialised as tuple vectors on the hot path. A view over
+//! codec-compressed bytes ([`TileView::coded`], the point-read path)
+//! decodes on the fly through the same block loop: a cursor refills
+//! fixed-size stack buffers of `(src << 16) | dst` keys straight from the
+//! bit stream. Sweeps do not take that path: the compute phase's decode
+//! stage ([`crate::compute`]) decodes each coded tile once per batch and
+//! hands every consumer a raw view.
 
 use gstore_graph::{Edge, VertexId};
 use gstore_tile::{Codec, EdgeEncoding, TileCoord, TileCursor, Tiling};
@@ -37,7 +39,8 @@ impl<'a> TileView<'a> {
     }
 
     /// Builds a view over codec-compressed tile bytes; decoding happens
-    /// lazily in [`TileView::edges`] / [`TileView::for_each_edge`].
+    /// lazily in [`TileView::edges`] / [`TileView::for_each_edge`], once
+    /// per call — for a tile with one reader (a point read).
     pub fn coded(
         tiling: &Tiling,
         coord: TileCoord,

@@ -408,12 +408,20 @@ pub trait Recorder: Send + Sync {
         let _ = (tiles, disk_bytes, logical_bytes);
     }
 
-    /// Wall time spent decoding coded tile streams, where it is separately
-    /// measurable (point reads, benches). Sweep decode time is fused into
-    /// compute and *not* reported here.
+    /// Wall time spent decoding coded tile streams: a point read's tile
+    /// decode, or the waves of a sweep batch's decode stage (one call per
+    /// batch).
     #[inline]
     fn codec_decode_ns(&self, ns: u64) {
         let _ = ns;
+    }
+
+    /// Keys a sweep batch's decode stage decoded: the stored edges of its
+    /// tiles, each once however many queries consumed them. Called once
+    /// per batch.
+    #[inline]
+    fn codec_decoded_edges(&self, edges: u64) {
+        let _ = edges;
     }
 }
 
@@ -501,6 +509,7 @@ struct CodecCounters {
     disk_bytes: AtomicU64,
     logical_bytes: AtomicU64,
     decode_ns: AtomicU64,
+    decoded_edges: AtomicU64,
 }
 
 #[derive(Default)]
@@ -632,6 +641,7 @@ impl FlightRecorder {
                 disk_bytes: self.codec.disk_bytes.load(Ordering::Relaxed),
                 logical_bytes: self.codec.logical_bytes.load(Ordering::Relaxed),
                 decode_ns: self.codec.decode_ns.load(Ordering::Relaxed),
+                decoded_edges: self.codec.decoded_edges.load(Ordering::Relaxed),
             },
             ingest: IngestMetrics {
                 chunks_pass1: self.ingest.chunks_pass1.load(Ordering::Relaxed),
@@ -764,6 +774,7 @@ impl FlightRecorder {
             (&self.codec.disk_bytes, &fresh.codec.disk_bytes),
             (&self.codec.logical_bytes, &fresh.codec.logical_bytes),
             (&self.codec.decode_ns, &fresh.codec.decode_ns),
+            (&self.codec.decoded_edges, &fresh.codec.decoded_edges),
             (&self.ingest.chunks_pass1, &fresh.ingest.chunks_pass1),
             (&self.ingest.chunks_pass2, &fresh.ingest.chunks_pass2),
             (&self.ingest.edges_in, &fresh.ingest.edges_in),
@@ -1079,6 +1090,10 @@ impl Recorder for FlightRecorder {
         self.codec.decode_ns.fetch_add(ns, Ordering::Relaxed);
     }
 
+    fn codec_decoded_edges(&self, edges: u64) {
+        self.codec.decoded_edges.fetch_add(edges, Ordering::Relaxed);
+    }
+
     #[inline]
     fn serve_connection_opened(&self) {
         self.serve
@@ -1361,9 +1376,13 @@ pub struct CodecMetrics {
     pub disk_bytes: u64,
     /// Raw SNB bytes the same tiles decode to.
     pub logical_bytes: u64,
-    /// Decode wall time where separately measured (point reads, benches);
-    /// 0 on the sweep path, where decode is fused into compute.
+    /// Decode wall time: point reads' tile decodes plus the waves of the
+    /// sweeps' decode stage.
     pub decode_ns: u64,
+    /// Keys the sweeps' decode stage decoded: the stored edges of the
+    /// tiles processed, each once per sweep however many queries (and
+    /// work items) consumed it.
+    pub decoded_edges: u64,
 }
 
 impl CodecMetrics {
@@ -1853,11 +1872,13 @@ impl EngineMetrics {
         let cd = &self.codec;
         s.push_str(&format!(
             "  \"codec\": {{\"tiles_decoded\": {}, \"disk_bytes\": {}, \
-             \"logical_bytes\": {}, \"decode_ns\": {}, \"compression_ratio\": {:.6}}},\n",
+             \"logical_bytes\": {}, \"decode_ns\": {}, \"decoded_edges\": {}, \
+             \"compression_ratio\": {:.6}}},\n",
             cd.tiles_decoded,
             cd.disk_bytes,
             cd.logical_bytes,
             cd.decode_ns,
+            cd.decoded_edges,
             cd.compression_ratio(),
         ));
         let ing = &self.ingest;
@@ -2044,6 +2065,7 @@ mod tests {
         r.pointread_lookup(3, 2, 1200, 5000);
         r.codec_tiles(4, 1000, 4000);
         r.codec_decode_ns(250);
+        r.codec_decoded_edges(1000);
         r.serve_connection_opened();
         r.serve_point_query(false);
         r.serve_query_queued(3);
@@ -2178,11 +2200,14 @@ mod tests {
         r.codec_tiles(1, 100, 400);
         r.codec_decode_ns(500);
         r.codec_decode_ns(700);
+        r.codec_decoded_edges(300);
+        r.codec_decoded_edges(100);
         let m = r.snapshot();
         assert_eq!(m.codec.tiles_decoded, 4);
         assert_eq!(m.codec.disk_bytes, 400);
         assert_eq!(m.codec.logical_bytes, 1600);
         assert_eq!(m.codec.decode_ns, 1200);
+        assert_eq!(m.codec.decoded_edges, 400);
         assert!((m.codec.compression_ratio() - 4.0).abs() < 1e-12);
         // Raw stores record nothing: the ratio degenerates to 1.
         assert_eq!(CodecMetrics::default().compression_ratio(), 1.0);
@@ -2192,6 +2217,7 @@ mod tests {
             "\"tiles_decoded\": 4",
             "\"disk_bytes\": 400",
             "\"logical_bytes\": 1600",
+            "\"decoded_edges\": 400",
             "\"compression_ratio\": 4.0",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");

@@ -870,6 +870,23 @@ impl<'a> TileCursor<'a> {
         }
     }
 
+    /// Whether decoding has consumed bits past the end of a γ/ζ stream,
+    /// which only a truncated or corrupt stream makes it do (the stream
+    /// reads as zeros there). Never true of a whole stream. Every ζ code
+    /// read at the end of the stream consumes bits, so a short ζ stream
+    /// is always flagged; a γ code read there consumes none, so a γ
+    /// stream cut on a code boundary is not. The other codecs never read
+    /// past their end: a short Elias-Fano stream yields fewer keys.
+    #[inline]
+    pub fn overran(&self) -> bool {
+        match self {
+            TileCursor::Gamma(rc) | TileCursor::Zeta(rc) => {
+                rc.r.bit_pos() > rc.r.bytes.len() as u64 * 8
+            }
+            _ => false,
+        }
+    }
+
     /// Next key, or `None` when exhausted.
     #[inline]
     pub fn next_key(&mut self) -> Option<u32> {
@@ -1380,6 +1397,34 @@ mod tests {
         assert!(!got.is_empty() && got.len() < want.len());
         assert_eq!(got, want[..got.len()]);
         assert_eq!(cur.remaining(), 0);
+    }
+
+    #[test]
+    fn only_a_short_zeta_stream_overruns() {
+        // A whole stream of any codec ends inside its last byte. A ζ
+        // stream cut short — or zeroed from the cut on: a fixed byte range
+        // keeps its length — still yields its header's count of keys, and
+        // the reader's position is what tells.
+        let drain = |cur: &mut TileCursor<'_>| while cur.next_key().is_some() {};
+        for raw in sample_tiles() {
+            for codec in Codec::CODED {
+                let enc = codec.encode_tile(&raw).unwrap();
+                let mut cur = codec.cursor(&enc).unwrap();
+                drain(&mut cur);
+                assert!(!cur.overran(), "{} whole", codec.name());
+            }
+        }
+        let raw = raw_tile(&(0..500u16).map(|i| (i % 7, i)).collect::<Vec<_>>());
+        let enc = Codec::ZetaGap.encode_tile(&raw).unwrap();
+        for cut in [3, enc.len() / 2, enc.len() - 1] {
+            let mut zeroed = enc.clone();
+            zeroed[cut..].fill(0);
+            for short in [&enc[..cut], &zeroed[..]] {
+                let mut cur = Codec::ZetaGap.cursor(short).unwrap();
+                drain(&mut cur);
+                assert!(cur.overran(), "cut at {cut} of {}", enc.len());
+            }
+        }
     }
 
     /// FNV-1a over every golden tile's stream, each prefixed by its length.
