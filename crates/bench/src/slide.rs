@@ -17,6 +17,7 @@ use gstore_graph::Result;
 use gstore_tile::{TileIndex, TileStore};
 use rayon::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -29,26 +30,53 @@ pub struct CountingAlloc;
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 static ALLOCATED_BYTES: AtomicU64 = AtomicU64::new(0);
 
+// The thread gauge follows what the armed thread itself allocates and
+// frees, so arms running on parallel test threads cannot see each other
+// (the process-wide totals above can: a neighbour's allocations land in
+// them). Plain `Cell`s with constant initialisers need no lazy set-up and
+// no destructor, which is what an allocator hook may touch.
+thread_local! {
+    static GAUGE_ARMED: Cell<bool> = const { Cell::new(false) };
+    static GAUGE_ALLOCATED: Cell<u64> = const { Cell::new(0) };
+    static GAUGE_LIVE: Cell<i64> = const { Cell::new(0) };
+    static GAUGE_PEAK: Cell<i64> = const { Cell::new(0) };
+}
+
+fn gauge(delta: i64) {
+    if GAUGE_ARMED.get() {
+        if delta > 0 {
+            GAUGE_ALLOCATED.set(GAUGE_ALLOCATED.get() + delta as u64);
+        }
+        let live = GAUGE_LIVE.get() + delta;
+        GAUGE_LIVE.set(live);
+        GAUGE_PEAK.set(GAUGE_PEAK.get().max(live));
+    }
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         ALLOCATED_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        gauge(layout.size() as i64);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         ALLOCATED_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        gauge(layout.size() as i64);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         ALLOCATED_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        gauge(new_size as i64 - layout.size() as i64);
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        gauge(-(layout.size() as i64));
         System.dealloc(ptr, layout)
     }
 }
@@ -60,6 +88,35 @@ impl CountingAlloc {
             ALLOCATIONS.load(Ordering::Relaxed),
             ALLOCATED_BYTES.load(Ordering::Relaxed),
         )
+    }
+
+    /// Starts following the calling thread's allocations from zero.
+    pub fn arm_thread_gauge() {
+        GAUGE_ALLOCATED.set(0);
+        GAUGE_LIVE.set(0);
+        GAUGE_PEAK.set(0);
+        GAUGE_ARMED.set(true);
+    }
+
+    /// Forgets the live-byte peak so far: the next reading covers only
+    /// what follows.
+    pub fn restart_live_peak() {
+        GAUGE_PEAK.set(GAUGE_LIVE.get());
+    }
+
+    /// Peak of live bytes the calling thread held, above what it held
+    /// when armed, since the last restart. Memory it frees that was
+    /// allocated before arming counts below zero and never raises the
+    /// peak.
+    pub fn live_peak() -> u64 {
+        GAUGE_PEAK.get().max(0) as u64
+    }
+
+    /// Stops following and returns the bytes the calling thread requested
+    /// from the allocator while armed.
+    pub fn disarm_thread_gauge() -> u64 {
+        GAUGE_ARMED.set(false);
+        GAUGE_ALLOCATED.get()
     }
 }
 

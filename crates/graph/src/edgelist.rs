@@ -199,7 +199,11 @@ impl EdgeList {
             let bytes = n * width.edge_bytes();
             r.read_exact(&mut buf[..bytes])
                 .map_err(|_| GraphError::Format("edge list file truncated".into()))?;
-            decode_tuples(&buf[..bytes], width, &mut edges);
+            let tuples = Tuples {
+                bytes: &buf[..bytes],
+                width,
+            };
+            edges.extend(tuples.iter());
             remaining -= n;
         }
         EdgeList::new(header.vertex_count, header.kind, edges)
@@ -318,43 +322,49 @@ impl EdgeChunks {
         self.chunk_edges
     }
 
-    /// Edges not yet returned by `next_into` since the last rewind.
+    /// Edges not yet returned by `next_chunk` since the last rewind.
     pub fn remaining(&self) -> u64 {
         self.remaining
     }
 
-    /// Reads the next chunk into `out` (cleared first), validating every
-    /// endpoint against the header's vertex count. Returns `Ok(false)` at
-    /// end of file (with `out` empty). The final chunk may be short.
-    pub fn next_into(&mut self, out: &mut Vec<Edge>) -> Result<bool> {
-        out.clear();
+    /// Resizes the chunk to `chunk_edges` tuples (clamped to ≥ 1) — for
+    /// callers whose chunk size depends on the header they just opened.
+    pub fn set_chunk_edges(&mut self, chunk_edges: usize) {
+        self.chunk_edges = chunk_edges.max(1);
+        self.buf = vec![0u8; self.chunk_edges * self.header.width.edge_bytes()];
+    }
+
+    /// Reads the next chunk and returns its tuples undecoded, every
+    /// endpoint validated against the header's vertex count. `Ok(None)` at
+    /// end of file. The final chunk may be short.
+    pub fn next_chunk(&mut self) -> Result<Option<Tuples<'_>>> {
         if self.remaining == 0 {
-            return Ok(false);
+            return Ok(None);
         }
         let n = (self.remaining as usize).min(self.chunk_edges);
         let bytes = n * self.header.width.edge_bytes();
         self.reader
             .read_exact(&mut self.buf[..bytes])
             .map_err(|_| GraphError::Format("edge list file truncated".into()))?;
-        decode_tuples(&self.buf[..bytes], self.header.width, out);
+        let tuples = Tuples {
+            bytes: &self.buf[..bytes],
+            width: self.header.width,
+        };
+        // A branch-free maximum first (it vectorises); the offending
+        // endpoint is only looked for when there is one.
         let vertex_count = self.header.vertex_count;
-        for e in out.iter() {
-            let bad = if e.src >= vertex_count {
-                Some(e.src)
-            } else if e.dst >= vertex_count {
-                Some(e.dst)
-            } else {
-                None
-            };
-            if let Some(vertex) = bad {
-                return Err(GraphError::VertexOutOfRange {
-                    vertex,
-                    vertex_count,
-                });
-            }
+        if tuples.max_endpoint() >= vertex_count {
+            let vertex = tuples
+                .iter()
+                .find_map(|e| [e.src, e.dst].into_iter().find(|&v| v >= vertex_count))
+                .expect("the maximum endpoint is out of range");
+            return Err(GraphError::VertexOutOfRange {
+                vertex,
+                vertex_count,
+            });
         }
         self.remaining -= n as u64;
-        Ok(true)
+        Ok(Some(tuples))
     }
 
     /// Seeks back to the first tuple for another streaming pass.
@@ -362,6 +372,68 @@ impl EdgeChunks {
         self.reader.seek(SeekFrom::Start(EDGE_FILE_HEADER_BYTES))?;
         self.remaining = self.header.edge_count;
         Ok(())
+    }
+}
+
+/// A validated run of little-endian edge tuples borrowed from an
+/// [`EdgeChunks`] buffer, decoded on the fly: a chunk costs its file bytes
+/// and no decoded copy. `Copy`, so workers can each take a sub-range.
+#[derive(Debug, Clone, Copy)]
+pub struct Tuples<'a> {
+    bytes: &'a [u8],
+    width: TupleWidth,
+}
+
+impl<'a> Tuples<'a> {
+    /// Number of tuples.
+    pub fn len(&self) -> usize {
+        self.bytes.len() / self.width.edge_bytes()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.bytes.is_empty()
+    }
+
+    /// Tuples `range.start..range.end` of this run.
+    pub fn slice(&self, range: std::ops::Range<usize>) -> Tuples<'a> {
+        let eb = self.width.edge_bytes();
+        Tuples {
+            bytes: &self.bytes[range.start * eb..range.end * eb],
+            width: self.width,
+        }
+    }
+
+    /// The largest endpoint of any tuple (0 for an empty run).
+    fn max_endpoint(&self) -> u64 {
+        match self.width {
+            TupleWidth::U32 => self
+                .bytes
+                .chunks_exact(4)
+                .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
+                .fold(0, u32::max) as u64,
+            TupleWidth::U64 => self
+                .bytes
+                .chunks_exact(8)
+                .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
+                .fold(0, u64::max),
+        }
+    }
+
+    /// The edges in file order.
+    pub fn iter(&self) -> impl Iterator<Item = Edge> + 'a {
+        let width = self.width;
+        self.bytes
+            .chunks_exact(width.edge_bytes())
+            .map(move |c| match width {
+                TupleWidth::U32 => Edge::new(
+                    u32::from_le_bytes(c[0..4].try_into().unwrap()) as VertexId,
+                    u32::from_le_bytes(c[4..8].try_into().unwrap()) as VertexId,
+                ),
+                TupleWidth::U64 => Edge::new(
+                    u64::from_le_bytes(c[0..8].try_into().unwrap()),
+                    u64::from_le_bytes(c[8..16].try_into().unwrap()),
+                ),
+            })
     }
 }
 
@@ -379,25 +451,6 @@ fn kind_tag(k: GraphKind) -> u8 {
     match k {
         GraphKind::Directed => 0,
         GraphKind::Undirected => 1,
-    }
-}
-
-fn decode_tuples(bytes: &[u8], width: TupleWidth, out: &mut Vec<Edge>) {
-    match width {
-        TupleWidth::U32 => {
-            for chunk in bytes.chunks_exact(8) {
-                let src = u32::from_le_bytes(chunk[0..4].try_into().unwrap()) as VertexId;
-                let dst = u32::from_le_bytes(chunk[4..8].try_into().unwrap()) as VertexId;
-                out.push(Edge::new(src, dst));
-            }
-        }
-        TupleWidth::U64 => {
-            for chunk in bytes.chunks_exact(16) {
-                let src = u64::from_le_bytes(chunk[0..8].try_into().unwrap());
-                let dst = u64::from_le_bytes(chunk[8..16].try_into().unwrap());
-                out.push(Edge::new(src, dst));
-            }
-        }
     }
 }
 
@@ -521,18 +574,22 @@ mod tests {
                 assert_eq!(ch.kind(), GraphKind::Undirected);
                 assert_eq!(ch.width(), width);
                 let mut streamed = Vec::new();
-                let mut buf = Vec::new();
-                while ch.next_into(&mut buf).unwrap() {
-                    assert!(buf.len() <= chunk);
-                    streamed.extend_from_slice(&buf);
+                while let Some(tuples) = ch.next_chunk().unwrap() {
+                    assert!(!tuples.is_empty() && tuples.len() <= chunk);
+                    // Sub-ranges decode to the same edges as the whole run.
+                    let mid = tuples.len() / 2;
+                    streamed.extend(tuples.slice(0..mid).iter());
+                    streamed.extend(tuples.slice(mid..tuples.len()).iter());
                 }
                 assert_eq!(streamed, sample_edges());
                 assert_eq!(ch.remaining(), 0);
-                // A rewind replays the identical stream.
+                // A rewind replays the identical stream, at any chunk size.
                 ch.rewind().unwrap();
+                ch.set_chunk_edges(chunk + 1);
                 let mut again = Vec::new();
-                while ch.next_into(&mut buf).unwrap() {
-                    again.extend_from_slice(&buf);
+                while let Some(tuples) = ch.next_chunk().unwrap() {
+                    assert!(tuples.len() <= chunk + 1);
+                    again.extend(tuples.iter());
                 }
                 assert_eq!(again, streamed);
             }
@@ -549,7 +606,7 @@ mod tests {
             Err(GraphError::Format(_))
         ));
 
-        // An in-range header over out-of-range tuples fails at next_into.
+        // An in-range header over out-of-range tuples fails at next_chunk.
         let el = EdgeList::new(100, GraphKind::Directed, vec![Edge::new(50, 99)]).unwrap();
         let path = dir.path().join("narrow.el");
         el.write_binary(&path, TupleWidth::U32).unwrap();
@@ -557,9 +614,8 @@ mod tests {
         bytes[8..16].copy_from_slice(&40u64.to_le_bytes()); // shrink vertex_count
         std::fs::write(&path, &bytes).unwrap();
         let mut ch = EdgeChunks::open(&path, 16).unwrap();
-        let mut buf = Vec::new();
         assert!(matches!(
-            ch.next_into(&mut buf),
+            ch.next_chunk(),
             Err(GraphError::VertexOutOfRange { vertex: 50, .. })
         ));
     }

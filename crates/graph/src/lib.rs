@@ -21,5 +21,7 @@ pub mod types;
 pub use csr::{Csr, CsrDirection};
 pub use datasets::{paper_graph, PaperGraph, PAPER_GRAPHS};
 pub use degree::CompactDegrees;
-pub use edgelist::{EdgeChunks, EdgeFileHeader, EdgeList, TupleWidth, EDGE_FILE_HEADER_BYTES};
+pub use edgelist::{
+    EdgeChunks, EdgeFileHeader, EdgeList, TupleWidth, Tuples, EDGE_FILE_HEADER_BYTES,
+};
 pub use types::{Edge, EdgeIndex, GraphError, GraphKind, GraphMeta, Result, VertexId};

@@ -27,8 +27,8 @@ pub use buffer::{BufferPool, BufferPoolStats, PooledBuf};
 pub use engine::{IoBackend, IoEngine};
 pub use fault::{FaultBackend, FaultPolicy, IoFaultInjector, JitterBackend};
 pub use pwrite::{
-    BatchWriter, BatchWriterStats, FaultWriteBackend, FileWriteBackend, MemWriteBackend,
-    WritableBackend,
+    push_run, write_runs, BatchWriter, BatchWriterStats, FaultWriteBackend, FileWriteBackend,
+    MemWriteBackend, WritableBackend, WriteRun,
 };
 pub use ssd_sim::{ArrayConfig, SimStats, SsdArraySim, SsdProfile};
 pub use tiered::{hdd_array, hdd_profile, TieredBackend};

@@ -4,10 +4,14 @@
 //! [`WritableBackend`] is the write-side dual of
 //! [`StorageBackend`](crate::backend::StorageBackend): positioned
 //! `write_at`, `set_len` for truncate-and-rewrite semantics, and `sync`
-//! for durability. [`BatchWriter`] stages many small tile runs in one
-//! pooled sector-aligned buffer and flushes them as merged positioned
-//! writes, so a converter chunk issues a handful of large pwrites instead
-//! of one syscall per tile.
+//! for durability. A batch of positioned writes out of one source buffer
+//! is a list of [`WriteRun`]s: [`push_run`] merges a run into its
+//! predecessor when the two are contiguous in both the file and the
+//! buffer, [`write_runs`] issues one `write_at` per run. The streaming
+//! converter builds such a list straight over its tile-major pack buffer
+//! (one run per touched tile, already in file order); [`BatchWriter`]
+//! builds one over a pooled staging buffer for callers that push bytes one
+//! piece at a time.
 //!
 //! "Direct" mode follows the same convention as [`crate::aio::AioEngine`]:
 //! it is the *request-shape discipline* of `O_DIRECT` — sector-aligned
@@ -231,24 +235,53 @@ impl WritableBackend for FaultWriteBackend {
     }
 }
 
+/// One positioned write of a batch: `len` bytes at `src[lo..]` of the
+/// batch's source buffer land at file offset `offset`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WriteRun {
+    pub offset: u64,
+    pub lo: usize,
+    pub len: usize,
+}
+
+/// Appends `run` to a batch, extending the last run instead when `run`
+/// continues it in both the file and the source buffer — two pieces that
+/// are adjacent on both sides never cost two syscalls.
+pub fn push_run(runs: &mut Vec<WriteRun>, run: WriteRun) {
+    match runs.last_mut() {
+        Some(last)
+            if last.offset + last.len as u64 == run.offset && last.lo + last.len == run.lo =>
+        {
+            last.len += run.len;
+        }
+        _ => runs.push(run),
+    }
+}
+
+/// Issues one `write_at` per run out of `src`, stopping at the first
+/// error.
+pub fn write_runs(backend: &dyn WritableBackend, src: &[u8], runs: &[WriteRun]) -> io::Result<()> {
+    runs.iter()
+        .try_for_each(|r| backend.write_at(r.offset, &src[r.lo..r.lo + r.len]))
+}
+
 /// Stages small byte runs destined for scattered file offsets in one
 /// pooled sector-aligned buffer and flushes them as merged positioned
 /// writes.
 ///
 /// The writer tracks a file-offset cursor: [`BatchWriter::seek`] moves it,
 /// [`BatchWriter::push`] appends bytes at the cursor. Pushes that are
-/// contiguous in the file merge into one pwrite at flush time, so a
-/// converter chunk whose tile runs happen to be adjacent (the common case
-/// under the chunk-prefix-sum scatter, where run offsets strictly increase
-/// with tile index) collapses to very few syscalls. The staging buffer is
-/// RAII-pooled: it returns to the [`BufferPool`] when the writer drops,
-/// on the error path included, so a failed flush leaks nothing.
+/// contiguous in the file merge into one pwrite at flush time
+/// ([`push_run`]), so a sequential stream of pushes costs one syscall per
+/// staging buffer. The staging buffer is RAII-pooled: it returns to the
+/// [`BufferPool`] when the writer drops, on the error path included, so a
+/// failed flush leaks nothing.
 pub struct BatchWriter {
     backend: Arc<dyn WritableBackend>,
     buf: PooledBuf,
     filled: usize,
-    /// `(file_offset, staging_lo, len)` runs tiling `0..filled`.
-    runs: Vec<(u64, usize, usize)>,
+    /// Runs tiling `0..filled` of the staging buffer.
+    runs: Vec<WriteRun>,
     cursor: u64,
     flushes: u64,
     pwrites: u64,
@@ -310,13 +343,14 @@ impl BatchWriter {
         }
         let lo = self.filled;
         self.buf.as_mut_slice()[lo..lo + bytes.len()].copy_from_slice(bytes);
-        match self.runs.last_mut() {
-            // Contiguous in both the file and staging: extend the open run.
-            Some((off, rlo, rlen)) if *off + *rlen as u64 == self.cursor && *rlo + *rlen == lo => {
-                *rlen += bytes.len();
-            }
-            _ => self.runs.push((self.cursor, lo, bytes.len())),
-        }
+        push_run(
+            &mut self.runs,
+            WriteRun {
+                offset: self.cursor,
+                lo,
+                len: bytes.len(),
+            },
+        );
         self.filled += bytes.len();
         self.cursor += bytes.len() as u64;
         Ok(())
@@ -334,15 +368,7 @@ impl BatchWriter {
         if let Some(rec) = &self.recorder {
             rec.ingest_staging(bytes);
         }
-        let mut result = Ok(());
-        for &(off, lo, len) in &self.runs {
-            result = self
-                .backend
-                .write_at(off, &self.buf.as_slice()[lo..lo + len]);
-            if result.is_err() {
-                break;
-            }
-        }
+        let result = write_runs(&*self.backend, self.buf.as_slice(), &self.runs);
         self.runs.clear();
         self.filled = 0;
         result?;

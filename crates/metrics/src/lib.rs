@@ -292,15 +292,16 @@ pub trait Recorder: Send + Sync {
         let _ = (pass, edges, bytes);
     }
 
-    /// A batch writer flushed `bytes` of staged tile data as `writes`
-    /// positioned writes.
+    /// `bytes` of tile data left one buffer as `writes` positioned writes:
+    /// a pass-2 chunk written out of the converter's pack, or a
+    /// `BatchWriter` staging flush.
     #[inline]
     fn ingest_flush(&self, bytes: u64, writes: u64) {
         let _ = (bytes, writes);
     }
 
-    /// Staging occupancy observed at a flush. Recorded as a high-water
-    /// mark — the peak bounded-memory footprint of pass 2.
+    /// Bytes the buffer held when it was written out (the chunk's pack, a
+    /// `BatchWriter`'s staging). Recorded as a high-water mark.
     #[inline]
     fn ingest_staging(&self, bytes: u64) {
         let _ = bytes;
@@ -1409,18 +1410,18 @@ pub struct IngestMetrics {
     pub edges_in: u64,
     /// Raw edge-file bytes read (counted once, on pass 1).
     pub bytes_in: u64,
-    /// Encoded tile bytes flushed through the batch writers.
+    /// Encoded tile bytes written out of the pack buffer.
     pub bytes_out: u64,
-    /// Batch-writer flushes.
+    /// Pass-2 chunks written out.
     pub flushes: u64,
-    /// Positioned writes issued (merged runs, so ≤ tile runs staged).
+    /// Positioned writes issued: per chunk one per touched tile, fewer
+    /// where neighbouring runs merge.
     pub pwrites: u64,
     /// Pass-1 wall time.
     pub pass1_ns: u64,
     /// Pass-2 wall time.
     pub pass2_ns: u64,
-    /// High-water staging occupancy observed at a flush — the peak
-    /// bounded-memory footprint of the scatter.
+    /// Largest pack any chunk filled.
     pub staging_peak_bytes: u64,
 }
 

@@ -147,7 +147,7 @@ pub fn plan_conversion(el: &EdgeList, opts: &ConversionOptions) -> Result<Conver
         .fold(
             || vec![0u64; tile_count],
             |mut acc, chunk| {
-                count_chunk(chunk, duplicate_mirror, &layout, &mut acc);
+                count_chunk(chunk.iter().copied(), duplicate_mirror, &layout, &mut acc);
                 acc
             },
         )
@@ -199,12 +199,12 @@ pub(crate) fn resolve_layout(
 
 /// Adds one chunk's per-tile counts into `acc` (dense, `tile_count` long).
 pub(crate) fn count_chunk(
-    chunk: &[Edge],
+    chunk: impl IntoIterator<Item = Edge>,
     duplicate_mirror: bool,
     layout: &GroupedLayout,
     acc: &mut [u64],
 ) {
-    for &e in chunk {
+    for e in chunk {
         for e in fold_orientations(e, duplicate_mirror) {
             acc[tile_slot(layout, e)] += 1;
         }
@@ -332,12 +332,17 @@ impl ChunkCursors {
     /// Counts `chunk` per tile, resetting any previous snapshot first.
     /// Independent across chunks, so batches count in parallel; only the
     /// [`ChunkCursors::claim`] step below must run in chunk order.
-    pub fn count(&mut self, chunk: &[Edge], duplicate_mirror: bool, layout: &GroupedLayout) {
+    pub fn count(
+        &mut self,
+        chunk: impl IntoIterator<Item = Edge>,
+        duplicate_mirror: bool,
+        layout: &GroupedLayout,
+    ) {
         for &t in &self.touched {
             self.counts[t as usize] = 0;
         }
         self.touched.clear();
-        for &e in chunk {
+        for e in chunk {
             for e in fold_orientations(e, duplicate_mirror) {
                 let idx = tile_slot(layout, e);
                 if self.counts[idx] == 0 {
@@ -447,7 +452,7 @@ fn scatter_parallel(
             .map(|&(s, lo, hi)| {
                 // Safety: slot `s` appears exactly once in the batch.
                 let slot = unsafe { shared.slot(s) };
-                slot.count(&edges[lo..hi], duplicate_mirror, layout);
+                slot.count(edges[lo..hi].iter().copied(), duplicate_mirror, layout);
                 0u64
             })
             .sum::<u64>();

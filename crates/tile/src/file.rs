@@ -21,7 +21,8 @@ use crate::layout::Tiling;
 use crate::store::TileStore;
 use gstore_graph::{GraphError, GraphKind, Result};
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{BufReader, BufWriter, Read, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
 const MAGIC: &[u8; 4] = b"GSTM";
@@ -355,10 +356,17 @@ impl TileFile {
 
     /// Reads an arbitrary byte range of the data file.
     pub fn read_range(&mut self, range: std::ops::Range<u64>) -> Result<Vec<u8>> {
-        let mut buf = vec![0u8; (range.end - range.start) as usize];
-        self.file.seek(SeekFrom::Start(range.start))?;
-        self.file.read_exact(&mut buf)?;
+        let mut buf = Vec::new();
+        self.read_range_into(range, &mut buf)?;
         Ok(buf)
+    }
+
+    /// Reads a byte range of the data file into `buf` (resized to the
+    /// range), so a caller walking the file can reuse one allocation.
+    pub fn read_range_into(&self, range: std::ops::Range<u64>, buf: &mut Vec<u8>) -> Result<()> {
+        buf.resize((range.end - range.start) as usize, 0);
+        self.file.read_exact_at(buf, range.start)?;
+        Ok(())
     }
 
     /// Loads the whole store back into memory, decoding coded tiles to raw

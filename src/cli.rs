@@ -27,7 +27,9 @@ use crate::tile::stats::index_stats;
 use crate::tile::{
     migrate_legacy_store, recode_store_files, Codec, CodecReport, CompressedPaths, TileFile,
 };
+use gstore_metrics::FlightRecorder;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// Parsed command-line flags (everything after positional arguments).
 #[derive(Debug, Default, Clone)]
@@ -189,19 +191,27 @@ fn engine_for(dir: &Path, name: &str, flags: &Flags) -> Result<(GStoreEngine, Ti
 /// Honours `--metrics-json <path>`: serializes the engine's flight
 /// recorder (see docs/METRICS.md for the schema) after a run.
 fn write_metrics(engine: &GStoreEngine, flags: &Flags) -> Result<()> {
-    let path: String = flags.get("metrics-json", String::new())?;
-    if !flags.has("metrics-json") {
+    let Some(path) = metrics_path(flags)? else {
         return Ok(());
+    };
+    let m = engine.metrics().expect("metrics enabled by engine_for");
+    std::fs::write(&path, m.to_json())?;
+    println!("metrics written to {path}");
+    Ok(())
+}
+
+/// Where `--metrics-json` asks for the flight recorder, if it does.
+fn metrics_path(flags: &Flags) -> Result<Option<String>> {
+    if !flags.has("metrics-json") {
+        return Ok(None);
     }
+    let path: String = flags.get("metrics-json", String::new())?;
     if path.is_empty() {
         return Err(GraphError::InvalidParameter(
             "--metrics-json needs an output path".into(),
         ));
     }
-    let m = engine.metrics().expect("metrics enabled by engine_for");
-    std::fs::write(&path, m.to_json())?;
-    println!("metrics written to {path}");
-    Ok(())
+    Ok(Some(path))
 }
 
 /// `gstore generate <spec> <out>`: writes a binary edge list.
@@ -236,7 +246,8 @@ pub fn cmd_convert(args: &[String]) -> Result<()> {
         return Err(GraphError::InvalidParameter(
             "usage: convert <input> <dir> <name> [--text] [--directed] \
              [--tile-bits N] [--group-side N] [--no-symmetry] [--compress] \
-             [--codec varint|gamma|zeta|ef] [--streaming] [--mem-budget MB] [--direct]"
+             [--codec varint|gamma|zeta|ef] [--streaming] [--mem-budget MB] [--direct] \
+             [--metrics-json PATH]"
                 .into(),
         ));
     };
@@ -258,14 +269,24 @@ pub fn cmd_convert(args: &[String]) -> Result<()> {
                 "--streaming reads the binary edge format only (drop --text)".into(),
             ));
         }
-        let sopts = StreamingOptions::new(opts)
+        let mut sopts = StreamingOptions::new(opts)
             .with_mem_budget_mb(size_flag(&flags, "mem-budget", 64, 1 << 20)? >> 20)
             .with_direct_io(flags.has("direct"));
+        // The `ingest` group of docs/METRICS.md; the engine groups stay
+        // empty, no engine runs.
+        let metrics = metrics_path(&flags)?.map(|path| (path, Arc::new(FlightRecorder::new())));
+        if let Some((_, recorder)) = &metrics {
+            sopts = sopts.with_recorder(recorder.clone());
+        }
         let report = convert_streaming(Path::new(input), dir, name, &sopts)?;
+        if let Some((path, recorder)) = metrics {
+            std::fs::write(&path, recorder.snapshot().to_json())?;
+            println!("metrics written to {path}");
+        }
         paths = report.paths.clone();
         println!(
             "converted (streaming): {} tiles, {} data in {} chunks of {} edges \
-             ({} pwrites, {} staged flushes)",
+             ({} pwrites, {} chunks written)",
             report.tile_count,
             human_bytes(report.data_bytes),
             report.chunks,
@@ -1295,6 +1316,7 @@ mod tests {
         let db = dir.path().join("db");
         let dbs = db.to_str().unwrap().to_string();
         assert_eq!(run(&s(&["generate", "kron:10:8", &els])), 0);
+        let metrics_path = dir.path().join("ingest-metrics.json");
         assert_eq!(
             run(&s(&[
                 "convert",
@@ -1308,8 +1330,27 @@ mod tests {
                 "6",
                 "--group-side",
                 "4",
+                "--metrics-json",
+                metrics_path.to_str().unwrap(),
             ])),
             0
+        );
+        // The flight recorder's `ingest` group: one chunk, one write.
+        let metrics = std::fs::read_to_string(&metrics_path).unwrap();
+        assert!(
+            metrics.contains("\"chunks_pass2\": 1,") && metrics.contains("\"pwrites\": 1,"),
+            "{metrics}"
+        );
+        assert_eq!(
+            run(&s(&[
+                "convert",
+                &els,
+                &dbs,
+                "x",
+                "--streaming",
+                "--metrics-json"
+            ])),
+            2
         );
         // The streamed store is a first-class citizen: info and queries
         // work off the files it wrote.

@@ -285,23 +285,29 @@ fn streaming_conversion_survives_write_faults() {
         .with_chunk_edges(512)
         .with_pool(pool.clone());
 
-    let inner = Arc::new(gstore::io::FileWriteBackend::create(&paths.tiles, false).unwrap());
-    let faulty = Arc::new(gstore::io::FaultWriteBackend::new(
-        inner,
-        FaultPolicy::FirstN(1),
-    ));
-    let err =
-        gstore::tile::convert_streaming_to(&edge_path, faulty.clone(), &paths, &opts).unwrap_err();
-    assert!(
-        matches!(err, gstore::graph::GraphError::Io(_)),
-        "want typed I/O error, got {err:?}"
-    );
-    assert!(faulty.injected() >= 1, "fault never fired");
-    assert_eq!(pool.outstanding(), 0, "failed run leaked pooled buffers");
-
-    // Retry on the same paths succeeds and matches the in-memory converter.
-    let report = gstore::tile::convert_streaming(&edge_path, dir.path(), "g", &opts).unwrap();
     let store = gstore::tile::convert(&el, &opts.convert).unwrap();
-    assert_eq!(std::fs::read(&report.paths.tiles).unwrap(), store.data());
-    assert_eq!(pool.outstanding(), 0);
+    // The very first write of the run, and every seventh of the chunks'
+    // per-tile writes (so chunks fail mid-pack, not only at their start).
+    for policy in [FaultPolicy::FirstN(1), FaultPolicy::EveryNth(7)] {
+        let inner = Arc::new(gstore::io::FileWriteBackend::create(&paths.tiles, false).unwrap());
+        let faulty = Arc::new(gstore::io::FaultWriteBackend::new(inner, policy.clone()));
+        let err = gstore::tile::convert_streaming_to(&edge_path, faulty.clone(), &paths, &opts)
+            .unwrap_err();
+        assert!(
+            matches!(err, gstore::graph::GraphError::Io(_)),
+            "{policy:?}: want typed I/O error, got {err:?}"
+        );
+        assert!(faulty.injected() >= 1, "{policy:?}: fault never fired");
+        assert_eq!(
+            pool.outstanding(),
+            0,
+            "{policy:?}: failed run leaked pooled buffers"
+        );
+
+        // Retry on the same paths succeeds and matches the in-memory
+        // converter.
+        let report = gstore::tile::convert_streaming(&edge_path, dir.path(), "g", &opts).unwrap();
+        assert_eq!(std::fs::read(&report.paths.tiles).unwrap(), store.data());
+        assert_eq!(pool.outstanding(), 0);
+    }
 }

@@ -70,7 +70,10 @@ proptest! {
     /// The streaming out-of-core converter produces byte-identical
     /// `.tiles`/`.start` pairs (and the same degree array) as the
     /// in-memory converter, for every layout, encoding, kind, tuple
-    /// width, and chunk sizes that do and don't divide the edge count.
+    /// width, and chunk size. Every worker shares one chunk, so the sizes
+    /// around the worker count (fewer edges than workers, one more) and
+    /// around the edge count (one chunk exactly, one plus a one-edge tail)
+    /// are pinned next to the arbitrary ones.
     #[test]
     fn streaming_conversion_is_byte_identical(
         el in arb_graph(),
@@ -80,7 +83,19 @@ proptest! {
         wide in any::<bool>(),
         no_sym in any::<bool>(),
         chunk in 1usize..97,
+        chunk_sel in 0u8..12,
     ) {
+        let workers = rayon::current_num_threads();
+        let edges = el.edge_count() as usize;
+        let chunk = match chunk_sel {
+            0 => 1,
+            1 => 2,
+            2 => workers.saturating_sub(1).max(1),
+            3 => workers + 1,
+            4 => edges.max(1),
+            5 => edges.saturating_sub(1).max(1),
+            _ => chunk,
+        };
         let enc = match enc_sel {
             0 => EdgeEncoding::Snb,
             1 => EdgeEncoding::Tuple8,
