@@ -4,56 +4,15 @@
 //! Usage:
 //!   repro <experiment|all> [--quick] [--scale N] [--edge-factor N]
 //!         [--divisor N] [--tile-bits N] [--group-side N]
-//!         [--metrics-json PATH] [--bench-slide-json PATH]
-//!         [--bench-compute-json PATH] [--bench-mq-json PATH]
-//!         [--bench-ingest-json PATH] [--bench-pointread-json PATH]
-//!         [--bench-codec-json PATH] [--bench-serve-json PATH]
+//!         [--metrics-json PATH]
 //!
 //! Flags are parsed with the same [`gstore::cli::Flags`] surface the
 //! `gstore` CLI uses, so both binaries accept identical `--key value`
-//! spellings.
+//! spellings, and an undeclared flag is a usage error in both.
 //!
 //! `--metrics-json PATH` additionally runs an instrumented PageRank at the
 //! chosen scale and writes the engine's flight-recorder metrics (per-phase
 //! timings, I/O counters, cache stats — see docs/METRICS.md) to PATH.
-//!
-//! `--bench-slide-json PATH` measures the slide path's copy-vs-borrow arms
-//! plus the live engine's zero-copy counters and writes `BENCH_slide.json`
-//! (bytes copied, allocator traffic, slide-phase wall time) to PATH.
-//!
-//! `--bench-compute-json PATH` measures the compute phase's atomic-vs-
-//! sharded arms plus the live engine's `compute` counter group and writes
-//! `BENCH_compute.json` (per-arm wall time, plain-vs-atomic update
-//! counts, group-schedule stats) to PATH.
-//!
-//! `--bench-mq-json PATH` runs the shared-scan multi-query benchmark —
-//! eight mixed queries sequentially and then concurrently in one
-//! [`gstore::core::QueryBatch`] — and writes `BENCH_mq.json` (aggregate
-//! speedup, traffic amortization, flight-recorder reconciliation) to PATH.
-//!
-//! `--bench-ingest-json PATH` measures conversion ingest — sequential vs
-//! parallel in-memory scatter, and the out-of-core streaming converter vs
-//! the in-memory one at two edge counts — and writes `BENCH_ingest.json`
-//! (scatter speedup, allocator growth, byte-identity, flight-recorder
-//! `ingest` counters) to PATH.
-//!
-//! `--bench-codec-json PATH` measures the bit-level tile codecs — bytes
-//! per edge, cursor-decode throughput, and end-to-end PageRank over the
-//! coded store on the I/O-constrained simulated array, per codec — and
-//! writes `BENCH_codec.json` (footprint, vs-varint ratios, runtimes) to
-//! PATH.
-//!
-//! `--bench-pointread-json PATH` runs the point-read benchmark — Zipf and
-//! uniform key streams at 1/4/16 concurrent clients over a cold
-//! [`gstore::core::PointReader`] — and writes `BENCH_pointread.json`
-//! (p50/p99 latency, hot-tile cache hit rate, bytes per query vs the
-//! full-sweep yardstick) to PATH.
-//!
-//! `--bench-serve-json PATH` benchmarks the `gstore serve` daemon — the
-//! mixed workload issued over the wire by 1/8/32 concurrent clients
-//! against sequential one-shot runs — and writes `BENCH_serve.json`
-//! (throughput, p50/p99 request latency, batch sizes, per-sweep read
-//! amortization) to PATH.
 //!
 //! Run `repro list` to see all experiments.
 
@@ -61,9 +20,22 @@ use bench::experiments::registry;
 use bench::workloads::Scale;
 use gstore::cli::Flags;
 
+/// Every flag `repro` reads.
+const FLAGS: &[&str] = &[
+    "quick",
+    "scale",
+    "edge-factor",
+    "divisor",
+    "tile-bits",
+    "group-side",
+    "metrics-json",
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (pos, flags) = match Flags::parse(&args) {
+    let (pos, flags) = match Flags::parse(&args)
+        .and_then(|(pos, flags)| flags.check("repro", &[FLAGS]).map(|()| (pos, flags)))
+    {
         Ok(parsed) => parsed,
         Err(e) => {
             eprintln!("{e}");
@@ -94,29 +66,19 @@ fn main() {
     scale.tile_bits = num("tile-bits", scale.tile_bits as u64) as u32;
     scale.group_side = num("group-side", scale.group_side as u64) as u32;
 
-    // A JSON-emitting flag needs a path: `--metrics-json` with no value
-    // parses as an empty string, which is a usage error.
-    let json_path = |key: &str| -> Option<String> {
-        if !flags.has(key) {
-            return None;
-        }
-        match flags.get(key, String::new()) {
+    // `--metrics-json` needs a path: with no value it parses as an empty
+    // string, which is a usage error.
+    let metrics_json = if flags.has("metrics-json") {
+        match flags.get("metrics-json", String::new()) {
             Ok(p) if !p.is_empty() => Some(p),
             _ => {
-                eprintln!("missing path for --{key}");
+                eprintln!("missing path for --metrics-json");
                 std::process::exit(2);
             }
         }
+    } else {
+        None
     };
-    let metrics_json = json_path("metrics-json");
-    let bench_slide_json = json_path("bench-slide-json");
-    let bench_compute_json = json_path("bench-compute-json");
-    let bench_mq_json = json_path("bench-mq-json");
-    let bench_ingest_json = json_path("bench-ingest-json");
-    let bench_io_json = json_path("bench-io-json");
-    let bench_pointread_json = json_path("bench-pointread-json");
-    let bench_codec_json = json_path("bench-codec-json");
-    let bench_serve_json = json_path("bench-serve-json");
 
     match which {
         "list" => {
@@ -149,107 +111,27 @@ fn main() {
         },
     }
 
-    let write_json =
-        |path: &str, what: &str, json: Result<String, gstore::graph::GraphError>| match json {
+    if let Some(path) = metrics_json {
+        eprintln!("[repro] writing flight-recorder metrics (instrumented PageRank) ...");
+        match bench::model::metrics_json_for_scale(&scale) {
             Ok(json) => {
-                if let Err(e) = std::fs::write(path, json) {
+                if let Err(e) = std::fs::write(&path, json) {
                     eprintln!("cannot write {path}: {e}");
                     std::process::exit(2);
                 }
-                eprintln!("[repro] {what} written to {path}");
+                eprintln!("[repro] metrics written to {path}");
             }
             Err(e) => {
-                eprintln!("{what} failed: {e}");
+                eprintln!("metrics failed: {e}");
                 std::process::exit(2);
             }
-        };
-
-    if let Some(path) = metrics_json {
-        eprintln!("[repro] writing flight-recorder metrics (instrumented PageRank) ...");
-        write_json(
-            &path,
-            "metrics",
-            bench::model::metrics_json_for_scale(&scale),
-        );
-    }
-
-    if let Some(path) = bench_slide_json {
-        eprintln!("[repro] measuring slide path (copy vs borrow arms) ...");
-        write_json(
-            &path,
-            "slide bench",
-            bench::slide::slide_json_for_scale(&scale),
-        );
-    }
-
-    if let Some(path) = bench_compute_json {
-        eprintln!("[repro] measuring compute phase (atomic vs sharded arms) ...");
-        write_json(
-            &path,
-            "compute bench",
-            bench::compute::compute_json_for_scale(&scale),
-        );
-    }
-
-    if let Some(path) = bench_mq_json {
-        eprintln!("[repro] measuring shared-scan multi-query batch (sequential vs batch arms) ...");
-        write_json(
-            &path,
-            "multi-query bench",
-            bench::multiquery::multiquery_json_for_scale(&scale),
-        );
-    }
-
-    if let Some(path) = bench_ingest_json {
-        eprintln!(
-            "[repro] measuring ingest (sequential vs parallel scatter, streaming vs in-memory) ..."
-        );
-        write_json(
-            &path,
-            "ingest bench",
-            bench::ingest::ingest_json_for_scale(&scale),
-        );
-    }
-
-    if let Some(path) = bench_io_json {
-        eprintln!("[repro] measuring I/O backends (worker pool vs io_uring arms) ...");
-        write_json(&path, "io bench", bench::io::io_json_for_scale(&scale));
-    }
-
-    if let Some(path) = bench_pointread_json {
-        eprintln!("[repro] measuring point reads (zipf vs uniform keys, 1/4/16 clients) ...");
-        write_json(
-            &path,
-            "point-read bench",
-            bench::pointread::pointread_json_for_scale(&scale),
-        );
-    }
-
-    if let Some(path) = bench_codec_json {
-        eprintln!("[repro] measuring tile codecs (footprint, decode, end-to-end PageRank) ...");
-        write_json(
-            &path,
-            "codec bench",
-            bench::codec::codec_json_for_scale(&scale),
-        );
-    }
-
-    if let Some(path) = bench_serve_json {
-        eprintln!("[repro] measuring serve daemon (1/8/32 concurrent clients vs one-shots) ...");
-        write_json(
-            &path,
-            "serve bench",
-            bench::serve::serve_json_for_scale(&scale),
-        );
+        }
     }
 }
 
 fn usage() {
     eprintln!(
         "usage: repro <experiment|all|list> [--quick] [--scale N] [--edge-factor N] \
-         [--divisor N] [--tile-bits N] [--group-side N] [--metrics-json PATH] \
-         [--bench-slide-json PATH] [--bench-compute-json PATH] [--bench-mq-json PATH] \
-         [--bench-ingest-json PATH] [--bench-io-json PATH] [--bench-pointread-json PATH] \
-         [--bench-codec-json PATH] [--bench-serve-json PATH]"
+         [--divisor N] [--tile-bits N] [--group-side N] [--metrics-json PATH]"
     );
 }

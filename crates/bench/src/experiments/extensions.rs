@@ -9,14 +9,14 @@ use gstore_core::{inmem, AsyncBfs, Bfs, GStoreEngine, PageRank, PageRankDelta};
 use gstore_graph::EdgeList;
 use gstore_io::{hdd_array, MemBackend, SsdArraySim, StorageBackend, TieredBackend};
 use gstore_scr::ScrConfig;
-use gstore_tile::{write_compressed, TileIndex};
+use gstore_tile::recode::report_for;
+use gstore_tile::{encode_store, Codec, TileIndex};
 use std::sync::Arc;
 use std::time::Instant;
 
 /// Extension: per-graph tile compression ratios (the paper's §VIII
 /// future work, implemented).
 pub fn ext_compress(scale: &Scale) {
-    let dir = tempfile::tempdir().expect("tempdir");
     let workloads: Vec<(&str, EdgeList)> = vec![
         (
             Box::leak(format!("Kron-{}-{}", scale.kron_scale, scale.edge_factor).into_boxed_str()),
@@ -30,12 +30,13 @@ pub fn ext_compress(scale: &Scale) {
     for (name, el) in &workloads {
         let store = scale.store(el);
         let t0 = Instant::now();
-        let (_, report) = write_compressed(&store, dir.path(), name).unwrap();
+        let (index, _) = encode_store(&store, Codec::DeltaVarint).unwrap();
         let t = t0.elapsed().as_secs_f64();
+        let report = report_for(&index);
         rows.push(vec![
             name.to_string(),
-            format!("{}MB", report.raw_bytes >> 20),
-            format!("{}MB", report.compressed_bytes >> 20),
+            format!("{}MB", report.logical_bytes >> 20),
+            format!("{}MB", report.disk_bytes >> 20),
             fmt_x(report.ratio()),
             fmt_secs(t),
         ]);

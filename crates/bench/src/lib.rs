@@ -2,25 +2,10 @@
 //! table formatting, and one module per table/figure of the paper.
 //!
 //! The `repro` binary (`cargo run -p bench --release --bin repro -- <exp>`)
-//! drives [`experiments`]; the criterion benches under `benches/` reuse
-//! [`workloads`].
+//! drives [`experiments`]. Performance is measured end to end by `gbench`
+//! (`benchmark/`), not here.
 
-pub mod codec;
-pub mod compute;
 pub mod experiments;
-pub mod ingest;
-pub mod io;
 pub mod model;
-pub mod multiquery;
-pub mod pointread;
-pub mod serve;
-pub mod slide;
 pub mod table;
 pub mod workloads;
-
-/// Counting allocator for the slide-path arms: lets `BENCH_slide.json`
-/// report allocator traffic removed by the zero-copy pipeline. Counting
-/// is two relaxed atomic adds per allocation — invisible next to the
-/// allocations themselves.
-#[global_allocator]
-static GLOBAL_ALLOC: slide::CountingAlloc = slide::CountingAlloc;

@@ -205,6 +205,80 @@ mod tests {
     }
 
     #[test]
+    fn shared_scan_reads_one_sweep_and_amortises_array_time() {
+        // Eight mixed queries run back to back — an engine and an array
+        // each — then admitted together into one batch. The batch reads at
+        // most 1.25x the heaviest single query (the scan is shared, not
+        // multiplied), and the modelled array time amortises >= 2x: K
+        // queries' traffic collapses towards one sweep's worth, whatever
+        // the host's speed.
+        use gstore_core::{QueryBatch, QuerySpec};
+        const SPECS: [&str; 8] = [
+            "bfs:0",
+            "bfs:1",
+            "wcc",
+            "wcc",
+            "pagerank:5",
+            "pagerank:3",
+            "kcore:2",
+            "degrees",
+        ];
+        let s = Scale::quick();
+        let el = s.kron();
+        let store = s.store(&el);
+        let tiling = *store.layout().tiling();
+        let deg = crate::workloads::degrees(&el);
+        let queries = || {
+            SPECS.map(|spec| {
+                let spec: QuerySpec = spec.parse().unwrap();
+                spec.to_algorithm(tiling, Some(&deg)).unwrap()
+            })
+        };
+        let seg = (store.data_bytes() / 8).max(4096);
+        let builder = || {
+            GStoreEngine::builder()
+                .scr(ScrConfig::new(seg, store.data_bytes() / 2 + 2 * seg + 4096).unwrap())
+        };
+
+        let mut solo_io = 0.0;
+        let mut heaviest = 0;
+        for mut alg in queries() {
+            let (_, m) = run_gstore_on_sim(&store, builder(), 2, alg.as_mut(), u32::MAX).unwrap();
+            solo_io += m.io;
+            heaviest = heaviest.max(m.bytes);
+        }
+
+        let sim = sim_for_store(&store, 2);
+        let index = TileIndex::raw(
+            store.layout().clone(),
+            store.encoding(),
+            store.start_edge().to_vec(),
+        );
+        let mut engine = builder().backend(index, sim.clone()).build().unwrap();
+        let mut algs = queries();
+        let mut batch = QueryBatch::new();
+        for alg in &mut algs {
+            batch.push(alg.as_mut()).unwrap();
+        }
+        assert!(engine
+            .run_batch(&mut batch, u32::MAX)
+            .unwrap()
+            .all_converged());
+        let shared = sim.stats();
+
+        let bytes_ratio = shared.total_bytes as f64 / heaviest as f64;
+        assert!(
+            bytes_ratio <= 1.25,
+            "batch read {bytes_ratio:.2}x the heaviest query"
+        );
+        let io_speedup = solo_io / shared.elapsed;
+        assert!(
+            io_speedup >= 2.0,
+            "modelled array time amortises only {io_speedup:.2}x"
+        );
+    }
+
+    #[test]
     fn formatting() {
         assert_eq!(fmt_secs(0.0012), "1.20ms");
         assert_eq!(fmt_secs(2.5), "2.50s");

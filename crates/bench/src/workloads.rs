@@ -1,4 +1,4 @@
-//! Workload builders shared by the repro harness and criterion benches.
+//! Workload builders for the repro harness.
 //!
 //! Every experiment runs on scaled-down versions of the paper's graphs;
 //! [`Scale`] centralises the scaling knobs so `repro --scale`/`--divisor`

@@ -719,6 +719,78 @@ mod tests {
         assert_eq!(reader.buffer_stats().outstanding, 0);
     }
 
+    #[test]
+    fn zipf_stream_stays_resident_and_reads_far_less_than_a_sweep() {
+        // One client on a cold reader whose cache holds half the store.
+        // Under Zipf(1.0) keys over the vertex ids (rank = id, so the
+        // hottest keys are Kronecker hubs) the hot tiles stay resident and
+        // a request's storage traffic is a rounding error next to the
+        // sweep a scan engine would pay; even uniform keys, which keep
+        // missing, read a small fraction of it.
+        let el = generate_rmat(&RmatParams::kron(14, 8)).unwrap();
+        let store = TileStore::build(&el, &ConversionOptions::new(9).with_group_side(8)).unwrap();
+        let sweep = store.data_bytes() as f64;
+        let stream = |keys: &[VertexId]| {
+            let index = TileIndex::raw(
+                store.layout().clone(),
+                store.encoding(),
+                store.start_edge().to_vec(),
+            );
+            let rec = Arc::new(FlightRecorder::new());
+            let reader = PointReader::with_recorder(
+                index,
+                Arc::new(MemBackend::new(store.data().to_vec())),
+                store.data_bytes() / 2,
+                Some(Arc::clone(&rec) as Arc<dyn Recorder>),
+            );
+            for &v in keys {
+                reader.neighbors(v).unwrap();
+            }
+            let m = rec.snapshot().pointread;
+            assert_eq!(m.lookups as usize, keys.len());
+            m
+        };
+        let n = el.vertex_count();
+        let mut state = 0x9d2c_5681u64;
+        let mut unit = || (splitmix64(&mut state) >> 11) as f64 / (1u64 << 53) as f64;
+
+        // Inverse-CDF Zipf sampler over ranks 0..n.
+        let mut cdf: Vec<f64> = (1..=n).map(|rank| 1.0 / rank as f64).collect();
+        let total: f64 = cdf.iter().sum();
+        let mut acc = 0.0;
+        for c in &mut cdf {
+            acc += *c / total;
+            *c = acc;
+        }
+        let zipf: Vec<VertexId> = (0..2048)
+            .map(|_| {
+                let u = unit();
+                (cdf.partition_point(|&c| c < u) as u64).min(n - 1)
+            })
+            .collect();
+        let m = stream(&zipf);
+        assert!(
+            m.cache_hit_rate() > 0.5,
+            "hit rate {:.3}",
+            m.cache_hit_rate()
+        );
+        assert!(
+            m.bytes_per_lookup() * 20.0 < sweep,
+            "zipf: {} bytes per request against a {sweep}-byte sweep",
+            m.bytes_per_lookup()
+        );
+
+        let uniform: Vec<VertexId> = (0..512)
+            .map(|_| ((unit() * n as f64) as u64).min(n - 1))
+            .collect();
+        let m = stream(&uniform);
+        assert!(
+            m.bytes_per_lookup() * 4.0 < sweep,
+            "uniform: {} bytes per request against a {sweep}-byte sweep",
+            m.bytes_per_lookup()
+        );
+    }
+
     /// Counts reads and bytes on their way to the real backend.
     struct CountingBackend {
         inner: Arc<dyn StorageBackend>,

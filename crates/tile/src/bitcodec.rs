@@ -8,9 +8,8 @@
 //!
 //! * [`Codec::RawSnb`] — identity; the tile bytes are the 4-byte SNB
 //!   records, unsorted.
-//! * [`Codec::DeltaVarint`] — sorted keys, delta gaps as LEB128 varints.
-//!   The stream is byte-for-byte the PR-era [`crate::compress`] format,
-//!   which is how legacy `.ctiles` stores migrate without recompression.
+//! * [`Codec::DeltaVarint`] — sorted keys, delta gaps as LEB128 varints,
+//!   the one byte-aligned codec.
 //! * [`Codec::GammaGap`] / [`Codec::ZetaGap`] — row-run bit streams
 //!   written through a [`BitWriter`]: consecutive keys sharing a source
 //!   local form a run, coded as γ(src delta), γ(run length), then the
@@ -31,7 +30,6 @@
 //! blocks straight out of the bit stream without ever materialising a
 //! decompressed tile buffer.
 
-use crate::compress::{compress_tile, decompress_tile, read_varint, write_varint};
 use crate::snb::{SnbEdge, SNB_EDGE_BYTES};
 use gstore_graph::{GraphError, Result};
 
@@ -614,6 +612,102 @@ fn read_gap<const ZETA: bool>(r: &mut BitReader) -> u64 {
         read_zeta(r, ZETA_K)
     } else {
         read_gamma(r)
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Byte-aligned delta varints (`Codec::DeltaVarint`) and the LEB128 count
+// header every coded stream starts with.
+// ---------------------------------------------------------------------------
+
+/// Compresses a raw SNB tile byte slice. Returns the compressed bytes.
+fn compress_tile(bytes: &[u8]) -> Result<Vec<u8>> {
+    if !bytes.len().is_multiple_of(SNB_EDGE_BYTES) {
+        return Err(GraphError::Format(format!(
+            "tile length {} is not a multiple of the SNB edge size",
+            bytes.len()
+        )));
+    }
+    let mut keys: Vec<u32> = bytes
+        .chunks_exact(SNB_EDGE_BYTES)
+        .map(|c| {
+            let e = SnbEdge::from_bytes([c[0], c[1], c[2], c[3]]);
+            (e.src as u32) << 16 | e.dst as u32
+        })
+        .collect();
+    keys.sort_unstable();
+
+    let mut out = Vec::with_capacity(bytes.len() / 2 + 8);
+    write_varint(&mut out, keys.len() as u64);
+    let mut prev = 0u32;
+    for (i, &k) in keys.iter().enumerate() {
+        let delta = if i == 0 { k as u64 } else { (k - prev) as u64 };
+        write_varint(&mut out, delta);
+        prev = k;
+    }
+    Ok(out)
+}
+
+/// Decompresses bytes produced by [`compress_tile`] back into raw SNB
+/// edge bytes (sorted order).
+fn decompress_tile(compressed: &[u8]) -> Result<Vec<u8>> {
+    let mut pos = 0usize;
+    let count = read_varint(compressed, &mut pos)? as usize;
+    // Every edge takes at least one byte of the stream: a corrupt count
+    // cannot reserve more than the stream could hold.
+    let mut out = Vec::with_capacity(count.min(compressed.len()) * SNB_EDGE_BYTES);
+    let mut key = 0u64;
+    for i in 0..count {
+        let delta = read_varint(compressed, &mut pos)?;
+        key = if i == 0 { delta } else { key + delta };
+        if key > u32::MAX as u64 {
+            return Err(GraphError::Format("compressed tile key overflow".into()));
+        }
+        let e = SnbEdge::new((key >> 16) as u16, (key & 0xFFFF) as u16);
+        out.extend_from_slice(&e.to_bytes());
+    }
+    if pos != compressed.len() {
+        return Err(GraphError::Format(format!(
+            "trailing garbage in compressed tile: {} of {} bytes consumed",
+            pos,
+            compressed.len()
+        )));
+    }
+    Ok(out)
+}
+
+fn write_varint(out: &mut Vec<u8>, mut v: u64) {
+    loop {
+        let byte = (v & 0x7F) as u8;
+        v >>= 7;
+        if v == 0 {
+            out.push(byte);
+            break;
+        }
+        out.push(byte | 0x80);
+    }
+}
+
+fn read_varint(bytes: &[u8], pos: &mut usize) -> Result<u64> {
+    let mut v = 0u64;
+    let mut shift = 0u32;
+    loop {
+        let Some(&b) = bytes.get(*pos) else {
+            return Err(GraphError::Format(
+                "truncated varint in compressed tile".into(),
+            ));
+        };
+        *pos += 1;
+        if shift >= 64 {
+            return Err(GraphError::Format(
+                "varint overflow in compressed tile".into(),
+            ));
+        }
+        v |= ((b & 0x7F) as u64) << shift;
+        if b & 0x80 == 0 {
+            return Ok(v);
+        }
+        shift += 7;
     }
 }
 
@@ -1300,30 +1394,57 @@ mod tests {
     }
 
     #[test]
-    fn delta_varint_stream_is_the_legacy_compress_format() {
-        // Byte-for-byte on non-empty tiles: the migration path repackages
-        // legacy blocks without recompression, which is only sound if the
-        // streams match. (Empty tiles now encode to zero bytes, but the
-        // cursor still accepts the legacy one-byte `varint(0)` block.)
-        for raw in sample_tiles() {
-            if raw.is_empty() {
-                assert_eq!(
-                    Codec::DeltaVarint.encode_tile(&raw).unwrap(),
-                    Vec::<u8>::new()
-                );
-                continue;
-            }
-            assert_eq!(
-                Codec::DeltaVarint.encode_tile(&raw).unwrap(),
-                compress_tile(&raw).unwrap()
-            );
-        }
-        // Legacy empty block parses as zero edges under every codec.
+    fn a_zero_count_stream_is_an_empty_tile() {
+        // Empty tiles encode to zero bytes, but a bare `varint(0)` count
+        // header parses as zero edges under every codec too.
+        assert_eq!(
+            Codec::DeltaVarint.encode_tile(&[]).unwrap(),
+            Vec::<u8>::new()
+        );
+        let zero = compress_tile(&[]).unwrap();
+        assert_eq!(zero, [0]);
+        assert_eq!(decompress_tile(&zero).unwrap(), Vec::<u8>::new());
         for codec in Codec::CODED {
-            let legacy_empty = compress_tile(&[]).unwrap();
-            assert_eq!(codec.edge_count(&legacy_empty).unwrap(), 0);
-            let mut cur = codec.cursor(&legacy_empty).unwrap();
+            assert_eq!(codec.edge_count(&zero).unwrap(), 0);
+            let mut cur = codec.cursor(&zero).unwrap();
             assert_eq!(cur.next_key(), None);
+        }
+    }
+
+    #[test]
+    fn dense_tiles_varint_well() {
+        // Consecutive edges have delta 1: one byte per edge against four.
+        let raw = raw_tile(&(0..1000u16).map(|i| (0, i)).collect::<Vec<_>>());
+        let coded = compress_tile(&raw).unwrap();
+        assert!(raw.len() > 3 * coded.len(), "{} bytes", coded.len());
+    }
+
+    #[test]
+    fn corrupt_varint_streams_rejected() {
+        let c = compress_tile(&raw_tile(&[(1, 2), (3, 4)])).unwrap();
+        // Truncated.
+        assert!(decompress_tile(&c[..c.len() - 1]).is_err());
+        // Trailing garbage.
+        let mut g = c.clone();
+        g.push(0);
+        assert!(decompress_tile(&g).is_err());
+        // Unterminated varint.
+        assert!(decompress_tile(&[0x80, 0x80]).is_err());
+        // A count far beyond the stream is an error, not a huge reservation.
+        let mut huge = Vec::new();
+        write_varint(&mut huge, u64::MAX);
+        huge.push(1);
+        assert!(Codec::DeltaVarint.decode_tile(&huge).is_err());
+    }
+
+    #[test]
+    fn varint_edge_values() {
+        for v in [0u64, 1, 127, 128, 300, u32::MAX as u64, u64::MAX] {
+            let mut buf = Vec::new();
+            write_varint(&mut buf, v);
+            let mut pos = 0;
+            assert_eq!(read_varint(&buf, &mut pos).unwrap(), v);
+            assert_eq!(pos, buf.len());
         }
     }
 

@@ -65,78 +65,29 @@ impl ConversionOptions {
     }
 }
 
-/// How pass 2 (the scatter) executes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ScatterMode {
-    /// Single cache-friendly sweep with per-tile cursors.
-    Sequential,
-    /// Chunk-sharded: a sequential prefix sweep claims each chunk's
-    /// per-tile cursor bases, then chunks encode to their (disjoint) final
-    /// offsets concurrently. Byte-identical to [`ScatterMode::Sequential`].
-    #[default]
-    Parallel,
-}
-
-/// Runs the two-pass conversion with the default (parallel) scatter.
+/// Runs the two-pass conversion: pass 1 counts, pass 2 scatters in
+/// parallel (sequentially on one thread or one chunk's worth of edges).
 pub fn convert(el: &EdgeList, opts: &ConversionOptions) -> Result<TileStore> {
-    convert_with(el, opts, ScatterMode::Parallel)
-}
-
-/// Runs the two-pass conversion with an explicit scatter mode.
-pub fn convert_with(
-    el: &EdgeList,
-    opts: &ConversionOptions,
-    mode: ScatterMode,
-) -> Result<TileStore> {
     let plan = plan_conversion(el, opts)?;
-    let data = scatter_with(el, opts, &plan, mode);
-    plan.into_store(opts.encoding, data)
+    let data = scatter_parallel(el, opts, &plan);
+    TileStore::from_raw_parts(plan.layout, opts.encoding, data, plan.start_edge)
 }
 
 /// Pass-1 output: the geometry plus the start-edge index, everything pass 2
-/// needs to scatter. Exposed so callers (benchmarks, the CLI) can time or
-/// repeat the scatter phase in isolation.
-#[derive(Debug, Clone)]
-pub struct ConversionPlan {
+/// needs to scatter.
+struct ConversionPlan {
     layout: GroupedLayout,
     start_edge: Vec<u64>,
+    /// The input's mirror orientations are materialized (undirected graph
+    /// stored without the symmetry optimisation).
     duplicate_mirror: bool,
-    total_edges: u64,
-}
-
-impl ConversionPlan {
-    #[inline]
-    pub fn layout(&self) -> &GroupedLayout {
-        &self.layout
-    }
-
-    #[inline]
-    pub fn start_edge(&self) -> &[u64] {
-        &self.start_edge
-    }
-
     /// Stored edges (≥ input edges when mirrors are duplicated).
-    #[inline]
-    pub fn total_edges(&self) -> u64 {
-        self.total_edges
-    }
-
-    /// Whether the input's mirror orientations are materialized (undirected
-    /// graph stored without the symmetry optimisation).
-    #[inline]
-    pub fn duplicate_mirror(&self) -> bool {
-        self.duplicate_mirror
-    }
-
-    /// Assembles the final store from this plan and scattered data.
-    pub fn into_store(self, encoding: EdgeEncoding, data: Vec<u8>) -> Result<TileStore> {
-        TileStore::from_raw_parts(self.layout, encoding, data, self.start_edge)
-    }
+    total_edges: u64,
 }
 
 /// Pass 1: validates the options, fixes the layout, and counts edges per
 /// tile into the start-edge index.
-pub fn plan_conversion(el: &EdgeList, opts: &ConversionOptions) -> Result<ConversionPlan> {
+fn plan_conversion(el: &EdgeList, opts: &ConversionOptions) -> Result<ConversionPlan> {
     let (layout, duplicate_mirror) = resolve_layout(el.vertex_count(), el.kind(), opts)?;
 
     // Per-tile edge counts, folded through the tiling.
@@ -232,34 +183,6 @@ pub(crate) fn prefix_sum(counts: &[u64]) -> (Vec<u64>, u64) {
     (start_edge, running)
 }
 
-/// Pass 2: scatters encoded edges to their final positions — the pass that
-/// dominates conversion time (Table I).
-pub fn scatter_with(
-    el: &EdgeList,
-    opts: &ConversionOptions,
-    plan: &ConversionPlan,
-    mode: ScatterMode,
-) -> Vec<u8> {
-    match mode {
-        ScatterMode::Sequential => scatter_sequential(
-            el,
-            opts,
-            &plan.layout,
-            &plan.start_edge,
-            plan.duplicate_mirror,
-            plan.total_edges,
-        ),
-        ScatterMode::Parallel => scatter_parallel(
-            el,
-            opts,
-            &plan.layout,
-            &plan.start_edge,
-            plan.duplicate_mirror,
-            plan.total_edges,
-        ),
-    }
-}
-
 /// Writes one folded edge at `out` under `encoding`.
 #[inline]
 pub(crate) fn write_edge(encoding: EdgeEncoding, span_mask: u64, out: &mut [u8], e: Edge) {
@@ -279,23 +202,18 @@ pub(crate) fn write_edge(encoding: EdgeEncoding, span_mask: u64, out: &mut [u8],
     }
 }
 
-/// Single-threaded scatter with per-tile cursors.
-fn scatter_sequential(
-    el: &EdgeList,
-    opts: &ConversionOptions,
-    layout: &GroupedLayout,
-    start_edge: &[u64],
-    duplicate_mirror: bool,
-    total_edges: u64,
-) -> Vec<u8> {
+/// Pass 2 on one thread: a single sweep with per-tile cursors, the
+/// reference [`scatter_parallel`] is byte-identical to.
+fn scatter_sequential(el: &EdgeList, opts: &ConversionOptions, plan: &ConversionPlan) -> Vec<u8> {
+    let layout = &plan.layout;
     let bpe = opts.encoding.bytes_per_edge();
-    let mut data = vec![0u8; total_edges as usize * bpe];
+    let mut data = vec![0u8; plan.total_edges as usize * bpe];
     let tile_count = layout.tile_count() as usize;
-    let mut cursor: Vec<u64> = start_edge[..tile_count].to_vec();
+    let mut cursor: Vec<u64> = plan.start_edge[..tile_count].to_vec();
     let tiling = *layout.tiling();
     let span_mask = tiling.tile_span() - 1;
     for &e in el.edges() {
-        for e in fold_orientations(e, duplicate_mirror) {
+        for e in fold_orientations(e, plan.duplicate_mirror) {
             let (coord, folded) = tiling.tile_of_edge(e);
             let idx = layout.index_of(coord).unwrap() as usize;
             let at = cursor[idx] as usize * bpe;
@@ -303,7 +221,10 @@ fn scatter_sequential(
             write_edge(opts.encoding, span_mask, &mut data[at..at + bpe], folded);
         }
     }
-    debug_assert!(cursor.iter().zip(&start_edge[1..]).all(|(c, s)| c == s));
+    debug_assert!(cursor
+        .iter()
+        .zip(&plan.start_edge[1..])
+        .all(|(c, s)| c == s));
     data
 }
 
@@ -398,7 +319,7 @@ impl ScatterShared<'_> {
     }
 }
 
-/// Chunk-sharded parallel scatter: batches of `num_threads` chunks count
+/// Pass 2, chunk-sharded: batches of `num_threads` chunks count
 /// their per-tile populations in parallel, claim cursor bases in a
 /// sequential O(touched-tiles) prefix step, then encode straight to their
 /// final offsets concurrently. Per-edge work is never serialized — only
@@ -406,26 +327,21 @@ impl ScatterShared<'_> {
 /// replaced, nothing is staged or memcpy'd — each edge is encoded once,
 /// directly in place — so the parallel speedup is not eaten by
 /// memory-bound bucketing.
-fn scatter_parallel(
-    el: &EdgeList,
-    opts: &ConversionOptions,
-    layout: &GroupedLayout,
-    start_edge: &[u64],
-    duplicate_mirror: bool,
-    total_edges: u64,
-) -> Vec<u8> {
-    let bpe = opts.encoding.bytes_per_edge();
-    let mut data = vec![0u8; total_edges as usize * bpe];
-    let tile_count = layout.tile_count() as usize;
-    let tiling = *layout.tiling();
-    let span_mask = tiling.tile_span() - 1;
+fn scatter_parallel(el: &EdgeList, opts: &ConversionOptions, plan: &ConversionPlan) -> Vec<u8> {
     let k = rayon::current_num_threads().max(1);
     let edges = el.edges();
     if k == 1 || edges.len() <= PASS_CHUNK {
-        return scatter_sequential(el, opts, layout, start_edge, duplicate_mirror, total_edges);
+        return scatter_sequential(el, opts, plan);
     }
+    let layout = &plan.layout;
+    let duplicate_mirror = plan.duplicate_mirror;
+    let bpe = opts.encoding.bytes_per_edge();
+    let mut data = vec![0u8; plan.total_edges as usize * bpe];
+    let tile_count = layout.tile_count() as usize;
+    let tiling = *layout.tiling();
+    let span_mask = tiling.tile_span() - 1;
 
-    let mut cursor: Vec<u64> = start_edge[..tile_count].to_vec();
+    let mut cursor: Vec<u64> = plan.start_edge[..tile_count].to_vec();
     let slots: Vec<UnsafeCell<ChunkCursors>> = (0..k)
         .map(|_| UnsafeCell::new(ChunkCursors::new(tile_count)))
         .collect();
@@ -487,7 +403,10 @@ fn scatter_parallel(
             })
             .sum::<u64>();
     }
-    debug_assert!(cursor.iter().zip(&start_edge[1..]).all(|(c, s)| c == s));
+    debug_assert!(cursor
+        .iter()
+        .zip(&plan.start_edge[1..])
+        .all(|(c, s)| c == s));
     data
 }
 
@@ -612,6 +531,15 @@ mod tests {
         assert_eq!(a.start_edge(), b.start_edge());
     }
 
+    /// Pass 2 both ways over one plan: (sequential, parallel).
+    fn both_scatters(el: &EdgeList, opts: &ConversionOptions) -> (Vec<u8>, Vec<u8>) {
+        let plan = plan_conversion(el, opts).unwrap();
+        (
+            scatter_sequential(el, opts, &plan),
+            scatter_parallel(el, opts, &plan),
+        )
+    }
+
     #[test]
     fn parallel_scatter_is_byte_identical_to_sequential() {
         use gstore_graph::gen::{generate_rmat, RmatParams};
@@ -626,10 +554,8 @@ mod tests {
                 .with_group_side(4)
                 .with_encoding(EdgeEncoding::Tuple16),
         ] {
-            let seq = convert_with(&el, &opts, ScatterMode::Sequential).unwrap();
-            let par = convert_with(&el, &opts, ScatterMode::Parallel).unwrap();
-            assert_eq!(seq.start_edge(), par.start_edge());
-            assert_eq!(seq.data(), par.data(), "scatter modes diverged: {opts:?}");
+            let (seq, par) = both_scatters(&el, &opts);
+            assert_eq!(seq, par, "scatters diverged: {opts:?}");
         }
     }
 
@@ -642,28 +568,8 @@ mod tests {
         let opts = ConversionOptions::new(8)
             .with_group_side(8)
             .without_symmetry();
-        let seq = convert_with(&el, &opts, ScatterMode::Sequential).unwrap();
-        let par = convert_with(&el, &opts, ScatterMode::Parallel).unwrap();
-        assert_eq!(seq.data(), par.data());
-        assert_eq!(seq.start_edge(), par.start_edge());
-    }
-
-    #[test]
-    fn plan_exposes_pass1_and_scatter_completes_it() {
-        let el = fig1(GraphKind::Undirected);
-        let opts = ConversionOptions::new(2);
-        let plan = plan_conversion(&el, &opts).unwrap();
-        assert_eq!(plan.total_edges(), 9);
-        assert!(!plan.duplicate_mirror());
-        assert_eq!(
-            plan.start_edge().len(),
-            plan.layout().tile_count() as usize + 1
-        );
-        let data = scatter_with(&el, &opts, &plan, ScatterMode::Parallel);
-        let store = plan.into_store(opts.encoding, data).unwrap();
-        assert_eq!(store.edge_count(), 9);
-        let direct = convert(&el, &opts).unwrap();
-        assert_eq!(store.data(), direct.data());
+        let (seq, par) = both_scatters(&el, &opts);
+        assert_eq!(seq, par);
     }
 
     #[test]

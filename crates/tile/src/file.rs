@@ -26,9 +26,6 @@ use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
 const MAGIC: &[u8; 4] = b"GSTM";
-/// Magic of the retired legacy compressed format (`.cstart`); recognised
-/// only to point the user at the migration path.
-const LEGACY_COMPRESSED_MAGIC: &[u8; 4] = b"GSTC";
 const VERSION: u32 = 1;
 /// Header version of codec-tagged stores (compressed offset table present).
 const CODED_VERSION: u32 = 2;
@@ -166,13 +163,6 @@ impl TileIndex {
         let mut header = [0u8; HEADER_BYTES];
         r.read_exact(&mut header)
             .map_err(|_| GraphError::Format("start-edge file shorter than header".into()))?;
-        if &header[0..4] == LEGACY_COMPRESSED_MAGIC {
-            return Err(GraphError::Format(
-                "legacy compressed store (GSTC): run `gstore compress <dir> <name> --migrate` \
-                 to upgrade it to the codec-tagged format"
-                    .into(),
-            ));
-        }
         if &header[0..4] != MAGIC {
             return Err(GraphError::Format("bad magic in start-edge file".into()));
         }

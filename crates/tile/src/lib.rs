@@ -7,8 +7,8 @@
 //! conversion from edge lists is two-pass ([`mod@convert`]); the result is a
 //! [`TileStore`] persisted as a data file plus a start-edge index
 //! ([`mod@file`]). [`sizing`] reproduces the paper's Table II storage
-//! arithmetic and [`stats`] the tile/group occupancy figures; [`compress`]
-//! implements the paper's future-work delta compression.
+//! arithmetic and [`stats`] the tile/group occupancy figures; [`bitcodec`]
+//! implements the paper's future-work tile compression.
 //!
 //! ```
 //! use gstore_tile::{ConversionOptions, TileStore};
@@ -29,9 +29,7 @@
 //! ```
 
 pub mod bitcodec;
-pub mod cfile;
 pub mod codec;
-pub mod compress;
 pub mod convert;
 pub mod file;
 pub mod grouping;
@@ -44,15 +42,8 @@ pub mod store;
 pub mod stream;
 
 pub use bitcodec::{BitReader, BitWriter, Codec, TileCursor, ZETA_K};
-pub use cfile::{
-    compress_store_files, migrate_legacy_store, write_compressed, CompressedPaths,
-    CompressedTileFile, CompressionReport,
-};
 pub use codec::EdgeEncoding;
-pub use convert::{
-    convert, convert_with, plan_conversion, scatter_with, ConversionOptions, ConversionPlan,
-    ScatterMode,
-};
+pub use convert::{convert, ConversionOptions};
 pub use file::{persist_and_open, write_store, TileFile, TileIndex, TilePaths};
 pub use grouping::{GroupCoord, GroupInfo, GroupedLayout};
 pub use layout::{TileCoord, Tiling, MAX_TILE_BITS};

@@ -13,9 +13,10 @@
 //! gstore compress ./db mygraph --codec ef
 //! ```
 //!
-//! The [`Flags`] parser and the engine-flag helpers
-//! ([`engine_builder_from_flags`]) are shared with the `repro` benchmark
-//! harness so both binaries accept the same `--key value` surface.
+//! Every subcommand declares the flags it reads; any other flag is a usage
+//! error (exit 2), never silently ignored. The [`Flags`] parser is shared
+//! with the `repro` harness, so both binaries accept the same
+//! `--key value` surface under the same rule.
 
 use crate::graph::gen::{
     generate_powerlaw, generate_random, generate_rmat, PowerLawParams, RandomParams, RmatParams,
@@ -24,9 +25,7 @@ use crate::graph::{text, CompactDegrees, EdgeList, GraphError, GraphKind, Result
 use crate::prelude::*;
 use crate::tile::sizing::human_bytes;
 use crate::tile::stats::index_stats;
-use crate::tile::{
-    migrate_legacy_store, recode_store_files, Codec, CodecReport, CompressedPaths, TileFile,
-};
+use crate::tile::{recode_store_files, Codec, CodecReport, TileFile};
 use gstore_metrics::FlightRecorder;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -64,6 +63,24 @@ impl Flags {
             }
         }
         Ok((pos, Flags { map }))
+    }
+
+    /// Rejects any flag outside the `declared` sets: a misspelt `--roott`
+    /// is a usage error naming `cmd`, never a silently ignored option.
+    pub fn check(&self, cmd: &str, declared: &[&[&str]]) -> Result<()> {
+        let mut unknown: Vec<&str> = self
+            .map
+            .keys()
+            .map(String::as_str)
+            .filter(|key| !declared.iter().any(|set| set.contains(key)))
+            .collect();
+        unknown.sort_unstable();
+        match unknown.first() {
+            None => Ok(()),
+            Some(key) => Err(GraphError::InvalidParameter(format!(
+                "{cmd}: unknown flag --{key}"
+            ))),
+        }
     }
 
     pub fn has(&self, key: &str) -> bool {
@@ -149,12 +166,24 @@ fn size_flag(flags: &Flags, key: &str, default_units: u64, unit: u64) -> Result<
     })
 }
 
+/// The flags [`engine_builder_from_flags`] reads, accepted by every
+/// command that builds an engine.
+const ENGINE_FLAGS: &[&str] = &[
+    "segment-kb",
+    "memory-mb",
+    "io-workers",
+    "io-backend",
+    "sqpoll",
+    "cache-mb",
+    "direct",
+    "metrics-json",
+];
+
 /// Builds an [`EngineBuilder`] from the shared engine flags
 /// (`--segment-kb`, `--memory-mb`, `--io-workers`, `--io-backend`,
 /// `--sqpoll`, `--cache-mb`, `--direct`, `--metrics-json`). No source is
 /// set — callers add `.paths(..)` / `.store(..)` / `.backend(..)` for
-/// their graph. Used by both the `gstore` commands and the `repro`
-/// harness.
+/// their graph.
 pub fn engine_builder_from_flags(flags: &Flags) -> Result<EngineBuilder> {
     let segment = size_flag(flags, "segment-kb", 4096, 1 << 10)?;
     let total = size_flag(flags, "memory-mb", 256, 1 << 20)?;
@@ -215,9 +244,8 @@ fn metrics_path(flags: &Flags) -> Result<Option<String>> {
 }
 
 /// `gstore generate <spec> <out>`: writes a binary edge list.
-pub fn cmd_generate(args: &[String]) -> Result<()> {
-    let (pos, flags) = Flags::parse(args)?;
-    let [spec, out] = pos.as_slice() else {
+fn cmd_generate(pos: &[String], flags: &Flags) -> Result<()> {
+    let [spec, out] = pos else {
         return Err(GraphError::InvalidParameter(
             "usage: generate <spec> <out.el> [--directed] [--seed N] [--text]".into(),
         ));
@@ -240,9 +268,8 @@ pub fn cmd_generate(args: &[String]) -> Result<()> {
 }
 
 /// `gstore convert <input> <dir> <name>`: edge list → tile store.
-pub fn cmd_convert(args: &[String]) -> Result<()> {
-    let (pos, flags) = Flags::parse(args)?;
-    let [input, dir, name] = pos.as_slice() else {
+fn cmd_convert(pos: &[String], flags: &Flags) -> Result<()> {
+    let [input, dir, name] = pos else {
         return Err(GraphError::InvalidParameter(
             "usage: convert <input> <dir> <name> [--text] [--directed] \
              [--tile-bits N] [--group-side N] [--no-symmetry] [--compress] \
@@ -270,11 +297,11 @@ pub fn cmd_convert(args: &[String]) -> Result<()> {
             ));
         }
         let mut sopts = StreamingOptions::new(opts)
-            .with_mem_budget_mb(size_flag(&flags, "mem-budget", 64, 1 << 20)? >> 20)
+            .with_mem_budget_mb(size_flag(flags, "mem-budget", 64, 1 << 20)? >> 20)
             .with_direct_io(flags.has("direct"));
         // The `ingest` group of docs/METRICS.md; the engine groups stay
         // empty, no engine runs.
-        let metrics = metrics_path(&flags)?.map(|path| (path, Arc::new(FlightRecorder::new())));
+        let metrics = metrics_path(flags)?.map(|path| (path, Arc::new(FlightRecorder::new())));
         if let Some((_, recorder)) = &metrics {
             sopts = sopts.with_recorder(recorder.clone());
         }
@@ -295,7 +322,7 @@ pub fn cmd_convert(args: &[String]) -> Result<()> {
             report.write.flushes,
         );
     } else {
-        let el = load_edges(Path::new(input), &flags)?;
+        let el = load_edges(Path::new(input), flags)?;
         let store = TileStore::build(&el, &opts)?;
         std::fs::create_dir_all(dir)?;
         paths = crate::tile::write_store(&store, dir, name)?;
@@ -330,22 +357,13 @@ fn print_codec_report(report: &CodecReport, tiles: &Path) {
 }
 
 /// `gstore info <dir> <name>`: store geometry and occupancy.
-pub fn cmd_info(args: &[String]) -> Result<()> {
-    let (pos, _flags) = Flags::parse(args)?;
-    let [dir, name] = pos.as_slice() else {
+fn cmd_info(pos: &[String], _flags: &Flags) -> Result<()> {
+    let [dir, name] = pos else {
         return Err(GraphError::InvalidParameter(
             "usage: info <dir> <name>".into(),
         ));
     };
     let paths = TilePaths::new(Path::new(dir), name);
-    let cpaths = CompressedPaths::new(Path::new(dir), name);
-    if !paths.tiles.exists() && cpaths.ctiles.exists() {
-        return Err(GraphError::InvalidParameter(format!(
-            "{:?} is a legacy .ctiles/.cstart store (write-only, no query path); \
-             run `gstore compress {dir} {name} --migrate` to repackage it",
-            cpaths.ctiles
-        )));
-    }
     // Header + start-edge index only: the tile data never becomes resident,
     // so `info` stays O(tile_count) even on stores far larger than memory.
     let tf = TileFile::open(&paths)?;
@@ -423,25 +441,17 @@ pub fn cmd_info(args: &[String]) -> Result<()> {
             stats.max_count
         );
     }
-    if cpaths.ctiles.exists() {
-        println!(
-            "note: legacy compressed copy at {:?}; \
-             run `gstore compress {dir} {name} --migrate` to repackage it",
-            cpaths.ctiles
-        );
-    }
     Ok(())
 }
 
 /// `gstore bfs <dir> <name> --root R [--async]`.
-pub fn cmd_bfs(args: &[String]) -> Result<()> {
-    let (pos, flags) = Flags::parse(args)?;
-    let [dir, name] = pos.as_slice() else {
+fn cmd_bfs(pos: &[String], flags: &Flags) -> Result<()> {
+    let [dir, name] = pos else {
         return Err(GraphError::InvalidParameter(
             "usage: bfs <dir> <name> [--root R] [--async] [--segment-kb N] [--memory-mb N]".into(),
         ));
     };
-    let (mut engine, tiling) = engine_for(Path::new(dir), name, &flags)?;
+    let (mut engine, tiling) = engine_for(Path::new(dir), name, flags)?;
     let root: u64 = flags.get("root", 0u64)?;
     if root >= tiling.vertex_count() {
         return Err(GraphError::VertexOutOfRange {
@@ -479,18 +489,17 @@ pub fn cmd_bfs(args: &[String]) -> Result<()> {
         human_bytes(stats.bytes_read),
         stats.mteps()
     );
-    write_metrics(&engine, &flags)
+    write_metrics(&engine, flags)
 }
 
 /// `gstore pagerank <dir> <name> [--iters N] [--damping D] [--delta]`.
-pub fn cmd_pagerank(args: &[String]) -> Result<()> {
-    let (pos, flags) = Flags::parse(args)?;
-    let [dir, name] = pos.as_slice() else {
+fn cmd_pagerank(pos: &[String], flags: &Flags) -> Result<()> {
+    let [dir, name] = pos else {
         return Err(GraphError::InvalidParameter(
             "usage: pagerank <dir> <name> [--iters N] [--damping D] [--delta] [--top K]".into(),
         ));
     };
-    let (mut engine, tiling) = engine_for(Path::new(dir), name, &flags)?;
+    let (mut engine, tiling) = engine_for(Path::new(dir), name, flags)?;
     let iters: u32 = flags.get("iters", 20u32)?;
     let damping: f64 = flags.get("damping", 0.85f64)?;
     let top: usize = flags.get("top", 5usize)?;
@@ -521,18 +530,17 @@ pub fn cmd_pagerank(args: &[String]) -> Result<()> {
     for (v, r) in ranked.iter().take(top) {
         println!("  vertex {v:>10}  rank {r:.8}");
     }
-    write_metrics(&engine, &flags)
+    write_metrics(&engine, flags)
 }
 
 /// `gstore wcc <dir> <name>`.
-pub fn cmd_wcc(args: &[String]) -> Result<()> {
-    let (pos, flags) = Flags::parse(args)?;
-    let [dir, name] = pos.as_slice() else {
+fn cmd_wcc(pos: &[String], flags: &Flags) -> Result<()> {
+    let [dir, name] = pos else {
         return Err(GraphError::InvalidParameter(
             "usage: wcc <dir> <name>".into(),
         ));
     };
-    let (mut engine, tiling) = engine_for(Path::new(dir), name, &flags)?;
+    let (mut engine, tiling) = engine_for(Path::new(dir), name, flags)?;
     let mut wcc = Wcc::new(tiling);
     let stats = engine.run(&mut wcc, u32::MAX)?;
     println!(
@@ -541,13 +549,12 @@ pub fn cmd_wcc(args: &[String]) -> Result<()> {
         stats.iterations,
         human_bytes(stats.bytes_read)
     );
-    write_metrics(&engine, &flags)
+    write_metrics(&engine, flags)
 }
 
 /// `gstore scc <dir> <name>` (directed stores only; in-memory driver).
-pub fn cmd_scc(args: &[String]) -> Result<()> {
-    let (pos, _flags) = Flags::parse(args)?;
-    let [dir, name] = pos.as_slice() else {
+fn cmd_scc(pos: &[String], _flags: &Flags) -> Result<()> {
+    let [dir, name] = pos else {
         return Err(GraphError::InvalidParameter(
             "usage: scc <dir> <name>".into(),
         ));
@@ -566,14 +573,13 @@ pub fn cmd_scc(args: &[String]) -> Result<()> {
 }
 
 /// `gstore kcore <dir> <name> --k K`: k-core membership count.
-pub fn cmd_kcore(args: &[String]) -> Result<()> {
-    let (pos, flags) = Flags::parse(args)?;
-    let [dir, name] = pos.as_slice() else {
+fn cmd_kcore(pos: &[String], flags: &Flags) -> Result<()> {
+    let [dir, name] = pos else {
         return Err(GraphError::InvalidParameter(
             "usage: kcore <dir> <name> [--k K]".into(),
         ));
     };
-    let (mut engine, tiling) = engine_for(Path::new(dir), name, &flags)?;
+    let (mut engine, tiling) = engine_for(Path::new(dir), name, flags)?;
     let k: u64 = flags.get("k", 2u64)?;
     let mut kc = crate::core::KCore::new(tiling, k);
     let stats = engine.run(&mut kc, u32::MAX)?;
@@ -584,16 +590,15 @@ pub fn cmd_kcore(args: &[String]) -> Result<()> {
         stats.iterations,
         human_bytes(stats.bytes_read)
     );
-    write_metrics(&engine, &flags)
+    write_metrics(&engine, flags)
 }
 
 /// `gstore batch <dir> <name> <spec>...`: runs several queries
 /// concurrently over one shared scan per iteration. Specs parse through
 /// the typed [`QuerySpec`] grammar shared with `gstore query`, the wire
 /// protocol, and the `repro` harness.
-pub fn cmd_batch(args: &[String]) -> Result<()> {
-    let (pos, flags) = Flags::parse(args)?;
-    let [dir, name, specs @ ..] = pos.as_slice() else {
+fn cmd_batch(pos: &[String], flags: &Flags) -> Result<()> {
+    let [dir, name, specs @ ..] = pos else {
         return Err(GraphError::InvalidParameter(
             "usage: batch <dir> <name> <spec>... \
              (specs: bfs[:root], pagerank[:iters], wcc, kcore[:k], degrees)"
@@ -606,7 +611,7 @@ pub fn cmd_batch(args: &[String]) -> Result<()> {
         ));
     }
     let parsed: Vec<QuerySpec> = specs.iter().map(|s| s.parse()).collect::<Result<_>>()?;
-    let (mut engine, tiling) = engine_for(Path::new(dir), name, &flags)?;
+    let (mut engine, tiling) = engine_for(Path::new(dir), name, flags)?;
 
     // PageRank needs out-degrees: one extra sweep before the batch.
     let degrees = if parsed.iter().any(|q| q.needs_degrees()) {
@@ -648,7 +653,7 @@ pub fn cmd_batch(args: &[String]) -> Result<()> {
         stats.read_amortization(),
         stats.tiles_shared,
     );
-    write_metrics(&engine, &flags)
+    write_metrics(&engine, flags)
 }
 
 /// Runs one `query` point-read spec against a [`PointReader`] and prints
@@ -670,9 +675,8 @@ fn run_point_query(reader: &PointReader, spec: &str, seed: u64) -> Result<()> {
 /// `gstore query <dir> <name> <spec>...`: OLTP-style point reads served
 /// from individual tiles — no full sweep. Specs: `neighbors:v`,
 /// `degree:v`, `khop:v:k`, `walk:v:len`.
-pub fn cmd_query(args: &[String]) -> Result<()> {
-    let (pos, flags) = Flags::parse(args)?;
-    let [dir, name, specs @ ..] = pos.as_slice() else {
+fn cmd_query(pos: &[String], flags: &Flags) -> Result<()> {
+    let [dir, name, specs @ ..] = pos else {
         return Err(GraphError::InvalidParameter(
             "usage: query <dir> <name> <spec>... \
              (specs: neighbors:v, degree:v, khop:v:k, walk:v:len)"
@@ -684,7 +688,7 @@ pub fn cmd_query(args: &[String]) -> Result<()> {
             "query needs at least one point-read spec".into(),
         ));
     }
-    let (engine, _tiling) = engine_for(Path::new(dir), name, &flags)?;
+    let (engine, _tiling) = engine_for(Path::new(dir), name, flags)?;
     let reader = engine.point_reader();
     let seed: u64 = flags.get("seed", 42u64)?;
     for spec in specs {
@@ -698,16 +702,15 @@ pub fn cmd_query(args: &[String]) -> Result<()> {
         cache.inserted,
         cache.rejected,
     );
-    write_metrics(&engine, &flags)
+    write_metrics(&engine, flags)
 }
 
 /// `gstore serve <dir> <name> [--port P] [--max-batch N] [--queue N]`:
 /// runs the shared-scan query daemon over one engine until killed.
 /// Clients speak the length-prefixed QuerySpec protocol (docs/API.md);
 /// `gstore client` is the bundled driver.
-pub fn cmd_serve(args: &[String]) -> Result<()> {
-    let (pos, flags) = Flags::parse(args)?;
-    let [dir, name] = pos.as_slice() else {
+fn cmd_serve(pos: &[String], flags: &Flags) -> Result<()> {
+    let [dir, name] = pos else {
         return Err(GraphError::InvalidParameter(
             "usage: serve <dir> <name> [--port P] [--max-batch N] [--queue N] \
              [--max-iters N] [--seed N]"
@@ -723,7 +726,7 @@ pub fn cmd_serve(args: &[String]) -> Result<()> {
         walk_seed: flags.get("seed", 42u64)?,
     };
     // The daemon snapshots metrics at shutdown, so serving always records.
-    let engine = engine_builder_from_flags(&flags)?
+    let engine = engine_builder_from_flags(flags)?
         .metrics(true)
         .paths(&TilePaths::new(Path::new(dir), name))
         .build()?;
@@ -743,9 +746,8 @@ pub fn cmd_serve(args: &[String]) -> Result<()> {
 
 /// `gstore client <addr> <spec>...`: sends each query spec to a running
 /// daemon and prints the replies — the serve protocol's test driver.
-pub fn cmd_client(args: &[String]) -> Result<()> {
-    let (pos, flags) = Flags::parse(args)?;
-    let [addr, specs @ ..] = pos.as_slice() else {
+fn cmd_client(pos: &[String], flags: &Flags) -> Result<()> {
+    let [addr, specs @ ..] = pos else {
         return Err(GraphError::InvalidParameter(
             "usage: client <host:port> <spec>... [--raw] [--retries N]".into(),
         ));
@@ -789,33 +791,19 @@ pub fn cmd_client(args: &[String]) -> Result<()> {
     Ok(())
 }
 
-/// `gstore compress <dir> <name> [--codec C] [--out NAME] [--migrate]`:
-/// re-encodes a store with a bit-level tile codec (default `varint`),
-/// writing a first-class coded `.tiles`/`.start` pair that every query
-/// path consumes. `--migrate` repackages a legacy `.ctiles`/`.cstart`
-/// pair instead (a data-file copy — no recompression).
-pub fn cmd_compress(args: &[String]) -> Result<()> {
-    let (pos, flags) = Flags::parse(args)?;
-    let [dir, name] = pos.as_slice() else {
+/// `gstore compress <dir> <name> [--codec C] [--out NAME]`: re-encodes a
+/// store with a bit-level tile codec (default `varint`), writing a
+/// first-class coded `.tiles`/`.start` pair that every query path consumes.
+fn cmd_compress(pos: &[String], flags: &Flags) -> Result<()> {
+    let [dir, name] = pos else {
         return Err(GraphError::InvalidParameter(
-            "usage: compress <dir> <name> [--codec varint|gamma|zeta|ef] \
-             [--out NAME] [--migrate]"
-                .into(),
+            "usage: compress <dir> <name> [--codec varint|gamma|zeta|ef] [--out NAME]".into(),
         ));
     };
     let out: String = flags.get("out", format!("{name}c"))?;
     let dir = Path::new(dir);
-    let (cpaths, report) = if flags.has("migrate") {
-        if flags.has("codec") {
-            return Err(GraphError::InvalidParameter(
-                "--migrate keeps the legacy varint streams; drop --codec".into(),
-            ));
-        }
-        migrate_legacy_store(&CompressedPaths::new(dir, name), dir, &out)?
-    } else {
-        let codec = Codec::parse(&flags.get("codec", "varint".to_string())?)?;
-        recode_store_files(&TilePaths::new(dir, name), dir, &out, codec)?
-    };
+    let codec = Codec::parse(&flags.get("codec", "varint".to_string())?)?;
+    let (cpaths, report) = recode_store_files(&TilePaths::new(dir, name), dir, &out, codec)?;
     println!(
         "coded {} edges as {}:",
         report.edge_count,
@@ -826,14 +814,13 @@ pub fn cmd_compress(args: &[String]) -> Result<()> {
 }
 
 /// `gstore degrees <dir> <name>`: degree statistics via a tile sweep.
-pub fn cmd_degrees(args: &[String]) -> Result<()> {
-    let (pos, flags) = Flags::parse(args)?;
-    let [dir, name] = pos.as_slice() else {
+fn cmd_degrees(pos: &[String], flags: &Flags) -> Result<()> {
+    let [dir, name] = pos else {
         return Err(GraphError::InvalidParameter(
             "usage: degrees <dir> <name>".into(),
         ));
     };
-    let (mut engine, tiling) = engine_for(Path::new(dir), name, &flags)?;
+    let (mut engine, tiling) = engine_for(Path::new(dir), name, flags)?;
     let mut dc = DegreeCount::new(tiling);
     engine.run(&mut dc, 1)?;
     let degrees = dc.degrees();
@@ -865,21 +852,26 @@ pub fn cmd_degrees(args: &[String]) -> Result<()> {
         ),
         Err(e) => println!("compact encoding inapplicable: {e}"),
     }
-    write_metrics(&engine, &flags)?;
+    write_metrics(&engine, flags)?;
     Ok(())
 }
 
 const USAGE: &str = "usage: gstore <command> ...
 commands:
   generate <spec> <out>        make a graph (kron:18:16, random:20:8,
-                               twitter:512, friendster:512, subdomain:512)
+                               twitter:512, friendster:512, subdomain:512;
+                               --directed, --seed N, --text)
   convert  <input> <dir> <n>   edge list (binary or --text) -> tile store
-                               (--compress [--codec C] also writes a coded
-                               <n>c store)
+                               (--directed, --tile-bits N, --group-side N,
+                               --no-symmetry; --streaming [--mem-budget MB]
+                               [--direct] [--metrics-json P] converts out of
+                               core; --compress [--codec C] also writes a
+                               coded <n>c store)
   info     <dir> <name>        store geometry, sizes, occupancy, codec
                                accounting (bytes/edge, compression ratio)
   bfs      <dir> <name>        breadth-first search (--root R, --async)
-  pagerank <dir> <name>        PageRank (--iters N, --delta, --top K)
+  pagerank <dir> <name>        PageRank (--iters N, --damping D, --delta,
+                               --top K)
   wcc      <dir> <name>        weakly connected components
   scc      <dir> <name>        strongly connected components (directed)
   kcore    <dir> <name>        k-core decomposition (--k K)
@@ -902,9 +894,8 @@ commands:
                                (--raw wire-encoded replies, --retries N
                                on BUSY; any batch/query spec works)
   compress <dir> <name>        re-encode with a bit-level tile codec
-                               (--codec varint|gamma|zeta|ef, --out NAME,
-                               --migrate for legacy .ctiles stores)
-engine flags (bfs/pagerank/wcc/kcore/degrees/batch/query):
+                               (--codec varint|gamma|zeta|ef, --out NAME)
+engine flags (bfs/pagerank/wcc/kcore/degrees/batch/query/serve):
   --segment-kb N   streaming segment size (default 4096)
   --memory-mb N    total memory budget (default 256)
   --io-workers N   AIO worker threads (default 4; workers backend only)
@@ -915,7 +906,105 @@ engine flags (bfs/pagerank/wcc/kcore/degrees/batch/query):
   --cache-mb N     hot-tile cache for point reads (default 64)
   --direct         sector-aligned O_DIRECT-style reads
   --metrics-json P write flight-recorder metrics (per-iteration phase
-                   timings, I/O counters, cache stats) to P as JSON";
+                   timings, I/O counters, cache stats) to P as JSON
+any other flag is a usage error";
+
+/// One subcommand: its entry point and every flag it reads.
+struct Command {
+    name: &'static str,
+    run: fn(&[String], &Flags) -> Result<()>,
+    flags: &'static [&'static [&'static str]],
+}
+
+/// Every subcommand. A flag a command does not declare here is rejected
+/// before the command runs.
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "generate",
+        run: cmd_generate,
+        flags: &[&["directed", "seed", "text"]],
+    },
+    Command {
+        name: "convert",
+        run: cmd_convert,
+        flags: &[&[
+            "text",
+            "directed",
+            "tile-bits",
+            "group-side",
+            "no-symmetry",
+            "streaming",
+            "mem-budget",
+            "direct",
+            "metrics-json",
+            "compress",
+            "codec",
+        ]],
+    },
+    Command {
+        name: "info",
+        run: cmd_info,
+        flags: &[],
+    },
+    Command {
+        name: "bfs",
+        run: cmd_bfs,
+        flags: &[&["root", "async"], ENGINE_FLAGS],
+    },
+    Command {
+        name: "pagerank",
+        run: cmd_pagerank,
+        flags: &[&["iters", "damping", "delta", "top"], ENGINE_FLAGS],
+    },
+    Command {
+        name: "wcc",
+        run: cmd_wcc,
+        flags: &[ENGINE_FLAGS],
+    },
+    Command {
+        name: "scc",
+        run: cmd_scc,
+        flags: &[],
+    },
+    Command {
+        name: "kcore",
+        run: cmd_kcore,
+        flags: &[&["k"], ENGINE_FLAGS],
+    },
+    Command {
+        name: "degrees",
+        run: cmd_degrees,
+        flags: &[ENGINE_FLAGS],
+    },
+    Command {
+        name: "batch",
+        run: cmd_batch,
+        flags: &[ENGINE_FLAGS],
+    },
+    Command {
+        name: "query",
+        run: cmd_query,
+        flags: &[&["seed"], ENGINE_FLAGS],
+    },
+    Command {
+        name: "serve",
+        run: cmd_serve,
+        flags: &[
+            &["port", "max-batch", "queue", "max-iters", "seed"],
+            ENGINE_FLAGS,
+        ],
+    },
+    Command {
+        name: "client",
+        run: cmd_client,
+        flags: &[&["raw", "retries"]],
+    },
+    Command {
+        name: "compress",
+        run: cmd_compress,
+        flags: &[&["codec", "out"]],
+    },
+];
 
 /// Entry point used by the `gstore` binary; returns the exit code.
 pub fn run(args: &[String]) -> i32 {
@@ -923,36 +1012,28 @@ pub fn run(args: &[String]) -> i32 {
         eprintln!("{USAGE}");
         return 2;
     };
-    let result = match cmd.as_str() {
-        "generate" => cmd_generate(rest),
-        "convert" => cmd_convert(rest),
-        "info" => cmd_info(rest),
-        "bfs" => cmd_bfs(rest),
-        "pagerank" => cmd_pagerank(rest),
-        "wcc" => cmd_wcc(rest),
-        "scc" => cmd_scc(rest),
-        "kcore" => cmd_kcore(rest),
-        "degrees" => cmd_degrees(rest),
-        "batch" => cmd_batch(rest),
-        "query" => cmd_query(rest),
-        "serve" => cmd_serve(rest),
-        "client" => cmd_client(rest),
-        "compress" => cmd_compress(rest),
-        "help" | "--help" | "-h" => {
-            println!("{USAGE}");
-            Ok(())
-        }
-        other => Err(GraphError::InvalidParameter(format!(
-            "unknown command {other:?}"
-        ))),
-    };
-    match result {
+    if matches!(cmd.as_str(), "help" | "--help" | "-h") {
+        println!("{USAGE}");
+        return 0;
+    }
+    match dispatch(cmd, rest) {
         Ok(()) => 0,
         Err(e) => {
             eprintln!("gstore: {e}");
             2
         }
     }
+}
+
+/// Finds `cmd` in [`COMMANDS`], checks its flags, and runs it.
+fn dispatch(cmd: &str, args: &[String]) -> Result<()> {
+    let command = COMMANDS
+        .iter()
+        .find(|c| c.name == cmd)
+        .ok_or_else(|| GraphError::InvalidParameter(format!("unknown command {cmd:?}")))?;
+    let (pos, flags) = Flags::parse(args)?;
+    flags.check(command.name, command.flags)?;
+    (command.run)(&pos, &flags)
 }
 
 #[cfg(test)]
@@ -1410,29 +1491,100 @@ mod tests {
 
     #[test]
     fn legacy_compressed_stores_point_at_migration() {
+        // The retired compressed pair has no reader and no migration: a
+        // `.start` whose header carries its `GSTC` magic is an ordinary
+        // bad-magic store, and `--migrate` is an unknown flag.
         let dir = tempfile::tempdir().unwrap();
         let el = parse_generator("kron:9:8", false, 7).unwrap();
         let store = TileStore::build(&el, &ConversionOptions::new(5).with_group_side(4)).unwrap();
-        // A legacy-only store (just .ctiles/.cstart): info refuses with a
-        // message naming the migration command.
-        crate::tile::write_compressed(&store, dir.path(), "old").unwrap();
+        crate::tile::write_store(&store, dir.path(), "g").unwrap();
+        let paths = crate::tile::write_store(&store, dir.path(), "old").unwrap();
+        let mut start = std::fs::read(&paths.start).unwrap();
+        start[..4].copy_from_slice(b"GSTC");
+        std::fs::write(&paths.start, &start).unwrap();
+        assert!(matches!(TileFile::open(&paths), Err(GraphError::Format(_))));
         let dbs = dir.path().to_str().unwrap().to_string();
         assert_eq!(run(&s(&["info", &dbs, "old"])), 2);
         assert_eq!(run(&s(&["bfs", &dbs, "old", "--root", "0"])), 2);
-        // --migrate repackages it into the codec-tagged format, after
-        // which every query path works.
+        // Not even on a good store does `--migrate` quietly re-encode.
+        let migrate = s(&["g", "--migrate", "--out", "new"]);
+        assert!(matches!(
+            dispatch("compress", &migrate),
+            Err(GraphError::InvalidParameter(m)) if m.contains("--migrate")
+        ));
         assert_eq!(
-            run(&s(&["compress", &dbs, "old", "--migrate", "--out", "new"])),
-            0
-        );
-        assert_eq!(run(&s(&["info", &dbs, "new"])), 0);
-        assert_eq!(run(&s(&["bfs", &dbs, "new", "--root", "0"])), 0);
-        assert_eq!(run(&s(&["query", &dbs, "new", "degree:0"])), 0);
-        // --migrate --codec is contradictory.
-        assert_eq!(
-            run(&s(&["compress", &dbs, "old", "--migrate", "--codec", "ef"])),
+            run(&s(&["compress", &dbs, "g", "--migrate", "--out", "new"])),
             2
         );
+        assert!(!dir.path().join("new.tiles").exists());
+    }
+
+    /// The flags `USAGE` lists for `cmd`: its own block, plus the engine
+    /// flags when the engine-flag header names it.
+    fn usage_flags(cmd: &str) -> Vec<&'static str> {
+        let flags_in = |text: &'static str| {
+            text.split(|c: char| !(c.is_ascii_lowercase() || c == '-'))
+                .filter_map(|w| w.strip_prefix("--"))
+                .filter(|f| !f.is_empty())
+        };
+        let (commands, engine) = USAGE.split_once("engine flags (").unwrap();
+        let mut listed = Vec::new();
+        let mut mine = false;
+        for line in commands.lines().skip(2) {
+            if !line.starts_with("   ") {
+                mine = line.split_whitespace().next() == Some(cmd);
+            }
+            if mine {
+                listed.extend(flags_in(line));
+            }
+        }
+        let (users, engine_flags) = engine.split_once("):").unwrap();
+        if users.split('/').any(|c| c == cmd) {
+            for line in engine_flags.lines() {
+                listed.extend(
+                    line.trim_start()
+                        .split(' ')
+                        .next()
+                        .and_then(|w| w.strip_prefix("--")),
+                );
+            }
+        }
+        listed
+    }
+
+    #[test]
+    fn every_command_rejects_undeclared_flags_and_accepts_its_usage() {
+        for command in COMMANDS {
+            let listed = usage_flags(command.name);
+            let declared: Vec<&str> = command.flags.concat();
+            for flag in &listed {
+                let (_, flags) = Flags::parse(&s(&[&format!("--{flag}"), "1"])).unwrap();
+                assert!(
+                    flags.check(command.name, command.flags).is_ok(),
+                    "{}: USAGE lists --{flag} but the command rejects it",
+                    command.name
+                );
+            }
+            for flag in &declared {
+                assert!(
+                    listed.contains(flag),
+                    "{}: --{flag} is read but USAGE does not list it",
+                    command.name
+                );
+            }
+            // A misspelt flag is a typed error naming the command, caught
+            // before the command touches a file, and exits 2.
+            let typo = format!("--{}x", declared.first().unwrap_or(&"root"));
+            let err = dispatch(command.name, &s(&["db", "g", &typo])).unwrap_err();
+            assert!(
+                matches!(&err, GraphError::InvalidParameter(m)
+                    if m.contains(command.name) && m.contains(&typo)),
+                "{}: {err:?}",
+                command.name
+            );
+            assert_eq!(run(&s(&[command.name, "db", "g", &typo])), 2);
+        }
+        assert_eq!(run(&s(&["bfs", "db", "g", "--roott", "9"])), 2);
     }
 
     #[test]

@@ -102,7 +102,7 @@ pub mod prelude {
     pub use gstore_io::{FileBackend, MemBackend, SsdArraySim, StorageBackend};
     pub use gstore_scr::ScrConfig;
     pub use gstore_tile::{
-        convert_streaming, ConversionOptions, EdgeEncoding, ScatterMode, StreamingOptions,
-        StreamingReport, TileCoord, TilePaths, TileStore, Tiling,
+        convert_streaming, ConversionOptions, EdgeEncoding, StreamingOptions, StreamingReport,
+        TileCoord, TilePaths, TileStore, Tiling,
     };
 }

@@ -7,7 +7,7 @@ use gstore::graph::gen::{generate_powerlaw, generate_rmat, PowerLawParams, RmatP
 use gstore::graph::{reference, CompactDegrees};
 use gstore::io::{ArrayConfig, FaultBackend, FaultPolicy, SsdArraySim};
 use gstore::prelude::*;
-use gstore::tile::TileIndex;
+use gstore::tile::{Codec, TileIndex};
 use std::sync::Arc;
 
 fn kron(scale: u32, ef: u64, kind: GraphKind) -> EdgeList {
@@ -174,25 +174,23 @@ fn tuple_encoded_stores_run_identically() {
 
 #[test]
 fn compressed_store_runs_identically() {
-    // Future-work path: compress on disk, decompress, run — results must
-    // match the uncompressed store exactly.
+    // The paper's future-work path: a varint-coded pair on disk, opened
+    // like any store — results must match the references exactly.
     let dir = tempfile::tempdir().unwrap();
     let el = kron(10, 6, GraphKind::Undirected);
     let store = TileStore::build(&el, &ConversionOptions::new(5).with_group_side(4)).unwrap();
-    let (cpaths, report) = gstore::tile::write_compressed(&store, dir.path(), "c").unwrap();
+    let (cpaths, report) =
+        gstore::tile::write_coded_store(&store, dir.path(), "c", Codec::DeltaVarint).unwrap();
     assert!(report.ratio() > 1.0);
-    let restored = gstore::tile::CompressedTileFile::open(&cpaths)
-        .unwrap()
-        .load_all()
-        .unwrap();
-    let mut engine = small(&restored).build().unwrap();
-    let mut bfs = Bfs::new(*restored.layout().tiling(), 0);
+    let mut engine = small(&store).paths(&cpaths).build().unwrap();
+    assert_eq!(engine.index().codec, Codec::DeltaVarint);
+    let mut bfs = Bfs::new(*store.layout().tiling(), 0);
     engine.run(&mut bfs, 10_000).unwrap();
     assert_eq!(
         bfs.depths(),
         reference::bfs_levels(&reference::bfs_csr(&el), 0)
     );
-    let mut wcc = Wcc::new(*restored.layout().tiling());
+    let mut wcc = Wcc::new(*store.layout().tiling());
     engine.clear_cache();
     engine.run(&mut wcc, 10_000).unwrap();
     assert_eq!(wcc.labels(), reference::wcc_labels(&el));

@@ -4,7 +4,7 @@
 use gstore::graph::{reference, CompactDegrees};
 use gstore::prelude::*;
 use gstore::scr::{CacheHint, CachePool};
-use gstore::tile::compress::{compress_tile, decompress_tile};
+use gstore::tile::Codec;
 use proptest::prelude::*;
 
 /// Strategy: a small arbitrary graph (vertex count, kind, edges).
@@ -177,7 +177,7 @@ proptest! {
         prop_assert!((sum - 1.0).abs() < 1e-9, "sum = {}", sum);
     }
 
-    /// Tile compression round-trips the sorted edge multiset.
+    /// The varint tile codec round-trips the sorted edge multiset.
     #[test]
     fn compression_roundtrip(
         edges in proptest::collection::vec((any::<u16>(), any::<u16>()), 0..300)
@@ -187,7 +187,8 @@ proptest! {
             raw.extend_from_slice(&s.to_le_bytes());
             raw.extend_from_slice(&d.to_le_bytes());
         }
-        let back = decompress_tile(&compress_tile(&raw).unwrap()).unwrap();
+        let coded = Codec::DeltaVarint.encode_tile(&raw).unwrap();
+        let back = Codec::DeltaVarint.decode_tile(&coded).unwrap();
         let mut want: Vec<u32> = edges.iter().map(|(s, d)| (*s as u32) << 16 | *d as u32).collect();
         want.sort_unstable();
         let got: Vec<u32> = back
@@ -851,23 +852,27 @@ proptest! {
         let _ = EdgeList::read_binary(&path); // must not panic
     }
 
-    /// And for compressed stores.
+    /// And for coded stores: a flipped byte in a varint-coded `.tiles`
+    /// decodes to an error or to edges, tile by tile — never a panic.
     #[test]
     fn mutated_compressed_files_never_panic(pos_seed in any::<u64>(), val in any::<u8>()) {
         use gstore::graph::gen::{generate_rmat, RmatParams};
         let dir = tempfile::tempdir().unwrap();
         let el = generate_rmat(&RmatParams::kron(7, 4)).unwrap();
         let store = TileStore::build(&el, &ConversionOptions::new(4)).unwrap();
-        let (paths, _) = gstore::tile::write_compressed(&store, dir.path(), "m").unwrap();
-        let mut data = std::fs::read(&paths.ctiles).unwrap();
+        let (paths, _) =
+            gstore::tile::write_coded_store(&store, dir.path(), "m", Codec::DeltaVarint).unwrap();
+        let mut data = std::fs::read(&paths.tiles).unwrap();
         if !data.is_empty() {
             let at = (pos_seed as usize) % data.len();
             data[at] ^= val | 1;
-            std::fs::write(&paths.ctiles, &data).unwrap();
+            std::fs::write(&paths.tiles, &data).unwrap();
         }
-        if let Ok(mut cf) = gstore::tile::CompressedTileFile::open(&paths) {
-            for t in 0..cf.tile_count() {
-                let _ = cf.read_tile(t); // Err is fine; panic is not
+        if let Ok(mut tf) = gstore::tile::TileFile::open(&paths) {
+            let codec = tf.index().codec;
+            for t in 0..tf.index().tile_count() {
+                // Err is fine; panic is not.
+                let _ = tf.read_tile(t).and_then(|coded| codec.decode_tile(&coded));
             }
         }
     }
