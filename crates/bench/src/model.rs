@@ -161,8 +161,8 @@ pub fn fmt_phase_split(m: &EngineMetrics) -> String {
 pub fn fmt_zero_copy(m: &EngineMetrics) -> String {
     format!(
         "{:.0}%/{:.0}%",
-        m.copy.copy_fraction() * 100.0,
-        m.buffer_pool.hit_rate() * 100.0
+        m.value("copy.copy_fraction").expect("a schema path") * 100.0,
+        m.value("buffer_pool.hit_rate").expect("a schema path") * 100.0
     )
 }
 

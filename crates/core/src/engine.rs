@@ -1281,6 +1281,7 @@ mod tests {
     use crate::algorithms::{Bfs, DegreeCount, PageRank, Wcc};
     use gstore_graph::gen::{generate_rmat, RmatParams};
     use gstore_graph::{reference, Csr, CsrDirection, GraphKind};
+    use gstore_metrics::Counter;
     use gstore_tile::ConversionOptions;
 
     fn kron_store(
@@ -1631,14 +1632,14 @@ mod tests {
         let bp = engine.buffer_pool_stats();
         assert_eq!(bp.outstanding, 0);
         let m = engine.metrics().unwrap();
-        assert_eq!(m.io_backend.uring_selected, 1);
-        assert_eq!(m.io_backend.uring_requests, stats.io_requests);
-        assert_eq!(m.io_backend.workers_requests, 0);
-        assert!(m.io_backend.sqe_batches > 0);
-        assert_eq!(m.io_backend.sqes_submitted, stats.io_requests);
-        assert!(m.io_backend.cqes_reaped >= stats.io_requests);
-        assert_eq!(m.io.completions, stats.io_requests);
-        assert_eq!(m.io.errors, 0);
+        assert_eq!(m[Counter::IoBackendUringSelected], 1);
+        assert_eq!(m[Counter::IoBackendUringRequests], stats.io_requests);
+        assert_eq!(m[Counter::IoBackendWorkersRequests], 0);
+        assert!(m[Counter::IoBackendSqeBatches] > 0);
+        assert_eq!(m[Counter::IoBackendSqesSubmitted], stats.io_requests);
+        assert!(m[Counter::IoBackendCqesReaped] >= stats.io_requests);
+        assert_eq!(m[Counter::IoCompletions], stats.io_requests);
+        assert_eq!(m[Counter::IoErrors], 0);
     }
 
     #[test]
@@ -1736,11 +1737,11 @@ mod tests {
         }
         assert_eq!(reader.buffer_stats().outstanding, 0);
         let m = engine.metrics().unwrap();
-        assert!(m.pointread.tiles_fetched > 0);
+        assert!(m[Counter::PointreadTilesFetched] > 0);
         // Every point-read miss went through the ring, none through the
         // synchronous path.
-        assert!(m.io_backend.uring_requests >= m.pointread.tiles_fetched);
-        assert_eq!(m.io_backend.workers_requests, 0);
+        assert!(m[Counter::IoBackendUringRequests] >= m[Counter::PointreadTilesFetched]);
+        assert_eq!(m[Counter::IoBackendWorkersRequests], 0);
     }
 
     #[test]
@@ -1796,9 +1797,9 @@ mod tests {
         let stats = engine.run(&mut pr, 3).unwrap();
         let m = engine.metrics().unwrap();
         assert!(stats.bytes_read > 0);
-        assert_eq!(m.copy.bytes_copied, 0);
-        assert_eq!(m.copy.bytes_borrowed, stats.bytes_read);
-        assert_eq!(m.copy.copy_fraction(), 0.0);
+        assert_eq!(m[Counter::CopyBytesCopied], 0);
+        assert_eq!(m[Counter::CopyBytesBorrowed], stats.bytes_read);
+        assert_eq!(m.value("copy.copy_fraction"), Some(0.0));
     }
 
     #[test]
@@ -1845,30 +1846,45 @@ mod tests {
         let m = engine.metrics().expect("metrics enabled");
 
         assert_eq!(m.iterations.len() as u32, stats.iterations);
-        assert_eq!(m.io.bytes_read, stats.bytes_read);
-        assert_eq!(m.io.requests, stats.io_requests);
-        assert_eq!(m.io.completions, stats.io_requests);
-        assert_eq!(m.io.errors, 0);
+        assert_eq!(m[Counter::IoBytesRead], stats.bytes_read);
+        assert_eq!(m[Counter::IoRequests], stats.io_requests);
+        assert_eq!(m[Counter::IoCompletions], stats.io_requests);
+        assert_eq!(m[Counter::IoErrors], 0);
         assert_eq!(m.tiles_rewind(), stats.tiles_from_cache);
         assert_eq!(m.tiles_streamed(), stats.tiles_fetched);
-        assert_eq!(m.stream_bytes(), stats.bytes_read);
+        let streamed: u64 = m.iterations.iter().map(|i| i.stream_bytes).sum();
+        assert_eq!(streamed, stats.bytes_read);
         let ps = engine.pool_stats();
-        assert_eq!(m.cache.total_inserted(), ps.inserted);
-        assert_eq!(m.cache.total_rejected(), ps.rejected);
-        assert_eq!(
-            m.cache.total_evicted(),
-            ps.evicted_not_needed + ps.evicted_unknown
-        );
+        use Counter::*;
+        let total = |hints: [Counter; 3]| hints.iter().map(|&c| m[c]).sum::<u64>();
+        let inserted = total([
+            CacheInsertedNotNeeded,
+            CacheInsertedUnknown,
+            CacheInsertedNeeded,
+        ]);
+        let rejected = total([
+            CacheRejectedNotNeeded,
+            CacheRejectedUnknown,
+            CacheRejectedNeeded,
+        ]);
+        let evicted = total([
+            CacheEvictedNotNeeded,
+            CacheEvictedUnknown,
+            CacheEvictedNeeded,
+        ]);
+        assert_eq!(inserted, ps.inserted);
+        assert_eq!(rejected, ps.rejected);
+        assert_eq!(evicted, ps.evicted_not_needed + ps.evicted_unknown);
         // Zero-copy slide path: every streamed byte is processed borrowed,
         // and the only copies are the cache-insert memcpys.
-        assert_eq!(m.copy.bytes_borrowed, stats.bytes_read);
-        assert_eq!(m.copy.bytes_copied, ps.inserted_bytes);
+        assert_eq!(m[Counter::CopyBytesBorrowed], stats.bytes_read);
+        assert_eq!(m[Counter::CopyBytesCopied], ps.inserted_bytes);
         assert!(ps.inserted_bytes > 0, "run exercised the cache pool");
         // Buffer pool: recorder and pool agree; every handle came back.
         let bp = engine.buffer_pool_stats();
-        assert_eq!(m.buffer_pool.acquires, bp.acquires);
-        assert_eq!(m.buffer_pool.hits, bp.hits);
-        assert_eq!(m.buffer_pool.misses, bp.misses);
+        assert_eq!(m[Counter::BufferPoolAcquires], bp.acquires);
+        assert_eq!(m[Counter::BufferPoolHits], bp.hits);
+        assert_eq!(m[Counter::BufferPoolMisses], bp.misses);
         assert_eq!(bp.acquires, bp.hits + bp.misses);
         assert_eq!(bp.outstanding, 0, "completion buffers leaked");
         assert!(bp.hits > 0, "steady-state reads should reuse buffers");
@@ -1884,17 +1900,17 @@ mod tests {
         assert!((select + rewind + slide + cache - 1.0).abs() < 1e-9);
         // Compute group reconciles with RunStats: every edge counted once,
         // and PageRank (sharded-capable) never hit the atomic fallback.
-        assert_eq!(m.compute.edges_processed, stats.edges_processed);
-        assert_eq!(m.compute.atomic_fallback_edges, stats.atomic_edges);
+        assert_eq!(m[Counter::ComputeEdgesProcessed], stats.edges_processed);
+        assert_eq!(m[Counter::ComputeAtomicFallbackEdges], stats.atomic_edges);
         assert_eq!(
             stats.sharded_edges + stats.atomic_edges,
             stats.edges_processed
         );
         assert_eq!(stats.atomic_edges, 0);
-        assert!(m.compute.shard_conflicts_avoided >= stats.sharded_edges);
-        assert!(m.compute.groups_scheduled > 0);
+        assert!(m[Counter::ComputeShardConflictsAvoided] >= stats.sharded_edges);
+        assert!(m[Counter::ComputeGroupsScheduled] > 0);
         assert_eq!(
-            m.compute.llc_resident_bytes,
+            m[Counter::ComputeLlcResidentBytes],
             crate::compute::llc_resident_estimate(engine.index())
         );
         // The JSON export is non-trivial and carries the reconciled totals.
@@ -2255,14 +2271,14 @@ mod tests {
         assert_eq!(per_edges, out.aggregate.edges_processed);
 
         let m = engine.metrics().expect("metrics enabled");
-        let qb = &m.query_batch;
-        assert_eq!(qb.queries.len(), 3);
-        assert_eq!(qb.sweeps.len() as u32, out.sweeps);
-        assert_eq!(qb.bytes_amortized(), out.bytes_amortized);
-        assert_eq!(qb.bytes_read(), out.aggregate.bytes_read);
-        assert_eq!(qb.max_queries_active(), 3);
+        let sum = |f: fn(&QueryBatchSweep) -> u64| m.sweeps.iter().map(f).sum::<u64>();
+        assert_eq!(m.queries.len(), 3);
+        assert_eq!(m.sweeps.len() as u32, out.sweeps);
+        assert_eq!(sum(|s| s.bytes_amortized), out.bytes_amortized);
+        assert_eq!(sum(|s| s.bytes_read), out.aggregate.bytes_read);
+        assert_eq!(m.sweeps.iter().map(|s| s.queries_active).max(), Some(3));
         // Records land in detach order; match them back by slot index.
-        for rec in &qb.queries {
+        for rec in &m.queries {
             let q = &out.per_query[rec.query as usize];
             assert_eq!(rec.name, q.name);
             assert_eq!(rec.iterations, q.stats.iterations);
@@ -2271,7 +2287,7 @@ mod tests {
         }
         // tiles_shared in the recorder includes cached re-dispatches, same
         // as the run's own ledger.
-        assert_eq!(qb.tiles_shared(), out.tiles_shared);
+        assert_eq!(sum(|s| s.tiles_shared), out.tiles_shared);
         let json = m.to_json();
         assert!(json.contains("\"query_batch\""));
         assert!(json.contains("\"queries_active\""));
@@ -2301,12 +2317,7 @@ mod tests {
         // Recorder agrees: once one query remains, sweeps run at
         // queries_active == 1.
         let m = engine.metrics().unwrap();
-        let actives: Vec<u32> = m
-            .query_batch
-            .sweeps
-            .iter()
-            .map(|s| s.queries_active)
-            .collect();
+        let actives: Vec<u32> = m.sweeps.iter().map(|s| s.queries_active).collect();
         assert_eq!(actives[0], 2);
         assert_eq!(*actives.last().unwrap(), 1);
         assert!(actives.windows(2).all(|w| w[0] >= w[1]), "{actives:?}");

@@ -528,7 +528,7 @@ mod tests {
     use gstore_graph::gen::{generate_rmat, RmatParams};
     use gstore_graph::{Csr, CsrDirection, Edge, EdgeList, GraphKind};
     use gstore_io::{FaultBackend, FaultPolicy, JitterBackend, MemBackend};
-    use gstore_metrics::FlightRecorder;
+    use gstore_metrics::{Counter, EngineMetrics, FlightRecorder};
     use gstore_tile::{ConversionOptions, TileStore};
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Barrier;
@@ -703,19 +703,24 @@ mod tests {
             Some(Arc::clone(&rec) as Arc<dyn Recorder>),
         );
         let first = reader.neighbors(3).unwrap();
-        let cold = rec.snapshot().pointread;
-        assert!(cold.tiles_fetched > 0 && cold.cache_hits == 0 && cold.bytes_read > 0);
+        let cold = rec.snapshot();
+        let fetched = cold[Counter::PointreadTilesFetched];
+        assert!(fetched > 0 && cold[Counter::PointreadCacheHits] == 0);
+        assert!(cold[Counter::PointreadBytesRead] > 0);
         for _ in 0..5 {
             assert_eq!(reader.neighbors(3).unwrap(), first);
         }
-        let m = rec.snapshot().pointread;
-        assert_eq!(m.lookups, 6);
+        let m = rec.snapshot();
+        assert_eq!(m[Counter::PointreadLookups], 6);
         // Repeats are all hits: storage fetches did not grow after the
         // first call, and every repeated tile access hit the cache.
-        assert_eq!(m.tiles_fetched, cold.tiles_fetched);
-        assert_eq!(m.bytes_read, cold.bytes_read);
-        assert_eq!(m.cache_hits, 5 * cold.tiles_fetched);
-        assert!(m.cache_hit_rate() > 0.5);
+        assert_eq!(m[Counter::PointreadTilesFetched], fetched);
+        assert_eq!(
+            m[Counter::PointreadBytesRead],
+            cold[Counter::PointreadBytesRead]
+        );
+        assert_eq!(m[Counter::PointreadCacheHits], 5 * fetched);
+        assert!(m.value("pointread.cache_hit_rate").unwrap() > 0.5);
         assert_eq!(reader.buffer_stats().outstanding, 0);
     }
 
@@ -746,9 +751,12 @@ mod tests {
             for &v in keys {
                 reader.neighbors(v).unwrap();
             }
-            let m = rec.snapshot().pointread;
-            assert_eq!(m.lookups as usize, keys.len());
+            let m = rec.snapshot();
+            assert_eq!(m[Counter::PointreadLookups] as usize, keys.len());
             m
+        };
+        let per_lookup = |m: &EngineMetrics| {
+            m[Counter::PointreadBytesRead] as f64 / m[Counter::PointreadLookups] as f64
         };
         let n = el.vertex_count();
         let mut state = 0x9d2c_5681u64;
@@ -769,15 +777,12 @@ mod tests {
             })
             .collect();
         let m = stream(&zipf);
+        let hit_rate = m.value("pointread.cache_hit_rate").unwrap();
+        assert!(hit_rate > 0.5, "hit rate {hit_rate:.3}");
         assert!(
-            m.cache_hit_rate() > 0.5,
-            "hit rate {:.3}",
-            m.cache_hit_rate()
-        );
-        assert!(
-            m.bytes_per_lookup() * 20.0 < sweep,
+            per_lookup(&m) * 20.0 < sweep,
             "zipf: {} bytes per request against a {sweep}-byte sweep",
-            m.bytes_per_lookup()
+            per_lookup(&m)
         );
 
         let uniform: Vec<VertexId> = (0..512)
@@ -785,9 +790,9 @@ mod tests {
             .collect();
         let m = stream(&uniform);
         assert!(
-            m.bytes_per_lookup() * 4.0 < sweep,
+            per_lookup(&m) * 4.0 < sweep,
             "uniform: {} bytes per request against a {sweep}-byte sweep",
-            m.bytes_per_lookup()
+            per_lookup(&m)
         );
     }
 
@@ -890,23 +895,34 @@ mod tests {
                 workers.into_iter().map(|w| w.join().unwrap()).sum()
             });
 
-            let m = rec.snapshot().pointread;
+            let m = rec.snapshot();
+            let (hits, fetched) = (
+                m[Counter::PointreadCacheHits],
+                m[Counter::PointreadTilesFetched],
+            );
             let stats = reader.cache_stats();
-            assert_eq!(m.lookups, THREADS * REQUESTS, "{codec:?}");
+            assert_eq!(
+                m[Counter::PointreadLookups],
+                THREADS * REQUESTS,
+                "{codec:?}"
+            );
             // Every tile visit was either a hit or a fetch, and every
             // fetch is a read the backend saw.
-            assert_eq!(m.cache_hits + m.tiles_fetched, visits, "{codec:?}");
-            assert_eq!(m.tiles_fetched, counted.reads.load(Ordering::Relaxed));
-            assert_eq!(m.bytes_read, counted.bytes.load(Ordering::Relaxed));
+            assert_eq!(hits + fetched, visits, "{codec:?}");
+            assert_eq!(fetched, counted.reads.load(Ordering::Relaxed));
+            assert_eq!(
+                m[Counter::PointreadBytesRead],
+                counted.bytes.load(Ordering::Relaxed)
+            );
             // All four kinds of event happened. A fetch offers its tile to
             // the pool once (two racing fetches of one tile count once).
-            assert!(m.cache_hits > 0 && m.tiles_fetched > 0, "{m:?}");
+            assert!(hits > 0 && fetched > 0, "hits {hits}, fetched {fetched}");
             assert!(stats.inserted > 0, "{stats:?}");
             assert!(
                 stats.evicted_not_needed + stats.evicted_unknown > 0,
                 "{stats:?}"
             );
-            assert!(stats.inserted + stats.rejected <= m.tiles_fetched);
+            assert!(stats.inserted + stats.rejected <= fetched);
             assert_eq!(reader.buffer_stats().outstanding, 0);
             let pool = reader.pool_shared();
             pool.debug_validate().unwrap();

@@ -727,13 +727,14 @@ mod tests {
         }
     }
 
-    fn process_cpu_time() -> Duration {
+    /// CPU time the calling thread has used.
+    fn thread_cpu_time() -> Duration {
         #[repr(C)]
         struct Timespec {
             tv_sec: i64,
             tv_nsec: i64,
         }
-        const CLOCK_PROCESS_CPUTIME_ID: i32 = 2;
+        const CLOCK_THREAD_CPUTIME_ID: i32 = 3;
         extern "C" {
             fn clock_gettime(clockid: i32, tp: *mut Timespec) -> i32;
         }
@@ -741,7 +742,7 @@ mod tests {
             tv_sec: 0,
             tv_nsec: 0,
         };
-        let rc = unsafe { clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &mut ts) };
+        let rc = unsafe { clock_gettime(CLOCK_THREAD_CPUTIME_ID, &mut ts) };
         assert_eq!(rc, 0, "clock_gettime failed");
         Duration::new(ts.tv_sec as u64, ts.tv_nsec as u32)
     }
@@ -760,15 +761,17 @@ mod tests {
             offset: 0,
             len: 64,
         }]);
-        let cpu0 = process_cpu_time();
+        // The poller is this thread: charge it only its own CPU, not that
+        // of tests running beside it in the binary.
+        let cpu0 = thread_cpu_time();
         let wall0 = Instant::now();
         let done = eng.poll(1, 1).unwrap();
         let wall = wall0.elapsed();
-        let cpu = process_cpu_time() - cpu0;
+        let cpu = thread_cpu_time() - cpu0;
         assert_eq!(done.len(), 1);
         assert!(wall >= delay, "poll returned before the read finished");
-        // The worker thread sleeps and the poller waits on the Condvar;
-        // a spinning poller would burn ~one core for the whole 250ms.
+        // The poller waits on the Condvar; a spinning one would burn ~one
+        // core for the whole 250ms.
         assert!(
             cpu < Duration::from_millis(100),
             "zero-completion poll burned {cpu:?} CPU over {wall:?} wall"

@@ -1147,19 +1147,17 @@ mod tests {
                 assert_eq!(buf.as_slice(), &data[off..off + 4096]);
             }
         }
+        use gstore_metrics::Counter::*;
         let m = rec.snapshot();
-        assert_eq!(
-            m.io_backend.reg_buffer_hits + m.io_backend.reg_buffer_misses,
-            32
-        );
+        assert_eq!(m[IoBackendRegBufferHits] + m[IoBackendRegBufferMisses], 32);
         assert!(
-            m.io_backend.reg_buffer_hits > 0,
+            m[IoBackendRegBufferHits] > 0,
             "no READ_FIXED hits despite registered arenas"
         );
-        assert!(m.io_backend.sqes_submitted >= 32);
-        assert!(m.io_backend.enters >= 1);
-        assert_eq!(m.io.completions, 32);
-        assert_eq!(m.io.errors, 0);
+        assert!(m[IoBackendSqesSubmitted] >= 32);
+        assert!(m[IoBackendEnters] >= 1);
+        assert_eq!(m[IoCompletions], 32);
+        assert_eq!(m[IoErrors], 0);
     }
 
     #[test]

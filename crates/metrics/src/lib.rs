@@ -9,17 +9,25 @@
 //! implementation whose [`FlightRecorder::snapshot`] yields an
 //! [`EngineMetrics`] value serializable to JSON.
 //!
+//! Every scalar is one [`Counter`] variant, declared once with its
+//! `group.key` name; one schema table puts the counters, the ratios derived
+//! from them and the histograms in JSON order. Adding a counter takes a
+//! variant, a schema row and a line in the hook that feeds it.
+//!
 //! Design constraints (deliberate):
 //! * recording sites are per-request / per-tile / per-iteration, never
 //!   per-edge — aggregation over edges happens in the engine's
 //!   `process_batch` before any recorder call;
-//! * every hot-path counter is a relaxed atomic; the only lock is around
-//!   the per-iteration vector, touched once per iteration;
+//! * every hot-path counter is a relaxed atomic; the only locks guard the
+//!   record vectors, touched once per iteration, sweep or query;
 //! * when no recorder is installed the layers skip timestamping entirely,
 //!   so the default configuration costs one branch per recording site.
 
+use std::ops::Index;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
+
+use Counter::*;
 
 /// Number of power-of-two latency buckets: bucket `i` holds completions
 /// with `latency_ns in [2^i, 2^(i+1))` (bucket 0 also catches 0 ns).
@@ -83,10 +91,6 @@ impl IterationMetrics {
         }
         1.0 - (self.io_wait_ns.min(self.slide_ns) as f64 / self.slide_ns as f64)
     }
-
-    fn total_ns(&self) -> u64 {
-        self.select_ns + self.rewind_ns + self.slide_ns + self.cache_insert_ns
-    }
 }
 
 /// One shared-scan sweep of a multi-query batch: how many queries were
@@ -129,143 +133,67 @@ pub struct QueryRecord {
     pub iter_ns: Vec<u64>,
 }
 
-/// Shared-scan totals (snapshot): per-sweep amortization plus per-query
-/// outcomes.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct QueryBatchMetrics {
-    pub sweeps: Vec<QueryBatchSweep>,
-    pub queries: Vec<QueryRecord>,
-}
-
-impl QueryBatchMetrics {
-    /// Total per-query fetches amortized away across all sweeps.
-    pub fn tiles_shared(&self) -> u64 {
-        self.sweeps.iter().map(|s| s.tiles_shared).sum()
-    }
-
-    /// Total bytes the shared scan kept off the disk.
-    pub fn bytes_amortized(&self) -> u64 {
-        self.sweeps.iter().map(|s| s.bytes_amortized).sum()
-    }
-
-    /// Total bytes the batch actually read.
-    pub fn bytes_read(&self) -> u64 {
-        self.sweeps.iter().map(|s| s.bytes_read).sum()
-    }
-
-    /// Peak concurrent queries observed at a sweep start.
-    pub fn max_queries_active(&self) -> u32 {
-        self.sweeps
-            .iter()
-            .map(|s| s.queries_active)
-            .max()
-            .unwrap_or(0)
-    }
-}
-
 /// Recording interface called by the I/O, SCR, and engine layers. Every
 /// method has an inline no-op default, so a custom recorder implements
 /// only what it cares about.
+#[allow(unused_variables)]
 pub trait Recorder: Send + Sync {
     /// A batch of reads was submitted. `in_flight` is the queue occupancy
     /// right after the submit.
-    #[inline]
-    fn io_submitted(&self, requests: u64, bytes: u64, in_flight: u64) {
-        let _ = (requests, bytes, in_flight);
-    }
+    fn io_submitted(&self, requests: u64, bytes: u64, in_flight: u64) {}
 
     /// One read finished (worker-side). `bytes` is 0 on failure.
-    #[inline]
-    fn io_completed(&self, bytes: u64, latency_ns: u64, failed: bool) {
-        let _ = (bytes, latency_ns, failed);
-    }
+    fn io_completed(&self, bytes: u64, latency_ns: u64, failed: bool) {}
 
     /// An I/O engine was selected at engine construction: `uring` is true
     /// for the io_uring engine, false for the pread worker pool.
-    #[inline]
-    fn io_backend_selected(&self, uring: bool) {
-        let _ = uring;
-    }
+    fn io_backend_selected(&self, uring: bool) {}
 
     /// One submission batch reached the io_uring SQ: `sqes` entries were
     /// queued and `enters` `io_uring_enter` syscalls were needed to push
     /// them (1 for any batch that fits the ring; 0 under SQPOLL when the
     /// kernel thread was awake).
-    #[inline]
-    fn io_sqe_batch(&self, sqes: u64, enters: u64) {
-        let _ = (sqes, enters);
-    }
+    fn io_sqe_batch(&self, sqes: u64, enters: u64) {}
 
     /// One non-empty CQ reap collected `cqes` completions.
-    #[inline]
-    fn io_cqe_reap(&self, cqes: u64) {
-        let _ = cqes;
-    }
+    fn io_cqe_reap(&self, cqes: u64) {}
 
     /// One uring read resolved its buffer: `hit` means the pooled buffer
     /// was part of a registered arena and the read used `READ_FIXED`.
-    #[inline]
-    fn io_reg_buffer(&self, hit: bool) {
-        let _ = hit;
-    }
+    fn io_reg_buffer(&self, hit: bool) {}
 
     /// One read finished on a specific engine (`uring` or the worker
     /// pool), for the per-engine latency histograms. Called alongside
     /// [`Recorder::io_completed`].
-    #[inline]
-    fn io_backend_request(&self, uring: bool, latency_ns: u64) {
-        let _ = (uring, latency_ns);
-    }
+    fn io_backend_request(&self, uring: bool, latency_ns: u64) {}
 
     /// A storage fault was injected (fault-testing backends or the uring
     /// engine's request-path fault hook).
-    #[inline]
     fn fault_injected(&self) {}
 
     /// The cache pool accepted a tile whose oracle hint was `hint`.
-    #[inline]
-    fn cache_inserted(&self, hint: HintClass) {
-        let _ = hint;
-    }
+    fn cache_inserted(&self, hint: HintClass) {}
 
     /// The cache pool rejected a tile whose oracle hint was `hint`.
-    #[inline]
-    fn cache_rejected(&self, hint: HintClass) {
-        let _ = hint;
-    }
+    fn cache_rejected(&self, hint: HintClass) {}
 
     /// The cache pool evicted a resident tile whose hint was `hint`.
-    #[inline]
-    fn cache_evicted(&self, hint: HintClass) {
-        let _ = hint;
-    }
+    fn cache_evicted(&self, hint: HintClass) {}
 
     /// A pooled I/O buffer was handed out. `reused` is true when it came
     /// from the pool's free list (hit) rather than a fresh allocation
     /// (miss). `capacity` is the buffer's allocated size.
-    #[inline]
-    fn buffer_acquired(&self, capacity: u64, reused: bool) {
-        let _ = (capacity, reused);
-    }
+    fn buffer_acquired(&self, capacity: u64, reused: bool) {}
 
     /// A pooled I/O buffer was returned to its pool.
-    #[inline]
-    fn buffer_recycled(&self, capacity: u64) {
-        let _ = capacity;
-    }
+    fn buffer_recycled(&self, capacity: u64) {}
 
     /// Tile bytes memcpy'd on the streaming path (cache-pool inserts are
     /// the only copy the zero-copy slide pipeline performs).
-    #[inline]
-    fn bytes_copied(&self, bytes: u64) {
-        let _ = bytes;
-    }
+    fn bytes_copied(&self, bytes: u64) {}
 
     /// Tile bytes processed in place, borrowed from a pooled run buffer.
-    #[inline]
-    fn bytes_borrowed(&self, bytes: u64) {
-        let _ = bytes;
-    }
+    fn bytes_borrowed(&self, bytes: u64) {}
 
     /// A compute batch finished: `edges` decoded tuples, `plain_updates`
     /// endpoint writes done as plain stores instead of atomic RMWs (the
@@ -273,66 +201,41 @@ pub trait Recorder: Send + Sync {
     /// edges that took the atomic fallback executor, `groups` physical
     /// groups visited by the batch's schedule. Called once per batch —
     /// never per edge.
-    #[inline]
-    fn compute_batch(&self, edges: u64, plain_updates: u64, atomic_edges: u64, groups: u64) {
-        let _ = (edges, plain_updates, atomic_edges, groups);
-    }
+    fn compute_batch(&self, edges: u64, plain_updates: u64, atomic_edges: u64, groups: u64) {}
 
     /// Static estimate of the metadata working set the group-major
     /// schedule keeps LLC-resident (bytes). Recorded as a high-water mark.
-    #[inline]
-    fn compute_llc_estimate(&self, bytes: u64) {
-        let _ = bytes;
-    }
+    fn compute_llc_estimate(&self, bytes: u64) {}
 
     /// A converter chunk finished a streaming pass. `pass` is 1 (counting)
     /// or 2 (scatter); `bytes` is the raw edge-file bytes the chunk read.
-    #[inline]
-    fn ingest_chunk(&self, pass: u8, edges: u64, bytes: u64) {
-        let _ = (pass, edges, bytes);
-    }
+    fn ingest_chunk(&self, pass: u8, edges: u64, bytes: u64) {}
 
     /// `bytes` of tile data left one buffer as `writes` positioned writes:
     /// a pass-2 chunk written out of the converter's pack, or a
     /// `BatchWriter` staging flush.
-    #[inline]
-    fn ingest_flush(&self, bytes: u64, writes: u64) {
-        let _ = (bytes, writes);
-    }
+    fn ingest_flush(&self, bytes: u64, writes: u64) {}
 
     /// Bytes the buffer held when it was written out (the chunk's pack, a
     /// `BatchWriter`'s staging). Recorded as a high-water mark.
-    #[inline]
-    fn ingest_staging(&self, bytes: u64) {
-        let _ = bytes;
-    }
+    fn ingest_staging(&self, bytes: u64) {}
 
     /// A streaming-conversion pass finished (`pass` 1 or 2), `wall_ns`
     /// wall time.
-    #[inline]
-    fn ingest_pass(&self, pass: u8, wall_ns: u64) {
-        let _ = (pass, wall_ns);
-    }
+    fn ingest_pass(&self, pass: u8, wall_ns: u64) {}
 
     /// An engine iteration finished.
-    #[inline]
-    fn iteration_finished(&self, metrics: IterationMetrics) {
-        let _ = metrics;
-    }
+    fn iteration_finished(&self, metrics: IterationMetrics) {}
 
     /// A shared-scan batch sweep finished. Called once per sweep (even
     /// for single-query runs, where the batch degenerates to K=1).
-    #[inline]
-    fn query_sweep(&self, sweep: QueryBatchSweep) {
-        let _ = sweep;
-    }
+    fn query_sweep(&self, sweep: QueryBatchSweep) {}
 
     /// One point-read request (neighbors/degree/k-hop/walk) finished.
     /// `tiles_fetched` tiles came from storage, `cache_hits` from the
     /// hot-tile cache, `bytes_read` is storage bytes only. Called once per
     /// request, after the reply is assembled (multi-vertex requests like
     /// k-hop aggregate all their tile accesses into one event).
-    #[inline]
     fn pointread_lookup(
         &self,
         tiles_fetched: u64,
@@ -340,90 +243,59 @@ pub trait Recorder: Send + Sync {
         bytes_read: u64,
         latency_ns: u64,
     ) {
-        let _ = (tiles_fetched, cache_hits, bytes_read, latency_ns);
     }
 
     /// A query detached from its batch (converged, iteration cap, or the
     /// batch ended). Called once per query, off the hot path.
-    #[inline]
-    fn query_finished(&self, record: QueryRecord) {
-        let _ = record;
-    }
+    fn query_finished(&self, record: QueryRecord) {}
 
     /// A serve-daemon client connection was accepted.
-    #[inline]
     fn serve_connection_opened(&self) {}
 
     /// A serve-daemon client connection closed (cleanly or on error).
-    #[inline]
     fn serve_connection_closed(&self) {}
 
     /// A point query was answered on a connection thread. `ok` is false
     /// when the reply was a typed ERR frame.
-    #[inline]
-    fn serve_point_query(&self, ok: bool) {
-        let _ = ok;
-    }
+    fn serve_point_query(&self, ok: bool) {}
 
     /// A sweep query was accepted into the admission queue. `depth` is
     /// the queue occupancy right after the enqueue (the backpressure
     /// signal the queue-depth histogram tracks).
-    #[inline]
-    fn serve_query_queued(&self, depth: u64) {
-        let _ = depth;
-    }
+    fn serve_query_queued(&self, depth: u64) {}
 
     /// A sweep query was refused with a BUSY reply (admission queue full).
-    #[inline]
     fn serve_query_rejected(&self) {}
 
     /// The sweep loop drained `queries` queued queries into one
     /// [`QueryBatch`](../gstore_core/struct.QueryBatch.html) run.
-    #[inline]
-    fn serve_batch_admitted(&self, queries: u64) {
-        let _ = queries;
-    }
+    fn serve_batch_admitted(&self, queries: u64) {}
 
     /// A sweep query finished and its reply was handed back to the
     /// connection. `ok` is false when it ended in an ERR frame.
-    #[inline]
-    fn serve_query_completed(&self, ok: bool) {
-        let _ = ok;
-    }
+    fn serve_query_completed(&self, ok: bool) {}
 
     /// One admitted batch run finished: `sweeps` shared scans, reading
     /// `bytes_read` from storage while amortizing `bytes_amortized` of
     /// per-query re-reads away (the serve-level view of
     /// `BatchRunStats`).
-    #[inline]
-    fn serve_batch_run(&self, sweeps: u64, bytes_read: u64, bytes_amortized: u64) {
-        let _ = (sweeps, bytes_read, bytes_amortized);
-    }
+    fn serve_batch_run(&self, sweeps: u64, bytes_read: u64, bytes_amortized: u64) {}
 
     /// Codec-compressed tiles were handed to compute (sweep run, rewind,
     /// or point read): `tiles` tiles holding `disk_bytes` of coded stream
     /// that decode to `logical_bytes` of raw SNB. Called once per run /
     /// batch — never per tile on the sweep path.
-    #[inline]
-    fn codec_tiles(&self, tiles: u64, disk_bytes: u64, logical_bytes: u64) {
-        let _ = (tiles, disk_bytes, logical_bytes);
-    }
+    fn codec_tiles(&self, tiles: u64, disk_bytes: u64, logical_bytes: u64) {}
 
     /// Wall time spent decoding coded tile streams: a point read's tile
     /// decode, or the waves of a sweep batch's decode stage (one call per
     /// batch).
-    #[inline]
-    fn codec_decode_ns(&self, ns: u64) {
-        let _ = ns;
-    }
+    fn codec_decode_ns(&self, ns: u64) {}
 
     /// Keys a sweep batch's decode stage decoded: the stored edges of its
     /// tiles, each once however many queries consumed them. Called once
     /// per batch.
-    #[inline]
-    fn codec_decoded_edges(&self, edges: u64) {
-        let _ = edges;
-    }
+    fn codec_decoded_edges(&self, edges: u64) {}
 }
 
 /// The always-silent recorder (useful as an explicit default).
@@ -432,137 +304,122 @@ pub struct NoopRecorder;
 
 impl Recorder for NoopRecorder {}
 
-#[derive(Default)]
-struct IoCounters {
-    requests: AtomicU64,
-    bytes_submitted: AtomicU64,
-    completions: AtomicU64,
-    errors: AtomicU64,
-    bytes_read: AtomicU64,
-    max_in_flight: AtomicU64,
-    latency_ns_total: AtomicU64,
-    latency_hist: [AtomicU64; LATENCY_BUCKETS],
+/// Declares [`Counter`] from one `Variant = "group.key"` line per counter.
+macro_rules! counters {
+    ($($var:ident = $name:literal,)*) => {
+        /// Every scalar the [`FlightRecorder`] keeps. Each variant is named
+        /// `group.key` after where it appears in the JSON document (the
+        /// variant is that name in CamelCase); a counter without a schema
+        /// row is a total that only feeds a derived value.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub enum Counter { $($var,)* }
+
+        impl Counter {
+            /// Every counter in declaration order: `ALL[c as usize] == c`.
+            pub const ALL: &'static [Counter] = &[$(Counter::$var),*];
+            pub const COUNT: usize = Counter::ALL.len();
+
+            /// The counter's `group.key` name.
+            pub fn name(self) -> &'static str {
+                [$($name),*][self as usize]
+            }
+        }
+    };
 }
 
-#[derive(Default)]
-struct IoBackendCounters {
-    workers_selected: AtomicU64,
-    uring_selected: AtomicU64,
-    sqe_batches: AtomicU64,
-    sqes_submitted: AtomicU64,
-    enters: AtomicU64,
-    cqe_reaps: AtomicU64,
-    cqes_reaped: AtomicU64,
-    reg_buffer_hits: AtomicU64,
-    reg_buffer_misses: AtomicU64,
-    workers_requests: AtomicU64,
-    workers_latency_ns: AtomicU64,
-    workers_latency_hist: [AtomicU64; LATENCY_BUCKETS],
-    uring_requests: AtomicU64,
-    uring_latency_ns: AtomicU64,
-    uring_latency_hist: [AtomicU64; LATENCY_BUCKETS],
+counters! {
+    IoRequests = "io.requests", IoBytesSubmitted = "io.bytes_submitted",
+    IoCompletions = "io.completions", IoErrors = "io.errors", IoBytesRead = "io.bytes_read",
+    IoMaxInFlight = "io.max_in_flight", IoLatencyNsTotal = "io.latency_ns_total",
+    IoFaultsInjected = "io.faults_injected",
+    IoBackendWorkersSelected = "io_backend.workers_selected",
+    IoBackendUringSelected = "io_backend.uring_selected",
+    IoBackendSqeBatches = "io_backend.sqe_batches",
+    IoBackendSqesSubmitted = "io_backend.sqes_submitted", IoBackendEnters = "io_backend.enters",
+    IoBackendCqeReaps = "io_backend.cqe_reaps", IoBackendCqesReaped = "io_backend.cqes_reaped",
+    IoBackendRegBufferHits = "io_backend.reg_buffer_hits",
+    IoBackendRegBufferMisses = "io_backend.reg_buffer_misses",
+    IoBackendWorkersRequests = "io_backend.workers_requests",
+    IoBackendWorkersLatencyNs = "io_backend.workers_latency_ns",
+    IoBackendUringRequests = "io_backend.uring_requests",
+    IoBackendUringLatencyNs = "io_backend.uring_latency_ns",
+    CacheInsertedNotNeeded = "cache.inserted.not_needed",
+    CacheInsertedUnknown = "cache.inserted.unknown", CacheInsertedNeeded = "cache.inserted.needed",
+    CacheRejectedNotNeeded = "cache.rejected.not_needed",
+    CacheRejectedUnknown = "cache.rejected.unknown", CacheRejectedNeeded = "cache.rejected.needed",
+    CacheEvictedNotNeeded = "cache.evicted.not_needed",
+    CacheEvictedUnknown = "cache.evicted.unknown", CacheEvictedNeeded = "cache.evicted.needed",
+    BufferPoolAcquires = "buffer_pool.acquires", BufferPoolHits = "buffer_pool.hits",
+    BufferPoolMisses = "buffer_pool.misses", BufferPoolRecycled = "buffer_pool.recycled",
+    BufferPoolBytesServed = "buffer_pool.bytes_served",
+    CopyBytesCopied = "copy.bytes_copied", CopyBytesBorrowed = "copy.bytes_borrowed",
+    ComputeEdgesProcessed = "compute.edges_processed",
+    ComputeShardConflictsAvoided = "compute.shard_conflicts_avoided",
+    ComputeAtomicFallbackEdges = "compute.atomic_fallback_edges",
+    ComputeGroupsScheduled = "compute.groups_scheduled",
+    ComputeLlcResidentBytes = "compute.llc_resident_bytes",
+    CodecTilesDecoded = "codec.tiles_decoded", CodecDiskBytes = "codec.disk_bytes",
+    CodecLogicalBytes = "codec.logical_bytes", CodecDecodeNs = "codec.decode_ns",
+    CodecDecodedEdges = "codec.decoded_edges",
+    IngestChunksPass1 = "ingest.chunks_pass1", IngestChunksPass2 = "ingest.chunks_pass2",
+    IngestEdgesIn = "ingest.edges_in", IngestBytesIn = "ingest.bytes_in",
+    IngestBytesOut = "ingest.bytes_out", IngestFlushes = "ingest.flushes",
+    IngestPwrites = "ingest.pwrites", IngestPass1Ns = "ingest.pass1_ns",
+    IngestPass2Ns = "ingest.pass2_ns", IngestStagingPeakBytes = "ingest.staging_peak_bytes",
+    PointreadLookups = "pointread.lookups", PointreadTilesFetched = "pointread.tiles_fetched",
+    PointreadCacheHits = "pointread.cache_hits", PointreadBytesRead = "pointread.bytes_read",
+    PointreadLatencyNsTotal = "pointread.latency_ns_total",
+    ServeConnectionsOpened = "serve.connections_opened",
+    ServeConnectionsClosed = "serve.connections_closed", ServePointQueries = "serve.point_queries",
+    ServePointErrors = "serve.point_errors", ServeQueriesQueued = "serve.queries_queued",
+    ServeQueriesRejected = "serve.queries_rejected",
+    ServeQueriesCompleted = "serve.queries_completed", ServeQueryErrors = "serve.query_errors",
+    ServeBatches = "serve.batches", ServeBatchQueries = "serve.batch_queries",
+    ServeSweeps = "serve.sweeps", ServeBytesRead = "serve.bytes_read",
+    ServeBytesAmortized = "serve.bytes_amortized",
 }
 
-#[derive(Default)]
-struct CacheCounters {
-    inserted: [AtomicU64; 3],
-    rejected: [AtomicU64; 3],
-    evicted: [AtomicU64; 3],
+/// The counter `hint` places after `first`, the group's `not_needed` one:
+/// the cache counters come in [`HintClass`] order.
+fn hinted(first: Counter, hint: HintClass) -> Counter {
+    Counter::ALL[first as usize + hint as usize]
 }
 
-#[derive(Default)]
-struct BufferPoolCounters {
-    acquires: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    recycled: AtomicU64,
-    bytes_served: AtomicU64,
+/// The log2 histograms: bucket `i` counts events whose value lies in
+/// `[2^i, 2^(i+1))`, bucket 0 also catching 0 (see [`LATENCY_BUCKETS`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Hist {
+    IoLatency,        // ns, every read
+    WorkersLatency,   // ns, reads on the worker pool
+    UringLatency,     // ns, reads on io_uring
+    PointreadLatency, // ns, point-read requests
+    ServeQueueDepth,  // admission-queue depth right after each enqueue
 }
 
-#[derive(Default)]
-struct CopyCounters {
-    bytes_copied: AtomicU64,
-    bytes_borrowed: AtomicU64,
-}
+/// How many [`Hist`]s there are: one past the last.
+const HISTS: usize = Hist::ServeQueueDepth as usize + 1;
 
-#[derive(Default)]
-struct ComputeCounters {
-    edges_processed: AtomicU64,
-    shard_conflicts_avoided: AtomicU64,
-    atomic_fallback_edges: AtomicU64,
-    groups_scheduled: AtomicU64,
-    llc_resident_bytes: AtomicU64,
-}
-
-#[derive(Default)]
-struct PointReadCounters {
-    lookups: AtomicU64,
-    tiles_fetched: AtomicU64,
-    cache_hits: AtomicU64,
-    bytes_read: AtomicU64,
-    latency_ns_total: AtomicU64,
-    latency_hist: [AtomicU64; LATENCY_BUCKETS],
-}
-
-#[derive(Default)]
-struct CodecCounters {
-    tiles_decoded: AtomicU64,
-    disk_bytes: AtomicU64,
-    logical_bytes: AtomicU64,
-    decode_ns: AtomicU64,
-    decoded_edges: AtomicU64,
-}
-
-#[derive(Default)]
-struct IngestCounters {
-    chunks_pass1: AtomicU64,
-    chunks_pass2: AtomicU64,
-    edges_in: AtomicU64,
-    bytes_in: AtomicU64,
-    bytes_out: AtomicU64,
-    flushes: AtomicU64,
-    pwrites: AtomicU64,
-    pass1_ns: AtomicU64,
-    pass2_ns: AtomicU64,
-    staging_peak_bytes: AtomicU64,
-}
-
-#[derive(Default)]
-struct ServeCounters {
-    connections_opened: AtomicU64,
-    connections_closed: AtomicU64,
-    point_queries: AtomicU64,
-    point_errors: AtomicU64,
-    queries_queued: AtomicU64,
-    queries_rejected: AtomicU64,
-    queries_completed: AtomicU64,
-    query_errors: AtomicU64,
-    batches: AtomicU64,
-    batch_queries: AtomicU64,
-    sweeps: AtomicU64,
-    bytes_read: AtomicU64,
-    bytes_amortized: AtomicU64,
-    queue_depth_hist: [AtomicU64; LATENCY_BUCKETS],
-}
-
-/// The default [`Recorder`]: relaxed atomic counters plus one mutex-guarded
-/// per-iteration vector (touched once per iteration).
-#[derive(Default)]
+/// The default [`Recorder`]: one relaxed atomic per [`Counter`] and per
+/// histogram bucket, plus three mutex-guarded record vectors (touched once
+/// per iteration, sweep or query).
 pub struct FlightRecorder {
-    io: IoCounters,
-    io_backend: IoBackendCounters,
-    faults: AtomicU64,
-    cache: CacheCounters,
-    buffer_pool: BufferPoolCounters,
-    copy: CopyCounters,
-    compute: ComputeCounters,
-    codec: CodecCounters,
-    ingest: IngestCounters,
-    pointread: PointReadCounters,
-    serve: ServeCounters,
+    counters: [AtomicU64; Counter::COUNT],
+    hists: [[AtomicU64; LATENCY_BUCKETS]; HISTS],
     iterations: Mutex<Vec<IterationMetrics>>,
-    query_sweeps: Mutex<Vec<QueryBatchSweep>>,
-    query_records: Mutex<Vec<QueryRecord>>,
+    sweeps: Mutex<Vec<QueryBatchSweep>>,
+    queries: Mutex<Vec<QueryRecord>>,
+}
+
+impl Default for FlightRecorder {
+    fn default() -> Self {
+        Self {
+            counters: [const { AtomicU64::new(0) }; Counter::COUNT],
+            hists: [const { [const { AtomicU64::new(0) }; LATENCY_BUCKETS] }; HISTS],
+            iterations: Mutex::default(),
+            sweeps: Mutex::default(),
+            queries: Mutex::default(),
+        }
+    }
 }
 
 impl FlightRecorder {
@@ -570,484 +427,165 @@ impl FlightRecorder {
         Self::default()
     }
 
+    fn add(&self, counter: Counter, v: u64) {
+        self.counters[counter as usize].fetch_add(v, Ordering::Relaxed);
+    }
+
+    fn max(&self, counter: Counter, v: u64) {
+        self.counters[counter as usize].fetch_max(v, Ordering::Relaxed);
+    }
+
+    fn observe(&self, hist: Hist, v: u64) {
+        self.hists[hist as usize][latency_bucket(v)].fetch_add(1, Ordering::Relaxed);
+    }
+
     /// A point-in-time copy of everything recorded so far.
     pub fn snapshot(&self) -> EngineMetrics {
-        let io = &self.io;
+        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
         EngineMetrics {
             iterations: self.iterations.lock().unwrap().clone(),
-            query_batch: QueryBatchMetrics {
-                sweeps: self.query_sweeps.lock().unwrap().clone(),
-                queries: self.query_records.lock().unwrap().clone(),
-            },
-            io: IoMetrics {
-                requests: io.requests.load(Ordering::Relaxed),
-                bytes_submitted: io.bytes_submitted.load(Ordering::Relaxed),
-                completions: io.completions.load(Ordering::Relaxed),
-                errors: io.errors.load(Ordering::Relaxed),
-                bytes_read: io.bytes_read.load(Ordering::Relaxed),
-                max_in_flight: io.max_in_flight.load(Ordering::Relaxed),
-                latency_ns_total: io.latency_ns_total.load(Ordering::Relaxed),
-                latency_hist: std::array::from_fn(|i| io.latency_hist[i].load(Ordering::Relaxed)),
-                faults_injected: self.faults.load(Ordering::Relaxed),
-            },
-            io_backend: IoBackendMetrics {
-                workers_selected: self.io_backend.workers_selected.load(Ordering::Relaxed),
-                uring_selected: self.io_backend.uring_selected.load(Ordering::Relaxed),
-                sqe_batches: self.io_backend.sqe_batches.load(Ordering::Relaxed),
-                sqes_submitted: self.io_backend.sqes_submitted.load(Ordering::Relaxed),
-                enters: self.io_backend.enters.load(Ordering::Relaxed),
-                cqe_reaps: self.io_backend.cqe_reaps.load(Ordering::Relaxed),
-                cqes_reaped: self.io_backend.cqes_reaped.load(Ordering::Relaxed),
-                reg_buffer_hits: self.io_backend.reg_buffer_hits.load(Ordering::Relaxed),
-                reg_buffer_misses: self.io_backend.reg_buffer_misses.load(Ordering::Relaxed),
-                workers_requests: self.io_backend.workers_requests.load(Ordering::Relaxed),
-                workers_latency_ns: self.io_backend.workers_latency_ns.load(Ordering::Relaxed),
-                workers_latency_hist: std::array::from_fn(|i| {
-                    self.io_backend.workers_latency_hist[i].load(Ordering::Relaxed)
-                }),
-                uring_requests: self.io_backend.uring_requests.load(Ordering::Relaxed),
-                uring_latency_ns: self.io_backend.uring_latency_ns.load(Ordering::Relaxed),
-                uring_latency_hist: std::array::from_fn(|i| {
-                    self.io_backend.uring_latency_hist[i].load(Ordering::Relaxed)
-                }),
-            },
-            cache: CacheMetrics {
-                inserted: std::array::from_fn(|i| self.cache.inserted[i].load(Ordering::Relaxed)),
-                rejected: std::array::from_fn(|i| self.cache.rejected[i].load(Ordering::Relaxed)),
-                evicted: std::array::from_fn(|i| self.cache.evicted[i].load(Ordering::Relaxed)),
-            },
-            buffer_pool: BufferPoolMetrics {
-                acquires: self.buffer_pool.acquires.load(Ordering::Relaxed),
-                hits: self.buffer_pool.hits.load(Ordering::Relaxed),
-                misses: self.buffer_pool.misses.load(Ordering::Relaxed),
-                recycled: self.buffer_pool.recycled.load(Ordering::Relaxed),
-                bytes_served: self.buffer_pool.bytes_served.load(Ordering::Relaxed),
-            },
-            copy: CopyMetrics {
-                bytes_copied: self.copy.bytes_copied.load(Ordering::Relaxed),
-                bytes_borrowed: self.copy.bytes_borrowed.load(Ordering::Relaxed),
-            },
-            compute: ComputeMetrics {
-                edges_processed: self.compute.edges_processed.load(Ordering::Relaxed),
-                shard_conflicts_avoided: self
-                    .compute
-                    .shard_conflicts_avoided
-                    .load(Ordering::Relaxed),
-                atomic_fallback_edges: self.compute.atomic_fallback_edges.load(Ordering::Relaxed),
-                groups_scheduled: self.compute.groups_scheduled.load(Ordering::Relaxed),
-                llc_resident_bytes: self.compute.llc_resident_bytes.load(Ordering::Relaxed),
-            },
-            codec: CodecMetrics {
-                tiles_decoded: self.codec.tiles_decoded.load(Ordering::Relaxed),
-                disk_bytes: self.codec.disk_bytes.load(Ordering::Relaxed),
-                logical_bytes: self.codec.logical_bytes.load(Ordering::Relaxed),
-                decode_ns: self.codec.decode_ns.load(Ordering::Relaxed),
-                decoded_edges: self.codec.decoded_edges.load(Ordering::Relaxed),
-            },
-            ingest: IngestMetrics {
-                chunks_pass1: self.ingest.chunks_pass1.load(Ordering::Relaxed),
-                chunks_pass2: self.ingest.chunks_pass2.load(Ordering::Relaxed),
-                edges_in: self.ingest.edges_in.load(Ordering::Relaxed),
-                bytes_in: self.ingest.bytes_in.load(Ordering::Relaxed),
-                bytes_out: self.ingest.bytes_out.load(Ordering::Relaxed),
-                flushes: self.ingest.flushes.load(Ordering::Relaxed),
-                pwrites: self.ingest.pwrites.load(Ordering::Relaxed),
-                pass1_ns: self.ingest.pass1_ns.load(Ordering::Relaxed),
-                pass2_ns: self.ingest.pass2_ns.load(Ordering::Relaxed),
-                staging_peak_bytes: self.ingest.staging_peak_bytes.load(Ordering::Relaxed),
-            },
-            pointread: PointReadMetrics {
-                lookups: self.pointread.lookups.load(Ordering::Relaxed),
-                tiles_fetched: self.pointread.tiles_fetched.load(Ordering::Relaxed),
-                cache_hits: self.pointread.cache_hits.load(Ordering::Relaxed),
-                bytes_read: self.pointread.bytes_read.load(Ordering::Relaxed),
-                latency_ns_total: self.pointread.latency_ns_total.load(Ordering::Relaxed),
-                latency_hist: std::array::from_fn(|i| {
-                    self.pointread.latency_hist[i].load(Ordering::Relaxed)
-                }),
-            },
-            serve: ServeMetrics {
-                connections_opened: self.serve.connections_opened.load(Ordering::Relaxed),
-                connections_closed: self.serve.connections_closed.load(Ordering::Relaxed),
-                point_queries: self.serve.point_queries.load(Ordering::Relaxed),
-                point_errors: self.serve.point_errors.load(Ordering::Relaxed),
-                queries_queued: self.serve.queries_queued.load(Ordering::Relaxed),
-                queries_rejected: self.serve.queries_rejected.load(Ordering::Relaxed),
-                queries_completed: self.serve.queries_completed.load(Ordering::Relaxed),
-                query_errors: self.serve.query_errors.load(Ordering::Relaxed),
-                batches: self.serve.batches.load(Ordering::Relaxed),
-                batch_queries: self.serve.batch_queries.load(Ordering::Relaxed),
-                sweeps: self.serve.sweeps.load(Ordering::Relaxed),
-                bytes_read: self.serve.bytes_read.load(Ordering::Relaxed),
-                bytes_amortized: self.serve.bytes_amortized.load(Ordering::Relaxed),
-                queue_depth_hist: std::array::from_fn(|i| {
-                    self.serve.queue_depth_hist[i].load(Ordering::Relaxed)
-                }),
-            },
+            sweeps: self.sweeps.lock().unwrap().clone(),
+            queries: self.queries.lock().unwrap().clone(),
+            counters: self.counters.each_ref().map(load),
+            hists: self.hists.each_ref().map(|h| h.each_ref().map(load)),
         }
     }
 
     /// Clears all counters (e.g. between algorithm runs on one engine).
     pub fn reset(&self) {
-        let fresh = FlightRecorder::default();
-        // Replace field-by-field; atomics have no bulk store.
-        let io = &self.io;
-        for (dst, src) in [
-            (&io.requests, &fresh.io.requests),
-            (&io.bytes_submitted, &fresh.io.bytes_submitted),
-            (&io.completions, &fresh.io.completions),
-            (&io.errors, &fresh.io.errors),
-            (&io.bytes_read, &fresh.io.bytes_read),
-            (&io.max_in_flight, &fresh.io.max_in_flight),
-            (&io.latency_ns_total, &fresh.io.latency_ns_total),
-            (&self.faults, &fresh.faults),
-            (
-                &self.io_backend.workers_selected,
-                &fresh.io_backend.workers_selected,
-            ),
-            (
-                &self.io_backend.uring_selected,
-                &fresh.io_backend.uring_selected,
-            ),
-            (&self.io_backend.sqe_batches, &fresh.io_backend.sqe_batches),
-            (
-                &self.io_backend.sqes_submitted,
-                &fresh.io_backend.sqes_submitted,
-            ),
-            (&self.io_backend.enters, &fresh.io_backend.enters),
-            (&self.io_backend.cqe_reaps, &fresh.io_backend.cqe_reaps),
-            (&self.io_backend.cqes_reaped, &fresh.io_backend.cqes_reaped),
-            (
-                &self.io_backend.reg_buffer_hits,
-                &fresh.io_backend.reg_buffer_hits,
-            ),
-            (
-                &self.io_backend.reg_buffer_misses,
-                &fresh.io_backend.reg_buffer_misses,
-            ),
-            (
-                &self.io_backend.workers_requests,
-                &fresh.io_backend.workers_requests,
-            ),
-            (
-                &self.io_backend.workers_latency_ns,
-                &fresh.io_backend.workers_latency_ns,
-            ),
-            (
-                &self.io_backend.uring_requests,
-                &fresh.io_backend.uring_requests,
-            ),
-            (
-                &self.io_backend.uring_latency_ns,
-                &fresh.io_backend.uring_latency_ns,
-            ),
-            (&self.buffer_pool.acquires, &fresh.buffer_pool.acquires),
-            (&self.buffer_pool.hits, &fresh.buffer_pool.hits),
-            (&self.buffer_pool.misses, &fresh.buffer_pool.misses),
-            (&self.buffer_pool.recycled, &fresh.buffer_pool.recycled),
-            (
-                &self.buffer_pool.bytes_served,
-                &fresh.buffer_pool.bytes_served,
-            ),
-            (&self.copy.bytes_copied, &fresh.copy.bytes_copied),
-            (&self.copy.bytes_borrowed, &fresh.copy.bytes_borrowed),
-            (
-                &self.compute.edges_processed,
-                &fresh.compute.edges_processed,
-            ),
-            (
-                &self.compute.shard_conflicts_avoided,
-                &fresh.compute.shard_conflicts_avoided,
-            ),
-            (
-                &self.compute.atomic_fallback_edges,
-                &fresh.compute.atomic_fallback_edges,
-            ),
-            (
-                &self.compute.groups_scheduled,
-                &fresh.compute.groups_scheduled,
-            ),
-            (
-                &self.compute.llc_resident_bytes,
-                &fresh.compute.llc_resident_bytes,
-            ),
-            (&self.codec.tiles_decoded, &fresh.codec.tiles_decoded),
-            (&self.codec.disk_bytes, &fresh.codec.disk_bytes),
-            (&self.codec.logical_bytes, &fresh.codec.logical_bytes),
-            (&self.codec.decode_ns, &fresh.codec.decode_ns),
-            (&self.codec.decoded_edges, &fresh.codec.decoded_edges),
-            (&self.ingest.chunks_pass1, &fresh.ingest.chunks_pass1),
-            (&self.ingest.chunks_pass2, &fresh.ingest.chunks_pass2),
-            (&self.ingest.edges_in, &fresh.ingest.edges_in),
-            (&self.ingest.bytes_in, &fresh.ingest.bytes_in),
-            (&self.ingest.bytes_out, &fresh.ingest.bytes_out),
-            (&self.ingest.flushes, &fresh.ingest.flushes),
-            (&self.ingest.pwrites, &fresh.ingest.pwrites),
-            (&self.ingest.pass1_ns, &fresh.ingest.pass1_ns),
-            (&self.ingest.pass2_ns, &fresh.ingest.pass2_ns),
-            (
-                &self.ingest.staging_peak_bytes,
-                &fresh.ingest.staging_peak_bytes,
-            ),
-            (&self.pointread.lookups, &fresh.pointread.lookups),
-            (
-                &self.pointread.tiles_fetched,
-                &fresh.pointread.tiles_fetched,
-            ),
-            (&self.pointread.cache_hits, &fresh.pointread.cache_hits),
-            (&self.pointread.bytes_read, &fresh.pointread.bytes_read),
-            (
-                &self.pointread.latency_ns_total,
-                &fresh.pointread.latency_ns_total,
-            ),
-            (
-                &self.serve.connections_opened,
-                &fresh.serve.connections_opened,
-            ),
-            (
-                &self.serve.connections_closed,
-                &fresh.serve.connections_closed,
-            ),
-            (&self.serve.point_queries, &fresh.serve.point_queries),
-            (&self.serve.point_errors, &fresh.serve.point_errors),
-            (&self.serve.queries_queued, &fresh.serve.queries_queued),
-            (&self.serve.queries_rejected, &fresh.serve.queries_rejected),
-            (
-                &self.serve.queries_completed,
-                &fresh.serve.queries_completed,
-            ),
-            (&self.serve.query_errors, &fresh.serve.query_errors),
-            (&self.serve.batches, &fresh.serve.batches),
-            (&self.serve.batch_queries, &fresh.serve.batch_queries),
-            (&self.serve.sweeps, &fresh.serve.sweeps),
-            (&self.serve.bytes_read, &fresh.serve.bytes_read),
-            (&self.serve.bytes_amortized, &fresh.serve.bytes_amortized),
-        ] {
-            dst.store(src.load(Ordering::Relaxed), Ordering::Relaxed);
-        }
-        for i in 0..LATENCY_BUCKETS {
-            io.latency_hist[i].store(0, Ordering::Relaxed);
-            self.io_backend.workers_latency_hist[i].store(0, Ordering::Relaxed);
-            self.io_backend.uring_latency_hist[i].store(0, Ordering::Relaxed);
-            self.pointread.latency_hist[i].store(0, Ordering::Relaxed);
-            self.serve.queue_depth_hist[i].store(0, Ordering::Relaxed);
-        }
-        for i in 0..3 {
-            self.cache.inserted[i].store(0, Ordering::Relaxed);
-            self.cache.rejected[i].store(0, Ordering::Relaxed);
-            self.cache.evicted[i].store(0, Ordering::Relaxed);
+        for a in self.counters.iter().chain(self.hists.iter().flatten()) {
+            a.store(0, Ordering::Relaxed);
         }
         self.iterations.lock().unwrap().clear();
-        self.query_sweeps.lock().unwrap().clear();
-        self.query_records.lock().unwrap().clear();
+        self.sweeps.lock().unwrap().clear();
+        self.queries.lock().unwrap().clear();
     }
 }
 
-#[inline]
 fn latency_bucket(ns: u64) -> usize {
     (64 - ns.max(1).leading_zeros() as usize - 1).min(LATENCY_BUCKETS - 1)
 }
 
 impl Recorder for FlightRecorder {
-    #[inline]
     fn io_submitted(&self, requests: u64, bytes: u64, in_flight: u64) {
-        self.io.requests.fetch_add(requests, Ordering::Relaxed);
-        self.io.bytes_submitted.fetch_add(bytes, Ordering::Relaxed);
-        self.io
-            .max_in_flight
-            .fetch_max(in_flight, Ordering::Relaxed);
+        self.add(IoRequests, requests);
+        self.add(IoBytesSubmitted, bytes);
+        self.max(IoMaxInFlight, in_flight);
     }
-
-    #[inline]
     fn io_completed(&self, bytes: u64, latency_ns: u64, failed: bool) {
-        self.io.completions.fetch_add(1, Ordering::Relaxed);
-        self.io.bytes_read.fetch_add(bytes, Ordering::Relaxed);
-        self.io
-            .latency_ns_total
-            .fetch_add(latency_ns, Ordering::Relaxed);
-        self.io.latency_hist[latency_bucket(latency_ns)].fetch_add(1, Ordering::Relaxed);
-        if failed {
-            self.io.errors.fetch_add(1, Ordering::Relaxed);
-        }
+        self.add(IoCompletions, 1);
+        self.add(IoLatencyNsTotal, latency_ns);
+        self.observe(Hist::IoLatency, latency_ns);
+        self.add(IoBytesRead, bytes);
+        self.add(IoErrors, u64::from(failed));
     }
-
-    #[inline]
-    fn io_backend_selected(&self, uring: bool) {
-        let slot = if uring {
-            &self.io_backend.uring_selected
-        } else {
-            &self.io_backend.workers_selected
-        };
-        slot.fetch_add(1, Ordering::Relaxed);
-    }
-
-    #[inline]
-    fn io_sqe_batch(&self, sqes: u64, enters: u64) {
-        self.io_backend.sqe_batches.fetch_add(1, Ordering::Relaxed);
-        self.io_backend
-            .sqes_submitted
-            .fetch_add(sqes, Ordering::Relaxed);
-        self.io_backend.enters.fetch_add(enters, Ordering::Relaxed);
-    }
-
-    #[inline]
-    fn io_cqe_reap(&self, cqes: u64) {
-        self.io_backend.cqe_reaps.fetch_add(1, Ordering::Relaxed);
-        self.io_backend
-            .cqes_reaped
-            .fetch_add(cqes, Ordering::Relaxed);
-    }
-
-    #[inline]
-    fn io_reg_buffer(&self, hit: bool) {
-        let slot = if hit {
-            &self.io_backend.reg_buffer_hits
-        } else {
-            &self.io_backend.reg_buffer_misses
-        };
-        slot.fetch_add(1, Ordering::Relaxed);
-    }
-
-    #[inline]
-    fn io_backend_request(&self, uring: bool, latency_ns: u64) {
-        let (requests, total, hist) = if uring {
-            (
-                &self.io_backend.uring_requests,
-                &self.io_backend.uring_latency_ns,
-                &self.io_backend.uring_latency_hist,
-            )
-        } else {
-            (
-                &self.io_backend.workers_requests,
-                &self.io_backend.workers_latency_ns,
-                &self.io_backend.workers_latency_hist,
-            )
-        };
-        requests.fetch_add(1, Ordering::Relaxed);
-        total.fetch_add(latency_ns, Ordering::Relaxed);
-        hist[latency_bucket(latency_ns)].fetch_add(1, Ordering::Relaxed);
-    }
-
-    #[inline]
     fn fault_injected(&self) {
-        self.faults.fetch_add(1, Ordering::Relaxed);
+        self.add(IoFaultsInjected, 1);
     }
 
-    #[inline]
-    fn cache_inserted(&self, hint: HintClass) {
-        self.cache.inserted[hint as usize].fetch_add(1, Ordering::Relaxed);
+    fn io_backend_selected(&self, uring: bool) {
+        self.add(IoBackendUringSelected, u64::from(uring));
+        self.add(IoBackendWorkersSelected, u64::from(!uring));
     }
-
-    #[inline]
-    fn cache_rejected(&self, hint: HintClass) {
-        self.cache.rejected[hint as usize].fetch_add(1, Ordering::Relaxed);
+    fn io_sqe_batch(&self, sqes: u64, enters: u64) {
+        self.add(IoBackendSqeBatches, 1);
+        self.add(IoBackendSqesSubmitted, sqes);
+        self.add(IoBackendEnters, enters);
     }
-
-    #[inline]
-    fn cache_evicted(&self, hint: HintClass) {
-        self.cache.evicted[hint as usize].fetch_add(1, Ordering::Relaxed);
+    fn io_cqe_reap(&self, cqes: u64) {
+        self.add(IoBackendCqeReaps, 1);
+        self.add(IoBackendCqesReaped, cqes);
     }
-
-    #[inline]
-    fn buffer_acquired(&self, capacity: u64, reused: bool) {
-        self.buffer_pool.acquires.fetch_add(1, Ordering::Relaxed);
-        self.buffer_pool
-            .bytes_served
-            .fetch_add(capacity, Ordering::Relaxed);
-        if reused {
-            self.buffer_pool.hits.fetch_add(1, Ordering::Relaxed);
+    fn io_reg_buffer(&self, hit: bool) {
+        self.add(IoBackendRegBufferHits, u64::from(hit));
+        self.add(IoBackendRegBufferMisses, u64::from(!hit));
+    }
+    fn io_backend_request(&self, uring: bool, latency_ns: u64) {
+        if uring {
+            self.add(IoBackendUringRequests, 1);
+            self.add(IoBackendUringLatencyNs, latency_ns);
+            self.observe(Hist::UringLatency, latency_ns);
         } else {
-            self.buffer_pool.misses.fetch_add(1, Ordering::Relaxed);
+            self.add(IoBackendWorkersRequests, 1);
+            self.add(IoBackendWorkersLatencyNs, latency_ns);
+            self.observe(Hist::WorkersLatency, latency_ns);
         }
     }
 
-    #[inline]
+    fn cache_inserted(&self, hint: HintClass) {
+        self.add(hinted(CacheInsertedNotNeeded, hint), 1);
+    }
+    fn cache_rejected(&self, hint: HintClass) {
+        self.add(hinted(CacheRejectedNotNeeded, hint), 1);
+    }
+    fn cache_evicted(&self, hint: HintClass) {
+        self.add(hinted(CacheEvictedNotNeeded, hint), 1);
+    }
+
+    fn buffer_acquired(&self, capacity: u64, reused: bool) {
+        self.add(BufferPoolAcquires, 1);
+        self.add(BufferPoolBytesServed, capacity);
+        self.add(BufferPoolHits, u64::from(reused));
+        self.add(BufferPoolMisses, u64::from(!reused));
+    }
     fn buffer_recycled(&self, _capacity: u64) {
-        self.buffer_pool.recycled.fetch_add(1, Ordering::Relaxed);
+        self.add(BufferPoolRecycled, 1);
     }
-
-    #[inline]
     fn bytes_copied(&self, bytes: u64) {
-        self.copy.bytes_copied.fetch_add(bytes, Ordering::Relaxed);
+        self.add(CopyBytesCopied, bytes);
     }
-
-    #[inline]
     fn bytes_borrowed(&self, bytes: u64) {
-        self.copy.bytes_borrowed.fetch_add(bytes, Ordering::Relaxed);
+        self.add(CopyBytesBorrowed, bytes);
     }
 
-    #[inline]
     fn compute_batch(&self, edges: u64, plain_updates: u64, atomic_edges: u64, groups: u64) {
-        self.compute
-            .edges_processed
-            .fetch_add(edges, Ordering::Relaxed);
-        self.compute
-            .shard_conflicts_avoided
-            .fetch_add(plain_updates, Ordering::Relaxed);
-        self.compute
-            .atomic_fallback_edges
-            .fetch_add(atomic_edges, Ordering::Relaxed);
-        self.compute
-            .groups_scheduled
-            .fetch_add(groups, Ordering::Relaxed);
+        self.add(ComputeEdgesProcessed, edges);
+        self.add(ComputeShardConflictsAvoided, plain_updates);
+        self.add(ComputeAtomicFallbackEdges, atomic_edges);
+        self.add(ComputeGroupsScheduled, groups);
     }
-
-    #[inline]
     fn compute_llc_estimate(&self, bytes: u64) {
-        self.compute
-            .llc_resident_bytes
-            .fetch_max(bytes, Ordering::Relaxed);
+        self.max(ComputeLlcResidentBytes, bytes);
     }
 
-    #[inline]
+    fn codec_tiles(&self, tiles: u64, disk_bytes: u64, logical_bytes: u64) {
+        self.add(CodecTilesDecoded, tiles);
+        self.add(CodecDiskBytes, disk_bytes);
+        self.add(CodecLogicalBytes, logical_bytes);
+    }
+    fn codec_decode_ns(&self, ns: u64) {
+        self.add(CodecDecodeNs, ns);
+    }
+    fn codec_decoded_edges(&self, edges: u64) {
+        self.add(CodecDecodedEdges, edges);
+    }
+
     fn ingest_chunk(&self, pass: u8, edges: u64, bytes: u64) {
-        let chunks = if pass <= 1 {
-            &self.ingest.chunks_pass1
-        } else {
-            &self.ingest.chunks_pass2
-        };
-        chunks.fetch_add(1, Ordering::Relaxed);
         // Edges and raw bytes stream by once per pass; count them on pass 1
         // only so `edges_in` is the file's edge total, not a multiple.
         if pass <= 1 {
-            self.ingest.edges_in.fetch_add(edges, Ordering::Relaxed);
-            self.ingest.bytes_in.fetch_add(bytes, Ordering::Relaxed);
+            self.add(IngestChunksPass1, 1);
+            self.add(IngestEdgesIn, edges);
+            self.add(IngestBytesIn, bytes);
+        } else {
+            self.add(IngestChunksPass2, 1);
+        }
+    }
+    fn ingest_flush(&self, bytes: u64, writes: u64) {
+        self.add(IngestFlushes, 1);
+        self.add(IngestPwrites, writes);
+        self.add(IngestBytesOut, bytes);
+    }
+    fn ingest_staging(&self, bytes: u64) {
+        self.max(IngestStagingPeakBytes, bytes);
+    }
+    fn ingest_pass(&self, pass: u8, wall_ns: u64) {
+        match pass {
+            0 | 1 => self.add(IngestPass1Ns, wall_ns),
+            _ => self.add(IngestPass2Ns, wall_ns),
         }
     }
 
-    #[inline]
-    fn ingest_flush(&self, bytes: u64, writes: u64) {
-        self.ingest.flushes.fetch_add(1, Ordering::Relaxed);
-        self.ingest.pwrites.fetch_add(writes, Ordering::Relaxed);
-        self.ingest.bytes_out.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    #[inline]
-    fn ingest_staging(&self, bytes: u64) {
-        self.ingest
-            .staging_peak_bytes
-            .fetch_max(bytes, Ordering::Relaxed);
-    }
-
-    #[inline]
-    fn ingest_pass(&self, pass: u8, wall_ns: u64) {
-        let slot = if pass <= 1 {
-            &self.ingest.pass1_ns
-        } else {
-            &self.ingest.pass2_ns
-        };
-        slot.fetch_add(wall_ns, Ordering::Relaxed);
-    }
-
-    fn iteration_finished(&self, metrics: IterationMetrics) {
-        self.iterations.lock().unwrap().push(metrics);
-    }
-
-    fn query_sweep(&self, sweep: QueryBatchSweep) {
-        self.query_sweeps.lock().unwrap().push(sweep);
-    }
-
-    #[inline]
     fn pointread_lookup(
         &self,
         tiles_fetched: u64,
@@ -1055,553 +593,262 @@ impl Recorder for FlightRecorder {
         bytes_read: u64,
         latency_ns: u64,
     ) {
-        self.pointread.lookups.fetch_add(1, Ordering::Relaxed);
-        self.pointread
-            .tiles_fetched
-            .fetch_add(tiles_fetched, Ordering::Relaxed);
-        self.pointread
-            .cache_hits
-            .fetch_add(cache_hits, Ordering::Relaxed);
-        self.pointread
-            .bytes_read
-            .fetch_add(bytes_read, Ordering::Relaxed);
-        self.pointread
-            .latency_ns_total
-            .fetch_add(latency_ns, Ordering::Relaxed);
-        self.pointread.latency_hist[latency_bucket(latency_ns)].fetch_add(1, Ordering::Relaxed);
+        self.add(PointreadLookups, 1);
+        self.add(PointreadLatencyNsTotal, latency_ns);
+        self.observe(Hist::PointreadLatency, latency_ns);
+        self.add(PointreadTilesFetched, tiles_fetched);
+        self.add(PointreadCacheHits, cache_hits);
+        self.add(PointreadBytesRead, bytes_read);
     }
 
-    fn query_finished(&self, record: QueryRecord) {
-        self.query_records.lock().unwrap().push(record);
-    }
-
-    #[inline]
-    fn codec_tiles(&self, tiles: u64, disk_bytes: u64, logical_bytes: u64) {
-        self.codec.tiles_decoded.fetch_add(tiles, Ordering::Relaxed);
-        self.codec
-            .disk_bytes
-            .fetch_add(disk_bytes, Ordering::Relaxed);
-        self.codec
-            .logical_bytes
-            .fetch_add(logical_bytes, Ordering::Relaxed);
-    }
-
-    #[inline]
-    fn codec_decode_ns(&self, ns: u64) {
-        self.codec.decode_ns.fetch_add(ns, Ordering::Relaxed);
-    }
-
-    fn codec_decoded_edges(&self, edges: u64) {
-        self.codec.decoded_edges.fetch_add(edges, Ordering::Relaxed);
-    }
-
-    #[inline]
     fn serve_connection_opened(&self) {
-        self.serve
-            .connections_opened
-            .fetch_add(1, Ordering::Relaxed);
+        self.add(ServeConnectionsOpened, 1);
     }
-
-    #[inline]
     fn serve_connection_closed(&self) {
-        self.serve
-            .connections_closed
-            .fetch_add(1, Ordering::Relaxed);
+        self.add(ServeConnectionsClosed, 1);
     }
-
-    #[inline]
     fn serve_point_query(&self, ok: bool) {
-        self.serve.point_queries.fetch_add(1, Ordering::Relaxed);
-        if !ok {
-            self.serve.point_errors.fetch_add(1, Ordering::Relaxed);
-        }
+        self.add(ServePointQueries, 1);
+        self.add(ServePointErrors, u64::from(!ok));
     }
-
-    #[inline]
     fn serve_query_queued(&self, depth: u64) {
-        self.serve.queries_queued.fetch_add(1, Ordering::Relaxed);
-        self.serve.queue_depth_hist[latency_bucket(depth)].fetch_add(1, Ordering::Relaxed);
+        self.add(ServeQueriesQueued, 1);
+        self.observe(Hist::ServeQueueDepth, depth);
     }
-
-    #[inline]
     fn serve_query_rejected(&self) {
-        self.serve.queries_rejected.fetch_add(1, Ordering::Relaxed);
+        self.add(ServeQueriesRejected, 1);
     }
-
-    #[inline]
     fn serve_batch_admitted(&self, queries: u64) {
-        self.serve.batches.fetch_add(1, Ordering::Relaxed);
-        self.serve
-            .batch_queries
-            .fetch_add(queries, Ordering::Relaxed);
+        self.add(ServeBatches, 1);
+        self.add(ServeBatchQueries, queries);
     }
-
-    #[inline]
     fn serve_query_completed(&self, ok: bool) {
-        self.serve.queries_completed.fetch_add(1, Ordering::Relaxed);
-        if !ok {
-            self.serve.query_errors.fetch_add(1, Ordering::Relaxed);
-        }
+        self.add(ServeQueriesCompleted, 1);
+        self.add(ServeQueryErrors, u64::from(!ok));
     }
-
-    #[inline]
     fn serve_batch_run(&self, sweeps: u64, bytes_read: u64, bytes_amortized: u64) {
-        self.serve.sweeps.fetch_add(sweeps, Ordering::Relaxed);
-        self.serve
-            .bytes_read
-            .fetch_add(bytes_read, Ordering::Relaxed);
-        self.serve
-            .bytes_amortized
-            .fetch_add(bytes_amortized, Ordering::Relaxed);
+        self.add(ServeSweeps, sweeps);
+        self.add(ServeBytesRead, bytes_read);
+        self.add(ServeBytesAmortized, bytes_amortized);
+    }
+
+    fn iteration_finished(&self, metrics: IterationMetrics) {
+        self.iterations.lock().unwrap().push(metrics);
+    }
+    fn query_sweep(&self, sweep: QueryBatchSweep) {
+        self.sweeps.lock().unwrap().push(sweep);
+    }
+    fn query_finished(&self, record: QueryRecord) {
+        self.queries.lock().unwrap().push(record);
     }
 }
 
-/// I/O-layer totals (snapshot).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct IoMetrics {
-    pub requests: u64,
-    pub bytes_submitted: u64,
-    pub completions: u64,
-    pub errors: u64,
-    pub bytes_read: u64,
-    /// Highest queue occupancy observed at submit time.
-    pub max_in_flight: u64,
-    pub latency_ns_total: u64,
-    /// `latency_hist[i]` = completions with latency in `[2^i, 2^(i+1))` ns.
-    pub latency_hist: [u64; LATENCY_BUCKETS],
-    pub faults_injected: u64,
+/// One field of a counter group in the JSON document.
+enum Field {
+    /// A counter, under the key after its group in [`Counter::name`].
+    Count(Counter),
+    /// A value derived from the counters, printed with this many decimals.
+    Ratio(&'static str, fn(&EngineMetrics) -> f64, usize),
+    /// A sparse histogram: the non-empty buckets, keyed by lower bound.
+    Buckets(&'static str, Hist),
+    /// The lower bound of the histogram bucket holding this quantile.
+    Quantile(&'static str, Hist, f64),
+    /// One counter per [`HintClass`], from the `not_needed` one on, as an
+    /// object keyed by class name.
+    Hints(&'static str, Counter),
 }
 
-impl IoMetrics {
-    pub fn mean_latency_ns(&self) -> f64 {
-        if self.completions == 0 {
-            0.0
-        } else {
-            self.latency_ns_total as f64 / self.completions as f64
-        }
+/// `num / den`, or `idle` when nothing was counted.
+fn ratio(num: u64, den: u64, idle: f64) -> f64 {
+    match den {
+        0 => idle,
+        den => num as f64 / den as f64,
     }
 }
 
-/// I/O backend-selection and io_uring mechanics totals (snapshot): which
-/// engine ran, how well SQ batching amortized syscalls, how often reads
-/// landed in registered buffers, and per-engine request latency.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct IoBackendMetrics {
-    /// Engines constructed on the worker pool.
-    pub workers_selected: u64,
-    /// Engines constructed on io_uring.
-    pub uring_selected: u64,
-    /// Submission batches pushed to an SQ.
-    pub sqe_batches: u64,
-    /// SQEs queued across all batches.
-    pub sqes_submitted: u64,
-    /// `io_uring_enter` calls spent submitting (0 per batch possible
-    /// under SQPOLL).
-    pub enters: u64,
-    /// Non-empty CQ reaps.
-    pub cqe_reaps: u64,
-    /// CQEs collected across all reaps.
-    pub cqes_reaped: u64,
-    /// Reads served from a registered arena via `READ_FIXED`.
-    pub reg_buffer_hits: u64,
-    /// Reads that fell back to plain `READ` (unregistered buffer).
-    pub reg_buffer_misses: u64,
-    /// Requests completed on the worker pool.
-    pub workers_requests: u64,
-    pub workers_latency_ns: u64,
-    /// `[i]` = worker-pool requests with latency in `[2^i, 2^(i+1))` ns.
-    pub workers_latency_hist: [u64; LATENCY_BUCKETS],
-    /// Requests completed on io_uring.
-    pub uring_requests: u64,
-    pub uring_latency_ns: u64,
-    /// `[i]` = uring requests with latency in `[2^i, 2^(i+1))` ns.
-    pub uring_latency_hist: [u64; LATENCY_BUCKETS],
+/// The share of `part` in `part + rest`; 0.0 when both are 0.
+fn share(part: u64, rest: u64) -> f64 {
+    ratio(part, part + rest, 0.0)
 }
 
-impl IoBackendMetrics {
-    /// Mean SQEs pushed per `io_uring_enter`. 0.0 when no enters ran.
-    pub fn sqes_per_enter(&self) -> f64 {
-        if self.enters == 0 {
-            0.0
-        } else {
-            self.sqes_submitted as f64 / self.enters as f64
-        }
-    }
+/// The counter groups of the JSON document, each with its fields, both in
+/// output order (schema: docs/METRICS.md). One row per field.
+#[rustfmt::skip]
+const SCHEMA: &[(&str, &[Field])] = {
+    use Field::*;
+    &[
+        ("io", &[
+            Count(IoRequests), Count(IoBytesSubmitted), Count(IoCompletions), Count(IoErrors),
+            Count(IoBytesRead), Count(IoMaxInFlight),
+            Ratio("mean_latency_ns", |m| ratio(m[IoLatencyNsTotal], m[IoCompletions], 0.0), 1),
+            Count(IoFaultsInjected),
+            Buckets("latency_hist", Hist::IoLatency),
+        ]),
+        ("io_backend", &[
+            Count(IoBackendWorkersSelected), Count(IoBackendUringSelected),
+            Count(IoBackendSqeBatches), Count(IoBackendSqesSubmitted), Count(IoBackendEnters),
+            Ratio("sqes_per_enter", |m| ratio(m[IoBackendSqesSubmitted], m[IoBackendEnters], 0.0), 3),
+            Count(IoBackendCqeReaps), Count(IoBackendCqesReaped),
+            Ratio("mean_reap_size", |m| ratio(m[IoBackendCqesReaped], m[IoBackendCqeReaps], 0.0), 3),
+            Count(IoBackendRegBufferHits), Count(IoBackendRegBufferMisses),
+            Ratio("reg_buffer_hit_rate", |m| share(m[IoBackendRegBufferHits], m[IoBackendRegBufferMisses]), 6),
+            Count(IoBackendWorkersRequests),
+            Ratio("workers_mean_latency_ns", |m| ratio(m[IoBackendWorkersLatencyNs], m[IoBackendWorkersRequests], 0.0), 1),
+            Count(IoBackendUringRequests),
+            Ratio("uring_mean_latency_ns", |m| ratio(m[IoBackendUringLatencyNs], m[IoBackendUringRequests], 0.0), 1),
+            Buckets("workers_latency_hist", Hist::WorkersLatency),
+            Buckets("uring_latency_hist", Hist::UringLatency),
+        ]),
+        ("cache", &[
+            Hints("inserted", CacheInsertedNotNeeded),
+            Hints("rejected", CacheRejectedNotNeeded),
+            Hints("evicted", CacheEvictedNotNeeded),
+        ]),
+        ("buffer_pool", &[
+            Count(BufferPoolAcquires), Count(BufferPoolHits), Count(BufferPoolMisses),
+            Count(BufferPoolRecycled), Count(BufferPoolBytesServed),
+            Ratio("hit_rate", |m| ratio(m[BufferPoolHits], m[BufferPoolAcquires], 1.0), 6),
+        ]),
+        ("copy", &[
+            Count(CopyBytesCopied), Count(CopyBytesBorrowed),
+            Ratio("copy_fraction", |m| share(m[CopyBytesCopied], m[CopyBytesBorrowed]), 6),
+        ]),
+        ("compute", &[
+            Count(ComputeEdgesProcessed), Count(ComputeShardConflictsAvoided),
+            Count(ComputeAtomicFallbackEdges), Count(ComputeGroupsScheduled),
+            Count(ComputeLlcResidentBytes),
+            Ratio("sharded_fraction", |m| 1.0 - ratio(m[ComputeAtomicFallbackEdges], m[ComputeEdgesProcessed], 0.0), 6),
+        ]),
+        ("codec", &[
+            Count(CodecTilesDecoded), Count(CodecDiskBytes), Count(CodecLogicalBytes),
+            Count(CodecDecodeNs), Count(CodecDecodedEdges),
+            Ratio("compression_ratio", |m| ratio(m[CodecLogicalBytes], m[CodecDiskBytes], 1.0), 6),
+        ]),
+        ("ingest", &[
+            Count(IngestChunksPass1), Count(IngestChunksPass2), Count(IngestEdgesIn),
+            Count(IngestBytesIn), Count(IngestBytesOut), Count(IngestFlushes), Count(IngestPwrites),
+            Ratio("writes_per_flush", |m| ratio(m[IngestPwrites], m[IngestFlushes], 0.0), 3),
+            Count(IngestPass1Ns), Count(IngestPass2Ns), Count(IngestStagingPeakBytes),
+        ]),
+        ("pointread", &[
+            Count(PointreadLookups), Count(PointreadTilesFetched), Count(PointreadCacheHits),
+            Count(PointreadBytesRead),
+            Ratio("cache_hit_rate", |m| share(m[PointreadCacheHits], m[PointreadTilesFetched]), 6),
+            Ratio("mean_latency_ns", |m| ratio(m[PointreadLatencyNsTotal], m[PointreadLookups], 0.0), 1),
+            Quantile("p50_latency_ns", Hist::PointreadLatency, 0.50),
+            Quantile("p99_latency_ns", Hist::PointreadLatency, 0.99),
+            Buckets("latency_hist", Hist::PointreadLatency),
+        ]),
+        ("serve", &[
+            Count(ServeConnectionsOpened), Count(ServeConnectionsClosed), Count(ServePointQueries),
+            Count(ServePointErrors), Count(ServeQueriesQueued), Count(ServeQueriesRejected),
+            Count(ServeQueriesCompleted), Count(ServeQueryErrors), Count(ServeBatches),
+            Count(ServeBatchQueries),
+            Ratio("mean_batch_size", |m| ratio(m[ServeBatchQueries], m[ServeBatches], 0.0), 3),
+            Count(ServeSweeps), Count(ServeBytesRead), Count(ServeBytesAmortized),
+            Ratio("read_amortization", |m| ratio(m[ServeBytesRead] + m[ServeBytesAmortized], m[ServeBytesRead], 1.0), 6),
+            Quantile("p50_queue_depth", Hist::ServeQueueDepth, 0.50),
+            Quantile("p99_queue_depth", Hist::ServeQueueDepth, 0.99),
+            Buckets("queue_depth_hist", Hist::ServeQueueDepth),
+        ]),
+    ]
+};
 
-    /// Mean CQEs collected per non-empty reap. 0.0 when idle.
-    pub fn mean_reap_size(&self) -> f64 {
-        if self.cqe_reaps == 0 {
-            0.0
-        } else {
-            self.cqes_reaped as f64 / self.cqe_reaps as f64
-        }
-    }
-
-    /// Fraction of uring reads that used a registered buffer. 0.0 idle.
-    pub fn reg_buffer_hit_rate(&self) -> f64 {
-        let total = self.reg_buffer_hits + self.reg_buffer_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.reg_buffer_hits as f64 / total as f64
-        }
-    }
-
-    /// Mean worker-pool request latency. 0.0 when idle.
-    pub fn workers_mean_latency_ns(&self) -> f64 {
-        if self.workers_requests == 0 {
-            0.0
-        } else {
-            self.workers_latency_ns as f64 / self.workers_requests as f64
-        }
-    }
-
-    /// Mean uring request latency. 0.0 when idle.
-    pub fn uring_mean_latency_ns(&self) -> f64 {
-        if self.uring_requests == 0 {
-            0.0
-        } else {
-            self.uring_latency_ns as f64 / self.uring_requests as f64
-        }
-    }
-}
-
-/// Cache-pool totals per hint class (snapshot), indexed by [`HintClass`].
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct CacheMetrics {
-    pub inserted: [u64; 3],
-    pub rejected: [u64; 3],
-    pub evicted: [u64; 3],
-}
-
-impl CacheMetrics {
-    pub fn total_inserted(&self) -> u64 {
-        self.inserted.iter().sum()
-    }
-
-    pub fn total_rejected(&self) -> u64 {
-        self.rejected.iter().sum()
-    }
-
-    pub fn total_evicted(&self) -> u64 {
-        self.evicted.iter().sum()
-    }
-}
-
-/// Reusable aligned I/O buffer-pool totals (snapshot).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct BufferPoolMetrics {
-    /// Buffers handed out (`hits + misses`).
-    pub acquires: u64,
-    /// Acquires served from the free list (no allocation).
-    pub hits: u64,
-    /// Acquires that had to allocate a fresh buffer.
-    pub misses: u64,
-    /// Buffers returned to the pool (RAII recycling).
-    pub recycled: u64,
-    /// Total allocated capacity handed out across all acquires.
-    pub bytes_served: u64,
-}
-
-impl BufferPoolMetrics {
-    /// Fraction of acquires served without allocating. 1.0 when idle.
-    pub fn hit_rate(&self) -> f64 {
-        if self.acquires == 0 {
-            1.0
-        } else {
-            self.hits as f64 / self.acquires as f64
-        }
-    }
-}
-
-/// Data-movement totals of the streaming path (snapshot): bytes memcpy'd
-/// vs. bytes processed in place from pooled run buffers.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct CopyMetrics {
-    /// Bytes memcpy'd (cache-pool inserts, the pipeline's only copy).
-    pub bytes_copied: u64,
-    /// Bytes processed zero-copy, borrowed from pooled run buffers.
-    pub bytes_borrowed: u64,
-}
-
-impl CopyMetrics {
-    /// Fraction of streamed bytes that were copied. 0.0 when idle.
-    pub fn copy_fraction(&self) -> f64 {
-        let total = self.bytes_copied + self.bytes_borrowed;
-        if total == 0 {
-            0.0
-        } else {
-            self.bytes_copied as f64 / total as f64
-        }
-    }
-}
-
-/// Compute-phase totals (snapshot): how edge updates were executed.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ComputeMetrics {
-    /// Edges decoded and applied across all batches.
-    pub edges_processed: u64,
-    /// Endpoint updates done as plain writes instead of atomic RMWs —
-    /// the contention the column-sharded schedule eliminated.
-    pub shard_conflicts_avoided: u64,
-    /// Edges executed on the atomic fallback path (0 when every
-    /// algorithm in the run opted into sharding).
-    pub atomic_fallback_edges: u64,
-    /// Physical-group visits across all batch schedules (a group
-    /// processed contiguously counts once per shard that touches it).
-    pub groups_scheduled: u64,
-    /// High-water static estimate of the per-group metadata working set
-    /// the group-major order keeps LLC-resident.
-    pub llc_resident_bytes: u64,
-}
-
-impl ComputeMetrics {
-    /// Fraction of edges that ran contention-free. 1.0 when idle.
-    pub fn sharded_fraction(&self) -> f64 {
-        if self.edges_processed == 0 {
-            1.0
-        } else {
-            1.0 - self.atomic_fallback_edges as f64 / self.edges_processed as f64
-        }
-    }
-}
-
-/// Bit-level tile codec totals (snapshot): how much coded data was decoded
-/// on the fly and what it would have weighed raw. All zeros for raw
-/// (uncompressed) stores.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct CodecMetrics {
-    /// Coded tiles handed to compute or point reads.
-    pub tiles_decoded: u64,
-    /// Coded stream bytes those tiles occupied on disk / in cache.
-    pub disk_bytes: u64,
-    /// Raw SNB bytes the same tiles decode to.
-    pub logical_bytes: u64,
-    /// Decode wall time: point reads' tile decodes plus the waves of the
-    /// sweeps' decode stage.
-    pub decode_ns: u64,
-    /// Keys the sweeps' decode stage decoded: the stored edges of the
-    /// tiles processed, each once per sweep however many queries (and
-    /// work items) consumed it.
-    pub decoded_edges: u64,
-}
-
-impl CodecMetrics {
-    /// Logical / disk (> 1 means the codec saved I/O volume). 1.0 when
-    /// idle or raw.
-    pub fn compression_ratio(&self) -> f64 {
-        if self.disk_bytes == 0 {
-            1.0
-        } else {
-            self.logical_bytes as f64 / self.disk_bytes as f64
-        }
-    }
-}
-
-/// Streaming-ingest totals (snapshot): the two converter passes plus the
-/// batched positioned-write path underneath them.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct IngestMetrics {
-    /// Edge-file chunks streamed by pass 1 (counting).
-    pub chunks_pass1: u64,
-    /// Edge-file chunks streamed by pass 2 (scatter).
-    pub chunks_pass2: u64,
-    /// Edge tuples read from the edge file (counted once, on pass 1).
-    pub edges_in: u64,
-    /// Raw edge-file bytes read (counted once, on pass 1).
-    pub bytes_in: u64,
-    /// Encoded tile bytes written out of the pack buffer.
-    pub bytes_out: u64,
-    /// Pass-2 chunks written out.
-    pub flushes: u64,
-    /// Positioned writes issued: per chunk one per touched tile, fewer
-    /// where neighbouring runs merge.
-    pub pwrites: u64,
-    /// Pass-1 wall time.
-    pub pass1_ns: u64,
-    /// Pass-2 wall time.
-    pub pass2_ns: u64,
-    /// Largest pack any chunk filled.
-    pub staging_peak_bytes: u64,
-}
-
-impl IngestMetrics {
-    /// Mean positioned writes per flush. 0.0 when idle.
-    pub fn writes_per_flush(&self) -> f64 {
-        if self.flushes == 0 {
-            0.0
-        } else {
-            self.pwrites as f64 / self.flushes as f64
-        }
-    }
-}
-
-/// Point-read (OLTP access path) totals (snapshot).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct PointReadMetrics {
-    /// Point-read requests served (neighbors/degree/k-hop step/walk step).
-    pub lookups: u64,
-    /// Tiles fetched from storage.
-    pub tiles_fetched: u64,
-    /// Tiles served from the hot-tile cache instead of storage.
-    pub cache_hits: u64,
-    /// Bytes read from storage (cache hits contribute nothing here).
-    pub bytes_read: u64,
-    /// Total request latency.
-    pub latency_ns_total: u64,
-    /// `latency_hist[i]` = requests with latency in `[2^i, 2^(i+1))` ns.
-    pub latency_hist: [u64; LATENCY_BUCKETS],
-}
-
-impl PointReadMetrics {
-    /// Fraction of tile accesses served by the hot-tile cache. 0.0 when
-    /// idle.
-    pub fn cache_hit_rate(&self) -> f64 {
-        let touched = self.tiles_fetched + self.cache_hits;
-        if touched == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / touched as f64
+impl Field {
+    fn key(&self) -> &'static str {
+        match *self {
+            Field::Count(c) => c.name().split_once('.').unwrap().1,
+            Field::Ratio(key, ..) | Field::Quantile(key, ..) => key,
+            Field::Buckets(key, _) | Field::Hints(key, _) => key,
         }
     }
 
-    /// Mean request latency. 0.0 when idle.
-    pub fn mean_latency_ns(&self) -> f64 {
-        if self.lookups == 0 {
-            0.0
-        } else {
-            self.latency_ns_total as f64 / self.lookups as f64
-        }
-    }
-
-    /// Mean storage bytes per request. 0.0 when idle.
-    pub fn bytes_per_lookup(&self) -> f64 {
-        if self.lookups == 0 {
-            0.0
-        } else {
-            self.bytes_read as f64 / self.lookups as f64
-        }
-    }
-
-    /// Latency percentile estimated from the log2 histogram: the lower
-    /// bound of the bucket containing the `q`-quantile request
-    /// (`q in [0, 1]`). 0 when no requests were recorded.
-    pub fn latency_percentile_ns(&self, q: f64) -> u64 {
-        let total: u64 = self.latency_hist.iter().sum();
-        if total == 0 {
-            return 0;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, &count) in self.latency_hist.iter().enumerate() {
-            seen += count;
-            if seen >= rank {
-                return 1u64 << i;
+    /// `"key": value` as it appears in the JSON document.
+    fn json(&self, m: &EngineMetrics) -> String {
+        let value = match *self {
+            Field::Count(c) => m[c].to_string(),
+            Field::Ratio(_, f, places) => format!("{:.*}", places, f(m)),
+            Field::Quantile(_, hist, q) => m.percentile(hist, q).to_string(),
+            Field::Buckets(_, hist) => {
+                let buckets = m.hist(hist).iter().enumerate().filter(|(_, &n)| n > 0);
+                object(buckets.map(|(i, n)| format!("\"{}\": {n}", 1u64 << i)))
             }
-        }
-        1u64 << (LATENCY_BUCKETS - 1)
-    }
-}
-
-/// Serve-daemon totals (snapshot): connections, admission-queue flow, and
-/// the shared-scan amortization achieved by admitted batches.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ServeMetrics {
-    /// Client connections accepted.
-    pub connections_opened: u64,
-    /// Client connections closed (cleanly or on error).
-    pub connections_closed: u64,
-    /// Point queries answered on connection threads.
-    pub point_queries: u64,
-    /// Point queries that ended in a typed ERR reply.
-    pub point_errors: u64,
-    /// Sweep queries accepted into the admission queue.
-    pub queries_queued: u64,
-    /// Sweep queries refused with BUSY (queue full).
-    pub queries_rejected: u64,
-    /// Sweep queries that produced a reply (OK or ERR).
-    pub queries_completed: u64,
-    /// Sweep queries whose reply was a typed ERR frame.
-    pub query_errors: u64,
-    /// Admitted batch runs (each one `run_batch` call).
-    pub batches: u64,
-    /// Queries admitted across all batch runs.
-    pub batch_queries: u64,
-    /// Shared scans executed across all batch runs.
-    pub sweeps: u64,
-    /// Storage bytes read by admitted batch runs.
-    pub bytes_read: u64,
-    /// Bytes the shared scans saved versus running each query solo.
-    pub bytes_amortized: u64,
-    /// `queue_depth_hist[i]` = enqueues that observed a post-enqueue queue
-    /// depth in `[2^i, 2^(i+1))` (depth 0 counts in bucket 0).
-    pub queue_depth_hist: [u64; LATENCY_BUCKETS],
-}
-
-impl ServeMetrics {
-    /// Sweep queries offered to the daemon: accepted plus rejected.
-    pub fn queries_submitted(&self) -> u64 {
-        self.queries_queued + self.queries_rejected
-    }
-
-    /// Mean queries per admitted batch. 0.0 when idle.
-    pub fn mean_batch_size(&self) -> f64 {
-        if self.batches == 0 {
-            0.0
-        } else {
-            self.batch_queries as f64 / self.batches as f64
-        }
-    }
-
-    /// `(bytes_read + bytes_amortized) / bytes_read` — how many bytes of
-    /// per-query work each storage byte served. 1.0 when idle.
-    pub fn read_amortization(&self) -> f64 {
-        if self.bytes_read == 0 {
-            1.0
-        } else {
-            (self.bytes_read + self.bytes_amortized) as f64 / self.bytes_read as f64
-        }
-    }
-
-    /// Queue-depth percentile estimated from the log2 histogram: the lower
-    /// bound of the bucket containing the `q`-quantile enqueue
-    /// (`q in [0, 1]`). 0 when nothing was enqueued.
-    pub fn queue_depth_percentile(&self, q: f64) -> u64 {
-        let total: u64 = self.queue_depth_hist.iter().sum();
-        if total == 0 {
-            return 0;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, &count) in self.queue_depth_hist.iter().enumerate() {
-            seen += count;
-            if seen >= rank {
-                return 1u64 << i;
+            Field::Hints(_, first) => {
+                let hint = |h: HintClass| format!("\"{}\": {}", h.name(), m[hinted(first, h)]);
+                object(HintClass::ALL.map(hint))
             }
-        }
-        1u64 << (LATENCY_BUCKETS - 1)
+        };
+        format!("\"{}\": {value}", self.key())
     }
 }
 
 /// Everything the flight recorder saw, exposed by the engine and
-/// serializable to JSON (schema: docs/METRICS.md).
-#[derive(Debug, Clone, Default, PartialEq)]
+/// serializable to JSON (schema: docs/METRICS.md). Counters are read by
+/// index (`m[Counter::IoRequests]`), derived values by their JSON path
+/// ([`EngineMetrics::value`]).
+#[derive(Debug, Clone, PartialEq)]
 pub struct EngineMetrics {
     pub iterations: Vec<IterationMetrics>,
-    pub query_batch: QueryBatchMetrics,
-    pub io: IoMetrics,
-    pub io_backend: IoBackendMetrics,
-    pub cache: CacheMetrics,
-    pub buffer_pool: BufferPoolMetrics,
-    pub copy: CopyMetrics,
-    pub compute: ComputeMetrics,
-    pub codec: CodecMetrics,
-    pub ingest: IngestMetrics,
-    pub pointread: PointReadMetrics,
-    pub serve: ServeMetrics,
+    /// Shared-scan sweeps of multi-query batches, in order.
+    pub sweeps: Vec<QueryBatchSweep>,
+    /// One record per query that left a batch, in detach order.
+    pub queries: Vec<QueryRecord>,
+    counters: [u64; Counter::COUNT],
+    hists: [[u64; LATENCY_BUCKETS]; HISTS],
+}
+
+/// What a recorder that saw nothing reports.
+impl Default for EngineMetrics {
+    fn default() -> Self {
+        FlightRecorder::new().snapshot()
+    }
+}
+
+impl Index<Counter> for EngineMetrics {
+    type Output = u64;
+
+    fn index(&self, counter: Counter) -> &u64 {
+        &self.counters[counter as usize]
+    }
 }
 
 impl EngineMetrics {
+    /// `hist(h)[i]` = events with a value in `[2^i, 2^(i+1))`.
+    pub fn hist(&self, hist: Hist) -> &[u64; LATENCY_BUCKETS] {
+        &self.hists[hist as usize]
+    }
+
+    /// Percentile estimated from a log2 histogram: the lower bound of the
+    /// bucket containing the `q`-quantile event (`q in [0, 1]`). 0 when
+    /// nothing was recorded.
+    pub fn percentile(&self, hist: Hist, q: f64) -> u64 {
+        let hist = self.hist(hist);
+        let total: u64 = hist.iter().sum();
+        if total == 0 {
+            return 0;
+        }
+        let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
+        let mut seen = 0;
+        let bucket = hist.iter().position(|&n| {
+            seen += n;
+            seen >= rank
+        });
+        1 << bucket.unwrap_or(LATENCY_BUCKETS - 1)
+    }
+
+    /// A counter, derived ratio or percentile by its JSON path, e.g.
+    /// `"copy.copy_fraction"`; `None` for a histogram or an unknown path.
+    pub fn value(&self, path: &str) -> Option<f64> {
+        let (group, key) = path.split_once('.')?;
+        let (_, fields) = SCHEMA.iter().find(|(g, _)| *g == group)?;
+        match *fields.iter().find(|f| f.key() == key)? {
+            Field::Count(c) => Some(self[c] as f64),
+            Field::Ratio(_, f, _) => Some(f(self)),
+            Field::Quantile(_, hist, q) => Some(self.percentile(hist, q) as f64),
+            Field::Buckets(..) | Field::Hints(..) => None,
+        }
+    }
+
     /// Tiles served from cache across all iterations.
     pub fn tiles_rewind(&self) -> u64 {
         self.iterations.iter().map(|i| i.tiles_rewind).sum()
@@ -1610,11 +857,6 @@ impl EngineMetrics {
     /// Tiles fetched from storage across all iterations.
     pub fn tiles_streamed(&self) -> u64 {
         self.iterations.iter().map(|i| i.tiles_streamed).sum()
-    }
-
-    /// Bytes fetched from storage across all iterations (engine view).
-    pub fn stream_bytes(&self) -> u64 {
-        self.iterations.iter().map(|i| i.stream_bytes).sum()
     }
 
     /// Mean slide-phase I/O/compute overlap, weighted by slide time.
@@ -1633,7 +875,9 @@ impl EngineMetrics {
 
     /// Total time across all phases of all iterations.
     pub fn total_ns(&self) -> u64 {
-        self.iterations.iter().map(|i| i.total_ns()).sum()
+        let phases =
+            |i: &IterationMetrics| i.select_ns + i.rewind_ns + i.slide_ns + i.cache_insert_ns;
+        self.iterations.iter().map(phases).sum()
     }
 
     /// Per-phase share of total time: `(select, rewind, slide, cache_insert)`,
@@ -1655,20 +899,17 @@ impl EngineMetrics {
     }
 
     /// Serializes to a self-describing JSON document (no external deps;
-    /// schema documented in docs/METRICS.md).
+    /// schema documented in docs/METRICS.md): the three record groups and
+    /// the summary by hand, every counter group by walking the schema table.
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(1024 + self.iterations.len() * 256);
-        s.push_str("{\n  \"iterations\": [");
-        for (k, it) in self.iterations.iter().enumerate() {
-            if k > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "\n    {{\"iteration\": {}, \"select_ns\": {}, \"rewind_ns\": {}, \
-                 \"slide_ns\": {}, \"cache_insert_ns\": {}, \"io_wait_ns\": {}, \
-                 \"slide_compute_ns\": {}, \"runs_streamed\": {}, \
-                 \"overlap_ratio\": {:.6}, \"tiles_rewind\": {}, \"tiles_streamed\": {}, \
-                 \"rewind_bytes\": {}, \"stream_bytes\": {}}}",
+        let mut s = String::with_capacity(8192 + self.iterations.len() * 256);
+        s += "{\n  \"iterations\": ";
+        s += &json_rows(&self.iterations, |it| {
+            format!(
+                "{{\"iteration\": {}, \"select_ns\": {}, \"rewind_ns\": {}, \"slide_ns\": {}, \
+                 \"cache_insert_ns\": {}, \"io_wait_ns\": {}, \"slide_compute_ns\": {}, \
+                 \"runs_streamed\": {}, \"overlap_ratio\": {:.6}, \"tiles_rewind\": {}, \
+                 \"tiles_streamed\": {}, \"rewind_bytes\": {}, \"stream_bytes\": {}}}",
                 it.iteration,
                 it.select_ns,
                 it.rewind_ns,
@@ -1682,21 +923,12 @@ impl EngineMetrics {
                 it.tiles_streamed,
                 it.rewind_bytes,
                 it.stream_bytes,
-            ));
-        }
-        if !self.iterations.is_empty() {
-            s.push_str("\n  ");
-        }
-        s.push_str("],\n");
-
-        let qb = &self.query_batch;
-        s.push_str("  \"query_batch\": {\"sweeps\": [");
-        for (k, sw) in qb.sweeps.iter().enumerate() {
-            if k > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "\n    {{\"sweep\": {}, \"queries_active\": {}, \"tiles_union\": {}, \
+            )
+        });
+        s += ",\n  \"query_batch\": {\"sweeps\": ";
+        s += &json_rows(&self.sweeps, |sw| {
+            format!(
+                "{{\"sweep\": {}, \"queries_active\": {}, \"tiles_union\": {}, \
                  \"tiles_shared\": {}, \"bytes_read\": {}, \"bytes_amortized\": {}, \
                  \"sweep_ns\": {}}}",
                 sw.sweep,
@@ -1706,288 +938,72 @@ impl EngineMetrics {
                 sw.bytes_read,
                 sw.bytes_amortized,
                 sw.sweep_ns,
-            ));
-        }
-        if !qb.sweeps.is_empty() {
-            s.push_str("\n  ");
-        }
-        s.push_str("], \"queries\": [");
-        for (k, q) in qb.queries.iter().enumerate() {
-            if k > 0 {
-                s.push(',');
-            }
-            let iters: Vec<String> = q.iter_ns.iter().map(u64::to_string).collect();
-            s.push_str(&format!(
-                "\n    {{\"query\": {}, \"name\": \"{}\", \"iterations\": {}, \
-                 \"elapsed_ns\": {}, \"converged\": {}, \"iter_ns\": [{}]}}",
+            )
+        });
+        s += ", \"queries\": ";
+        s += &json_rows(&self.queries, |q| {
+            format!(
+                "{{\"query\": {}, \"name\": \"{}\", \"iterations\": {}, \"elapsed_ns\": {}, \
+                 \"converged\": {}, \"iter_ns\": {:?}}}",
                 q.query,
                 q.name.replace('"', "'"),
                 q.iterations,
                 q.elapsed_ns,
                 q.converged,
-                iters.join(", "),
-            ));
+                q.iter_ns,
+            )
+        });
+        let sum = |f: fn(&QueryBatchSweep) -> u64| self.sweeps.iter().map(f).sum::<u64>();
+        let (shared, amortized) = (sum(|sw| sw.tiles_shared), sum(|sw| sw.bytes_amortized));
+        let peak = self.sweeps.iter().map(|sw| sw.queries_active).max();
+        s += &format!(
+            ", \"tiles_shared\": {shared}, \"bytes_amortized\": {amortized}, \
+             \"max_queries_active\": {}}},\n",
+            peak.unwrap_or(0)
+        );
+        for (group, fields) in SCHEMA {
+            s += &format!(
+                "  \"{group}\": {},\n",
+                object(fields.iter().map(|f| f.json(self)))
+            );
         }
-        if !qb.queries.is_empty() {
-            s.push_str("\n  ");
-        }
-        s.push_str(&format!(
-            "], \"tiles_shared\": {}, \"bytes_amortized\": {}, \"max_queries_active\": {}}},\n",
-            qb.tiles_shared(),
-            qb.bytes_amortized(),
-            qb.max_queries_active(),
-        ));
-
-        let io = &self.io;
-        s.push_str(&format!(
-            "  \"io\": {{\"requests\": {}, \"bytes_submitted\": {}, \"completions\": {}, \
-             \"errors\": {}, \"bytes_read\": {}, \"max_in_flight\": {}, \
-             \"mean_latency_ns\": {:.1}, \"faults_injected\": {}, \"latency_hist\": {{",
-            io.requests,
-            io.bytes_submitted,
-            io.completions,
-            io.errors,
-            io.bytes_read,
-            io.max_in_flight,
-            io.mean_latency_ns(),
-            io.faults_injected,
-        ));
-        // Sparse histogram: only non-empty buckets, keyed by lower bound ns.
-        let mut first = true;
-        for (i, &count) in io.latency_hist.iter().enumerate() {
-            if count == 0 {
-                continue;
-            }
-            if !first {
-                s.push_str(", ");
-            }
-            first = false;
-            s.push_str(&format!("\"{}\": {}", 1u64 << i, count));
-        }
-        s.push_str("}},\n");
-
-        let ib = &self.io_backend;
-        s.push_str(&format!(
-            "  \"io_backend\": {{\"workers_selected\": {}, \"uring_selected\": {}, \
-             \"sqe_batches\": {}, \"sqes_submitted\": {}, \"enters\": {}, \
-             \"sqes_per_enter\": {:.3}, \"cqe_reaps\": {}, \"cqes_reaped\": {}, \
-             \"mean_reap_size\": {:.3}, \"reg_buffer_hits\": {}, \"reg_buffer_misses\": {}, \
-             \"reg_buffer_hit_rate\": {:.6}, \"workers_requests\": {}, \
-             \"workers_mean_latency_ns\": {:.1}, \"uring_requests\": {}, \
-             \"uring_mean_latency_ns\": {:.1}, \"workers_latency_hist\": {{",
-            ib.workers_selected,
-            ib.uring_selected,
-            ib.sqe_batches,
-            ib.sqes_submitted,
-            ib.enters,
-            ib.sqes_per_enter(),
-            ib.cqe_reaps,
-            ib.cqes_reaped,
-            ib.mean_reap_size(),
-            ib.reg_buffer_hits,
-            ib.reg_buffer_misses,
-            ib.reg_buffer_hit_rate(),
-            ib.workers_requests,
-            ib.workers_mean_latency_ns(),
-            ib.uring_requests,
-            ib.uring_mean_latency_ns(),
-        ));
-        let mut first = true;
-        for (i, &count) in ib.workers_latency_hist.iter().enumerate() {
-            if count == 0 {
-                continue;
-            }
-            if !first {
-                s.push_str(", ");
-            }
-            first = false;
-            s.push_str(&format!("\"{}\": {}", 1u64 << i, count));
-        }
-        s.push_str("}, \"uring_latency_hist\": {");
-        let mut first = true;
-        for (i, &count) in ib.uring_latency_hist.iter().enumerate() {
-            if count == 0 {
-                continue;
-            }
-            if !first {
-                s.push_str(", ");
-            }
-            first = false;
-            s.push_str(&format!("\"{}\": {}", 1u64 << i, count));
-        }
-        s.push_str("}},\n");
-
-        s.push_str("  \"cache\": {");
-        for (j, kind) in [
-            ("inserted", &self.cache.inserted),
-            ("rejected", &self.cache.rejected),
-            ("evicted", &self.cache.evicted),
-        ]
-        .iter()
-        .enumerate()
-        {
-            if j > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&format!("\"{}\": {{", kind.0));
-            for (i, h) in HintClass::ALL.iter().enumerate() {
-                if i > 0 {
-                    s.push_str(", ");
-                }
-                s.push_str(&format!("\"{}\": {}", h.name(), kind.1[*h as usize]));
-            }
-            s.push('}');
-        }
-        s.push_str("},\n");
-
-        let bp = &self.buffer_pool;
-        s.push_str(&format!(
-            "  \"buffer_pool\": {{\"acquires\": {}, \"hits\": {}, \"misses\": {}, \
-             \"recycled\": {}, \"bytes_served\": {}, \"hit_rate\": {:.6}}},\n",
-            bp.acquires,
-            bp.hits,
-            bp.misses,
-            bp.recycled,
-            bp.bytes_served,
-            bp.hit_rate(),
-        ));
-        s.push_str(&format!(
-            "  \"copy\": {{\"bytes_copied\": {}, \"bytes_borrowed\": {}, \
-             \"copy_fraction\": {:.6}}},\n",
-            self.copy.bytes_copied,
-            self.copy.bytes_borrowed,
-            self.copy.copy_fraction(),
-        ));
-        let cm = &self.compute;
-        s.push_str(&format!(
-            "  \"compute\": {{\"edges_processed\": {}, \"shard_conflicts_avoided\": {}, \
-             \"atomic_fallback_edges\": {}, \"groups_scheduled\": {}, \
-             \"llc_resident_bytes\": {}, \"sharded_fraction\": {:.6}}},\n",
-            cm.edges_processed,
-            cm.shard_conflicts_avoided,
-            cm.atomic_fallback_edges,
-            cm.groups_scheduled,
-            cm.llc_resident_bytes,
-            cm.sharded_fraction(),
-        ));
-        let cd = &self.codec;
-        s.push_str(&format!(
-            "  \"codec\": {{\"tiles_decoded\": {}, \"disk_bytes\": {}, \
-             \"logical_bytes\": {}, \"decode_ns\": {}, \"decoded_edges\": {}, \
-             \"compression_ratio\": {:.6}}},\n",
-            cd.tiles_decoded,
-            cd.disk_bytes,
-            cd.logical_bytes,
-            cd.decode_ns,
-            cd.decoded_edges,
-            cd.compression_ratio(),
-        ));
-        let ing = &self.ingest;
-        s.push_str(&format!(
-            "  \"ingest\": {{\"chunks_pass1\": {}, \"chunks_pass2\": {}, \"edges_in\": {}, \
-             \"bytes_in\": {}, \"bytes_out\": {}, \"flushes\": {}, \"pwrites\": {}, \
-             \"writes_per_flush\": {:.3}, \"pass1_ns\": {}, \"pass2_ns\": {}, \
-             \"staging_peak_bytes\": {}}},\n",
-            ing.chunks_pass1,
-            ing.chunks_pass2,
-            ing.edges_in,
-            ing.bytes_in,
-            ing.bytes_out,
-            ing.flushes,
-            ing.pwrites,
-            ing.writes_per_flush(),
-            ing.pass1_ns,
-            ing.pass2_ns,
-            ing.staging_peak_bytes,
-        ));
-        let pr = &self.pointread;
-        s.push_str(&format!(
-            "  \"pointread\": {{\"lookups\": {}, \"tiles_fetched\": {}, \"cache_hits\": {}, \
-             \"bytes_read\": {}, \"cache_hit_rate\": {:.6}, \"mean_latency_ns\": {:.1}, \
-             \"p50_latency_ns\": {}, \"p99_latency_ns\": {}, \"latency_hist\": {{",
-            pr.lookups,
-            pr.tiles_fetched,
-            pr.cache_hits,
-            pr.bytes_read,
-            pr.cache_hit_rate(),
-            pr.mean_latency_ns(),
-            pr.latency_percentile_ns(0.50),
-            pr.latency_percentile_ns(0.99),
-        ));
-        let mut first = true;
-        for (i, &count) in pr.latency_hist.iter().enumerate() {
-            if count == 0 {
-                continue;
-            }
-            if !first {
-                s.push_str(", ");
-            }
-            first = false;
-            s.push_str(&format!("\"{}\": {}", 1u64 << i, count));
-        }
-        s.push_str("}},\n");
-
-        let sv = &self.serve;
-        s.push_str(&format!(
-            "  \"serve\": {{\"connections_opened\": {}, \"connections_closed\": {}, \
-             \"point_queries\": {}, \"point_errors\": {}, \"queries_queued\": {}, \
-             \"queries_rejected\": {}, \"queries_completed\": {}, \"query_errors\": {}, \
-             \"batches\": {}, \"batch_queries\": {}, \"mean_batch_size\": {:.3}, \
-             \"sweeps\": {}, \"bytes_read\": {}, \"bytes_amortized\": {}, \
-             \"read_amortization\": {:.6}, \"p50_queue_depth\": {}, \
-             \"p99_queue_depth\": {}, \"queue_depth_hist\": {{",
-            sv.connections_opened,
-            sv.connections_closed,
-            sv.point_queries,
-            sv.point_errors,
-            sv.queries_queued,
-            sv.queries_rejected,
-            sv.queries_completed,
-            sv.query_errors,
-            sv.batches,
-            sv.batch_queries,
-            sv.mean_batch_size(),
-            sv.sweeps,
-            sv.bytes_read,
-            sv.bytes_amortized,
-            sv.read_amortization(),
-            sv.queue_depth_percentile(0.50),
-            sv.queue_depth_percentile(0.99),
-        ));
-        let mut first = true;
-        for (i, &count) in sv.queue_depth_hist.iter().enumerate() {
-            if count == 0 {
-                continue;
-            }
-            if !first {
-                s.push_str(", ");
-            }
-            first = false;
-            s.push_str(&format!("\"{}\": {}", 1u64 << i, count));
-        }
-        s.push_str("}},\n");
-
-        let (sel, rew, sli, ins) = self.phase_split();
-        s.push_str(&format!(
-            "  \"summary\": {{\"total_ns\": {}, \"overlap_ratio\": {:.6}, \
-             \"phase_split\": {{\"select\": {:.6}, \"rewind\": {:.6}, \"slide\": {:.6}, \
-             \"cache_insert\": {:.6}}}, \"tiles_rewind\": {}, \"tiles_streamed\": {}}}\n}}\n",
-            self.total_ns(),
-            self.overlap_ratio(),
-            sel,
-            rew,
-            sli,
-            ins,
-            self.tiles_rewind(),
-            self.tiles_streamed(),
-        ));
+        let (select, rewind, slide, insert) = self.phase_split();
+        let (total_ns, overlap) = (self.total_ns(), self.overlap_ratio());
+        let (tiles_rewind, tiles_streamed) = (self.tiles_rewind(), self.tiles_streamed());
+        s += &format!(
+            "  \"summary\": {{\"total_ns\": {total_ns}, \"overlap_ratio\": {overlap:.6}, \
+             \"phase_split\": {{\"select\": {select:.6}, \"rewind\": {rewind:.6}, \
+             \"slide\": {slide:.6}, \"cache_insert\": {insert:.6}}}, \
+             \"tiles_rewind\": {tiles_rewind}, \"tiles_streamed\": {tiles_streamed}}}\n}}\n"
+        );
         s
     }
+}
+
+/// `{"key": value, ...}` from `"key": value` fields.
+fn object(fields: impl IntoIterator<Item = String>) -> String {
+    format!("{{{}}}", fields.into_iter().collect::<Vec<_>>().join(", "))
+}
+
+/// A JSON array of one object per line, `[]` when empty.
+fn json_rows<T>(items: &[T], row: impl Fn(&T) -> String) -> String {
+    let rows: Vec<String> = items.iter().map(|t| format!("\n    {}", row(t))).collect();
+    let close = if items.is_empty() { "" } else { "\n  " };
+    format!("[{}{close}]", rows.join(","))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn value(m: &EngineMetrics, path: &str) -> f64 {
+        m.value(path)
+            .unwrap_or_else(|| panic!("no scalar at {path}"))
+    }
+
+    fn total(m: &EngineMetrics, first: Counter) -> u64 {
+        HintClass::ALL.iter().map(|&h| m[hinted(first, h)]).sum()
+    }
 
     #[test]
     fn latency_buckets_are_log2() {
@@ -1997,6 +1013,26 @@ mod tests {
         assert_eq!(latency_bucket(3), 1);
         assert_eq!(latency_bucket(1024), 10);
         assert_eq!(latency_bucket(u64::MAX), LATENCY_BUCKETS - 1);
+    }
+
+    #[test]
+    fn counter_names_match_variants_and_schema_groups() {
+        for (k, &c) in Counter::ALL.iter().enumerate() {
+            assert_eq!(c as usize, k);
+            let camel: String = c
+                .name()
+                .split(['.', '_'])
+                .map(|w| w[..1].to_uppercase() + &w[1..])
+                .collect();
+            assert_eq!(camel, format!("{c:?}"));
+        }
+        for (group, fields) in SCHEMA {
+            for f in *fields {
+                if let Field::Count(c) = f {
+                    assert_eq!(c.name().split_once('.').unwrap().0, *group, "{c:?}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -2020,21 +1056,21 @@ mod tests {
         });
 
         let m = r.snapshot();
-        assert_eq!(m.io.requests, 4);
-        assert_eq!(m.io.bytes_submitted, 3500);
-        assert_eq!(m.io.completions, 2);
-        assert_eq!(m.io.errors, 1);
-        assert_eq!(m.io.bytes_read, 1000);
-        assert_eq!(m.io.max_in_flight, 4);
-        assert_eq!(m.io.faults_injected, 1);
-        assert_eq!(m.io.latency_hist[11], 1); // 2048 ns
-        assert_eq!(m.cache.inserted[HintClass::Needed as usize], 1);
-        assert_eq!(m.cache.total_rejected(), 1);
-        assert_eq!(m.cache.total_evicted(), 1);
+        assert_eq!(m[IoRequests], 4);
+        assert_eq!(m[IoBytesSubmitted], 3500);
+        assert_eq!(m[IoCompletions], 2);
+        assert_eq!(m[IoErrors], 1);
+        assert_eq!(m[IoBytesRead], 1000);
+        assert_eq!(m[IoMaxInFlight], 4);
+        assert_eq!(m[IoFaultsInjected], 1);
+        assert_eq!(m.hist(Hist::IoLatency)[11], 1); // 2048 ns
+        assert_eq!(m[CacheInsertedNeeded], 1);
+        assert_eq!(total(&m, CacheRejectedNotNeeded), 1);
+        assert_eq!(total(&m, CacheEvictedNotNeeded), 1);
         assert_eq!(m.iterations.len(), 1);
         assert!((m.iterations[0].overlap_ratio() - 0.75).abs() < 1e-12);
         assert_eq!(m.tiles_streamed(), 4);
-        assert_eq!(m.stream_bytes(), 1000);
+        assert_eq!(m.iterations[0].stream_bytes, 1000);
     }
 
     #[test]
@@ -2095,32 +1131,36 @@ mod tests {
         r.io_backend_request(true, 4096);
         r.io_backend_request(false, 1024);
         let m = r.snapshot();
-        assert_eq!(m.io_backend.uring_selected, 1);
-        assert_eq!(m.io_backend.workers_selected, 0);
-        assert_eq!(m.io_backend.sqe_batches, 2);
-        assert_eq!(m.io_backend.sqes_submitted, 20);
-        assert_eq!(m.io_backend.enters, 2);
-        assert!((m.io_backend.sqes_per_enter() - 10.0).abs() < 1e-12);
-        assert_eq!(m.io_backend.cqe_reaps, 2);
-        assert_eq!(m.io_backend.cqes_reaped, 20);
-        assert!((m.io_backend.mean_reap_size() - 10.0).abs() < 1e-12);
-        assert_eq!(m.io_backend.reg_buffer_hits, 2);
-        assert_eq!(m.io_backend.reg_buffer_misses, 1);
-        assert!((m.io_backend.reg_buffer_hit_rate() - 2.0 / 3.0).abs() < 1e-12);
-        assert_eq!(m.io_backend.uring_requests, 2);
-        assert_eq!(m.io_backend.uring_latency_hist[11], 1); // 2048 ns
-        assert_eq!(m.io_backend.uring_latency_hist[12], 1); // 4096 ns
-        assert!((m.io_backend.uring_mean_latency_ns() - 3072.0).abs() < 1e-9);
-        assert_eq!(m.io_backend.workers_requests, 1);
-        assert_eq!(m.io_backend.workers_latency_hist[10], 1); // 1024 ns
-        assert!((m.io_backend.workers_mean_latency_ns() - 1024.0).abs() < 1e-9);
+        assert_eq!(m[IoBackendUringSelected], 1);
+        assert_eq!(m[IoBackendWorkersSelected], 0);
+        assert_eq!(m[IoBackendSqeBatches], 2);
+        assert_eq!(m[IoBackendSqesSubmitted], 20);
+        assert_eq!(m[IoBackendEnters], 2);
+        assert!((value(&m, "io_backend.sqes_per_enter") - 10.0).abs() < 1e-12);
+        assert_eq!(m[IoBackendCqeReaps], 2);
+        assert_eq!(m[IoBackendCqesReaped], 20);
+        assert!((value(&m, "io_backend.mean_reap_size") - 10.0).abs() < 1e-12);
+        assert_eq!(m[IoBackendRegBufferHits], 2);
+        assert_eq!(m[IoBackendRegBufferMisses], 1);
+        assert!((value(&m, "io_backend.reg_buffer_hit_rate") - 2.0 / 3.0).abs() < 1e-12);
+        assert_eq!(m[IoBackendUringRequests], 2);
+        assert_eq!(m.hist(Hist::UringLatency)[11], 1); // 2048 ns
+        assert_eq!(m.hist(Hist::UringLatency)[12], 1); // 4096 ns
+        assert!((value(&m, "io_backend.uring_mean_latency_ns") - 3072.0).abs() < 1e-9);
+        assert_eq!(m[IoBackendWorkersRequests], 1);
+        assert_eq!(m.hist(Hist::WorkersLatency)[10], 1); // 1024 ns
+        assert!((value(&m, "io_backend.workers_mean_latency_ns") - 1024.0).abs() < 1e-9);
         // Idle degenerate cases.
-        let idle = IoBackendMetrics::default();
-        assert_eq!(idle.sqes_per_enter(), 0.0);
-        assert_eq!(idle.mean_reap_size(), 0.0);
-        assert_eq!(idle.reg_buffer_hit_rate(), 0.0);
-        assert_eq!(idle.workers_mean_latency_ns(), 0.0);
-        assert_eq!(idle.uring_mean_latency_ns(), 0.0);
+        let idle = EngineMetrics::default();
+        for key in [
+            "sqes_per_enter",
+            "mean_reap_size",
+            "reg_buffer_hit_rate",
+            "workers_mean_latency_ns",
+            "uring_mean_latency_ns",
+        ] {
+            assert_eq!(value(&idle, &format!("io_backend.{key}")), 0.0, "{key}");
+        }
     }
 
     #[test]
@@ -2130,24 +1170,28 @@ mod tests {
         r.pointread_lookup(0, 2, 0, 700);
         r.pointread_lookup(1, 1, 400, 3000);
         let m = r.snapshot();
-        assert_eq!(m.pointread.lookups, 3);
-        assert_eq!(m.pointread.tiles_fetched, 3);
-        assert_eq!(m.pointread.cache_hits, 3);
-        assert_eq!(m.pointread.bytes_read, 1200);
-        assert_eq!(m.pointread.latency_ns_total, 5200);
-        assert!((m.pointread.cache_hit_rate() - 0.5).abs() < 1e-12);
-        assert!((m.pointread.bytes_per_lookup() - 400.0).abs() < 1e-12);
-        assert!((m.pointread.mean_latency_ns() - 5200.0 / 3.0).abs() < 1e-9);
+        assert_eq!(m[PointreadLookups], 3);
+        assert_eq!(m[PointreadTilesFetched], 3);
+        assert_eq!(m[PointreadCacheHits], 3);
+        assert_eq!(m[PointreadBytesRead], 1200);
+        assert_eq!(m[PointreadLatencyNsTotal], 5200);
+        assert!((value(&m, "pointread.cache_hit_rate") - 0.5).abs() < 1e-12);
+        assert!((ratio(m[PointreadBytesRead], m[PointreadLookups], 0.0) - 400.0).abs() < 1e-12);
+        assert!((value(&m, "pointread.mean_latency_ns") - 5200.0 / 3.0).abs() < 1e-9);
         // 700 -> bucket 512, 1500 -> 1024, 3000 -> 2048.
-        assert_eq!(m.pointread.latency_percentile_ns(0.0), 512);
-        assert_eq!(m.pointread.latency_percentile_ns(0.5), 1024);
-        assert_eq!(m.pointread.latency_percentile_ns(0.99), 2048);
+        assert_eq!(m.percentile(Hist::PointreadLatency, 0.0), 512);
+        assert_eq!(m.percentile(Hist::PointreadLatency, 0.5), 1024);
+        assert_eq!(m.percentile(Hist::PointreadLatency, 0.99), 2048);
+        assert_eq!(value(&m, "pointread.p99_latency_ns"), 2048.0);
         // Idle degenerate cases.
-        let idle = PointReadMetrics::default();
-        assert_eq!(idle.cache_hit_rate(), 0.0);
-        assert_eq!(idle.mean_latency_ns(), 0.0);
-        assert_eq!(idle.bytes_per_lookup(), 0.0);
-        assert_eq!(idle.latency_percentile_ns(0.5), 0);
+        let idle = EngineMetrics::default();
+        assert_eq!(value(&idle, "pointread.cache_hit_rate"), 0.0);
+        assert_eq!(value(&idle, "pointread.mean_latency_ns"), 0.0);
+        assert_eq!(
+            ratio(idle[PointreadBytesRead], idle[PointreadLookups], 0.0),
+            0.0
+        );
+        assert_eq!(idle.percentile(Hist::PointreadLatency, 0.5), 0);
     }
 
     #[test]
@@ -2163,18 +1207,21 @@ mod tests {
         r.ingest_pass(1, 100);
         r.ingest_pass(2, 300);
         let m = r.snapshot();
-        assert_eq!(m.ingest.chunks_pass1, 2);
-        assert_eq!(m.ingest.chunks_pass2, 1);
-        assert_eq!(m.ingest.edges_in, 1500);
-        assert_eq!(m.ingest.bytes_in, 36_000);
-        assert_eq!(m.ingest.bytes_out, 6144);
-        assert_eq!(m.ingest.flushes, 2);
-        assert_eq!(m.ingest.pwrites, 9);
-        assert_eq!(m.ingest.pass1_ns, 100);
-        assert_eq!(m.ingest.pass2_ns, 300);
-        assert_eq!(m.ingest.staging_peak_bytes, 4096);
-        assert!((m.ingest.writes_per_flush() - 4.5).abs() < 1e-12);
-        assert_eq!(IngestMetrics::default().writes_per_flush(), 0.0);
+        assert_eq!(m[IngestChunksPass1], 2);
+        assert_eq!(m[IngestChunksPass2], 1);
+        assert_eq!(m[IngestEdgesIn], 1500);
+        assert_eq!(m[IngestBytesIn], 36_000);
+        assert_eq!(m[IngestBytesOut], 6144);
+        assert_eq!(m[IngestFlushes], 2);
+        assert_eq!(m[IngestPwrites], 9);
+        assert_eq!(m[IngestPass1Ns], 100);
+        assert_eq!(m[IngestPass2Ns], 300);
+        assert_eq!(m[IngestStagingPeakBytes], 4096);
+        assert!((value(&m, "ingest.writes_per_flush") - 4.5).abs() < 1e-12);
+        assert_eq!(
+            value(&EngineMetrics::default(), "ingest.writes_per_flush"),
+            0.0
+        );
     }
 
     #[test]
@@ -2185,13 +1232,16 @@ mod tests {
         r.compute_llc_estimate(1 << 16);
         r.compute_llc_estimate(1 << 14); // high-water mark keeps the max
         let m = r.snapshot();
-        assert_eq!(m.compute.edges_processed, 140);
-        assert_eq!(m.compute.shard_conflicts_avoided, 150);
-        assert_eq!(m.compute.atomic_fallback_edges, 40);
-        assert_eq!(m.compute.groups_scheduled, 6);
-        assert_eq!(m.compute.llc_resident_bytes, 1 << 16);
-        assert!((m.compute.sharded_fraction() - 100.0 / 140.0).abs() < 1e-12);
-        assert_eq!(ComputeMetrics::default().sharded_fraction(), 1.0);
+        assert_eq!(m[ComputeEdgesProcessed], 140);
+        assert_eq!(m[ComputeShardConflictsAvoided], 150);
+        assert_eq!(m[ComputeAtomicFallbackEdges], 40);
+        assert_eq!(m[ComputeGroupsScheduled], 6);
+        assert_eq!(m[ComputeLlcResidentBytes], 1 << 16);
+        assert!((value(&m, "compute.sharded_fraction") - 100.0 / 140.0).abs() < 1e-12);
+        assert_eq!(
+            value(&EngineMetrics::default(), "compute.sharded_fraction"),
+            1.0
+        );
     }
 
     #[test]
@@ -2204,14 +1254,17 @@ mod tests {
         r.codec_decoded_edges(300);
         r.codec_decoded_edges(100);
         let m = r.snapshot();
-        assert_eq!(m.codec.tiles_decoded, 4);
-        assert_eq!(m.codec.disk_bytes, 400);
-        assert_eq!(m.codec.logical_bytes, 1600);
-        assert_eq!(m.codec.decode_ns, 1200);
-        assert_eq!(m.codec.decoded_edges, 400);
-        assert!((m.codec.compression_ratio() - 4.0).abs() < 1e-12);
+        assert_eq!(m[CodecTilesDecoded], 4);
+        assert_eq!(m[CodecDiskBytes], 400);
+        assert_eq!(m[CodecLogicalBytes], 1600);
+        assert_eq!(m[CodecDecodeNs], 1200);
+        assert_eq!(m[CodecDecodedEdges], 400);
+        assert!((value(&m, "codec.compression_ratio") - 4.0).abs() < 1e-12);
         // Raw stores record nothing: the ratio degenerates to 1.
-        assert_eq!(CodecMetrics::default().compression_ratio(), 1.0);
+        assert_eq!(
+            value(&EngineMetrics::default(), "codec.compression_ratio"),
+            1.0
+        );
         let json = m.to_json();
         for key in [
             "\"codec\"",
@@ -2235,18 +1288,23 @@ mod tests {
         r.bytes_copied(100);
         r.bytes_borrowed(300);
         let m = r.snapshot();
-        assert_eq!(m.buffer_pool.acquires, 3);
-        assert_eq!(m.buffer_pool.hits, 2);
-        assert_eq!(m.buffer_pool.misses, 1);
-        assert_eq!(m.buffer_pool.recycled, 1);
-        assert_eq!(m.buffer_pool.bytes_served, 16384);
-        assert!((m.buffer_pool.hit_rate() - 2.0 / 3.0).abs() < 1e-12);
-        assert_eq!(m.copy.bytes_copied, 100);
-        assert_eq!(m.copy.bytes_borrowed, 300);
-        assert!((m.copy.copy_fraction() - 0.25).abs() < 1e-12);
+        assert_eq!(m[BufferPoolAcquires], 3);
+        assert_eq!(m[BufferPoolHits], 2);
+        assert_eq!(m[BufferPoolMisses], 1);
+        assert_eq!(m[BufferPoolRecycled], 1);
+        assert_eq!(m[BufferPoolBytesServed], 16384);
+        assert!((value(&m, "buffer_pool.hit_rate") - 2.0 / 3.0).abs() < 1e-12);
+        assert_eq!(m[CopyBytesCopied], 100);
+        assert_eq!(m[CopyBytesBorrowed], 300);
+        assert!((value(&m, "copy.copy_fraction") - 0.25).abs() < 1e-12);
         // Degenerate cases.
-        assert_eq!(BufferPoolMetrics::default().hit_rate(), 1.0);
-        assert_eq!(CopyMetrics::default().copy_fraction(), 0.0);
+        let idle = EngineMetrics::default();
+        assert_eq!(value(&idle, "buffer_pool.hit_rate"), 1.0);
+        assert_eq!(value(&idle, "copy.copy_fraction"), 0.0);
+        // Histograms and unknown paths are not scalars.
+        assert_eq!(idle.value("io.latency_hist"), None);
+        assert_eq!(idle.value("copy.nope"), None);
+        assert_eq!(idle.value("copy"), None);
     }
 
     #[test]
@@ -2350,34 +1408,35 @@ mod tests {
         r.serve_connection_closed();
 
         let m = r.snapshot();
-        assert_eq!(m.serve.connections_opened, 2);
-        assert_eq!(m.serve.connections_closed, 2);
-        assert_eq!(m.serve.point_queries, 2);
-        assert_eq!(m.serve.point_errors, 1);
-        assert_eq!(m.serve.queries_queued, 3);
-        assert_eq!(m.serve.queries_rejected, 1);
-        assert_eq!(m.serve.queries_completed, 3);
-        assert_eq!(m.serve.query_errors, 1);
-        assert_eq!(m.serve.batches, 1);
-        assert_eq!(m.serve.batch_queries, 3);
-        assert_eq!(m.serve.sweeps, 4);
+        assert_eq!(m[ServeConnectionsOpened], 2);
+        assert_eq!(m[ServeConnectionsClosed], 2);
+        assert_eq!(m[ServePointQueries], 2);
+        assert_eq!(m[ServePointErrors], 1);
+        assert_eq!(m[ServeQueriesQueued], 3);
+        assert_eq!(m[ServeQueriesRejected], 1);
+        assert_eq!(m[ServeQueriesCompleted], 3);
+        assert_eq!(m[ServeQueryErrors], 1);
+        assert_eq!(m[ServeBatches], 1);
+        assert_eq!(m[ServeBatchQueries], 3);
+        assert_eq!(m[ServeSweeps], 4);
         // The flow invariant the daemon tests reconcile against.
-        assert_eq!(m.serve.queries_submitted(), 4);
+        let submitted = m[ServeQueriesQueued] + m[ServeQueriesRejected];
+        assert_eq!(submitted, 4);
         assert_eq!(
-            m.serve.queries_submitted(),
-            m.serve.queries_completed + m.serve.queries_rejected
+            submitted,
+            m[ServeQueriesCompleted] + m[ServeQueriesRejected]
         );
-        assert!((m.serve.mean_batch_size() - 3.0).abs() < 1e-12);
-        assert!((m.serve.read_amortization() - 4.0).abs() < 1e-12);
+        assert!((value(&m, "serve.mean_batch_size") - 3.0).abs() < 1e-12);
+        assert!((value(&m, "serve.read_amortization") - 4.0).abs() < 1e-12);
         // Depths 1, 2, 5 -> buckets 1, 2, 4.
-        assert_eq!(m.serve.queue_depth_percentile(0.0), 1);
-        assert_eq!(m.serve.queue_depth_percentile(0.5), 2);
-        assert_eq!(m.serve.queue_depth_percentile(1.0), 4);
+        assert_eq!(m.percentile(Hist::ServeQueueDepth, 0.0), 1);
+        assert_eq!(m.percentile(Hist::ServeQueueDepth, 0.5), 2);
+        assert_eq!(m.percentile(Hist::ServeQueueDepth, 1.0), 4);
         // Idle degenerate cases.
-        let idle = ServeMetrics::default();
-        assert_eq!(idle.mean_batch_size(), 0.0);
-        assert_eq!(idle.read_amortization(), 1.0);
-        assert_eq!(idle.queue_depth_percentile(0.5), 0);
+        let idle = EngineMetrics::default();
+        assert_eq!(value(&idle, "serve.mean_batch_size"), 0.0);
+        assert_eq!(value(&idle, "serve.read_amortization"), 1.0);
+        assert_eq!(idle.percentile(Hist::ServeQueueDepth, 0.5), 0);
 
         let json = m.to_json();
         for key in [
@@ -2431,12 +1490,12 @@ mod tests {
             iter_ns: vec![1000, 900],
         });
         let m = r.snapshot();
-        assert_eq!(m.query_batch.sweeps.len(), 2);
-        assert_eq!(m.query_batch.queries.len(), 2);
-        assert_eq!(m.query_batch.tiles_shared(), 44);
-        assert_eq!(m.query_batch.bytes_amortized(), 10_240);
-        assert_eq!(m.query_batch.bytes_read(), 6144);
-        assert_eq!(m.query_batch.max_queries_active(), 3);
+        assert_eq!(m.sweeps.len(), 2);
+        assert_eq!(m.queries.len(), 2);
+        let sum = |f: fn(&QueryBatchSweep) -> u64| m.sweeps.iter().map(f).sum::<u64>();
+        assert_eq!(sum(|s| s.tiles_shared), 44);
+        assert_eq!(sum(|s| s.bytes_amortized), 10_240);
+        assert_eq!(sum(|s| s.bytes_read), 6144);
         let json = m.to_json();
         for key in [
             "\"query_batch\"",
@@ -2481,8 +1540,8 @@ mod tests {
             t.join().unwrap();
         }
         let m = r.snapshot();
-        assert_eq!(m.io.completions, 4000);
-        assert_eq!(m.io.bytes_read, 40_000);
-        assert_eq!(m.io.latency_hist.iter().sum::<u64>(), 4000);
+        assert_eq!(m[IoCompletions], 4000);
+        assert_eq!(m[IoBytesRead], 40_000);
+        assert_eq!(m.hist(Hist::IoLatency).iter().sum::<u64>(), 4000);
     }
 }

@@ -430,6 +430,7 @@ impl Client {
 mod tests {
     use super::*;
     use gstore_graph::gen::{generate_rmat, RmatParams};
+    use gstore_metrics::Counter;
     use gstore_scr::ScrConfig;
     use gstore_tile::{ConversionOptions, TileStore};
     use std::time::{Duration, Instant};
@@ -480,10 +481,10 @@ mod tests {
         }
 
         let engine = handle.shutdown();
-        let m = engine.metrics().unwrap().serve;
-        assert_eq!(m.connections_opened, 500);
-        assert_eq!(m.connections_closed, 500);
-        assert_eq!(m.point_queries, 500);
+        let m = engine.metrics().unwrap();
+        assert_eq!(m[Counter::ServeConnectionsOpened], 500);
+        assert_eq!(m[Counter::ServeConnectionsClosed], 500);
+        assert_eq!(m[Counter::ServePointQueries], 500);
         assert_eq!(engine.aio_in_flight(), 0);
         assert_eq!(engine.buffer_pool_stats().outstanding, 0);
     }

@@ -8,6 +8,7 @@
 use gstore_core::{GStoreEngine, QueryValue, SweepQuery};
 use gstore_graph::gen::{generate_rmat, RmatParams};
 use gstore_io::{MemBackend, StorageBackend};
+use gstore_metrics::{Counter::*, Hist};
 use gstore_scr::ScrConfig;
 use gstore_server::{read_frame, serve, Client, Reply, ServeOptions, MAX_REQUEST};
 use gstore_tile::{ConversionOptions, TileIndex, TileStore};
@@ -146,48 +147,42 @@ fn thirty_two_concurrent_clients_agree_with_reference() {
     }
 
     let engine = handle.shutdown();
-    let metrics = engine.metrics().expect("engine built with metrics");
-    let serve_m = &metrics.serve;
+    let m = engine.metrics().expect("engine built with metrics");
 
     // Connection bookkeeping: all 32 clients opened and closed (the
     // shutdown wake-up connection is never registered).
-    assert_eq!(serve_m.connections_opened, clients as u64);
-    assert_eq!(serve_m.connections_closed, clients as u64);
+    assert_eq!(m[ServeConnectionsOpened], clients as u64);
+    assert_eq!(m[ServeConnectionsClosed], clients as u64);
 
     // Flow reconciliation: every accepted query completed, nothing leaked.
-    assert_eq!(serve_m.queries_queued, serve_m.queries_completed);
+    assert_eq!(m[ServeQueriesQueued], m[ServeQueriesCompleted]);
     assert_eq!(
-        serve_m.queries_submitted(),
-        serve_m.queries_completed + serve_m.queries_rejected
+        m[ServeQueriesQueued] + m[ServeQueriesRejected],
+        m[ServeQueriesCompleted] + m[ServeQueriesRejected]
     );
-    assert_eq!(serve_m.batch_queries, serve_m.queries_completed);
-    assert_eq!(serve_m.query_errors, 0);
-    assert_eq!(serve_m.point_errors, 0);
+    assert_eq!(m[ServeBatchQueries], m[ServeQueriesCompleted]);
+    assert_eq!(m[ServeQueryErrors], 0);
+    assert_eq!(m[ServePointErrors], 0);
 
     // 6 sweeps and 3 point reads per client made it through (retries on
     // BUSY mean submissions may exceed completions, never the reverse).
-    assert_eq!(serve_m.queries_completed, clients as u64 * 6);
-    assert_eq!(serve_m.point_queries, clients as u64 * 3);
+    assert_eq!(m[ServeQueriesCompleted], clients as u64 * 6);
+    assert_eq!(m[ServePointQueries], clients as u64 * 3);
 
     // The whole point of admission batching: with 32 clients issuing
     // overlapping sweeps, batches formed (mean size > 1) and the shared
     // scans amortized reads across queries.
     assert!(
-        serve_m.batches < serve_m.batch_queries,
+        m[ServeBatches] < m[ServeBatchQueries],
         "no batching happened"
     );
-    assert!(
-        serve_m.read_amortization() > 1.0,
-        "no read amortization: {:?}",
-        serve_m
-    );
+    let amortization = m.value("serve.read_amortization").unwrap();
+    assert!(amortization > 1.0, "no read amortization: {amortization}");
     // serve-group amortization is the sum over BatchRunStats of the same
     // runs, so the engine-level query_batch group must agree.
-    assert_eq!(
-        serve_m.bytes_amortized,
-        metrics.query_batch.bytes_amortized()
-    );
-    assert_eq!(serve_m.sweeps as usize, metrics.query_batch.sweeps.len());
+    let amortized: u64 = m.sweeps.iter().map(|s| s.bytes_amortized).sum();
+    assert_eq!(m[ServeBytesAmortized], amortized);
+    assert_eq!(m[ServeSweeps] as usize, m.sweeps.len());
 
     assert_eq!(engine.aio_in_flight(), 0);
     assert_eq!(engine.buffer_pool_stats().outstanding, 0);
@@ -226,9 +221,9 @@ fn errors_do_not_tear_down_the_connection() {
     drop(client);
 
     let engine = handle.shutdown();
-    let m = engine.metrics().unwrap().serve;
-    assert_eq!(m.point_errors, 1); // the bad degree lookup
-    assert_eq!(m.query_errors, 0); // bad roots are refused before queueing
+    let m = engine.metrics().unwrap();
+    assert_eq!(m[ServePointErrors], 1); // the bad degree lookup
+    assert_eq!(m[ServeQueryErrors], 0); // bad roots are refused before queueing
     assert_eq!(engine.aio_in_flight(), 0);
     assert_eq!(engine.buffer_pool_stats().outstanding, 0);
 }
@@ -324,9 +319,9 @@ fn injected_io_fault_mid_sweep_is_survivable() {
     drop(client);
 
     let engine = handle.shutdown();
-    let m = engine.metrics().unwrap().serve;
-    assert!(m.query_errors >= 1);
-    assert_eq!(m.queries_queued, m.queries_completed);
+    let m = engine.metrics().unwrap();
+    assert!(m[ServeQueryErrors] >= 1);
+    assert_eq!(m[ServeQueriesQueued], m[ServeQueriesCompleted]);
     // The invariants the issue pins: no in-flight AIO, no leaked pooled
     // buffers, even after a failed run.
     assert_eq!(engine.aio_in_flight(), 0);
@@ -380,12 +375,15 @@ fn backpressure_replies_busy_and_reconciles() {
     assert_eq!(total_busy + total_done, clients * 4);
 
     let engine = handle.shutdown();
-    let m = engine.metrics().unwrap().serve;
-    assert_eq!(m.queries_rejected, total_busy);
-    assert_eq!(m.queries_completed, total_done);
-    assert_eq!(m.queries_submitted(), total_busy + total_done);
+    let m = engine.metrics().unwrap();
+    assert_eq!(m[ServeQueriesRejected], total_busy);
+    assert_eq!(m[ServeQueriesCompleted], total_done);
+    assert_eq!(
+        m[ServeQueriesQueued] + m[ServeQueriesRejected],
+        total_busy + total_done
+    );
     // max_batch=1 forces every batch to be a singleton.
-    assert_eq!(m.batches, m.batch_queries);
+    assert_eq!(m[ServeBatches], m[ServeBatchQueries]);
     assert_eq!(engine.aio_in_flight(), 0);
     assert_eq!(engine.buffer_pool_stats().outstanding, 0);
 }
@@ -403,10 +401,10 @@ fn single_client_queue_depth_stays_at_one() {
     }
     drop(client);
     let engine = handle.shutdown();
-    let m = engine.metrics().unwrap().serve;
-    assert_eq!(m.queries_queued, 3);
-    assert_eq!(m.queue_depth_hist[0], 3); // depth 1 -> bucket [1, 2)
-    assert_eq!(m.queue_depth_percentile(0.99), 1);
+    let m = engine.metrics().unwrap();
+    assert_eq!(m[ServeQueriesQueued], 3);
+    assert_eq!(m.hist(Hist::ServeQueueDepth)[0], 3); // depth 1 -> bucket [1, 2)
+    assert_eq!(m.percentile(Hist::ServeQueueDepth, 0.99), 1);
 }
 
 /// A served point read costs about what the direct call costs. With the
@@ -466,6 +464,6 @@ fn oversized_request_header_closes_only_that_connection() {
     expect_value(bystander.query("degree:1").unwrap(), "degree:1");
     drop((bystander, padded));
     let engine = handle.shutdown();
-    assert_eq!(engine.metrics().unwrap().serve.point_queries, 2);
+    assert_eq!(engine.metrics().unwrap()[ServePointQueries], 2);
     assert_eq!(engine.aio_in_flight(), 0);
 }

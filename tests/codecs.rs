@@ -11,6 +11,7 @@ use gstore::graph::{CompactDegrees, GraphError};
 use gstore::io::JitterBackend;
 use gstore::prelude::*;
 use gstore::tile::{encode_store, Codec};
+use gstore_metrics::Counter;
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -201,13 +202,13 @@ fn coded_engines_report_codec_metrics() {
     let mut pr = PageRank::new(tiling, deg, 0.85).with_iterations(3);
     engine.run(&mut pr, 3).unwrap();
     let m = engine.metrics().unwrap();
-    assert!(m.codec.tiles_decoded > 0);
-    assert!(m.codec.disk_bytes > 0);
-    assert!(m.codec.logical_bytes > m.codec.disk_bytes);
-    assert!(m.codec.compression_ratio() > 1.0);
+    assert!(m[Counter::CodecTilesDecoded] > 0);
+    assert!(m[Counter::CodecDiskBytes] > 0);
+    assert!(m[Counter::CodecLogicalBytes] > m[Counter::CodecDiskBytes]);
+    assert!(m.value("codec.compression_ratio").unwrap() > 1.0);
     // Sweep decode is a stage of its own, timed wave by wave.
-    assert!(m.codec.decode_ns > 0);
-    assert_eq!(m.codec.decoded_edges, 3 * el.edge_count());
+    assert!(m[Counter::CodecDecodeNs] > 0);
+    assert_eq!(m[Counter::CodecDecodedEdges], 3 * el.edge_count());
 }
 
 #[test]
@@ -226,9 +227,10 @@ fn decode_stage_decodes_each_stored_edge_once_per_sweep() {
         for codec in Codec::ALL {
             let what = format!("{} {kind:?}", codec.name());
             let decoded = |engine: &GStoreEngine| {
-                let codec = engine.metrics().unwrap().codec;
-                assert_eq!(codec.decoded_edges * 4, codec.logical_bytes, "{what}");
-                codec.decoded_edges
+                let m = engine.metrics().unwrap();
+                let edges = m[Counter::CodecDecodedEdges];
+                assert_eq!(edges * 4, m[Counter::CodecLogicalBytes], "{what}");
+                edges
             };
 
             let mut engine = recording_engine(&store, codec);
@@ -244,7 +246,7 @@ fn decode_stage_decodes_each_stored_edge_once_per_sweep() {
             assert!(bfs_stats.edges_processed > 0, "{what}");
             let solo = stats.edges_processed + bfs_stats.edges_processed;
             if codec == Codec::RawSnb {
-                assert_eq!(engine.metrics().unwrap().codec.decoded_edges, 0);
+                assert_eq!(engine.metrics().unwrap()[Counter::CodecDecodedEdges], 0);
             } else {
                 assert_eq!(decoded(&engine), solo, "{what}");
             }
@@ -267,7 +269,7 @@ fn decode_stage_decodes_each_stored_edge_once_per_sweep() {
             assert_eq!(out.per_query[3].stats.iterations, out.sweeps, "{what}");
             assert!(out.aggregate.edges_processed > (sweeps + 3) * el.edge_count());
             if codec == Codec::RawSnb {
-                assert_eq!(engine.metrics().unwrap().codec.decoded_edges, 0);
+                assert_eq!(engine.metrics().unwrap()[Counter::CodecDecodedEdges], 0);
             } else {
                 assert_eq!(decoded(&engine), sweeps * el.edge_count(), "{what}");
             }
