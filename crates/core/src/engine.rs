@@ -137,7 +137,6 @@ pub struct EngineBuilder {
     metrics: bool,
     sharded_updates: bool,
     point_read_cache_bytes: u64,
-    poll_interval: Option<std::time::Duration>,
     io_backend: IoBackend,
     io_sqpoll: bool,
     io_fault: Option<IoFaultInjector>,
@@ -155,7 +154,6 @@ impl Default for EngineBuilder {
             metrics: false,
             sharded_updates: true,
             point_read_cache_bytes: 0,
-            poll_interval: None,
             io_backend: IoBackend::Auto,
             io_sqpoll: false,
             io_fault: None,
@@ -254,13 +252,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Poll interval for the AIO completion wait loop (default
-    /// [`gstore_io::DEFAULT_POLL_INTERVAL`]; clamped to at least 1µs).
-    pub fn io_poll_interval(mut self, interval: std::time::Duration) -> Self {
-        self.poll_interval = Some(interval);
-        self
-    }
-
     /// Which I/O engine to construct (default [`IoBackend::Auto`]):
     ///
     /// * `Auto` — probe `io_uring_setup` once; use the io_uring engine
@@ -286,12 +277,11 @@ impl EngineBuilder {
         self
     }
 
-    /// Inject faults at the engine's request path per the injector's
-    /// policy (failure testing). Unlike wrapping the backend in a
-    /// [`gstore_io::FaultBackend`] — which the io_uring engine bypasses,
-    /// since reads go fd-direct to the kernel — this fails requests in
-    /// whichever engine was selected. Keep a clone of the injector to
-    /// observe its counters.
+    /// Inject faults at the request path per the injector's policy
+    /// (failure testing): sweep reads on whichever engine was selected and
+    /// the misses of every [`GStoreEngine::point_reader`] all pass through
+    /// this one seam. Keep a clone of the injector to observe its
+    /// counters.
     pub fn io_fault(mut self, fault: IoFaultInjector) -> Self {
         self.io_fault = Some(fault);
         self
@@ -347,17 +337,13 @@ impl EngineBuilder {
             }
             BuilderSource::Backend { index, backend } => (index, backend),
         };
-        let engine = GStoreEngine::construct(
+        GStoreEngine::construct(
             index,
             backend,
             config,
             self.io_fault,
             self.uring_probe_override,
-        )?;
-        if let Some(interval) = self.poll_interval {
-            engine.aio.set_poll_interval(interval);
-        }
-        Ok(engine)
+        )
     }
 }
 
@@ -375,8 +361,8 @@ pub struct GStoreEngine {
     /// Present iff `config.metrics`: shared with the AIO engine (submit /
     /// completion events) and the cache pool (insert / reject / evict).
     recorder: Option<Arc<FlightRecorder>>,
-    /// The builder's fault-injection knob, kept so point readers (which
-    /// own private I/O paths) inherit the same policy.
+    /// The builder's fault injector, kept so point readers (which own
+    /// private I/O paths) share the same policy and counters.
     io_fault: Option<IoFaultInjector>,
     /// The compute phase's decode scratch (coded stores), reused by every
     /// batch of every run.
@@ -466,7 +452,6 @@ impl GStoreEngine {
             .as_ref()
             .map(|r| Arc::clone(r) as Arc<dyn Recorder>);
         let aio = Self::select_io_engine(
-            &index,
             &backend,
             &config,
             io_fault.clone(),
@@ -498,7 +483,6 @@ impl GStoreEngine {
     /// construction itself — fails, so one binary runs unchanged on hosts
     /// with and without io_uring.
     fn select_io_engine(
-        index: &TileIndex,
         backend: &Arc<dyn StorageBackend>,
         config: &EngineConfig,
         io_fault: Option<IoFaultInjector>,
@@ -529,23 +513,14 @@ impl GStoreEngine {
             IoBackend::Auto => file_backed && probe(),
         };
         if want_uring {
-            // Registration hints: one arena class per power of two from a
-            // sector-sized tile up to a full segment, covering both short
-            // runs and whole-segment reads.
-            let mut reg_lens = Vec::new();
-            let seg = config.scr.segment_bytes.max(4096) as usize;
-            let mut len = 4096usize;
-            while len <= seg {
-                reg_lens.push(len);
-                len *= 2;
-            }
-            reg_lens.push(seg);
+            // Registration hints cover both short runs and whole-segment
+            // reads.
             match UringEngine::with_recorder(
                 Arc::clone(backend),
                 AIO_QUEUE_DEPTH,
                 config.direct_io,
                 config.io_sqpoll,
-                &reg_lens,
+                &reg_classes(config.scr.segment_bytes as usize),
                 rec_dyn.clone(),
                 io_fault.clone(),
             ) {
@@ -561,18 +536,14 @@ impl GStoreEngine {
                 }
             }
         }
-        let _ = index;
-        let aio = AioEngine::with_recorder(
+        Ok(Arc::new(AioEngine::with_recorder(
             Arc::clone(backend),
             config.io_workers,
             AIO_QUEUE_DEPTH,
             config.direct_io,
             rec_dyn,
-        );
-        if let Some(fault) = io_fault {
-            aio.set_fault(fault);
-        }
-        Ok(Arc::new(aio))
+            io_fault,
+        )))
     }
 
     #[inline]
@@ -583,18 +554,19 @@ impl GStoreEngine {
     /// A point reader over this engine's store: the OLTP access path
     /// (`neighbors` / `degree` / `khop` / `walk`) with a hot-tile cache of
     /// [`EngineConfig::point_read_cache_bytes`]. The reader shares the
-    /// engine's backend and flight recorder but owns its cache — wrap it
-    /// in an [`Arc`] to serve concurrent clients.
+    /// engine's backend, flight recorder and fault injector but owns its
+    /// cache — wrap it in an [`Arc`] to serve concurrent clients.
     pub fn point_reader(&self) -> crate::pointread::PointReader {
         let rec_dyn = self
             .recorder
             .as_ref()
             .map(|r| Arc::clone(r) as Arc<dyn Recorder>);
-        let reader = crate::pointread::PointReader::with_recorder(
+        let reader = crate::pointread::PointReader::open(
             self.index.clone(),
             Arc::clone(&self.backend),
             self.config.point_read_cache_bytes,
             rec_dyn.clone(),
+            self.io_fault.clone(),
         );
         if self.aio.kind() != IoBackend::Uring {
             return reader;
@@ -611,19 +583,12 @@ impl GStoreEngine {
             })
             .max()
             .unwrap_or(0);
-        let mut reg_lens: Vec<usize> = Vec::new();
-        let mut class = 4096usize;
-        while class < max_tile {
-            reg_lens.push(class);
-            class *= 2;
-        }
-        reg_lens.push(max_tile.max(4096));
         match UringEngine::with_recorder(
             Arc::clone(&self.backend),
             POINT_READ_QUEUE_DEPTH,
             false,
             self.config.io_sqpoll,
-            &reg_lens,
+            &reg_classes(max_tile),
             rec_dyn,
             self.io_fault.clone(),
         ) {
@@ -950,9 +915,10 @@ impl GStoreEngine {
                     // Drain (and drop) everything still queued or in
                     // flight: dropping the completions recycles their
                     // pooled buffers, so the pool — like the AIO queue —
-                    // is clean for the next run. If the workers themselves
-                    // are gone this returns the typed disconnect error,
-                    // which we ignore: the original failure wins.
+                    // is clean for the next run. If the request path
+                    // itself is dead (a broken ring) this returns the
+                    // typed disconnect error, which we ignore: the
+                    // original failure wins.
                     let _ = self.aio.drain();
                     return Err(err);
                 }
@@ -1275,6 +1241,17 @@ const AIO_QUEUE_DEPTH: usize = 256;
 /// at a time, so a small ring is plenty.
 const POINT_READ_QUEUE_DEPTH: usize = 32;
 
+/// Registration hints for a ring whose reads run up to `largest` bytes:
+/// one buffer class per power of two from 4 KiB, then `largest` itself.
+fn reg_classes(largest: usize) -> Vec<usize> {
+    let largest = largest.max(4096);
+    let mut lens: Vec<usize> = std::iter::successors(Some(4096), |l| Some(l * 2))
+        .take_while(|&l| l < largest)
+        .collect();
+    lens.push(largest);
+    lens
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1492,18 +1469,10 @@ mod tests {
 
     #[test]
     fn io_errors_surface() {
-        use gstore_io::{FaultBackend, FaultPolicy, MemBackend};
+        use gstore_io::FaultPolicy;
         let (_, store) = kron_store(8, 4, 4, 2);
-        let index = TileIndex::raw(
-            store.layout().clone(),
-            store.encoding(),
-            store.start_edge().to_vec(),
-        );
-        let backend = Arc::new(FaultBackend::new(
-            Arc::new(MemBackend::new(store.data().to_vec())),
-            FaultPolicy::EveryNth(3),
-        ));
-        let mut engine = tiny(&store).backend(index, backend).build().unwrap();
+        let fault = IoFaultInjector::new(FaultPolicy::EveryNth(3));
+        let mut engine = tiny(&store).io_fault(fault).build().unwrap();
         let mut wcc = Wcc::new(*store.layout().tiling());
         let err = engine.run(&mut wcc, 10);
         assert!(matches!(err, Err(GraphError::Io(_))));
@@ -1516,18 +1485,10 @@ mod tests {
         // if they were its own reads. FirstN(1) fails exactly one read, so
         // the first run errors and the second must succeed — and match the
         // reference exactly.
-        use gstore_io::{FaultBackend, FaultPolicy, MemBackend};
+        use gstore_io::FaultPolicy;
         let (el, store) = kron_store(8, 4, 4, 2);
-        let index = TileIndex::raw(
-            store.layout().clone(),
-            store.encoding(),
-            store.start_edge().to_vec(),
-        );
-        let backend = Arc::new(FaultBackend::new(
-            Arc::new(MemBackend::new(store.data().to_vec())),
-            FaultPolicy::FirstN(1),
-        ));
-        let mut engine = tiny(&store).backend(index, backend).build().unwrap();
+        let fault = IoFaultInjector::new(FaultPolicy::FirstN(1));
+        let mut engine = tiny(&store).io_fault(fault).build().unwrap();
         let mut wcc = Wcc::new(*store.layout().tiling());
         assert!(matches!(engine.run(&mut wcc, 1000), Err(GraphError::Io(_))));
         assert_eq!(
@@ -1777,6 +1738,41 @@ mod tests {
         want.sort_unstable();
         assert_eq!(got, want);
         assert_eq!(reader.buffer_stats().outstanding, 0);
+    }
+
+    #[test]
+    fn point_reads_count_in_io_on_both_engines() {
+        // Point misses run the engines' request life cycle whichever
+        // engine was selected, so a point-only run's `io` group counts
+        // exactly its tile fetches.
+        let dir = tempfile::tempdir().unwrap();
+        let (_, store) = kron_store(8, 4, 4, 2);
+        let paths = gstore_tile::write_store(&store, dir.path(), "pc").unwrap();
+        for io_backend in [IoBackend::Workers, IoBackend::Uring] {
+            if io_backend == IoBackend::Uring && !uring_available() {
+                eprintln!("io_uring unavailable; skipping uring arm");
+                continue;
+            }
+            let engine = tiny(&store)
+                .paths(&paths)
+                .io_backend(io_backend)
+                .metrics(true)
+                .build()
+                .unwrap();
+            let reader = engine.point_reader();
+            for v in 0..64 {
+                reader.degree(v).unwrap();
+            }
+            let m = engine.metrics().unwrap();
+            assert!(m[Counter::PointreadTilesFetched] > 0, "{io_backend}");
+            assert_eq!(
+                m[Counter::IoRequests],
+                m[Counter::PointreadTilesFetched],
+                "{io_backend}"
+            );
+            assert_eq!(m[Counter::IoCompletions], m[Counter::IoRequests]);
+            assert_eq!(m[Counter::IoErrors], 0, "{io_backend}");
+        }
     }
 
     #[test]

@@ -27,7 +27,8 @@
 use crate::view::TileView;
 use gstore_graph::{GraphError, Result, VertexId};
 use gstore_io::{
-    AioRequest, BufferPool, BufferPoolStats, IoBackend, PooledBuf, StorageBackend, UringEngine,
+    AioRequest, BufferPoolStats, IoBackend, IoEngine, IoFaultInjector, PooledBuf, ReadPath,
+    StorageBackend, UringEngine,
 };
 use gstore_metrics::Recorder;
 use gstore_scr::{CacheHint, CachePool, PoolStats};
@@ -147,7 +148,9 @@ struct UringGate {
 pub struct PointReader {
     index: TileIndex,
     backend: Arc<dyn StorageBackend>,
-    buffers: BufferPool,
+    /// The synchronous miss path: the engines' request life cycle, run on
+    /// the calling thread.
+    io: ReadPath,
     /// The hot-tile cache. A hit decodes straight out of the arena under
     /// the *shared* lock, so readers of the same hot tile run in parallel;
     /// only a miss's insert (with its periodic analyze) and
@@ -178,10 +181,30 @@ impl PointReader {
         cache_bytes: u64,
         recorder: Option<Arc<dyn Recorder>>,
     ) -> Self {
+        Self::open(index, backend, cache_bytes, recorder, None)
+    }
+
+    /// Same, failing synchronous misses per `fault` — the engine's own
+    /// injector, so `.io_fault(..)` covers point reads on either I/O
+    /// engine.
+    pub(crate) fn open(
+        index: TileIndex,
+        backend: Arc<dyn StorageBackend>,
+        cache_bytes: u64,
+        recorder: Option<Arc<dyn Recorder>>,
+        fault: Option<IoFaultInjector>,
+    ) -> Self {
+        let io = ReadPath::new(
+            backend.len(),
+            false,
+            IoBackend::Workers,
+            recorder.clone(),
+            fault,
+        );
         PointReader {
             index,
+            io,
             backend,
-            buffers: BufferPool::with_recorder(recorder.clone()),
             pool: RwLock::new(CachePool::new(cache_bytes)),
             heat: Mutex::new(Heat::default()),
             recorder,
@@ -231,7 +254,7 @@ impl PointReader {
     pub fn buffer_stats(&self) -> BufferPoolStats {
         match &self.uring {
             Some(u) => u.engine.buffer_pool().stats(),
-            None => self.buffers.stats(),
+            None => self.io.buffer_pool().stats(),
         }
     }
 
@@ -374,23 +397,21 @@ impl PointReader {
     }
 
     /// Fetches one tile's bytes into a pooled buffer: one submit/poll pair
-    /// on the private ring when attached, else a synchronous backend read.
+    /// on the private ring when attached, else one synchronous read through
+    /// the same request life cycle.
     fn fetch_tile(&self, tag: u64, offset: u64, len: usize) -> Result<PooledBuf> {
+        let req = AioRequest { tag, offset, len };
         match &self.uring {
             Some(u) => {
                 let _turn = u.gate.lock().unwrap();
-                u.engine.submit(vec![AioRequest { tag, offset, len }]);
+                u.engine.submit(vec![req]);
                 let mut done = u.engine.poll(1, 1).map_err(|e| GraphError::Io(e.into()))?;
                 let c = done.pop().ok_or_else(|| {
                     GraphError::Io(io::Error::other("uring point read returned no completion"))
                 })?;
                 c.result.map_err(GraphError::Io)
             }
-            None => {
-                let mut buf = self.buffers.acquire(len);
-                self.backend.read_at(offset, buf.as_mut_slice())?;
-                Ok(buf)
-            }
+            None => Ok(self.io.read(&*self.backend, req)?),
         }
     }
 
@@ -527,7 +548,7 @@ mod tests {
     use super::*;
     use gstore_graph::gen::{generate_rmat, RmatParams};
     use gstore_graph::{Csr, CsrDirection, Edge, EdgeList, GraphKind};
-    use gstore_io::{FaultBackend, FaultPolicy, JitterBackend, MemBackend};
+    use gstore_io::{FaultPolicy, JitterBackend, MemBackend};
     use gstore_metrics::{Counter, EngineMetrics, FlightRecorder};
     use gstore_tile::{ConversionOptions, TileStore};
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -987,14 +1008,12 @@ mod tests {
             store.encoding(),
             store.start_edge().to_vec(),
         );
-        let backend = Arc::new(FaultBackend::new(
-            Arc::new(MemBackend::new(store.data().to_vec())),
-            FaultPolicy::FirstN(1),
-        ));
-        let reader = PointReader::new(index, backend.clone(), 1 << 20);
+        let backend = Arc::new(MemBackend::new(store.data().to_vec()));
+        let fault = IoFaultInjector::new(FaultPolicy::FirstN(1));
+        let reader = PointReader::open(index, backend, 1 << 20, None, Some(fault.clone()));
         let err = reader.neighbors(2).unwrap_err();
         assert!(matches!(err, GraphError::Io(_)), "got {err:?}");
-        assert_eq!(backend.injected(), 1);
+        assert_eq!(fault.injected(), 1);
         // The failed request leaked nothing: every pooled buffer returned.
         assert_eq!(reader.buffer_stats().outstanding, 0);
         // Retry reads clean.

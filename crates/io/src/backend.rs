@@ -93,10 +93,7 @@ impl StorageBackend for MemBackend {
         if end > self.data.len() {
             return Err(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
-                format!(
-                    "read {start}..{end} beyond backend length {}",
-                    self.data.len()
-                ),
+                format!("read {start}..{end} past a {}-byte store", self.data.len()),
             ));
         }
         buf.copy_from_slice(&self.data[start..end]);

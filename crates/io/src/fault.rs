@@ -1,18 +1,18 @@
-//! Fault-injecting backend wrapper for failure testing.
+//! Read-fault injection and a completion-order adversary, for failure
+//! testing.
 //!
-//! Wraps any [`StorageBackend`] and fails reads according to a policy:
-//! every Nth request, or any request overlapping a poisoned byte range.
-//! Used by the engine and integration tests to verify that I/O errors
-//! surface as errors instead of corrupting results.
+//! [`IoFaultInjector`] fails reads according to a policy: every Nth
+//! request, the first N, or any request overlapping a poisoned byte range.
+//! Engines and integration tests use it to verify that I/O errors surface
+//! as errors instead of corrupting results.
 
 use crate::backend::StorageBackend;
-use gstore_metrics::Recorder;
 use std::io;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Failure policy for [`FaultBackend`].
+/// Failure policy for [`IoFaultInjector`].
 #[derive(Debug, Clone)]
 pub enum FaultPolicy {
     /// Fail every `n`th read (1-based: `n = 1` fails everything).
@@ -23,84 +23,12 @@ pub enum FaultPolicy {
     FirstN(u64),
 }
 
-/// A backend that injects `io::Error`s per policy.
-pub struct FaultBackend {
-    inner: Arc<dyn StorageBackend>,
-    policy: FaultPolicy,
-    counter: AtomicU64,
-    injected: AtomicU64,
-    recorder: Option<Arc<dyn Recorder>>,
-}
-
-impl FaultBackend {
-    pub fn new(inner: Arc<dyn StorageBackend>, policy: FaultPolicy) -> Self {
-        FaultBackend {
-            inner,
-            policy,
-            counter: AtomicU64::new(0),
-            injected: AtomicU64::new(0),
-            recorder: None,
-        }
-    }
-
-    /// Reports each injected fault to `recorder` as well as counting it.
-    pub fn with_recorder(mut self, recorder: Arc<dyn Recorder>) -> Self {
-        self.recorder = Some(recorder);
-        self
-    }
-
-    /// Number of reads attempted so far.
-    pub fn attempts(&self) -> u64 {
-        self.counter.load(Ordering::SeqCst)
-    }
-
-    /// Number of faults injected so far.
-    pub fn injected(&self) -> u64 {
-        self.injected.load(Ordering::SeqCst)
-    }
-
-    fn should_fail(&self, offset: u64, len: usize) -> bool {
-        let attempt = self.counter.fetch_add(1, Ordering::SeqCst) + 1;
-        match &self.policy {
-            FaultPolicy::EveryNth(n) => *n > 0 && attempt.is_multiple_of(*n),
-            FaultPolicy::FirstN(n) => attempt <= *n,
-            FaultPolicy::PoisonRanges(ranges) => {
-                let end = offset + len as u64;
-                ranges.iter().any(|r| offset < r.end && r.start < end)
-            }
-        }
-    }
-}
-
-impl StorageBackend for FaultBackend {
-    fn len(&self) -> u64 {
-        self.inner.len()
-    }
-
-    fn read_at(&self, offset: u64, buf: &mut [u8]) -> io::Result<()> {
-        if self.should_fail(offset, buf.len()) {
-            self.injected.fetch_add(1, Ordering::SeqCst);
-            if let Some(rec) = &self.recorder {
-                rec.fault_injected();
-            }
-            return Err(io::Error::other(format!(
-                "injected fault at offset {offset} len {}",
-                buf.len()
-            )));
-        }
-        self.inner.read_at(offset, buf)
-    }
-}
-
-/// Engine-level fault injection for I/O paths that bypass the
-/// [`StorageBackend`] read logic entirely.
-///
-/// The io_uring engine forwards a raw fd to the kernel, so wrapping the
-/// backend in a [`FaultBackend`] has no effect there — reads never pass
-/// through `read_at`. This injector applies the same [`FaultPolicy`] at
-/// the engine's submit path instead: a failed request completes with an
-/// error without ever reaching the kernel. Cloneable so tests keep a
-/// handle to the counters while the engine owns the policy.
+/// The read-fault seam: applies a [`FaultPolicy`] at admission in the
+/// engine's request life cycle ([`ReadPath`](crate::ReadPath)), so a
+/// failed request completes with an error without ever reaching the
+/// device — on the worker pool, on io_uring and on the point reader's
+/// synchronous path alike. Cloneable so tests keep a handle to the
+/// counters while the engine owns the policy.
 #[derive(Clone)]
 pub struct IoFaultInjector {
     inner: Arc<FaultState>,
@@ -133,8 +61,8 @@ impl IoFaultInjector {
         self.inner.injected.load(Ordering::SeqCst)
     }
 
-    /// Decides (and records) whether this request fails. Same 1-based
-    /// attempt accounting as [`FaultBackend`].
+    /// Decides (and counts) whether this request fails. Attempts are
+    /// counted from 1.
     pub fn should_fail(&self, offset: u64, len: usize) -> bool {
         let attempt = self.inner.counter.fetch_add(1, Ordering::SeqCst) + 1;
         let fail = match &self.inner.policy {
@@ -204,9 +132,8 @@ mod tests {
 
     #[test]
     fn every_nth_fails_periodically() {
-        let f = FaultBackend::new(mem(1024), FaultPolicy::EveryNth(3));
-        let mut buf = [0u8; 4];
-        let results: Vec<bool> = (0..9).map(|_| f.read_at(0, &mut buf).is_ok()).collect();
+        let f = IoFaultInjector::new(FaultPolicy::EveryNth(3));
+        let results: Vec<bool> = (0..9).map(|_| !f.should_fail(0, 4)).collect();
         assert_eq!(
             results,
             vec![true, true, false, true, true, false, true, true, false]
@@ -216,39 +143,30 @@ mod tests {
 
     #[test]
     fn first_n_then_recovers() {
-        let f = FaultBackend::new(mem(1024), FaultPolicy::FirstN(2));
-        let mut buf = [0u8; 4];
-        assert!(f.read_at(0, &mut buf).is_err());
-        assert!(f.read_at(0, &mut buf).is_err());
-        assert!(f.read_at(0, &mut buf).is_ok());
-        assert_eq!(buf, [7; 4]);
+        let f = IoFaultInjector::new(FaultPolicy::FirstN(2));
+        assert!(f.should_fail(0, 4));
+        assert!(f.should_fail(0, 4));
+        assert!(!f.should_fail(0, 4));
+        assert_eq!(f.injected(), 2);
     }
 
     #[test]
     fn poison_ranges_hit_overlaps_only() {
         // Two ranges so the poison logic is exercised across gaps.
-        let f = FaultBackend::new(
-            mem(1024),
-            FaultPolicy::PoisonRanges(vec![100..200, 900..901]),
-        );
-        let mut buf = [0u8; 50];
-        assert!(f.read_at(0, &mut buf).is_ok()); // 0..50
-        assert!(f.read_at(60, &mut buf).is_err()); // 60..110 overlaps
-        assert!(f.read_at(150, &mut buf).is_err()); // inside
-        assert!(f.read_at(200, &mut buf).is_ok()); // 200..250 adjacent, no overlap
+        let f = IoFaultInjector::new(FaultPolicy::PoisonRanges(vec![100..200, 900..901]));
+        assert!(!f.should_fail(0, 50)); // 0..50
+        assert!(f.should_fail(60, 50)); // 60..110 overlaps
+        assert!(f.should_fail(150, 50)); // inside
+        assert!(!f.should_fail(200, 50)); // 200..250 adjacent, no overlap
+        assert!(f.should_fail(890, 20)); // reaches the second range
+        assert_eq!(f.injected(), 3);
     }
 
     #[test]
-    fn jitter_is_deterministic_and_preserves_bytes() {
-        let j = JitterBackend::new(mem(1024), 50);
-        let mut a = [0u8; 16];
-        let mut b = [0u8; 16];
-        j.read_at(64, &mut a).unwrap();
-        j.read_at(64, &mut b).unwrap();
-        assert_eq!(a, b);
-        assert_eq!(a, [7u8; 16]);
-        assert_eq!(j.len(), 1024);
-        assert_eq!(j.delay_for(64, 16), j.delay_for(64, 16));
+    fn every_nth_zero_never_fails() {
+        let f = IoFaultInjector::new(FaultPolicy::EveryNth(0));
+        assert!((0..16).all(|_| !f.should_fail(0, 1)));
+        assert_eq!(f.injected(), 0);
     }
 
     #[test]
@@ -262,19 +180,15 @@ mod tests {
     }
 
     #[test]
-    fn io_fault_injector_poison_ranges() {
-        let inj = IoFaultInjector::new(FaultPolicy::PoisonRanges(vec![100..200, 900..901]));
-        assert!(!inj.should_fail(0, 50));
-        assert!(inj.should_fail(150, 10));
-        assert!(inj.should_fail(890, 20));
-        assert_eq!(inj.injected(), 2);
-    }
-
-    #[test]
-    fn length_passthrough() {
-        let f = FaultBackend::new(mem(321), FaultPolicy::EveryNth(0));
-        assert_eq!(f.len(), 321);
-        let mut buf = [0u8; 1];
-        assert!(f.read_at(0, &mut buf).is_ok()); // n = 0 never fails
+    fn jitter_is_deterministic_and_preserves_bytes() {
+        let j = JitterBackend::new(mem(1024), 50);
+        let mut a = [0u8; 16];
+        let mut b = [0u8; 16];
+        j.read_at(64, &mut a).unwrap();
+        j.read_at(64, &mut b).unwrap();
+        assert_eq!(a, b);
+        assert_eq!(a, [7u8; 16]);
+        assert_eq!(j.len(), 1024);
+        assert_eq!(j.delay_for(64, 16), j.delay_for(64, 16));
     }
 }

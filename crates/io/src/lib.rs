@@ -5,11 +5,14 @@
 //! behind the [`engine::IoEngine`] trait — the worker-pool
 //! [`aio::AioEngine`] (Linux-AIO-shaped submit/poll interface) and the
 //! raw-syscall [`uring::UringEngine`] (SQ-batched io_uring with
-//! registered buffers) — the deterministic [`ssd_sim::SsdArraySim`]
-//! RAID-0 array model used for the disk-scaling experiments, a
-//! [`fault::FaultBackend`] for failure injection, and the
-//! positioned-write path ([`pwrite::WritableBackend`], [`pwrite::BatchWriter`])
-//! the streaming converter scatters tile bytes through.
+//! registered buffers) — which differ only in their device: every read's
+//! life cycle (accounting, admission, completion, settlement) is the one
+//! [`engine::ReadPath`], and its one fault seam is
+//! [`fault::IoFaultInjector`]. Also here: the deterministic
+//! [`ssd_sim::SsdArraySim`] RAID-0 array model used for the disk-scaling
+//! experiments, and the positioned-write path
+//! ([`pwrite::WritableBackend`], [`pwrite::BatchWriter`]) the streaming
+//! converter scatters tile bytes through.
 
 pub mod aio;
 pub mod backend;
@@ -21,11 +24,11 @@ pub mod ssd_sim;
 pub mod tiered;
 pub mod uring;
 
-pub use aio::{AioCompletion, AioEngine, AioRequest, WorkerDisconnected, DEFAULT_POLL_INTERVAL};
+pub use aio::AioEngine;
 pub use backend::{align_range, FileBackend, MemBackend, StorageBackend, SECTOR};
 pub use buffer::{BufferPool, BufferPoolStats, PooledBuf};
-pub use engine::{IoBackend, IoEngine};
-pub use fault::{FaultBackend, FaultPolicy, IoFaultInjector, JitterBackend};
+pub use engine::{AioCompletion, AioRequest, IoBackend, IoEngine, ReadPath, WorkerDisconnected};
+pub use fault::{FaultPolicy, IoFaultInjector, JitterBackend};
 pub use pwrite::{
     push_run, write_runs, BatchWriter, BatchWriterStats, FaultWriteBackend, FileWriteBackend,
     MemWriteBackend, WritableBackend, WriteRun,

@@ -160,7 +160,7 @@ impl WritableBackend for MemWriteBackend {
 }
 
 /// A write sink that injects `io::Error`s per [`FaultPolicy`] — the
-/// write-side mirror of [`crate::fault::FaultBackend`]. Only `write_at`
+/// write-side seam beside the reads' [`crate::fault::IoFaultInjector`]. Only `write_at`
 /// faults; `set_len`/`sync` pass through so truncate-and-rewrite retries
 /// can be exercised.
 pub struct FaultWriteBackend {

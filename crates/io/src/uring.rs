@@ -9,7 +9,7 @@
 //! [`BufferPool`]'s sector-aligned arenas are pre-registered with
 //! `IORING_REGISTER_BUFFERS` so steady-state reads land in pinned memory
 //! via `READ_FIXED` — the kernel skips per-request page pinning and the
-//! completion still carries an ordinary [`PooledBuf`], zero copies.
+//! completion still carries an ordinary [`PooledBuf`](crate::PooledBuf), zero copies.
 //!
 //! Everything is built on direct `extern "C"` syscall declarations
 //! (`io_uring_setup`/`io_uring_enter`/`io_uring_register` + `mmap`): the
@@ -19,20 +19,19 @@
 //! can fall back to the worker pool on kernels or sandboxes that deny it
 //! (ENOSYS, seccomp EPERM).
 
-use crate::aio::{AioCompletion, AioRequest, WorkerDisconnected};
-use crate::backend::{align_range, StorageBackend, SECTOR};
-use crate::buffer::{BufferPool, PooledBuf};
-use crate::engine::{IoBackend, IoEngine};
+use crate::backend::StorageBackend;
+use crate::buffer::BufferPool;
+use crate::engine::{
+    Admitted, AioCompletion, AioRequest, IoBackend, IoEngine, ReadPath, WorkerDisconnected,
+};
 use crate::fault::IoFaultInjector;
 use gstore_metrics::Recorder;
 use std::collections::{HashMap, VecDeque};
 use std::io;
-use std::ops::Range;
 use std::os::raw::{c_int, c_long, c_void};
 use std::os::unix::io::RawFd;
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::{Duration, Instant};
 
 // io_uring syscall numbers are identical across Linux architectures
 // (added after the unified syscall table).
@@ -392,29 +391,16 @@ pub fn uring_available() -> bool {
     *PROBE.get_or_init(|| RawRing::new(4, false).is_ok())
 }
 
-/// One submitted-but-uncompleted kernel read.
-struct Pending {
-    tag: u64,
-    offset: u64,
-    /// Bytes the kernel must produce (short reads are errors — every
-    /// request is pre-validated against the backend length).
-    read_len: u32,
-    /// Window of the requested bytes inside the buffer (direct mode reads
-    /// an aligned super-range; the window trims it without copying).
-    inner: Range<usize>,
-    buf: PooledBuf,
-    started: Option<Instant>,
-}
-
 struct UringState {
     ring: RawRing,
-    pending: HashMap<u64, Pending>,
+    /// Reads in the kernel, by SQE `user_data`.
+    pending: HashMap<u64, Admitted>,
     ready: VecDeque<AioCompletion>,
     next_user_data: u64,
     /// Registered arena base address → buffer index for `READ_FIXED`.
     reg_index: HashMap<usize, u16>,
     /// Set when `io_uring_enter` failed fatally: the request path is dead,
-    /// surfaced exactly like a dead worker pool.
+    /// and `poll` reports it as [`WorkerDisconnected`].
     broken: bool,
 }
 
@@ -426,17 +412,12 @@ struct UringState {
 /// holds it, so give each independent reader its own engine — point
 /// readers do).
 pub struct UringEngine {
+    // Declared before `path`: the ring closes before the pool its
+    // in-kernel reads write into goes away.
     state: Mutex<UringState>,
-    in_flight: AtomicUsize,
-    pool: BufferPool,
-    backend_len: u64,
+    path: ReadPath,
     /// Owned dup of the backend's fd (closed on drop).
     file_fd: RawFd,
-    direct: bool,
-    sqpoll: bool,
-    recorder: Option<Arc<dyn Recorder>>,
-    fault: Option<IoFaultInjector>,
-    poll_interval_ns: AtomicU64,
 }
 
 /// Arenas registered per size class: enough to cover a queue of reads
@@ -446,6 +427,10 @@ const REG_ARENAS_PER_CLASS: usize = 16;
 /// Cap on total registered (kernel-pinned) bytes; classes beyond the cap
 /// fall back to plain `READ` (RLIMIT_MEMLOCK is often just a few MiB).
 const REG_BYTES_CAP: usize = 16 << 20;
+
+fn broken_ring(why: String) -> io::Error {
+    io::Error::new(io::ErrorKind::BrokenPipe, why)
+}
 
 impl UringEngine {
     /// Minimal constructor: buffered reads, no SQPOLL, no registration
@@ -457,10 +442,8 @@ impl UringEngine {
     /// Full-control constructor. `reg_buf_lens` are representative read
     /// lengths (e.g. a tile and a segment run) whose buffer-pool size
     /// classes get pre-registered arenas; pass `&[]` to skip
-    /// registration. `fault`, when present, fails requests at the submit
-    /// path per its policy — the uring equivalent of wrapping a backend
-    /// in `FaultBackend` (which this engine bypasses, reads go straight
-    /// to the kernel).
+    /// registration. `fault`, when present, fails requests at admission
+    /// per its policy, before they reach the kernel.
     pub fn with_recorder(
         backend: Arc<dyn StorageBackend>,
         queue_depth: usize,
@@ -479,17 +462,17 @@ impl UringEngine {
         let entries = queue_depth.clamp(8, 4096).next_power_of_two() as u32;
         // SQPOLL needs privileges on older kernels; degrade to a plain
         // ring rather than failing the whole engine.
-        let (ring, sqpoll) = match RawRing::new(entries, sqpoll) {
-            Ok(r) => (r, sqpoll),
-            Err(_) if sqpoll => (RawRing::new(entries, false)?, false),
+        let ring = match RawRing::new(entries, sqpoll) {
+            Ok(r) => r,
+            Err(_) if sqpoll => RawRing::new(entries, false)?,
             Err(e) => return Err(e),
         };
         let file_fd = unsafe { dup(src_fd) };
         if file_fd < 0 {
             return Err(io::Error::last_os_error());
         }
-        let pool = BufferPool::with_recorder(recorder.clone());
-        let reg_index = Self::register_arenas(&ring, &pool, reg_buf_lens);
+        let path = ReadPath::new(backend.len(), direct, IoBackend::Uring, recorder, fault);
+        let reg_index = Self::register_arenas(&ring, path.buffer_pool(), reg_buf_lens);
         Ok(UringEngine {
             state: Mutex::new(UringState {
                 ring,
@@ -499,15 +482,8 @@ impl UringEngine {
                 reg_index,
                 broken: false,
             }),
-            in_flight: AtomicUsize::new(0),
-            pool,
-            backend_len: backend.len(),
+            path,
             file_fd,
-            direct,
-            sqpoll,
-            recorder,
-            fault,
-            poll_interval_ns: AtomicU64::new(crate::aio::DEFAULT_POLL_INTERVAL.as_nanos() as u64),
         })
     }
 
@@ -559,223 +535,65 @@ impl UringEngine {
         index
     }
 
-    /// Whether SQPOLL mode is actually active (the request may have been
-    /// degraded at construction).
-    pub fn sqpoll_active(&self) -> bool {
-        self.sqpoll
-    }
-
     /// Number of registered arenas available for `READ_FIXED`.
     pub fn registered_buffers(&self) -> usize {
-        self.state.lock().unwrap().reg_index.len()
+        self.state
+            .lock()
+            .expect("io_uring state lock poisoned")
+            .reg_index
+            .len()
     }
 
-    pub fn buffer_pool(&self) -> &BufferPool {
-        &self.pool
-    }
-
-    pub fn in_flight(&self) -> usize {
-        self.in_flight.load(Ordering::SeqCst)
-    }
-
-    pub fn poll_interval(&self) -> Duration {
-        Duration::from_nanos(self.poll_interval_ns.load(Ordering::Relaxed))
-    }
-
-    /// Kept for surface parity with [`AioEngine`](crate::AioEngine); uring polls block in
-    /// `io_uring_enter(GETEVENTS)` and wake on completion, so the
-    /// interval is not consulted.
-    pub fn set_poll_interval(&self, interval: Duration) {
-        let ns = interval.max(Duration::from_micros(1)).as_nanos() as u64;
-        self.poll_interval_ns.store(ns, Ordering::Relaxed);
-    }
-
-    /// Validates a request and acquires its destination buffer. Mirrors
-    /// the worker pool exactly: buffered mode reads the requested range
-    /// (erroring past EOF like `read_exact_at`), direct mode reads the
-    /// sector-aligned window clamped to the backend tail.
-    fn prepare(&self, req: &AioRequest) -> io::Result<(PooledBuf, u64, u32, Range<usize>)> {
-        if req.offset.checked_add(req.len as u64).is_none() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "offset + len overflow",
-            ));
+    /// Queues one admitted read as an SQE, making room in the CQ and the
+    /// SQ first. Returns the read back when the ring is (or just became)
+    /// broken, so it can be failed as a completion.
+    fn push(&self, st: &mut UringState, read: Admitted, enters: &mut u64) -> Result<(), Admitted> {
+        // Bound kernel-side occupancy by the CQ so completions are never
+        // dropped/overflowed: reap (blocking if needed) until a slot
+        // frees up.
+        while !st.broken && st.pending.len() >= st.ring.cq_entries as usize {
+            self.wait_for_completions(st, 1);
         }
-        if !self.direct {
-            if req.offset + req.len as u64 > self.backend_len {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    format!(
-                        "read {}..{} beyond backend",
-                        req.offset,
-                        req.offset + req.len as u64
-                    ),
-                ));
-            }
-            let buf = self.pool.acquire(req.len);
-            return Ok((buf, req.offset, req.len as u32, 0..req.len));
+        if st.broken {
+            return Err(read);
         }
-        let (win_start, win_len, inner) = align_range(req.offset, req.len as u64);
-        let clamped = win_len.min(self.backend_len.saturating_sub(win_start));
-        if (inner.end as u64) > clamped {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                format!(
-                    "read {}..{} beyond backend",
-                    req.offset,
-                    req.offset + req.len as u64
-                ),
-            ));
+        let user_data = st.next_user_data;
+        st.next_user_data += 1;
+        let mut sqe = IoUringSqe {
+            opcode: IORING_OP_READ,
+            fd: self.file_fd,
+            off: read.at,
+            addr: read.buf.window_addr() as u64,
+            len: read.len as u32,
+            user_data,
+            ..IoUringSqe::default()
+        };
+        // Registered-arena hit: switch to READ_FIXED. The window always
+        // starts at the arena base here (fresh acquires have a zero-offset
+        // window; direct trims only after completion).
+        let reg = read
+            .buf
+            .pinned_arena()
+            .and_then(|(base, _)| st.reg_index.get(&base));
+        if let Some(&idx) = reg {
+            sqe.opcode = IORING_OP_READ_FIXED;
+            sqe.buf_index = idx;
         }
-        debug_assert_eq!(win_start % SECTOR, 0);
-        let buf = self.pool.acquire(clamped as usize);
-        Ok((buf, win_start, clamped as u32, inner))
-    }
-
-    /// Submits a batch of reads: every request becomes one SQE, the whole
-    /// batch is published with (at most) one `io_uring_enter` when it
-    /// fits the ring.
-    pub fn submit(&self, batch: Vec<AioRequest>) -> usize {
-        let n = batch.len();
-        let occupancy = self.in_flight.fetch_add(n, Ordering::SeqCst) + n;
-        if let Some(rec) = &self.recorder {
-            let bytes: u64 = batch.iter().map(|r| r.len as u64).sum();
-            rec.io_submitted(n as u64, bytes, occupancy as u64);
+        if let Some(rec) = self.path.recorder() {
+            rec.io_reg_buffer(reg.is_some());
         }
-        let mut st = self.state.lock().unwrap();
-        let mut sqes = 0u64;
-        let mut enters = 0u64;
-        for req in batch {
-            if let Some(fault) = &self.fault {
-                if fault.should_fail(req.offset, req.len) {
-                    if let Some(rec) = &self.recorder {
-                        rec.fault_injected();
-                        rec.io_completed(0, 0, true);
-                        rec.io_backend_request(true, 0);
-                    }
-                    st.ready.push_back(AioCompletion {
-                        tag: req.tag,
-                        offset: req.offset,
-                        result: Err(io::Error::other(format!(
-                            "injected fault at offset {} len {}",
-                            req.offset, req.len
-                        ))),
-                    });
-                    continue;
+        while !st.ring.push_sqe(sqe) {
+            // SQ full: publish what we have and make room.
+            match st.ring.flush_sq() {
+                Ok(e) => *enters += e,
+                Err(err) => {
+                    self.mark_broken(st, err);
+                    return Err(read);
                 }
             }
-            let (buf, read_off, read_len, inner) = match self.prepare(&req) {
-                Ok(p) => p,
-                Err(e) => {
-                    if let Some(rec) = &self.recorder {
-                        rec.io_completed(0, 0, true);
-                        rec.io_backend_request(true, 0);
-                    }
-                    st.ready.push_back(AioCompletion {
-                        tag: req.tag,
-                        offset: req.offset,
-                        result: Err(e),
-                    });
-                    continue;
-                }
-            };
-            if st.broken {
-                // Ring is dead: the request can never reach the kernel.
-                // Account it as lost right away via the ready queue.
-                st.ready.push_back(AioCompletion {
-                    tag: req.tag,
-                    offset: req.offset,
-                    result: Err(io::Error::new(
-                        io::ErrorKind::BrokenPipe,
-                        "io_uring request path is broken",
-                    )),
-                });
-                continue;
-            }
-            let user_data = st.next_user_data;
-            st.next_user_data += 1;
-            let addr = buf.window_addr() as u64;
-            let mut sqe = IoUringSqe {
-                opcode: IORING_OP_READ,
-                fd: self.file_fd,
-                off: read_off,
-                addr,
-                len: read_len,
-                user_data,
-                ..IoUringSqe::default()
-            };
-            // Registered-arena hit: switch to READ_FIXED. The window
-            // always starts at the arena base here (fresh acquires have a
-            // zero-offset window; direct trims only after completion).
-            let reg_hit = match buf.pinned_arena() {
-                Some((base, _cap)) => match st.reg_index.get(&base) {
-                    Some(&idx) => {
-                        sqe.opcode = IORING_OP_READ_FIXED;
-                        sqe.buf_index = idx;
-                        true
-                    }
-                    None => false,
-                },
-                None => false,
-            };
-            if let Some(rec) = &self.recorder {
-                rec.io_reg_buffer(reg_hit);
-            }
-            // Bound kernel-side occupancy by the CQ so completions are
-            // never dropped/overflowed: reap (blocking if needed) until a
-            // slot frees up.
-            while st.pending.len() >= st.ring.cq_entries as usize {
-                if self.wait_for_completions(&mut st, 1).is_err() {
-                    break;
-                }
-            }
-            while !st.ring.push_sqe(sqe) {
-                // SQ full: publish what we have and make room.
-                match st.ring.flush_sq() {
-                    Ok(e) => enters += e,
-                    Err(err) => {
-                        self.mark_broken(&mut st, err);
-                        break;
-                    }
-                }
-                if st.broken {
-                    break;
-                }
-            }
-            if st.broken {
-                st.ready.push_back(AioCompletion {
-                    tag: req.tag,
-                    offset: req.offset,
-                    result: Err(io::Error::new(
-                        io::ErrorKind::BrokenPipe,
-                        "io_uring request path is broken",
-                    )),
-                });
-                continue;
-            }
-            sqes += 1;
-            st.pending.insert(
-                user_data,
-                Pending {
-                    tag: req.tag,
-                    offset: req.offset,
-                    read_len,
-                    inner,
-                    buf,
-                    started: self.recorder.as_ref().map(|_| Instant::now()),
-                },
-            );
         }
-        match st.ring.flush_sq() {
-            Ok(e) => enters += e,
-            Err(err) => self.mark_broken(&mut st, err),
-        }
-        if let Some(rec) = &self.recorder {
-            if sqes > 0 {
-                rec.io_sqe_batch(sqes, enters);
-            }
-        }
-        n
+        st.pending.insert(user_data, read);
+        Ok(())
     }
 
     /// A fatal `io_uring_enter` failure: every in-kernel request is lost.
@@ -783,21 +601,9 @@ impl UringEngine {
     /// stays exact, then flag the path dead for `poll`.
     fn mark_broken(&self, st: &mut UringState, err: io::Error) {
         st.broken = true;
-        let pending = std::mem::take(&mut st.pending);
-        for (_, p) in pending {
-            if let Some(rec) = &self.recorder {
-                rec.io_completed(0, 0, true);
-                rec.io_backend_request(true, 0);
-            }
-            st.ready.push_back(AioCompletion {
-                tag: p.tag,
-                offset: p.offset,
-                result: Err(io::Error::new(
-                    io::ErrorKind::BrokenPipe,
-                    format!("io_uring enter failed: {err}"),
-                )),
-            });
-            // p.buf drops here → recycled into the pool.
+        for (_, read) in std::mem::take(&mut st.pending) {
+            let lost = broken_ring(format!("io_uring enter failed: {err}"));
+            st.ready.push_back(self.path.complete(read, Err(lost)));
         }
     }
 
@@ -808,114 +614,104 @@ impl UringEngine {
         if cqes.is_empty() {
             return;
         }
-        if let Some(rec) = &self.recorder {
+        if let Some(rec) = self.path.recorder() {
             rec.io_cqe_reap(cqes.len() as u64);
         }
         for cqe in cqes {
-            let Some(p) = st.pending.remove(&cqe.user_data) else {
+            let Some(read) = st.pending.remove(&cqe.user_data) else {
                 continue;
             };
-            let latency = p.started.map(|t| t.elapsed().as_nanos() as u64);
-            let result = if cqe.res < 0 {
+            let res = if cqe.res < 0 {
                 Err(io::Error::from_raw_os_error(-cqe.res))
-            } else if (cqe.res as u32) < p.read_len {
-                Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    format!("short read: {} of {} bytes", cqe.res, p.read_len),
-                ))
             } else {
-                let mut buf = p.buf;
-                buf.set_window(p.inner.start, p.inner.len());
-                Ok(buf)
+                Ok(cqe.res as usize)
             };
-            if let (Some(rec), Some(ns)) = (&self.recorder, latency) {
-                match &result {
-                    Ok(buf) => rec.io_completed(buf.len() as u64, ns, false),
-                    Err(_) => rec.io_completed(0, ns, true),
-                }
-                rec.io_backend_request(true, ns);
-            }
-            st.ready.push_back(AioCompletion {
-                tag: p.tag,
-                offset: p.offset,
-                result,
-            });
+            st.ready.push_back(self.path.complete(read, res));
         }
     }
 
     /// Blocks in the kernel until at least `need` more CQEs exist, then
     /// harvests. Marks the path broken on a fatal enter error.
-    fn wait_for_completions(&self, st: &mut UringState, need: usize) -> io::Result<()> {
+    fn wait_for_completions(&self, st: &mut UringState, need: usize) {
         let need = need.min(st.pending.len()).max(1) as u32;
-        let res = st.ring.enter(0, need, IORING_ENTER_GETEVENTS);
-        if let Err(e) = res {
-            self.mark_broken(st, e);
-            return Err(io::Error::new(
-                io::ErrorKind::BrokenPipe,
-                "io_uring getevents failed",
-            ));
+        match st.ring.enter(0, need, IORING_ENTER_GETEVENTS) {
+            Ok(_) => self.reap_into_ready(st),
+            Err(e) => self.mark_broken(st, e),
         }
-        self.reap_into_ready(st);
-        Ok(())
     }
+}
 
-    /// Polls for completions with [`AioEngine::poll`](crate::AioEngine::poll)'s exact contract.
-    pub fn poll(&self, min: usize, max: usize) -> Result<Vec<AioCompletion>, WorkerDisconnected> {
-        let mut out = Vec::new();
-        let max = max.max(1);
-        let disconnected;
-        {
-            let mut st = self.state.lock().unwrap();
-            loop {
-                self.reap_into_ready(&mut st);
-                while out.len() < max {
-                    match st.ready.pop_front() {
-                        Some(c) => out.push(c),
-                        None => break,
+impl IoEngine for UringEngine {
+    /// Every request becomes one SQE; the whole batch is published with
+    /// (at most) one `io_uring_enter` when it fits the ring.
+    fn submit(&self, batch: Vec<AioRequest>) -> usize {
+        let n = batch.len();
+        self.path.submitted(&batch);
+        let mut st = self.state.lock().expect("io_uring state lock poisoned");
+        let (mut sqes, mut enters) = (0u64, 0u64);
+        for req in batch {
+            match self.path.admit(req) {
+                Ok(read) => match self.push(&mut st, read, &mut enters) {
+                    Ok(()) => sqes += 1,
+                    // The ring is dead: the request can never reach the
+                    // kernel.
+                    Err(read) => {
+                        let lost = broken_ring("io_uring request path is broken".into());
+                        let failed = self.path.complete(read, Err(lost));
+                        st.ready.push_back(failed);
                     }
-                }
-                if st.broken && st.ready.is_empty() {
-                    disconnected = true;
-                    break;
-                }
-                if out.len() >= min.min(max) {
-                    disconnected = false;
-                    break;
-                }
-                if self.in_flight.load(Ordering::SeqCst) <= out.len() {
-                    disconnected = false;
-                    break;
-                }
-                if st.pending.is_empty() {
-                    // Owed requests that are neither pending nor ready can
-                    // only appear via a submit racing on the mutex; yield
-                    // and recheck.
-                    disconnected = false;
-                    break;
-                }
-                let need = min.min(max) - out.len();
-                let _ = self.wait_for_completions(&mut st, need);
+                },
+                Err(refused) => st.ready.push_back(refused),
             }
         }
-        let owed = self.in_flight.fetch_sub(out.len(), Ordering::SeqCst) - out.len();
-        if disconnected && out.is_empty() && owed > 0 {
-            self.in_flight.fetch_sub(owed, Ordering::SeqCst);
-            return Err(WorkerDisconnected { lost: owed });
+        match st.ring.flush_sq() {
+            Ok(e) => enters += e,
+            Err(err) => self.mark_broken(&mut st, err),
         }
-        Ok(out)
+        if let Some(rec) = self.path.recorder() {
+            if sqes > 0 {
+                rec.io_sqe_batch(sqes, enters);
+            }
+        }
+        n
     }
 
-    /// Blocks until every submitted request has completed.
-    pub fn drain(&self) -> Result<Vec<AioCompletion>, WorkerDisconnected> {
+    fn poll(&self, min: usize, max: usize) -> Result<Vec<AioCompletion>, WorkerDisconnected> {
+        let max = max.max(1);
         let mut out = Vec::new();
-        loop {
-            let pending = self.in_flight.load(Ordering::SeqCst);
-            if pending == 0 {
-                break;
+        let mut st = self.state.lock().expect("io_uring state lock poisoned");
+        let dead = loop {
+            self.reap_into_ready(&mut st);
+            let take = st.ready.len().min(max - out.len());
+            out.extend(st.ready.drain(..take));
+            if st.broken && st.ready.is_empty() {
+                break true;
             }
-            out.extend(self.poll(pending, pending)?);
-        }
-        Ok(out)
+            // Owed requests that are neither pending nor ready can only
+            // appear via a submit racing on the mutex; return, and the
+            // caller rechecks.
+            if out.len() >= min.min(max)
+                || self.path.in_flight() <= out.len()
+                || st.pending.is_empty()
+            {
+                break false;
+            }
+            self.wait_for_completions(&mut st, min.min(max) - out.len());
+        };
+        drop(st);
+        self.path.settle(out, dead)
+    }
+
+    fn in_flight(&self) -> usize {
+        self.path.in_flight()
+    }
+
+    fn buffer_pool(&self) -> &BufferPool {
+        self.path.buffer_pool()
+    }
+
+    fn kind(&self) -> IoBackend {
+        IoBackend::Uring
     }
 }
 
@@ -923,52 +719,15 @@ impl Drop for UringEngine {
     fn drop(&mut self) {
         // Requests still in the kernel write into pooled buffers held by
         // `pending`; the ring fd closes first (field order: `state` before
-        // `pool`), which cancels/completes them before memory goes away.
+        // `path`), which cancels/completes them before memory goes away.
         unsafe { close(self.file_fd) };
-    }
-}
-
-impl IoEngine for UringEngine {
-    fn submit(&self, batch: Vec<AioRequest>) -> usize {
-        UringEngine::submit(self, batch)
-    }
-    fn poll(&self, min: usize, max: usize) -> Result<Vec<AioCompletion>, WorkerDisconnected> {
-        UringEngine::poll(self, min, max)
-    }
-    fn drain(&self) -> Result<Vec<AioCompletion>, WorkerDisconnected> {
-        UringEngine::drain(self)
-    }
-    fn in_flight(&self) -> usize {
-        UringEngine::in_flight(self)
-    }
-    fn poll_interval(&self) -> Duration {
-        UringEngine::poll_interval(self)
-    }
-    fn set_poll_interval(&self, interval: Duration) {
-        UringEngine::set_poll_interval(self, interval)
-    }
-    fn buffer_pool(&self) -> &BufferPool {
-        UringEngine::buffer_pool(self)
-    }
-    fn kind(&self) -> IoBackend {
-        IoBackend::Uring
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::FileBackend;
-    use crate::fault::FaultPolicy;
-
-    fn file_fixture(len: usize) -> (tempfile::TempDir, Arc<dyn StorageBackend>, Vec<u8>) {
-        let dir = tempfile::tempdir().unwrap();
-        let path = dir.path().join("u.bin");
-        let data: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
-        std::fs::write(&path, &data).unwrap();
-        let backend: Arc<dyn StorageBackend> = Arc::new(FileBackend::open(&path).unwrap());
-        (dir, backend, data)
-    }
+    use crate::engine::tests::file_fixture;
 
     macro_rules! require_uring {
         () => {
@@ -982,54 +741,6 @@ mod tests {
     #[test]
     fn probe_is_stable() {
         assert_eq!(uring_available(), uring_available());
-    }
-
-    #[test]
-    fn single_read_roundtrip() {
-        require_uring!();
-        let (_dir, backend, data) = file_fixture(4096);
-        let eng = UringEngine::new(backend, 16).unwrap();
-        eng.submit(vec![AioRequest {
-            tag: 7,
-            offset: 100,
-            len: 50,
-        }]);
-        let done = eng.drain().unwrap();
-        assert_eq!(done.len(), 1);
-        assert_eq!(done[0].tag, 7);
-        assert_eq!(done[0].result.as_ref().unwrap().as_slice(), &data[100..150]);
-        assert_eq!(eng.in_flight(), 0);
-    }
-
-    #[test]
-    fn batched_reads_all_complete() {
-        require_uring!();
-        let (_dir, backend, data) = file_fixture(1 << 16);
-        let eng = UringEngine::new(backend, 64).unwrap();
-        let batch: Vec<AioRequest> = (0..100)
-            .map(|i| AioRequest {
-                tag: i,
-                offset: (i * 13) % 60_000,
-                len: 64,
-            })
-            .collect();
-        let expected: Vec<(u64, Vec<u8>)> = batch
-            .iter()
-            .map(|r| {
-                (
-                    r.tag,
-                    data[r.offset as usize..r.offset as usize + 64].to_vec(),
-                )
-            })
-            .collect();
-        eng.submit(batch);
-        let mut done = eng.drain().unwrap();
-        assert_eq!(done.len(), 100);
-        done.sort_by_key(|c| c.tag);
-        for (c, (tag, bytes)) in done.iter().zip(expected) {
-            assert_eq!(c.tag, tag);
-            assert_eq!(c.result.as_ref().unwrap().as_slice(), bytes.as_slice());
-        }
     }
 
     #[test]
@@ -1050,72 +761,6 @@ mod tests {
         assert_eq!(eng.drain().unwrap().len(), 50);
         assert_eq!(eng.in_flight(), 0);
         assert_eq!(eng.buffer_pool().stats().outstanding, 0);
-    }
-
-    #[test]
-    fn out_of_range_read_reports_error() {
-        require_uring!();
-        let (_dir, backend, _) = file_fixture(128);
-        let eng = UringEngine::new(backend, 8).unwrap();
-        eng.submit(vec![AioRequest {
-            tag: 1,
-            offset: 100,
-            len: 64,
-        }]);
-        let done = eng.drain().unwrap();
-        assert_eq!(done.len(), 1);
-        assert!(done[0].result.is_err());
-        assert_eq!(eng.buffer_pool().stats().outstanding, 0);
-    }
-
-    #[test]
-    fn direct_mode_matches_buffered() {
-        require_uring!();
-        let (_dir, backend, data) = file_fixture(8192);
-        let eng = UringEngine::with_recorder(backend, 16, true, false, &[], None, None).unwrap();
-        eng.submit(vec![
-            AioRequest {
-                tag: 0,
-                offset: 10,
-                len: 100,
-            },
-            AioRequest {
-                tag: 1,
-                offset: 600,
-                len: 1000,
-            },
-        ]);
-        let mut done = eng.drain().unwrap();
-        done.sort_by_key(|c| c.tag);
-        assert_eq!(done[0].result.as_ref().unwrap().as_slice(), &data[10..110]);
-        assert_eq!(
-            done[1].result.as_ref().unwrap().as_slice(),
-            &data[600..1600]
-        );
-    }
-
-    #[test]
-    fn direct_mode_handles_unaligned_tail() {
-        require_uring!();
-        let dir = tempfile::tempdir().unwrap();
-        let path = dir.path().join("t.bin");
-        std::fs::write(&path, vec![5u8; 1000]).unwrap();
-        let backend: Arc<dyn StorageBackend> = Arc::new(FileBackend::open(&path).unwrap());
-        let eng = UringEngine::with_recorder(backend, 8, true, false, &[], None, None).unwrap();
-        eng.submit(vec![AioRequest {
-            tag: 0,
-            offset: 900,
-            len: 100,
-        }]);
-        let done = eng.drain().unwrap();
-        assert_eq!(done[0].result.as_ref().unwrap().len(), 100);
-        eng.submit(vec![AioRequest {
-            tag: 1,
-            offset: 950,
-            len: 100,
-        }]);
-        let done = eng.drain().unwrap();
-        assert!(done[0].result.is_err());
     }
 
     #[test]
@@ -1161,34 +806,6 @@ mod tests {
     }
 
     #[test]
-    fn fault_injector_fails_request_path() {
-        require_uring!();
-        let (_dir, backend, data) = file_fixture(8192);
-        let fault = IoFaultInjector::new(FaultPolicy::FirstN(1));
-        let eng =
-            UringEngine::with_recorder(backend, 8, false, false, &[], None, Some(fault.clone()))
-                .unwrap();
-        eng.submit(vec![AioRequest {
-            tag: 0,
-            offset: 0,
-            len: 64,
-        }]);
-        let done = eng.drain().unwrap();
-        assert!(done[0].result.is_err());
-        assert_eq!(fault.injected(), 1);
-        assert_eq!(eng.in_flight(), 0);
-        assert_eq!(eng.buffer_pool().stats().outstanding, 0);
-        // Retry succeeds.
-        eng.submit(vec![AioRequest {
-            tag: 1,
-            offset: 0,
-            len: 64,
-        }]);
-        let done = eng.drain().unwrap();
-        assert_eq!(done[0].result.as_ref().unwrap().as_slice(), &data[..64]);
-    }
-
-    #[test]
     fn memory_backend_is_rejected() {
         let backend: Arc<dyn StorageBackend> =
             Arc::new(crate::backend::MemBackend::new(vec![0u8; 1024]));
@@ -1197,37 +814,6 @@ mod tests {
             Err(e) => e,
         };
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
-    }
-
-    #[test]
-    fn completions_recycle_into_the_pool() {
-        require_uring!();
-        let (_dir, backend, _) = file_fixture(1 << 16);
-        let eng = UringEngine::new(backend, 32).unwrap();
-        for round in 0..3u64 {
-            eng.submit(
-                (0..10)
-                    .map(|i| AioRequest {
-                        tag: round * 10 + i,
-                        offset: i * 512,
-                        len: 4096,
-                    })
-                    .collect(),
-            );
-            drop(eng.drain().unwrap());
-        }
-        let s = eng.buffer_pool().stats();
-        assert_eq!(s.acquires, 30);
-        assert_eq!(s.outstanding, 0);
-        assert!(s.hits >= 20, "expected >=20 pool hits, got {}", s.hits);
-    }
-
-    #[test]
-    fn poll_with_nothing_in_flight_returns_empty() {
-        require_uring!();
-        let (_dir, backend, _) = file_fixture(4096);
-        let eng = UringEngine::new(backend, 8).unwrap();
-        assert!(eng.poll(1, 10).unwrap().is_empty());
     }
 
     #[test]

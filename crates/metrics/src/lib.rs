@@ -167,8 +167,7 @@ pub trait Recorder: Send + Sync {
     /// [`Recorder::io_completed`].
     fn io_backend_request(&self, uring: bool, latency_ns: u64) {}
 
-    /// A storage fault was injected (fault-testing backends or the uring
-    /// engine's request-path fault hook).
+    /// A storage fault was injected by the engine's `IoFaultInjector`.
     fn fault_injected(&self) {}
 
     /// The cache pool accepted a tile whose oracle hint was `hint`.

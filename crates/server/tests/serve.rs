@@ -231,7 +231,7 @@ fn errors_do_not_tear_down_the_connection() {
 /// A backend that injects exactly one I/O fault per arming — the test
 /// holds the trigger, so the fault lands deterministically inside the
 /// one sweep served while armed. (The engine's own fault-path tests use
-/// [`FaultBackend`]'s ordinal policies; here the daemon decides read
+/// `IoFaultInjector`'s ordinal policies; here the daemon decides read
 /// ordering, so an explicit trigger is the deterministic spelling.)
 struct ArmedFault {
     inner: Arc<dyn StorageBackend>,

@@ -5,7 +5,7 @@
 
 use gstore::graph::gen::{generate_powerlaw, generate_rmat, PowerLawParams, RmatParams};
 use gstore::graph::{reference, CompactDegrees};
-use gstore::io::{ArrayConfig, FaultBackend, FaultPolicy, SsdArraySim};
+use gstore::io::{ArrayConfig, FaultPolicy, IoFaultInjector, SsdArraySim};
 use gstore::prelude::*;
 use gstore::tile::{Codec, TileIndex};
 use std::sync::Arc;
@@ -96,12 +96,10 @@ fn fault_injection_surfaces_errors_without_panic() {
     let el = kron(9, 6, GraphKind::Undirected);
     let store = TileStore::build(&el, &ConversionOptions::new(5)).unwrap();
     for policy in [FaultPolicy::EveryNth(2), FaultPolicy::FirstN(1)] {
-        let backend = Arc::new(FaultBackend::new(
-            Arc::new(MemBackend::new(store.data().to_vec())),
-            policy,
-        ));
+        let backend = Arc::new(MemBackend::new(store.data().to_vec()));
         let mut engine = small(&store)
             .backend(index_of(&store), backend)
+            .io_fault(IoFaultInjector::new(policy))
             .build()
             .unwrap();
         let mut wcc = Wcc::new(*store.layout().tiling());

@@ -327,7 +327,7 @@ proptest! {
         ops in proptest::collection::vec((0u64..4000, 1usize..128), 1..60),
         workers in 1usize..5,
     ) {
-        use gstore::io::{AioEngine, AioRequest, MemBackend};
+        use gstore::io::{AioEngine, AioRequest, IoEngine, MemBackend};
         use std::sync::Arc;
         let data: Vec<u8> = (0..8192).map(|i| (i % 251) as u8).collect();
         let engine = AioEngine::new(Arc::new(MemBackend::new(data.clone())), workers, 32);
@@ -940,7 +940,8 @@ fn point_reads_survive_mid_request_io_error() {
     // error, leave nothing in flight and no pooled buffer outstanding,
     // and the same reader must answer the retried request correctly — on
     // both I/O engines (point misses take the synchronous path under the
-    // worker pool and a private ring under io_uring).
+    // worker pool and a private ring under io_uring; the engine's one
+    // fault injector covers both).
     use gstore::graph::gen::{generate_rmat, RmatParams};
     use gstore::io::{uring_available, FaultPolicy, IoBackend, IoFaultInjector};
 
@@ -967,27 +968,25 @@ fn point_reads_survive_mid_request_io_error() {
         let reader = engine.point_reader();
         assert_eq!(reader.io_backend(), io_backend);
 
-        // The worker-pool arm injects nowhere on the point-read path (the
-        // injector lives in the AIO workers, which point reads bypass), so
-        // only the uring arm sees the fault fire on the first fetch.
-        if io_backend == IoBackend::Uring {
-            let err = reader.neighbors(0).unwrap_err();
-            assert!(matches!(err, gstore::graph::GraphError::Io(_)), "{err:?}");
-            assert_eq!(fault.injected(), 1);
-            assert_eq!(
-                engine.aio_in_flight(),
-                0,
-                "failed point read left I/O in flight"
-            );
-            assert_eq!(
-                reader.buffer_stats().outstanding,
-                0,
-                "failed point read leaked buffers"
-            );
-        }
+        let err = reader.neighbors(0).unwrap_err();
+        assert!(
+            matches!(err, gstore::graph::GraphError::Io(_)),
+            "{io_backend}: {err:?}"
+        );
+        assert_eq!(fault.injected(), 1, "{io_backend}");
+        assert_eq!(
+            engine.aio_in_flight(),
+            0,
+            "{io_backend}: failed point read left I/O in flight"
+        );
+        assert_eq!(
+            reader.buffer_stats().outstanding,
+            0,
+            "{io_backend}: failed point read leaked buffers"
+        );
 
-        // The fault (if any) is spent: the request reads clean and matches
-        // the reference adjacency.
+        // The fault is spent: the request reads clean and matches the
+        // reference adjacency.
         let mut got = reader.neighbors(0).unwrap();
         got.sort_unstable();
         let mut want = csr.neighbors(0).to_vec();
@@ -995,38 +994,4 @@ fn point_reads_survive_mid_request_io_error() {
         assert_eq!(got, want, "{io_backend}");
         assert_eq!(reader.buffer_stats().outstanding, 0, "{io_backend}");
     }
-
-    // Backend-level injection covers the synchronous (worker-pool) point
-    // read path, which reads through `StorageBackend::read_at`.
-    use gstore::io::{FaultBackend, FileBackend};
-    use gstore::tile::TileIndex;
-    use std::sync::Arc;
-    let index = TileIndex::raw(
-        store.layout().clone(),
-        store.encoding(),
-        store.start_edge().to_vec(),
-    );
-    let backend = Arc::new(FaultBackend::new(
-        Arc::new(FileBackend::open(&paths.tiles).unwrap()),
-        FaultPolicy::FirstN(1),
-    ));
-    let engine = GStoreEngine::builder()
-        .backend(index, backend.clone())
-        .scr(ScrConfig::new(seg, seg * 3).unwrap())
-        .point_read_cache_bytes(1 << 20)
-        .io_backend(IoBackend::Workers)
-        .build()
-        .unwrap();
-    let reader = engine.point_reader();
-    let err = reader.neighbors(0).unwrap_err();
-    assert!(matches!(err, gstore::graph::GraphError::Io(_)), "{err:?}");
-    assert_eq!(backend.injected(), 1);
-    assert_eq!(engine.aio_in_flight(), 0);
-    assert_eq!(reader.buffer_stats().outstanding, 0);
-    let mut got = reader.neighbors(0).unwrap();
-    got.sort_unstable();
-    let mut want = csr.neighbors(0).to_vec();
-    want.sort_unstable();
-    assert_eq!(got, want);
-    assert_eq!(reader.buffer_stats().outstanding, 0);
 }
