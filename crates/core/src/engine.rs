@@ -32,40 +32,32 @@ use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Engine configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct EngineConfig {
+/// The builder's validated output, fixed for the engine's lifetime.
+#[derive(Clone, Copy)]
+struct EngineConfig {
     /// Memory budget (segments + cache pool).
-    pub scr: ScrConfig,
+    scr: ScrConfig,
     /// When false, runs the Figure 13 "base policy": two big segments,
     /// no cache pool, no rewind.
-    pub use_scr_cache: bool,
+    use_scr_cache: bool,
     /// AIO worker threads.
-    pub io_workers: usize,
-    /// Allow selective per-row fetch for algorithms that support it.
-    pub selective_io: bool,
-    /// Issue sector-aligned (O_DIRECT-style) reads (§V.B).
-    pub direct_io: bool,
+    io_workers: usize,
     /// Record per-phase timings, I/O counters and cache behaviour into a
     /// flight recorder, exposed via [`GStoreEngine::metrics`]. Off by
     /// default: the disabled path takes no timestamps and no locks.
-    pub metrics: bool,
+    metrics: bool,
     /// Use the column-sharded (contention-free plain-write) compute
     /// executor for algorithms whose [`Algorithm::update_mode`] opts in.
-    /// When false every batch takes the atomic fallback — the A/B knob
-    /// the `compute_path` bench flips.
-    pub sharded_updates: bool,
+    /// When false every batch takes the atomic fallback, the reference
+    /// the sharded path is tested against.
+    sharded_updates: bool,
     /// Hot-tile cache capacity for readers from
     /// [`GStoreEngine::point_reader`] (0 = no cache: every point read
     /// fetches from storage).
-    pub point_read_cache_bytes: u64,
+    point_read_cache_bytes: u64,
     /// Which I/O engine to construct: the pread worker pool, raw
     /// io_uring, or a runtime-probed choice between them.
-    pub io_backend: IoBackend,
-    /// Ask io_uring for a kernel submission-polling thread (SQPOLL);
-    /// silently degraded when the host refuses. Ignored by the worker
-    /// pool.
-    pub io_sqpoll: bool,
+    io_backend: IoBackend,
 }
 
 /// Where an [`EngineBuilder`] gets its graph.
@@ -132,13 +124,10 @@ pub struct EngineBuilder {
     source: BuilderSource,
     policy: BuilderPolicy,
     io_workers: usize,
-    selective_io: bool,
-    direct_io: bool,
     metrics: bool,
     sharded_updates: bool,
     point_read_cache_bytes: u64,
     io_backend: IoBackend,
-    io_sqpoll: bool,
     io_fault: Option<IoFaultInjector>,
     uring_probe_override: Option<bool>,
 }
@@ -149,13 +138,10 @@ impl Default for EngineBuilder {
             source: BuilderSource::None,
             policy: BuilderPolicy::None,
             io_workers: 4,
-            selective_io: true,
-            direct_io: false,
             metrics: false,
             sharded_updates: true,
             point_read_cache_bytes: 0,
             io_backend: IoBackend::Auto,
-            io_sqpoll: false,
             io_fault: None,
             uring_probe_override: None,
         }
@@ -213,19 +199,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Allow selective per-row fetch for algorithms that support it
-    /// (default true).
-    pub fn selective_io(mut self, enabled: bool) -> Self {
-        self.selective_io = enabled;
-        self
-    }
-
-    /// Issue sector-aligned (O_DIRECT-style) reads, §V.B (default false).
-    pub fn direct_io(mut self, enabled: bool) -> Self {
-        self.direct_io = enabled;
-        self
-    }
-
     /// Record per-phase timings, I/O counters, cache behaviour and
     /// query-batch sharing into a flight recorder, exposed via
     /// [`GStoreEngine::metrics`] (default false: the disabled path takes
@@ -237,7 +210,8 @@ impl EngineBuilder {
 
     /// Use the column-sharded (contention-free plain-write) compute
     /// executor for algorithms that opt in (default true; `false` forces
-    /// the atomic fallback everywhere — the benchmark A/B knob).
+    /// the atomic fallback everywhere, the reference path the sharded
+    /// executor is checked against).
     pub fn sharded_updates(mut self, enabled: bool) -> Self {
         self.sharded_updates = enabled;
         self
@@ -264,16 +238,6 @@ impl EngineBuilder {
     ///   or the backend exposes no file descriptor.
     pub fn io_backend(mut self, backend: IoBackend) -> Self {
         self.io_backend = backend;
-        self
-    }
-
-    /// Ask the io_uring engine for a kernel submission-polling thread
-    /// (SQPOLL): submissions then need no syscall while the kernel thread
-    /// is awake. Silently degraded to a plain ring when the host refuses
-    /// (older kernels gate it behind CAP_SYS_ADMIN). No effect on the
-    /// worker pool. Default false.
-    pub fn io_sqpoll(mut self, enabled: bool) -> Self {
-        self.io_sqpoll = enabled;
         self
     }
 
@@ -316,13 +280,10 @@ impl EngineBuilder {
             scr,
             use_scr_cache,
             io_workers: self.io_workers,
-            selective_io: self.selective_io,
-            direct_io: self.direct_io,
             metrics: self.metrics,
             sharded_updates: self.sharded_updates,
             point_read_cache_bytes: self.point_read_cache_bytes,
             io_backend: self.io_backend,
-            io_sqpoll: self.io_sqpoll,
         };
         let (index, backend) = match self.source {
             BuilderSource::None => {
@@ -349,7 +310,8 @@ impl EngineBuilder {
 
 /// Semi-external G-Store engine over any storage backend.
 pub struct GStoreEngine {
-    index: TileIndex,
+    /// Shared with every reader from [`GStoreEngine::point_reader`].
+    index: Arc<TileIndex>,
     /// The selected I/O engine (pread worker pool or io_uring), behind
     /// the shared completion surface.
     aio: Arc<dyn IoEngine>,
@@ -464,7 +426,7 @@ impl GStoreEngine {
         let mut pool = CachePool::new(pool_bytes);
         pool.set_recorder(rec_dyn);
         Ok(GStoreEngine {
-            index,
+            index: Arc::new(index),
             aio,
             backend,
             config,
@@ -518,8 +480,8 @@ impl GStoreEngine {
             match UringEngine::with_recorder(
                 Arc::clone(backend),
                 AIO_QUEUE_DEPTH,
-                config.direct_io,
-                config.io_sqpoll,
+                false, // buffered reads
+                false, // no SQPOLL thread
                 &reg_classes(config.scr.segment_bytes as usize),
                 rec_dyn.clone(),
                 io_fault.clone(),
@@ -540,7 +502,7 @@ impl GStoreEngine {
             Arc::clone(backend),
             config.io_workers,
             AIO_QUEUE_DEPTH,
-            config.direct_io,
+            false, // buffered reads
             rec_dyn,
             io_fault,
         )))
@@ -553,48 +515,19 @@ impl GStoreEngine {
 
     /// A point reader over this engine's store: the OLTP access path
     /// (`neighbors` / `degree` / `khop` / `walk`) with a hot-tile cache of
-    /// [`EngineConfig::point_read_cache_bytes`]. The reader shares the
-    /// engine's backend, flight recorder and fault injector but owns its
-    /// cache — wrap it in an [`Arc`] to serve concurrent clients.
+    /// [`EngineBuilder::point_read_cache_bytes`]. The reader shares the
+    /// engine's index, backend, flight recorder and fault injector but
+    /// owns its cache; its misses are synchronous reads on the calling
+    /// thread whichever I/O engine the sweeps use. Wrap it in an [`Arc`]
+    /// to serve concurrent clients.
     pub fn point_reader(&self) -> crate::pointread::PointReader {
-        let rec_dyn = self
-            .recorder
-            .as_ref()
-            .map(|r| Arc::clone(r) as Arc<dyn Recorder>);
-        let reader = crate::pointread::PointReader::open(
-            self.index.clone(),
+        crate::pointread::PointReader::open(
+            Arc::clone(&self.index),
             Arc::clone(&self.backend),
             self.config.point_read_cache_bytes,
-            rec_dyn.clone(),
+            self.recorder_handle(),
             self.io_fault.clone(),
-        );
-        if self.aio.kind() != IoBackend::Uring {
-            return reader;
-        }
-        // The sweep pipeline runs on uring; give the reader its own ring
-        // over the same file (dup'd fd, independent completion state) so
-        // point misses take the same kernel path. Registration hints
-        // cover tile-sized reads up to the largest tile in the store; a
-        // construction failure silently keeps the synchronous path.
-        let max_tile = (0..self.index.tile_count())
-            .map(|t| {
-                let r = self.index.tile_byte_range(t);
-                (r.end - r.start) as usize
-            })
-            .max()
-            .unwrap_or(0);
-        match UringEngine::with_recorder(
-            Arc::clone(&self.backend),
-            POINT_READ_QUEUE_DEPTH,
-            false,
-            self.config.io_sqpoll,
-            &reg_classes(max_tile),
-            rec_dyn,
-            self.io_fault.clone(),
-        ) {
-            Ok(ring) => reader.with_uring_io(ring),
-            Err(_) => reader,
-        }
+        )
     }
 
     /// The engine's flight recorder as a shareable handle, or `None` when
@@ -1038,7 +971,7 @@ impl GStoreEngine {
     /// Tiles this iteration must process, in storage order.
     fn select_tiles(&self, alg: &dyn Algorithm) -> Vec<u64> {
         let layout = &self.index.layout;
-        if !(self.config.selective_io && alg.selective()) {
+        if !alg.selective() {
             return (0..layout.tile_count()).collect();
         }
         let symmetric = layout.tiling().symmetric();
@@ -1237,10 +1170,6 @@ impl GStoreEngine {
 
 const AIO_QUEUE_DEPTH: usize = 256;
 
-/// Ring depth for a point reader's private uring: misses are fetched one
-/// at a time, so a small ring is plenty.
-const POINT_READ_QUEUE_DEPTH: usize = 32;
-
 /// Registration hints for a ring whose reads run up to `largest` bytes:
 /// one buffer class per power of two from 4 KiB, then `largest` itself.
 fn reg_classes(largest: usize) -> Vec<usize> {
@@ -1366,7 +1295,7 @@ mod tests {
     }
 
     #[test]
-    fn selective_io_reads_less_for_bfs() {
+    fn selective_bfs_reads_less_than_full_sweeps() {
         // A graph with disconnected far-away regions: BFS from vertex 0
         // should not fetch every tile every iteration.
         let (_, store) = kron_store(10, 4, 4, 4);
@@ -1404,20 +1333,6 @@ mod tests {
         engine.run(&mut bfs, 1000).unwrap();
         let want = reference::bfs_levels(&reference::bfs_csr(&el), 0);
         assert_eq!(bfs.depths(), want);
-    }
-
-    #[test]
-    fn direct_io_mode_matches_buffered() {
-        let dir = tempfile::tempdir().unwrap();
-        let (el, store) = kron_store(9, 6, 4, 2);
-        let paths = gstore_tile::write_store(&store, dir.path(), "d").unwrap();
-        let mut engine = tiny(&store).paths(&paths).direct_io(true).build().unwrap();
-        let mut bfs = Bfs::new(*store.layout().tiling(), 0);
-        engine.run(&mut bfs, 1000).unwrap();
-        assert_eq!(
-            bfs.depths(),
-            reference::bfs_levels(&reference::bfs_csr(&el), 0)
-        );
     }
 
     #[test]
@@ -1604,29 +1519,6 @@ mod tests {
     }
 
     #[test]
-    fn uring_direct_io_run_matches_reference() {
-        if !uring_available() {
-            eprintln!("io_uring unavailable; skipping");
-            return;
-        }
-        let dir = tempfile::tempdir().unwrap();
-        let (el, store) = kron_store(9, 6, 4, 2);
-        let paths = gstore_tile::write_store(&store, dir.path(), "ud").unwrap();
-        let mut engine = tiny(&store)
-            .paths(&paths)
-            .io_backend(IoBackend::Uring)
-            .direct_io(true)
-            .build()
-            .unwrap();
-        let mut bfs = Bfs::new(*store.layout().tiling(), 0);
-        engine.run(&mut bfs, 1000).unwrap();
-        assert_eq!(
-            bfs.depths(),
-            reference::bfs_levels(&reference::bfs_csr(&el), 0)
-        );
-    }
-
-    #[test]
     fn run_recovers_after_io_error_on_both_backends() {
         // Same failure drill as run_recovers_after_io_error, but driven by
         // the engine-level injector so it runs identically on the worker
@@ -1683,11 +1575,6 @@ mod tests {
             .build()
             .unwrap();
         let reader = engine.point_reader();
-        assert_eq!(
-            reader.io_backend(),
-            IoBackend::Uring,
-            "a uring engine must hand its readers a private ring"
-        );
         let csr = Csr::from_edge_list(&el, CsrDirection::Out);
         for v in 0..el.vertex_count() {
             let mut got = reader.neighbors(v).unwrap();
@@ -1699,45 +1586,40 @@ mod tests {
         assert_eq!(reader.buffer_stats().outstanding, 0);
         let m = engine.metrics().unwrap();
         assert!(m[Counter::PointreadTilesFetched] > 0);
-        // Every point-read miss went through the ring, none through the
-        // synchronous path.
-        assert!(m[Counter::IoBackendUringRequests] >= m[Counter::PointreadTilesFetched]);
-        assert_eq!(m[Counter::IoBackendWorkersRequests], 0);
+        // Every point-read miss is one synchronous read, counted under
+        // `workers_*` though the sweeps run on the ring.
+        assert_eq!(
+            m[Counter::IoBackendWorkersRequests],
+            m[Counter::PointreadTilesFetched]
+        );
+        assert_eq!(m[Counter::IoBackendUringRequests], 0);
     }
 
     #[test]
-    fn point_reads_fault_and_recover_on_uring() {
-        // The builder's fault injector reaches the point reader's private
-        // ring too: the first fetch fails typed, nothing leaks, the retry
-        // reads clean.
+    fn point_reader_shares_the_engine_index() {
+        let (_, store) = kron_store(8, 4, 4, 2);
+        let engine = tiny(&store).build().unwrap();
+        assert!(std::ptr::eq(engine.index(), engine.point_reader().index()));
+    }
+
+    #[test]
+    fn point_reader_on_uring_engine_pins_no_buffers() {
+        // Misses borrow from the reader's own pool as they happen; nothing
+        // is allocated (or registered with a ring) up front.
         if !uring_available() {
             eprintln!("io_uring unavailable; skipping");
             return;
         }
-        use gstore_io::FaultPolicy;
         let dir = tempfile::tempdir().unwrap();
-        let (el, store) = kron_store(8, 4, 4, 2);
-        let paths = gstore_tile::write_store(&store, dir.path(), "pf").unwrap();
-        let fault = gstore_io::IoFaultInjector::new(FaultPolicy::FirstN(1));
+        let (_, store) = kron_store(8, 4, 4, 2);
+        let paths = gstore_tile::write_store(&store, dir.path(), "pb").unwrap();
         let engine = tiny(&store)
             .paths(&paths)
             .io_backend(IoBackend::Uring)
-            .io_fault(fault.clone())
+            .point_read_cache_bytes(1 << 20)
             .build()
             .unwrap();
-        let reader = engine.point_reader();
-        assert_eq!(reader.io_backend(), IoBackend::Uring);
-        let err = reader.neighbors(2).unwrap_err();
-        assert!(matches!(err, GraphError::Io(_)), "got {err:?}");
-        assert_eq!(fault.injected(), 1);
-        assert_eq!(reader.buffer_stats().outstanding, 0);
-        let csr = Csr::from_edge_list(&el, CsrDirection::Out);
-        let mut got = reader.neighbors(2).unwrap();
-        got.sort_unstable();
-        let mut want = csr.neighbors(2).to_vec();
-        want.sort_unstable();
-        assert_eq!(got, want);
-        assert_eq!(reader.buffer_stats().outstanding, 0);
+        assert_eq!(engine.point_reader().buffer_stats().pooled_bytes, 0);
     }
 
     #[test]
@@ -2056,23 +1938,6 @@ mod tests {
         assert_eq!(stats.iterations, 0);
         assert_eq!(stats.tiles_processed, 0);
         assert_eq!(stats.bytes_read, 0);
-    }
-
-    #[test]
-    fn selective_io_can_be_disabled() {
-        let (el, store) = kron_store(9, 4, 4, 2);
-        let mut engine = tiny(&store).selective_io(false).build().unwrap();
-        let mut bfs = Bfs::new(*store.layout().tiling(), 0);
-        let stats = engine.run(&mut bfs, 10_000).unwrap();
-        // Every iteration sweeps every tile.
-        assert_eq!(
-            stats.tiles_processed,
-            stats.iterations as u64 * store.tile_count()
-        );
-        assert_eq!(
-            bfs.depths(),
-            reference::bfs_levels(&reference::bfs_csr(&el), 0)
-        );
     }
 
     #[test]

@@ -46,7 +46,7 @@ pub use algorithms::{
     AsyncBfs, Bfs, DegreeCount, KCore, MultiBfs, PageRank, PageRankDelta, SpMV, Wcc, UNREACHED,
 };
 pub use compute::{BatchOutcome, MultiBatchOutcome};
-pub use engine::{EngineBuilder, EngineConfig, GStoreEngine};
+pub use engine::{EngineBuilder, GStoreEngine};
 pub use pointread::PointReader;
 pub use query::{BatchRunStats, QueryBatch, QueryOutcome};
 pub use spec::{QueryKind, QuerySpec, QueryValue, SweepQuery};

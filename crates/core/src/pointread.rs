@@ -27,14 +27,12 @@
 use crate::view::TileView;
 use gstore_graph::{GraphError, Result, VertexId};
 use gstore_io::{
-    AioRequest, BufferPoolStats, IoBackend, IoEngine, IoFaultInjector, PooledBuf, ReadPath,
-    StorageBackend, UringEngine,
+    AioRequest, BufferPoolStats, IoBackend, IoFaultInjector, ReadPath, StorageBackend,
 };
 use gstore_metrics::Recorder;
 use gstore_scr::{CacheHint, CachePool, PoolStats};
 use gstore_tile::{Codec, EdgeEncoding, TileIndex, SNB_EDGE_BYTES};
 use std::collections::{HashMap, HashSet};
-use std::io;
 use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Instant;
 
@@ -130,14 +128,6 @@ struct Touch {
     bytes_read: u64,
 }
 
-/// A private io_uring ring for tile-miss fetches, gate-serialised so each
-/// submit is paired with its own completion (concurrent callers on the
-/// shared reader cannot steal each other's reads).
-struct UringGate {
-    engine: UringEngine,
-    gate: Mutex<()>,
-}
-
 /// Point-read access path over a tile store: `neighbors` / `degree` /
 /// `khop` / `walk` served from individual tiles instead of full sweeps.
 ///
@@ -146,10 +136,11 @@ struct UringGate {
 /// served is *out*-neighbors (matching [`gstore_graph::CsrDirection::Out`]);
 /// undirected stores serve the full symmetric adjacency.
 pub struct PointReader {
-    index: TileIndex,
+    /// Shared with the engine that handed this reader out.
+    index: Arc<TileIndex>,
     backend: Arc<dyn StorageBackend>,
-    /// The synchronous miss path: the engines' request life cycle, run on
-    /// the calling thread.
+    /// The one miss path: the engines' request life cycle, run on the
+    /// calling thread whichever I/O engine the sweeps use.
     io: ReadPath,
     /// The hot-tile cache. A hit decodes straight out of the arena under
     /// the *shared* lock, so readers of the same hot tile run in parallel;
@@ -162,33 +153,24 @@ pub struct PointReader {
     /// `pool` exclusively. Lock order: `pool`, then `heat`.
     heat: Mutex<Heat>,
     recorder: Option<Arc<dyn Recorder>>,
-    /// When present, tile misses go through this private ring instead of
-    /// synchronous `read_at` calls. See [`PointReader::with_uring_io`].
-    uring: Option<UringGate>,
 }
 
 impl PointReader {
     /// A reader over `index` + `backend` with a hot-tile cache of
     /// `cache_bytes` (0 disables caching; every access then fetches).
-    pub fn new(index: TileIndex, backend: Arc<dyn StorageBackend>, cache_bytes: u64) -> Self {
-        Self::with_recorder(index, backend, cache_bytes, None)
-    }
-
-    /// Same, reporting per-request `pointread` events to `recorder`.
-    pub fn with_recorder(
-        index: TileIndex,
+    pub fn new(
+        index: impl Into<Arc<TileIndex>>,
         backend: Arc<dyn StorageBackend>,
         cache_bytes: u64,
-        recorder: Option<Arc<dyn Recorder>>,
     ) -> Self {
-        Self::open(index, backend, cache_bytes, recorder, None)
+        Self::open(index.into(), backend, cache_bytes, None, None)
     }
 
-    /// Same, failing synchronous misses per `fault` — the engine's own
-    /// injector, so `.io_fault(..)` covers point reads on either I/O
-    /// engine.
+    /// Same, reporting per-request `pointread` events to `recorder` and
+    /// failing misses per `fault` — the engine's own injector, so
+    /// `.io_fault(..)` covers point reads on either I/O engine.
     pub(crate) fn open(
-        index: TileIndex,
+        index: Arc<TileIndex>,
         backend: Arc<dyn StorageBackend>,
         cache_bytes: u64,
         recorder: Option<Arc<dyn Recorder>>,
@@ -208,28 +190,6 @@ impl PointReader {
             pool: RwLock::new(CachePool::new(cache_bytes)),
             heat: Mutex::new(Heat::default()),
             recorder,
-            uring: None,
-        }
-    }
-
-    /// Routes tile-miss fetches through `engine` — a private io_uring ring
-    /// over the same store (the engine dups the fd, so this ring shares no
-    /// completion state with the sweep pipeline's). Misses are serialised
-    /// through the ring one at a time; cache hits are unaffected.
-    pub fn with_uring_io(mut self, engine: UringEngine) -> Self {
-        self.uring = Some(UringGate {
-            engine,
-            gate: Mutex::new(()),
-        });
-        self
-    }
-
-    /// Which I/O path tile misses take: `Uring` when a private ring is
-    /// attached, else `Workers` (the synchronous backend-read path).
-    pub fn io_backend(&self) -> IoBackend {
-        match &self.uring {
-            Some(_) => IoBackend::Uring,
-            None => IoBackend::Workers,
         }
     }
 
@@ -249,13 +209,9 @@ impl PointReader {
     }
 
     /// I/O buffer-pool counters; `outstanding == 0` whenever no request is
-    /// mid-flight, including after a failed read. Reports the private
-    /// ring's pool when one is attached (misses borrow from it).
+    /// mid-flight, including after a failed read.
     pub fn buffer_stats(&self) -> BufferPoolStats {
-        match &self.uring {
-            Some(u) => u.engine.buffer_pool().stats(),
-            None => self.io.buffer_pool().stats(),
-        }
+        self.io.buffer_pool().stats()
     }
 
     /// Drops every cached tile and the recency history.
@@ -386,7 +342,12 @@ impl PointReader {
             }
 
             let len = (range.end - range.start) as usize;
-            let buf = self.fetch_tile(idx, range.start, len)?;
+            let req = AioRequest {
+                tag: idx,
+                offset: range.start,
+                len,
+            };
+            let buf = self.io.read(&*self.backend, req)?;
             touch.tiles_fetched += 1;
             touch.bytes_read += len as u64;
             decode(buf.as_slice(), f);
@@ -394,25 +355,6 @@ impl PointReader {
             self.heat().insert(&mut pool, idx, buf.as_slice());
         }
         Ok(())
-    }
-
-    /// Fetches one tile's bytes into a pooled buffer: one submit/poll pair
-    /// on the private ring when attached, else one synchronous read through
-    /// the same request life cycle.
-    fn fetch_tile(&self, tag: u64, offset: u64, len: usize) -> Result<PooledBuf> {
-        let req = AioRequest { tag, offset, len };
-        match &self.uring {
-            Some(u) => {
-                let _turn = u.gate.lock().unwrap();
-                u.engine.submit(vec![req]);
-                let mut done = u.engine.poll(1, 1).map_err(|e| GraphError::Io(e.into()))?;
-                let c = done.pop().ok_or_else(|| {
-                    GraphError::Io(io::Error::other("uring point read returned no completion"))
-                })?;
-                c.result.map_err(GraphError::Io)
-            }
-            None => Ok(self.io.read(&*self.backend, req)?),
-        }
     }
 
     fn record(&self, touch: Touch, started: Instant) {
@@ -551,6 +493,7 @@ mod tests {
     use gstore_io::{FaultPolicy, JitterBackend, MemBackend};
     use gstore_metrics::{Counter, EngineMetrics, FlightRecorder};
     use gstore_tile::{ConversionOptions, TileStore};
+    use std::io;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Barrier;
 
@@ -717,11 +660,12 @@ mod tests {
         );
         let backend = Arc::new(MemBackend::new(store.data().to_vec()));
         let rec = Arc::new(FlightRecorder::new());
-        let reader = PointReader::with_recorder(
-            index,
+        let reader = PointReader::open(
+            index.into(),
             backend,
             4 << 20,
             Some(Arc::clone(&rec) as Arc<dyn Recorder>),
+            None,
         );
         let first = reader.neighbors(3).unwrap();
         let cold = rec.snapshot();
@@ -763,11 +707,12 @@ mod tests {
                 store.start_edge().to_vec(),
             );
             let rec = Arc::new(FlightRecorder::new());
-            let reader = PointReader::with_recorder(
-                index,
+            let reader = PointReader::open(
+                index.into(),
                 Arc::new(MemBackend::new(store.data().to_vec())),
                 store.data_bytes() / 2,
                 Some(Arc::clone(&rec) as Arc<dyn Recorder>),
+                None,
             );
             for &v in keys {
                 reader.neighbors(v).unwrap();
@@ -858,11 +803,12 @@ mod tests {
                 bytes: AtomicU64::new(0),
             });
             let rec = Arc::new(FlightRecorder::new());
-            let reader = PointReader::with_recorder(
-                index,
+            let reader = PointReader::open(
+                index.into(),
                 Arc::clone(&counted) as Arc<dyn StorageBackend>,
                 cache_bytes,
                 Some(Arc::clone(&rec) as Arc<dyn Recorder>),
+                None,
             );
             // Non-empty tiles one adjacency scan of `v` visits.
             let tiles_of = |v: VertexId| {
@@ -968,38 +914,6 @@ mod tests {
     }
 
     #[test]
-    fn uring_path_matches_backend_reads() {
-        use gstore_io::{uring_available, FileBackend};
-        if !uring_available() {
-            eprintln!("io_uring unavailable; skipping");
-            return;
-        }
-        let el = generate_rmat(&RmatParams::kron(8, 8)).unwrap();
-        let store = TileStore::build(&el, &ConversionOptions::new(4).with_group_side(2)).unwrap();
-        let dir = tempfile::tempdir().unwrap();
-        let paths = gstore_tile::write_store(&store, dir.path(), "p").unwrap();
-        let backend: Arc<dyn StorageBackend> = Arc::new(FileBackend::open(&paths.tiles).unwrap());
-        let index = TileIndex::raw(
-            store.layout().clone(),
-            store.encoding(),
-            store.start_edge().to_vec(),
-        );
-        let ring = UringEngine::new(Arc::clone(&backend), 8).unwrap();
-        let reader = PointReader::new(index, backend, 1 << 20).with_uring_io(ring);
-        assert_eq!(reader.io_backend(), IoBackend::Uring);
-        let csr = Csr::from_edge_list(&el, CsrDirection::Out);
-        for v in 0..el.vertex_count() {
-            assert_eq!(
-                sorted(reader.neighbors(v).unwrap()),
-                sorted(csr.neighbors(v).to_vec()),
-                "vertex {v}"
-            );
-            assert_eq!(reader.degree(v).unwrap(), csr.degree(v), "vertex {v}");
-        }
-        assert_eq!(reader.buffer_stats().outstanding, 0);
-    }
-
-    #[test]
     fn fault_surfaces_typed_error_and_retry_succeeds() {
         let el = generate_rmat(&RmatParams::kron(8, 8)).unwrap();
         let store = TileStore::build(&el, &ConversionOptions::new(4)).unwrap();
@@ -1010,7 +924,7 @@ mod tests {
         );
         let backend = Arc::new(MemBackend::new(store.data().to_vec()));
         let fault = IoFaultInjector::new(FaultPolicy::FirstN(1));
-        let reader = PointReader::open(index, backend, 1 << 20, None, Some(fault.clone()));
+        let reader = PointReader::open(index.into(), backend, 1 << 20, None, Some(fault.clone()));
         let err = reader.neighbors(2).unwrap_err();
         assert!(matches!(err, GraphError::Io(_)), "got {err:?}");
         assert_eq!(fault.injected(), 1);

@@ -82,8 +82,6 @@ pub struct StreamingOptions {
     /// buffer (see the module docs for the per-edge account). The
     /// O(tile_count) index arrays are not charged against it.
     pub mem_budget_bytes: usize,
-    /// Ask the file backend to keep writes sector-aligned where possible.
-    pub direct_io: bool,
     /// Explicit edges-per-chunk override; derived from the budget when
     /// `None`. Mainly for tests and benchmarks that sweep chunk geometry.
     pub chunk_edges: Option<usize>,
@@ -98,7 +96,6 @@ impl StreamingOptions {
         StreamingOptions {
             convert,
             mem_budget_bytes: DEFAULT_MEM_BUDGET_BYTES,
-            direct_io: false,
             chunk_edges: None,
             pool: None,
             recorder: None,
@@ -114,11 +111,6 @@ impl StreamingOptions {
     /// Forces a chunk size in edges (floored at 1), bypassing the budget.
     pub fn with_chunk_edges(mut self, edges: usize) -> Self {
         self.chunk_edges = Some(edges.max(1));
-        self
-    }
-
-    pub fn with_direct_io(mut self, direct: bool) -> Self {
-        self.direct_io = direct;
         self
     }
 
@@ -172,7 +164,7 @@ pub fn convert_streaming(
 ) -> Result<StreamingReport> {
     std::fs::create_dir_all(dir)?;
     let paths = TilePaths::new(dir, name);
-    let backend = Arc::new(FileWriteBackend::create(&paths.tiles, opts.direct_io)?);
+    let backend = Arc::new(FileWriteBackend::create(&paths.tiles, false)?);
     convert_streaming_to(edge_path, backend, &paths, opts)
 }
 

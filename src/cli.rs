@@ -173,17 +173,14 @@ const ENGINE_FLAGS: &[&str] = &[
     "memory-mb",
     "io-workers",
     "io-backend",
-    "sqpoll",
     "cache-mb",
-    "direct",
     "metrics-json",
 ];
 
 /// Builds an [`EngineBuilder`] from the shared engine flags
 /// (`--segment-kb`, `--memory-mb`, `--io-workers`, `--io-backend`,
-/// `--sqpoll`, `--cache-mb`, `--direct`, `--metrics-json`). No source is
-/// set — callers add `.paths(..)` / `.store(..)` / `.backend(..)` for
-/// their graph.
+/// `--cache-mb`, `--metrics-json`). No source is set — callers add
+/// `.paths(..)` / `.store(..)` / `.backend(..)` for their graph.
 pub fn engine_builder_from_flags(flags: &Flags) -> Result<EngineBuilder> {
     let segment = size_flag(flags, "segment-kb", 4096, 1 << 10)?;
     let total = size_flag(flags, "memory-mb", 256, 1 << 20)?;
@@ -204,8 +201,6 @@ pub fn engine_builder_from_flags(flags: &Flags) -> Result<EngineBuilder> {
         .scr(scr)
         .io_workers(io_workers)
         .io_backend(io_backend)
-        .io_sqpoll(flags.has("sqpoll"))
-        .direct_io(flags.has("direct"))
         .point_read_cache_bytes(size_flag(flags, "cache-mb", 64, 1 << 20)?)
         .metrics(flags.has("metrics-json")))
 }
@@ -273,7 +268,7 @@ fn cmd_convert(pos: &[String], flags: &Flags) -> Result<()> {
         return Err(GraphError::InvalidParameter(
             "usage: convert <input> <dir> <name> [--text] [--directed] \
              [--tile-bits N] [--group-side N] [--no-symmetry] [--compress] \
-             [--codec varint|gamma|zeta|ef] [--streaming] [--mem-budget MB] [--direct] \
+             [--codec varint|gamma|zeta|ef] [--streaming] [--mem-budget MB] \
              [--metrics-json PATH]"
                 .into(),
         ));
@@ -297,8 +292,7 @@ fn cmd_convert(pos: &[String], flags: &Flags) -> Result<()> {
             ));
         }
         let mut sopts = StreamingOptions::new(opts)
-            .with_mem_budget_mb(size_flag(flags, "mem-budget", 64, 1 << 20)? >> 20)
-            .with_direct_io(flags.has("direct"));
+            .with_mem_budget_mb(size_flag(flags, "mem-budget", 64, 1 << 20)? >> 20);
         // The `ingest` group of docs/METRICS.md; the engine groups stay
         // empty, no engine runs.
         let metrics = metrics_path(flags)?.map(|path| (path, Arc::new(FlightRecorder::new())));
@@ -864,9 +858,9 @@ commands:
   convert  <input> <dir> <n>   edge list (binary or --text) -> tile store
                                (--directed, --tile-bits N, --group-side N,
                                --no-symmetry; --streaming [--mem-budget MB]
-                               [--direct] [--metrics-json P] converts out of
-                               core; --compress [--codec C] also writes a
-                               coded <n>c store)
+                               [--metrics-json P] converts out of core;
+                               --compress [--codec C] also writes a coded
+                               <n>c store)
   info     <dir> <name>        store geometry, sizes, occupancy, codec
                                accounting (bytes/edge, compression ratio)
   bfs      <dir> <name>        breadth-first search (--root R, --async)
@@ -901,10 +895,7 @@ engine flags (bfs/pagerank/wcc/kcore/degrees/batch/query/serve):
   --io-workers N   AIO worker threads (default 4; workers backend only)
   --io-backend B   I/O engine: auto | workers | uring (default auto:
                    probe io_uring, fall back to the worker pool)
-  --sqpoll         ask io_uring for kernel submission polling (SQPOLL);
-                   silently degraded when the host refuses
   --cache-mb N     hot-tile cache for point reads (default 64)
-  --direct         sector-aligned O_DIRECT-style reads
   --metrics-json P write flight-recorder metrics (per-iteration phase
                    timings, I/O counters, cache stats) to P as JSON
 any other flag is a usage error";
@@ -935,7 +926,6 @@ const COMMANDS: &[Command] = &[
             "no-symmetry",
             "streaming",
             "mem-budget",
-            "direct",
             "metrics-json",
             "compress",
             "codec",
@@ -1360,8 +1350,16 @@ mod tests {
             engine_builder_from_flags(&f(&["--io-backend", "epoll"])),
             Err(GraphError::InvalidParameter(_))
         ));
-        // --sqpoll is a bare switch; it composes with any backend choice.
-        assert!(engine_builder_from_flags(&f(&["--sqpoll"])).is_ok());
+        // The retired switches are undeclared flags: a usage error naming
+        // the flag, exit 2, before the store is opened.
+        for retired in ["--sqpoll", "--direct"] {
+            let err = dispatch("bfs", &s(&["db", "g", retired])).unwrap_err();
+            assert!(
+                matches!(&err, GraphError::InvalidParameter(m) if m.contains(retired)),
+                "{retired}: {err:?}"
+            );
+            assert_eq!(run(&s(&["bfs", "db", "g", retired])), 2, "{retired}");
+        }
     }
 
     #[test]

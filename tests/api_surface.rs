@@ -2,7 +2,8 @@
 //! validation contract, and the equivalence of the builder's three source
 //! spellings (`paths` / `store` / `backend`) — the deprecated
 //! `EngineConfig::new` + `with_*` / `GStoreEngine::new`/`open`/`from_store`
-//! shims are gone, so `builder()` is the only construction path.
+//! shims are gone, so `builder()` is the only construction path and
+//! `EngineConfig` is private.
 
 // If anything is removed from (or renamed in) the prelude, this explicit
 // import list stops compiling — the prelude is a compatibility surface,
@@ -10,9 +11,9 @@
 #[rustfmt::skip]
 use gstore::prelude::{
     // Engine + algorithms (gstore-core).
-    Algorithm, AsyncBfs, BatchRunStats, Bfs, DegreeCount, EngineBuilder, EngineConfig,
-    GStoreEngine, IterationOutcome, KCore, PageRank, PageRankDelta, QueryBatch, QueryKind,
-    QueryOutcome, QuerySpec, QueryValue, RunStats, SpMV, SweepQuery, TileView, Wcc,
+    Algorithm, AsyncBfs, BatchRunStats, Bfs, DegreeCount, EngineBuilder, GStoreEngine,
+    IterationOutcome, KCore, PageRank, PageRankDelta, QueryBatch, QueryKind, QueryOutcome,
+    QuerySpec, QueryValue, RunStats, SpMV, SweepQuery, TileView, Wcc,
     // Graph primitives (gstore-graph).
     Csr, CsrDirection, Edge, EdgeList, GraphKind, GraphMeta, TupleWidth, VertexId,
     // Storage (gstore-io).
@@ -41,7 +42,7 @@ fn scr_for(store: &TileStore) -> ScrConfig {
 /// re-export of private or renamed items at compile time).
 #[allow(dead_code, clippy::too_many_arguments, clippy::type_complexity)]
 fn prelude_types_are_nameable(
-    _: (&EngineBuilder, &EngineConfig, &GStoreEngine),
+    _: (&EngineBuilder, &GStoreEngine),
     _: (&dyn Algorithm, &RunStats, &IterationOutcome, &TileView),
     _: (&QueryBatch, &QueryOutcome, &BatchRunStats),
     _: (&QuerySpec, &QueryKind, &QueryValue, &SweepQuery),
@@ -160,8 +161,7 @@ fn builder_sources_are_equivalent() {
     }
 }
 
-/// `EngineConfig` survives as the builder's plain-data output; the knob
-/// spellings live on the builder and really take effect.
+/// The knob spellings live on the builder and really take effect.
 #[test]
 fn builder_knobs_take_effect() {
     let store = small_store();
@@ -171,7 +171,6 @@ fn builder_knobs_take_effect() {
     let mut base = GStoreEngine::builder()
         .store(&store)
         .base_policy(total)
-        .selective_io(false)
         .sharded_updates(false)
         .metrics(true)
         .build()

@@ -939,9 +939,8 @@ fn point_reads_survive_mid_request_io_error() {
     // A read failure inside a point read must surface as the typed I/O
     // error, leave nothing in flight and no pooled buffer outstanding,
     // and the same reader must answer the retried request correctly — on
-    // both I/O engines (point misses take the synchronous path under the
-    // worker pool and a private ring under io_uring; the engine's one
-    // fault injector covers both).
+    // both I/O engines (point misses are synchronous reads under either;
+    // the engine's one fault injector covers them and the sweeps alike).
     use gstore::graph::gen::{generate_rmat, RmatParams};
     use gstore::io::{uring_available, FaultPolicy, IoBackend, IoFaultInjector};
 
@@ -966,7 +965,6 @@ fn point_reads_survive_mid_request_io_error() {
             .build()
             .unwrap();
         let reader = engine.point_reader();
-        assert_eq!(reader.io_backend(), io_backend);
 
         let err = reader.neighbors(0).unwrap_err();
         assert!(
