@@ -1,312 +1,36 @@
 //! The G-Store engine: semi-external tile processing with selective AIO
 //! and Slide-Cache-Rewind memory management (§III, §V–VI).
 //!
-//! Per iteration the engine:
-//! 1. asks the algorithm which vertex ranges are active (selective I/O),
-//! 2. *rewinds*: processes every needed tile already in the cache pool —
-//!    no I/O (time (T+1)0 of Figure 8),
-//! 3. *slides*: streams the remaining tiles in segment-sized AIO batches,
-//!    double-buffered so segment k+1 is in flight while k is processed,
-//! 4. *caches*: inserts processed tiles into the pool under the proactive
-//!    policy, driven by next-iteration metadata plus row-completion
-//!    tracking (§VI.C's rules).
-//!
-//! Contiguous tiles are merged into single AIO requests — the paper's
-//! batching of group reads into one `io_submit`.
+//! Each iteration is one sweep through six stages, Figure 8's timeline:
+//! 1. *select*: live queries elect the vertex ranges they need (selective
+//!    I/O); the union of their tiles drives the sweep,
+//! 2. *plan*: the SCR plan splits the union into cached tiles and
+//!    segments of runs, one AIO request per run; segment 0 goes out,
+//! 3. *rewind*: processes the cached tiles, no I/O (time (T+1)0),
+//! 4. *slide*: streams the segments double-buffered, landing segment k's
+//!    runs while k+1 is in flight,
+//! 5. *admit*: caches processed tiles under the proactive policy
+//!    (next-iteration metadata plus row completion, §VI.C's rules),
+//! 6. *seam*: records the iteration and detaches converged queries.
 
 use crate::algorithm::{Algorithm, IterationOutcome, RunStats, UpdateMode};
+pub use crate::builder::EngineBuilder;
+use crate::builder::EngineConfig;
 use crate::compute::{self, DecodeStage, QueryRef};
 use crate::query::{BatchRunStats, QueryBatch, QueryOutcome};
 use gstore_graph::{GraphError, Result};
 use gstore_io::{
-    uring_available, AioEngine, AioRequest, FileBackend, IoBackend, IoEngine, IoFaultInjector,
-    MemBackend, StorageBackend, UringEngine,
+    uring_available, AioEngine, AioRequest, IoBackend, IoEngine, IoFaultInjector, StorageBackend,
+    UringEngine,
 };
 use gstore_metrics::{
     EngineMetrics, FlightRecorder, IterationMetrics, QueryBatchSweep, QueryRecord, Recorder,
 };
-use gstore_scr::{plan, CacheHint, CacheOracle, CachePool, RowProgress, ScrConfig, UnionFrontier};
-use gstore_tile::{TileIndex, TilePaths, TileStore};
-use std::collections::HashMap;
+use gstore_scr::{CacheHint, CacheOracle, CachePool, RowProgress, ScrPlan, UnionFrontier};
+use gstore_tile::TileIndex;
 use std::ops::Range;
 use std::sync::Arc;
-use std::time::Instant;
-
-/// The builder's validated output, fixed for the engine's lifetime.
-#[derive(Clone, Copy)]
-struct EngineConfig {
-    /// Memory budget (segments + cache pool).
-    scr: ScrConfig,
-    /// When false, runs the Figure 13 "base policy": two big segments,
-    /// no cache pool, no rewind.
-    use_scr_cache: bool,
-    /// AIO worker threads.
-    io_workers: usize,
-    /// Record per-phase timings, I/O counters and cache behaviour into a
-    /// flight recorder, exposed via [`GStoreEngine::metrics`]. Off by
-    /// default: the disabled path takes no timestamps and no locks.
-    metrics: bool,
-    /// Use the column-sharded (contention-free plain-write) compute
-    /// executor for algorithms whose [`Algorithm::update_mode`] opts in.
-    /// When false every batch takes the atomic fallback, the reference
-    /// the sharded path is tested against.
-    sharded_updates: bool,
-    /// Hot-tile cache capacity for readers from
-    /// [`GStoreEngine::point_reader`] (0 = no cache: every point read
-    /// fetches from storage).
-    point_read_cache_bytes: u64,
-    /// Which I/O engine to construct: the pread worker pool, raw
-    /// io_uring, or a runtime-probed choice between them.
-    io_backend: IoBackend,
-}
-
-/// Where an [`EngineBuilder`] gets its graph.
-#[derive(Clone)]
-enum BuilderSource {
-    None,
-    /// The two on-disk files; opened at [`EngineBuilder::build`] time.
-    Paths(TilePaths),
-    /// An index plus any storage backend (files, memory, simulators,
-    /// fault injectors). [`EngineBuilder::store`] resolves to this too.
-    Backend {
-        index: TileIndex,
-        backend: Arc<dyn StorageBackend>,
-    },
-}
-
-/// The memory policy an [`EngineBuilder`] runs under.
-#[derive(Clone)]
-enum BuilderPolicy {
-    None,
-    /// Full Slide-Cache-Rewind: streaming segments + proactive cache pool.
-    Scr(ScrConfig),
-    /// Figure 13's baseline: two big segments, no cache pool, no rewind.
-    /// Validated (and split into segments) at build time.
-    Base(u64),
-}
-
-/// Typed builder for [`GStoreEngine`] — the one blessed way to construct
-/// an engine. A build needs exactly two decisions, each stated once:
-///
-/// * a **source**: [`EngineBuilder::paths`] (the two on-disk files),
-///   [`EngineBuilder::store`] (an in-memory [`TileStore`]), or
-///   [`EngineBuilder::backend`] (any [`StorageBackend`]: simulated
-///   arrays, fault injection, tiering);
-/// * a **memory policy**: [`EngineBuilder::scr`] (explicit
-///   [`ScrConfig`]) or [`EngineBuilder::base_policy`] (Figure 13's
-///   cache-less baseline, sized from a total byte budget).
-///
-/// Everything else is an optional knob with a sensible default.
-/// Validation happens once, at [`EngineBuilder::build`]: a missing
-/// source or policy, zero workers, or an undersized backend all fail
-/// there with a typed [`GraphError`].
-///
-/// ```
-/// use gstore_core::{Bfs, GStoreEngine};
-/// use gstore_graph::gen::{generate_rmat, RmatParams};
-/// use gstore_scr::ScrConfig;
-/// use gstore_tile::{ConversionOptions, TileStore};
-///
-/// let el = generate_rmat(&RmatParams::kron(9, 8)).unwrap();
-/// let store = TileStore::build(&el, &ConversionOptions::new(5)).unwrap();
-/// let mut engine = GStoreEngine::builder()
-///     .store(&store)
-///     .scr(ScrConfig::new(16 << 10, 256 << 10).unwrap())
-///     .io_workers(2)
-///     .build()
-///     .unwrap();
-/// let mut bfs = Bfs::new(*store.layout().tiling(), 0);
-/// let stats = engine.run(&mut bfs, 1000).unwrap();
-/// assert!(stats.bytes_read > 0);
-/// ```
-#[derive(Clone)]
-pub struct EngineBuilder {
-    source: BuilderSource,
-    policy: BuilderPolicy,
-    io_workers: usize,
-    metrics: bool,
-    sharded_updates: bool,
-    point_read_cache_bytes: u64,
-    io_backend: IoBackend,
-    io_fault: Option<IoFaultInjector>,
-    uring_probe_override: Option<bool>,
-}
-
-impl Default for EngineBuilder {
-    fn default() -> Self {
-        EngineBuilder {
-            source: BuilderSource::None,
-            policy: BuilderPolicy::None,
-            io_workers: 4,
-            metrics: false,
-            sharded_updates: true,
-            point_read_cache_bytes: 0,
-            io_backend: IoBackend::Auto,
-            io_fault: None,
-            uring_probe_override: None,
-        }
-    }
-}
-
-impl EngineBuilder {
-    /// Source: a stored graph's two files, opened at build time.
-    pub fn paths(mut self, paths: &TilePaths) -> Self {
-        self.source = BuilderSource::Paths(paths.clone());
-        self
-    }
-
-    /// Source: an in-memory store, served through a memory backend so the
-    /// full pipeline — AIO, segments, pool — still executes (tests,
-    /// experiments).
-    pub fn store(mut self, store: &TileStore) -> Self {
-        let index = TileIndex::raw(
-            store.layout().clone(),
-            store.encoding(),
-            store.start_edge().to_vec(),
-        );
-        self.source = BuilderSource::Backend {
-            index,
-            backend: Arc::new(MemBackend::new(store.data().to_vec())),
-        };
-        self
-    }
-
-    /// Source: an explicit index over any storage backend (simulated
-    /// arrays, fault injection, tiered storage, ...).
-    pub fn backend(mut self, index: TileIndex, backend: Arc<dyn StorageBackend>) -> Self {
-        self.source = BuilderSource::Backend { index, backend };
-        self
-    }
-
-    /// Memory policy: full Slide-Cache-Rewind under an explicit
-    /// [`ScrConfig`] (streaming segments + proactive cache pool).
-    pub fn scr(mut self, config: ScrConfig) -> Self {
-        self.policy = BuilderPolicy::Scr(config);
-        self
-    }
-
-    /// Memory policy: the Figure 13 baseline — the whole `total_bytes`
-    /// budget goes to two big streaming segments, no cache pool, no
-    /// rewind. Validated at build time.
-    pub fn base_policy(mut self, total_bytes: u64) -> Self {
-        self.policy = BuilderPolicy::Base(total_bytes);
-        self
-    }
-
-    /// AIO worker threads (default 4; must be at least 1).
-    pub fn io_workers(mut self, workers: usize) -> Self {
-        self.io_workers = workers;
-        self
-    }
-
-    /// Record per-phase timings, I/O counters, cache behaviour and
-    /// query-batch sharing into a flight recorder, exposed via
-    /// [`GStoreEngine::metrics`] (default false: the disabled path takes
-    /// no timestamps and no locks).
-    pub fn metrics(mut self, enabled: bool) -> Self {
-        self.metrics = enabled;
-        self
-    }
-
-    /// Use the column-sharded (contention-free plain-write) compute
-    /// executor for algorithms that opt in (default true; `false` forces
-    /// the atomic fallback everywhere, the reference path the sharded
-    /// executor is checked against).
-    pub fn sharded_updates(mut self, enabled: bool) -> Self {
-        self.sharded_updates = enabled;
-        self
-    }
-
-    /// Hot-tile cache capacity for point readers handed out by
-    /// [`GStoreEngine::point_reader`] (default 0: no cache, every point
-    /// read fetches from storage). Sized independently of the SCR budget —
-    /// point-read traffic is recency-skewed, sweep traffic is plan-driven.
-    pub fn point_read_cache_bytes(mut self, bytes: u64) -> Self {
-        self.point_read_cache_bytes = bytes;
-        self
-    }
-
-    /// Which I/O engine to construct (default [`IoBackend::Auto`]):
-    ///
-    /// * `Auto` — probe `io_uring_setup` once; use the io_uring engine
-    ///   when the probe succeeds **and** the source is file-backed,
-    ///   otherwise silently use the pread worker pool. Every pipeline
-    ///   behaves identically on either engine.
-    /// * `Workers` — always the worker pool.
-    /// * `Uring` — require io_uring; [`EngineBuilder::build`] fails with
-    ///   a typed [`GraphError::InvalidParameter`] when the host denies it
-    ///   or the backend exposes no file descriptor.
-    pub fn io_backend(mut self, backend: IoBackend) -> Self {
-        self.io_backend = backend;
-        self
-    }
-
-    /// Inject faults at the request path per the injector's policy
-    /// (failure testing): sweep reads on whichever engine was selected and
-    /// the misses of every [`GStoreEngine::point_reader`] all pass through
-    /// this one seam. Keep a clone of the injector to observe its
-    /// counters.
-    pub fn io_fault(mut self, fault: IoFaultInjector) -> Self {
-        self.io_fault = Some(fault);
-        self
-    }
-
-    /// Overrides the io_uring availability probe (tests: force the
-    /// `Auto`/`Uring` selection logic down either path regardless of what
-    /// the host actually supports). `false` behaves exactly like a kernel
-    /// that denies `io_uring_setup`.
-    pub fn uring_probe_override(mut self, available: Option<bool>) -> Self {
-        self.uring_probe_override = available;
-        self
-    }
-
-    /// Validates the configuration and constructs the engine.
-    pub fn build(self) -> Result<GStoreEngine> {
-        if self.io_workers == 0 {
-            return Err(GraphError::InvalidParameter(
-                "engine needs at least one I/O worker".into(),
-            ));
-        }
-        let (scr, use_scr_cache) = match self.policy {
-            BuilderPolicy::None => {
-                return Err(GraphError::InvalidParameter(
-                    "engine builder needs a memory policy: scr(..) or base_policy(..)".into(),
-                ))
-            }
-            BuilderPolicy::Scr(c) => (c, true),
-            BuilderPolicy::Base(total) => (ScrConfig::base_policy(total)?, false),
-        };
-        let config = EngineConfig {
-            scr,
-            use_scr_cache,
-            io_workers: self.io_workers,
-            metrics: self.metrics,
-            sharded_updates: self.sharded_updates,
-            point_read_cache_bytes: self.point_read_cache_bytes,
-            io_backend: self.io_backend,
-        };
-        let (index, backend) = match self.source {
-            BuilderSource::None => {
-                return Err(GraphError::InvalidParameter(
-                    "engine builder needs a source: paths(..), store(..) or backend(..)".into(),
-                ))
-            }
-            BuilderSource::Paths(p) => {
-                let index = TileIndex::read(&p.start)?;
-                let backend: Arc<dyn StorageBackend> = Arc::new(FileBackend::open(&p.tiles)?);
-                (index, backend)
-            }
-            BuilderSource::Backend { index, backend } => (index, backend),
-        };
-        GStoreEngine::construct(
-            index,
-            backend,
-            config,
-            self.io_fault,
-            self.uring_probe_override,
-        )
-    }
-}
+use std::time::{Duration, Instant};
 
 /// Semi-external G-Store engine over any storage backend.
 pub struct GStoreEngine {
@@ -371,15 +95,78 @@ impl CacheOracle for BatchOracle<'_> {
 }
 
 /// One contiguous run of a segment's tiles, read by a single AIO request
-/// and processed as a unit when its completion arrives. `tiles` indexes
-/// into the segment's tile list; `tag` (the first tile's linear index,
-/// unique per iteration) links the AIO completion back to this span.
-#[derive(Debug, Clone)]
+/// (none when its tiles are all empty) and landed as a unit. `tiles`
+/// indexes into segment `seg`'s tile list; the request's tag is the run's
+/// index in [`Sweep::runs`].
 struct RunSpan {
-    tag: u64,
-    offset: u64,
-    len: usize,
+    seg: usize,
+    bytes: Range<u64>,
     tiles: Range<usize>,
+}
+
+/// Wall time of each stage of one sweep, in nanoseconds; taken only when
+/// recording. `reap` (blocked on completions), `land` (processing runs)
+/// and `admit` are parts of `slide`.
+#[derive(Default)]
+struct StageClocks {
+    select: u64,
+    plan: u64,
+    rewind: u64,
+    slide: u64,
+    reap: u64,
+    land: u64,
+    admit: u64,
+}
+
+/// One iteration's state: built by [`GStoreEngine::select`], carried
+/// through the stages and consumed by [`GStoreEngine::seam`].
+struct Sweep {
+    n: u32,
+    start: Instant,
+    /// Queries still attached when the sweep started.
+    active: Vec<usize>,
+    union: UnionFrontier,
+    progress: RowProgress,
+    plan: ScrPlan,
+    /// Every segment's runs, in segment order.
+    runs: Vec<RunSpan>,
+    /// Per segment, the runs that have not landed yet.
+    left: Vec<usize>,
+    /// Segments submitted whose runs have not all landed.
+    live: usize,
+    /// The run's bytes read and amortized when the sweep started.
+    bytes_before: (u64, u64),
+    clocks: StageClocks,
+    /// The run's stats so far, carried through the sweep.
+    stats: BatchRunStats,
+}
+
+impl Sweep {
+    /// Indices into `runs` of segment `k`'s runs.
+    fn segment(&self, k: usize) -> Range<usize> {
+        self.runs.partition_point(|r| r.seg < k)..self.runs.partition_point(|r| r.seg <= k)
+    }
+
+    /// The stage clocks and plan, as the recorder's per-iteration phases.
+    fn metrics(&self) -> IterationMetrics {
+        let c = &self.clocks;
+        IterationMetrics {
+            iteration: self.n,
+            select_ns: c.select + c.plan,
+            rewind_ns: c.rewind,
+            slide_ns: c.slide.saturating_sub(c.admit),
+            slide_compute_ns: c.land,
+            cache_insert_ns: c.admit,
+            io_wait_ns: c.reap,
+            // On the recorded (error-free) path every run with bytes was
+            // read and landed.
+            runs_streamed: self.runs.iter().filter(|r| !r.bytes.is_empty()).count() as u64,
+            tiles_rewind: self.plan.rewind.len() as u64,
+            tiles_streamed: self.plan.io_tile_count() as u64,
+            rewind_bytes: self.plan.rewind_bytes,
+            stream_bytes: self.plan.stream_bytes,
+        }
+    }
 }
 
 impl GStoreEngine {
@@ -390,7 +177,7 @@ impl GStoreEngine {
         EngineBuilder::default()
     }
 
-    fn construct(
+    pub(crate) fn construct(
         index: TileIndex,
         backend: Arc<dyn StorageBackend>,
         config: EngineConfig,
@@ -585,52 +372,29 @@ impl GStoreEngine {
         max_iters: u32,
     ) -> Result<BatchRunStats> {
         let start = Instant::now();
-        let k = batch.len();
-        let mut out = BatchRunStats::default();
-        if k == 0 {
-            return Ok(out);
+        let mut stats = BatchRunStats {
+            per_query: (batch.slots.iter())
+                .map(|s| QueryOutcome {
+                    name: s.name().to_string(),
+                    converged: false,
+                    stats: RunStats::default(),
+                })
+                .collect(),
+            ..BatchRunStats::default()
+        };
+        if batch.is_empty() {
+            return Ok(stats);
         }
-        let recording = self.recorder.is_some();
         if let Some(rec) = &self.recorder {
             rec.compute_llc_estimate(compute::llc_resident_estimate(&self.index));
         }
-        let mut agg = RunStats::default();
-        let mut per: Vec<RunStats> = vec![RunStats::default(); k];
-        let mut converged = vec![false; k];
-        let mut iter_ns: Vec<Vec<u64>> = vec![Vec::new(); k];
-        for sweep in 0..max_iters {
-            let iter_start = Instant::now();
-            let active: Vec<usize> = (0..k).filter(|&q| !converged[q]).collect();
-            for &q in &active {
-                // Every query joins at sweep 0 and detaches forever on
-                // convergence, so its own iteration counter is the sweep.
-                batch.slots[q].begin_iteration(sweep);
-            }
-            // The union frontier: detached queries contribute an empty
-            // set, keeping every slot's mask bit position stable.
-            let needed_sets: Vec<Vec<u64>> = (0..k)
-                .map(|q| {
-                    if converged[q] {
-                        Vec::new()
-                    } else {
-                        self.select_tiles(&*batch.slots[q])
-                    }
-                })
-                .collect();
-            let union = UnionFrontier::merge(&needed_sets);
-            let mut progress = RowProgress::new(&self.index.layout, union.tiles().iter().copied());
-            let scr_plan = plan(&self.config.scr, union.tiles(), &self.pool, |t| {
-                let r = self.index.tile_byte_range(t);
-                r.end - r.start
-            });
-            let select_done = Instant::now();
-
-            // Immutable query views for the sweep's shared phases; the
+        let mut sweep_ns = Vec::new(); // each sweep's wall time
+        for n in 0..max_iters {
+            let mut sw = self.select(batch, stats, n);
+            // Immutable query views for the sweep's shared stages; the
             // engine-level force-atomic knob is resolved here so the
             // compute dispatcher sees one mode per slot.
-            let queries: Vec<QueryRef<'_>> = batch
-                .slots
-                .iter()
+            let queries: Vec<QueryRef<'_>> = (batch.slots.iter())
                 .map(|s| QueryRef {
                     alg: &**s,
                     mode: if self.config.sharded_updates {
@@ -640,306 +404,31 @@ impl GStoreEngine {
                     },
                 })
                 .collect();
-            let bytes_before = agg.bytes_read;
-            let amortized_before = out.bytes_amortized;
-
-            // Kick off the first segment's I/O *before* the rewind phase
-            // so disk work overlaps cached-data processing — Figure 8's
-            // (T+1)0/(T+1)1 timeline. The run plan is computed once here
-            // and shared by submission and completion handling.
-            let segments = &scr_plan.segments;
-            let seg_runs: Vec<Vec<RunSpan>> = segments.iter().map(|s| self.plan_runs(s)).collect();
-            if let Some(first) = seg_runs.first() {
-                agg.io_requests += self.submit_runs(first) as u64;
+            self.plan(&mut sw);
+            let swept = self.rewind(&mut sw, &queries);
+            if let Err(e) = swept.and_then(|()| self.slide(&mut sw, &queries)) {
+                // Drain (and drop) everything still queued or in flight:
+                // dropping the completions recycles their pooled buffers,
+                // so the pool — like the AIO queue — is clean for the next
+                // run. If the request path itself is dead (a broken ring)
+                // this returns the typed disconnect error, which we
+                // ignore: the original failure wins.
+                let _ = self.aio.drain();
+                return Err(e);
             }
-
-            // --- Rewind: cached tiles first, no further I/O. ---
-            if !scr_plan.rewind.is_empty() {
-                let resident: Vec<(u64, &[u8], u64)> = scr_plan
-                    .rewind
-                    .iter()
-                    .map(|&t| {
-                        (
-                            t,
-                            self.pool.tile_data(t).expect("planned from pool"),
-                            union.mask_of(t),
-                        )
-                    })
-                    .collect();
-                if let Err(e) = Self::compute_batch_multi(
-                    &self.index,
-                    self.recorder.as_deref(),
-                    &mut self.decode,
-                    &queries,
-                    &resident,
-                    &mut agg,
-                    &mut per,
-                ) {
-                    // The first segment's reads are already out: reap
-                    // them, as a failed slide does.
-                    let _ = self.aio.drain();
-                    return Err(e);
-                }
-                agg.tiles_from_cache += resident.len() as u64;
-                agg.tiles_processed += resident.len() as u64;
-                if let Some(rec) = &self.recorder {
-                    if self.index.is_coded() {
-                        let bpe = self.index.encoding.bytes_per_edge() as u64;
-                        let (mut disk, mut logical) = (0u64, 0u64);
-                        for &(t, bytes, _) in &resident {
-                            disk += bytes.len() as u64;
-                            let t = t as usize;
-                            logical +=
-                                (self.index.start_edge[t + 1] - self.index.start_edge[t]) * bpe;
-                        }
-                        rec.codec_tiles(resident.len() as u64, disk, logical);
-                    }
-                }
-                for &(t, _, m) in &resident {
-                    compute::for_each_bit(m, |q| {
-                        per[q].tiles_from_cache += 1;
-                        per[q].tiles_processed += 1;
-                    });
-                    progress.mark(self.index.layout.coord_at(t));
-                }
-                // Post-rewind analysis: shed tiles the fresh metadata says
-                // are dead, freeing room for this iteration's stream.
-                let oracle = BatchOracle {
-                    queries: &queries,
-                    active: &active,
-                    progress: &progress,
-                    index: &self.index,
-                };
-                self.pool.analyze(&oracle);
-            }
-            let rewind_done = Instant::now();
-
-            // --- Slide: completion-driven segment streaming. ---
-            //
-            // Runs are processed the moment their read completes — in
-            // completion order, not submission order — with tile views
-            // borrowing slices of the pooled completion buffer (no
-            // per-tile copy). At most two segments have I/O in flight at
-            // once, matching the SCR config's double-buffer memory budget:
-            // segment k+1 is on the disk while segment k's completions are
-            // still being computed on (Figure 8's overlap).
-            let mut io_wait_ns = 0u64;
-            let mut cache_insert_ns = 0u64;
-            let mut slide_compute_ns = 0u64;
-            let mut runs_streamed = 0u64;
-            if !segments.is_empty() {
-                // tag -> (segment, run slot) for every read in flight.
-                let mut pending: HashMap<u64, (usize, usize)> = HashMap::new();
-                let mut seg_left: Vec<usize> = seg_runs.iter().map(|r| r.len()).collect();
-                let mut pending_io = 0usize;
-                let mut next_submit = 1usize; // segment 0 went out pre-rewind
-                let mut done_segs = 0usize;
-                let mut to_activate = vec![0usize];
-                let mut failed: Option<GraphError> = None;
-                'slide: while done_segs < segments.len() {
-                    // Register newly-submitted segments. Runs of zero-byte
-                    // tiles have no I/O and are processed here directly.
-                    while let Some(k) = to_activate.pop() {
-                        for (ri, run) in seg_runs[k].iter().enumerate() {
-                            if run.len == 0 {
-                                let run_tiles = &segments[k][run.tiles.clone()];
-                                let (c_ns, i_ns) = match self.process_run_multi(
-                                    &queries,
-                                    &active,
-                                    &union,
-                                    &mut progress,
-                                    &mut agg,
-                                    &mut per,
-                                    &mut out.bytes_amortized,
-                                    run_tiles,
-                                    &[],
-                                    run.offset,
-                                    recording,
-                                ) {
-                                    Ok(ns) => ns,
-                                    Err(e) => {
-                                        failed = Some(e);
-                                        break 'slide;
-                                    }
-                                };
-                                slide_compute_ns += c_ns;
-                                cache_insert_ns += i_ns;
-                                seg_left[k] -= 1;
-                            } else {
-                                pending.insert(run.tag, (k, ri));
-                                pending_io += 1;
-                            }
-                        }
-                        if seg_left[k] == 0 {
-                            done_segs += 1;
-                        }
-                    }
-                    if done_segs == segments.len() {
-                        break;
-                    }
-                    // Prefetch: keep a second segment in flight while this
-                    // one completes.
-                    if next_submit < segments.len() && next_submit - done_segs < 2 {
-                        agg.io_requests += self.submit_runs(&seg_runs[next_submit]) as u64;
-                        to_activate.push(next_submit);
-                        next_submit += 1;
-                        continue;
-                    }
-                    // Wait for at least one completion, then process every
-                    // run that has landed before blocking again.
-                    let wait_start = Instant::now();
-                    let completions = match self.aio.poll(1, pending_io.max(1)) {
-                        Ok(c) => c,
-                        Err(dead) => {
-                            // Typed worker-pool loss — distinct from a
-                            // failed read below; there are no completions
-                            // (and no buffers) left to recover.
-                            failed = Some(GraphError::Io(dead.into()));
-                            break 'slide;
-                        }
-                    };
-                    io_wait_ns += wait_start.elapsed().as_nanos() as u64;
-                    for c in completions {
-                        pending_io -= 1;
-                        let (k, ri) = pending
-                            .remove(&c.tag)
-                            .expect("completion matches a submitted run");
-                        match c.result {
-                            Ok(buf) => {
-                                let run = &seg_runs[k][ri];
-                                let run_tiles = &segments[k][run.tiles.clone()];
-                                let (c_ns, i_ns) = match self.process_run_multi(
-                                    &queries,
-                                    &active,
-                                    &union,
-                                    &mut progress,
-                                    &mut agg,
-                                    &mut per,
-                                    &mut out.bytes_amortized,
-                                    run_tiles,
-                                    buf.as_slice(),
-                                    run.offset,
-                                    recording,
-                                ) {
-                                    Ok(ns) => ns,
-                                    Err(e) => {
-                                        failed = Some(e);
-                                        break 'slide;
-                                    }
-                                };
-                                slide_compute_ns += c_ns;
-                                cache_insert_ns += i_ns;
-                                runs_streamed += 1;
-                                seg_left[k] -= 1;
-                                if seg_left[k] == 0 {
-                                    done_segs += 1;
-                                }
-                                // `buf` drops here: its pooled buffer is
-                                // recycled for the next read.
-                            }
-                            Err(e) => {
-                                failed = Some(GraphError::Io(e));
-                                break 'slide;
-                            }
-                        }
-                    }
-                }
-                if let Some(err) = failed {
-                    // Drain (and drop) everything still queued or in
-                    // flight: dropping the completions recycles their
-                    // pooled buffers, so the pool — like the AIO queue —
-                    // is clean for the next run. If the request path
-                    // itself is dead (a broken ring) this returns the
-                    // typed disconnect error, which we ignore: the
-                    // original failure wins.
-                    let _ = self.aio.drain();
-                    return Err(err);
-                }
-            }
-
-            if let Some(rec) = &self.recorder {
-                let slide_total = rewind_done.elapsed().as_nanos() as u64;
-                rec.iteration_finished(IterationMetrics {
-                    iteration: sweep,
-                    select_ns: (select_done - iter_start).as_nanos() as u64,
-                    rewind_ns: (rewind_done - select_done).as_nanos() as u64,
-                    slide_ns: slide_total.saturating_sub(cache_insert_ns),
-                    slide_compute_ns,
-                    cache_insert_ns,
-                    io_wait_ns,
-                    runs_streamed,
-                    tiles_rewind: scr_plan.rewind.len() as u64,
-                    tiles_streamed: scr_plan.io_tile_count() as u64,
-                    rewind_bytes: scr_plan.rewind_bytes,
-                    stream_bytes: scr_plan.stream_bytes,
-                });
-                rec.query_sweep(QueryBatchSweep {
-                    sweep,
-                    queries_active: active.len() as u32,
-                    tiles_union: union.len() as u64,
-                    tiles_shared: union.shared_dispatches(),
-                    bytes_read: agg.bytes_read - bytes_before,
-                    bytes_amortized: out.bytes_amortized - amortized_before,
-                    sweep_ns: iter_start.elapsed().as_nanos() as u64,
-                });
-            }
-            out.tiles_shared += union.shared_dispatches();
-            drop(queries);
-
-            agg.iterations = sweep + 1;
-            out.sweeps = sweep + 1;
-            let sweep_ns = iter_start.elapsed().as_nanos() as u64;
-            for &q in &active {
-                per[q].iterations = sweep + 1;
-                iter_ns[q].push(sweep_ns);
-                if batch.slots[q].end_iteration(sweep) == IterationOutcome::Converged {
-                    converged[q] = true;
-                    per[q].elapsed = start.elapsed().as_secs_f64();
-                    if let Some(rec) = &self.recorder {
-                        rec.query_finished(QueryRecord {
-                            query: q as u32,
-                            name: batch.slots[q].name().to_string(),
-                            iterations: per[q].iterations,
-                            elapsed_ns: start.elapsed().as_nanos() as u64,
-                            converged: true,
-                            iter_ns: iter_ns[q].clone(),
-                        });
-                    }
-                }
-            }
-            if converged.iter().all(|&c| c) {
+            stats = self.seam(sw, batch, &mut sweep_ns, start);
+            if stats.all_converged() {
                 break;
             }
         }
-        let total_elapsed = start.elapsed();
-        agg.elapsed = total_elapsed.as_secs_f64();
-        for q in 0..k {
-            if !converged[q] {
-                per[q].elapsed = agg.elapsed;
-                if let Some(rec) = &self.recorder {
-                    rec.query_finished(QueryRecord {
-                        query: q as u32,
-                        name: batch.slots[q].name().to_string(),
-                        iterations: per[q].iterations,
-                        elapsed_ns: total_elapsed.as_nanos() as u64,
-                        converged: false,
-                        iter_ns: iter_ns[q].clone(),
-                    });
-                }
+        let elapsed = start.elapsed();
+        stats.aggregate.elapsed = elapsed.as_secs_f64();
+        for q in 0..batch.len() {
+            if !stats.per_query[q].converged {
+                self.query_finished(q, &mut stats, &sweep_ns, elapsed);
             }
         }
-        out.per_query = per
-            .into_iter()
-            .zip(&converged)
-            .zip(batch.slots.iter())
-            .map(|((stats, &converged), slot)| QueryOutcome {
-                name: slot.name().to_string(),
-                converged,
-                stats,
-            })
-            .collect();
-        out.aggregate = agg;
-        Ok(out)
+        Ok(stats)
     }
 
     /// Cache-pool behaviour counters.
@@ -983,154 +472,293 @@ impl GStoreEngine {
             .collect()
     }
 
-    /// Merges a segment's tiles (sorted linear indices) into contiguous
-    /// runs, one AIO request each — the paper's batching of group reads
-    /// into one `io_submit`. Zero-length runs (all-empty tiles) are kept:
-    /// they need no I/O but their tiles are still processed.
-    fn plan_runs(&self, tiles: &[u64]) -> Vec<RunSpan> {
-        let mut runs = Vec::new();
-        let mut i = 0;
-        while i < tiles.len() {
-            let mut j = i;
-            while j + 1 < tiles.len() && tiles[j + 1] == tiles[j] + 1 {
-                j += 1;
-            }
-            let range = self.index.tiles_byte_range(tiles[i], tiles[j] + 1);
-            runs.push(RunSpan {
-                tag: tiles[i],
-                offset: range.start,
-                len: (range.end - range.start) as usize,
-                tiles: i..j + 1,
-            });
-            i = j + 1;
-        }
-        runs
+    /// A stage clock's start, taken only when recording.
+    fn clock(&self) -> Option<Instant> {
+        self.recorder.as_ref().map(|_| Instant::now())
     }
 
-    /// Submits one AIO batch for a segment's non-empty runs; returns the
-    /// number of requests issued.
-    fn submit_runs(&self, runs: &[RunSpan]) -> usize {
-        let reqs: Vec<AioRequest> = runs
-            .iter()
-            .filter(|r| r.len > 0)
-            .map(|r| AioRequest {
-                tag: r.tag,
-                offset: r.offset,
-                len: r.len,
+    /// Select: every live query begins iteration `n` and elects the tiles
+    /// it needs; their union, and row progress over it, drive the sweep,
+    /// which carries the run's `stats` until the seam hands them back.
+    /// Detached queries elect nothing, keeping mask bit positions stable.
+    fn select(&self, batch: &mut QueryBatch<'_>, stats: BatchRunStats, n: u32) -> Sweep {
+        let (start, t0) = (Instant::now(), self.clock());
+        let active: Vec<usize> = (0..batch.len())
+            .filter(|&q| !stats.per_query[q].converged)
+            .collect();
+        let mut needed = vec![Vec::new(); batch.len()];
+        for &q in &active {
+            // Every query joins at sweep 0 and detaches forever on
+            // convergence, so its own iteration counter is the sweep.
+            batch.slots[q].begin_iteration(n);
+            needed[q] = self.select_tiles(&*batch.slots[q]);
+        }
+        let union = UnionFrontier::merge(&needed);
+        let progress = RowProgress::new(&self.index.layout, union.tiles().iter().copied());
+        let mut sw = Sweep {
+            n,
+            start,
+            active,
+            union,
+            progress,
+            plan: gstore_scr::plan(&self.config.scr, &[], &self.pool, |_| 0), // set by `plan`
+            runs: Vec::new(),
+            left: Vec::new(),
+            live: 0,
+            bytes_before: (stats.aggregate.bytes_read, stats.bytes_amortized),
+            stats,
+            clocks: StageClocks::default(),
+        };
+        sw.clocks.select = since(t0);
+        sw
+    }
+
+    /// Plan: splits the union into the rewind set and streaming segments,
+    /// merges each segment's contiguous tiles into runs — the paper's
+    /// batching of group reads into one `io_submit` — and sends segment
+    /// 0's reads out *before* the rewind, so disk work overlaps
+    /// cached-data processing (Figure 8's (T+1)0/(T+1)1 timeline).
+    fn plan(&self, sw: &mut Sweep) {
+        let t0 = self.clock();
+        sw.plan = gstore_scr::plan(&self.config.scr, sw.union.tiles(), &self.pool, |t| {
+            let r = self.index.tile_byte_range(t);
+            r.end - r.start
+        });
+        for (seg, tiles) in sw.plan.segments.iter().enumerate() {
+            let mut i = 0;
+            for run in tiles.chunk_by(|a, b| *b == a + 1) {
+                let bytes = self.index.tiles_byte_range(run[0], run[run.len() - 1] + 1);
+                let tiles = i..i + run.len();
+                sw.runs.push(RunSpan { seg, bytes, tiles });
+                i += run.len();
+            }
+        }
+        sw.left = (0..sw.plan.segments.len())
+            .map(|k| sw.segment(k).len())
+            .collect();
+        sw.stats.aggregate.io_requests += self.submit(sw, 0);
+        sw.clocks.plan = since(t0);
+    }
+
+    /// Sends segment `k`'s non-empty runs out as one AIO batch, each
+    /// request tagged with its run's index; returns the requests issued.
+    fn submit(&self, sw: &Sweep, k: usize) -> u64 {
+        let span = sw.segment(k);
+        let reqs: Vec<AioRequest> = (sw.runs[span.clone()].iter().zip(span))
+            .filter(|(run, _)| !run.bytes.is_empty())
+            .map(|(run, r)| AioRequest {
+                tag: r as u64,
+                offset: run.bytes.start,
+                len: (run.bytes.end - run.bytes.start) as usize,
             })
             .collect();
-        let n = reqs.len();
+        let n = reqs.len() as u64;
         if n > 0 {
             self.aio.submit(reqs);
         }
         n
     }
 
-    /// Processes one completed run for the whole query batch: every tile's
-    /// `TileView` borrows its slice of the run buffer directly (zero copy)
-    /// and is dispatched to every query whose mask covers it. The only
-    /// bytes copied are the `CachePool::insert` memcpys for tiles the
-    /// oracle accepts, reported to the recorder as `bytes_copied`
-    /// (everything else as `bytes_borrowed`). Returns
-    /// `(compute_ns, cache_insert_ns)`, both 0 when not recording. A run
-    /// holding a corrupt coded tile fails before any of it is cached.
+    /// Rewind: processes every planned tile already in the cache pool —
+    /// no I/O, time (T+1)0 of Figure 8 — then sheds the tiles the fresh
+    /// metadata says are dead, freeing room for this iteration's stream.
+    fn rewind(&mut self, sw: &mut Sweep, queries: &[QueryRef<'_>]) -> Result<()> {
+        if sw.plan.rewind.is_empty() {
+            return Ok(());
+        }
+        let t0 = self.clock();
+        let resident: Vec<(u64, &[u8], u64)> = (sw.plan.rewind.iter())
+            .map(|&t| {
+                let bytes = self.pool.tile_data(t).expect("planned from pool");
+                (t, bytes, sw.union.mask_of(t))
+            })
+            .collect();
+        let (index, rec) = (&self.index, self.recorder.as_deref());
+        let stats = &mut sw.stats;
+        Self::compute_batch_multi(index, rec, &mut self.decode, queries, &resident, stats)?;
+        stats.aggregate.tiles_from_cache += resident.len() as u64;
+        self.count_tiles(sw, &resident, |_, s, _| s.tiles_from_cache += 1);
+        self.pool.analyze(&BatchOracle {
+            queries,
+            active: &sw.active,
+            progress: &sw.progress,
+            index: &self.index,
+        });
+        sw.clocks.rewind = since(t0);
+        Ok(())
+    }
+
+    /// Slide: streams the segments with at most two in flight — the SCR
+    /// config's double buffer — so segment k+1 is on the disk while
+    /// segment k's runs land (Figure 8's overlap). Runs land in
+    /// completion order, not submission order; a run of empty tiles needs
+    /// no I/O and lands as soon as its segment is submitted.
+    fn slide(&mut self, sw: &mut Sweep, queries: &[QueryRef<'_>]) -> Result<()> {
+        let t0 = self.clock();
+        let mut next = 0; // segment 0's reads went out in `plan`
+        loop {
+            while next < sw.left.len() && sw.live < 2 {
+                if next > 0 {
+                    sw.stats.aggregate.io_requests += self.submit(sw, next);
+                }
+                sw.live += 1;
+                for r in sw.segment(next) {
+                    if sw.runs[r].bytes.is_empty() {
+                        self.land(sw, queries, r, &[])?;
+                    }
+                }
+                next += 1;
+            }
+            if sw.live == 0 {
+                break;
+            }
+            // Wait for at least one completion, then land every run that
+            // has arrived before blocking again. A dead request path is a
+            // typed error distinct from a failed read: it leaves no
+            // completions (and no buffers) to recover.
+            let wait = self.clock();
+            let arrived =
+                (self.aio.poll(1, usize::MAX)).map_err(|dead| GraphError::Io(dead.into()))?;
+            sw.clocks.reap += since(wait);
+            for c in arrived {
+                // `buf` drops after landing: its pooled buffer is recycled
+                // for the next read.
+                let buf = c.result.map_err(GraphError::Io)?;
+                self.land(sw, queries, c.tag as usize, buf.as_slice())?;
+            }
+        }
+        sw.clocks.slide = since(t0);
+        Ok(())
+    }
+
+    /// Lands run `r`, whose bytes are `data` (empty for a run of empty
+    /// tiles): processes it for every query it serves, then admits its
+    /// tiles to the cache pool.
+    fn land(
+        &mut self,
+        sw: &mut Sweep,
+        queries: &[QueryRef<'_>],
+        r: usize,
+        data: &[u8],
+    ) -> Result<()> {
+        let t0 = self.clock();
+        let tiles = self.process_run_multi(sw, queries, r, data)?;
+        sw.clocks.land += since(t0);
+        self.admit(sw, queries, &tiles);
+        let seg = sw.runs[r].seg;
+        sw.left[seg] -= 1;
+        if sw.left[seg] == 0 {
+            sw.live -= 1;
+        }
+        Ok(())
+    }
+
+    /// Processes one landed run for the whole query batch: each tile's
+    /// `TileView` borrows its slice of the run buffer (zero copy) and goes
+    /// to every query whose mask covers it. Returns the run's tiles to
+    /// admit; a run holding a corrupt coded tile fails before any is.
     ///
     /// Accounting: the aggregate counts physical work (each tile/byte/run
     /// once); each query counts what it *consumed*, so per-query sums
-    /// exceed the aggregate by exactly the amortized share, which is
-    /// accumulated into `bytes_amortized`.
-    #[allow(clippy::too_many_arguments)]
-    fn process_run_multi(
+    /// exceed the aggregate by exactly `bytes_amortized`.
+    fn process_run_multi<'d>(
         &mut self,
+        sw: &mut Sweep,
         queries: &[QueryRef<'_>],
-        active: &[usize],
-        union: &UnionFrontier,
-        progress: &mut RowProgress,
-        agg: &mut RunStats,
-        per: &mut [RunStats],
-        bytes_amortized: &mut u64,
-        run_tiles: &[u64],
-        data: &[u8],
-        base: u64,
-        recording: bool,
-    ) -> Result<(u64, u64)> {
-        let t0 = recording.then(Instant::now);
-        let batch: Vec<(u64, &[u8], u64)> = run_tiles
-            .iter()
+        r: usize,
+        data: &'d [u8],
+    ) -> Result<Vec<(u64, &'d [u8], u64)>> {
+        let run = &sw.runs[r];
+        let tiles: Vec<(u64, &[u8], u64)> = (sw.plan.segments[run.seg][run.tiles.clone()].iter())
             .map(|&t| {
-                let r = self.index.tile_byte_range(t);
-                let bytes: &[u8] = if r.is_empty() {
-                    &[]
-                } else {
-                    let lo = (r.start - base) as usize;
-                    &data[lo..lo + (r.end - r.start) as usize]
-                };
-                (t, bytes, union.mask_of(t))
+                let b = self.index.tile_byte_range(t);
+                let lo = (b.start - run.bytes.start) as usize;
+                let hi = lo + (b.end - b.start) as usize;
+                (t, &data[lo..hi], sw.union.mask_of(t))
             })
             .collect();
-        Self::compute_batch_multi(
-            &self.index,
-            self.recorder.as_deref(),
-            &mut self.decode,
-            queries,
-            &batch,
-            agg,
-            per,
-        )?;
-        agg.tiles_processed += batch.len() as u64;
-        agg.tiles_fetched += batch.len() as u64;
-        agg.bytes_read += data.len() as u64;
-        let mut run_mask = 0u64;
-        for &(t, bytes, m) in &batch {
-            run_mask |= m;
-            compute::for_each_bit(m, |q| {
-                per[q].tiles_processed += 1;
-                per[q].tiles_fetched += 1;
-                per[q].bytes_read += bytes.len() as u64;
-            });
-            *bytes_amortized += bytes.len() as u64 * u64::from(m.count_ones().saturating_sub(1));
-            progress.mark(self.index.layout.coord_at(t));
-        }
+        let (index, rec) = (&self.index, self.recorder.as_deref());
+        Self::compute_batch_multi(index, rec, &mut self.decode, queries, &tiles, &mut sw.stats)?;
+        let (mut served, mut consumed) = (0u64, 0u64);
+        self.count_tiles(sw, &tiles, |q, s, len| {
+            s.tiles_fetched += 1;
+            s.bytes_read += len;
+            served |= 1 << q;
+            consumed += len;
+        });
+        let stats = &mut sw.stats;
+        stats.aggregate.tiles_fetched += tiles.len() as u64;
+        stats.aggregate.bytes_read += data.len() as u64;
+        // Every landed tile serves at least one query, so what the queries
+        // consumed beyond the run's bytes is what the shared scan saved.
+        stats.bytes_amortized += consumed - data.len() as u64;
         if !data.is_empty() {
             // A shared run counts as one request for each query it serves;
             // the spread over the aggregate's single count is the request
             // traffic the shared scan amortized away.
-            compute::for_each_bit(run_mask, |q| per[q].io_requests += 1);
+            compute::for_each_bit(served, |q| stats.per_query[q].stats.io_requests += 1);
         }
         if let Some(rec) = &self.recorder {
             rec.bytes_borrowed(data.len() as u64);
-            if self.index.is_coded() {
-                let bpe = self.index.encoding.bytes_per_edge() as u64;
-                let logical: u64 = batch
-                    .iter()
-                    .map(|&(t, _, _)| {
-                        let t = t as usize;
-                        (self.index.start_edge[t + 1] - self.index.start_edge[t]) * bpe
-                    })
-                    .sum();
-                rec.codec_tiles(batch.len() as u64, data.len() as u64, logical);
-            }
         }
-        let compute_ns = t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
-        let mut insert_ns = 0u64;
-        if self.config.use_scr_cache {
-            let t1 = recording.then(Instant::now);
-            let copied_before = self.pool.stats().inserted_bytes;
-            let oracle = BatchOracle {
-                queries,
-                active,
-                progress,
-                index: &self.index,
-            };
-            for &(t, bytes, _) in &batch {
-                self.pool.insert(t, bytes, &oracle);
-            }
-            if let Some(rec) = &self.recorder {
-                rec.bytes_copied(self.pool.stats().inserted_bytes - copied_before);
-            }
-            insert_ns = t1.map_or(0, |t| t.elapsed().as_nanos() as u64);
+        Ok(tiles)
+    }
+
+    /// Admit: offers a processed run's tiles to the cache pool, in order,
+    /// under the proactive policy — next-iteration metadata plus row
+    /// completion (§VI.C's rules). The pool's memcpys are the only bytes
+    /// the slide copies, reported to the recorder as `bytes_copied`.
+    fn admit(&mut self, sw: &mut Sweep, queries: &[QueryRef<'_>], tiles: &[(u64, &[u8], u64)]) {
+        if !self.config.use_scr_cache {
+            return;
         }
-        Ok((compute_ns, insert_ns))
+        let t0 = self.clock();
+        let copied_before = self.pool.stats().inserted_bytes;
+        let oracle = BatchOracle {
+            queries,
+            active: &sw.active,
+            progress: &sw.progress,
+            index: &self.index,
+        };
+        for &(t, bytes, _) in tiles {
+            self.pool.insert(t, bytes, &oracle);
+        }
+        if let Some(rec) = &self.recorder {
+            rec.bytes_copied(self.pool.stats().inserted_bytes - copied_before);
+        }
+        sw.clocks.admit += since(t0);
+    }
+
+    /// Counts a processed batch of tiles wherever it came from: tiles
+    /// processed, in the aggregate and for each query whose mask covers a
+    /// tile, row progress, and the codec group's disk and logical bytes.
+    /// `source(q, stats, len)` adds what depends on the tiles' source to
+    /// the stats of query `q`, once per tile of `len` bytes it served.
+    fn count_tiles(
+        &self,
+        sw: &mut Sweep,
+        tiles: &[(u64, &[u8], u64)],
+        mut source: impl FnMut(usize, &mut RunStats, u64),
+    ) {
+        sw.stats.aggregate.tiles_processed += tiles.len() as u64;
+        for &(t, bytes, m) in tiles {
+            compute::for_each_bit(m, |q| {
+                let s = &mut sw.stats.per_query[q].stats;
+                s.tiles_processed += 1;
+                source(q, s, bytes.len() as u64);
+            });
+            sw.progress.mark(self.index.layout.coord_at(t));
+        }
+        if let (Some(rec), true) = (&self.recorder, self.index.is_coded()) {
+            let bpe = self.index.encoding.bytes_per_edge() as u64;
+            let (mut disk, mut logical) = (0u64, 0u64);
+            for &(t, bytes, _) in tiles {
+                disk += bytes.len() as u64;
+                let t = t as usize;
+                logical += (self.index.start_edge[t + 1] - self.index.start_edge[t]) * bpe;
+            }
+            rec.codec_tiles(tiles.len() as u64, disk, logical);
+        }
     }
 
     /// Runs one masked batch through the shared compute dispatcher,
@@ -1144,28 +772,89 @@ impl GStoreEngine {
         decode: &mut DecodeStage,
         queries: &[QueryRef<'_>],
         batch: &[(u64, &[u8], u64)],
-        agg: &mut RunStats,
-        per: &mut [RunStats],
+        out: &mut BatchRunStats,
     ) -> Result<()> {
-        let out = compute::process_batch_queries(index, queries, batch, decode)?;
-        for (q, o) in out.per_query.iter().enumerate() {
-            per[q].edges_processed += o.edges;
-            per[q].sharded_edges += o.sharded_edges;
-            per[q].atomic_edges += o.atomic_edges;
+        let done = compute::process_batch_queries(index, queries, batch, decode)?;
+        for (q, o) in done.per_query.iter().enumerate() {
+            let s = &mut out.per_query[q].stats;
+            s.edges_processed += o.edges;
+            s.sharded_edges += o.sharded_edges;
+            s.atomic_edges += o.atomic_edges;
         }
-        let a = out.aggregate();
-        agg.edges_processed += a.edges;
-        agg.sharded_edges += a.sharded_edges;
-        agg.atomic_edges += a.atomic_edges;
+        let a = done.aggregate();
+        out.aggregate.edges_processed += a.edges;
+        out.aggregate.sharded_edges += a.sharded_edges;
+        out.aggregate.atomic_edges += a.atomic_edges;
         if let Some(rec) = recorder {
             rec.compute_batch(a.edges, a.plain_updates, a.atomic_edges, a.groups_scheduled);
-            if out.decoded_edges > 0 {
-                rec.codec_decoded_edges(out.decoded_edges);
-                rec.codec_decode_ns(out.decode_ns);
+            if done.decoded_edges > 0 {
+                rec.codec_decoded_edges(done.decoded_edges);
+                rec.codec_decode_ns(done.decode_ns);
             }
         }
         Ok(())
     }
+
+    /// Seam: records the finished iteration, ends every live query's
+    /// iteration and detaches the converged ones; hands the run's stats
+    /// back.
+    fn seam(
+        &self,
+        mut sw: Sweep,
+        batch: &mut QueryBatch<'_>,
+        sweep_ns: &mut Vec<u64>,
+        start: Instant,
+    ) -> BatchRunStats {
+        sweep_ns.push(sw.start.elapsed().as_nanos() as u64);
+        if let Some(rec) = &self.recorder {
+            rec.iteration_finished(sw.metrics());
+            rec.query_sweep(QueryBatchSweep {
+                sweep: sw.n,
+                queries_active: sw.active.len() as u32,
+                tiles_union: sw.union.len() as u64,
+                tiles_shared: sw.union.shared_dispatches(),
+                bytes_read: sw.stats.aggregate.bytes_read - sw.bytes_before.0,
+                bytes_amortized: sw.stats.bytes_amortized - sw.bytes_before.1,
+                sweep_ns: sweep_ns[sw.n as usize],
+            });
+        }
+        let out = &mut sw.stats;
+        out.tiles_shared += sw.union.shared_dispatches();
+        out.aggregate.iterations = sw.n + 1;
+        out.sweeps = sw.n + 1;
+        for &q in &sw.active {
+            out.per_query[q].stats.iterations = sw.n + 1;
+            if batch.slots[q].end_iteration(sw.n) == IterationOutcome::Converged {
+                out.per_query[q].converged = true;
+                self.query_finished(q, out, sweep_ns, start.elapsed());
+            }
+        }
+        sw.stats
+    }
+
+    /// Closes query `q`'s books `at` into the run and, when recording,
+    /// files its [`QueryRecord`]. A query sweeps from sweep 0 until it
+    /// detaches, so its sweeps' wall times are a prefix of `sweep_ns`.
+    fn query_finished(&self, q: usize, out: &mut BatchRunStats, sweep_ns: &[u64], at: Duration) {
+        let o = &mut out.per_query[q];
+        o.stats.elapsed = at.as_secs_f64();
+        if let Some(rec) = &self.recorder {
+            rec.query_finished(QueryRecord {
+                query: q as u32,
+                name: o.name.clone(),
+                iterations: o.stats.iterations,
+                elapsed_ns: at.as_nanos() as u64,
+                converged: o.converged,
+                iter_ns: sweep_ns[..o.stats.iterations as usize].to_vec(),
+            });
+        }
+    }
+}
+
+/// Nanoseconds since a [`GStoreEngine::clock`] start; 0 when not
+/// recording.
+fn since(t0: Option<Instant>) -> u64 {
+    t0.map_or(0, |t| t.elapsed().as_nanos() as u64)
 }
 
 const AIO_QUEUE_DEPTH: usize = 256;
@@ -1187,8 +876,10 @@ mod tests {
     use crate::algorithms::{Bfs, DegreeCount, PageRank, Wcc};
     use gstore_graph::gen::{generate_rmat, RmatParams};
     use gstore_graph::{reference, Csr, CsrDirection, GraphKind};
+    use gstore_io::MemBackend;
     use gstore_metrics::Counter;
-    use gstore_tile::ConversionOptions;
+    use gstore_scr::ScrConfig;
+    use gstore_tile::{ConversionOptions, TileStore};
 
     fn kron_store(
         scale: u32,
@@ -1292,6 +983,81 @@ mod tests {
         let stats = engine.run(&mut pr, 3).unwrap();
         assert_eq!(stats.tiles_from_cache, 0);
         assert_eq!(stats.tiles_fetched, store.tile_count() * 3);
+    }
+
+    #[test]
+    fn zero_byte_runs_land_without_a_read() {
+        // Every edge lies in the store's last tile, which is larger than a
+        // segment: the plan puts all the empty tiles before it into one
+        // segment of zero-byte runs (no request at all) and streams the
+        // last tile alone. Those runs must land, be processed and count
+        // like any other, and leave nothing in flight.
+        let n = 256;
+        let opts = ConversionOptions::new(4).with_group_side(2);
+        let probe = gstore_graph::EdgeList::new(n, GraphKind::Undirected, vec![]).unwrap();
+        let layout = TileStore::build(&probe, &opts).unwrap().layout().clone();
+        let last = layout.coord_at(layout.tile_count() - 1);
+        let cols = layout.tiling().partition_range(last.col);
+        let edges: Vec<gstore_graph::Edge> = (layout.tiling().partition_range(last.row))
+            .flat_map(|u| cols.clone().map(move |v| gstore_graph::Edge::new(u, v)))
+            .filter(|e| e.src < e.dst)
+            .collect();
+        let el = gstore_graph::EdgeList::new(n, GraphKind::Undirected, edges).unwrap();
+        let store = TileStore::build(&el, &opts).unwrap();
+        let tiles = store.tile_count();
+        assert_eq!(
+            store.start_edge()[tiles as usize - 1],
+            0,
+            "edges outside the last tile"
+        );
+        let seg = store.data_bytes() / 2;
+        let deg = gstore_graph::CompactDegrees::from_edge_list(&el)
+            .unwrap()
+            .to_vec();
+        let tiling = *store.layout().tiling();
+        let root = layout.tiling().partition_range(last.row).start;
+        let idle = |e: &GStoreEngine| {
+            assert_eq!(e.aio_in_flight(), 0);
+            assert_eq!(e.buffer_pool_stats().outstanding, 0);
+        };
+        let builder = GStoreEngine::builder().store(&store).metrics(true);
+        for (cached, builder) in [
+            (
+                true,
+                builder
+                    .clone()
+                    .scr(ScrConfig::new(seg, 4 * seg + 4096).unwrap()),
+            ),
+            (false, builder.base_policy(2 * seg)),
+        ] {
+            let iters = 3;
+            let mut engine = builder.clone().build().unwrap();
+            let mut pr = PageRank::new(tiling, deg.clone(), 0.85).with_iterations(iters);
+            let s = engine.run(&mut pr, iters).unwrap();
+            let csr = Csr::from_edge_list(&el, CsrDirection::Out);
+            for (a, b) in pr.ranks().iter().zip(&reference::pagerank(&csr, 3, 0.85)) {
+                assert!((a - b).abs() < 1e-9, "{a} vs {b}");
+            }
+            assert_eq!(s.tiles_processed, tiles * u64::from(iters));
+            // The one non-empty run is the last tile: read once, then
+            // rewound from the pool, or read every sweep with no pool.
+            assert_eq!(s.io_requests, if cached { 1 } else { u64::from(iters) });
+            assert_eq!(s.bytes_read, s.io_requests * store.data_bytes());
+            let first = &engine.metrics().unwrap().iterations[0];
+            assert_eq!((first.tiles_streamed, first.runs_streamed), (tiles, 1));
+            idle(&engine);
+
+            let mut engine = builder.build().unwrap();
+            let mut bfs = Bfs::new(tiling, root);
+            let s = engine.run(&mut bfs, 1000).unwrap();
+            assert_eq!(
+                bfs.depths(),
+                reference::bfs_levels(&reference::bfs_csr(&el), root)
+            );
+            assert!(s.io_requests >= 1);
+            assert_eq!(s.bytes_read, s.io_requests * store.data_bytes());
+            idle(&engine);
+        }
     }
 
     #[test]

@@ -30,9 +30,12 @@
 //! assert!(bfs.visited_count() > 1 && stats.bytes_read > 0);
 //! ```
 
+#![warn(clippy::too_many_lines)]
+
 pub mod algorithm;
 pub mod algorithms;
 pub mod atomics;
+mod builder;
 pub mod compute;
 pub mod engine;
 pub mod inmem;
