@@ -267,8 +267,8 @@ impl GStoreEngine {
             match UringEngine::with_recorder(
                 Arc::clone(backend),
                 AIO_QUEUE_DEPTH,
-                false, // buffered reads
-                false, // no SQPOLL thread
+                false, // direct I/O: retired
+                false, // SQPOLL: retired
                 &reg_classes(config.scr.segment_bytes as usize),
                 rec_dyn.clone(),
                 io_fault.clone(),
@@ -289,7 +289,6 @@ impl GStoreEngine {
             Arc::clone(backend),
             config.io_workers,
             AIO_QUEUE_DEPTH,
-            false, // buffered reads
             rec_dyn,
             io_fault,
         )))

@@ -176,13 +176,7 @@ impl PointReader {
         recorder: Option<Arc<dyn Recorder>>,
         fault: Option<IoFaultInjector>,
     ) -> Self {
-        let io = ReadPath::new(
-            backend.len(),
-            false,
-            IoBackend::Workers,
-            recorder.clone(),
-            fault,
-        );
+        let io = ReadPath::new(backend.len(), IoBackend::Workers, recorder.clone(), fault);
         PointReader {
             index,
             io,

@@ -7,8 +7,8 @@
 //! returns immediately; `poll` collects finished reads. Overlap of I/O and
 //! compute in the G-Store engine is built on exactly this pair of calls.
 //! Each worker runs a request through the shared [`ReadPath`] — admission,
-//! one positioned read, completion — so the pool itself is only a channel,
-//! threads and a mailbox.
+//! one positioned read, completion — so the pool itself is only a bounded
+//! queue, threads and a mailbox.
 //!
 //! Completions arrive through a Condvar-notified mailbox: a blocking poll
 //! sleeps until a worker pushes a completion, so a zero-completion wait
@@ -18,11 +18,9 @@ use crate::backend::StorageBackend;
 use crate::buffer::BufferPool;
 use crate::engine::{AioCompletion, AioRequest, IoBackend, IoEngine, ReadPath, WorkerDisconnected};
 use crate::fault::IoFaultInjector;
-use crossbeam::channel::{bounded, Sender};
 use gstore_metrics::Recorder;
 use std::collections::VecDeque;
-use std::io;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -49,9 +47,49 @@ impl Mailbox {
     }
 }
 
+/// The bounded request queue the workers share (like the AIO context's
+/// nr_events): a push blocks while `depth` requests wait, and a pop
+/// returns `None` once the queue is closed and empty. Nothing panics while
+/// holding its lock.
+#[derive(Default)]
+struct Queue {
+    /// The waiting requests, and whether the engine has closed the queue.
+    reqs: Mutex<(VecDeque<AioRequest>, bool)>,
+    not_empty: Condvar,
+    not_full: Condvar,
+    depth: usize,
+}
+
+impl Queue {
+    fn push(&self, req: AioRequest) {
+        let reqs = self.reqs.lock().unwrap_or_else(PoisonError::into_inner);
+        let full = |q: &mut (VecDeque<_>, bool)| q.0.len() >= self.depth;
+        let mut reqs = self
+            .not_full
+            .wait_while(reqs, full)
+            .unwrap_or_else(PoisonError::into_inner);
+        reqs.0.push_back(req);
+        drop(reqs);
+        self.not_empty.notify_one();
+    }
+
+    fn pop(&self) -> Option<AioRequest> {
+        let reqs = self.reqs.lock().unwrap_or_else(PoisonError::into_inner);
+        let idle = |q: &mut (VecDeque<_>, bool)| q.0.is_empty() && !q.1;
+        let mut reqs = self
+            .not_empty
+            .wait_while(reqs, idle)
+            .unwrap_or_else(PoisonError::into_inner);
+        let req = reqs.0.pop_front();
+        drop(reqs);
+        self.not_full.notify_one();
+        req
+    }
+}
+
 /// Batched async read engine over a storage backend.
 pub struct AioEngine {
-    submit_tx: Sender<AioRequest>,
+    queue: Arc<Queue>,
     mailbox: Arc<Mailbox>,
     path: Arc<ReadPath>,
     workers: Vec<JoinHandle<()>>,
@@ -62,47 +100,48 @@ impl AioEngine {
     /// the submission queue (like the AIO context's nr_events); submits
     /// beyond it block, providing natural backpressure.
     pub fn new(backend: Arc<dyn StorageBackend>, workers: usize, queue_depth: usize) -> Self {
-        Self::with_recorder(backend, workers, queue_depth, false, None, None)
+        Self::with_recorder(backend, workers, queue_depth, None, None)
     }
 
-    /// Full-control constructor: `direct` selects sector-aligned reads,
-    /// `recorder`, when present, receives submit/complete events (request
-    /// counts, bytes, queue occupancy, per-request latency), and `fault`,
-    /// when present, fails requests at admission per its policy.
+    /// Full-control constructor: `recorder`, when present, receives
+    /// submit/complete events (request counts, bytes, queue occupancy,
+    /// per-request latency), and `fault`, when present, fails requests at
+    /// admission per its policy.
     pub fn with_recorder(
         backend: Arc<dyn StorageBackend>,
         workers: usize,
         queue_depth: usize,
-        direct: bool,
         recorder: Option<Arc<dyn Recorder>>,
         fault: Option<IoFaultInjector>,
     ) -> Self {
-        let (submit_tx, submit_rx) = bounded::<AioRequest>(queue_depth.max(1));
+        let queue = Arc::new(Queue {
+            depth: queue_depth.max(1),
+            ..Queue::default()
+        });
         let mailbox = Arc::new(Mailbox::default());
         let path = Arc::new(ReadPath::new(
             backend.len(),
-            direct,
             IoBackend::Workers,
             recorder,
             fault,
         ));
         let workers = (0..workers.max(1))
             .map(|_| {
-                let rx = submit_rx.clone();
+                let queue = Arc::clone(&queue);
                 let mailbox = Arc::clone(&mailbox);
                 let path = Arc::clone(&path);
                 let backend = Arc::clone(&backend);
                 // `serve` catches a panicking backend, so a worker lives
-                // until the channel closes.
+                // until the queue closes.
                 std::thread::spawn(move || {
-                    while let Ok(req) = rx.recv() {
+                    while let Some(req) = queue.pop() {
                         mailbox.push(path.serve(&*backend, req));
                     }
                 })
             })
             .collect();
         AioEngine {
-            submit_tx,
+            queue,
             mailbox,
             path,
             workers,
@@ -117,10 +156,7 @@ impl IoEngine for AioEngine {
         let n = batch.len();
         self.path.submitted(&batch);
         for req in batch {
-            if let Err(unsent) = self.submit_tx.send(req) {
-                let err = io::Error::new(io::ErrorKind::BrokenPipe, "aio worker pool is gone");
-                self.mailbox.push(self.path.fail(unsent.0, err));
-            }
+            self.queue.push(req);
         }
         n
     }
@@ -168,8 +204,13 @@ impl IoEngine for AioEngine {
 
 impl Drop for AioEngine {
     fn drop(&mut self) {
-        // Closing the channel stops the workers once the queue is empty.
-        drop(std::mem::replace(&mut self.submit_tx, bounded(1).0));
+        // Closing the queue stops the workers once it is empty.
+        self.queue
+            .reqs
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .1 = true;
+        self.queue.not_empty.notify_all();
         for h in self.workers.drain(..) {
             let _ = h.join();
         }
@@ -180,56 +221,8 @@ impl Drop for AioEngine {
 mod tests {
     use super::*;
     use crate::backend::MemBackend;
+    use std::io;
     use std::time::Instant;
-
-    /// Backend that records request geometry, for alignment assertions.
-    struct Recording {
-        inner: MemBackend,
-        reqs: std::sync::Mutex<Vec<(u64, usize)>>,
-    }
-
-    impl StorageBackend for Recording {
-        fn len(&self) -> u64 {
-            self.inner.len()
-        }
-        fn read_at(&self, offset: u64, buf: &mut [u8]) -> std::io::Result<()> {
-            self.reqs.lock().unwrap().push((offset, buf.len()));
-            self.inner.read_at(offset, buf)
-        }
-    }
-
-    #[test]
-    fn direct_mode_issues_aligned_requests() {
-        let data: Vec<u8> = (0..8192usize).map(|i| (i % 251) as u8).collect();
-        let rec = Arc::new(Recording {
-            inner: MemBackend::new(data.clone()),
-            reqs: std::sync::Mutex::new(Vec::new()),
-        });
-        let eng = AioEngine::with_recorder(rec.clone(), 2, 16, true, None, None);
-        eng.submit(vec![
-            AioRequest {
-                tag: 0,
-                offset: 10,
-                len: 100,
-            },
-            AioRequest {
-                tag: 1,
-                offset: 600,
-                len: 1000,
-            },
-        ]);
-        let mut done = eng.drain().unwrap();
-        done.sort_by_key(|c| c.tag);
-        assert_eq!(done[0].result.as_ref().unwrap().as_slice(), &data[10..110]);
-        assert_eq!(
-            done[1].result.as_ref().unwrap().as_slice(),
-            &data[600..1600]
-        );
-        for &(off, len) in rec.reqs.lock().unwrap().iter() {
-            assert_eq!(off % 512, 0, "unaligned offset {off}");
-            assert_eq!(len % 512, 0, "unaligned length {len}");
-        }
-    }
 
     /// Backend whose reads block for a fixed time — a stand-in for a slow
     /// device, used to observe what a waiting poll costs.

@@ -10,9 +10,18 @@ use std::os::unix::fs::FileExt;
 use std::path::Path;
 use std::sync::Arc;
 
-/// Sector size Linux AIO/direct I/O aligns to; the alignment helpers below
-/// round to this.
+/// Sector size: the alignment of every [`BufferPool`](crate::BufferPool)
+/// allocation.
 pub const SECTOR: u64 = 512;
+
+/// The error a retired I/O `mode` gets from a signature that still accepts
+/// it: refused by name, never silently ignored.
+pub(crate) fn retired(mode: &str) -> io::Error {
+    io::Error::new(
+        io::ErrorKind::Unsupported,
+        format!("{mode} is retired: gstore-io does buffered I/O submitted by its caller"),
+    )
+}
 
 /// A random-access, thread-safe byte store.
 pub trait StorageBackend: Send + Sync {
@@ -101,16 +110,6 @@ impl StorageBackend for MemBackend {
     }
 }
 
-/// Rounds `offset` down and `offset + len` up to sector boundaries,
-/// returning the aligned window and the sub-range of the requested bytes
-/// within it — how a direct-I/O read of an unaligned range is performed.
-pub fn align_range(offset: u64, len: u64) -> (u64, u64, std::ops::Range<usize>) {
-    let start = offset - offset % SECTOR;
-    let end = (offset + len).div_ceil(SECTOR) * SECTOR;
-    let inner = (offset - start) as usize..(offset - start + len) as usize;
-    (start, end - start, inner)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -154,21 +153,6 @@ mod tests {
         let f = FileBackend::open(&path).unwrap();
         let mut buf = vec![0u8; 200];
         assert!(f.read_at(0, &mut buf).is_err());
-    }
-
-    #[test]
-    fn align_range_math() {
-        let (start, len, inner) = align_range(0, 512);
-        assert_eq!((start, len, inner), (0, 512, 0..512));
-        let (start, len, inner) = align_range(10, 20);
-        assert_eq!((start, len), (0, 512));
-        assert_eq!(inner, 10..30);
-        let (start, len, inner) = align_range(512, 513);
-        assert_eq!((start, len), (512, 1024));
-        assert_eq!(inner, 0..513);
-        let (start, len, inner) = align_range(1000, 48);
-        assert_eq!((start, len), (512, 1024)); // window 512..1536
-        assert_eq!(inner, 488..536);
     }
 
     #[test]

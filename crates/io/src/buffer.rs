@@ -1,25 +1,23 @@
 //! Reusable pool of sector-aligned I/O buffers.
 //!
-//! Direct I/O wants every read landing in a sector-aligned buffer, and the
-//! slide pipeline reads thousands of segment runs per run — allocating a
-//! fresh `Vec<u8>` per read (and freeing it at segment end) is pure churn.
-//! [`BufferPool`] keeps freed buffers in power-of-two size classes so that
-//! steady-state reads recycle memory instead of allocating: alignment is
-//! paid once per buffer, at its first allocation, and is free on reuse
-//! (FlashGraph's userspace-buffer design, PAPERS.md).
+//! The slide pipeline reads thousands of segment runs per run — allocating
+//! a fresh `Vec<u8>` per read (and freeing it at segment end) is pure
+//! churn. [`BufferPool`] keeps freed buffers in power-of-two size classes
+//! so that steady-state reads recycle memory instead of allocating:
+//! alignment is paid once per buffer, at its first allocation, and is free
+//! on reuse (FlashGraph's userspace-buffer design, PAPERS.md).
 //!
 //! [`BufferPool::acquire`] hands out a [`PooledBuf`] — an RAII handle that
-//! dereferences to its *window* (the bytes a read actually produced, which
-//! for a direct-style read is a sub-range of the aligned capacity) and
-//! returns the buffer to the pool when dropped, from any thread.
+//! dereferences to the first `len` bytes of its capacity (the bytes a read
+//! produced) and returns the buffer to the pool when dropped, from any
+//! thread.
 
 use crate::backend::SECTOR;
 use gstore_metrics::Recorder;
-use parking_lot::Mutex;
 use std::alloc::{alloc_zeroed, dealloc, handle_alloc_error, Layout};
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Smallest size class; every class is a power of two from here up.
 pub const MIN_CLASS_BYTES: usize = 4096;
@@ -58,7 +56,7 @@ impl AlignedBuf {
         debug_assert!(capacity > 0 && capacity.is_multiple_of(SECTOR as usize));
         let layout = Self::layout(capacity);
         // Zeroed so the full capacity is initialized memory: a reader may
-        // legally be handed a window it only partially overwrote.
+        // legally be handed bytes it only partially overwrote.
         let ptr = unsafe { alloc_zeroed(layout) };
         let ptr = NonNull::new(ptr).unwrap_or_else(|| handle_alloc_error(layout));
         AlignedBuf {
@@ -145,7 +143,9 @@ impl PoolInner {
             // Only cache buffers whose capacity is exactly a class size, so
             // every free-list entry of class `idx` has the same capacity.
             Some(idx) if Self::class_bytes(idx) == capacity => {
-                let mut free = self.classes[idx].lock();
+                let mut free = self.classes[idx]
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner);
                 // Pinned (ring-registered) buffers bypass the class limit:
                 // trimming one would free memory whose address is held by
                 // an io_uring registration.
@@ -208,14 +208,12 @@ impl BufferPool {
         }
     }
 
-    /// Hands out a buffer whose capacity is at least `len` bytes, with the
-    /// window preset to `0..len`. `len == 0` returns an allocation-free
-    /// empty handle.
+    /// Hands out a buffer whose capacity is at least `len` bytes, holding
+    /// `len` bytes. `len == 0` returns an allocation-free empty handle.
     pub fn acquire(&self, len: usize) -> PooledBuf {
         if len == 0 {
             return PooledBuf {
                 buf: None,
-                lo: 0,
                 len: 0,
                 pool: Arc::clone(&self.inner),
             };
@@ -224,7 +222,11 @@ impl BufferPool {
         inner.acquires.fetch_add(1, Ordering::Relaxed);
         inner.outstanding.fetch_add(1, Ordering::Relaxed);
         let (buf, reused) = match PoolInner::class_of(len) {
-            Some(idx) => match inner.classes[idx].lock().pop() {
+            Some(idx) => match inner.classes[idx]
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .pop()
+            {
                 Some(b) => (b, true),
                 None => (AlignedBuf::new(PoolInner::class_bytes(idx)), false),
             },
@@ -248,7 +250,6 @@ impl BufferPool {
         }
         PooledBuf {
             buf: Some(buf),
-            lo: 0,
             len,
             pool: Arc::clone(&self.inner),
         }
@@ -268,7 +269,9 @@ impl BufferPool {
         };
         let capacity = PoolInner::class_bytes(idx);
         let mut arenas = Vec::with_capacity(count);
-        let mut free = self.inner.classes[idx].lock();
+        let mut free = self.inner.classes[idx]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         for _ in 0..count {
             let mut buf = AlignedBuf::new(capacity);
             buf.pinned = true;
@@ -304,32 +307,31 @@ impl BufferPool {
     }
 }
 
-/// An RAII buffer handle from a [`BufferPool`]. Dereferences to its window
-/// (the meaningful bytes); the buffer returns to the pool on drop.
+/// An RAII buffer handle from a [`BufferPool`]. Dereferences to its `len`
+/// meaningful bytes; the buffer returns to the pool on drop.
 pub struct PooledBuf {
     /// `None` only for the empty handle (`acquire(0)`), which owns nothing.
     buf: Option<AlignedBuf>,
-    lo: usize,
     len: usize,
     pool: Arc<PoolInner>,
 }
 
 impl PooledBuf {
-    /// The window's bytes.
+    /// The handle's bytes.
     #[inline]
     pub fn as_slice(&self) -> &[u8] {
         match &self.buf {
-            Some(b) => &b.as_slice()[self.lo..self.lo + self.len],
+            Some(b) => &b.as_slice()[..self.len],
             None => &[],
         }
     }
 
-    /// Mutable access to the window, for the reader filling it.
+    /// Mutable access to the bytes, for the reader filling them.
     #[inline]
     pub fn as_mut_slice(&mut self) -> &mut [u8] {
-        let (lo, len) = (self.lo, self.len);
+        let len = self.len;
         match &mut self.buf {
-            Some(b) => &mut b.as_mut_slice()[lo..lo + len],
+            Some(b) => &mut b.as_mut_slice()[..len],
             None => &mut [],
         }
     }
@@ -350,27 +352,6 @@ impl PooledBuf {
             .as_ref()
             .filter(|b| b.pinned)
             .map(|b| (b.ptr.as_ptr() as usize, b.capacity))
-    }
-
-    /// Base address of the window's first byte (where a kernel read into
-    /// this handle's window lands).
-    #[inline]
-    pub(crate) fn window_addr(&self) -> usize {
-        self.as_slice().as_ptr() as usize
-    }
-
-    /// Narrows the window to `lo..lo + len` within the capacity — how a
-    /// direct-style read exposes exactly the requested bytes out of its
-    /// aligned read window, without copying.
-    pub fn set_window(&mut self, lo: usize, len: usize) {
-        assert!(
-            lo + len <= self.capacity(),
-            "window {lo}..{} beyond capacity {}",
-            lo + len,
-            self.capacity()
-        );
-        self.lo = lo;
-        self.len = len;
     }
 
     #[inline]
@@ -453,27 +434,6 @@ mod tests {
     }
 
     #[test]
-    fn window_trims_without_copy() {
-        let pool = BufferPool::new();
-        let mut b = pool.acquire(1024);
-        b.as_mut_slice().copy_from_slice(&[7u8; 1024]);
-        let base = b.as_slice().as_ptr() as usize;
-        b.set_window(10, 100);
-        assert_eq!(b.len(), 100);
-        assert_eq!(b.as_slice().as_ptr() as usize, base + 10);
-        assert!(b.iter().all(|&x| x == 7));
-    }
-
-    #[test]
-    #[should_panic(expected = "beyond capacity")]
-    fn window_beyond_capacity_panics() {
-        let pool = BufferPool::new();
-        let mut b = pool.acquire(16);
-        let cap = b.capacity();
-        b.set_window(cap, 1);
-    }
-
-    #[test]
     fn empty_acquire_allocates_nothing() {
         let pool = BufferPool::new();
         let b = pool.acquire(0);
@@ -524,7 +484,7 @@ mod tests {
         let b = pool.acquire(4096);
         let (addr, cap) = b.pinned_arena().expect("prefilled buffer is pinned");
         assert!(arenas.contains(&(addr, cap)));
-        assert_eq!(b.window_addr(), addr);
+        assert_eq!(b.as_ptr() as usize, addr);
         drop(b);
         // Flood the class past its limit: the pinned buffers must all
         // survive in the free list (only unpinned extras are trimmed).

@@ -8,18 +8,18 @@
 //! [`IoEngine`] trait and selects an implementation at build time via
 //! [`IoBackend`]. Each engine keeps only its device — a thread pool or a
 //! ring. Everything else a request goes through is [`ReadPath`]'s: submit
-//! accounting, admission (fault injection, bounds, the direct-I/O sector
-//! window), completion (short-read check, window trim, recorder events)
-//! and poll settlement. The point reader's synchronous miss path runs
+//! accounting, admission (fault injection, bounds), completion (short-read
+//! check, recorder events) and poll settlement. Every read is buffered:
+//! it goes through the OS page cache into a pooled buffer of exactly the
+//! requested length. The point reader's synchronous miss path runs
 //! through the same [`ReadPath`], so the fault seam and the `io` counters
 //! cover every read whichever engine was picked.
 
-use crate::backend::{align_range, StorageBackend};
+use crate::backend::StorageBackend;
 use crate::buffer::{BufferPool, PooledBuf};
 use crate::fault::IoFaultInjector;
 use gstore_metrics::Recorder;
 use std::io;
-use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -169,16 +169,11 @@ pub trait IoEngine: Send + Sync {
     }
 }
 
-/// A read that passed admission: the device fills `buf` with `len` bytes
-/// from `at`, then hands it to [`ReadPath::complete`].
+/// A read that passed admission: the device fills `buf` (the request's
+/// length) from `offset`, then hands it to [`ReadPath::complete`].
 pub(crate) struct Admitted {
     tag: u64,
-    offset: u64,
-    pub(crate) at: u64,
-    pub(crate) len: usize,
-    /// The requested bytes inside `buf` (direct mode reads an aligned
-    /// super-range; the window trims it without copying).
-    inner: Range<usize>,
+    pub(crate) offset: u64,
     pub(crate) buf: PooledBuf,
     started: Option<Instant>,
 }
@@ -191,21 +186,17 @@ pub struct ReadPath {
     pool: BufferPool,
     in_flight: AtomicUsize,
     backend_len: u64,
-    direct: bool,
     uring: bool,
     recorder: Option<Arc<dyn Recorder>>,
     fault: Option<IoFaultInjector>,
 }
 
 impl ReadPath {
-    /// A path over a backend of `backend_len` bytes. `direct` reads the
-    /// sector-aligned window around each request, the way O_DIRECT
-    /// requires (§V.B), and hands back exactly the bytes asked for.
-    /// `kind` labels the per-engine recorder events; `fault`, when
-    /// present, fails requests at admission per its policy.
+    /// A path over a backend of `backend_len` bytes. `kind` labels the
+    /// per-engine recorder events; `fault`, when present, fails requests
+    /// at admission per its policy.
     pub fn new(
         backend_len: u64,
-        direct: bool,
         kind: IoBackend,
         recorder: Option<Arc<dyn Recorder>>,
         fault: Option<IoFaultInjector>,
@@ -214,7 +205,6 @@ impl ReadPath {
             pool: BufferPool::with_recorder(recorder.clone()),
             in_flight: AtomicUsize::new(0),
             backend_len,
-            direct,
             uring: kind == IoBackend::Uring,
             recorder,
             fault,
@@ -254,7 +244,7 @@ impl ReadPath {
         }
     }
 
-    /// Admission: the fault check, the bounds check and the sector window.
+    /// Admission: the fault check and the bounds check.
     /// A refused request comes back as its (failed) completion.
     pub(crate) fn admit(&self, req: AioRequest) -> Result<Admitted, AioCompletion> {
         if let Some(fault) = &self.fault {
@@ -270,26 +260,15 @@ impl ReadPath {
             let err = io::Error::new(io::ErrorKind::InvalidInput, "offset + len overflow");
             return Err(self.fail(req, err));
         };
-        let (at, window, inner) = if self.direct && req.len > 0 {
-            align_range(req.offset, req.len as u64)
-        } else {
-            (req.offset, req.len as u64, 0..req.len)
-        };
-        // A file's final partial sector cannot be read past EOF: clamp. The
-        // window start stays aligned, so only the tail read loses the
-        // O_DIRECT shape.
-        let len = window.min(self.backend_len.saturating_sub(at));
-        if inner.end as u64 > len {
+        // A zero-length read reads nothing, wherever it points.
+        if req.len > 0 && end > self.backend_len {
             let msg = format!("read {}..{end} beyond backend", req.offset);
             return Err(self.fail(req, io::Error::new(io::ErrorKind::UnexpectedEof, msg)));
         }
         Ok(Admitted {
             tag: req.tag,
             offset: req.offset,
-            at,
-            len: len as usize,
-            inner,
-            buf: self.pool.acquire(len as usize),
+            buf: self.pool.acquire(req.len),
             started: self.recorder.as_ref().map(|_| Instant::now()),
         })
     }
@@ -308,18 +287,14 @@ impl ReadPath {
     }
 
     /// Completion: `res` is how many bytes the device produced. A short
-    /// read is an error; a full one is trimmed to the requested window.
+    /// read is an error.
     pub(crate) fn complete(&self, read: Admitted, res: io::Result<usize>) -> AioCompletion {
         let result = match res {
-            Ok(n) if n < read.len => Err(io::Error::new(
+            Ok(n) if n < read.buf.len() => Err(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
-                format!("short read: {n} of {} bytes", read.len),
+                format!("short read: {n} of {} bytes", read.buf.len()),
             )),
-            Ok(_) => {
-                let mut buf = read.buf;
-                buf.set_window(read.inner.start, read.inner.len());
-                Ok(buf)
-            }
+            Ok(_) => Ok(read.buf),
             Err(e) => Err(e),
         };
         if let (Some(rec), Some(t0)) = (&self.recorder, read.started) {
@@ -344,9 +319,9 @@ impl ReadPath {
             Ok(read) => read,
             Err(refused) => return refused,
         };
-        let len = read.len;
+        let len = read.buf.len();
         let res = catch_unwind(AssertUnwindSafe(|| {
-            backend.read_at(read.at, read.buf.as_mut_slice())
+            backend.read_at(read.offset, read.buf.as_mut_slice())
         }))
         .unwrap_or_else(|_| Err(io::Error::other("storage backend panicked")));
         self.complete(read, res.map(|()| len))
@@ -391,17 +366,20 @@ pub(crate) mod tests {
         (dir, backend, data)
     }
 
-    /// Builds one kind of engine over a backend: `direct` mode, optional
-    /// fault injector.
-    type Make = fn(Arc<dyn StorageBackend>, bool, Option<IoFaultInjector>) -> Box<dyn IoEngine>;
+    /// The queue depth every engine in the table is built with.
+    const DEPTH: usize = 64;
+
+    /// Builds one kind of engine over a backend, with an optional fault
+    /// injector.
+    type Make = fn(Arc<dyn StorageBackend>, Option<IoFaultInjector>) -> Box<dyn IoEngine>;
 
     fn kinds() -> Vec<(&'static str, Make)> {
-        let mut kinds: Vec<(&'static str, Make)> = vec![("workers", |b, direct, fault| {
-            Box::new(AioEngine::with_recorder(b, 3, 64, direct, None, fault))
+        let mut kinds: Vec<(&'static str, Make)> = vec![("workers", |b, fault| {
+            Box::new(AioEngine::with_recorder(b, 3, DEPTH, None, fault))
         })];
         if uring_available() {
-            kinds.push(("uring", |b, direct, fault| {
-                let ring = UringEngine::with_recorder(b, 64, direct, false, &[], None, fault);
+            kinds.push(("uring", |b, fault| {
+                let ring = UringEngine::with_recorder(b, DEPTH, false, false, &[], None, fault);
                 Box::new(ring.unwrap())
             }));
         } else {
@@ -411,16 +389,11 @@ pub(crate) mod tests {
     }
 
     /// Runs `case` on every engine kind over a fresh file of `len` bytes.
-    fn each_engine(
-        len: usize,
-        direct: bool,
-        fault: Option<IoFaultInjector>,
-        case: impl Fn(&dyn IoEngine, &[u8]),
-    ) {
+    fn each_engine(len: usize, case: impl Fn(&dyn IoEngine, &[u8])) {
         for (name, make) in kinds() {
             eprintln!("engine: {name}");
             let (_dir, backend, data) = file_fixture(len);
-            case(&*make(backend, direct, fault.clone()), &data);
+            case(&*make(backend, None), &data);
         }
     }
 
@@ -430,7 +403,7 @@ pub(crate) mod tests {
 
     #[test]
     fn single_read_roundtrip() {
-        each_engine(4096, false, None, |eng, data| {
+        each_engine(4096, |eng, data| {
             eng.submit(vec![read(7, 100, 50)]);
             let done = eng.drain().unwrap();
             assert_eq!(done.len(), 1);
@@ -442,7 +415,7 @@ pub(crate) mod tests {
 
     #[test]
     fn batched_reads_all_complete() {
-        each_engine(1 << 16, false, None, |eng, data| {
+        each_engine(1 << 16, |eng, data| {
             let batch: Vec<AioRequest> = (0..100).map(|i| read(i, (i * 13) % 60_000, 64)).collect();
             eng.submit(batch);
             let mut done = eng.drain().unwrap();
@@ -458,7 +431,7 @@ pub(crate) mod tests {
 
     #[test]
     fn completions_recycle_into_the_pool() {
-        each_engine(1 << 16, false, None, |eng, _| {
+        each_engine(1 << 16, |eng, _| {
             for round in 0..3u64 {
                 eng.submit(
                     (0..10)
@@ -478,7 +451,7 @@ pub(crate) mod tests {
 
     #[test]
     fn poll_respects_max() {
-        each_engine(4096, false, None, |eng, _| {
+        each_engine(4096, |eng, _| {
             eng.submit((0..10).map(|i| read(i, 0, 16)).collect());
             let mut got = 0;
             while got < 10 {
@@ -492,7 +465,7 @@ pub(crate) mod tests {
 
     #[test]
     fn interleaved_submit_poll() {
-        each_engine(1 << 14, false, None, |eng, data| {
+        each_engine(1 << 14, |eng, data| {
             let mut seen = 0usize;
             for round in 0u64..5 {
                 eng.submit((0..20).map(|i| read(round * 20 + i, i * 64, 32)).collect());
@@ -509,7 +482,7 @@ pub(crate) mod tests {
 
     #[test]
     fn poll_with_nothing_in_flight_returns_empty() {
-        each_engine(4096, false, None, |eng, _| {
+        each_engine(4096, |eng, _| {
             assert!(eng.poll(1, 10).unwrap().is_empty());
             assert!(eng.drain().unwrap().is_empty());
         });
@@ -517,40 +490,48 @@ pub(crate) mod tests {
 
     #[test]
     fn out_of_range_read_reports_error() {
-        each_engine(128, false, None, |eng, _| {
-            eng.submit(vec![read(1, 100, 64), read(2, u64::MAX, 2)]);
-            let done = eng.drain().unwrap();
-            assert_eq!(done.len(), 2);
-            assert!(done.iter().all(|c| c.result.is_err()));
+        // Reads crossing EOF fail; one ending exactly at EOF, and a
+        // zero-length one past it, succeed.
+        each_engine(128, |eng, data| {
+            eng.submit(vec![
+                read(1, 100, 64),
+                read(2, u64::MAX, 2),
+                read(3, 64, 64),
+                read(4, 4096, 0),
+            ]);
+            let mut done = eng.drain().unwrap();
+            done.sort_by_key(|c| c.tag);
+            assert!(done[0].result.is_err() && done[1].result.is_err());
+            assert_eq!(done[2].result.as_ref().unwrap().as_slice(), &data[64..]);
+            assert!(done[3].result.as_ref().unwrap().is_empty());
+            drop(done);
             assert_eq!(eng.buffer_pool().stats().outstanding, 0);
         });
     }
 
+    /// One batch of four times the queue depth: the worker pool's submit
+    /// blocks on its bounded queue until workers drain it; the ring
+    /// flushes and refills its SQ, and reaps to keep its CQ from
+    /// overflowing. Every request completes exactly once.
     #[test]
-    fn direct_mode_matches_buffered() {
-        each_engine(8192, true, None, |eng, data| {
-            eng.submit(vec![read(0, 10, 100), read(1, 600, 1000)]);
-            let mut done = eng.drain().unwrap();
-            done.sort_by_key(|c| c.tag);
-            assert_eq!(done[0].result.as_ref().unwrap().as_slice(), &data[10..110]);
-            assert_eq!(
-                done[1].result.as_ref().unwrap().as_slice(),
-                &data[600..1600]
-            );
-        });
-    }
-
-    #[test]
-    fn direct_mode_handles_unaligned_tail() {
-        // The file ends mid-sector: the tail window is clamped, reads at
-        // the very end still succeed, reads past it fail.
-        each_engine(1000, true, None, |eng, data| {
-            eng.submit(vec![read(0, 900, 100)]);
-            let done = eng.drain().unwrap();
-            assert_eq!(done[0].result.as_ref().unwrap().as_slice(), &data[900..]);
-            eng.submit(vec![read(1, 950, 100)]);
-            let done = eng.drain().unwrap();
-            assert!(done[0].result.is_err());
+    fn batch_larger_than_queue_completes() {
+        each_engine(1 << 16, |eng, data| {
+            let n = 4 * DEPTH as u64;
+            eng.submit((0..n).map(|i| read(i, (i * 512) % 60_000, 256)).collect());
+            let mut tags: Vec<u64> = eng
+                .drain()
+                .unwrap()
+                .into_iter()
+                .map(|c| {
+                    let off = c.offset as usize;
+                    assert_eq!(c.result.unwrap().as_slice(), &data[off..off + 256]);
+                    c.tag
+                })
+                .collect();
+            tags.sort_unstable();
+            assert_eq!(tags, (0..n).collect::<Vec<_>>());
+            assert_eq!(eng.in_flight(), 0);
+            assert_eq!(eng.buffer_pool().stats().outstanding, 0);
         });
     }
 
@@ -559,7 +540,7 @@ pub(crate) mod tests {
         for (name, make) in kinds() {
             let (_dir, backend, data) = file_fixture(8192);
             let fault = IoFaultInjector::new(FaultPolicy::FirstN(1));
-            let eng = make(backend, false, Some(fault.clone()));
+            let eng = make(backend, Some(fault.clone()));
             eng.submit(vec![read(0, 0, 64)]);
             let done = eng.drain().unwrap();
             let err = done[0].result.as_ref().unwrap_err();
@@ -580,7 +561,7 @@ pub(crate) mod tests {
         // the same admission and completion as the engines.
         let (_dir, backend, data) = file_fixture(4096);
         let fault = IoFaultInjector::new(FaultPolicy::FirstN(1));
-        let path = ReadPath::new(backend.len(), false, IoBackend::Workers, None, Some(fault));
+        let path = ReadPath::new(backend.len(), IoBackend::Workers, None, Some(fault));
         assert!(path.read(&*backend, read(0, 0, 64)).is_err());
         assert_eq!(
             path.read(&*backend, read(0, 64, 64)).unwrap().as_slice(),

@@ -25,7 +25,7 @@ pub mod tiered;
 pub mod uring;
 
 pub use aio::AioEngine;
-pub use backend::{align_range, FileBackend, MemBackend, StorageBackend, SECTOR};
+pub use backend::{FileBackend, MemBackend, StorageBackend, SECTOR};
 pub use buffer::{BufferPool, BufferPoolStats, PooledBuf};
 pub use engine::{AioCompletion, AioRequest, IoBackend, IoEngine, ReadPath, WorkerDisconnected};
 pub use fault::{FaultPolicy, IoFaultInjector, JitterBackend};

@@ -11,26 +11,18 @@
 //! converter builds such a list straight over its tile-major pack buffer
 //! (one run per touched tile, already in file order); [`BatchWriter`]
 //! builds one over a pooled staging buffer for callers that push bytes one
-//! piece at a time.
-//!
-//! "Direct" mode follows the same convention as [`crate::aio::AioEngine`]:
-//! it is the *request-shape discipline* of `O_DIRECT` — sector-aligned
-//! buffers (guaranteed by the pool) with aligned offsets/lengths counted
-//! separately from unaligned fallbacks — rather than the raw flag, which
-//! portable `std` cannot open and which tile-run offsets could not honor
-//! for every write anyway.
+//! piece at a time. Every write is buffered, through the page cache.
 
-use crate::backend::SECTOR;
+use crate::backend::retired;
 use crate::buffer::{BufferPool, PooledBuf};
 use crate::fault::FaultPolicy;
 use gstore_metrics::Recorder;
-use parking_lot::Mutex;
 use std::fs::{File, OpenOptions};
 use std::io;
 use std::os::unix::fs::FileExt;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Positioned-write sink: the write-side dual of
 /// [`StorageBackend`](crate::backend::StorageBackend).
@@ -50,56 +42,29 @@ pub trait WritableBackend: Send + Sync {
 /// A real file opened for positioned writes.
 pub struct FileWriteBackend {
     file: File,
-    direct: bool,
-    aligned_writes: AtomicU64,
-    fallback_writes: AtomicU64,
 }
 
 impl FileWriteBackend {
     /// Creates (or opens, without truncating — `set_len` does that
-    /// explicitly) `path` for positioned writes. `direct` enables the
-    /// aligned-request accounting described in the module docs.
+    /// explicitly) `path` for positioned writes. `direct` must be false:
+    /// direct I/O is retired, and `true` is refused with
+    /// [`io::ErrorKind::Unsupported`].
     pub fn create(path: &Path, direct: bool) -> io::Result<Self> {
+        if direct {
+            return Err(retired("direct I/O"));
+        }
         let file = OpenOptions::new()
             .read(true)
             .write(true)
             .create(true)
             .truncate(false)
             .open(path)?;
-        Ok(FileWriteBackend {
-            file,
-            direct,
-            aligned_writes: AtomicU64::new(0),
-            fallback_writes: AtomicU64::new(0),
-        })
-    }
-
-    /// Whether aligned-request accounting is on.
-    pub fn is_direct(&self) -> bool {
-        self.direct
-    }
-
-    /// `(aligned, fallback)` write counts — only tracked in direct mode.
-    pub fn write_shape_counts(&self) -> (u64, u64) {
-        (
-            self.aligned_writes.load(Ordering::Relaxed),
-            self.fallback_writes.load(Ordering::Relaxed),
-        )
+        Ok(FileWriteBackend { file })
     }
 }
 
 impl WritableBackend for FileWriteBackend {
     fn write_at(&self, offset: u64, buf: &[u8]) -> io::Result<()> {
-        if self.direct {
-            let aligned = offset.is_multiple_of(SECTOR)
-                && (buf.len() as u64).is_multiple_of(SECTOR)
-                && (buf.as_ptr() as u64).is_multiple_of(SECTOR);
-            if aligned {
-                self.aligned_writes.fetch_add(1, Ordering::Relaxed);
-            } else {
-                self.fallback_writes.fetch_add(1, Ordering::Relaxed);
-            }
-        }
         self.file.write_all_at(buf, offset)
     }
 
@@ -123,24 +88,29 @@ impl MemWriteBackend {
         Self::default()
     }
 
+    /// The contents; a writer that panicked leaves them as it left them.
+    fn data(&self) -> MutexGuard<'_, Vec<u8>> {
+        self.data.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// A copy of the current contents.
     pub fn snapshot(&self) -> Vec<u8> {
-        self.data.lock().clone()
+        self.data().clone()
     }
 
     /// Current length in bytes.
     pub fn len(&self) -> u64 {
-        self.data.lock().len() as u64
+        self.data().len() as u64
     }
 
     pub fn is_empty(&self) -> bool {
-        self.data.lock().is_empty()
+        self.data().is_empty()
     }
 }
 
 impl WritableBackend for MemWriteBackend {
     fn write_at(&self, offset: u64, buf: &[u8]) -> io::Result<()> {
-        let mut data = self.data.lock();
+        let mut data = self.data();
         let end = offset as usize + buf.len();
         if data.len() < end {
             data.resize(end, 0);
@@ -150,7 +120,7 @@ impl WritableBackend for MemWriteBackend {
     }
 
     fn set_len(&self, len: u64) -> io::Result<()> {
-        self.data.lock().resize(len as usize, 0);
+        self.data().resize(len as usize, 0);
         Ok(())
     }
 
@@ -417,22 +387,32 @@ mod tests {
     }
 
     #[test]
-    fn file_backend_roundtrips_and_counts_shapes() {
+    fn file_backend_roundtrips() {
         let dir = tempfile::tempdir().unwrap();
         let path = dir.path().join("out.bin");
-        let f = FileWriteBackend::create(&path, true).unwrap();
-        f.set_len(SECTOR * 2).unwrap();
-        let pool = BufferPool::new();
-        let mut aligned = pool.acquire(SECTOR as usize);
-        aligned.as_mut_slice().fill(7);
-        f.write_at(0, aligned.as_slice()).unwrap();
-        f.write_at(SECTOR, &[1, 2, 3]).unwrap(); // unaligned length
+        let f = FileWriteBackend::create(&path, false).unwrap();
+        f.set_len(1024).unwrap();
+        f.write_at(0, &[7u8; 512]).unwrap();
+        f.write_at(512, &[1, 2, 3]).unwrap();
         f.sync().unwrap();
-        assert_eq!(f.write_shape_counts(), (1, 1));
         let got = std::fs::read(&path).unwrap();
-        assert_eq!(got.len() as u64, SECTOR * 2);
-        assert_eq!(&got[..SECTOR as usize], &vec![7u8; SECTOR as usize][..]);
-        assert_eq!(&got[SECTOR as usize..SECTOR as usize + 3], &[1, 2, 3]);
+        assert_eq!(got.len(), 1024);
+        assert_eq!(&got[..512], &[7u8; 512][..]);
+        assert_eq!(&got[512..515], &[1, 2, 3]);
+    }
+
+    /// Direct I/O is retired: asking for it is refused by name, and no
+    /// file is created.
+    #[test]
+    fn direct_mode_is_refused() {
+        let dir = tempfile::tempdir().unwrap();
+        let path = dir.path().join("out.bin");
+        let err = FileWriteBackend::create(&path, true)
+            .err()
+            .expect("direct I/O must be refused");
+        assert_eq!(err.kind(), io::ErrorKind::Unsupported);
+        assert!(err.to_string().contains("direct I/O"), "{err}");
+        assert!(!path.exists());
     }
 
     #[test]

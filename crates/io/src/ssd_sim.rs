@@ -10,9 +10,8 @@
 //! measures.
 
 use crate::backend::StorageBackend;
-use parking_lot::Mutex;
 use std::io;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 /// Performance parameters of one simulated SSD.
@@ -111,7 +110,7 @@ impl SsdArraySim {
 
     /// Resets the timing model (keeps the data).
     pub fn reset(&self) {
-        let mut st = self.state.lock();
+        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         st.iter_mut().for_each(|d| *d = DeviceState::default());
     }
 
@@ -122,7 +121,7 @@ impl SsdArraySim {
         }
         let stripe = self.config.stripe;
         let n = self.config.devices as u64;
-        let mut st = self.state.lock();
+        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         let mut pos = offset;
         let end = offset + len as u64;
         while pos < end {
@@ -153,7 +152,7 @@ impl SsdArraySim {
 
     /// Snapshot of the timing model.
     pub fn stats(&self) -> SimStats {
-        let st = self.state.lock();
+        let st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         SimStats {
             elapsed: st.iter().map(|d| d.busy).fold(0.0, f64::max),
             device_bytes: st.iter().map(|d| d.bytes).collect(),

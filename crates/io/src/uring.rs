@@ -12,14 +12,14 @@
 //! completion still carries an ordinary [`PooledBuf`](crate::PooledBuf), zero copies.
 //!
 //! Everything is built on direct `extern "C"` syscall declarations
-//! (`io_uring_setup`/`io_uring_enter`/`io_uring_register` + `mmap`): the
-//! workspace is vendored-only, so no liburing and no libc crate. The
+//! (`io_uring_setup`/`io_uring_enter`/`io_uring_register` + `mmap`):
+//! this crate depends on std alone, so no liburing and no libc crate. The
 //! engine is selected at build time through the `io_backend` knob;
 //! [`uring_available`] probes `io_uring_setup` once per process so `Auto`
 //! can fall back to the worker pool on kernels or sandboxes that deny it
 //! (ENOSYS, seccomp EPERM).
 
-use crate::backend::StorageBackend;
+use crate::backend::{retired, StorageBackend};
 use crate::buffer::BufferPool;
 use crate::engine::{
     Admitted, AioCompletion, AioRequest, IoBackend, IoEngine, ReadPath, WorkerDisconnected,
@@ -44,10 +44,7 @@ const IORING_OFF_CQ_RING: i64 = 0x800_0000;
 const IORING_OFF_SQES: i64 = 0x1000_0000;
 
 const IORING_FEAT_SINGLE_MMAP: u32 = 1;
-const IORING_SETUP_SQPOLL: u32 = 1 << 1;
 const IORING_ENTER_GETEVENTS: u32 = 1;
-const IORING_ENTER_SQ_WAKEUP: u32 = 2;
-const IORING_SQ_NEED_WAKEUP: u32 = 1;
 const IORING_REGISTER_BUFFERS: u32 = 0;
 
 const IORING_OP_READ_FIXED: u8 = 4;
@@ -195,7 +192,6 @@ struct RawRing {
     sq_tail: *const AtomicU32,
     sq_mask: u32,
     sq_entries: u32,
-    sq_flags: *const AtomicU32,
     sq_array: *mut u32,
     cq_head: *const AtomicU32,
     cq_tail: *const AtomicU32,
@@ -205,7 +201,6 @@ struct RawRing {
     sqe_ptr: *mut IoUringSqe,
     /// Userspace copy of the SQ tail (kernel sees it on publish).
     local_tail: u32,
-    sqpoll: bool,
 }
 
 // The ring is exclusively owned and only driven under the engine's mutex;
@@ -213,12 +208,8 @@ struct RawRing {
 unsafe impl Send for RawRing {}
 
 impl RawRing {
-    fn new(entries: u32, sqpoll: bool) -> io::Result<RawRing> {
+    fn new(entries: u32) -> io::Result<RawRing> {
         let mut p = IoUringParams::default();
-        if sqpoll {
-            p.flags |= IORING_SETUP_SQPOLL;
-            p.sq_thread_idle = 100; // ms before the kernel thread naps
-        }
         let fd = unsafe {
             syscall(
                 SYS_IO_URING_SETUP,
@@ -230,7 +221,7 @@ impl RawRing {
             return Err(io::Error::last_os_error());
         }
         let fd = fd as c_int;
-        match Self::map_rings(fd, &p, sqpoll) {
+        match Self::map_rings(fd, &p) {
             Ok(ring) => Ok(ring),
             Err(e) => {
                 unsafe { close(fd) };
@@ -239,7 +230,7 @@ impl RawRing {
         }
     }
 
-    fn map_rings(fd: c_int, p: &IoUringParams, sqpoll: bool) -> io::Result<RawRing> {
+    fn map_rings(fd: c_int, p: &IoUringParams) -> io::Result<RawRing> {
         let cqe_sz = std::mem::size_of::<IoUringCqe>();
         let sq_sz = p.sq_off.array as usize + p.sq_entries as usize * 4;
         let cq_sz = p.cq_off.cqes as usize + p.cq_entries as usize * cqe_sz;
@@ -269,7 +260,6 @@ impl RawRing {
             sq_tail: at_u32(sq_base, p.sq_off.tail),
             sq_mask: unsafe { *(sq_base.add(p.sq_off.ring_mask as usize) as *const u32) },
             sq_entries: p.sq_entries,
-            sq_flags: at_u32(sq_base, p.sq_off.flags),
             sq_array: unsafe { sq_base.add(p.sq_off.array as usize) as *mut u32 },
             cq_head: at_u32(cq_base, p.cq_off.head),
             cq_tail: at_u32(cq_base, p.cq_off.tail),
@@ -278,7 +268,6 @@ impl RawRing {
             cqes: unsafe { cq_base.add(p.cq_off.cqes as usize) as *const IoUringCqe },
             sqe_ptr: sqes.ptr as *mut IoUringSqe,
             local_tail: unsafe { (*at_u32(sq_base, p.sq_off.tail)).load(Ordering::Relaxed) },
-            sqpoll,
             _sq_ring: sq_ring,
             _cq_ring: cq_ring,
             _sqes: sqes,
@@ -303,21 +292,12 @@ impl RawRing {
     }
 
     /// Publishes queued SQEs to the kernel. Returns the number of
-    /// `io_uring_enter` calls spent (0 when SQPOLL's kernel thread was
-    /// already awake and consumed the tail itself).
+    /// `io_uring_enter` calls spent (0 when nothing was queued).
     fn flush_sq(&mut self) -> io::Result<u64> {
         let published = unsafe { (*self.sq_tail).load(Ordering::Relaxed) };
         let to_submit = self.local_tail.wrapping_sub(published);
         unsafe { (*self.sq_tail).store(self.local_tail, Ordering::Release) };
         if to_submit == 0 {
-            return Ok(0);
-        }
-        if self.sqpoll {
-            let flags = unsafe { (*self.sq_flags).load(Ordering::Acquire) };
-            if flags & IORING_SQ_NEED_WAKEUP != 0 {
-                self.enter(to_submit, 0, IORING_ENTER_SQ_WAKEUP)?;
-                return Ok(1);
-            }
             return Ok(0);
         }
         self.enter(to_submit, 0, 0)?;
@@ -388,7 +368,7 @@ impl Drop for RawRing {
 /// (seccomp/sysctl-denied), or any other setup failure.
 pub fn uring_available() -> bool {
     static PROBE: OnceLock<bool> = OnceLock::new();
-    *PROBE.get_or_init(|| RawRing::new(4, false).is_ok())
+    *PROBE.get_or_init(|| RawRing::new(4).is_ok())
 }
 
 struct UringState {
@@ -433,8 +413,7 @@ fn broken_ring(why: String) -> io::Error {
 }
 
 impl UringEngine {
-    /// Minimal constructor: buffered reads, no SQPOLL, no registration
-    /// hints, no recorder.
+    /// Minimal constructor: no registration hints, no recorder.
     pub fn new(backend: Arc<dyn StorageBackend>, queue_depth: usize) -> io::Result<Self> {
         Self::with_recorder(backend, queue_depth, false, false, &[], None, None)
     }
@@ -443,7 +422,9 @@ impl UringEngine {
     /// lengths (e.g. a tile and a segment run) whose buffer-pool size
     /// classes get pre-registered arenas; pass `&[]` to skip
     /// registration. `fault`, when present, fails requests at admission
-    /// per its policy, before they reach the kernel.
+    /// per its policy, before they reach the kernel. `direct` and
+    /// `sqpoll` must be false: both modes are retired, and `true` is
+    /// refused with [`io::ErrorKind::Unsupported`].
     pub fn with_recorder(
         backend: Arc<dyn StorageBackend>,
         queue_depth: usize,
@@ -453,6 +434,9 @@ impl UringEngine {
         recorder: Option<Arc<dyn Recorder>>,
         fault: Option<IoFaultInjector>,
     ) -> io::Result<Self> {
+        if direct || sqpoll {
+            return Err(retired(if direct { "direct I/O" } else { "SQPOLL" }));
+        }
         let src_fd = backend.as_raw_fd().ok_or_else(|| {
             io::Error::new(
                 io::ErrorKind::InvalidInput,
@@ -460,18 +444,12 @@ impl UringEngine {
             )
         })?;
         let entries = queue_depth.clamp(8, 4096).next_power_of_two() as u32;
-        // SQPOLL needs privileges on older kernels; degrade to a plain
-        // ring rather than failing the whole engine.
-        let ring = match RawRing::new(entries, sqpoll) {
-            Ok(r) => r,
-            Err(_) if sqpoll => RawRing::new(entries, false)?,
-            Err(e) => return Err(e),
-        };
+        let ring = RawRing::new(entries)?;
         let file_fd = unsafe { dup(src_fd) };
         if file_fd < 0 {
             return Err(io::Error::last_os_error());
         }
-        let path = ReadPath::new(backend.len(), direct, IoBackend::Uring, recorder, fault);
+        let path = ReadPath::new(backend.len(), IoBackend::Uring, recorder, fault);
         let reg_index = Self::register_arenas(&ring, path.buffer_pool(), reg_buf_lens);
         Ok(UringEngine {
             state: Mutex::new(UringState {
@@ -562,15 +540,14 @@ impl UringEngine {
         let mut sqe = IoUringSqe {
             opcode: IORING_OP_READ,
             fd: self.file_fd,
-            off: read.at,
-            addr: read.buf.window_addr() as u64,
-            len: read.len as u32,
+            off: read.offset,
+            addr: read.buf.as_ptr() as u64,
+            len: read.buf.len() as u32,
             user_data,
             ..IoUringSqe::default()
         };
-        // Registered-arena hit: switch to READ_FIXED. The window always
-        // starts at the arena base here (fresh acquires have a zero-offset
-        // window; direct trims only after completion).
+        // Registered-arena hit: switch to READ_FIXED. A pooled buffer's
+        // bytes always start at its arena base.
         let reg = read
             .buf
             .pinned_arena()
@@ -744,26 +721,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_larger_than_ring_completes() {
-        require_uring!();
-        let (_dir, backend, _) = file_fixture(1 << 16);
-        // Ring of 8 entries, 50 requests: submit must flush-and-refill.
-        let eng = UringEngine::new(backend, 8).unwrap();
-        eng.submit(
-            (0..50)
-                .map(|i| AioRequest {
-                    tag: i,
-                    offset: (i * 512) % 60_000,
-                    len: 256,
-                })
-                .collect(),
-        );
-        assert_eq!(eng.drain().unwrap().len(), 50);
-        assert_eq!(eng.in_flight(), 0);
-        assert_eq!(eng.buffer_pool().stats().outstanding, 0);
-    }
-
-    #[test]
     fn registered_buffers_serve_read_fixed() {
         require_uring!();
         let (_dir, backend, data) = file_fixture(1 << 16);
@@ -816,27 +773,25 @@ mod tests {
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
     }
 
+    /// The retired modes are refused by name, on any host: a caller
+    /// asking for one learns it is not getting it.
     #[test]
-    fn sqpoll_mode_reads_correctly_or_degrades() {
-        require_uring!();
-        let (_dir, backend, data) = file_fixture(1 << 14);
-        let eng = UringEngine::with_recorder(backend, 16, false, true, &[], None, None).unwrap();
-        // Whether or not SQPOLL was granted, reads must be correct.
-        eng.submit(
-            (0..20)
-                .map(|i| AioRequest {
-                    tag: i,
-                    offset: i * 64,
-                    len: 32,
-                })
-                .collect(),
-        );
-        let mut done = eng.drain().unwrap();
-        assert_eq!(done.len(), 20);
-        done.sort_by_key(|c| c.tag);
-        for c in &done {
-            let off = c.offset as usize;
-            assert_eq!(c.result.as_ref().unwrap().as_slice(), &data[off..off + 32]);
-        }
+    fn direct_mode_is_refused() {
+        let (_dir, backend, _) = file_fixture(4096);
+        let err = UringEngine::with_recorder(backend, 8, true, false, &[], None, None)
+            .err()
+            .expect("direct I/O must be refused");
+        assert_eq!(err.kind(), io::ErrorKind::Unsupported);
+        assert!(err.to_string().contains("direct I/O"), "{err}");
+    }
+
+    #[test]
+    fn sqpoll_mode_is_refused() {
+        let (_dir, backend, _) = file_fixture(4096);
+        let err = UringEngine::with_recorder(backend, 8, false, true, &[], None, None)
+            .err()
+            .expect("SQPOLL must be refused");
+        assert_eq!(err.kind(), io::ErrorKind::Unsupported);
+        assert!(err.to_string().contains("SQPOLL"), "{err}");
     }
 }

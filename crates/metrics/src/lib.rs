@@ -151,8 +151,7 @@ pub trait Recorder: Send + Sync {
 
     /// One submission batch reached the io_uring SQ: `sqes` entries were
     /// queued and `enters` `io_uring_enter` syscalls were needed to push
-    /// them (1 for any batch that fits the ring; 0 under SQPOLL when the
-    /// kernel thread was awake).
+    /// them (1 for any batch that fits the ring).
     fn io_sqe_batch(&self, sqes: u64, enters: u64) {}
 
     /// One non-empty CQ reap collected `cqes` completions.

@@ -241,8 +241,11 @@ pub fn write_coded_store(
 ///
 /// Both files are written under temporary names (`name.tiles.tmp`,
 /// `name.start.tmp`) and renamed at the end, `.tiles` first and `.start`
-/// last; a failure removes the temporaries, so an error never leaves half
-/// a pair under the final names.
+/// last. An error while encoding or writing removes the temporaries and
+/// leaves the final names as they were, so it never leaves half a pair
+/// there; only a failing `.start` rename, after the `.tiles` one, could.
+/// Nothing is synced (no `sync_all`, no directory sync): the output is
+/// not durable across a power loss.
 pub fn recode_store_files(
     src: &TilePaths,
     dir: &Path,
