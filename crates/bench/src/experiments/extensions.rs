@@ -1,11 +1,11 @@
 //! Extensions beyond the paper's evaluation — its §VIII/§IX future-work
-//! items (tile compression, tiered storage) and the optimised algorithm
-//! variants it cites (asynchronous BFS, delta PageRank).
+//! items (tile compression, tiered storage) and the §VIII comparison with
+//! a GridGraph-style engine.
 
 use crate::model::{fmt_secs, fmt_x, run_gstore_on_sim, scaled_array_config};
 use crate::table::{note, print_table};
 use crate::workloads::{degrees, Scale};
-use gstore_core::{inmem, AsyncBfs, Bfs, GStoreEngine, PageRank, PageRankDelta};
+use gstore_core::{GStoreEngine, PageRank};
 use gstore_graph::EdgeList;
 use gstore_io::{hdd_array, MemBackend, SsdArraySim, StorageBackend, TieredBackend};
 use gstore_scr::ScrConfig;
@@ -195,68 +195,4 @@ pub fn ext_gridgraph(scale: &Scale) {
         &rows,
     );
     note("paper §VIII: GridGraph's page cache vs G-Store's proactive tile cache + SNB (4 vs 8 B/edge)");
-}
-
-/// Extension: optimised algorithm variants the paper cites — asynchronous
-/// BFS (fewer iterations) and delta PageRank (shrinking active set).
-pub fn ext_algorithms(scale: &Scale) {
-    let el = scale.kron();
-    let store = scale.store(&el);
-    let deg = degrees(&el);
-    let tiling = *store.layout().tiling();
-    let mut rows = Vec::new();
-
-    // BFS vs AsyncBfs through the full engine on the simulated array.
-    let seg = 256u64 << 10;
-    let cfg =
-        GStoreEngine::builder().scr(ScrConfig::new(seg, store.data_bytes() / 2 + 2 * seg).unwrap());
-    let mut sync = Bfs::new(tiling, 0);
-    let (ss, sm) = run_gstore_on_sim(&store, cfg.clone(), 2, &mut sync, 10_000).unwrap();
-    let mut asynch = AsyncBfs::new(tiling, 0);
-    let (as_, am) = run_gstore_on_sim(&store, cfg, 2, &mut asynch, 10_000).unwrap();
-    assert_eq!(sync.depths(), asynch.depths(), "fixed points must agree");
-    rows.push(vec![
-        "BFS (level-sync)".into(),
-        ss.iterations.to_string(),
-        format!("{}MB", ss.bytes_read >> 20),
-        fmt_secs(sm.runtime()),
-    ]);
-    rows.push(vec![
-        "BFS (asynchronous)".into(),
-        as_.iterations.to_string(),
-        format!("{}MB", as_.bytes_read >> 20),
-        fmt_secs(am.runtime()),
-    ]);
-
-    // PageRank vs PageRankDelta in memory: the delta variant converges
-    // (all per-vertex deltas below threshold) and stops on its own, while
-    // the full push runs a fixed 40 iterations — compare total work.
-    let iters = 40u32;
-    let t0 = Instant::now();
-    let mut pr = PageRank::new(tiling, deg.clone(), 0.85).with_iterations(iters);
-    let sp = inmem::run_in_memory(&store, &mut pr, iters);
-    let t_full = t0.elapsed().as_secs_f64();
-    let t1 = Instant::now();
-    let mut prd = PageRankDelta::new(tiling, deg, 0.85, 1e-7);
-    let sd = inmem::run_in_memory(&store, &mut prd, iters);
-    let t_delta = t1.elapsed().as_secs_f64();
-    rows.push(vec![
-        "PageRank (full push)".into(),
-        sp.iterations.to_string(),
-        format!("{}M edges", sp.edges_processed / 1_000_000),
-        fmt_secs(t_full),
-    ]);
-    rows.push(vec![
-        "PageRank (delta)".into(),
-        sd.iterations.to_string(),
-        format!("{}M edges", sd.edges_processed / 1_000_000),
-        fmt_secs(t_delta),
-    ]);
-    print_table(
-        "Extension: optimised algorithm variants (paper citations [26], [38])",
-        &["algorithm", "iterations", "work", "time"],
-        &rows,
-    );
-    println!("   (the variants' fixed points differ only in dangling-mass handling)");
-    note("async BFS trades revisits for fewer iterations; delta PR prunes converged vertices");
 }

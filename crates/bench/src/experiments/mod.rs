@@ -79,11 +79,6 @@ pub fn registry() -> Vec<(&'static str, &'static str, Runner)> {
             "EXT: tiered SSD+HDD storage",
             extensions::ext_tiered,
         ),
-        (
-            "ext-algorithms",
-            "EXT: async BFS and delta PageRank",
-            extensions::ext_algorithms,
-        ),
     ]
 }
 
@@ -113,12 +108,11 @@ mod tests {
             "xstream",
             "ext-compress",
             "ext-tiered",
-            "ext-algorithms",
             "ext-gridgraph",
         ] {
             assert!(names.contains(&expected), "missing {expected}");
         }
-        assert_eq!(names.len(), 20);
+        assert_eq!(names.len(), 19);
     }
 }
 

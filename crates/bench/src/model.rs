@@ -212,7 +212,7 @@ mod tests {
         // multiplied), and the modelled array time amortises >= 2x: K
         // queries' traffic collapses towards one sweep's worth, whatever
         // the host's speed.
-        use gstore_core::{QueryBatch, QuerySpec};
+        use gstore_core::{QueryBatch, QuerySpec, SweepQuery};
         const SPECS: [&str; 8] = [
             "bfs:0",
             "bfs:1",
@@ -231,7 +231,7 @@ mod tests {
         let queries = || {
             SPECS.map(|spec| {
                 let spec: QuerySpec = spec.parse().unwrap();
-                spec.to_algorithm(tiling, Some(&deg)).unwrap()
+                SweepQuery::new(&spec, tiling, Some(&deg)).unwrap()
             })
         };
         let seg = (store.data_bytes() / 8).max(4096);
@@ -242,8 +242,9 @@ mod tests {
 
         let mut solo_io = 0.0;
         let mut heaviest = 0;
-        for mut alg in queries() {
-            let (_, m) = run_gstore_on_sim(&store, builder(), 2, alg.as_mut(), u32::MAX).unwrap();
+        for mut q in queries() {
+            let (_, m) =
+                run_gstore_on_sim(&store, builder(), 2, q.algorithm_mut(), u32::MAX).unwrap();
             solo_io += m.io;
             heaviest = heaviest.max(m.bytes);
         }
@@ -255,10 +256,10 @@ mod tests {
             store.start_edge().to_vec(),
         );
         let mut engine = builder().backend(index, sim.clone()).build().unwrap();
-        let mut algs = queries();
+        let mut qs = queries();
         let mut batch = QueryBatch::new();
-        for alg in &mut algs {
-            batch.push(alg.as_mut()).unwrap();
+        for q in &mut qs {
+            batch.push(q.algorithm_mut()).unwrap();
         }
         assert!(engine
             .run_batch(&mut batch, u32::MAX)

@@ -1,25 +1,15 @@
-//! The paper's graph algorithms (§II.B) implemented over tiles, plus the
-//! optimised variants it cites (asynchronous BFS, delta PageRank), SCC
-//! (forward-backward over tiles), and two one-sweep utilities (SpMV,
-//! degree counting).
+//! The graph algorithms every sweep query runs over tiles: the paper's
+//! BFS, PageRank and WCC (§II.B, §VII), plus k-core peeling and the
+//! one-sweep degree count that bootstraps PageRank from the store alone.
 
-pub mod async_bfs;
 pub mod bfs;
 pub mod degree;
 pub mod kcore;
-pub mod multi_bfs;
 pub mod pagerank;
-pub mod pagerank_delta;
-pub mod scc;
-pub mod spmv;
 pub mod wcc;
 
-pub use async_bfs::AsyncBfs;
 pub use bfs::{Bfs, UNREACHED};
 pub use degree::DegreeCount;
 pub use kcore::KCore;
-pub use multi_bfs::MultiBfs;
 pub use pagerank::PageRank;
-pub use pagerank_delta::PageRankDelta;
-pub use spmv::SpMV;
 pub use wcc::Wcc;

@@ -1721,29 +1721,19 @@ mod tests {
     }
 
     #[test]
-    fn delta_pagerank_selective_through_engine() {
-        let (el, store) = kron_store(9, 6, 4, 2);
+    fn selective_bfs_matches_in_memory_runner() {
+        let (_, store) = kron_store(9, 6, 4, 2);
+        let tiling = *store.layout().tiling();
         let mut engine = tiny(&store).build().unwrap();
-        let deg = gstore_graph::CompactDegrees::from_edge_list(&el)
-            .unwrap()
-            .to_vec();
-        let mut pr = crate::algorithms::PageRankDelta::new(
-            *store.layout().tiling(),
-            deg.clone(),
-            0.85,
-            1e-10,
-        );
-        let stats = engine.run(&mut pr, 1000).unwrap();
+        let mut bfs = Bfs::new(tiling, 0);
+        let stats = engine.run(&mut bfs, 1000).unwrap();
         assert!(stats.iterations > 3);
         // The selective engine path must match the in-memory runner
-        // exactly (same iterations, same ranks).
-        let mut reference =
-            crate::algorithms::PageRankDelta::new(*store.layout().tiling(), deg, 0.85, 1e-10);
+        // exactly (same iterations, same depths).
+        let mut reference = Bfs::new(tiling, 0);
         let ref_stats = crate::inmem::run_in_memory(&store, &mut reference, 1000);
         assert_eq!(stats.iterations, ref_stats.iterations);
-        for (a, b) in pr.ranks().iter().zip(reference.ranks()) {
-            assert!((a - b).abs() < 1e-12);
-        }
+        assert_eq!(bfs.depths(), reference.depths());
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //!   (`neighbors` / `degree` / k-hop / random walk) served from single
 //!   tiles with a hot-tile cache;
 //! * [`inmem`] — a no-I/O runner for in-memory experiments;
-//! * [`algorithms`] — BFS, PageRank, WCC (+ SpMV, degree counting);
+//! * [`algorithms`] — BFS, PageRank, WCC (+ k-core, degree counting);
+//! * [`spec`] — the typed query surface: [`SweepQuery::new`] builds every
+//!   sweep from a [`QuerySpec`];
 //! * [`algorithm::Algorithm`] — the trait new algorithms implement;
 //! * [`atomics`], [`view`] — building blocks for writing algorithms.
 //!
@@ -45,9 +47,7 @@ pub mod spec;
 pub mod view;
 
 pub use algorithm::{Algorithm, IterationOutcome, RunStats, ShardSides, UpdateMode};
-pub use algorithms::{
-    AsyncBfs, Bfs, DegreeCount, KCore, MultiBfs, PageRank, PageRankDelta, SpMV, Wcc, UNREACHED,
-};
+pub use algorithms::{Bfs, DegreeCount, KCore, PageRank, Wcc, UNREACHED};
 pub use compute::{BatchOutcome, MultiBatchOutcome};
 pub use engine::{EngineBuilder, GStoreEngine};
 pub use pointread::PointReader;

@@ -82,38 +82,6 @@ impl QuerySpec {
     pub fn needs_degrees(&self) -> bool {
         matches!(self, QuerySpec::PageRank { .. })
     }
-
-    /// Builds the boxed [`Algorithm`] a sweep spec describes.
-    /// `degrees` must be provided when [`Self::needs_degrees`] says so;
-    /// point-read specs are rejected — run those through [`run_point`].
-    pub fn to_algorithm(
-        &self,
-        tiling: Tiling,
-        degrees: Option<&[u64]>,
-    ) -> Result<Box<dyn Algorithm>> {
-        match *self {
-            QuerySpec::Bfs { root } => {
-                check_vertex(root, tiling.vertex_count())?;
-                Ok(Box::new(Bfs::new(tiling, root)))
-            }
-            QuerySpec::PageRank { iters } => {
-                let deg = degrees.ok_or_else(|| {
-                    GraphError::InvalidParameter(
-                        "pagerank needs a precomputed degree vector".into(),
-                    )
-                })?;
-                Ok(Box::new(
-                    PageRank::new(tiling, deg.to_vec(), DEFAULT_DAMPING).with_iterations(iters),
-                ))
-            }
-            QuerySpec::Wcc => Ok(Box::new(Wcc::new(tiling))),
-            QuerySpec::KCore { k } => Ok(Box::new(KCore::new(tiling, k))),
-            QuerySpec::Degrees => Ok(Box::new(DegreeCount::new(tiling))),
-            _ => Err(GraphError::InvalidParameter(format!(
-                "{self} is a point read, not a sweep query"
-            ))),
-        }
-    }
 }
 
 fn check_vertex(vertex: VertexId, vertex_count: u64) -> Result<()> {
@@ -187,9 +155,9 @@ impl FromStr for QuerySpec {
 }
 
 /// A sweep spec instantiated as a concrete algorithm, so its result can
-/// be extracted after the batch converges — the piece `Box<dyn Algorithm>`
-/// alone cannot provide. The server, CLI, and bench all run sweeps through
-/// this wrapper.
+/// be extracted after the run converges. [`SweepQuery::new`] is the one
+/// place a sweep algorithm is built from a spec: the server, every CLI
+/// sweep command and the bench all run sweeps through this wrapper.
 pub enum SweepQuery {
     Bfs(Bfs),
     PageRank(PageRank),
@@ -659,10 +627,6 @@ mod tests {
 
         let point: QuerySpec = "degree:0".parse().unwrap();
         assert!(matches!(
-            point.to_algorithm(tiling, None),
-            Err(GraphError::InvalidParameter(_))
-        ));
-        assert!(matches!(
             SweepQuery::new(&point, tiling, None),
             Err(GraphError::InvalidParameter(_))
         ));
@@ -671,12 +635,11 @@ mod tests {
             Err(GraphError::VertexOutOfRange { .. })
         ));
         assert!(matches!(
-            QuerySpec::PageRank { iters: 2 }.to_algorithm(tiling, None),
+            SweepQuery::new(&QuerySpec::PageRank { iters: 2 }, tiling, None),
             Err(GraphError::InvalidParameter(_))
         ));
-        // The Box<dyn Algorithm> factory works for well-formed sweeps.
-        let alg = QuerySpec::Wcc.to_algorithm(tiling, None).unwrap();
-        assert_eq!(alg.name(), "wcc");
+        let mut wcc = SweepQuery::new(&QuerySpec::Wcc, tiling, None).unwrap();
+        assert_eq!(wcc.algorithm_mut().name(), "wcc");
     }
 
     #[test]

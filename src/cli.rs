@@ -205,11 +205,9 @@ pub fn engine_builder_from_flags(flags: &Flags) -> Result<EngineBuilder> {
         .metrics(flags.has("metrics-json")))
 }
 
-fn engine_for(dir: &Path, name: &str, flags: &Flags) -> Result<(GStoreEngine, Tiling)> {
+fn engine_for(dir: &Path, name: &str, flags: &Flags) -> Result<GStoreEngine> {
     let paths = TilePaths::new(dir, name);
-    let engine = engine_builder_from_flags(flags)?.paths(&paths).build()?;
-    let tiling = *engine.index().layout.tiling();
-    Ok((engine, tiling))
+    engine_builder_from_flags(flags)?.paths(&paths).build()
 }
 
 /// Honours `--metrics-json <path>`: serializes the engine's flight
@@ -438,153 +436,103 @@ fn cmd_info(pos: &[String], _flags: &Flags) -> Result<()> {
     Ok(())
 }
 
-/// `gstore bfs <dir> <name> --root R [--async]`.
-fn cmd_bfs(pos: &[String], flags: &Flags) -> Result<()> {
-    let [dir, name] = pos else {
-        return Err(GraphError::InvalidParameter(
-            "usage: bfs <dir> <name> [--root R] [--async] [--segment-kb N] [--memory-mb N]".into(),
-        ));
-    };
-    let (mut engine, tiling) = engine_for(Path::new(dir), name, flags)?;
-    let root: u64 = flags.get("root", 0u64)?;
-    if root >= tiling.vertex_count() {
-        return Err(GraphError::VertexOutOfRange {
-            vertex: root,
-            vertex_count: tiling.vertex_count(),
-        });
-    }
-    let (visited, max_depth, stats) = if flags.has("async") {
-        let mut bfs = AsyncBfs::new(tiling, root);
-        let stats = engine.run(&mut bfs, u32::MAX)?;
-        let depths = bfs.depths();
-        let max = depths
-            .iter()
-            .filter(|&&d| d != u32::MAX)
-            .max()
-            .copied()
-            .unwrap_or(0);
-        (bfs.visited_count(), max, stats)
+/// Builds a [`SweepQuery`] for each spec over `engine`'s store. PageRank
+/// needs out-degrees: when a spec asks for them, one [`DegreeCount`]
+/// sweep runs first, then the cache is cleared and the metrics reset, so
+/// `--metrics-json` covers the queries alone.
+fn sweep_queries(engine: &mut GStoreEngine, specs: &[QuerySpec]) -> Result<Vec<SweepQuery>> {
+    let tiling = *engine.index().layout.tiling();
+    let degrees = if specs.iter().any(QuerySpec::needs_degrees) {
+        let mut dc = DegreeCount::new(tiling);
+        engine.run(&mut dc, 1)?;
+        engine.clear_cache();
+        engine.reset_metrics();
+        Some(dc.degrees())
     } else {
-        let mut bfs = Bfs::new(tiling, root);
-        let stats = engine.run(&mut bfs, u32::MAX)?;
-        let depths = bfs.depths();
-        let max = depths
-            .iter()
-            .filter(|&&d| d != u32::MAX)
-            .max()
-            .copied()
-            .unwrap_or(0);
-        (bfs.visited_count(), max, stats)
+        None
     };
-    println!(
-        "bfs from {root}: visited {visited} vertices, max depth {max_depth}, \
-         {} iterations, {} read, {:.1} MTEPS",
-        stats.iterations,
-        human_bytes(stats.bytes_read),
-        stats.mteps()
-    );
-    write_metrics(&engine, flags)
+    specs
+        .iter()
+        .map(|q| SweepQuery::new(q, tiling, degrees.as_deref()))
+        .collect()
 }
 
-/// `gstore pagerank <dir> <name> [--iters N] [--damping D] [--delta]`.
-fn cmd_pagerank(pos: &[String], flags: &Flags) -> Result<()> {
+/// Runs one sweep spec as a query of its own: a plain
+/// [`GStoreEngine::run`], not a one-query batch, so the metrics JSON is
+/// that of a single run.
+fn run_sweep(engine: &mut GStoreEngine, spec: QuerySpec) -> Result<(SweepQuery, RunStats)> {
+    let mut q = sweep_queries(engine, &[spec])?.remove(0);
+    let stats = engine.run(q.algorithm_mut(), u32::MAX)?;
+    Ok((q, stats))
+}
+
+/// Runs the specs as one [`QueryBatch`]: one shared scan per iteration.
+fn run_sweep_batch(
+    engine: &mut GStoreEngine,
+    specs: &[QuerySpec],
+) -> Result<(Vec<SweepQuery>, BatchRunStats)> {
+    let mut queries = sweep_queries(engine, specs)?;
+    let mut batch = QueryBatch::new();
+    for q in &mut queries {
+        batch.push(q.algorithm_mut())?;
+    }
+    let stats = engine.run_batch(&mut batch, u32::MAX)?;
+    Ok((queries, stats))
+}
+
+/// `gstore bfs|pagerank|wcc|kcore|degrees <dir> <name>`: one sweep query,
+/// its spec spelt with the command's flags (`--root`, `--iters`, `--k`).
+fn cmd_sweep(pos: &[String], flags: &Flags, spec: QuerySpec) -> Result<()> {
     let [dir, name] = pos else {
         return Err(GraphError::InvalidParameter(
-            "usage: pagerank <dir> <name> [--iters N] [--damping D] [--delta] [--top K]".into(),
+            "usage: <command> <dir> <name> [flags]; `gstore help` lists each command's flags"
+                .into(),
         ));
     };
-    let (mut engine, tiling) = engine_for(Path::new(dir), name, flags)?;
-    let iters: u32 = flags.get("iters", 20u32)?;
-    let damping: f64 = flags.get("damping", 0.85f64)?;
-    let top: usize = flags.get("top", 5usize)?;
-
-    let mut dc = DegreeCount::new(tiling);
-    engine.run(&mut dc, 1)?;
-    engine.clear_cache();
-    // Scope any --metrics-json output to the PageRank run itself.
-    engine.reset_metrics();
-    let degrees = dc.degrees();
-
-    let (ranks, stats) = if flags.has("delta") {
-        let mut pr = PageRankDelta::new(tiling, degrees, damping, 1e-9);
-        let stats = engine.run(&mut pr, iters)?;
-        (pr.ranks().to_vec(), stats)
-    } else {
-        let mut pr = PageRank::new(tiling, degrees, damping).with_iterations(iters);
-        let stats = engine.run(&mut pr, iters)?;
-        (pr.ranks().to_vec(), stats)
-    };
+    let mut engine = engine_for(Path::new(dir), name, flags)?;
+    let (q, stats) = run_sweep(&mut engine, spec)?;
+    println!("{spec}: {}", q.result().summary());
     println!(
-        "pagerank: {} iterations, {} read from disk",
+        "  {} iterations, {} read",
         stats.iterations,
         human_bytes(stats.bytes_read)
     );
-    let mut ranked: Vec<(usize, f64)> = ranks.iter().copied().enumerate().collect();
-    ranked.sort_by(|a, b| b.1.total_cmp(&a.1));
-    for (v, r) in ranked.iter().take(top) {
-        println!("  vertex {v:>10}  rank {r:.8}");
+    if let SweepQuery::Degrees(dc) = &q {
+        print_degree_distribution(&dc.degrees());
     }
     write_metrics(&engine, flags)
 }
 
-/// `gstore wcc <dir> <name>`.
-fn cmd_wcc(pos: &[String], flags: &Flags) -> Result<()> {
-    let [dir, name] = pos else {
-        return Err(GraphError::InvalidParameter(
-            "usage: wcc <dir> <name>".into(),
-        ));
-    };
-    let (mut engine, tiling) = engine_for(Path::new(dir), name, flags)?;
-    let mut wcc = Wcc::new(tiling);
-    let stats = engine.run(&mut wcc, u32::MAX)?;
+/// The degree distribution and the paper's compact 2-byte degree
+/// encoding (§IV.C) that `gstore degrees` reports.
+fn print_degree_distribution(degrees: &[u64]) {
+    let dist = crate::graph::stats::DegreeDistribution::from_degrees(degrees);
     println!(
-        "wcc: {} components in {} iterations, {} read",
-        wcc.component_count(),
-        stats.iterations,
-        human_bytes(stats.bytes_read)
+        "  mean {:.2}, skew {:.0}x, {:.1}% isolated",
+        dist.mean_degree,
+        dist.skew(),
+        dist.isolated_fraction() * 100.0
     );
-    write_metrics(&engine, flags)
-}
-
-/// `gstore scc <dir> <name>` (directed stores only; in-memory driver).
-fn cmd_scc(pos: &[String], _flags: &Flags) -> Result<()> {
-    let [dir, name] = pos else {
-        return Err(GraphError::InvalidParameter(
-            "usage: scc <dir> <name>".into(),
-        ));
-    };
-    let paths = TilePaths::new(Path::new(dir), name);
-    let store = TileFile::open(&paths)?.load_all()?;
-    if store.layout().tiling().symmetric() {
-        return Err(GraphError::InvalidParameter(
-            "scc requires a directed store (convert with --directed)".into(),
-        ));
+    println!(
+        "  p50 {} / p90 {} / p99 {}",
+        dist.percentile(degrees, 0.5),
+        dist.percentile(degrees, 0.9),
+        dist.percentile(degrees, 0.99)
+    );
+    for (label, count) in dist.rows() {
+        if count > 0 {
+            println!("  degree {label:>12}: {count}");
+        }
     }
-    let labels = crate::core::algorithms::scc::scc_labels(&store, u32::MAX);
-    let count = crate::core::algorithms::scc::component_count(&labels);
-    println!("scc: {count} strongly connected components");
-    Ok(())
-}
-
-/// `gstore kcore <dir> <name> --k K`: k-core membership count.
-fn cmd_kcore(pos: &[String], flags: &Flags) -> Result<()> {
-    let [dir, name] = pos else {
-        return Err(GraphError::InvalidParameter(
-            "usage: kcore <dir> <name> [--k K]".into(),
-        ));
-    };
-    let (mut engine, tiling) = engine_for(Path::new(dir), name, flags)?;
-    let k: u64 = flags.get("k", 2u64)?;
-    let mut kc = crate::core::KCore::new(tiling, k);
-    let stats = engine.run(&mut kc, u32::MAX)?;
-    println!(
-        "{k}-core: {} of {} vertices survive ({} peeling rounds, {} read)",
-        kc.core_members().len(),
-        tiling.vertex_count(),
-        stats.iterations,
-        human_bytes(stats.bytes_read)
-    );
-    write_metrics(&engine, flags)
+    match CompactDegrees::from_degrees(degrees) {
+        Ok(c) => println!(
+            "  compact encoding: {} vs {} flat u32 ({} hub overflow entries)",
+            human_bytes(c.size_bytes()),
+            human_bytes(c.flat_size_bytes(4)),
+            c.overflow_count()
+        ),
+        Err(e) => println!("  compact encoding inapplicable: {e}"),
+    }
 }
 
 /// `gstore batch <dir> <name> <spec>...`: runs several queries
@@ -605,28 +553,8 @@ fn cmd_batch(pos: &[String], flags: &Flags) -> Result<()> {
         ));
     }
     let parsed: Vec<QuerySpec> = specs.iter().map(|s| s.parse()).collect::<Result<_>>()?;
-    let (mut engine, tiling) = engine_for(Path::new(dir), name, flags)?;
-
-    // PageRank needs out-degrees: one extra sweep before the batch.
-    let degrees = if parsed.iter().any(|q| q.needs_degrees()) {
-        let mut dc = DegreeCount::new(tiling);
-        engine.run(&mut dc, 1)?;
-        engine.clear_cache();
-        engine.reset_metrics();
-        Some(dc.degrees())
-    } else {
-        None
-    };
-
-    let mut algs: Vec<Box<dyn Algorithm>> = parsed
-        .iter()
-        .map(|q| q.to_algorithm(tiling, degrees.as_deref()))
-        .collect::<Result<_>>()?;
-    let mut batch = QueryBatch::new();
-    for alg in &mut algs {
-        batch.push(alg.as_mut())?;
-    }
-    let stats = engine.run_batch(&mut batch, u32::MAX)?;
+    let mut engine = engine_for(Path::new(dir), name, flags)?;
+    let (_, stats) = run_sweep_batch(&mut engine, &parsed)?;
 
     for (spec, q) in specs.iter().zip(&stats.per_query) {
         println!(
@@ -682,7 +610,7 @@ fn cmd_query(pos: &[String], flags: &Flags) -> Result<()> {
             "query needs at least one point-read spec".into(),
         ));
     }
-    let (engine, _tiling) = engine_for(Path::new(dir), name, flags)?;
+    let engine = engine_for(Path::new(dir), name, flags)?;
     let reader = engine.point_reader();
     let seed: u64 = flags.get("seed", 42u64)?;
     for spec in specs {
@@ -807,49 +735,6 @@ fn cmd_compress(pos: &[String], flags: &Flags) -> Result<()> {
     Ok(())
 }
 
-/// `gstore degrees <dir> <name>`: degree statistics via a tile sweep.
-fn cmd_degrees(pos: &[String], flags: &Flags) -> Result<()> {
-    let [dir, name] = pos else {
-        return Err(GraphError::InvalidParameter(
-            "usage: degrees <dir> <name>".into(),
-        ));
-    };
-    let (mut engine, tiling) = engine_for(Path::new(dir), name, flags)?;
-    let mut dc = DegreeCount::new(tiling);
-    engine.run(&mut dc, 1)?;
-    let degrees = dc.degrees();
-    let dist = crate::graph::stats::DegreeDistribution::from_degrees(&degrees);
-    println!(
-        "degrees: max {}, mean {:.2}, skew {:.0}x, {:.1}% isolated",
-        dist.max_degree,
-        dist.mean_degree,
-        dist.skew(),
-        dist.isolated_fraction() * 100.0
-    );
-    println!(
-        "p50 {} / p90 {} / p99 {}",
-        dist.percentile(&degrees, 0.5),
-        dist.percentile(&degrees, 0.9),
-        dist.percentile(&degrees, 0.99)
-    );
-    for (label, count) in dist.rows() {
-        if count > 0 {
-            println!("  degree {label:>12}: {count}");
-        }
-    }
-    match CompactDegrees::from_degrees(&degrees) {
-        Ok(c) => println!(
-            "compact encoding: {} vs {} flat u32 ({} hub overflow entries)",
-            human_bytes(c.size_bytes()),
-            human_bytes(c.flat_size_bytes(4)),
-            c.overflow_count()
-        ),
-        Err(e) => println!("compact encoding inapplicable: {e}"),
-    }
-    write_metrics(&engine, flags)?;
-    Ok(())
-}
-
 const USAGE: &str = "usage: gstore <command> ...
 commands:
   generate <spec> <out>        make a graph (kron:18:16, random:20:8,
@@ -863,13 +748,13 @@ commands:
                                <n>c store)
   info     <dir> <name>        store geometry, sizes, occupancy, codec
                                accounting (bytes/edge, compression ratio)
-  bfs      <dir> <name>        breadth-first search (--root R, --async)
-  pagerank <dir> <name>        PageRank (--iters N, --damping D, --delta,
-                               --top K)
+  bfs      <dir> <name>        breadth-first search (--root R)
+  pagerank <dir> <name>        PageRank, damping 0.85 (--iters N)
   wcc      <dir> <name>        weakly connected components
-  scc      <dir> <name>        strongly connected components (directed)
   kcore    <dir> <name>        k-core decomposition (--k K)
   degrees  <dir> <name>        degree statistics + compact encoding
+                               (each of these five runs the batch spec
+                               of the same name as a query of its own)
   batch    <dir> <name> <spec>...
                                run several queries over one shared scan
                                (specs: bfs[:root], pagerank[:iters], wcc,
@@ -938,32 +823,36 @@ const COMMANDS: &[Command] = &[
     },
     Command {
         name: "bfs",
-        run: cmd_bfs,
-        flags: &[&["root", "async"], ENGINE_FLAGS],
+        run: |pos, flags| {
+            let root = flags.get("root", 0)?;
+            cmd_sweep(pos, flags, QuerySpec::Bfs { root })
+        },
+        flags: &[&["root"], ENGINE_FLAGS],
     },
     Command {
         name: "pagerank",
-        run: cmd_pagerank,
-        flags: &[&["iters", "damping", "delta", "top"], ENGINE_FLAGS],
+        run: |pos, flags| {
+            let iters = flags.get("iters", 20)?;
+            cmd_sweep(pos, flags, QuerySpec::PageRank { iters })
+        },
+        flags: &[&["iters"], ENGINE_FLAGS],
     },
     Command {
         name: "wcc",
-        run: cmd_wcc,
+        run: |pos, flags| cmd_sweep(pos, flags, QuerySpec::Wcc),
         flags: &[ENGINE_FLAGS],
     },
     Command {
-        name: "scc",
-        run: cmd_scc,
-        flags: &[],
-    },
-    Command {
         name: "kcore",
-        run: cmd_kcore,
+        run: |pos, flags| {
+            let k = flags.get("k", 2)?;
+            cmd_sweep(pos, flags, QuerySpec::KCore { k })
+        },
         flags: &[&["k"], ENGINE_FLAGS],
     },
     Command {
         name: "degrees",
-        run: cmd_degrees,
+        run: |pos, flags| cmd_sweep(pos, flags, QuerySpec::Degrees),
         flags: &[ENGINE_FLAGS],
     },
     Command {
@@ -1085,7 +974,6 @@ mod tests {
         );
         assert_eq!(run(&s(&["info", &dbs, "g"])), 0);
         assert_eq!(run(&s(&["bfs", &dbs, "g", "--root", "0"])), 0);
-        assert_eq!(run(&s(&["bfs", &dbs, "g", "--root", "0", "--async"])), 0);
         let metrics_path = dir.path().join("bfs-metrics.json");
         assert_eq!(
             run(&s(&[
@@ -1104,10 +992,6 @@ mod tests {
         assert!(metrics.contains("\"bytes_read\""));
         assert!(metrics.contains("\"phase_split\""));
         assert_eq!(run(&s(&["pagerank", &dbs, "g", "--iters", "5"])), 0);
-        assert_eq!(
-            run(&s(&["pagerank", &dbs, "g", "--delta", "--iters", "50"])),
-            0
-        );
         assert_eq!(run(&s(&["wcc", &dbs, "g"])), 0);
         assert_eq!(run(&s(&["kcore", &dbs, "g", "--k", "3"])), 0);
         assert_eq!(run(&s(&["degrees", &dbs, "g"])), 0);
@@ -1352,13 +1236,20 @@ mod tests {
         ));
         // The retired switches are undeclared flags: a usage error naming
         // the flag, exit 2, before the store is opened.
-        for retired in ["--sqpoll", "--direct"] {
-            let err = dispatch("bfs", &s(&["db", "g", retired])).unwrap_err();
+        for (cmd, retired) in [
+            ("bfs", "--sqpoll"),
+            ("bfs", "--direct"),
+            ("bfs", "--async"),
+            ("pagerank", "--delta"),
+            ("pagerank", "--damping"),
+            ("pagerank", "--top"),
+        ] {
+            let err = dispatch(cmd, &s(&["db", "g", retired])).unwrap_err();
             assert!(
                 matches!(&err, GraphError::InvalidParameter(m) if m.contains(retired)),
                 "{retired}: {err:?}"
             );
-            assert_eq!(run(&s(&["bfs", "db", "g", retired])), 2, "{retired}");
+            assert_eq!(run(&s(&[cmd, "db", "g", retired])), 2, "{retired}");
         }
     }
 
@@ -1612,7 +1503,65 @@ mod tests {
             ])),
             0
         );
-        assert_eq!(run(&s(&["scc", &dbs, "d"])), 0);
+        // The sweep commands run on a directed store; the in-memory tile
+        // SCC is retired, so `scc` is an unknown command.
+        for cmd in ["bfs", "wcc", "kcore", "degrees"] {
+            assert_eq!(run(&s(&[cmd, &dbs, "d"])), 0, "{cmd}");
+        }
+        assert_eq!(run(&s(&["scc", &dbs, "d"])), 2);
+    }
+
+    #[test]
+    fn sweep_commands_match_batch_and_csr_reference() {
+        use crate::core::algorithms::kcore::kcore_reference;
+        use crate::graph::reference;
+        let dir = tempfile::tempdir().unwrap();
+        let el = parse_generator("kron:9:8", false, 7).unwrap();
+        let store = TileStore::build(&el, &ConversionOptions::new(5).with_group_side(4)).unwrap();
+        crate::tile::write_store(&store, dir.path(), "g").unwrap();
+        let engine = || engine_for(dir.path(), "g", &Flags::default()).unwrap();
+        let specs: Vec<QuerySpec> = ["bfs:3", "pagerank:5", "wcc", "kcore:3", "degrees"]
+            .iter()
+            .map(|q| q.parse().unwrap())
+            .collect();
+
+        let (batched, stats) = run_sweep_batch(&mut engine(), &specs).unwrap();
+        assert!(stats.all_converged());
+        let depths = reference::bfs_levels(&reference::bfs_csr(&el), 3);
+        let reached = || depths.iter().filter(|&&d| d != reference::UNREACHED);
+        let mut ranks: Vec<(VertexId, f64)> = (0..)
+            .zip(reference::pagerank(&reference::bfs_csr(&el), 5, 0.85))
+            .collect();
+        ranks.sort_by(|x, y| y.1.total_cmp(&x.1).then(x.0.cmp(&y.0)));
+        ranks.truncate(crate::core::spec::PAGERANK_TOP);
+        let degrees = crate::graph::CompactDegrees::from_edge_list(&el)
+            .unwrap()
+            .to_vec();
+        let csr_values = [
+            QueryValue::Bfs {
+                visited: reached().count() as u64,
+                max_depth: reached().copied().max().unwrap(),
+            },
+            QueryValue::PageRank { top: ranks },
+            QueryValue::Wcc {
+                components: reference::component_count(&reference::wcc_labels(&el)) as u64,
+            },
+            QueryValue::KCore {
+                k: 3,
+                members: kcore_reference(&el, 3).iter().filter(|&&m| m).count() as u64,
+            },
+            QueryValue::Degrees {
+                max: degrees.iter().copied().max().unwrap(),
+                total: degrees.iter().sum(),
+            },
+        ];
+        for ((spec, in_batch), want) in specs.iter().zip(&batched).zip(&csr_values) {
+            let (q, _) = run_sweep(&mut engine(), *spec).unwrap();
+            let value = q.result();
+            // Exact for every spec but PageRank, whose ranks agree to 1e-9.
+            assert!(value.approx_eq(&in_batch.result(), 1e-9), "{spec}: batch");
+            assert!(value.approx_eq(want, 1e-9), "{spec}: {value:?} vs {want:?}");
+        }
     }
 
     #[test]

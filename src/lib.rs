@@ -92,9 +92,9 @@ pub use gstore_tile as tile;
 /// The most common imports in one place.
 pub mod prelude {
     pub use gstore_core::{
-        Algorithm, AsyncBfs, BatchRunStats, Bfs, DegreeCount, EngineBuilder, GStoreEngine,
-        IterationOutcome, KCore, PageRank, PageRankDelta, PointReader, QueryBatch, QueryKind,
-        QueryOutcome, QuerySpec, QueryValue, RunStats, SpMV, SweepQuery, TileView, Wcc,
+        Algorithm, BatchRunStats, Bfs, DegreeCount, EngineBuilder, GStoreEngine, IterationOutcome,
+        KCore, PageRank, PointReader, QueryBatch, QueryKind, QueryOutcome, QuerySpec, QueryValue,
+        RunStats, SweepQuery, TileView, Wcc,
     };
     pub use gstore_graph::{
         Csr, CsrDirection, Edge, EdgeList, GraphKind, GraphMeta, TupleWidth, VertexId,

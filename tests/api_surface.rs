@@ -11,9 +11,9 @@
 #[rustfmt::skip]
 use gstore::prelude::{
     // Engine + algorithms (gstore-core).
-    Algorithm, AsyncBfs, BatchRunStats, Bfs, DegreeCount, EngineBuilder, GStoreEngine,
-    IterationOutcome, KCore, PageRank, PageRankDelta, QueryBatch, QueryKind, QueryOutcome,
-    QuerySpec, QueryValue, RunStats, SpMV, SweepQuery, TileView, Wcc,
+    Algorithm, BatchRunStats, Bfs, DegreeCount, EngineBuilder, GStoreEngine, IterationOutcome,
+    KCore, PageRank, QueryBatch, QueryKind, QueryOutcome, QuerySpec, QueryValue, RunStats,
+    SweepQuery, TileView, Wcc,
     // Graph primitives (gstore-graph).
     Csr, CsrDirection, Edge, EdgeList, GraphKind, GraphMeta, TupleWidth, VertexId,
     // Storage (gstore-io).
@@ -46,16 +46,7 @@ fn prelude_types_are_nameable(
     _: (&dyn Algorithm, &RunStats, &IterationOutcome, &TileView),
     _: (&QueryBatch, &QueryOutcome, &BatchRunStats),
     _: (&QuerySpec, &QueryKind, &QueryValue, &SweepQuery),
-    _: (
-        &Bfs,
-        &AsyncBfs,
-        &Wcc,
-        &PageRank,
-        &PageRankDelta,
-        &KCore,
-        &DegreeCount,
-        &SpMV,
-    ),
+    _: (&Bfs, &Wcc, &PageRank, &KCore, &DegreeCount),
     _: (
         &Csr,
         &CsrDirection,

@@ -49,26 +49,34 @@ fn scale20_file_backed_soak() {
 }
 
 /// Sixty-four concurrent BFS sources sharing tile scans on a scale-16
-/// graph, each validated against the single-source reference.
+/// graph — one full `QueryBatch` of `Bfs` — each validated against the
+/// single-source reference.
 #[test]
-#[ignore = "soak test: ~30 seconds in release mode"]
+#[ignore = "soak test: 64 searches on a scale-16 graph"]
 fn multi_bfs_64_sources() {
     let el = generate_rmat(&RmatParams::kron(16, 8)).unwrap();
     let store = TileStore::build(&el, &ConversionOptions::new(10).with_group_side(8)).unwrap();
     let tiling = *store.layout().tiling();
-    let roots: Vec<u64> = (0..64u64)
+    let roots: Vec<u64> = (0..QueryBatch::MAX_QUERIES as u64)
         .map(|i| (i * 997) % tiling.vertex_count())
         .collect();
-    let mut mb = gstore::core::MultiBfs::new(tiling, &roots).unwrap();
+    let mut searches: Vec<Bfs> = roots.iter().map(|&r| Bfs::new(tiling, r)).collect();
     let seg = 256u64 << 10;
     let mut engine = GStoreEngine::builder()
         .store(&store)
         .scr(ScrConfig::new(seg, store.data_bytes() / 2 + 2 * seg).unwrap())
         .build()
         .unwrap();
-    engine.run(&mut mb, 10_000).unwrap();
+    let mut batch = QueryBatch::new();
+    for bfs in &mut searches {
+        batch.push(bfs).unwrap();
+    }
+    assert!(engine
+        .run_batch(&mut batch, 10_000)
+        .unwrap()
+        .all_converged());
     let csr = reference::bfs_csr(&el);
-    for (b, &r) in roots.iter().enumerate() {
-        assert_eq!(mb.depths_of(b), reference::bfs_levels(&csr, r), "root {r}");
+    for (bfs, &r) in searches.iter().zip(&roots) {
+        assert_eq!(bfs.depths(), reference::bfs_levels(&csr, r), "root {r}");
     }
 }
