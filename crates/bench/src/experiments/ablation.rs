@@ -110,7 +110,7 @@ pub fn fig11(scale: &Scale) {
             let mut pr =
                 PageRank::new(*store.layout().tiling(), deg.clone(), 0.85).with_iterations(iters);
             let t0 = Instant::now();
-            inmem::run_in_memory_grouped(&store, &mut pr, iters);
+            inmem::run_in_memory(&store, &mut pr, iters);
             best = best.min(t0.elapsed().as_secs_f64());
         }
         let b = *baseline.get_or_insert(best);

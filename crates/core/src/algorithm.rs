@@ -18,19 +18,15 @@ pub enum IterationOutcome {
     Converged,
 }
 
-/// How an algorithm's per-vertex metadata may be written during a sweep.
+/// Which endpoints an algorithm's per-vertex metadata writes land on.
 ///
-/// The column-sharded compute path (§V.C two-level parallelism) assigns
-/// each worker a disjoint set of vertex partitions; updates to owned
-/// partitions become plain load+store writes with no `lock`-prefixed RMW.
-/// Algorithms declare which endpoints they write so the scheduler can
-/// build a conflict-free assignment — or keep the atomic fallback.
+/// The compute phase (§V.C two-level parallelism) assigns each worker a
+/// disjoint set of vertex partitions and hands it only the work items
+/// that write them, so every metadata update is a plain load+store with
+/// no `lock`-prefixed RMW. An algorithm declares which endpoints it
+/// writes so the scheduler knows which items a tile becomes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum UpdateMode {
-    /// Updates use atomics; tiles may be processed in any order by any
-    /// worker. The default, and the fallback for algorithms whose writes
-    /// are already cheap (BFS's CAS-once) or not partition-local.
-    Atomic,
     /// Writes land only on the *destination* (column) endpoint. One work
     /// item per tile, keyed by its column partition.
     ShardedDst,
@@ -43,9 +39,9 @@ pub enum UpdateMode {
     ShardedBoth,
 }
 
-/// Which endpoint sides a sharded work item must apply. Passed to
-/// [`Algorithm::process_tile_sharded`]; the implementation must write
-/// *only* vertices on the enabled sides.
+/// Which endpoint sides a work item must apply. Passed to
+/// [`Algorithm::process_tile`]; the implementation must write *only*
+/// vertices on the enabled sides.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardSides {
     /// Apply updates to source (row-range) vertices.
@@ -56,14 +52,18 @@ pub struct ShardSides {
 
 /// An iterative tile-at-a-time graph algorithm.
 ///
-/// `process_tile` receives `&self` and is called concurrently; metadata
-/// must use atomics (see [`crate::atomics`]).
+/// `process_tile` receives `&self` and is called concurrently, but no two
+/// concurrent calls write the same vertex partition: per-vertex metadata
+/// is kept in atomic cells (see [`crate::atomics`]) so that reads across
+/// partitions are defined, and written with plain loads and stores.
 ///
 /// A minimal custom algorithm — count edges whose endpoints are both
-/// even — looks like this:
+/// even — looks like this. It writes no vertex, only one shared counter,
+/// so it declares [`UpdateMode::ShardedDst`] (each tile is one item) and
+/// bumps the counter with an atomic add:
 ///
 /// ```
-/// use gstore_core::{Algorithm, IterationOutcome, TileView};
+/// use gstore_core::{Algorithm, IterationOutcome, ShardSides, TileView, UpdateMode};
 /// use std::sync::atomic::{AtomicU64, Ordering};
 ///
 /// struct EvenEdges {
@@ -77,15 +77,16 @@ pub struct ShardSides {
 ///     fn begin_iteration(&mut self, _i: u32) {
 ///         self.count.store(0, Ordering::Relaxed);
 ///     }
-///     fn process_tile(&self, view: &TileView<'_>) {
-///         for e in view.edges() {
-///             if e.src % 2 == 0 && e.dst % 2 == 0 {
-///                 self.count.fetch_add(1, Ordering::Relaxed);
-///             }
-///         }
+///     fn process_tile(&self, view: &TileView<'_>, _sides: ShardSides) {
+///         let mut even = 0;
+///         view.for_each_edge(|src, dst| even += u64::from(src % 2 == 0 && dst % 2 == 0));
+///         self.count.fetch_add(even, Ordering::Relaxed);
 ///     }
 ///     fn end_iteration(&mut self, _i: u32) -> IterationOutcome {
 ///         IterationOutcome::Converged // one sweep is enough
+///     }
+///     fn update_mode(&self) -> UpdateMode {
+///         UpdateMode::ShardedDst
 ///     }
 /// }
 ///
@@ -105,33 +106,19 @@ pub trait Algorithm: Sync + Send {
     /// Called before each iteration's tile sweep.
     fn begin_iteration(&mut self, iteration: u32);
 
-    /// Processes one tile's edges (called in parallel).
-    fn process_tile(&self, view: &TileView<'_>);
-
-    /// Called after the sweep; decides whether to continue.
-    fn end_iteration(&mut self, iteration: u32) -> IterationOutcome;
-
-    /// How this algorithm's metadata writes may be scheduled. Returning a
-    /// sharded mode is a contract: [`Algorithm::process_tile_sharded`]
-    /// must be implemented and must confine writes to the enabled sides.
-    /// Results must match the atomic path exactly (bit-identical for
-    /// integer metadata; FP accumulation order may differ within the
-    /// documented tolerance).
-    fn update_mode(&self) -> UpdateMode {
-        UpdateMode::Atomic
-    }
-
     /// Processes one tile applying updates only to the endpoints enabled
     /// in `sides`. Called concurrently, but the engine guarantees that no
     /// two concurrent calls write the same vertex partition — plain
     /// (non-atomic) writes such as [`crate::atomics::AtomicF64::add_unsync`]
     /// are safe here.
-    fn process_tile_sharded(&self, _view: &TileView<'_>, _sides: ShardSides) {
-        panic!(
-            "{}: update_mode() declared a sharded mode but process_tile_sharded is not implemented",
-            self.name()
-        );
-    }
+    fn process_tile(&self, view: &TileView<'_>, sides: ShardSides);
+
+    /// Called after the sweep; decides whether to continue.
+    fn end_iteration(&mut self, iteration: u32) -> IterationOutcome;
+
+    /// Which endpoints [`Algorithm::process_tile`] writes: a contract the
+    /// scheduler builds its conflict-free assignment from.
+    fn update_mode(&self) -> UpdateMode;
 
     /// Whether the engine may skip tiles whose ranges are inactive
     /// (anchored computations like BFS). Iterative-on-everything
@@ -173,11 +160,6 @@ pub struct RunStats {
     pub io_requests: u64,
     /// Edges processed (sum over processed tiles).
     pub edges_processed: u64,
-    /// Edges whose updates went through the column-sharded (plain-write)
-    /// path. `sharded_edges + atomic_edges == edges_processed`.
-    pub sharded_edges: u64,
-    /// Edges whose updates used the atomic fallback path.
-    pub atomic_edges: u64,
     /// Wall-clock seconds of the whole run.
     pub elapsed: f64,
 }

@@ -6,9 +6,14 @@
 //! *selective* algorithm: only tiles whose ranges contain frontier
 //! vertices are fetched, and next-iteration frontier metadata drives
 //! proactive caching.
+//!
+//! A stored edge `src → dst` claims `dst` on the tile's destination-side
+//! work item and, on a symmetric store, `src` (edge `dst → src`) on its
+//! source-side item, so only the shard owning a vertex's partition writes
+//! its depth.
 
-use crate::algorithm::{Algorithm, IterationOutcome};
-use crate::atomics::{atomic_u32_vec, claim_u32};
+use crate::algorithm::{Algorithm, IterationOutcome, ShardSides, UpdateMode};
+use crate::atomics::atomic_u32_vec;
 use crate::view::TileView;
 use gstore_graph::VertexId;
 use gstore_tile::Tiling;
@@ -95,12 +100,18 @@ impl Bfs {
             .count() as u64
     }
 
+    /// Claims `dst` from `src`: depth[src] == level && depth[dst] == INF
+    /// => depth[dst] = level + 1. The claim is a plain load and store, not
+    /// a compare-and-swap: only the shard owning `dst`'s partition writes
+    /// `depth[dst]`, and a reader in another shard only compares a depth
+    /// with `level`, a value no write in this level produces.
     #[inline]
     fn visit(&self, src: VertexId, dst: VertexId) {
-        // depth[src] == level && depth[dst] == INF => claim dst.
+        let target = &self.depth[dst as usize];
         if self.depth[src as usize].load(Ordering::Relaxed) == self.level
-            && claim_u32(&self.depth[dst as usize], UNREACHED, self.level + 1)
+            && target.load(Ordering::Relaxed) == UNREACHED
         {
+            target.store(self.level + 1, Ordering::Relaxed);
             if let Some(parent) = &self.parent {
                 parent[dst as usize].store(src, Ordering::Relaxed);
             }
@@ -119,18 +130,24 @@ impl Algorithm for Bfs {
         self.visited_this_iter.store(0, Ordering::Relaxed);
     }
 
-    fn process_tile(&self, view: &TileView<'_>) {
-        if view.symmetric {
-            for e in view.edges() {
-                self.visit(e.src, e.dst);
-                // Algorithm 1 lines 8-11: the stored edge also represents
-                // (dst, src).
-                self.visit(e.dst, e.src);
+    fn process_tile(&self, view: &TileView<'_>, sides: ShardSides) {
+        view.for_each_edge(|src, dst| {
+            if sides.dst {
+                self.visit(src, dst);
             }
+            // Algorithm 1 lines 8-11: on a symmetric store the stored edge
+            // also represents (dst, src), a write to the source side.
+            if sides.src {
+                self.visit(dst, src);
+            }
+        });
+    }
+
+    fn update_mode(&self) -> UpdateMode {
+        if self.tiling.symmetric() {
+            UpdateMode::ShardedBoth
         } else {
-            for e in view.edges() {
-                self.visit(e.src, e.dst);
-            }
+            UpdateMode::ShardedDst
         }
     }
 

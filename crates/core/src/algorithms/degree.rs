@@ -5,7 +5,8 @@
 //! PageRank when only the on-disk tile files are available (§IV.C's degree
 //! metadata).
 
-use crate::algorithm::{Algorithm, IterationOutcome};
+use crate::algorithm::{Algorithm, IterationOutcome, ShardSides, UpdateMode};
+use crate::atomics::add_unsync_u64;
 use crate::view::TileView;
 use gstore_graph::degree::CompactDegrees;
 use gstore_tile::Tiling;
@@ -50,19 +51,26 @@ impl Algorithm for DegreeCount {
         }
     }
 
-    fn process_tile(&self, view: &TileView<'_>) {
-        if view.symmetric {
-            for e in view.edges() {
-                self.degree[e.src as usize].fetch_add(1, Ordering::Relaxed);
-                if e.src != e.dst {
-                    self.degree[e.dst as usize].fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        } else {
-            for e in view.edges() {
-                self.degree[e.src as usize].fetch_add(1, Ordering::Relaxed);
-            }
+    fn process_tile(&self, view: &TileView<'_>, sides: ShardSides) {
+        // Every stored tuple counts for its source; on a symmetric store it
+        // also counts for its destination, self-loops once. A directed
+        // store's destination-side item writes nothing.
+        let dst_side = sides.dst && view.symmetric;
+        if !(sides.src || dst_side) {
+            return;
         }
+        view.for_each_edge(|src, dst| {
+            if sides.src {
+                add_unsync_u64(&self.degree[src as usize], 1);
+            }
+            if dst_side && src != dst {
+                add_unsync_u64(&self.degree[dst as usize], 1);
+            }
+        });
+    }
+
+    fn update_mode(&self) -> UpdateMode {
+        UpdateMode::ShardedBoth
     }
 
     fn end_iteration(&mut self, _iteration: u32) -> IterationOutcome {

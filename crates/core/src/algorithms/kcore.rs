@@ -54,20 +54,11 @@ impl KCore {
             .collect()
     }
 
+    /// Plain-write degree increment: `alive` is read-only during the
+    /// sweep, so the counted value is deterministic; the caller owns `a`'s
+    /// partition, so no atomic RMW is needed.
     #[inline]
     fn count(&self, a: VertexId, b: VertexId) {
-        if self.alive[a as usize].load(Ordering::Relaxed)
-            && self.alive[b as usize].load(Ordering::Relaxed)
-        {
-            self.degree[a as usize].fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Plain-write degree increment for the sharded path: `alive` is
-    /// read-only during the sweep, so the counted value is deterministic;
-    /// the caller owns `a`'s partition, so no atomic RMW is needed.
-    #[inline]
-    fn count_unsync(&self, a: VertexId, b: VertexId) {
         if self.alive[a as usize].load(Ordering::Relaxed)
             && self.alive[b as usize].load(Ordering::Relaxed)
         {
@@ -87,14 +78,20 @@ impl Algorithm for KCore {
         }
     }
 
-    fn process_tile(&self, view: &TileView<'_>) {
+    fn process_tile(&self, view: &TileView<'_>, sides: ShardSides) {
         // Symmetric and directed stores count identically: coreness is
         // over the underlying undirected structure, so each stored tuple
-        // contributes to both endpoints (self-loops excluded).
+        // contributes to both endpoints (self-loops excluded). `alive` is
+        // frozen during the sweep (peeling happens in end_iteration), so
+        // the per-side split sums to the same degrees in any order.
         view.for_each_edge(|src, dst| {
             if src != dst {
-                self.count(src, dst);
-                self.count(dst, src);
+                if sides.dst {
+                    self.count(dst, src);
+                }
+                if sides.src {
+                    self.count(src, dst);
+                }
             }
         });
     }
@@ -103,22 +100,6 @@ impl Algorithm for KCore {
         // Each stored tuple increments both endpoints' degrees regardless
         // of store symmetry.
         UpdateMode::ShardedBoth
-    }
-
-    fn process_tile_sharded(&self, view: &TileView<'_>, sides: ShardSides) {
-        // `alive` is frozen during the sweep (peeling happens in
-        // end_iteration), so per-edge counting is deterministic and the
-        // per-side split sums to exactly what the atomic path counts.
-        view.for_each_edge(|src, dst| {
-            if src != dst {
-                if sides.dst {
-                    self.count_unsync(dst, src);
-                }
-                if sides.src {
-                    self.count_unsync(src, dst);
-                }
-            }
-        });
     }
 
     fn end_iteration(&mut self, _iteration: u32) -> IterationOutcome {

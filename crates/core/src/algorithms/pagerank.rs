@@ -71,18 +71,10 @@ impl PageRank {
         self.last_delta
     }
 
+    /// Plain-write push: the caller owns `to`'s partition, so no CAS loop
+    /// is needed.
     #[inline]
     fn push(&self, from: VertexId, to: VertexId) {
-        let s = self.share[from as usize];
-        if s != 0.0 {
-            self.next[to as usize].fetch_add(s);
-        }
-    }
-
-    /// Plain-write push for the sharded path: the caller owns `to`'s
-    /// partition, so no CAS loop is needed.
-    #[inline]
-    fn push_unsync(&self, from: VertexId, to: VertexId) {
         let s = self.share[from as usize];
         if s != 0.0 {
             self.next[to as usize].add_unsync(s);
@@ -105,19 +97,6 @@ impl Algorithm for PageRank {
         }
     }
 
-    fn process_tile(&self, view: &TileView<'_>) {
-        if view.symmetric {
-            view.for_each_edge(|src, dst| {
-                self.push(src, dst);
-                if src != dst {
-                    self.push(dst, src);
-                }
-            });
-        } else {
-            view.for_each_edge(|src, dst| self.push(src, dst));
-        }
-    }
-
     fn update_mode(&self) -> UpdateMode {
         if self.symmetric {
             UpdateMode::ShardedBoth
@@ -126,27 +105,27 @@ impl Algorithm for PageRank {
         }
     }
 
-    fn process_tile_sharded(&self, view: &TileView<'_>, sides: ShardSides) {
+    fn process_tile(&self, view: &TileView<'_>, sides: ShardSides) {
         if view.symmetric {
             // The stored edge pushes src→dst (a dst-side write) and, off
             // the diagonal, dst→src (a src-side write).
             match (sides.dst, sides.src) {
                 (true, true) => view.for_each_edge(|src, dst| {
-                    self.push_unsync(src, dst);
+                    self.push(src, dst);
                     if src != dst {
-                        self.push_unsync(dst, src);
+                        self.push(dst, src);
                     }
                 }),
-                (true, false) => view.for_each_edge(|src, dst| self.push_unsync(src, dst)),
+                (true, false) => view.for_each_edge(|src, dst| self.push(src, dst)),
                 (false, true) => view.for_each_edge(|src, dst| {
                     if src != dst {
-                        self.push_unsync(dst, src);
+                        self.push(dst, src);
                     }
                 }),
                 (false, false) => {}
             }
         } else if sides.dst {
-            view.for_each_edge(|src, dst| self.push_unsync(src, dst));
+            view.for_each_edge(|src, dst| self.push(src, dst));
         }
     }
 

@@ -7,7 +7,7 @@
 //! is required, halving data access versus engines that store both.
 
 use crate::algorithm::{Algorithm, IterationOutcome, ShardSides, UpdateMode};
-use crate::atomics::{atomic_u64_vec_with, fetch_min_u64, min_unsync_u64};
+use crate::atomics::{atomic_u64_vec_with, min_unsync_u64};
 use crate::view::TileView;
 use gstore_graph::VertexId;
 use gstore_tile::Tiling;
@@ -55,29 +55,14 @@ impl Algorithm for Wcc {
         self.changed.store(false, Ordering::Relaxed);
     }
 
-    fn process_tile(&self, view: &TileView<'_>) {
-        view.for_each_edge(|src, dst| {
-            // Weak connectivity: exchange minima in both directions using
-            // the single stored tuple.
-            let ls = self.label[src as usize].load(Ordering::Relaxed);
-            let ld = self.label[dst as usize].load(Ordering::Relaxed);
-            if ls < ld {
-                if fetch_min_u64(&self.label[dst as usize], ls) {
-                    self.changed.store(true, Ordering::Relaxed);
-                }
-            } else if ld < ls && fetch_min_u64(&self.label[src as usize], ld) {
-                self.changed.store(true, Ordering::Relaxed);
-            }
-        });
-    }
-
     fn update_mode(&self) -> UpdateMode {
         // Label exchange writes both endpoints even on directed stores.
         UpdateMode::ShardedBoth
     }
 
-    fn process_tile_sharded(&self, view: &TileView<'_>, sides: ShardSides) {
-        // Labels of vertices outside the owned sides may be concurrently
+    fn process_tile(&self, view: &TileView<'_>, sides: ShardSides) {
+        // Weak connectivity: exchange minima in both directions using the
+        // single stored tuple. Labels of vertices outside the owned sides may be concurrently
         // lowered elsewhere; reading a stale (higher) value is safe — the
         // min-lattice is monotone and any missed propagation implies a
         // same-iteration write elsewhere, which sets `changed` and forces

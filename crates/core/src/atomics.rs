@@ -1,14 +1,14 @@
-//! Atomic metadata cells used by parallel tile processing.
+//! Per-vertex metadata cells for parallel tile processing.
 //!
-//! Tiles that touch the same vertex range are processed concurrently, so
-//! per-vertex metadata (depths, labels, ranks) must tolerate racing
-//! updates. These wrappers provide the three primitives the paper's
-//! algorithms need: CAS-once (BFS depth), fetch-min (WCC label), and
-//! floating-point accumulate (PageRank).
+//! The compute phase gives each vertex partition to exactly one worker at
+//! a time, so a cell has one writer; other workers may still read it (a
+//! BFS frontier check, a WCC label). Cells are relaxed atomics so those
+//! reads are defined, and the writes are plain load + store: no CAS
+//! loop, no `lock`-prefixed RMW.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
-/// An `f64` cell supporting atomic add via CAS on its bit pattern.
+/// An `f64` cell stored as its bit pattern.
 #[derive(Debug)]
 pub struct AtomicF64(AtomicU64);
 
@@ -28,26 +28,10 @@ impl AtomicF64 {
         self.0.store(v.to_bits(), Ordering::Relaxed)
     }
 
-    /// Atomically adds `v`.
-    #[inline]
-    pub fn fetch_add(&self, v: f64) {
-        let mut cur = self.0.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(cur) + v).to_bits();
-            match self
-                .0
-                .compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed)
-            {
-                Ok(_) => return,
-                Err(actual) => cur = actual,
-            }
-        }
-    }
-
-    /// Plain (load + store) add for the column-sharded path where the
-    /// caller owns this cell's vertex range exclusively — no CAS loop, no
-    /// `lock`-prefixed RMW. Racing callers would lose updates; sharding
-    /// must guarantee there are none.
+    /// Plain (load + store) add for the caller that owns this cell's
+    /// vertex range exclusively — no CAS loop, no `lock`-prefixed RMW.
+    /// Racing callers would lose updates; sharding must guarantee there
+    /// are none.
     #[inline]
     pub fn add_unsync(&self, v: f64) {
         let cur = f64::from_bits(self.0.load(Ordering::Relaxed));
@@ -55,16 +39,8 @@ impl AtomicF64 {
     }
 }
 
-/// Atomically lowers `cell` to `min(cell, v)`; returns `true` if it
-/// changed.
-#[inline]
-pub fn fetch_min_u64(cell: &AtomicU64, v: u64) -> bool {
-    let prev = cell.fetch_min(v, Ordering::Relaxed);
-    v < prev
-}
-
-/// Plain (load + store) variant of [`fetch_min_u64`] for the sharded path
-/// where the caller owns `cell`'s vertex exclusively; returns `true` if it
+/// Plain (load + store) lowering of `cell` to `min(cell, v)` for the
+/// caller that owns `cell`'s vertex exclusively; returns `true` if it
 /// changed.
 #[inline]
 pub fn min_unsync_u64(cell: &AtomicU64, v: u64) -> bool {
@@ -77,22 +53,14 @@ pub fn min_unsync_u64(cell: &AtomicU64, v: u64) -> bool {
     }
 }
 
-/// Plain (load + store) increment for the sharded path where the caller
-/// owns `cell`'s vertex exclusively.
+/// Plain (load + store) increment for the caller that owns `cell`'s
+/// vertex exclusively.
 #[inline]
 pub fn add_unsync_u64(cell: &AtomicU64, v: u64) {
     cell.store(
         cell.load(Ordering::Relaxed).wrapping_add(v),
         Ordering::Relaxed,
     );
-}
-
-/// CAS-once depth update: sets `cell` to `v` only if it still holds
-/// `expected`; returns `true` on success (BFS's "visit once" semantics).
-#[inline]
-pub fn claim_u32(cell: &AtomicU32, expected: u32, v: u32) -> bool {
-    cell.compare_exchange(expected, v, Ordering::Relaxed, Ordering::Relaxed)
-        .is_ok()
 }
 
 /// Allocates a vector of atomic u32 cells initialised to `init`.
@@ -116,41 +84,10 @@ mod tests {
     use std::sync::atomic::AtomicU64;
 
     #[test]
-    fn f64_add_is_exact_for_integers() {
+    fn f64_cell_stores_and_loads() {
         let a = AtomicF64::new(0.0);
-        a.fetch_add(1.5);
-        a.fetch_add(2.5);
-        assert_eq!(a.load(), 4.0);
         a.store(-1.0);
         assert_eq!(a.load(), -1.0);
-    }
-
-    #[test]
-    fn f64_concurrent_adds_sum() {
-        let a = std::sync::Arc::new(AtomicF64::new(0.0));
-        let handles: Vec<_> = (0..8)
-            .map(|_| {
-                let a = a.clone();
-                std::thread::spawn(move || {
-                    for _ in 0..10_000 {
-                        a.fetch_add(1.0);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(a.load(), 80_000.0);
-    }
-
-    #[test]
-    fn fetch_min_reports_change() {
-        let c = AtomicU64::new(10);
-        assert!(fetch_min_u64(&c, 5));
-        assert!(!fetch_min_u64(&c, 7));
-        assert!(!fetch_min_u64(&c, 5));
-        assert_eq!(c.load(Ordering::Relaxed), 5);
     }
 
     #[test]
@@ -168,14 +105,6 @@ mod tests {
         let d = AtomicU64::new(7);
         add_unsync_u64(&d, 3);
         assert_eq!(d.load(Ordering::Relaxed), 10);
-    }
-
-    #[test]
-    fn claim_succeeds_once() {
-        let c = AtomicU32::new(u32::MAX);
-        assert!(claim_u32(&c, u32::MAX, 3));
-        assert!(!claim_u32(&c, u32::MAX, 4));
-        assert_eq!(c.load(Ordering::Relaxed), 3);
     }
 
     #[test]

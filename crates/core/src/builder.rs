@@ -22,11 +22,6 @@ pub(crate) struct EngineConfig {
     /// flight recorder, exposed via [`GStoreEngine::metrics`]. Off by
     /// default: the disabled path takes no timestamps and no locks.
     pub(crate) metrics: bool,
-    /// Use the column-sharded (contention-free plain-write) compute
-    /// executor for algorithms whose [`crate::Algorithm::update_mode`] opts in.
-    /// When false every batch takes the atomic fallback, the reference
-    /// the sharded path is tested against.
-    pub(crate) sharded_updates: bool,
     /// Hot-tile cache capacity for readers from
     /// [`GStoreEngine::point_reader`] (0 = no cache: every point read
     /// fetches from storage).
@@ -101,7 +96,6 @@ pub struct EngineBuilder {
     policy: BuilderPolicy,
     io_workers: usize,
     metrics: bool,
-    sharded_updates: bool,
     point_read_cache_bytes: u64,
     io_backend: IoBackend,
     io_fault: Option<IoFaultInjector>,
@@ -115,7 +109,6 @@ impl Default for EngineBuilder {
             policy: BuilderPolicy::None,
             io_workers: 4,
             metrics: false,
-            sharded_updates: true,
             point_read_cache_bytes: 0,
             io_backend: IoBackend::Auto,
             io_fault: None,
@@ -184,15 +177,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Use the column-sharded (contention-free plain-write) compute
-    /// executor for algorithms that opt in (default true; `false` forces
-    /// the atomic fallback everywhere, the reference path the sharded
-    /// executor is checked against).
-    pub fn sharded_updates(mut self, enabled: bool) -> Self {
-        self.sharded_updates = enabled;
-        self
-    }
-
     /// Hot-tile cache capacity for point readers handed out by
     /// [`GStoreEngine::point_reader`] (default 0: no cache, every point
     /// read fetches from storage). Sized independently of the SCR budget —
@@ -257,7 +241,6 @@ impl EngineBuilder {
             use_scr_cache,
             io_workers: self.io_workers,
             metrics: self.metrics,
-            sharded_updates: self.sharded_updates,
             point_read_cache_bytes: self.point_read_cache_bytes,
             io_backend: self.io_backend,
         };

@@ -2,43 +2,36 @@
 //! algorithm updates (§V.C two-level parallelism).
 //!
 //! One executor, [`process_batch_queries`], serves every caller — the
-//! engine's slide runs and rewind batches, and the K = 1 wrappers
-//! ([`process_batch`] and friends) the benches replay it through. A batch
+//! engine's slide runs and rewind batches, the in-memory runner, and the
+//! K = 1 wrapper [`process_batch`] the benches replay it through. A batch
 //! goes through it in two steps:
 //!
 //! * **Decode stage** (coded stores only). The batch is cut into *waves*
 //!   of at most [`WAVE_KEYS`] keys; a wave's tiles are decoded once, in
 //!   parallel, into one reused scratch laid out as raw SNB
 //!   ([`DecodeStage`]), and every consumer of the wave — destination-side
-//!   item, source-side item, each query of the batch, sharded or atomic —
-//!   reads a plain raw [`TileView`] over its slice. Raw stores skip the
-//!   stage: their views borrow the caller's bytes.
+//!   item, source-side item, each query of the batch — reads a plain raw
+//!   [`TileView`] over its slice. Raw stores skip the stage: their views
+//!   borrow the caller's bytes.
 //!
-//! * **Apply**, per wave (a raw batch is one wave), by update mode:
+//! * **Apply**, per wave (a raw batch is one wave), column-sharded: each
+//!   tile becomes one or two *work items* keyed by the vertex partition
+//!   its updates write — destination-column for destination-side writes,
+//!   source-row for source-side writes (the algorithm's
+//!   [`Algorithm::update_mode`] says which sides it writes). Partitions
+//!   are assigned to `S` disjoint shards (greedy LPT on byte weight, `S` =
+//!   worker count), each shard runs sequentially, and shards run in
+//!   parallel. Because a partition maps to exactly one shard, no two
+//!   concurrent work items ever write the same vertex — metadata updates
+//!   are plain load+store writes with no `lock`-prefixed RMW (see
+//!   [`crate::atomics::AtomicF64::add_unsync`]). Within a shard, items are
+//!   processed in ascending linear tile index, which *is*
+//!   physical-group-major order (§V.A): one group's row/col metadata
+//!   stays LLC-resident across its q×q tiles before the shard moves on.
 //!
-//!   * **Column-sharded** (algorithms whose [`Algorithm::update_mode`] opts
-//!     in): each tile becomes one or two *work items* keyed by the vertex
-//!     partition its updates write — destination-column for
-//!     destination-side writes, source-row for source-side writes.
-//!     Partitions are assigned to `S` disjoint shards (greedy LPT on byte
-//!     weight, `S` = worker count), each shard runs sequentially, and
-//!     shards run in parallel. Because a partition maps to exactly one
-//!     shard, no two concurrent work items ever write the same vertex —
-//!     metadata updates become plain load+store writes with no
-//!     `lock`-prefixed RMW (see [`crate::atomics::AtomicF64::add_unsync`]).
-//!     Within a shard, items are processed in ascending linear tile index,
-//!     which *is* physical-group-major order (§V.A): one group's row/col
-//!     metadata stays LLC-resident across its q×q tiles before the shard
-//!     moves on.
-//!
-//!   * **Atomic** (the fallback, and the only path for algorithms like BFS
-//!     whose CAS-once writes are already cheap): tiles are split into
-//!     byte-weighted contiguous chunks on the shared-index work queue, so
-//!     one RMAT hub tile no longer serializes the whole batch.
-//!
-//! Both modes produce identical results for integer metadata; PageRank's
-//! floating-point accumulation order differs between them (and with the
-//! shard count), within the documented tolerance of the engine tests.
+//! Integer metadata comes out the same whatever the shard count;
+//! PageRank's floating-point accumulation order changes with it, within
+//! the documented tolerance of the engine tests.
 
 use crate::algorithm::{Algorithm, ShardSides, UpdateMode};
 use crate::view::TileView;
@@ -54,12 +47,8 @@ use std::time::Instant;
 pub struct BatchOutcome {
     /// Edges applied (each stored tuple counted once per consuming query).
     pub edges: u64,
-    /// Edges that went through the sharded (plain-write) path.
-    pub sharded_edges: u64,
-    /// Edges that went through the atomic fallback path.
-    pub atomic_edges: u64,
-    /// Endpoint updates performed as plain writes where the atomic path
-    /// would have used an atomic RMW — the contention avoided by sharding.
+    /// Endpoint updates performed as plain writes where an unsharded
+    /// schedule would need an atomic RMW — the contention sharding avoids.
     pub plain_updates: u64,
     /// Physical-group visits across all shards' scheduling order (a group
     /// processed contiguously counts once per shard that touches it).
@@ -68,7 +57,7 @@ pub struct BatchOutcome {
     /// tiles, each once however many items and queries consumed them.
     /// 0 on raw stores.
     pub decoded_edges: u64,
-    /// Set by the K = 1 wrappers when a coded tile's stream disagreed with
+    /// Set by [`process_batch`] when a coded tile's stream disagreed with
     /// the index: that tile's wave and every later one were not applied.
     pub corrupt_tile: Option<u64>,
 }
@@ -76,53 +65,20 @@ pub struct BatchOutcome {
 impl BatchOutcome {
     fn absorb(&mut self, other: BatchOutcome) {
         self.edges += other.edges;
-        self.sharded_edges += other.sharded_edges;
-        self.atomic_edges += other.atomic_edges;
         self.plain_updates += other.plain_updates;
         self.groups_scheduled += other.groups_scheduled;
     }
 }
 
-/// Processes a batch of resident tiles for one algorithm, in the mode its
-/// [`Algorithm::update_mode`] declares (`force_atomic` pins the fallback,
-/// e.g. for A/B benchmarking): [`process_batch_queries`] with K = 1.
+/// Processes a batch of resident tiles for one algorithm:
+/// [`process_batch_queries`] with K = 1.
 pub fn process_batch(
     index: &TileIndex,
     alg: &dyn Algorithm,
     batch: &[(u64, &[u8])],
-    force_atomic: bool,
-) -> BatchOutcome {
-    let mode = if force_atomic {
-        UpdateMode::Atomic
-    } else {
-        alg.update_mode()
-    };
-    process_batch_sharded(index, alg, batch, mode)
-}
-
-/// [`process_batch`] pinned to the atomic fallback.
-pub fn process_batch_atomic(
-    index: &TileIndex,
-    alg: &dyn Algorithm,
-    batch: &[(u64, &[u8])],
-) -> BatchOutcome {
-    process_batch_sharded(index, alg, batch, UpdateMode::Atomic)
-}
-
-/// [`process_batch`] in an explicit update mode.
-pub fn process_batch_sharded(
-    index: &TileIndex,
-    alg: &dyn Algorithm,
-    batch: &[(u64, &[u8])],
-    mode: UpdateMode,
 ) -> BatchOutcome {
     let masked: Vec<(u64, &[u8], u64)> = batch.iter().map(|&(t, bytes)| (t, bytes, 1)).collect();
-    match run_queries(
-        index,
-        &[QueryRef { alg, mode }],
-        &masked,
-        &mut DecodeStage::default(),
-    ) {
+    match run_queries(index, &[alg], &masked, &mut DecodeStage::default()) {
         Ok(out) => out.aggregate(),
         Err(corrupt) => BatchOutcome {
             corrupt_tile: Some(corrupt.tile),
@@ -131,12 +87,34 @@ pub fn process_batch_sharded(
     }
 }
 
-/// One query's slot in a shared-scan compute dispatch: the algorithm and
-/// the update mode the engine resolved for it (a force-atomic config pins
-/// every slot to [`UpdateMode::Atomic`]).
-pub struct QueryRef<'q> {
-    pub alg: &'q dyn Algorithm,
-    pub mode: UpdateMode,
+/// [`process_batch`], under the name gbench's compute replay
+/// (`benchmark/src/layers.rs`) still calls; `mode` must be the
+/// algorithm's own.
+#[doc(hidden)]
+pub fn process_batch_sharded(
+    index: &TileIndex,
+    alg: &dyn Algorithm,
+    batch: &[(u64, &[u8])],
+    mode: UpdateMode,
+) -> BatchOutcome {
+    assert_eq!(
+        mode,
+        alg.update_mode(),
+        "{}: one update mode per algorithm",
+        alg.name()
+    );
+    process_batch(index, alg, batch)
+}
+
+/// [`process_batch`], under the name gbench's compute replay
+/// (`benchmark/src/layers.rs`) still calls for its BFS timing.
+#[doc(hidden)]
+pub fn process_batch_atomic(
+    index: &TileIndex,
+    alg: &dyn Algorithm,
+    batch: &[(u64, &[u8])],
+) -> BatchOutcome {
+    process_batch(index, alg, batch)
 }
 
 /// Per-query outcomes of one shared batch. `groups_scheduled`,
@@ -165,8 +143,6 @@ impl MultiBatchOutcome {
         };
         for q in &self.per_query {
             out.edges += q.edges;
-            out.sharded_edges += q.sharded_edges;
-            out.atomic_edges += q.atomic_edges;
             out.plain_updates += q.plain_updates;
         }
         out
@@ -356,35 +332,20 @@ impl<'a> Waves<'a, '_> {
     }
 }
 
-/// Which queries of a batch run in which update mode, as query bitmasks.
-#[derive(Debug, Clone, Copy, Default)]
-struct ModeMasks {
-    atomic: u64,
-    /// Sharded queries: all of them write the destination side.
-    dst: u64,
-    /// The sharded queries that also write the source side.
-    both: u64,
-}
-
-impl ModeMasks {
-    fn of(queries: &[QueryRef<'_>]) -> Self {
-        let mut masks = ModeMasks::default();
-        for (q, qr) in queries.iter().enumerate() {
-            match qr.mode {
-                UpdateMode::Atomic => masks.atomic |= 1 << q,
-                UpdateMode::ShardedDst => masks.dst |= 1 << q,
-                UpdateMode::ShardedBoth => {
-                    masks.dst |= 1 << q;
-                    masks.both |= 1 << q;
-                }
-            }
+/// The queries of a batch that write the source side too, as a query
+/// bitmask (every query writes the destination side).
+fn both_sides_mask(queries: &[&dyn Algorithm]) -> u64 {
+    let mut both = 0;
+    for (q, alg) in queries.iter().enumerate() {
+        if alg.update_mode() == UpdateMode::ShardedBoth {
+            both |= 1 << q;
         }
-        masks
     }
+    both
 }
 
-/// A sharded work item of the shared scan: one resident tile serving every
-/// query whose bit is set. `dst_mask`/`src_mask` say which queries apply
+/// A work item of the shared scan: one resident tile serving every query
+/// whose bit is set. `dst_mask`/`src_mask` say which queries apply
 /// destination-side / source-side updates from this item; all of them
 /// write only partition `key`, so the single-query conflict-freedom
 /// argument carries over unchanged (queries are data-independent — they
@@ -409,16 +370,15 @@ pub(crate) fn for_each_bit(mut bits: u64, mut f: impl FnMut(usize)) {
 /// `(tile, bytes, mask)` where bit `q` of `mask` means query `q`'s
 /// frontier covers the tile. A coded tile is decoded once, by the decode
 /// stage, and every tile is dispatched to all interested queries
-/// back-to-back — while its `TileView` and group metadata are hot — with
-/// atomic-mode queries on the byte-weighted fallback executor and sharded
-/// queries on the column-sharded schedule.
+/// back-to-back — while its `TileView` and group metadata are hot — on
+/// the column-sharded schedule.
 ///
 /// Fails with [`GraphError::Format`], naming the tile, when a coded tile's
 /// stream does not hold the edges the index says it does; waves before
 /// that tile's have been applied by then.
 pub fn process_batch_queries(
     index: &TileIndex,
-    queries: &[QueryRef<'_>],
+    queries: &[&dyn Algorithm],
     batch: &[(u64, &[u8], u64)],
     stage: &mut DecodeStage,
 ) -> Result<MultiBatchOutcome> {
@@ -427,19 +387,19 @@ pub fn process_batch_queries(
 
 fn run_queries(
     index: &TileIndex,
-    queries: &[QueryRef<'_>],
+    queries: &[&dyn Algorithm],
     batch: &[(u64, &[u8], u64)],
     stage: &mut DecodeStage,
 ) -> std::result::Result<MultiBatchOutcome, CorruptTile> {
     let k = queries.len();
     assert!(k <= 64, "tile masks are u64: at most 64 queries per batch");
-    let modes = ModeMasks::of(queries);
+    let both = both_sides_mask(queries);
     let mut out = MultiBatchOutcome {
         per_query: vec![BatchOutcome::default(); k],
         ..MultiBatchOutcome::default()
     };
     if !index.is_coded() {
-        apply_wave(index, queries, modes, index.encoding, batch, &mut out);
+        apply_wave(index, queries, both, index.encoding, batch, &mut out);
         return Ok(out);
     }
 
@@ -467,63 +427,24 @@ fn run_queries(
             })
             .collect();
         out.decoded_edges += (at / SNB_EDGE_BYTES) as u64;
-        apply_wave(index, queries, modes, EdgeEncoding::Snb, &wave, &mut out);
+        apply_wave(index, queries, both, EdgeEncoding::Snb, &wave, &mut out);
     }
     Ok(out)
 }
 
 /// Applies one wave of raw tiles (a whole raw batch, or what the decode
-/// stage just produced) to every interested query.
+/// stage just produced) to every interested query: the column-sharded
+/// schedule, with each item fanning out to every query that wants the
+/// tile.
 fn apply_wave(
     index: &TileIndex,
-    queries: &[QueryRef<'_>],
-    modes: ModeMasks,
+    queries: &[&dyn Algorithm],
+    both: u64,
     encoding: EdgeEncoding,
     tiles: &[(u64, &[u8], u64)],
     out: &mut MultiBatchOutcome,
 ) {
-    let k = queries.len();
-    let tiling = *index.layout.tiling();
-
-    // --- Atomic queries: byte-weighted chunks, each tile fed to every
-    // interested atomic query. ---
-    let atomic_tiles: Vec<(u64, &[u8], u64)> = tiles
-        .iter()
-        .filter_map(|&(t, bytes, m)| {
-            let am = m & modes.atomic;
-            (am != 0).then_some((t, bytes, am))
-        })
-        .collect();
-    if !atomic_tiles.is_empty() {
-        let per_chunk: Vec<Vec<u64>> = rayon::par_weighted_chunks(
-            &atomic_tiles,
-            |&(_, bytes, m)| (bytes.len() as u64).max(1) * u64::from(m.count_ones()),
-            |chunk| {
-                let mut edges = vec![0u64; k];
-                for &(t, bytes, m) in chunk {
-                    let coord = index.layout.coord_at(t);
-                    let view = TileView::new(&tiling, coord, encoding, bytes);
-                    let ec = view.edge_count();
-                    for_each_bit(m, |q| {
-                        queries[q].alg.process_tile(&view);
-                        edges[q] += ec;
-                    });
-                }
-                edges
-            },
-        );
-        for chunk in per_chunk {
-            for (q, e) in chunk.into_iter().enumerate() {
-                out.per_query[q].edges += e;
-                out.per_query[q].atomic_edges += e;
-            }
-        }
-        out.groups_scheduled += group_visits(index, atomic_tiles.iter().map(|&(t, _, _)| t));
-    }
-
-    // --- Sharded queries: the column-sharded schedule, with each item
-    // fanning out to every sharded query that wants the tile. ---
-    let shards = plan_shards(index, tiles, modes, rayon::current_num_threads().max(1));
+    let shards = plan_shards(index, tiles, both, rayon::current_num_threads().max(1));
     let per_shard: Vec<(Vec<BatchOutcome>, u64)> = shards
         .par_iter()
         .map(|shard| run_multi_shard(index, queries, encoding, shard))
@@ -536,21 +457,21 @@ fn apply_wave(
     }
 }
 
-/// Builds the per-shard work-item lists of one wave's sharded queries
-/// (none when no sharded query wants any of its tiles).
+/// Builds the per-shard work-item lists of one wave (none when no query
+/// wants any of its tiles). `both` masks the queries that also write the
+/// source side.
 fn plan_shards<'a>(
     index: &TileIndex,
     tiles: &[(u64, &'a [u8], u64)],
-    modes: ModeMasks,
+    both: u64,
     shard_count: usize,
 ) -> Vec<Vec<MultiItem<'a>>> {
     let mut items: Vec<MultiItem<'a>> = Vec::with_capacity(tiles.len() * 2);
-    for &(t, bytes, m) in tiles {
-        let dm = m & modes.dst;
+    for &(t, bytes, dm) in tiles {
         if dm == 0 {
             continue;
         }
-        let bm = m & modes.both;
+        let bm = dm & both;
         let coord = index.layout.coord_at(t);
         if coord.row == coord.col {
             items.push(MultiItem {
@@ -626,7 +547,7 @@ fn plan_shards<'a>(
 /// LLC-resident.
 fn run_multi_shard(
     index: &TileIndex,
-    queries: &[QueryRef<'_>],
+    queries: &[&dyn Algorithm],
     encoding: EdgeEncoding,
     items: &[MultiItem<'_>],
 ) -> (Vec<BatchOutcome>, u64) {
@@ -643,12 +564,11 @@ fn run_multi_shard(
                 src: (it.src_mask >> q) & 1 == 1,
                 dst: (it.dst_mask >> q) & 1 == 1,
             };
-            queries[q].alg.process_tile_sharded(&view, sides);
+            queries[q].process_tile(&view, sides);
             // A tile's edges are counted once per consuming query, on its
             // destination-side item (every tile has exactly one).
             if sides.dst {
                 out[q].edges += ec;
-                out[q].sharded_edges += ec;
             }
             out[q].plain_updates += ec * (sides.src as u64 + sides.dst as u64);
         });
@@ -659,21 +579,6 @@ fn run_multi_shard(
         }
     }
     (out, groups)
-}
-
-/// Counts physical-group visits over a tile sequence (a group processed
-/// contiguously counts once).
-fn group_visits(index: &TileIndex, tiles: impl Iterator<Item = u64>) -> u64 {
-    let mut visits = 0;
-    let mut last = u64::MAX;
-    for t in tiles {
-        let g = index.layout.group_of_tile(t).tile_start;
-        if g != last {
-            visits += 1;
-            last = g;
-        }
-    }
-    visits
 }
 
 /// Static estimate of the per-group metadata working set the group-major
@@ -692,7 +597,7 @@ mod tests {
     use crate::algorithms::{Bfs, KCore, PageRank, Wcc};
     use crate::inmem::store_from_edges;
     use gstore_graph::gen::{generate_rmat, RmatParams};
-    use gstore_graph::{Edge, EdgeList, GraphKind};
+    use gstore_graph::{reference, Csr, CsrDirection, Edge, EdgeList, GraphKind};
     use gstore_tile::{encode_store, Codec, TileStore};
 
     fn index_of(store: &TileStore) -> TileIndex {
@@ -731,19 +636,14 @@ mod tests {
 
     #[test]
     fn shard_plan_is_conflict_free_and_complete() {
-        // One sharded-both query: the K = 1 schedule every wrapper runs.
-        let modes = ModeMasks {
-            atomic: 0,
-            dst: 1,
-            both: 1,
-        };
+        // One both-sides query: the K = 1 schedule of WCC and k-core.
         for kind in [GraphKind::Undirected, GraphKind::Directed] {
             let el = generate_rmat(&RmatParams::kron(8, 8).with_kind(kind)).unwrap();
             let store = store_from_edges(&el, 3);
             let index = index_of(&store);
             let batch = masked(&full_batch(&store), 1);
             for shard_count in [1usize, 2, 7] {
-                let shards = plan_shards(&index, &batch, modes, shard_count);
+                let shards = plan_shards(&index, &batch, 1, shard_count);
                 assert!(shards.len() <= shard_count);
                 // No partition appears in two shards.
                 let mut owner = std::collections::HashMap::new();
@@ -773,116 +673,82 @@ mod tests {
                     assert!(shard.windows(2).all(|w| w[0].tile <= w[1].tile));
                 }
             }
-            // A wave no sharded query wants plans no shard at all.
-            let atomic_only = ModeMasks {
-                atomic: 1,
-                ..ModeMasks::default()
-            };
-            assert!(plan_shards(&index, &batch, atomic_only, 4).is_empty());
+            // A wave no query wants plans no shard at all.
+            assert!(plan_shards(&index, &masked(&full_batch(&store), 0), 1, 4).is_empty());
         }
     }
 
+    /// Sweeps `alg` over every tile until it converges (or 200 sweeps);
+    /// returns the first sweep's outcome.
+    fn sweep_to_convergence(
+        index: &TileIndex,
+        batch: &[(u64, &[u8])],
+        alg: &mut dyn Algorithm,
+    ) -> BatchOutcome {
+        let mut first = None;
+        for iter in 0..200 {
+            alg.begin_iteration(iter);
+            first.get_or_insert(process_batch(index, alg, batch));
+            if alg.end_iteration(iter) == crate::IterationOutcome::Converged {
+                break;
+            }
+        }
+        first.unwrap()
+    }
+
     #[test]
-    fn sharded_and_atomic_agree_per_batch() {
-        // One full-batch sweep, both executors, same graph: WCC labels and
-        // k-core degrees are integer metadata and must match exactly;
-        // counters must reconcile.
+    fn batch_counters_reconcile_and_wcc_matches_reference() {
+        // One full-batch sweep: every edge applied once, every endpoint
+        // write a plain one; run to convergence, WCC labels are exactly
+        // the union-find reference's.
         let el = generate_rmat(&RmatParams::kron(8, 8)).unwrap();
         let store = store_from_edges(&el, 3);
         let index = index_of(&store);
-        let batch = full_batch(&store);
-
-        let mut wcc_a = Wcc::new(*store.layout().tiling());
-        let mut wcc_s = Wcc::new(*store.layout().tiling());
-        wcc_a.begin_iteration(0);
-        wcc_s.begin_iteration(0);
-        let a = process_batch(&index, &wcc_a, &batch, true);
-        let s = process_batch(&index, &wcc_s, &batch, false);
-        assert_eq!(a.edges, s.edges);
-        assert_eq!(a.edges, el.edge_count());
-        assert_eq!(a.atomic_edges, a.edges);
-        assert_eq!(a.plain_updates, 0);
-        assert_eq!(s.sharded_edges, s.edges);
-        assert_eq!(s.atomic_edges, 0);
-        assert!(s.plain_updates > 0);
-        assert!(s.groups_scheduled > 0);
+        let mut wcc = Wcc::new(*store.layout().tiling());
+        let first = sweep_to_convergence(&index, &full_batch(&store), &mut wcc);
+        assert_eq!(first.edges, el.edge_count());
+        assert!(first.plain_updates > first.edges);
+        assert!(first.groups_scheduled > 0);
         // Raw stores never enter the decode stage.
-        assert_eq!((a.decoded_edges, s.decoded_edges), (0, 0));
-        assert_eq!((a.corrupt_tile, s.corrupt_tile), (None, None));
-        // One sweep of min-propagation from identical start labels is
-        // order-independent on the *final* labels only at fixpoint; run
-        // both to convergence instead.
-        for _ in 0..200 {
-            wcc_a.begin_iteration(0);
-            process_batch(&index, &wcc_a, &batch, true);
-            if wcc_a.end_iteration(0) == crate::IterationOutcome::Converged {
-                break;
-            }
-        }
-        for _ in 0..200 {
-            wcc_s.begin_iteration(0);
-            process_batch(&index, &wcc_s, &batch, false);
-            if wcc_s.end_iteration(0) == crate::IterationOutcome::Converged {
-                break;
-            }
-        }
-        assert_eq!(wcc_a.labels(), wcc_s.labels());
+        assert_eq!((first.decoded_edges, first.corrupt_tile), (0, None));
+        assert_eq!(wcc.labels(), reference::wcc_labels(&el));
     }
 
     #[test]
-    fn kcore_sharded_batch_counts_exact_degrees() {
-        let el = generate_rmat(&RmatParams::kron(7, 6)).unwrap();
-        let store = store_from_edges(&el, 2);
-        let index = index_of(&store);
-        let batch = full_batch(&store);
-        let mut kc_a = KCore::new(*store.layout().tiling(), 2);
-        let mut kc_s = KCore::new(*store.layout().tiling(), 2);
-        loop {
-            kc_a.begin_iteration(0);
-            process_batch(&index, &kc_a, &batch, true);
-            if kc_a.end_iteration(0) == crate::IterationOutcome::Converged {
-                break;
-            }
-        }
-        loop {
-            kc_s.begin_iteration(0);
-            process_batch(&index, &kc_s, &batch, false);
-            if kc_s.end_iteration(0) == crate::IterationOutcome::Converged {
-                break;
-            }
-        }
-        assert_eq!(kc_a.membership(), kc_s.membership());
-    }
-
-    #[test]
-    fn pagerank_sharded_batch_matches_atomic_within_fp_tolerance() {
+    fn batches_match_the_csr_references() {
         for kind in [GraphKind::Undirected, GraphKind::Directed] {
             let el = generate_rmat(&RmatParams::kron(8, 8).with_kind(kind)).unwrap();
             let store = store_from_edges(&el, 3);
-            let index = index_of(&store);
-            let batch = full_batch(&store);
-            let deg = degrees(&el);
-            let mut pr_a =
-                PageRank::new(*store.layout().tiling(), deg.clone(), 0.85).with_iterations(10);
-            let mut pr_s = PageRank::new(*store.layout().tiling(), deg, 0.85).with_iterations(10);
-            for i in 0..10 {
-                pr_a.begin_iteration(i);
-                process_batch(&index, &pr_a, &batch, true);
-                pr_a.end_iteration(i);
-                pr_s.begin_iteration(i);
-                let out = process_batch(&index, &pr_s, &batch, false);
-                assert_eq!(out.atomic_edges, 0, "PageRank must never fall back");
-                pr_s.end_iteration(i);
-            }
-            for (a, s) in pr_a.ranks().iter().zip(pr_s.ranks()) {
-                assert!((a - s).abs() < 1e-12, "{a} vs {s} ({kind:?})");
+            let (index, batch) = (index_of(&store), full_batch(&store));
+            let tiling = *store.layout().tiling();
+            let mut bfs = Bfs::new(tiling, 0);
+            sweep_to_convergence(&index, &batch, &mut bfs);
+            assert_eq!(
+                bfs.depths(),
+                reference::bfs_levels(&reference::bfs_csr(&el), 0)
+            );
+            let mut kc = KCore::new(tiling, 2);
+            sweep_to_convergence(&index, &batch, &mut kc);
+            assert_eq!(
+                kc.membership(),
+                crate::algorithms::kcore::kcore_reference(&el, 2)
+            );
+            let mut dc = crate::DegreeCount::new(tiling);
+            sweep_to_convergence(&index, &batch, &mut dc);
+            assert_eq!(dc.degrees(), degrees(&el), "{kind:?}");
+            let mut pr = PageRank::new(tiling, degrees(&el), 0.85).with_iterations(10);
+            sweep_to_convergence(&index, &batch, &mut pr);
+            let csr = Csr::from_edge_list(&el, CsrDirection::Out);
+            let want = reference::pagerank(&csr, 10, 0.85);
+            for (a, b) in pr.ranks().iter().zip(&want) {
+                assert!((a - b).abs() < 1e-9, "{a} vs {b} ({kind:?})");
             }
         }
     }
 
     #[test]
     fn mixed_query_batch_isolates_per_query_state_and_counters() {
-        // Three queries of three modes over one shared scan: each must end
+        // Three queries over one shared scan: each must end
         // with the same metadata as a solo run, and per-query counters
         // must reflect only the tiles its mask covered.
         let el = generate_rmat(&RmatParams::kron(8, 8)).unwrap();
@@ -901,39 +767,23 @@ mod tests {
 
         for iter in 0..3 {
             wcc_solo.begin_iteration(iter);
-            let s_wcc = process_batch(&index, &wcc_solo, &batch, false);
+            let s_wcc = process_batch(&index, &wcc_solo, &batch);
             wcc_solo.end_iteration(iter);
             kc_solo.begin_iteration(iter);
-            let s_kc = process_batch(&index, &kc_solo, &batch, true);
+            let s_kc = process_batch(&index, &kc_solo, &batch);
             kc_solo.end_iteration(iter);
             pr_solo.begin_iteration(iter);
-            let s_pr = process_batch(&index, &pr_solo, &batch, false);
+            let s_pr = process_batch(&index, &pr_solo, &batch);
             pr_solo.end_iteration(iter);
 
             wcc.begin_iteration(iter);
             kc.begin_iteration(iter);
             pr.begin_iteration(iter);
             let masked = masked(&batch, 0b111);
-            let multi = process_batch_queries(
-                &index,
-                &[
-                    QueryRef {
-                        alg: &wcc,
-                        mode: wcc.update_mode(),
-                    },
-                    QueryRef {
-                        alg: &kc,
-                        mode: UpdateMode::Atomic,
-                    },
-                    QueryRef {
-                        alg: &pr,
-                        mode: pr.update_mode(),
-                    },
-                ],
-                &masked,
-                &mut DecodeStage::default(),
-            )
-            .unwrap();
+            let queries: [&dyn Algorithm; 3] = [&wcc, &kc, &pr];
+            let multi =
+                process_batch_queries(&index, &queries, &masked, &mut DecodeStage::default())
+                    .unwrap();
             wcc.end_iteration(iter);
             kc.end_iteration(iter);
             pr.end_iteration(iter);
@@ -955,7 +805,6 @@ mod tests {
                 s_kc
             );
             assert_eq!(multi.per_query[2].edges, s_pr.edges);
-            assert_eq!(multi.per_query[2].sharded_edges, s_pr.sharded_edges);
             assert_eq!(multi.per_query[2].plain_updates, s_pr.plain_updates);
             let agg = multi.aggregate();
             assert_eq!(agg.edges, s_wcc.edges + s_kc.edges + s_pr.edges);
@@ -984,22 +833,9 @@ mod tests {
             .iter()
             .map(|&(t, b)| (t, b, if t % 2 == 0 { 0b01 } else { 0b10 }))
             .collect();
-        let multi = process_batch_queries(
-            &index,
-            &[
-                QueryRef {
-                    alg: &wcc0,
-                    mode: wcc0.update_mode(),
-                },
-                QueryRef {
-                    alg: &wcc1,
-                    mode: wcc1.update_mode(),
-                },
-            ],
-            &masked,
-            &mut DecodeStage::default(),
-        )
-        .unwrap();
+        let queries: [&dyn Algorithm; 2] = [&wcc0, &wcc1];
+        let multi =
+            process_batch_queries(&index, &queries, &masked, &mut DecodeStage::default()).unwrap();
         let edges_of = |t: u64| index.start_edge[t as usize + 1] - index.start_edge[t as usize];
         let even: u64 = (0..store.tile_count())
             .filter(|t| t % 2 == 0)
@@ -1030,13 +866,7 @@ mod tests {
             for alg in algs.iter_mut() {
                 alg.begin_iteration(iter);
             }
-            let queries: Vec<QueryRef<'_>> = algs
-                .iter()
-                .map(|alg| QueryRef {
-                    alg: &**alg,
-                    mode: alg.update_mode(),
-                })
-                .collect();
+            let queries: Vec<&dyn Algorithm> = algs.iter().map(|alg| &**alg).collect();
             let out = process_batch_queries(index, &queries, &batch, &mut stage).unwrap();
             drop(queries);
             first.get_or_insert(out);
@@ -1054,7 +884,7 @@ mod tests {
     fn coded_tiles_are_decoded_once_per_batch() {
         // The decode-once claim, pinned by a count: a sweep decodes each
         // stored edge once, whether one symmetric PageRank consumes a tile
-        // as two work items or four queries of two modes share it.
+        // as two work items or four queries share it.
         for kind in [GraphKind::Undirected, GraphKind::Directed] {
             let el = generate_rmat(&RmatParams::kron(8, 8).with_kind(kind)).unwrap();
             let store = store_from_edges(&el, 3);
@@ -1081,10 +911,9 @@ mod tests {
 
                 let mut pr = PageRank::new(tiling, deg.clone(), 0.85).with_iterations(4);
                 pr.begin_iteration(0);
-                let solo = process_batch(&index, &pr, &batch, false);
+                let solo = process_batch(&index, &pr, &batch);
                 assert_eq!(solo.decoded_edges, el.edge_count(), "{what}");
                 assert_eq!(solo.edges, el.edge_count(), "{what}");
-                assert_eq!(solo.atomic_edges, 0, "{what}");
 
                 let mut bfs = Bfs::new(tiling, 0);
                 let mut wcc = Wcc::new(tiling);
@@ -1093,13 +922,12 @@ mod tests {
                 let (out, _) =
                     run_to_convergence(&index, &batch, &mut [&mut bfs, &mut wcc, &mut kc, &mut pr]);
                 assert_eq!(out.decoded_edges, el.edge_count(), "{what}");
+                // Every query, BFS included, walks the same decoded slices
+                // with plain writes.
                 for q in &out.per_query {
                     assert_eq!(q.edges, el.edge_count(), "{what}");
+                    assert!(q.plain_updates >= q.edges, "{what}");
                 }
-                // BFS takes the atomic pass, the rest the sharded one,
-                // over the same decoded slices.
-                assert_eq!(out.per_query[0].atomic_edges, el.edge_count(), "{what}");
-                assert_eq!(out.per_query[1].sharded_edges, el.edge_count(), "{what}");
                 assert_eq!(out.aggregate().edges, 4 * el.edge_count(), "{what}");
                 assert_eq!(bfs.depths(), bfs_raw.depths(), "{what}");
                 assert_eq!(wcc.labels(), wcc_raw.labels(), "{what}");
@@ -1172,7 +1000,7 @@ mod tests {
             let batch = coded_batch(&index, &data);
             assert!(batch.iter().filter(|(_, b)| b.is_empty()).count() > 200);
             let wcc = Wcc::new(tiling);
-            let all = process_batch(&index, &wcc, &batch, false);
+            let all = process_batch(&index, &wcc, &batch);
             assert_eq!((all.edges, all.decoded_edges), (40, 40), "{}", codec.name());
 
             let empties: Vec<(u64, &[u8])> = batch
@@ -1181,12 +1009,9 @@ mod tests {
                 .filter(|(_, b)| b.is_empty())
                 .collect();
             for batch in [&empties[..], &[]] {
-                let sharded = process_batch(&index, &wcc, batch, false);
-                let atomic = process_batch(&index, &wcc, batch, true);
-                for out in [sharded, atomic] {
-                    assert_eq!((out.edges, out.decoded_edges), (0, 0), "{}", codec.name());
-                    assert_eq!(out.corrupt_tile, None, "{}", codec.name());
-                }
+                let out = process_batch(&index, &wcc, batch);
+                assert_eq!((out.edges, out.decoded_edges), (0, 0), "{}", codec.name());
+                assert_eq!(out.corrupt_tile, None, "{}", codec.name());
             }
         }
     }
@@ -1220,21 +1045,16 @@ mod tests {
                     .map(|&(t, b)| (t, if t == victim { &bad[..] } else { b }))
                     .collect();
                 let wcc = Wcc::new(tiling);
-                for force_atomic in [false, true] {
-                    let out = process_batch(&index, &wcc, &batch, force_atomic);
-                    assert_eq!(out.corrupt_tile, Some(victim), "{what}");
-                    assert_eq!(out.edges, 0, "{what}");
-                }
+                let out = process_batch(&index, &wcc, &batch);
+                assert_eq!(out.corrupt_tile, Some(victim), "{what}");
+                assert_eq!(out.edges, 0, "{what}");
                 // One wave holds this whole store, and a wave is decoded
                 // before any of it is applied: nothing was written.
                 assert!(index.edge_count() < WAVE_KEYS as u64);
                 assert!(wcc.labels().iter().enumerate().all(|(v, &l)| l == v as u64));
                 let err = process_batch_queries(
                     &index,
-                    &[QueryRef {
-                        alg: &wcc,
-                        mode: UpdateMode::ShardedBoth,
-                    }],
+                    &[&wcc],
                     &masked(&batch, 1),
                     &mut DecodeStage::default(),
                 )

@@ -13,10 +13,10 @@
 //!    (next-iteration metadata plus row completion, §VI.C's rules),
 //! 6. *seam*: records the iteration and detaches converged queries.
 
-use crate::algorithm::{Algorithm, IterationOutcome, RunStats, UpdateMode};
+use crate::algorithm::{Algorithm, IterationOutcome, RunStats};
 pub use crate::builder::EngineBuilder;
 use crate::builder::EngineConfig;
-use crate::compute::{self, DecodeStage, QueryRef};
+use crate::compute::{self, DecodeStage};
 use crate::query::{BatchRunStats, QueryBatch, QueryOutcome};
 use gstore_graph::{GraphError, Result};
 use gstore_io::{
@@ -27,7 +27,7 @@ use gstore_metrics::{
     EngineMetrics, FlightRecorder, IterationMetrics, QueryBatchSweep, QueryRecord, Recorder,
 };
 use gstore_scr::{CacheHint, CacheOracle, CachePool, RowProgress, ScrPlan, UnionFrontier};
-use gstore_tile::TileIndex;
+use gstore_tile::{GroupedLayout, TileIndex};
 use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -61,7 +61,7 @@ pub struct GStoreEngine {
 /// no query wants it and its rows' metadata is complete (Rules 1 and 2).
 /// Converged (detached) queries are excluded — they never sweep again.
 struct BatchOracle<'a> {
-    queries: &'a [QueryRef<'a>],
+    queries: &'a [&'a dyn Algorithm],
     active: &'a [usize],
     progress: &'a RowProgress,
     index: &'a TileIndex,
@@ -78,10 +78,11 @@ impl CacheOracle for BatchOracle<'_> {
         };
         // Active-so-far on any touched range, for any live query => the
         // tile will definitely be processed next iteration.
-        if self.active.iter().any(|&q| {
-            rows.iter()
-                .any(|&r| self.queries[q].alg.range_active_next(r))
-        }) {
+        if self
+            .active
+            .iter()
+            .any(|&q| rows.iter().any(|&r| self.queries[q].range_active_next(r)))
+        {
             return CacheHint::Needed;
         }
         // Inactive so far: certain only once every touched range has
@@ -390,19 +391,8 @@ impl GStoreEngine {
         let mut sweep_ns = Vec::new(); // each sweep's wall time
         for n in 0..max_iters {
             let mut sw = self.select(batch, stats, n);
-            // Immutable query views for the sweep's shared stages; the
-            // engine-level force-atomic knob is resolved here so the
-            // compute dispatcher sees one mode per slot.
-            let queries: Vec<QueryRef<'_>> = (batch.slots.iter())
-                .map(|s| QueryRef {
-                    alg: &**s,
-                    mode: if self.config.sharded_updates {
-                        s.update_mode()
-                    } else {
-                        UpdateMode::Atomic
-                    },
-                })
-                .collect();
+            // Immutable query views for the sweep's shared stages.
+            let queries: Vec<&dyn Algorithm> = batch.slots.iter().map(|s| &**s).collect();
             self.plan(&mut sw);
             let swept = self.rewind(&mut sw, &queries);
             if let Err(e) = swept.and_then(|()| self.slide(&mut sw, &queries)) {
@@ -456,21 +446,6 @@ impl GStoreEngine {
         }
     }
 
-    /// Tiles this iteration must process, in storage order.
-    fn select_tiles(&self, alg: &dyn Algorithm) -> Vec<u64> {
-        let layout = &self.index.layout;
-        if !alg.selective() {
-            return (0..layout.tile_count()).collect();
-        }
-        let symmetric = layout.tiling().symmetric();
-        (0..layout.tile_count())
-            .filter(|&i| {
-                let c = layout.coord_at(i);
-                alg.range_active(c.row) || (symmetric && alg.range_active(c.col))
-            })
-            .collect()
-    }
-
     /// A stage clock's start, taken only when recording.
     fn clock(&self) -> Option<Instant> {
         self.recorder.as_ref().map(|_| Instant::now())
@@ -490,7 +465,7 @@ impl GStoreEngine {
             // Every query joins at sweep 0 and detaches forever on
             // convergence, so its own iteration counter is the sweep.
             batch.slots[q].begin_iteration(n);
-            needed[q] = self.select_tiles(&*batch.slots[q]);
+            needed[q] = select_tiles(&self.index.layout, &*batch.slots[q]);
         }
         let union = UnionFrontier::merge(&needed);
         let progress = RowProgress::new(&self.index.layout, union.tiles().iter().copied());
@@ -561,7 +536,7 @@ impl GStoreEngine {
     /// Rewind: processes every planned tile already in the cache pool —
     /// no I/O, time (T+1)0 of Figure 8 — then sheds the tiles the fresh
     /// metadata says are dead, freeing room for this iteration's stream.
-    fn rewind(&mut self, sw: &mut Sweep, queries: &[QueryRef<'_>]) -> Result<()> {
+    fn rewind(&mut self, sw: &mut Sweep, queries: &[&dyn Algorithm]) -> Result<()> {
         if sw.plan.rewind.is_empty() {
             return Ok(());
         }
@@ -592,7 +567,7 @@ impl GStoreEngine {
     /// segment k's runs land (Figure 8's overlap). Runs land in
     /// completion order, not submission order; a run of empty tiles needs
     /// no I/O and lands as soon as its segment is submitted.
-    fn slide(&mut self, sw: &mut Sweep, queries: &[QueryRef<'_>]) -> Result<()> {
+    fn slide(&mut self, sw: &mut Sweep, queries: &[&dyn Algorithm]) -> Result<()> {
         let t0 = self.clock();
         let mut next = 0; // segment 0's reads went out in `plan`
         loop {
@@ -636,7 +611,7 @@ impl GStoreEngine {
     fn land(
         &mut self,
         sw: &mut Sweep,
-        queries: &[QueryRef<'_>],
+        queries: &[&dyn Algorithm],
         r: usize,
         data: &[u8],
     ) -> Result<()> {
@@ -663,7 +638,7 @@ impl GStoreEngine {
     fn process_run_multi<'d>(
         &mut self,
         sw: &mut Sweep,
-        queries: &[QueryRef<'_>],
+        queries: &[&dyn Algorithm],
         r: usize,
         data: &'d [u8],
     ) -> Result<Vec<(u64, &'d [u8], u64)>> {
@@ -707,7 +682,7 @@ impl GStoreEngine {
     /// under the proactive policy — next-iteration metadata plus row
     /// completion (§VI.C's rules). The pool's memcpys are the only bytes
     /// the slide copies, reported to the recorder as `bytes_copied`.
-    fn admit(&mut self, sw: &mut Sweep, queries: &[QueryRef<'_>], tiles: &[(u64, &[u8], u64)]) {
+    fn admit(&mut self, sw: &mut Sweep, queries: &[&dyn Algorithm], tiles: &[(u64, &[u8], u64)]) {
         if !self.config.use_scr_cache {
             return;
         }
@@ -769,23 +744,18 @@ impl GStoreEngine {
         index: &TileIndex,
         recorder: Option<&FlightRecorder>,
         decode: &mut DecodeStage,
-        queries: &[QueryRef<'_>],
+        queries: &[&dyn Algorithm],
         batch: &[(u64, &[u8], u64)],
         out: &mut BatchRunStats,
     ) -> Result<()> {
         let done = compute::process_batch_queries(index, queries, batch, decode)?;
         for (q, o) in done.per_query.iter().enumerate() {
-            let s = &mut out.per_query[q].stats;
-            s.edges_processed += o.edges;
-            s.sharded_edges += o.sharded_edges;
-            s.atomic_edges += o.atomic_edges;
+            out.per_query[q].stats.edges_processed += o.edges;
         }
         let a = done.aggregate();
         out.aggregate.edges_processed += a.edges;
-        out.aggregate.sharded_edges += a.sharded_edges;
-        out.aggregate.atomic_edges += a.atomic_edges;
         if let Some(rec) = recorder {
-            rec.compute_batch(a.edges, a.plain_updates, a.atomic_edges, a.groups_scheduled);
+            rec.compute_batch(a.edges, a.plain_updates, a.groups_scheduled);
             if done.decoded_edges > 0 {
                 rec.codec_decoded_edges(done.decoded_edges);
                 rec.codec_decode_ns(done.decode_ns);
@@ -848,6 +818,23 @@ impl GStoreEngine {
             });
         }
     }
+}
+
+/// Tiles `alg` must process this iteration, in storage order: every tile
+/// unless it is selective, else those acting on an active range. A tile
+/// acts on range `row` always; on a symmetric store the same tile also
+/// carries `col`-sourced edges.
+pub(crate) fn select_tiles(layout: &GroupedLayout, alg: &dyn Algorithm) -> Vec<u64> {
+    let all = 0..layout.tile_count();
+    if !alg.selective() {
+        return all.collect();
+    }
+    let symmetric = layout.tiling().symmetric();
+    all.filter(|&i| {
+        let c = layout.coord_at(i);
+        alg.range_active(c.row) || (symmetric && alg.range_active(c.col))
+    })
+    .collect()
 }
 
 /// Nanoseconds since a [`GStoreEngine::clock`] start; 0 when not
@@ -1542,15 +1529,9 @@ mod tests {
         let (select, rewind, slide, cache) = m.phase_split();
         assert!((select + rewind + slide + cache - 1.0).abs() < 1e-9);
         // Compute group reconciles with RunStats: every edge counted once,
-        // and PageRank (sharded-capable) never hit the atomic fallback.
+        // and every one applied with plain writes.
         assert_eq!(m[Counter::ComputeEdgesProcessed], stats.edges_processed);
-        assert_eq!(m[Counter::ComputeAtomicFallbackEdges], stats.atomic_edges);
-        assert_eq!(
-            stats.sharded_edges + stats.atomic_edges,
-            stats.edges_processed
-        );
-        assert_eq!(stats.atomic_edges, 0);
-        assert!(m[Counter::ComputeShardConflictsAvoided] >= stats.sharded_edges);
+        assert!(m[Counter::ComputeShardConflictsAvoided] >= stats.edges_processed);
         assert!(m[Counter::ComputeGroupsScheduled] > 0);
         assert_eq!(
             m[Counter::ComputeLlcResidentBytes],
@@ -1563,52 +1544,40 @@ mod tests {
 
     #[test]
     fn sharded_and_atomic_engine_runs_agree() {
-        // Full pipeline A/B: same store, sharded vs forced-atomic config.
-        // Integer metadata (WCC labels, BFS depths) must match exactly;
-        // PageRank within FP accumulation tolerance.
+        // Full pipeline on the one (column-sharded) apply path, checked
+        // against the CSR references: WCC labels, BFS depths and degrees
+        // exactly, PageRank within FP accumulation tolerance. Every edge
+        // is applied with plain writes, BFS's and degree counting's too.
         let (el, store) = kron_store(9, 8, 4, 4);
+        let tiling = *store.layout().tiling();
         let deg = gstore_graph::CompactDegrees::from_edge_list(&el)
             .unwrap()
             .to_vec();
-
-        let run_wcc = |b: EngineBuilder| {
-            let mut engine = b.build().unwrap();
-            let mut wcc = Wcc::new(*store.layout().tiling());
-            let stats = engine.run(&mut wcc, 1000).unwrap();
-            (wcc.labels(), stats)
+        let run = |alg: &mut dyn Algorithm, iters: u32| {
+            let mut engine = tiny(&store).metrics(true).build().unwrap();
+            let stats = engine.run(alg, iters).unwrap();
+            let m = engine.metrics().unwrap();
+            assert!(m[Counter::ComputeShardConflictsAvoided] >= stats.edges_processed);
         };
-        let (labels_s, stats_s) = run_wcc(tiny(&store));
-        let (labels_a, stats_a) = run_wcc(tiny(&store).sharded_updates(false));
-        assert_eq!(labels_s, labels_a);
-        assert_eq!(labels_s, reference::wcc_labels(&el));
-        assert_eq!(stats_s.atomic_edges, 0, "sharded run must not fall back");
-        assert_eq!(stats_s.sharded_edges, stats_s.edges_processed);
-        assert_eq!(stats_a.sharded_edges, 0);
-        assert_eq!(stats_a.atomic_edges, stats_a.edges_processed);
 
-        let run_pr = |b: EngineBuilder| {
-            let mut engine = b.build().unwrap();
-            let mut pr =
-                PageRank::new(*store.layout().tiling(), deg.clone(), 0.85).with_iterations(8);
-            engine.run(&mut pr, 8).unwrap();
-            pr.ranks().to_vec()
-        };
-        let ranks_s = run_pr(tiny(&store));
-        let ranks_a = run_pr(tiny(&store).sharded_updates(false));
-        for (s, a) in ranks_s.iter().zip(&ranks_a) {
+        let mut wcc = Wcc::new(tiling);
+        run(&mut wcc, 1000);
+        assert_eq!(wcc.labels(), reference::wcc_labels(&el));
+        let mut pr = PageRank::new(tiling, deg.clone(), 0.85).with_iterations(8);
+        run(&mut pr, 8);
+        let want = reference::pagerank(&Csr::from_edge_list(&el, CsrDirection::Out), 8, 0.85);
+        for (s, a) in pr.ranks().iter().zip(&want) {
             assert!((s - a).abs() < 1e-9, "{s} vs {a}");
         }
-
-        // BFS declares Atomic: both configs take the fallback path.
-        let mut engine = tiny(&store).build().unwrap();
-        let mut bfs = Bfs::new(*store.layout().tiling(), 0);
-        let stats = engine.run(&mut bfs, 1000).unwrap();
-        assert_eq!(stats.sharded_edges, 0);
-        assert_eq!(stats.atomic_edges, stats.edges_processed);
+        let mut bfs = Bfs::new(tiling, 0);
+        run(&mut bfs, 1000);
         assert_eq!(
             bfs.depths(),
             reference::bfs_levels(&reference::bfs_csr(&el), 0)
         );
+        let mut dc = DegreeCount::new(tiling);
+        run(&mut dc, 1);
+        assert_eq!(dc.degrees(), deg);
     }
 
     #[test]
@@ -1616,8 +1585,7 @@ mod tests {
         let (el, store) = kron_store(8, 6, 4, 2);
         let mut engine = tiny(&store).build().unwrap();
         let mut kc = crate::algorithms::KCore::new(*store.layout().tiling(), 3);
-        let stats = engine.run(&mut kc, 1000).unwrap();
-        assert_eq!(stats.atomic_edges, 0);
+        engine.run(&mut kc, 1000).unwrap();
         assert_eq!(
             kc.membership(),
             crate::algorithms::kcore::kcore_reference(&el, 3)

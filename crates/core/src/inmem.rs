@@ -1,16 +1,17 @@
 //! In-memory tile runner.
 //!
-//! Runs an [`Algorithm`] over a fully resident [`TileStore`] with rayon
-//! parallelism — no I/O, no SCR. Used by algorithm unit tests and the
-//! in-memory experiments of the paper (Figure 2(b) partition sweep,
-//! Figure 11 group-composition sweep), where only compute behaviour
-//! matters.
+//! Runs an [`Algorithm`] over a fully resident [`TileStore`] through the
+//! engine's compute executor ([`compute::process_batch`]) — no I/O, no
+//! SCR. Used by algorithm unit tests and the in-memory experiments of the
+//! paper (Figure 2(b) partition sweep, Figure 11 group-composition sweep),
+//! where only compute behaviour matters. Each shard walks its items in
+//! ascending tile index, which is physical-group-major order (§V.A).
 
 use crate::algorithm::{Algorithm, IterationOutcome, RunStats};
-use crate::view::TileView;
+use crate::compute;
+use crate::engine::select_tiles;
 use gstore_graph::EdgeList;
-use gstore_tile::{ConversionOptions, TileStore};
-use rayon::prelude::*;
+use gstore_tile::{ConversionOptions, TileIndex, TileStore};
 use std::time::Instant;
 
 /// Convenience: builds an SNB tile store with `tile_bits`-sized tiles.
@@ -19,96 +20,24 @@ pub fn store_from_edges(el: &EdgeList, tile_bits: u32) -> TileStore {
         .expect("conversion of a valid edge list cannot fail")
 }
 
-/// Linear tile indices an iteration must process, honouring selectivity.
-pub fn select_tiles<A: Algorithm + ?Sized>(store: &TileStore, alg: &A) -> Vec<u64> {
-    let layout = store.layout();
-    if !alg.selective() {
-        return (0..store.tile_count()).collect();
-    }
-    let symmetric = layout.tiling().symmetric();
-    (0..store.tile_count())
-        .filter(|&i| {
-            let c = layout.coord_at(i);
-            // A tile can act on range `row` always; on a symmetric store
-            // the same tile also carries `col`-sourced edges.
-            alg.range_active(c.row) || (symmetric && alg.range_active(c.col))
-        })
-        .collect()
-}
-
 /// Runs `alg` to convergence (or `max_iters`) over an in-memory store.
-pub fn run_in_memory<A: Algorithm + ?Sized>(
-    store: &TileStore,
-    alg: &mut A,
-    max_iters: u32,
-) -> RunStats {
+pub fn run_in_memory(store: &TileStore, alg: &mut dyn Algorithm, max_iters: u32) -> RunStats {
     let start = Instant::now();
     let mut stats = RunStats::default();
-    let tiling = *store.layout().tiling();
-    let encoding = store.encoding();
+    let index = TileIndex::raw(
+        store.layout().clone(),
+        store.encoding(),
+        store.start_edge().to_vec(),
+    );
     for iteration in 0..max_iters {
         alg.begin_iteration(iteration);
-        let tiles = select_tiles(store, alg);
-        let shared: &A = alg;
-        let edges: u64 = tiles
-            .par_iter()
-            .map(|&idx| {
-                let coord = store.layout().coord_at(idx);
-                let view = TileView::new(&tiling, coord, encoding, store.tile_bytes(idx));
-                shared.process_tile(&view);
-                view.edge_count()
-            })
-            .sum();
+        let tiles: Vec<(u64, &[u8])> = (select_tiles(store.layout(), &*alg).into_iter())
+            .map(|t| (t, store.tile_bytes(t)))
+            .collect();
+        let done = compute::process_batch(&index, &*alg, &tiles);
         stats.iterations = iteration + 1;
         stats.tiles_processed += tiles.len() as u64;
-        stats.edges_processed += edges;
-        if alg.end_iteration(iteration) == IterationOutcome::Converged {
-            break;
-        }
-    }
-    stats.elapsed = start.elapsed().as_secs_f64();
-    stats
-}
-
-/// Like [`run_in_memory`], but processes physical groups *in storage
-/// order*, parallelising only within each group — the engine's actual
-/// locality pattern (§V.A): one group's metadata stays hot in cache while
-/// its tiles are processed, before moving to the next group.
-pub fn run_in_memory_grouped<A: Algorithm + ?Sized>(
-    store: &TileStore,
-    alg: &mut A,
-    max_iters: u32,
-) -> RunStats {
-    let start = Instant::now();
-    let mut stats = RunStats::default();
-    let tiling = *store.layout().tiling();
-    let encoding = store.encoding();
-    for iteration in 0..max_iters {
-        alg.begin_iteration(iteration);
-        let selected = select_tiles(store, alg);
-        let mut cursor = 0usize;
-        for group in store.layout().groups() {
-            // `selected` is sorted, so each group's tiles are one run.
-            let end = cursor + selected[cursor..].partition_point(|&t| t < group.tile_end);
-            let tiles = &selected[cursor..end];
-            cursor = end;
-            if tiles.is_empty() {
-                continue;
-            }
-            let shared: &A = alg;
-            let edges: u64 = tiles
-                .par_iter()
-                .map(|&idx| {
-                    let coord = store.layout().coord_at(idx);
-                    let view = TileView::new(&tiling, coord, encoding, store.tile_bytes(idx));
-                    shared.process_tile(&view);
-                    view.edge_count()
-                })
-                .sum();
-            stats.tiles_processed += tiles.len() as u64;
-            stats.edges_processed += edges;
-        }
-        stats.iterations = iteration + 1;
+        stats.edges_processed += done.edges;
         if alg.end_iteration(iteration) == IterationOutcome::Converged {
             break;
         }
@@ -120,6 +49,7 @@ pub fn run_in_memory_grouped<A: Algorithm + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithm::{ShardSides, UpdateMode};
     use crate::view::TileView;
     use gstore_graph::{Edge, GraphKind};
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -135,8 +65,11 @@ mod tests {
             "counter"
         }
         fn begin_iteration(&mut self, _i: u32) {}
-        fn process_tile(&self, view: &TileView<'_>) {
+        fn process_tile(&self, view: &TileView<'_>, _sides: ShardSides) {
             self.seen.fetch_add(view.edge_count(), Ordering::Relaxed);
+        }
+        fn update_mode(&self) -> UpdateMode {
+            UpdateMode::ShardedDst
         }
         fn end_iteration(&mut self, _i: u32) -> IterationOutcome {
             self.iters += 1;
@@ -166,29 +99,6 @@ mod tests {
         assert_eq!(c.seen.load(Ordering::Relaxed), 6);
         assert_eq!(stats.edges_processed, 6);
         assert_eq!(stats.tiles_processed, 2 * store.tile_count());
-    }
-
-    #[test]
-    fn grouped_runner_visits_same_edges() {
-        use gstore_graph::gen::{generate_rmat, RmatParams};
-        let el = generate_rmat(&RmatParams::kron(8, 4)).unwrap();
-        let store = TileStore::build(&el, &ConversionOptions::new(4).with_group_side(3)).unwrap();
-        let mut a = Counter {
-            seen: AtomicU64::new(0),
-            iters: 0,
-        };
-        let flat = run_in_memory(&store, &mut a, 10);
-        let mut b = Counter {
-            seen: AtomicU64::new(0),
-            iters: 0,
-        };
-        let grouped = run_in_memory_grouped(&store, &mut b, 10);
-        assert_eq!(flat.edges_processed, grouped.edges_processed);
-        assert_eq!(flat.tiles_processed, grouped.tiles_processed);
-        assert_eq!(
-            a.seen.load(Ordering::Relaxed),
-            b.seen.load(Ordering::Relaxed)
-        );
     }
 
     #[test]

@@ -115,10 +115,7 @@ impl FromStr for QuerySpec {
 
     fn from_str(spec: &str) -> Result<Self> {
         let parts: Vec<&str> = spec.split(':').collect();
-        let num = |s: &str, what: &str| -> Result<u64> {
-            s.parse()
-                .map_err(|_| GraphError::InvalidParameter(format!("bad {what} in spec {spec:?}")))
-        };
+        let num = |s: &str, what: &str| -> Result<u64> { parse_field(spec, s, what) };
         match parts.as_slice() {
             ["bfs"] => Ok(QuerySpec::Bfs { root: 0 }),
             ["bfs", r] => Ok(QuerySpec::Bfs {
@@ -126,7 +123,7 @@ impl FromStr for QuerySpec {
             }),
             ["pagerank"] => Ok(QuerySpec::PageRank { iters: 20 }),
             ["pagerank", i] => Ok(QuerySpec::PageRank {
-                iters: num(i, "iteration count")? as u32,
+                iters: parse_field(spec, i, "iteration count")?,
             }),
             ["wcc"] => Ok(QuerySpec::Wcc),
             ["kcore"] => Ok(QuerySpec::KCore { k: 2 }),
@@ -140,11 +137,11 @@ impl FromStr for QuerySpec {
             }),
             ["khop", v, k] => Ok(QuerySpec::Khop {
                 vertex: num(v, "vertex")?,
-                hops: num(k, "hop count")? as u32,
+                hops: parse_field(spec, k, "hop count")?,
             }),
             ["walk", v, l] => Ok(QuerySpec::Walk {
                 vertex: num(v, "vertex")?,
-                length: num(l, "walk length")? as u32,
+                length: parse_field(spec, l, "walk length")?,
             }),
             _ => Err(GraphError::InvalidParameter(format!(
                 "unknown query spec {spec:?}; try bfs[:root], pagerank[:iters], wcc, \
@@ -152,6 +149,13 @@ impl FromStr for QuerySpec {
             ))),
         }
     }
+}
+
+/// Parses field `what` of `spec` in its own width: a value out of range
+/// is a typed error naming the field, never a wrapped number.
+fn parse_field<T: FromStr>(spec: &str, s: &str, what: &str) -> Result<T> {
+    s.parse()
+        .map_err(|_| GraphError::InvalidParameter(format!("bad {what} in spec {spec:?}")))
 }
 
 /// A sweep spec instantiated as a concrete algorithm, so its result can
@@ -415,7 +419,7 @@ impl QueryValue {
         let value = match tag {
             "bfs" => QueryValue::Bfs {
                 visited: uint("visited")?,
-                max_depth: uint("max_depth")? as u32,
+                max_depth: field("max_depth")?.parse().map_err(|_| bad())?,
             },
             "pagerank" => {
                 let raw = field("top")?;
@@ -572,6 +576,50 @@ mod tests {
                 other => panic!("{bad:?} parsed as {other:?}"),
             }
         }
+    }
+
+    /// Parses `spec`, which must fail with an error naming `field`.
+    fn assert_rejects(spec: &str, field: &str) {
+        match spec.parse::<QuerySpec>() {
+            Err(GraphError::InvalidParameter(msg)) => assert!(msg.contains(field), "{msg}"),
+            other => panic!("{spec:?} parsed as {other:?}"),
+        }
+    }
+
+    #[test]
+    fn iteration_count_out_of_range_is_rejected() {
+        assert_rejects("pagerank:4294967297", "iteration count");
+        assert_eq!(
+            "pagerank:4294967295".parse::<QuerySpec>().unwrap(),
+            QuerySpec::PageRank { iters: u32::MAX }
+        );
+    }
+
+    #[test]
+    fn hop_count_out_of_range_is_rejected() {
+        assert_rejects("khop:0:4294967298", "hop count");
+    }
+
+    #[test]
+    fn walk_length_out_of_range_is_rejected() {
+        assert_rejects("walk:0:4294967296", "walk length");
+    }
+
+    #[test]
+    fn max_depth_out_of_range_is_rejected() {
+        let bad = "bfs visited=3 max_depth=4294967298";
+        assert!(
+            matches!(QueryValue::decode(bad), Err(GraphError::Format(_))),
+            "{bad:?}"
+        );
+        let good = QueryValue::decode("bfs visited=3 max_depth=4294967295").unwrap();
+        assert_eq!(
+            good,
+            QueryValue::Bfs {
+                visited: 3,
+                max_depth: u32::MAX
+            }
+        );
     }
 
     #[test]

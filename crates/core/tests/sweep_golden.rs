@@ -52,16 +52,14 @@ fn engine(store: &TileStore, codec: Codec, policy: Policy) -> GStoreEngine {
 fn stats_line(s: &RunStats) -> String {
     format!(
         "iterations={} tiles_processed={} tiles_from_cache={} tiles_fetched={} bytes_read={} \
-         io_requests={} edges_processed={} sharded_edges={} atomic_edges={}",
+         io_requests={} edges_processed={}",
         s.iterations,
         s.tiles_processed,
         s.tiles_from_cache,
         s.tiles_fetched,
         s.bytes_read,
         s.io_requests,
-        s.edges_processed,
-        s.sharded_edges,
-        s.atomic_edges
+        s.edges_processed
     )
 }
 

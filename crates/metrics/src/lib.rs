@@ -195,11 +195,10 @@ pub trait Recorder: Send + Sync {
 
     /// A compute batch finished: `edges` decoded tuples, `plain_updates`
     /// endpoint writes done as plain stores instead of atomic RMWs (the
-    /// contention the column-sharded schedule avoided), `atomic_edges`
-    /// edges that took the atomic fallback executor, `groups` physical
+    /// contention the column-sharded schedule avoided), `groups` physical
     /// groups visited by the batch's schedule. Called once per batch —
     /// never per edge.
-    fn compute_batch(&self, edges: u64, plain_updates: u64, atomic_edges: u64, groups: u64) {}
+    fn compute_batch(&self, edges: u64, plain_updates: u64, groups: u64) {}
 
     /// Static estimate of the metadata working set the group-major
     /// schedule keeps LLC-resident (bytes). Recorded as a high-water mark.
@@ -353,7 +352,6 @@ counters! {
     CopyBytesCopied = "copy.bytes_copied", CopyBytesBorrowed = "copy.bytes_borrowed",
     ComputeEdgesProcessed = "compute.edges_processed",
     ComputeShardConflictsAvoided = "compute.shard_conflicts_avoided",
-    ComputeAtomicFallbackEdges = "compute.atomic_fallback_edges",
     ComputeGroupsScheduled = "compute.groups_scheduled",
     ComputeLlcResidentBytes = "compute.llc_resident_bytes",
     CodecTilesDecoded = "codec.tiles_decoded", CodecDiskBytes = "codec.disk_bytes",
@@ -536,10 +534,9 @@ impl Recorder for FlightRecorder {
         self.add(CopyBytesBorrowed, bytes);
     }
 
-    fn compute_batch(&self, edges: u64, plain_updates: u64, atomic_edges: u64, groups: u64) {
+    fn compute_batch(&self, edges: u64, plain_updates: u64, groups: u64) {
         self.add(ComputeEdgesProcessed, edges);
         self.add(ComputeShardConflictsAvoided, plain_updates);
-        self.add(ComputeAtomicFallbackEdges, atomic_edges);
         self.add(ComputeGroupsScheduled, groups);
     }
     fn compute_llc_estimate(&self, bytes: u64) {
@@ -713,9 +710,7 @@ const SCHEMA: &[(&str, &[Field])] = {
         ]),
         ("compute", &[
             Count(ComputeEdgesProcessed), Count(ComputeShardConflictsAvoided),
-            Count(ComputeAtomicFallbackEdges), Count(ComputeGroupsScheduled),
-            Count(ComputeLlcResidentBytes),
-            Ratio("sharded_fraction", |m| 1.0 - ratio(m[ComputeAtomicFallbackEdges], m[ComputeEdgesProcessed], 0.0), 6),
+            Count(ComputeGroupsScheduled), Count(ComputeLlcResidentBytes),
         ]),
         ("codec", &[
             Count(CodecTilesDecoded), Count(CodecDiskBytes), Count(CodecLogicalBytes),
@@ -1089,7 +1084,7 @@ mod tests {
         r.buffer_recycled(4096);
         r.bytes_copied(10);
         r.bytes_borrowed(20);
-        r.compute_batch(100, 50, 10, 3);
+        r.compute_batch(100, 50, 3);
         r.compute_llc_estimate(1 << 20);
         r.ingest_chunk(1, 100, 2400);
         r.ingest_chunk(2, 100, 2400);
@@ -1225,21 +1220,15 @@ mod tests {
     #[test]
     fn compute_counters_accumulate() {
         let r = FlightRecorder::new();
-        r.compute_batch(100, 150, 0, 4);
-        r.compute_batch(40, 0, 40, 2);
+        r.compute_batch(100, 150, 4);
+        r.compute_batch(40, 0, 2);
         r.compute_llc_estimate(1 << 16);
         r.compute_llc_estimate(1 << 14); // high-water mark keeps the max
         let m = r.snapshot();
         assert_eq!(m[ComputeEdgesProcessed], 140);
         assert_eq!(m[ComputeShardConflictsAvoided], 150);
-        assert_eq!(m[ComputeAtomicFallbackEdges], 40);
         assert_eq!(m[ComputeGroupsScheduled], 6);
         assert_eq!(m[ComputeLlcResidentBytes], 1 << 16);
-        assert!((value(&m, "compute.sharded_fraction") - 100.0 / 140.0).abs() < 1e-12);
-        assert_eq!(
-            value(&EngineMetrics::default(), "compute.sharded_fraction"),
-            1.0
-        );
     }
 
     #[test]
@@ -1362,7 +1351,6 @@ mod tests {
             "\"bytes_borrowed\"",
             "\"compute\"",
             "\"shard_conflicts_avoided\"",
-            "\"atomic_fallback_edges\"",
             "\"groups_scheduled\"",
             "\"llc_resident_bytes\"",
             "\"ingest\"",

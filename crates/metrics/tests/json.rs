@@ -53,8 +53,8 @@ fn feed(r: &FlightRecorder) {
     r.buffer_recycled(8_192);
     r.bytes_copied(300);
     r.bytes_borrowed(700);
-    r.compute_batch(1_000, 1_500, 300, 7);
-    r.compute_batch(500, 0, 500, 3);
+    r.compute_batch(1_000, 1_500, 7);
+    r.compute_batch(500, 0, 3);
     r.compute_llc_estimate(1 << 16);
     r.compute_llc_estimate(1 << 14);
     r.ingest_chunk(1, 1_000, 24_000);

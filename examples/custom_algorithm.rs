@@ -5,7 +5,11 @@
 //! HITS is a natural fit for the tile format: the authority update pulls
 //! along in-edges and the hub update along out-edges, and a tile `[i, j]`
 //! carries *both* roles of each stored edge — the same one-copy-serves-
-//! both-directions property the paper highlights for its algorithms.
+//! both-directions property the paper highlights for its algorithms. It
+//! writes both endpoints, so it declares `UpdateMode::ShardedBoth`: the
+//! engine hands each tile to the worker owning its destination partition
+//! (authorities) and to the one owning its source partition (hubs), and
+//! every update is a plain add.
 //!
 //! Run with: `cargo run --release --example custom_algorithm`
 
@@ -56,18 +60,32 @@ impl Algorithm for Hits {
         }
     }
 
-    fn process_tile(&self, view: &TileView<'_>) {
-        // Each stored edge (u -> v) contributes hub[u] to authority[v]
-        // and authority[v] to hub[u]; symmetric stores carry both
-        // orientations in one tuple.
-        for e in view.edges() {
-            self.next_auth[e.dst as usize].fetch_add(self.hub[e.src as usize]);
-            self.next_hub[e.src as usize].fetch_add(self.authority[e.dst as usize]);
-            if view.symmetric && e.src != e.dst {
-                self.next_auth[e.src as usize].fetch_add(self.hub[e.dst as usize]);
-                self.next_hub[e.dst as usize].fetch_add(self.authority[e.src as usize]);
+    fn process_tile(&self, view: &TileView<'_>, sides: ShardSides) {
+        // Each stored edge (u -> v) contributes hub[u] to authority[v] on
+        // the destination side and authority[v] to hub[u] on the source
+        // side; symmetric stores carry both orientations in one tuple, so
+        // there each side also takes the reverse edge's update to its own
+        // endpoint.
+        let both = view.symmetric;
+        view.for_each_edge(|u, v| {
+            let (u, v) = (u as usize, v as usize);
+            if sides.dst {
+                self.next_auth[v].add_unsync(self.hub[u]);
+                if both && u != v {
+                    self.next_hub[v].add_unsync(self.authority[u]);
+                }
             }
-        }
+            if sides.src {
+                self.next_hub[u].add_unsync(self.authority[v]);
+                if both && u != v {
+                    self.next_auth[u].add_unsync(self.hub[v]);
+                }
+            }
+        });
+    }
+
+    fn update_mode(&self) -> UpdateMode {
+        UpdateMode::ShardedBoth
     }
 
     fn end_iteration(&mut self, _iteration: u32) -> IterationOutcome {

@@ -27,6 +27,7 @@ use crate::tile::sizing::human_bytes;
 use crate::tile::stats::index_stats;
 use crate::tile::{recode_store_files, Codec, CodecReport, TileFile};
 use gstore_metrics::FlightRecorder;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -212,13 +213,13 @@ fn engine_for(dir: &Path, name: &str, flags: &Flags) -> Result<GStoreEngine> {
 
 /// Honours `--metrics-json <path>`: serializes the engine's flight
 /// recorder (see docs/METRICS.md for the schema) after a run.
-fn write_metrics(engine: &GStoreEngine, flags: &Flags) -> Result<()> {
+fn write_metrics(engine: &GStoreEngine, flags: &Flags, out: &mut dyn Write) -> Result<()> {
     let Some(path) = metrics_path(flags)? else {
         return Ok(());
     };
     let m = engine.metrics().expect("metrics enabled by engine_for");
     std::fs::write(&path, m.to_json())?;
-    println!("metrics written to {path}");
+    writeln!(out, "metrics written to {path}")?;
     Ok(())
 }
 
@@ -237,31 +238,32 @@ fn metrics_path(flags: &Flags) -> Result<Option<String>> {
 }
 
 /// `gstore generate <spec> <out>`: writes a binary edge list.
-fn cmd_generate(pos: &[String], flags: &Flags) -> Result<()> {
-    let [spec, out] = pos else {
+fn cmd_generate(out: &mut dyn Write, pos: &[String], flags: &Flags) -> Result<()> {
+    let [spec, path] = pos else {
         return Err(GraphError::InvalidParameter(
             "usage: generate <spec> <out.el> [--directed] [--seed N] [--text]".into(),
         ));
     };
     let el = parse_generator(spec, flags.has("directed"), flags.get("seed", 42u64)?)?;
-    let out = PathBuf::from(out);
+    let path = PathBuf::from(path);
     if flags.has("text") {
-        text::write_text(&el, &out)?;
+        text::write_text(&el, &path)?;
     } else {
-        el.write_binary(&out, TupleWidth::for_vertex_count(el.vertex_count()))?;
+        el.write_binary(&path, TupleWidth::for_vertex_count(el.vertex_count()))?;
     }
-    println!(
-        "wrote {:?}: {} vertices, {} edges ({:?})",
+    writeln!(
         out,
+        "wrote {:?}: {} vertices, {} edges ({:?})",
+        path,
         el.vertex_count(),
         el.edge_count(),
         el.kind()
-    );
+    )?;
     Ok(())
 }
 
 /// `gstore convert <input> <dir> <name>`: edge list → tile store.
-fn cmd_convert(pos: &[String], flags: &Flags) -> Result<()> {
+fn cmd_convert(out: &mut dyn Write, pos: &[String], flags: &Flags) -> Result<()> {
     let [input, dir, name] = pos else {
         return Err(GraphError::InvalidParameter(
             "usage: convert <input> <dir> <name> [--text] [--directed] \
@@ -300,10 +302,11 @@ fn cmd_convert(pos: &[String], flags: &Flags) -> Result<()> {
         let report = convert_streaming(Path::new(input), dir, name, &sopts)?;
         if let Some((path, recorder)) = metrics {
             std::fs::write(&path, recorder.snapshot().to_json())?;
-            println!("metrics written to {path}");
+            writeln!(out, "metrics written to {path}")?;
         }
         paths = report.paths.clone();
-        println!(
+        writeln!(
+            out,
             "converted (streaming): {} tiles, {} data in {} chunks of {} edges \
              ({} pwrites, {} chunks written)",
             report.tile_count,
@@ -312,44 +315,47 @@ fn cmd_convert(pos: &[String], flags: &Flags) -> Result<()> {
             report.chunk_edges,
             report.write.pwrites,
             report.write.flushes,
-        );
+        )?;
     } else {
         let el = load_edges(Path::new(input), flags)?;
         let store = TileStore::build(&el, &opts)?;
         std::fs::create_dir_all(dir)?;
         paths = crate::tile::write_store(&store, dir, name)?;
-        println!(
+        writeln!(
+            out,
             "converted: {} tiles in {} groups, {} data + {} index",
             store.tile_count(),
             store.layout().groups().len(),
             human_bytes(store.data_bytes()),
             human_bytes(store.index_bytes()),
-        );
+        )?;
     }
     if flags.has("compress") {
         let codec = Codec::parse(&flags.get("codec", "varint".to_string())?)?;
         let coded_name = format!("{name}c");
         let (cpaths, report) = recode_store_files(&paths, dir, &coded_name, codec)?;
-        print_codec_report(&report, &cpaths.tiles);
+        print_codec_report(out, &report, &cpaths.tiles)?;
     }
-    println!("  {:?}\n  {:?}", paths.tiles, paths.start);
+    writeln!(out, "  {:?}\n  {:?}", paths.tiles, paths.start)?;
     Ok(())
 }
 
 /// One-line summary of a coded store a command just wrote.
-fn print_codec_report(report: &CodecReport, tiles: &Path) {
-    println!(
+fn print_codec_report(out: &mut dyn Write, report: &CodecReport, tiles: &Path) -> Result<()> {
+    writeln!(
+        out,
         "  coded ({}): {} on disk, {:.2} bytes/edge ({:.2}x vs raw SNB) at {:?}",
         report.codec.name(),
         human_bytes(report.disk_bytes),
         report.bytes_per_edge(),
         report.ratio(),
         tiles
-    );
+    )?;
+    Ok(())
 }
 
 /// `gstore info <dir> <name>`: store geometry and occupancy.
-fn cmd_info(pos: &[String], _flags: &Flags) -> Result<()> {
+fn cmd_info(out: &mut dyn Write, pos: &[String], _flags: &Flags) -> Result<()> {
     let [dir, name] = pos else {
         return Err(GraphError::InvalidParameter(
             "usage: info <dir> <name>".into(),
@@ -362,12 +368,14 @@ fn cmd_info(pos: &[String], _flags: &Flags) -> Result<()> {
     {
         let index = tf.index();
         let tiling = index.layout.tiling();
-        println!(
+        writeln!(
+            out,
             "graph    : {} vertices, {} stored edges",
             tiling.vertex_count(),
             index.edge_count()
-        );
-        println!(
+        )?;
+        writeln!(
+            out,
             "kind     : {:?} ({})",
             tiling.kind(),
             if tiling.symmetric() {
@@ -375,24 +383,27 @@ fn cmd_info(pos: &[String], _flags: &Flags) -> Result<()> {
             } else {
                 "full grid"
             }
-        );
-        println!(
+        )?;
+        writeln!(
+            out,
             "tiling   : 2^{} vertices/tile side, {}x{} grid, {} tiles",
             tiling.tile_bits(),
             tiling.partitions(),
             tiling.partitions(),
             index.tile_count()
-        );
-        println!(
+        )?;
+        writeln!(
+            out,
             "grouping : q={} ({} physical groups)",
             index.layout.group_side(),
             index.layout.groups().len()
-        );
-        println!(
+        )?;
+        writeln!(
+            out,
             "size     : {} tile data, {} start-edge index",
             human_bytes(index.data_bytes()),
             human_bytes((index.tile_count() + 1) * 8)
-        );
+        )?;
         // Codec accounting comes from the index alone: disk bytes are the
         // last compressed offset, logical bytes are edges x SNB width.
         let stored = index.edge_count();
@@ -404,34 +415,38 @@ fn cmd_info(pos: &[String], _flags: &Flags) -> Result<()> {
             }
         };
         if index.is_coded() {
-            println!(
+            writeln!(
+                out,
                 "codec    : {} — {:.2} bytes/edge on disk vs {:.2} logical ({:.2}x saving)",
                 index.codec.name(),
                 bpe(index.data_bytes()),
                 bpe(index.logical_bytes()),
                 index.compression_ratio()
-            );
+            )?;
         } else {
-            println!(
+            writeln!(
+                out,
                 "codec    : raw (uncompressed {:?}, {:.2} bytes/edge)",
                 index.encoding,
                 bpe(index.data_bytes())
-            );
+            )?;
         }
         let on_disk =
             std::fs::metadata(&paths.tiles)?.len() + std::fs::metadata(&paths.start)?.len();
-        println!(
+        writeln!(
+            out,
             "on disk  : {} total, {:.2} bytes/edge",
             human_bytes(on_disk),
             bpe(on_disk)
-        );
+        )?;
         let stats = index_stats(index);
-        println!(
+        writeln!(
+            out,
             "tiles    : {:.1}% empty, {:.1}% under 1k edges, largest {} edges",
             stats.empty_fraction * 100.0,
             stats.fraction_below(1000) * 100.0,
             stats.max_count
-        );
+        )?;
     }
     Ok(())
 }
@@ -482,7 +497,7 @@ fn run_sweep_batch(
 
 /// `gstore bfs|pagerank|wcc|kcore|degrees <dir> <name>`: one sweep query,
 /// its spec spelt with the command's flags (`--root`, `--iters`, `--k`).
-fn cmd_sweep(pos: &[String], flags: &Flags, spec: QuerySpec) -> Result<()> {
+fn cmd_sweep(out: &mut dyn Write, pos: &[String], flags: &Flags, spec: QuerySpec) -> Result<()> {
     let [dir, name] = pos else {
         return Err(GraphError::InvalidParameter(
             "usage: <command> <dir> <name> [flags]; `gstore help` lists each command's flags"
@@ -491,55 +506,60 @@ fn cmd_sweep(pos: &[String], flags: &Flags, spec: QuerySpec) -> Result<()> {
     };
     let mut engine = engine_for(Path::new(dir), name, flags)?;
     let (q, stats) = run_sweep(&mut engine, spec)?;
-    println!("{spec}: {}", q.result().summary());
-    println!(
+    writeln!(out, "{spec}: {}", q.result().summary())?;
+    writeln!(
+        out,
         "  {} iterations, {} read",
         stats.iterations,
         human_bytes(stats.bytes_read)
-    );
+    )?;
     if let SweepQuery::Degrees(dc) = &q {
-        print_degree_distribution(&dc.degrees());
+        print_degree_distribution(out, &dc.degrees())?;
     }
-    write_metrics(&engine, flags)
+    write_metrics(&engine, flags, out)
 }
 
 /// The degree distribution and the paper's compact 2-byte degree
 /// encoding (§IV.C) that `gstore degrees` reports.
-fn print_degree_distribution(degrees: &[u64]) {
+fn print_degree_distribution(out: &mut dyn Write, degrees: &[u64]) -> Result<()> {
     let dist = crate::graph::stats::DegreeDistribution::from_degrees(degrees);
-    println!(
+    writeln!(
+        out,
         "  mean {:.2}, skew {:.0}x, {:.1}% isolated",
         dist.mean_degree,
         dist.skew(),
         dist.isolated_fraction() * 100.0
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "  p50 {} / p90 {} / p99 {}",
         dist.percentile(degrees, 0.5),
         dist.percentile(degrees, 0.9),
         dist.percentile(degrees, 0.99)
-    );
+    )?;
     for (label, count) in dist.rows() {
         if count > 0 {
-            println!("  degree {label:>12}: {count}");
+            writeln!(out, "  degree {label:>12}: {count}")?;
         }
     }
     match CompactDegrees::from_degrees(degrees) {
-        Ok(c) => println!(
+        Ok(c) => writeln!(
+            out,
             "  compact encoding: {} vs {} flat u32 ({} hub overflow entries)",
             human_bytes(c.size_bytes()),
             human_bytes(c.flat_size_bytes(4)),
             c.overflow_count()
-        ),
-        Err(e) => println!("  compact encoding inapplicable: {e}"),
+        )?,
+        Err(e) => writeln!(out, "  compact encoding inapplicable: {e}")?,
     }
+    Ok(())
 }
 
 /// `gstore batch <dir> <name> <spec>...`: runs several queries
 /// concurrently over one shared scan per iteration. Specs parse through
 /// the typed [`QuerySpec`] grammar shared with `gstore query`, the wire
 /// protocol, and the `repro` harness.
-fn cmd_batch(pos: &[String], flags: &Flags) -> Result<()> {
+fn cmd_batch(out: &mut dyn Write, pos: &[String], flags: &Flags) -> Result<()> {
     let [dir, name, specs @ ..] = pos else {
         return Err(GraphError::InvalidParameter(
             "usage: batch <dir> <name> <spec>... \
@@ -557,16 +577,18 @@ fn cmd_batch(pos: &[String], flags: &Flags) -> Result<()> {
     let (_, stats) = run_sweep_batch(&mut engine, &parsed)?;
 
     for (spec, q) in specs.iter().zip(&stats.per_query) {
-        println!(
+        writeln!(
+            out,
             "  {spec:<16} {:>3} iterations, {} read, {} tiles ({} shared-scan), {}",
             q.stats.iterations,
             human_bytes(q.stats.bytes_read),
             q.stats.tiles_processed,
             q.stats.tiles_from_cache,
             if q.converged { "converged" } else { "cut off" },
-        );
+        )?;
     }
-    println!(
+    writeln!(
+        out,
         "batch: {} queries in {} sweeps, {} read from disk \
          ({:.2}x amortization, {} tiles served to >1 query)",
         stats.per_query.len(),
@@ -574,15 +596,15 @@ fn cmd_batch(pos: &[String], flags: &Flags) -> Result<()> {
         human_bytes(stats.aggregate.bytes_read),
         stats.read_amortization(),
         stats.tiles_shared,
-    );
-    write_metrics(&engine, flags)
+    )?;
+    write_metrics(&engine, flags, out)
 }
 
 /// Runs one `query` point-read spec against a [`PointReader`] and prints
 /// a one-line result. Parsing and execution go through the typed
 /// [`QuerySpec`] surface; sweep specs are rejected with a pointer to
 /// `batch`.
-fn run_point_query(reader: &PointReader, spec: &str, seed: u64) -> Result<()> {
+fn run_point_query(out: &mut dyn Write, reader: &PointReader, spec: &str, seed: u64) -> Result<()> {
     let q: QuerySpec = spec.parse()?;
     if q.kind() != QueryKind::Point {
         return Err(GraphError::InvalidParameter(format!(
@@ -590,14 +612,14 @@ fn run_point_query(reader: &PointReader, spec: &str, seed: u64) -> Result<()> {
         )));
     }
     let value = crate::core::spec::run_point(reader, &q, seed)?;
-    println!("  {spec:<16} {}", value.summary());
+    writeln!(out, "  {spec:<16} {}", value.summary())?;
     Ok(())
 }
 
 /// `gstore query <dir> <name> <spec>...`: OLTP-style point reads served
 /// from individual tiles — no full sweep. Specs: `neighbors:v`,
 /// `degree:v`, `khop:v:k`, `walk:v:len`.
-fn cmd_query(pos: &[String], flags: &Flags) -> Result<()> {
+fn cmd_query(out: &mut dyn Write, pos: &[String], flags: &Flags) -> Result<()> {
     let [dir, name, specs @ ..] = pos else {
         return Err(GraphError::InvalidParameter(
             "usage: query <dir> <name> <spec>... \
@@ -614,24 +636,25 @@ fn cmd_query(pos: &[String], flags: &Flags) -> Result<()> {
     let reader = engine.point_reader();
     let seed: u64 = flags.get("seed", 42u64)?;
     for spec in specs {
-        run_point_query(&reader, spec, seed)?;
+        run_point_query(out, &reader, spec, seed)?;
     }
     let cache = reader.cache_stats();
-    println!(
+    writeln!(
+        out,
         "query: {} point reads, hot-tile cache {} resident ({} inserted, {} rejected)",
         specs.len(),
         reader.cache_resident(),
         cache.inserted,
         cache.rejected,
-    );
-    write_metrics(&engine, flags)
+    )?;
+    write_metrics(&engine, flags, out)
 }
 
 /// `gstore serve <dir> <name> [--port P] [--max-batch N] [--queue N]`:
 /// runs the shared-scan query daemon over one engine until killed.
 /// Clients speak the length-prefixed QuerySpec protocol (docs/API.md);
 /// `gstore client` is the bundled driver.
-fn cmd_serve(pos: &[String], flags: &Flags) -> Result<()> {
+fn cmd_serve(out: &mut dyn Write, pos: &[String], flags: &Flags) -> Result<()> {
     let [dir, name] = pos else {
         return Err(GraphError::InvalidParameter(
             "usage: serve <dir> <name> [--port P] [--max-batch N] [--queue N] \
@@ -653,12 +676,13 @@ fn cmd_serve(pos: &[String], flags: &Flags) -> Result<()> {
         .paths(&TilePaths::new(Path::new(dir), name))
         .build()?;
     let handle = crate::server::serve(engine, opts)?;
-    println!(
+    writeln!(
+        out,
         "serving {name} on {} (max batch {}, point reads answered inline); \
          stop with ctrl-c",
         handle.local_addr(),
         flags.get("max-batch", QueryBatch::MAX_QUERIES)?,
-    );
+    )?;
     // Foreground daemon: park until killed. Tests drive the library API
     // (gstore_server::serve) directly, where shutdown() is available.
     loop {
@@ -668,7 +692,7 @@ fn cmd_serve(pos: &[String], flags: &Flags) -> Result<()> {
 
 /// `gstore client <addr> <spec>...`: sends each query spec to a running
 /// daemon and prints the replies — the serve protocol's test driver.
-fn cmd_client(pos: &[String], flags: &Flags) -> Result<()> {
+fn cmd_client(out: &mut dyn Write, pos: &[String], flags: &Flags) -> Result<()> {
     let [addr, specs @ ..] = pos else {
         return Err(GraphError::InvalidParameter(
             "usage: client <host:port> <spec>... [--raw] [--retries N]".into(),
@@ -689,18 +713,21 @@ fn cmd_client(pos: &[String], flags: &Flags) -> Result<()> {
         match reply {
             crate::server::Reply::Value(value) => {
                 if flags.has("raw") {
-                    println!("  {spec:<16} {}", value.encode());
+                    writeln!(out, "  {spec:<16} {}", value.encode())?;
                 } else {
-                    println!("  {spec:<16} {}", value.summary());
+                    writeln!(out, "  {spec:<16} {}", value.summary())?;
                 }
             }
             crate::server::Reply::Error { code, message } => {
                 failures += 1;
-                println!("  {spec:<16} ERR {code}: {message}");
+                writeln!(out, "  {spec:<16} ERR {code}: {message}")?;
             }
             crate::server::Reply::Busy => {
                 failures += 1;
-                println!("  {spec:<16} BUSY (queue full after {retries} retries)");
+                writeln!(
+                    out,
+                    "  {spec:<16} BUSY (queue full after {retries} retries)"
+                )?;
             }
         }
     }
@@ -716,22 +743,23 @@ fn cmd_client(pos: &[String], flags: &Flags) -> Result<()> {
 /// `gstore compress <dir> <name> [--codec C] [--out NAME]`: re-encodes a
 /// store with a bit-level tile codec (default `varint`), writing a
 /// first-class coded `.tiles`/`.start` pair that every query path consumes.
-fn cmd_compress(pos: &[String], flags: &Flags) -> Result<()> {
+fn cmd_compress(out: &mut dyn Write, pos: &[String], flags: &Flags) -> Result<()> {
     let [dir, name] = pos else {
         return Err(GraphError::InvalidParameter(
             "usage: compress <dir> <name> [--codec varint|gamma|zeta|ef] [--out NAME]".into(),
         ));
     };
-    let out: String = flags.get("out", format!("{name}c"))?;
+    let coded: String = flags.get("out", format!("{name}c"))?;
     let dir = Path::new(dir);
     let codec = Codec::parse(&flags.get("codec", "varint".to_string())?)?;
-    let (cpaths, report) = recode_store_files(&TilePaths::new(dir, name), dir, &out, codec)?;
-    println!(
+    let (cpaths, report) = recode_store_files(&TilePaths::new(dir, name), dir, &coded, codec)?;
+    writeln!(
+        out,
         "coded {} edges as {}:",
         report.edge_count,
         report.codec.name()
-    );
-    print_codec_report(&report, &cpaths.tiles);
+    )?;
+    print_codec_report(out, &report, &cpaths.tiles)?;
     Ok(())
 }
 
@@ -788,7 +816,7 @@ any other flag is a usage error";
 /// One subcommand: its entry point and every flag it reads.
 struct Command {
     name: &'static str,
-    run: fn(&[String], &Flags) -> Result<()>,
+    run: fn(&mut dyn Write, &[String], &Flags) -> Result<()>,
     flags: &'static [&'static [&'static str]],
 }
 
@@ -823,36 +851,36 @@ const COMMANDS: &[Command] = &[
     },
     Command {
         name: "bfs",
-        run: |pos, flags| {
+        run: |out, pos, flags| {
             let root = flags.get("root", 0)?;
-            cmd_sweep(pos, flags, QuerySpec::Bfs { root })
+            cmd_sweep(out, pos, flags, QuerySpec::Bfs { root })
         },
         flags: &[&["root"], ENGINE_FLAGS],
     },
     Command {
         name: "pagerank",
-        run: |pos, flags| {
+        run: |out, pos, flags| {
             let iters = flags.get("iters", 20)?;
-            cmd_sweep(pos, flags, QuerySpec::PageRank { iters })
+            cmd_sweep(out, pos, flags, QuerySpec::PageRank { iters })
         },
         flags: &[&["iters"], ENGINE_FLAGS],
     },
     Command {
         name: "wcc",
-        run: |pos, flags| cmd_sweep(pos, flags, QuerySpec::Wcc),
+        run: |out, pos, flags| cmd_sweep(out, pos, flags, QuerySpec::Wcc),
         flags: &[ENGINE_FLAGS],
     },
     Command {
         name: "kcore",
-        run: |pos, flags| {
+        run: |out, pos, flags| {
             let k = flags.get("k", 2)?;
-            cmd_sweep(pos, flags, QuerySpec::KCore { k })
+            cmd_sweep(out, pos, flags, QuerySpec::KCore { k })
         },
         flags: &[&["k"], ENGINE_FLAGS],
     },
     Command {
         name: "degrees",
-        run: |pos, flags| cmd_sweep(pos, flags, QuerySpec::Degrees),
+        run: |out, pos, flags| cmd_sweep(out, pos, flags, QuerySpec::Degrees),
         flags: &[ENGINE_FLAGS],
     },
     Command {
@@ -885,18 +913,32 @@ const COMMANDS: &[Command] = &[
     },
 ];
 
-/// Entry point used by the `gstore` binary; returns the exit code.
+/// Entry point used by the `gstore` binary; returns the exit code. Every
+/// command writes through one locked stdout.
 pub fn run(args: &[String]) -> i32 {
+    run_to(args, &mut std::io::stdout().lock())
+}
+
+/// [`run`], printing to `out`. A reader that closes `out` early
+/// (`gstore query … | head -1`) ends the command quietly with exit 0;
+/// every other error is reported on stderr with exit 2.
+fn run_to(args: &[String], out: &mut dyn Write) -> i32 {
     let Some((cmd, rest)) = args.split_first() else {
         eprintln!("{USAGE}");
         return 2;
     };
-    if matches!(cmd.as_str(), "help" | "--help" | "-h") {
-        println!("{USAGE}");
-        return 0;
-    }
-    match dispatch(cmd, rest) {
+    let mut out = Out {
+        inner: out,
+        closed: false,
+    };
+    let done = if matches!(cmd.as_str(), "help" | "--help" | "-h") {
+        writeln!(out, "{USAGE}").map_err(GraphError::from)
+    } else {
+        dispatch(cmd, rest, &mut out)
+    };
+    match done.and_then(|()| Ok(out.flush()?)) {
         Ok(()) => 0,
+        Err(_) if out.closed => 0,
         Err(e) => {
             eprintln!("gstore: {e}");
             2
@@ -904,15 +946,41 @@ pub fn run(args: &[String]) -> i32 {
     }
 }
 
+/// The commands' stdout: remembers whether a write found the reading end
+/// closed, so that error is told apart from every other.
+struct Out<'a> {
+    inner: &'a mut dyn Write,
+    closed: bool,
+}
+
+impl Out<'_> {
+    fn note<T>(&mut self, r: std::io::Result<T>) -> std::io::Result<T> {
+        self.closed |= matches!(&r, Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe);
+        r
+    }
+}
+
+impl Write for Out<'_> {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        let r = self.inner.write(buf);
+        self.note(r)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        let r = self.inner.flush();
+        self.note(r)
+    }
+}
+
 /// Finds `cmd` in [`COMMANDS`], checks its flags, and runs it.
-fn dispatch(cmd: &str, args: &[String]) -> Result<()> {
+fn dispatch(cmd: &str, args: &[String], out: &mut dyn Write) -> Result<()> {
     let command = COMMANDS
         .iter()
         .find(|c| c.name == cmd)
         .ok_or_else(|| GraphError::InvalidParameter(format!("unknown command {cmd:?}")))?;
     let (pos, flags) = Flags::parse(args)?;
     flags.check(command.name, command.flags)?;
-    (command.run)(&pos, &flags)
+    (command.run)(out, &pos, &flags)
 }
 
 #[cfg(test)]
@@ -921,6 +989,14 @@ mod tests {
 
     fn s(v: &[&str]) -> Vec<String> {
         v.iter().map(|x| x.to_string()).collect()
+    }
+
+    /// [`super::run`], printing into the test's captured output.
+    fn run(args: &[String]) -> i32 {
+        let mut out = Vec::new();
+        let code = run_to(args, &mut out);
+        print!("{}", String::from_utf8_lossy(&out));
+        code
     }
 
     #[test]
@@ -1244,7 +1320,7 @@ mod tests {
             ("pagerank", "--damping"),
             ("pagerank", "--top"),
         ] {
-            let err = dispatch(cmd, &s(&["db", "g", retired])).unwrap_err();
+            let err = dispatch(cmd, &s(&["db", "g", retired]), &mut std::io::sink()).unwrap_err();
             assert!(
                 matches!(&err, GraphError::InvalidParameter(m) if m.contains(retired)),
                 "{retired}: {err:?}"
@@ -1398,7 +1474,7 @@ mod tests {
         // Not even on a good store does `--migrate` quietly re-encode.
         let migrate = s(&["g", "--migrate", "--out", "new"]);
         assert!(matches!(
-            dispatch("compress", &migrate),
+            dispatch("compress", &migrate, &mut std::io::sink()),
             Err(GraphError::InvalidParameter(m)) if m.contains("--migrate")
         ));
         assert_eq!(
@@ -1464,7 +1540,8 @@ mod tests {
             // A misspelt flag is a typed error naming the command, caught
             // before the command touches a file, and exits 2.
             let typo = format!("--{}x", declared.first().unwrap_or(&"root"));
-            let err = dispatch(command.name, &s(&["db", "g", &typo])).unwrap_err();
+            let err =
+                dispatch(command.name, &s(&["db", "g", &typo]), &mut std::io::sink()).unwrap_err();
             assert!(
                 matches!(&err, GraphError::InvalidParameter(m)
                     if m.contains(command.name) && m.contains(&typo)),

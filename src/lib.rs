@@ -94,7 +94,7 @@ pub mod prelude {
     pub use gstore_core::{
         Algorithm, BatchRunStats, Bfs, DegreeCount, EngineBuilder, GStoreEngine, IterationOutcome,
         KCore, PageRank, PointReader, QueryBatch, QueryKind, QueryOutcome, QuerySpec, QueryValue,
-        RunStats, SweepQuery, TileView, Wcc,
+        RunStats, ShardSides, SweepQuery, TileView, UpdateMode, Wcc,
     };
     pub use gstore_graph::{
         Csr, CsrDirection, Edge, EdgeList, GraphKind, GraphMeta, TupleWidth, VertexId,

@@ -162,14 +162,12 @@ fn builder_knobs_take_effect() {
     let mut base = GStoreEngine::builder()
         .store(&store)
         .base_policy(total)
-        .sharded_updates(false)
         .metrics(true)
         .build()
         .unwrap();
     let mut bfs = Bfs::new(tiling, 0);
-    let stats = base.run(&mut bfs, 1000).unwrap();
-    // The sharded path really is off, and the recorder really is on.
-    assert_eq!(stats.sharded_edges, 0);
+    base.run(&mut bfs, 1000).unwrap();
+    // The recorder really is on.
     assert!(base.metrics().is_some());
 
     let mut plain = GStoreEngine::builder()

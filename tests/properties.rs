@@ -535,11 +535,12 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The column-sharded compute path is a pure performance change: for
-    /// every store shape (tile_bits × group side × orientation) on skewed
-    /// R-MAT graphs, and with AIO completions arriving in jittered order,
-    /// it produces bit-identical BFS/WCC/k-core results and FP-tolerance-
-    /// equal PageRank versus the atomic fallback.
+    /// The column-sharded compute path — the one apply path — gives the
+    /// reference answers: for every store shape (tile_bits × group side ×
+    /// orientation) on skewed R-MAT graphs, and with AIO completions
+    /// arriving in jittered order, BFS depths, WCC labels and k-core
+    /// membership equal the CSR references bit for bit, and PageRank the
+    /// reference within FP tolerance.
     #[test]
     fn sharded_and_atomic_paths_agree(
         seed in 0u64..100,
@@ -548,6 +549,7 @@ proptest! {
         directed in any::<bool>(),
         jitter in any::<bool>(),
     ) {
+        use gstore::core::algorithms::kcore::kcore_reference;
         use gstore::core::KCore;
         use gstore::graph::gen::{generate_rmat, RmatParams};
         use gstore::io::JitterBackend;
@@ -563,10 +565,8 @@ proptest! {
         let index = TileIndex::raw(store.layout().clone(), store.encoding(), store.start_edge().to_vec());
         let tiling = *store.layout().tiling();
         let seg = (store.data_bytes() / 3).max(64);
-        let make_engine = |sharded: bool| {
-            let b = GStoreEngine::builder()
-                .scr(ScrConfig::new(seg, seg * 3).unwrap())
-                .sharded_updates(sharded);
+        let make_engine = || {
+            let b = GStoreEngine::builder().scr(ScrConfig::new(seg, seg * 3).unwrap());
             let base = Arc::new(MemBackend::new(store.data().to_vec()));
             if jitter {
                 let backend = Arc::new(JitterBackend::new(base, 300));
@@ -576,35 +576,24 @@ proptest! {
             }
         };
 
-        let mut bfs_s = Bfs::new(tiling, 0);
-        make_engine(true).run(&mut bfs_s, 10_000).unwrap();
-        let mut bfs_a = Bfs::new(tiling, 0);
-        make_engine(false).run(&mut bfs_a, 10_000).unwrap();
-        prop_assert_eq!(bfs_s.depths(), bfs_a.depths());
+        let mut bfs = Bfs::new(tiling, 0);
+        make_engine().run(&mut bfs, 10_000).unwrap();
+        prop_assert_eq!(bfs.depths(), reference::bfs_levels(&reference::bfs_csr(&el), 0));
 
-        let mut wcc_s = Wcc::new(tiling);
-        let stats = make_engine(true).run(&mut wcc_s, 10_000).unwrap();
-        prop_assert_eq!(stats.atomic_edges, 0);
-        prop_assert_eq!(stats.sharded_edges, stats.edges_processed);
-        let mut wcc_a = Wcc::new(tiling);
-        let stats = make_engine(false).run(&mut wcc_a, 10_000).unwrap();
-        prop_assert_eq!(stats.sharded_edges, 0);
-        prop_assert_eq!(wcc_s.labels(), wcc_a.labels());
-        prop_assert_eq!(wcc_s.labels(), gstore::graph::reference::wcc_labels(&el));
+        let mut wcc = Wcc::new(tiling);
+        make_engine().run(&mut wcc, 10_000).unwrap();
+        prop_assert_eq!(wcc.labels(), reference::wcc_labels(&el));
 
-        let mut kc_s = KCore::new(tiling, 3);
-        make_engine(true).run(&mut kc_s, 10_000).unwrap();
-        let mut kc_a = KCore::new(tiling, 3);
-        make_engine(false).run(&mut kc_a, 10_000).unwrap();
-        prop_assert_eq!(kc_s.membership(), kc_a.membership());
+        let mut kc = KCore::new(tiling, 3);
+        make_engine().run(&mut kc, 10_000).unwrap();
+        prop_assert_eq!(kc.membership(), kcore_reference(&el, 3));
 
-        let deg = gstore::graph::CompactDegrees::from_edge_list(&el).unwrap().to_vec();
-        let mut pr_s = PageRank::new(tiling, deg.clone(), 0.85).with_iterations(5);
-        make_engine(true).run(&mut pr_s, 5).unwrap();
-        let mut pr_a = PageRank::new(tiling, deg, 0.85).with_iterations(5);
-        make_engine(false).run(&mut pr_a, 5).unwrap();
-        for (s, a) in pr_s.ranks().iter().zip(pr_a.ranks()) {
-            prop_assert!((s - a).abs() < 1e-9, "rank {} vs {}", s, a);
+        let deg = CompactDegrees::from_edge_list(&el).unwrap().to_vec();
+        let mut pr = PageRank::new(tiling, deg, 0.85).with_iterations(5);
+        make_engine().run(&mut pr, 5).unwrap();
+        let want = reference::pagerank(&Csr::from_edge_list(&el, CsrDirection::Out), 5, 0.85);
+        for (s, r) in pr.ranks().iter().zip(&want) {
+            prop_assert!((s - r).abs() < 1e-9, "rank {} vs {}", s, r);
         }
     }
 }
