@@ -58,29 +58,34 @@ pub struct ShardSides {
 /// partitions are defined, and written with plain loads and stores.
 ///
 /// A minimal custom algorithm — count edges whose endpoints are both
-/// even — looks like this. It writes no vertex, only one shared counter,
-/// so it declares [`UpdateMode::ShardedDst`] (each tile is one item) and
-/// bumps the counter with an atomic add:
+/// marked — looks like this. A kernel walks each record's two 16-bit
+/// locals ([`TileView::for_each_local`]) and indexes the slices of its
+/// per-vertex arrays that start at the tile's row and column partitions
+/// ([`TileView::partitions`]). It writes no vertex, only one shared
+/// counter, so it declares [`UpdateMode::ShardedDst`] (each tile is one
+/// item) and bumps the counter with an atomic add:
 ///
 /// ```
 /// use gstore_core::{Algorithm, IterationOutcome, ShardSides, TileView, UpdateMode};
 /// use std::sync::atomic::{AtomicU64, Ordering};
 ///
-/// struct EvenEdges {
+/// struct MarkedEdges {
+///     marked: Vec<bool>,
 ///     count: AtomicU64,
 /// }
 ///
-/// impl Algorithm for EvenEdges {
+/// impl Algorithm for MarkedEdges {
 ///     fn name(&self) -> &'static str {
-///         "even-edges"
+///         "marked-edges"
 ///     }
 ///     fn begin_iteration(&mut self, _i: u32) {
 ///         self.count.store(0, Ordering::Relaxed);
 ///     }
 ///     fn process_tile(&self, view: &TileView<'_>, _sides: ShardSides) {
-///         let mut even = 0;
-///         view.for_each_edge(|src, dst| even += u64::from(src % 2 == 0 && dst % 2 == 0));
-///         self.count.fetch_add(even, Ordering::Relaxed);
+///         let (src, dst) = view.partitions(&self.marked);
+///         let mut both = 0;
+///         view.for_each_local(|s, d| both += u64::from(src[s] && dst[d]));
+///         self.count.fetch_add(both, Ordering::Relaxed);
 ///     }
 ///     fn end_iteration(&mut self, _i: u32) -> IterationOutcome {
 ///         IterationOutcome::Converged // one sweep is enough
@@ -96,7 +101,8 @@ pub struct ShardSides {
 ///     Edge::new(0, 2), Edge::new(1, 2), Edge::new(4, 6),
 /// ]).unwrap();
 /// let store = TileStore::build(&el, &ConversionOptions::new(2)).unwrap();
-/// let mut alg = EvenEdges { count: AtomicU64::new(0) };
+/// let marked = (0..8).map(|v| v % 2 == 0).collect(); // the even vertices
+/// let mut alg = MarkedEdges { marked, count: AtomicU64::new(0) };
 /// gstore_core::inmem::run_in_memory(&store, &mut alg, 1);
 /// assert_eq!(alg.count.load(Ordering::Relaxed), 2);
 /// ```

@@ -17,7 +17,7 @@ use crate::atomics::atomic_u32_vec;
 use crate::view::TileView;
 use gstore_graph::VertexId;
 use gstore_tile::Tiling;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 
 /// Depth marker for unreached vertices (matches the reference oracle).
 pub const UNREACHED: u32 = u32::MAX;
@@ -30,7 +30,7 @@ pub struct Bfs {
     tiling: Tiling,
     root: VertexId,
     level: u32,
-    depth: Vec<std::sync::atomic::AtomicU32>,
+    depth: Vec<AtomicU32>,
     /// Optional parent tree (Graph500-style BFS output, §II.B: "the final
     /// output generates a tree").
     parent: Option<Vec<AtomicU64>>,
@@ -99,26 +99,6 @@ impl Bfs {
             .filter(|d| d.load(Ordering::Relaxed) != UNREACHED)
             .count() as u64
     }
-
-    /// Claims `dst` from `src`: depth[src] == level && depth[dst] == INF
-    /// => depth[dst] = level + 1. The claim is a plain load and store, not
-    /// a compare-and-swap: only the shard owning `dst`'s partition writes
-    /// `depth[dst]`, and a reader in another shard only compares a depth
-    /// with `level`, a value no write in this level produces.
-    #[inline]
-    fn visit(&self, src: VertexId, dst: VertexId) {
-        let target = &self.depth[dst as usize];
-        if self.depth[src as usize].load(Ordering::Relaxed) == self.level
-            && target.load(Ordering::Relaxed) == UNREACHED
-        {
-            target.store(self.level + 1, Ordering::Relaxed);
-            if let Some(parent) = &self.parent {
-                parent[dst as usize].store(src, Ordering::Relaxed);
-            }
-            self.active_next[self.tiling.partition_of(dst) as usize].store(true, Ordering::Relaxed);
-            self.visited_this_iter.fetch_add(1, Ordering::Relaxed);
-        }
-    }
 }
 
 impl Algorithm for Bfs {
@@ -131,16 +111,50 @@ impl Algorithm for Bfs {
     }
 
     fn process_tile(&self, view: &TileView<'_>, sides: ShardSides) {
-        view.for_each_edge(|src, dst| {
-            if sides.dst {
-                self.visit(src, dst);
+        // A claim of `to` from `from`: depth[from] == level && depth[to] ==
+        // INF => depth[to] = level + 1. It is a plain load and store, not a
+        // compare-and-swap: only the shard owning `to`'s partition writes
+        // its depth, and a reader in another shard only compares a depth
+        // with `level`, a value no write in this level produces.
+        let level = self.level;
+        let claim = |from: &AtomicU32, to: &AtomicU32| {
+            let hit =
+                from.load(Ordering::Relaxed) == level && to.load(Ordering::Relaxed) == UNREACHED;
+            if hit {
+                to.store(level + 1, Ordering::Relaxed);
+            }
+            hit
+        };
+        let (depth_src, depth_dst) = view.partitions(&self.depth);
+        let parents = self.parent.as_deref().map(|p| view.partitions(p));
+        let (mut claimed_dst, mut claimed_src) = (0u64, 0u64);
+        view.for_each_local(|s, d| {
+            if sides.dst && claim(&depth_src[s], &depth_dst[d]) {
+                if let Some((_, parent_dst)) = parents {
+                    parent_dst[d].store(view.src_base + s as u64, Ordering::Relaxed);
+                }
+                claimed_dst += 1;
             }
             // Algorithm 1 lines 8-11: on a symmetric store the stored edge
-            // also represents (dst, src), a write to the source side.
-            if sides.src {
-                self.visit(dst, src);
+            // also represents (dst, src), a claim on the source side.
+            if sides.src && claim(&depth_dst[d], &depth_src[s]) {
+                if let Some((parent_src, _)) = parents {
+                    parent_src[s].store(view.dst_base + d as u64, Ordering::Relaxed);
+                }
+                claimed_src += 1;
             }
         });
+        // Frontier marks and the visit count, once per tile.
+        if claimed_dst > 0 {
+            self.active_next[view.coord.col as usize].store(true, Ordering::Relaxed);
+        }
+        if claimed_src > 0 {
+            self.active_next[view.coord.row as usize].store(true, Ordering::Relaxed);
+        }
+        if claimed_dst + claimed_src > 0 {
+            self.visited_this_iter
+                .fetch_add(claimed_dst + claimed_src, Ordering::Relaxed);
+        }
     }
 
     fn update_mode(&self) -> UpdateMode {

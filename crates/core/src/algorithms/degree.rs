@@ -59,12 +59,14 @@ impl Algorithm for DegreeCount {
         if !(sides.src || dst_side) {
             return;
         }
-        view.for_each_edge(|src, dst| {
+        let (degree_src, degree_dst) = view.partitions(&self.degree);
+        let diagonal = view.src_base == view.dst_base;
+        view.for_each_local(|s, d| {
             if sides.src {
-                add_unsync_u64(&self.degree[src as usize], 1);
+                add_unsync_u64(&degree_src[s], 1);
             }
-            if dst_side && src != dst {
-                add_unsync_u64(&self.degree[dst as usize], 1);
+            if dst_side && !(diagonal && s == d) {
+                add_unsync_u64(&degree_dst[d], 1);
             }
         });
     }

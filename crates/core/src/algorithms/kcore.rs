@@ -53,18 +53,6 @@ impl KCore {
             .map(|a| a.load(Ordering::Relaxed))
             .collect()
     }
-
-    /// Plain-write degree increment: `alive` is read-only during the
-    /// sweep, so the counted value is deterministic; the caller owns `a`'s
-    /// partition, so no atomic RMW is needed.
-    #[inline]
-    fn count(&self, a: VertexId, b: VertexId) {
-        if self.alive[a as usize].load(Ordering::Relaxed)
-            && self.alive[b as usize].load(Ordering::Relaxed)
-        {
-            add_unsync_u64(&self.degree[a as usize], 1);
-        }
-    }
 }
 
 impl Algorithm for KCore {
@@ -83,14 +71,21 @@ impl Algorithm for KCore {
         // over the underlying undirected structure, so each stored tuple
         // contributes to both endpoints (self-loops excluded). `alive` is
         // frozen during the sweep (peeling happens in end_iteration), so
-        // the per-side split sums to the same degrees in any order.
-        view.for_each_edge(|src, dst| {
-            if src != dst {
+        // the per-side split sums to the same degrees in any order. Each
+        // count is a plain write: the caller owns the partitions it writes.
+        let (alive_src, alive_dst) = view.partitions(&self.alive);
+        let (degree_src, degree_dst) = view.partitions(&self.degree);
+        let diagonal = view.src_base == view.dst_base;
+        view.for_each_local(|s, d| {
+            if !(diagonal && s == d)
+                && alive_src[s].load(Ordering::Relaxed)
+                && alive_dst[d].load(Ordering::Relaxed)
+            {
                 if sides.dst {
-                    self.count(dst, src);
+                    add_unsync_u64(&degree_dst[d], 1);
                 }
                 if sides.src {
-                    self.count(src, dst);
+                    add_unsync_u64(&degree_src[s], 1);
                 }
             }
         });

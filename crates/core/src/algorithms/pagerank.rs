@@ -10,7 +10,6 @@
 use crate::algorithm::{Algorithm, IterationOutcome, ShardSides, UpdateMode};
 use crate::atomics::{atomic_f64_vec, AtomicF64};
 use crate::view::TileView;
-use gstore_graph::VertexId;
 use gstore_tile::Tiling;
 
 /// Tile-based PageRank.
@@ -71,14 +70,26 @@ impl PageRank {
         self.last_delta
     }
 
-    /// Plain-write push: the caller owns `to`'s partition, so no CAS loop
-    /// is needed.
+    /// Pushes every record of `view` with plain writes (the caller owns
+    /// the partitions it writes): `FWD` adds `share[src]` to `next[dst]`, a
+    /// destination-side write; `BACK` adds `share[dst]` to `next[src]`, a
+    /// source-side write that a symmetric store's edge also stands for,
+    /// skipping the diagonal's self-loops. Ranks are non-negative, so a
+    /// zero share adds `+0.0` and changes no bit: the loop does not branch
+    /// on it.
     #[inline]
-    fn push(&self, from: VertexId, to: VertexId) {
-        let s = self.share[from as usize];
-        if s != 0.0 {
-            self.next[to as usize].add_unsync(s);
-        }
+    fn push_tile<const FWD: bool, const BACK: bool>(&self, view: &TileView<'_>) {
+        let (share_src, share_dst) = view.partitions(&self.share);
+        let (next_src, next_dst) = view.partitions(&self.next);
+        let diagonal = view.src_base == view.dst_base;
+        view.for_each_local(|s, d| {
+            if FWD {
+                next_dst[d].add_unsync(share_src[s]);
+            }
+            if BACK && !(diagonal && s == d) {
+                next_src[s].add_unsync(share_dst[d]);
+            }
+        });
     }
 }
 
@@ -106,26 +117,13 @@ impl Algorithm for PageRank {
     }
 
     fn process_tile(&self, view: &TileView<'_>, sides: ShardSides) {
-        if view.symmetric {
-            // The stored edge pushes src→dst (a dst-side write) and, off
-            // the diagonal, dst→src (a src-side write).
-            match (sides.dst, sides.src) {
-                (true, true) => view.for_each_edge(|src, dst| {
-                    self.push(src, dst);
-                    if src != dst {
-                        self.push(dst, src);
-                    }
-                }),
-                (true, false) => view.for_each_edge(|src, dst| self.push(src, dst)),
-                (false, true) => view.for_each_edge(|src, dst| {
-                    if src != dst {
-                        self.push(dst, src);
-                    }
-                }),
-                (false, false) => {}
-            }
-        } else if sides.dst {
-            view.for_each_edge(|src, dst| self.push(src, dst));
+        // On a symmetric store the stored edge pushes src→dst (a dst-side
+        // write) and, off the diagonal, dst→src (a src-side write).
+        match (sides.dst, view.symmetric && sides.src) {
+            (true, true) => self.push_tile::<true, true>(view),
+            (true, false) => self.push_tile::<true, false>(view),
+            (false, true) => self.push_tile::<false, true>(view),
+            (false, false) => {}
         }
     }
 

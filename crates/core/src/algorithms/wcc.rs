@@ -66,18 +66,22 @@ impl Algorithm for Wcc {
         // lowered elsewhere; reading a stale (higher) value is safe — the
         // min-lattice is monotone and any missed propagation implies a
         // same-iteration write elsewhere, which sets `changed` and forces
-        // another sweep. Writes are confined to the enabled sides.
-        view.for_each_edge(|src, dst| {
-            let ls = self.label[src as usize].load(Ordering::Relaxed);
-            let ld = self.label[dst as usize].load(Ordering::Relaxed);
+        // another sweep. Writes are confined to the enabled sides, and
+        // `changed` is stored once per tile.
+        let (label_src, label_dst) = view.partitions(&self.label);
+        let mut changed = false;
+        view.for_each_local(|s, d| {
+            let ls = label_src[s].load(Ordering::Relaxed);
+            let ld = label_dst[d].load(Ordering::Relaxed);
             if ls < ld {
-                if sides.dst && min_unsync_u64(&self.label[dst as usize], ls) {
-                    self.changed.store(true, Ordering::Relaxed);
-                }
-            } else if ld < ls && sides.src && min_unsync_u64(&self.label[src as usize], ld) {
-                self.changed.store(true, Ordering::Relaxed);
+                changed |= sides.dst && min_unsync_u64(&label_dst[d], ls);
+            } else if ld < ls && sides.src {
+                changed |= min_unsync_u64(&label_src[s], ld);
             }
         });
+        if changed {
+            self.changed.store(true, Ordering::Relaxed);
+        }
     }
 
     fn end_iteration(&mut self, _iteration: u32) -> IterationOutcome {

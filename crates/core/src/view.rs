@@ -1,9 +1,16 @@
 //! Zero-copy view of one tile's edges during processing.
 //!
 //! Algorithms receive a [`TileView`] per tile: the tile's bytes plus the
-//! coordinate context needed to reconstruct global vertex IDs from SNB
-//! locals. Decoding is a streaming iterator — tile bytes are never
-//! materialised as tuple vectors on the hot path. A view over
+//! coordinate context of its two vertex partitions. Sweep kernels never
+//! rebuild global IDs: [`TileView::for_each_local`] yields each record's
+//! two 2-byte SNB locals (§IV) as they are stored, and
+//! [`TileView::partitions`] cuts a per-vertex array into the slices that
+//! start at the tile's row and column partitions, which the locals index
+//! directly. A group's partition slices are what §V.A keeps
+//! LLC-resident. [`TileView::for_each_edge`] and [`TileView::edges`]
+//! yield global IDs for callers that need them (the point-read path).
+//! Decoding is streaming — tile bytes are never materialised as tuple
+//! vectors on the hot path. A view over
 //! codec-compressed bytes ([`TileView::coded`], the point-read path)
 //! decodes on the fly through the same block loop: a cursor refills
 //! fixed-size stack buffers of `(src << 16) | dst` keys straight from the
@@ -39,7 +46,8 @@ impl<'a> TileView<'a> {
     }
 
     /// Builds a view over codec-compressed tile bytes; decoding happens
-    /// lazily in [`TileView::edges`] / [`TileView::for_each_edge`], once
+    /// lazily in [`TileView::edges`] / [`TileView::for_each_edge`] /
+    /// [`TileView::for_each_local`], once
     /// per call — for a tile with one reader (a point read).
     pub fn coded(
         tiling: &Tiling,
@@ -94,6 +102,39 @@ impl<'a> TileView<'a> {
             inner,
             src_base: self.src_base,
             dst_base: self.dst_base,
+        }
+    }
+
+    /// The slices of a per-vertex array that start at this tile's row
+    /// partition and at its column partition: a `(src_local, dst_local)`
+    /// pair from [`TileView::for_each_local`] indexes them directly.
+    #[inline]
+    pub fn partitions<'s, T>(&self, all: &'s [T]) -> (&'s [T], &'s [T]) {
+        (
+            &all[self.src_base as usize..],
+            &all[self.dst_base as usize..],
+        )
+    }
+
+    /// Applies `f` to every record's `(src_local, dst_local)` pair — its
+    /// endpoints minus [`TileView::src_base`] and [`TileView::dst_base`] —
+    /// in storage order: the pairs [`TileView::for_each_edge`] yields,
+    /// without the bases. On raw SNB, the sweep kernels' format, this is
+    /// one pass over the 4-byte records with no ID arithmetic; tuple
+    /// encodings and coded views (cold paths) go through
+    /// [`TileView::for_each_edge`] and subtract the bases.
+    #[inline]
+    pub fn for_each_local(&self, mut f: impl FnMut(usize, usize)) {
+        if self.codec == Codec::RawSnb && self.encoding == EdgeEncoding::Snb {
+            for e in self.bytes.chunks_exact(4) {
+                f(
+                    u16::from_le_bytes([e[0], e[1]]) as usize,
+                    u16::from_le_bytes([e[2], e[3]]) as usize,
+                );
+            }
+        } else {
+            let (src_base, dst_base) = (self.src_base, self.dst_base);
+            self.for_each_edge(|s, d| f((s - src_base) as usize, (d - dst_base) as usize));
         }
     }
 
@@ -353,6 +394,95 @@ mod tests {
         }
     }
 
+    /// `for_each_local`'s pairs, with the bases added back.
+    fn locals_as_edges(v: &TileView<'_>) -> Vec<Edge> {
+        let mut got = Vec::new();
+        v.for_each_local(|s, d| got.push(Edge::new(v.src_base + s as u64, v.dst_base + d as u64)));
+        got
+    }
+
+    fn for_each_edge_pairs(v: &TileView<'_>) -> Vec<Edge> {
+        let mut want = Vec::new();
+        v.for_each_edge(|s, d| want.push(Edge::new(s, d)));
+        want
+    }
+
+    #[test]
+    fn for_each_local_is_for_each_edge_minus_the_bases() {
+        // Raw SNB and every coded view of the same records, on an
+        // off-diagonal tile of a 16-bit tiling: locals 0 and 65 535 and
+        // the block loop's three regions.
+        let tiling = Tiling::new(1 << 18, 16, GraphKind::Directed).unwrap();
+        let coord = TileCoord { row: 1, col: 3 };
+        for edges in [0usize, 1, 127, 128, 129, 300] {
+            let mut bytes = Vec::with_capacity(edges * 4);
+            for i in 0..edges {
+                let s = if i % 5 == 0 {
+                    u16::MAX
+                } else {
+                    (i * 7919 % 65_536) as u16
+                };
+                let d = if i % 3 == 0 {
+                    0
+                } else {
+                    (i * 104_729 % 65_536) as u16
+                };
+                bytes.extend_from_slice(&s.to_le_bytes());
+                bytes.extend_from_slice(&d.to_le_bytes());
+            }
+            let raw = TileView::new(&tiling, coord, EdgeEncoding::Snb, &bytes);
+            assert_eq!(raw.src_base, 1 << 16);
+            assert_eq!(raw.dst_base, 3 << 16);
+            assert_eq!(
+                locals_as_edges(&raw),
+                for_each_edge_pairs(&raw),
+                "raw edges={edges}"
+            );
+            for codec in Codec::CODED {
+                let enc = codec.encode_tile(&bytes).unwrap();
+                let v = TileView::coded(&tiling, coord, EdgeEncoding::Snb, codec, &enc);
+                assert_eq!(
+                    locals_as_edges(&v),
+                    for_each_edge_pairs(&v),
+                    "{} edges={edges}",
+                    codec.name()
+                );
+            }
+        }
+        for enc in [
+            EdgeEncoding::Snb,
+            EdgeEncoding::Tuple8,
+            EdgeEncoding::Tuple16,
+        ] {
+            for kind in [GraphKind::Directed, GraphKind::Undirected] {
+                let s = store(kind, enc);
+                for i in 0..s.tile_count() {
+                    let coord = s.layout().coord_at(i);
+                    let v = TileView::new(s.layout().tiling(), coord, enc, s.tile_bytes(i));
+                    assert_eq!(
+                        locals_as_edges(&v),
+                        for_each_edge_pairs(&v),
+                        "{enc:?} {kind:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn partitions_start_at_the_bases() {
+        let tiling = Tiling::new(10, 2, GraphKind::Directed).unwrap();
+        let all: Vec<u64> = (0..10).collect();
+        let v = TileView::new(
+            &tiling,
+            TileCoord { row: 2, col: 1 },
+            EdgeEncoding::Snb,
+            &[],
+        );
+        let (src, dst) = v.partitions(&all);
+        assert_eq!((src, dst), (&all[8..], &all[4..]));
+    }
+
     #[test]
     fn corrupt_coded_view_yields_no_edges() {
         // A count header above the per-tile bound, then bytes that would
@@ -370,6 +500,7 @@ mod tests {
             assert_eq!(v.edges().len(), 0, "{}", codec.name());
             assert_eq!(v.edges().count(), 0, "{}", codec.name());
             v.for_each_edge(|s, d| panic!("{} yielded ({s}, {d})", codec.name()));
+            v.for_each_local(|s, d| panic!("{} yielded locals ({s}, {d})", codec.name()));
         }
     }
 

@@ -65,20 +65,27 @@ impl Algorithm for Hits {
         // the destination side and authority[v] to hub[u] on the source
         // side; symmetric stores carry both orientations in one tuple, so
         // there each side also takes the reverse edge's update to its own
-        // endpoint.
-        let both = view.symmetric;
-        view.for_each_edge(|u, v| {
-            let (u, v) = (u as usize, v as usize);
+        // endpoint (a self-loop on the diagonal only once). `u` and `v`
+        // are the record's 16-bit locals: they index the slices of each
+        // per-vertex array that start at the tile's row and column
+        // partitions.
+        let (hub_u, hub_v) = view.partitions(&self.hub);
+        let (auth_u, auth_v) = view.partitions(&self.authority);
+        let (next_hub_u, next_hub_v) = view.partitions(&self.next_hub);
+        let (next_auth_u, next_auth_v) = view.partitions(&self.next_auth);
+        let diagonal = view.src_base == view.dst_base;
+        view.for_each_local(|u, v| {
+            let reverse = view.symmetric && !(diagonal && u == v);
             if sides.dst {
-                self.next_auth[v].add_unsync(self.hub[u]);
-                if both && u != v {
-                    self.next_hub[v].add_unsync(self.authority[u]);
+                next_auth_v[v].add_unsync(hub_u[u]);
+                if reverse {
+                    next_hub_v[v].add_unsync(auth_u[u]);
                 }
             }
             if sides.src {
-                self.next_hub[u].add_unsync(self.authority[v]);
-                if both && u != v {
-                    self.next_auth[u].add_unsync(self.hub[v]);
+                next_hub_u[u].add_unsync(auth_v[v]);
+                if reverse {
+                    next_auth_u[u].add_unsync(hub_v[v]);
                 }
             }
         });
