@@ -423,7 +423,11 @@ impl PointReader {
         let started = Instant::now();
         let mut touch = Touch::default();
         let mut rng = seed;
-        let mut path = Vec::with_capacity(len as usize + 1);
+        // `len` comes from the client: reserve what a short walk takes and
+        // let a long one grow, rather than `len` slots up front.
+        let vertex_count = self.index.layout.tiling().vertex_count();
+        let reserve = (len as u64 + 1).min(vertex_count).min(1024);
+        let mut path = Vec::with_capacity(reserve as usize);
         path.push(v);
         let mut cur = v;
         for _ in 0..len {
@@ -625,6 +629,11 @@ mod tests {
         let reader = reader_for(&store, 0);
         assert_eq!(reader.walk(0, 10, 7).unwrap(), vec![0, 1]);
         assert_eq!(reader.walk(1, 10, 7).unwrap(), vec![1]);
+        // A walk's length is the client's: a long one from a sink reserves
+        // nothing near its length before its first step.
+        let path = reader.walk(1, 1 << 24, 7).unwrap();
+        assert_eq!(path, vec![1]);
+        assert!(path.capacity() <= 1024, "reserved {}", path.capacity());
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //!
 //! Real-world graphs arrive as whitespace-separated `src dst` lines with
 //! `#` or `%` comment lines. The parser is tolerant of blank lines and
-//! infers the vertex count (max ID + 1) when not supplied.
+//! takes the vertex count from the caller, else from the header
+//! [`write_text`] writes, else infers it (max ID + 1).
 
 use crate::edgelist::EdgeList;
 use crate::types::{Edge, GraphError, GraphKind, Result, VertexId};
@@ -16,15 +17,20 @@ use std::path::Path;
 /// * Each data line must contain at least two integer fields (extra
 ///   fields, e.g. weights or timestamps, are ignored).
 /// * `vertex_count`: pass `Some(n)` to validate IDs against a known count,
-///   or `None` to infer `max_id + 1`.
+///   or `None` to read it from a [`write_text`] header, or failing that to
+///   infer `max_id + 1`.
 pub fn read_text(path: &Path, kind: GraphKind, vertex_count: Option<u64>) -> Result<EdgeList> {
     let file = File::open(path)?;
     let reader = BufReader::new(file);
     let mut edges: Vec<Edge> = Vec::new();
     let mut max_id: u64 = 0;
+    let mut declared = None;
     for (lineno, line) in reader.lines().enumerate() {
         let line = line?;
         let t = line.trim();
+        if let Some(header) = t.strip_prefix(HEADER) {
+            declared = header.split(' ').next().and_then(|n| n.parse().ok());
+        }
         if t.is_empty() || t.starts_with('#') || t.starts_with('%') {
             continue;
         }
@@ -39,7 +45,7 @@ pub fn read_text(path: &Path, kind: GraphKind, vertex_count: Option<u64>) -> Res
         max_id = max_id.max(src).max(dst);
         edges.push(Edge::new(src, dst));
     }
-    let n = match vertex_count {
+    let n = match vertex_count.or(declared) {
         Some(n) => n,
         None => {
             if edges.is_empty() {
@@ -52,13 +58,16 @@ pub fn read_text(path: &Path, kind: GraphKind, vertex_count: Option<u64>) -> Res
     EdgeList::new(n, kind, edges)
 }
 
+/// Opens the header line [`write_text`] writes; the vertex count follows.
+const HEADER: &str = "# gstore edge list: ";
+
 /// Writes an edge list as `src dst` lines with a descriptive header.
 pub fn write_text(el: &EdgeList, path: &Path) -> Result<()> {
     let file = File::create(path)?;
     let mut w = BufWriter::new(file);
     writeln!(
         w,
-        "# gstore edge list: {} vertices, {} edges, {:?}",
+        "{HEADER}{} vertices, {} edges, {:?}",
         el.vertex_count(),
         el.edge_count(),
         el.kind()
@@ -131,5 +140,10 @@ mod tests {
         write_text(&el, &path).unwrap();
         let back = read_text(&path, GraphKind::Undirected, Some(10)).unwrap();
         assert_eq!(back.edges(), el.edges());
+        // The header carries the vertex count past the largest id.
+        let el = EdgeList::new(12, GraphKind::Directed, vec![Edge::new(0, 9)]).unwrap();
+        write_text(&el, &path).unwrap();
+        let back = read_text(&path, GraphKind::Directed, None).unwrap();
+        assert_eq!(back.vertex_count(), 12);
     }
 }

@@ -77,7 +77,7 @@ impl WritableBackend for FileWriteBackend {
     }
 }
 
-/// An in-memory write sink for tests: auto-extends on writes past the end.
+/// An in-memory write sink: auto-extends on writes past the end.
 #[derive(Default)]
 pub struct MemWriteBackend {
     data: Mutex<Vec<u8>>,
@@ -96,6 +96,13 @@ impl MemWriteBackend {
     /// A copy of the current contents.
     pub fn snapshot(&self) -> Vec<u8> {
         self.data().clone()
+    }
+
+    /// The contents, moved out.
+    pub fn into_inner(self) -> Vec<u8> {
+        self.data
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Current length in bytes.

@@ -62,8 +62,8 @@ pub fn write_store(store: &TileStore, dir: &Path, name: &str) -> Result<TilePath
 }
 
 /// Writes a `.start` file for the given geometry and index. Shared by
-/// [`write_store`] and the streaming converter, which never materializes a
-/// [`TileStore`].
+/// [`write_store`] and the converter's file outputs, which never
+/// materialize a [`TileStore`].
 pub(crate) fn write_start_file(
     path: &Path,
     layout: &GroupedLayout,

@@ -4,9 +4,10 @@
 //! ([`layout`]); undirected graphs keep only the upper triangle and each
 //! edge is encoded with the smallest number of bits ([`snb`], [`codec`]);
 //! tiles are arranged on disk in cache-sized physical groups ([`grouping`]);
-//! conversion from edge lists is two-pass ([`mod@convert`]); the result is a
-//! [`TileStore`] persisted as a data file plus a start-edge index
-//! ([`mod@file`]). [`sizing`] reproduces the paper's Table II storage
+//! one two-pass converter ([`stream`]) turns an edge file or an in-memory
+//! edge list into that layout under the options of [`mod@convert`]; the
+//! result is a [`TileStore`] persisted as a data file plus a start-edge
+//! index ([`mod@file`]). [`sizing`] reproduces the paper's Table II storage
 //! arithmetic and [`stats`] the tile/group occupancy figures; [`bitcodec`]
 //! implements the paper's future-work tile compression.
 //!
@@ -51,6 +52,6 @@ pub use recode::{encode_store, recode_store_files, write_coded_store, CodecRepor
 pub use snb::{SnbEdge, SNB_EDGE_BYTES};
 pub use store::TileStore;
 pub use stream::{
-    convert_streaming, convert_streaming_to, StreamingOptions, StreamingReport,
+    convert_edges, convert_streaming, convert_streaming_to, StreamingOptions, StreamingReport,
     DEFAULT_MEM_BUDGET_BYTES,
 };

@@ -1,63 +1,65 @@
-//! Out-of-core streaming conversion: edge file → `.tiles`/`.start` pair in
-//! O(tile_count + chunk) memory instead of O(edges).
+//! The converter (§IV.B "Implementation", benchmarked against CSR
+//! construction in Table I): edges → tile image + start-edge index in
+//! O(tile_count + chunk) working memory, however many edges there are.
 //!
-//! The in-memory converter ([`crate::convert()`]) materialises the whole edge
-//! list and the whole tile image. This module re-derives the same bytes with
-//! two passes over the edge *file*, one chunk at a time. A chunk is the raw
-//! tuples of [`EdgeChunks`]' read buffer — decoded on the fly, never copied
-//! — and is shared by all workers: each takes a contiguous sub-range.
+//! It reads an edge source twice, one chunk at a time: a binary edge file
+//! ([`EdgeChunks`], whose chunks are the raw tuples of its read buffer,
+//! decoded on the fly) or an in-memory edge list, cut into slices. Every
+//! chunk is shared by all workers, each taking a contiguous sub-range.
 //!
 //! - **Pass 1** counts edges per tile (sub-ranges in parallel into
 //!   per-worker partial arrays, merged per chunk) and accumulates the degree
 //!   array. A prefix sum over the counts yields the global start-edge index.
-//! - **Pass 2** re-streams the file. Per chunk, the sub-ranges count their
+//! - **Pass 2** re-reads the source. Per chunk, the sub-ranges count their
 //!   per-tile populations in parallel; a sequential O(touched tiles) step
 //!   lays the chunk out **tile-major** in one pack buffer — tile by tile,
-//!   within a tile sub-range by sub-range, which is file order — and claims
-//!   the tile's contiguous final range against a rolling cursor (the
-//!   `ChunkCursors` scheme of the in-memory scatter, with sub-ranges in the
-//!   role of chunks); the sub-ranges then counting-sort into their pack
-//!   positions in parallel. A tile's records are now adjacent both in the
-//!   pack and in the file, so each touched tile is **one** positioned write
-//!   per chunk, issued straight from the pack (no staging copy). One thread
-//!   writes the pack out while the caller reads the next chunk into the
-//!   now-idle read buffer: buffered writes to one file serialise in the
-//!   kernel, so splitting them across workers buys nothing (measured: 29 ms
-//!   split against 26 ms on one thread), hiding the next read behind them
-//!   does. The output is byte-identical to the in-memory converter by
-//!   construction, for any worker count.
+//!   within a tile sub-range by sub-range, which is input order — and
+//!   claims the tile's contiguous final range against a rolling cursor; the
+//!   sub-ranges then counting-sort into their pack positions in parallel.
+//!   Each touched tile is then **one** positioned write per chunk, straight
+//!   from the pack. One thread writes the pack out while the caller reads
+//!   the next chunk: buffered writes to one file serialise in the kernel,
+//!   so splitting them across workers buys nothing (measured: 29 ms split
+//!   against 26 ms on one thread), hiding the next read behind them does.
 //!
-//! Per file tuple pass 2 holds the tuple itself (8 or 16 B) and its pack
-//! records (`bytes_per_edge`, twice that when mirrors are duplicated):
-//! 12 B for a U32 file and SNB. The chunk is the largest whose pack — taken
-//! at the power-of-two capacity the buffer pool hands out — and raw tuples
-//! together fit [`StreamingOptions::mem_budget_bytes`]: 262 144 edges
-//! (1 MiB + 2 MiB) under a 4 MiB budget. The O(tile_count) arrays
-//! (start-edge index, rolling cursor, two `u64` arrays per worker, the
-//! chunk's run list) come on top and do not grow with the edge count, nor
-//! does pass 1's degree array, O(vertices). The budget is a cap, not a
-//! target: a chunk never packs more than [`MAX_PACK_BYTES`], past which a
-//! larger chunk was measured to buy no time.
+//! [`convert_streaming`] and [`convert_edges`] write the `.start` file
+//! between the passes, so a pass-2 failure leaves a header-consistent pair
+//! behind for retry, and scatter into the `.tiles` file;
+//! [`crate::convert()`] scatters into a [`MemWriteBackend`] whose bytes
+//! become the store. The bytes depend on neither the source, nor the
+//! worker count, nor the chunk size.
+//!
+//! Per edge, pass 2 holds the source's copy of the chunk (a file's 8 or
+//! 16 B tuple; nothing for a resident list) and its pack records
+//! (`bytes_per_edge`, twice that when mirrors are duplicated). The chunk is
+//! the largest whose pack — at the power-of-two capacity the buffer pool
+//! hands out — and copy fit [`StreamingOptions::mem_budget_bytes`]
+//! (262 144 edges of a U32 file in SNB under 4 MiB), never longer than the
+//! source, and never packing more than [`MAX_PACK_BYTES`], past which a
+//! larger chunk was measured to buy no time. The O(tile_count) arrays and
+//! pass 1's O(vertices) degree array come on top.
 
 use std::marker::PhantomData;
+use std::ops::Range;
 use std::path::Path;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
-use gstore_graph::{CompactDegrees, EdgeChunks, GraphKind, Result, Tuples};
+use gstore_graph::{
+    CompactDegrees, Edge, EdgeChunks, EdgeList, GraphKind, GraphMeta, Result, Tuples,
+};
 use gstore_io::{
-    push_run, write_runs, BatchWriterStats, BufferPool, FileWriteBackend, WritableBackend, WriteRun,
+    push_run, write_runs, BatchWriterStats, BufferPool, FileWriteBackend, MemWriteBackend,
+    WritableBackend, WriteRun,
 };
 use gstore_metrics::Recorder;
 use rayon::prelude::*;
 
 use crate::codec::EdgeEncoding;
-use crate::convert::{
-    count_chunk, fold_orientations, prefix_sum, resolve_layout, write_edge, ChunkCursors,
-    ConversionOptions,
-};
+use crate::convert::{fold_orientations, resolve_layout, write_edge, ConversionOptions};
 use crate::file::{write_start_file, TilePaths};
 use crate::grouping::GroupedLayout;
+use crate::store::TileStore;
 
 /// Default pass-2 working-set budget: 64 MiB.
 pub const DEFAULT_MEM_BUDGET_BYTES: usize = 64 << 20;
@@ -73,13 +75,13 @@ const MIN_CHUNK_EDGES: usize = 4096;
 /// memory.
 pub const MAX_PACK_BYTES: usize = 4 << 20;
 
-/// Knobs for [`convert_streaming`].
+/// Knobs for [`convert_streaming`] and [`convert_edges`].
 #[derive(Clone)]
 pub struct StreamingOptions {
-    /// Layout/encoding options shared with the in-memory converter.
+    /// Layout and encoding of the store.
     pub convert: ConversionOptions,
-    /// Cap on pass-2 working-set bytes: the chunk's raw tuples plus its pack
-    /// buffer (see the module docs for the per-edge account). The
+    /// Cap on pass-2 working-set bytes: the source's copy of the chunk plus
+    /// its pack buffer (see the module docs for the per-edge account). The
     /// O(tile_count) index arrays are not charged against it.
     pub mem_budget_bytes: usize,
     /// Explicit edges-per-chunk override; derived from the budget when
@@ -125,7 +127,7 @@ impl StreamingOptions {
     }
 }
 
-/// What a streaming conversion produced and how it behaved.
+/// What a conversion to files produced and how it behaved.
 #[derive(Debug, Clone)]
 pub struct StreamingReport {
     /// Where the `.tiles`/`.start` pair landed.
@@ -136,9 +138,9 @@ pub struct StreamingReport {
     pub tile_count: u64,
     /// `.tiles` size in bytes.
     pub data_bytes: u64,
-    /// Edges per streamed chunk the budget resolved to.
+    /// Edges per chunk: what the budget allows, at most the edge count.
     pub chunk_edges: usize,
-    /// Chunks streamed per pass.
+    /// Chunks read per pass.
     pub chunks: u64,
     /// Compact degree array accumulated during pass 1; `None` when the
     /// graph has too many overflow hubs for the compact form.
@@ -151,24 +153,41 @@ pub struct StreamingReport {
     pub write: BatchWriterStats,
 }
 
-/// Streams `edge_path` into `dir/name.tiles` + `dir/name.start`.
-///
-/// Output is byte-identical to
-/// `write_store(&convert(&EdgeList::read_binary(edge_path)?, &opts.convert)?, dir, name)`
-/// while holding only O(tile_count + budget) bytes.
+/// Streams the binary edge file `edge_path` into `dir/name.tiles` +
+/// `dir/name.start`, holding O(tile_count + budget) bytes.
 pub fn convert_streaming(
     edge_path: &Path,
     dir: &Path,
     name: &str,
     opts: &StreamingOptions,
 ) -> Result<StreamingReport> {
-    std::fs::create_dir_all(dir)?;
-    let paths = TilePaths::new(dir, name);
-    let backend = Arc::new(FileWriteBackend::create(&paths.tiles, false)?);
-    convert_streaming_to(edge_path, backend, &paths, opts)
+    convert_into_dir(&mut EdgeChunks::open(edge_path, 1)?, dir, name, opts)
 }
 
-/// Core of [`convert_streaming`] with an injectable tile-data backend: the
+/// Converts a resident edge list into `dir/name.tiles` + `dir/name.start`:
+/// the same bytes as [`convert_streaming`] on the list's binary file.
+pub fn convert_edges(
+    el: &EdgeList,
+    dir: &Path,
+    name: &str,
+    opts: &StreamingOptions,
+) -> Result<StreamingReport> {
+    convert_into_dir(&mut EdgeSlices(el, el.edges().chunks(1)), dir, name, opts)
+}
+
+fn convert_into_dir(
+    source: &mut impl EdgeSource,
+    dir: &Path,
+    name: &str,
+    opts: &StreamingOptions,
+) -> Result<StreamingReport> {
+    std::fs::create_dir_all(dir)?;
+    let paths = TilePaths::new(dir, name);
+    let backend = FileWriteBackend::create(&paths.tiles, false)?;
+    convert_source(source, &backend, &paths, opts, rayon::current_num_threads())
+}
+
+/// [`convert_streaming`] with an injectable tile-data backend: the
 /// `.start` file is written to `paths.start`, tile bytes go to `backend`
 /// (which fault tests may wrap). `paths.tiles` only labels the report.
 pub fn convert_streaming_to(
@@ -177,129 +196,285 @@ pub fn convert_streaming_to(
     paths: &TilePaths,
     opts: &StreamingOptions,
 ) -> Result<StreamingReport> {
-    let workers = rayon::current_num_threads().max(1);
-    convert_sharded(edge_path, backend, paths, opts, workers)
+    let mut source = EdgeChunks::open(edge_path, 1)?;
+    let workers = rayon::current_num_threads();
+    convert_source(&mut source, &*backend, paths, opts, workers)
 }
 
-/// [`convert_streaming_to`] with every chunk cut into at most `workers`
-/// sub-ranges. The bytes do not depend on `workers`; tests sweep it
-/// without resizing the process-wide pool.
-fn convert_sharded(
-    edge_path: &Path,
-    backend: Arc<dyn WritableBackend>,
+/// Both passes over `el` into memory, every chunk cut into at most
+/// `workers` sub-ranges: the store [`crate::convert()`] returns.
+pub(crate) fn convert_to_memory(
+    el: &EdgeList,
+    opts: &ConversionOptions,
+    workers: usize,
+) -> Result<TileStore> {
+    let sopts = StreamingOptions::new(*opts);
+    let mut source = EdgeSlices(el, el.edges().chunks(1));
+    let index = count_pass(&mut source, &sopts, workers)?;
+    let sink = MemWriteBackend::new();
+    scatter_pass(&mut source, &index, &sink, &sopts, workers)?;
+    let data = sink.into_inner();
+    TileStore::from_raw_parts(index.layout, opts.encoding, data, index.start_edge)
+}
+
+/// Pass 1, the `.start` file, pass 2, with every chunk cut into at most
+/// `workers` sub-ranges. The bytes do not depend on `workers`; tests sweep
+/// it without resizing the process-wide pool.
+fn convert_source(
+    source: &mut impl EdgeSource,
+    backend: &dyn WritableBackend,
     paths: &TilePaths,
     opts: &StreamingOptions,
     workers: usize,
 ) -> Result<StreamingReport> {
-    // The chunk size depends on the tuple width and the mirror policy, both
-    // read from the header: open first, size the chunk after.
-    let mut chunks = EdgeChunks::open(edge_path, 1)?;
-    let (layout, duplicate_mirror) =
-        resolve_layout(chunks.vertex_count(), chunks.kind(), &opts.convert)?;
-    let bpe = opts.convert.encoding.bytes_per_edge();
-    let tuple_bytes = chunks.width().edge_bytes();
-    let pack_bytes_per_tuple = bpe * if duplicate_mirror { 2 } else { 1 };
-    let chunk_edges = opts.chunk_edges.unwrap_or_else(|| {
-        chunk_edges_for_budget(opts.mem_budget_bytes, tuple_bytes, pack_bytes_per_tuple)
-    });
-    chunks.set_chunk_edges(chunk_edges);
-    let tile_count = layout.tile_count() as usize;
-    let undirected = chunks.kind() == GraphKind::Undirected;
-    let vertex_count = chunks.vertex_count();
+    let encoding = opts.convert.encoding;
+    let index = count_pass(source, opts, workers)?;
+    // The index is complete before any tile byte exists; write it now so a
+    // pass-2 failure leaves a header-consistent pair behind for retry.
+    write_start_file(&paths.start, &index.layout, encoding, &index.start_edge)?;
+    let (write, pass2_ns) = scatter_pass(source, &index, backend, opts, workers)?;
+    let meta = source.meta();
+    Ok(StreamingReport {
+        paths: paths.clone(),
+        vertex_count: meta.vertex_count,
+        edge_count: index.total_edges,
+        tile_count: index.layout.tile_count(),
+        data_bytes: index.total_edges * encoding.bytes_per_edge() as u64,
+        chunk_edges: index.chunk_edges,
+        chunks: meta.edge_count.div_ceil(index.chunk_edges as u64),
+        degrees: index.degrees,
+        pass1_ns: index.pass1_ns,
+        pass2_ns,
+        write,
+    })
+}
 
-    // Pass 1: per-tile counts + degree array, chunk by chunk. Workers hold
-    // reusable partial-count arrays so the pass allocates nothing per
-    // chunk; merging and re-zeroing them is O(workers * tile_count) per
-    // chunk.
+/// Where the converter reads its edges from, one chunk at a time.
+trait EdgeSource {
+    type Chunk<'a>: EdgeRun
+    where
+        Self: 'a;
+    fn meta(&self) -> GraphMeta;
+    /// Bytes the source holds per edge of a chunk, charged to the budget.
+    fn chunk_bytes_per_edge(&self) -> usize;
+    /// Starts a pass over every edge, in chunks of `chunk_edges`.
+    fn rewind(&mut self, chunk_edges: usize) -> Result<()>;
+    fn next_chunk(&mut self) -> Result<Option<Self::Chunk<'_>>>;
+}
+
+/// One chunk, shared by the workers: each reads a sub-range of its edges.
+trait EdgeRun: Copy + Sync {
+    fn len(&self) -> usize;
+    fn edges(self, range: Range<usize>) -> impl Iterator<Item = Edge>;
+}
+
+impl EdgeSource for EdgeChunks {
+    type Chunk<'a> = Tuples<'a>;
+    fn meta(&self) -> GraphMeta {
+        let h = self.header();
+        GraphMeta::new(h.vertex_count, h.edge_count, h.kind)
+    }
+    fn chunk_bytes_per_edge(&self) -> usize {
+        self.width().edge_bytes()
+    }
+    fn rewind(&mut self, chunk_edges: usize) -> Result<()> {
+        if chunk_edges != self.chunk_edges() {
+            self.set_chunk_edges(chunk_edges);
+        }
+        EdgeChunks::rewind(self)
+    }
+    fn next_chunk(&mut self) -> Result<Option<Tuples<'_>>> {
+        EdgeChunks::next_chunk(self)
+    }
+}
+
+impl EdgeRun for Tuples<'_> {
+    fn len(&self) -> usize {
+        Tuples::len(self)
+    }
+    fn edges(self, range: Range<usize>) -> impl Iterator<Item = Edge> {
+        self.slice(range).iter()
+    }
+}
+
+/// A resident edge list as a source: the list, and what is left of the
+/// current pass's slices of it (every pass starts with a rewind, so any
+/// slicing does to begin with). It holds no copy of a chunk.
+struct EdgeSlices<'e>(&'e EdgeList, std::slice::Chunks<'e, Edge>);
+
+impl<'e> EdgeSource for EdgeSlices<'e> {
+    type Chunk<'a>
+        = &'e [Edge]
+    where
+        Self: 'a;
+    fn meta(&self) -> GraphMeta {
+        self.0.meta()
+    }
+    fn chunk_bytes_per_edge(&self) -> usize {
+        0
+    }
+    fn rewind(&mut self, chunk_edges: usize) -> Result<()> {
+        self.1 = self.0.edges().chunks(chunk_edges);
+        Ok(())
+    }
+    fn next_chunk(&mut self) -> Result<Option<&'e [Edge]>> {
+        Ok(self.1.next())
+    }
+}
+
+impl EdgeRun for &[Edge] {
+    fn len(&self) -> usize {
+        <[Edge]>::len(self)
+    }
+    fn edges(self, range: Range<usize>) -> impl Iterator<Item = Edge> {
+        self[range].iter().copied()
+    }
+}
+
+/// Pass-1 output: the geometry, the index pass 2 scatters against, and
+/// how the source is cut.
+struct Index {
+    layout: GroupedLayout,
+    duplicate_mirror: bool,
+    start_edge: Vec<u64>,
+    /// Stored edges (more than the input's when mirrors are duplicated).
+    total_edges: u64,
+    chunk_edges: usize,
+    degrees: Option<CompactDegrees>,
+    pass1_ns: u64,
+}
+
+/// Pass 1: fixes the layout and the chunk size, then counts edges per tile
+/// into the start-edge index and accumulates the degree array.
+fn count_pass(
+    source: &mut impl EdgeSource,
+    opts: &StreamingOptions,
+    workers: usize,
+) -> Result<Index> {
+    let meta = source.meta();
+    let (layout, duplicate_mirror) = resolve_layout(meta.vertex_count, meta.kind, &opts.convert)?;
+    let chunk_bytes = source.chunk_bytes_per_edge();
+    let pack_bytes = pack_bytes_per_edge(opts, duplicate_mirror);
+    let chunk_edges = opts
+        .chunk_edges
+        .unwrap_or_else(|| chunk_edges_for_budget(opts.mem_budget_bytes, chunk_bytes, pack_bytes))
+        .min(meta.edge_count as usize)
+        .max(1);
+    source.rewind(chunk_edges)?;
+    let tile_count = layout.tile_count() as usize;
+    let undirected = meta.kind == GraphKind::Undirected;
+
+    // Workers hold reusable partial-count arrays so the pass allocates
+    // nothing per chunk; merging and re-zeroing them is
+    // O(workers * tile_count) per chunk.
     let pass1 = Instant::now();
-    let mut counts = vec![0u64; tile_count];
-    let mut degrees = vec![0u64; vertex_count as usize];
     let partials: Vec<Mutex<Vec<u64>>> = (0..workers)
         .map(|_| Mutex::new(vec![0u64; tile_count]))
         .collect();
-    let mut chunk_total = 0u64;
-    while let Some(tuples) = chunks.next_chunk()? {
-        chunk_total += 1;
-        let parts = sub_ranges(tuples.len(), workers);
-        for_each_part(&parts, |w, part| {
-            let sub = tuples.slice(part);
-            count_chunk(
-                sub.iter(),
-                duplicate_mirror,
-                &layout,
-                &mut lock(&partials[w]),
-            );
+    let mut start_edge = vec![0u64; tile_count + 1];
+    let mut degrees = vec![0u64; meta.vertex_count as usize];
+    while let Some(chunk) = source.next_chunk()? {
+        for_each_part(&sub_ranges(chunk.len(), workers), |w, part| {
+            let mut acc = lock(&partials[w]);
+            for e in chunk.edges(part) {
+                for e in fold_orientations(e, duplicate_mirror) {
+                    acc[tile_slot(&layout, e)] += 1;
+                }
+            }
         });
         for partial in &partials {
-            for (global, p) in counts.iter_mut().zip(lock(partial).iter_mut()) {
-                *global += *p;
-                *p = 0;
+            for (global, p) in start_edge[1..].iter_mut().zip(lock(partial).iter_mut()) {
+                *global += std::mem::take(p);
             }
         }
-        for e in tuples.iter() {
+        for e in chunk.edges(0..chunk.len()) {
             degrees[e.src as usize] += 1;
             if undirected && !e.is_self_loop() {
                 degrees[e.dst as usize] += 1;
             }
         }
         if let Some(rec) = &opts.recorder {
-            let n = tuples.len() as u64;
-            rec.ingest_chunk(1, n, n * tuple_bytes as u64);
+            let n = chunk.len() as u64;
+            rec.ingest_chunk(1, n, n * chunk_bytes as u64);
         }
     }
     drop(partials);
-    let (start_edge, total_edges) = prefix_sum(&counts);
-    drop(counts);
+    for t in 0..tile_count {
+        start_edge[t + 1] += start_edge[t];
+    }
     let compact = CompactDegrees::from_degrees(&degrees).ok();
     drop(degrees);
     let pass1_ns = pass1.elapsed().as_nanos() as u64;
     if let Some(rec) = &opts.recorder {
         rec.ingest_pass(1, pass1_ns);
     }
+    Ok(Index {
+        layout,
+        duplicate_mirror,
+        total_edges: start_edge[tile_count],
+        start_edge,
+        chunk_edges,
+        degrees: compact,
+        pass1_ns,
+    })
+}
 
-    // The index is complete before any tile byte exists; write it now so a
-    // pass-2 failure leaves a header-consistent pair behind for retry.
-    write_start_file(&paths.start, &layout, opts.convert.encoding, &start_edge)?;
+/// Pack bytes per input edge: a record, or two when mirrors are duplicated.
+fn pack_bytes_per_edge(opts: &StreamingOptions, duplicate_mirror: bool) -> usize {
+    opts.convert.encoding.bytes_per_edge() * if duplicate_mirror { 2 } else { 1 }
+}
 
-    // Pass 2: truncate-and-rewrite the tile image at its exact final size,
-    // then re-stream, one shared chunk at a time.
+/// Pass 2: sizes `backend` to the tile image, re-reads the source and
+/// scatters every chunk into it. Returns the write totals and the pass's
+/// wall time.
+fn scatter_pass(
+    source: &mut impl EdgeSource,
+    index: &Index,
+    backend: &dyn WritableBackend,
+    opts: &StreamingOptions,
+    workers: usize,
+) -> Result<(BatchWriterStats, u64)> {
     let pass2 = Instant::now();
-    let data_bytes = total_edges * bpe as u64;
-    backend.set_len(data_bytes)?;
-    chunks.rewind()?;
+    let bpe = opts.convert.encoding.bytes_per_edge();
+    backend.set_len(index.total_edges * bpe as u64)?;
+    source.rewind(index.chunk_edges)?;
+    let chunk_bytes = source.chunk_bytes_per_edge() as u64;
+    let tile_count = index.layout.tile_count() as usize;
     let pool = match &opts.pool {
         Some(p) => p.clone(),
         None => BufferPool::with_recorder(opts.recorder.clone()),
     };
     let mut scatter = ChunkScatter {
-        layout: &layout,
+        layout: &index.layout,
         encoding: opts.convert.encoding,
-        duplicate_mirror,
+        duplicate_mirror: index.duplicate_mirror,
         bpe,
-        cursor: start_edge[..tile_count].to_vec(),
+        cursor: index.start_edge[..tile_count].to_vec(),
         workers: (0..workers)
             .map(|_| Mutex::new(ChunkCursors::new(tile_count)))
             .collect(),
         touched: Vec::new(),
         runs: Vec::new(),
-        pack: pool.acquire((chunk_edges * pack_bytes_per_tuple).max(16)),
+        pack: pool.acquire(
+            (index.chunk_edges * pack_bytes_per_edge(opts, index.duplicate_mirror)).max(16),
+        ),
     };
     let mut write = BatchWriterStats::default();
-    let mut next = chunks.next_chunk()?;
-    while let Some(tuples) = next {
+    let mut next = source.next_chunk()?;
+    while let Some(chunk) = next {
         if let Some(rec) = &opts.recorder {
-            let n = tuples.len() as u64;
-            rec.ingest_chunk(2, n, n * tuple_bytes as u64);
+            let n = chunk.len() as u64;
+            rec.ingest_chunk(2, n, n * chunk_bytes);
         }
-        let (packed, runs) = scatter.pack_chunk(tuples);
+        let (packed, runs) = scatter.pack_chunk(chunk);
         if let Some(rec) = &opts.recorder {
             rec.ingest_staging(packed.len() as u64);
         }
-        // The chunk now lives in the pack alone, so the read buffer is
-        // refilled while the pack is written out.
+        // The chunk now lives in the pack alone, so the source reads the
+        // next one while the pack is written out.
         let (written, read) = std::thread::scope(|s| {
-            let writer = s.spawn(|| write_runs(&*backend, packed, runs));
-            let read = chunks.next_chunk();
+            let writer = s.spawn(|| write_runs(backend, packed, runs));
+            let read = source.next_chunk();
             (writer.join(), read)
         });
         written.expect("the pack writer panicked")?;
@@ -314,7 +489,7 @@ fn convert_sharded(
     debug_assert!(scatter
         .cursor
         .iter()
-        .zip(&start_edge[1..])
+        .zip(&index.start_edge[1..])
         .all(|(c, s)| c == s));
     drop(scatter);
     backend.sync()?;
@@ -322,32 +497,19 @@ fn convert_sharded(
     if let Some(rec) = &opts.recorder {
         rec.ingest_pass(2, pass2_ns);
     }
-
-    Ok(StreamingReport {
-        paths: paths.clone(),
-        vertex_count,
-        edge_count: total_edges,
-        tile_count: tile_count as u64,
-        data_bytes,
-        chunk_edges,
-        chunks: chunk_total,
-        degrees: compact,
-        pass1_ns,
-        pass2_ns,
-        write,
-    })
+    Ok((write, pass2_ns))
 }
 
 /// Edges per chunk: the largest power-of-two pack, at most
-/// [`MAX_PACK_BYTES`], that fits the budget together with the raw tuples
-/// that fill it. The pack is sized in powers of two because that is the
+/// [`MAX_PACK_BYTES`], that fits the budget together with the source's copy
+/// of the edges that fill it. The pack is sized in powers of two because that is the
 /// capacity the buffer pool hands out; charging the request instead would
 /// let the rounding land outside the account.
-fn chunk_edges_for_budget(budget: usize, tuple_bytes: usize, pack_bytes_per_tuple: usize) -> usize {
+fn chunk_edges_for_budget(budget: usize, chunk_bytes: usize, pack_bytes: usize) -> usize {
     let mut pack = MAX_PACK_BYTES;
     loop {
-        let edges = pack / pack_bytes_per_tuple;
-        if edges <= MIN_CHUNK_EDGES || pack + edges * tuple_bytes <= budget {
+        let edges = pack / pack_bytes;
+        if edges <= MIN_CHUNK_EDGES || pack + edges * chunk_bytes <= budget {
             return edges.max(MIN_CHUNK_EDGES);
         }
         pack /= 2;
@@ -356,7 +518,7 @@ fn chunk_edges_for_budget(budget: usize, tuple_bytes: usize, pack_bytes_per_tupl
 
 /// Cuts `0..n` into at most `workers` contiguous, non-empty sub-ranges of
 /// equal length (the last may be short).
-fn sub_ranges(n: usize, workers: usize) -> Vec<std::ops::Range<usize>> {
+fn sub_ranges(n: usize, workers: usize) -> Vec<Range<usize>> {
     let part = n.div_ceil(workers).max(1);
     (0..n)
         .step_by(part)
@@ -365,10 +527,7 @@ fn sub_ranges(n: usize, workers: usize) -> Vec<std::ops::Range<usize>> {
 }
 
 /// Runs `work(w, parts[w])` for every sub-range, in parallel.
-fn for_each_part(
-    parts: &[std::ops::Range<usize>],
-    work: impl Fn(usize, std::ops::Range<usize>) + Sync,
-) {
+fn for_each_part(parts: &[Range<usize>], work: impl Fn(usize, Range<usize>) + Sync) {
     (0..parts.len())
         .into_par_iter()
         .map(|w| work(w, parts[w].clone()))
@@ -380,6 +539,60 @@ fn for_each_part(
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock()
         .expect("a conversion worker panicked holding its state")
+}
+
+/// Linear tile index a (possibly mirrored) edge folds into.
+#[inline]
+fn tile_slot(layout: &GroupedLayout, e: Edge) -> usize {
+    let (coord, _) = layout.tiling().tile_of_edge(e);
+    layout
+        .index_of(coord)
+        .expect("folded edge must land on a stored tile") as usize
+}
+
+/// One sub-range's pass-2 state: dense `tile_count`-sized arrays reset in
+/// O(touched tiles), so every chunk reuses the same memory.
+struct ChunkCursors {
+    /// Per-tile edge count of the current sub-range (zero outside
+    /// `touched`).
+    counts: Vec<u64>,
+    /// Tiles the current sub-range touches, ascending.
+    touched: Vec<u64>,
+    /// Per touched tile: the sub-range's next pack slot.
+    bases: Vec<u64>,
+}
+
+impl ChunkCursors {
+    fn new(tile_count: usize) -> Self {
+        ChunkCursors {
+            counts: vec![0u64; tile_count],
+            touched: Vec::new(),
+            bases: vec![0u64; tile_count],
+        }
+    }
+
+    /// Counts `edges` per tile, resetting any previous snapshot first.
+    fn count(
+        &mut self,
+        edges: impl IntoIterator<Item = Edge>,
+        duplicate_mirror: bool,
+        layout: &GroupedLayout,
+    ) {
+        for &t in &self.touched {
+            self.counts[t as usize] = 0;
+        }
+        self.touched.clear();
+        for e in edges {
+            for e in fold_orientations(e, duplicate_mirror) {
+                let idx = tile_slot(layout, e);
+                if self.counts[idx] == 0 {
+                    self.touched.push(idx as u64);
+                }
+                self.counts[idx] += 1;
+            }
+        }
+        self.touched.sort_unstable();
+    }
 }
 
 /// Pass-2 state, allocated once and reused for every chunk.
@@ -405,14 +618,14 @@ impl ChunkScatter<'_> {
     /// Counting-sorts one chunk into the pack, tile-major. Returns the
     /// packed bytes and the writes that land them: one per touched tile,
     /// neighbours that are also adjacent in the file merged.
-    fn pack_chunk(&mut self, tuples: Tuples<'_>) -> (&[u8], &[WriteRun]) {
+    fn pack_chunk(&mut self, chunk: impl EdgeRun) -> (&[u8], &[WriteRun]) {
         let (layout, duplicate_mirror, bpe) = (self.layout, self.duplicate_mirror, self.bpe);
-        let parts = sub_ranges(tuples.len(), self.workers.len());
+        let parts = sub_ranges(chunk.len(), self.workers.len());
         let workers = &self.workers[..parts.len()];
 
         // Phase A (parallel): per-tile population of every sub-range.
         for_each_part(&parts, |w, part| {
-            lock(&workers[w]).count(tuples.slice(part).iter(), duplicate_mirror, layout);
+            lock(&workers[w]).count(chunk.edges(part), duplicate_mirror, layout);
         });
 
         // Sequential prefix, O(touched tiles × sub-ranges): tile by tile,
@@ -458,7 +671,7 @@ impl ChunkScatter<'_> {
         for_each_part(&parts, |w, part| {
             let mut state = lock(&workers[w]);
             let bases = &mut state.bases[..];
-            for e in tuples.slice(part).iter() {
+            for e in chunk.edges(part) {
                 for e in fold_orientations(e, duplicate_mirror) {
                     let (coord, folded) = tiling.tile_of_edge(e);
                     let idx = layout
@@ -518,70 +731,13 @@ impl<'a> PackSlots<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::convert::convert;
-    use crate::file::write_store;
+    use crate::convert::{convert, ConversionOptions};
     use gstore_graph::gen::{generate_rmat, RmatParams};
     use gstore_graph::{EdgeList, TupleWidth};
 
     fn sample(kind: GraphKind) -> EdgeList {
         let el = generate_rmat(&RmatParams::kron(10, 8)).unwrap();
         EdgeList::new(el.vertex_count(), kind, el.into_edges()).unwrap()
-    }
-
-    fn assert_identical(el: &EdgeList, sopts: &StreamingOptions, width: TupleWidth) {
-        let dir = tempfile::tempdir().unwrap();
-        let edge_path = dir.path().join("g.el");
-        el.write_binary(&edge_path, width).unwrap();
-
-        let mem_dir = dir.path().join("mem");
-        std::fs::create_dir_all(&mem_dir).unwrap();
-        let store = convert(el, &sopts.convert).unwrap();
-        let mem_paths = write_store(&store, &mem_dir, "g").unwrap();
-
-        let stream_dir = dir.path().join("stream");
-        let report = convert_streaming(&edge_path, &stream_dir, "g", sopts).unwrap();
-
-        let mem_tiles = std::fs::read(&mem_paths.tiles).unwrap();
-        let mem_start = std::fs::read(&mem_paths.start).unwrap();
-        let st_tiles = std::fs::read(&report.paths.tiles).unwrap();
-        let st_start = std::fs::read(&report.paths.start).unwrap();
-        assert_eq!(mem_tiles, st_tiles, "tile bytes differ");
-        assert_eq!(mem_start, st_start, "start-edge index differs");
-        assert_eq!(report.data_bytes as usize, st_tiles.len());
-        assert_eq!(
-            report.edge_count,
-            store.start_edge().last().copied().unwrap()
-        );
-
-        let want = CompactDegrees::from_edge_list(el).ok();
-        assert_eq!(report.degrees, want, "degree array differs");
-    }
-
-    #[test]
-    fn streaming_matches_in_memory_undirected() {
-        let el = sample(GraphKind::Undirected);
-        let opts = StreamingOptions::new(ConversionOptions::new(8).with_group_side(4));
-        assert_identical(&el, &opts, TupleWidth::U32);
-    }
-
-    #[test]
-    fn streaming_matches_in_memory_directed_u64() {
-        let el = sample(GraphKind::Directed);
-        let opts = StreamingOptions::new(ConversionOptions::new(7));
-        assert_identical(&el, &opts, TupleWidth::U64);
-    }
-
-    #[test]
-    fn streaming_matches_with_mirrors_and_tiny_budget() {
-        let el = sample(GraphKind::Undirected);
-        // 1 MiB budget forces many chunks; mirrors double pass-2 volume.
-        let opts = StreamingOptions::new(
-            ConversionOptions::new(8)
-                .with_group_side(2)
-                .without_symmetry(),
-        )
-        .with_mem_budget_mb(1);
-        assert_identical(&el, &opts, TupleWidth::U32);
     }
 
     #[test]
@@ -631,21 +787,33 @@ mod tests {
         assert_eq!(chunk_edges_for_budget(usize::MAX, 8, 4), MAX_PACK_BYTES / 4);
     }
 
+    /// The chunk is what the budget allows, but never more edges than the
+    /// source has: a bigger budget does not grow it past the edge count.
     #[test]
-    fn a_bigger_budget_does_not_grow_the_chunk_past_the_cap() {
+    fn the_chunk_is_the_budget_or_the_edge_count_whichever_is_smaller() {
         let el = sample(GraphKind::Undirected);
+        let n = el.edge_count() as usize;
         let dir = tempfile::tempdir().unwrap();
         let edge_path = dir.path().join("g.el");
         el.write_binary(&edge_path, TupleWidth::U32).unwrap();
-        let chunk_at = |mb: u64| {
-            let opts = StreamingOptions::new(ConversionOptions::new(8)).with_mem_budget_mb(mb);
-            convert_streaming(&edge_path, &dir.path().join(mb.to_string()), "g", &opts)
-                .unwrap()
-                .chunk_edges
+        let chunk_at = |budget: usize| {
+            let mut opts = StreamingOptions::new(ConversionOptions::new(8));
+            opts.mem_budget_bytes = budget;
+            let out = dir.path().join(budget.to_string());
+            let file = convert_streaming(&edge_path, &out, "g", &opts).unwrap();
+            let list = convert_edges(&el, &out, "e", &opts).unwrap();
+            (file.chunk_edges, list.chunk_edges)
         };
-        assert_eq!(chunk_at(4), 262_144);
-        assert_eq!(chunk_at(64), MAX_PACK_BYTES / 4);
-        assert_eq!(chunk_at(4096), MAX_PACK_BYTES / 4);
+        assert!(MIN_CHUNK_EDGES < n);
+        assert_eq!(chunk_at(1 << 10), (MIN_CHUNK_EDGES, MIN_CHUNK_EDGES));
+        for mb in [4, 64, 4096] {
+            assert_eq!(chunk_at(mb << 20), (n, n), "{mb} MiB");
+        }
+        // An in-memory list holds no copy of a chunk: only the pack is
+        // charged. 48 KiB holds a 32 KiB pack of 8192 SNB records, but not
+        // their 64 KiB of file tuples beside it.
+        assert_eq!(n, 8192);
+        assert_eq!(chunk_at(48 << 10), (MIN_CHUNK_EDGES, n));
     }
 
     #[test]
@@ -665,11 +833,13 @@ mod tests {
         }
     }
 
-    /// The bytes depend neither on how many sub-ranges a chunk is cut into
-    /// nor on the chunk size, including chunks shorter than the worker
-    /// count and sizes that do and do not divide the edge count.
+    /// The bytes, the report and the degree array depend neither on the
+    /// source, nor on how many sub-ranges a chunk is cut into, nor on the
+    /// chunk size, including chunks shorter than the worker count and sizes
+    /// that do and do not divide the edge count; U64 tuples, Tuple16 and
+    /// duplicated mirrors are among the inputs.
     #[test]
-    fn bytes_are_independent_of_worker_count_and_chunk_size() {
+    fn bytes_are_independent_of_source_worker_count_and_chunk_size() {
         let el = generate_rmat(&RmatParams::kron(8, 4)).unwrap();
         let n = el.edge_count() as usize;
         for (kind, copts, width) in [
@@ -695,25 +865,50 @@ mod tests {
             let dir = tempfile::tempdir().unwrap();
             let edge_path = dir.path().join("g.el");
             el.write_binary(&edge_path, width).unwrap();
-            let want = convert(&el, &copts).unwrap();
+            let want = convert_to_memory(&el, &copts, 1).unwrap();
+            let paths = TilePaths::new(dir.path(), "g");
+            let degrees = CompactDegrees::from_edge_list(&el).ok();
+            let check = |label: &str, chunk: usize, (data, report): (Vec<u8>, StreamingReport)| {
+                assert_eq!(data, want.data(), "{label}");
+                assert_eq!(report.data_bytes, want.data_bytes(), "{label}");
+                assert_eq!(report.edge_count, want.edge_count(), "{label}");
+                assert_eq!(report.chunks, (n as u64).div_ceil(chunk as u64), "{label}");
+                assert_eq!(report.degrees, degrees, "{label}");
+                let index = crate::file::TileIndex::read(&paths.start).unwrap();
+                assert_eq!(index.start_edge, want.start_edge(), "{label}");
+            };
             for workers in [1usize, 2, 3, 4, 7] {
+                let store = convert_to_memory(&el, &copts, workers).unwrap();
+                assert_eq!(store.data(), want.data(), "in memory, workers={workers}");
                 for chunk in [1, 2, workers.max(2) - 1, workers + 1, 97, n / 4, n, n + 1] {
                     let opts = StreamingOptions::new(copts).with_chunk_edges(chunk);
-                    let sink = Arc::new(gstore_io::MemWriteBackend::new());
-                    let paths = TilePaths::new(dir.path(), "g");
-                    let report =
-                        convert_sharded(&edge_path, sink.clone(), &paths, &opts, workers).unwrap();
-                    assert_eq!(
-                        sink.snapshot(),
-                        want.data(),
-                        "workers={workers} chunk={chunk} {copts:?}"
-                    );
-                    assert_eq!(report.chunks, (n as u64).div_ceil(chunk as u64));
-                    let index = crate::file::TileIndex::read(&paths.start).unwrap();
-                    assert_eq!(index.start_edge, want.start_edge());
+                    let label = format!("workers={workers} chunk={chunk} {copts:?}");
+                    let file = EdgeChunks::open(&edge_path, 1).unwrap();
+                    let report = convert_with(file, &paths, &opts, workers);
+                    check(&format!("file {label}"), chunk, report);
+                    // The sources differ only in how a chunk is read; the
+                    // list is cut at the sizes that give it a few chunks.
+                    if chunk >= 97 {
+                        let list = EdgeSlices(&el, el.edges().chunks(1));
+                        let report = convert_with(list, &paths, &opts, workers);
+                        check(&format!("list {label}"), chunk, report);
+                    }
                 }
             }
         }
+    }
+
+    /// Converts `source` into memory on `workers` sub-ranges, `.start` at
+    /// `paths`: the tile bytes and the report.
+    fn convert_with(
+        mut source: impl EdgeSource,
+        paths: &TilePaths,
+        opts: &StreamingOptions,
+        workers: usize,
+    ) -> (Vec<u8>, StreamingReport) {
+        let sink = MemWriteBackend::new();
+        let report = convert_source(&mut source, &sink, paths, opts, workers).unwrap();
+        (sink.into_inner(), report)
     }
 
     /// Logs every positioned write, and through the recorder hook how many
@@ -760,7 +955,8 @@ mod tests {
             .with_chunk_edges(chunk)
             .with_recorder(log.clone());
         let paths = TilePaths::new(dir.path(), "g");
-        let report = convert_sharded(&edge_path, log.clone(), &paths, &opts, 3).unwrap();
+        let mut source = EdgeChunks::open(&edge_path, 1).unwrap();
+        let report = convert_source(&mut source, &*log, &paths, &opts, 3).unwrap();
         assert_eq!(log.inner.snapshot(), convert(&el, &copts).unwrap().data());
 
         let (layout, mirror) = resolve_layout(el.vertex_count(), el.kind(), &copts).unwrap();
@@ -779,9 +975,7 @@ mod tests {
             let mut counts = std::collections::BTreeMap::new();
             for &e in edges {
                 for e in fold_orientations(e, mirror) {
-                    *counts
-                        .entry(crate::convert::tile_slot(&layout, e))
-                        .or_insert(0u64) += 1;
+                    *counts.entry(tile_slot(&layout, e)).or_insert(0u64) += 1;
                 }
             }
             touched_total += counts.len() as u64;

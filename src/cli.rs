@@ -25,7 +25,7 @@ use crate::graph::{text, CompactDegrees, EdgeList, GraphError, GraphKind, Result
 use crate::prelude::*;
 use crate::tile::sizing::human_bytes;
 use crate::tile::stats::index_stats;
-use crate::tile::{recode_store_files, Codec, CodecReport, TileFile};
+use crate::tile::{convert_edges, recode_store_files, Codec, CodecReport, TileFile};
 use gstore_metrics::FlightRecorder;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -137,17 +137,14 @@ pub fn parse_generator(spec: &str, directed: bool, seed: u64) -> Result<EdgeList
     }
 }
 
-fn load_edges(path: &Path, flags: &Flags) -> Result<EdgeList> {
+/// Reads a text edge list; `--directed` sets its kind.
+fn load_text(path: &Path, flags: &Flags) -> Result<EdgeList> {
     let kind = if flags.has("directed") {
         GraphKind::Directed
     } else {
         GraphKind::Undirected
     };
-    if flags.has("text") || path.extension().is_some_and(|e| e == "txt") {
-        text::read_text(path, kind, None)
-    } else {
-        EdgeList::read_binary(path)
-    }
+    text::read_text(path, kind, None)
 }
 
 /// Parses `--<key>` as a size in `unit`-byte units and returns the byte
@@ -268,8 +265,7 @@ fn cmd_convert(out: &mut dyn Write, pos: &[String], flags: &Flags) -> Result<()>
         return Err(GraphError::InvalidParameter(
             "usage: convert <input> <dir> <name> [--text] [--directed] \
              [--tile-bits N] [--group-side N] [--no-symmetry] [--compress] \
-             [--codec varint|gamma|zeta|ef] [--streaming] [--mem-budget MB] \
-             [--metrics-json PATH]"
+             [--codec varint|gamma|zeta|ef] [--mem-budget MB] [--metrics-json PATH]"
                 .into(),
         ));
     };
@@ -284,56 +280,42 @@ fn cmd_convert(out: &mut dyn Write, pos: &[String], flags: &Flags) -> Result<()>
         opts = opts.without_symmetry();
     }
     let dir = Path::new(dir);
-    let paths;
-    if flags.has("streaming") {
-        if flags.has("text") {
-            return Err(GraphError::InvalidParameter(
-                "--streaming reads the binary edge format only (drop --text)".into(),
-            ));
-        }
-        let mut sopts = StreamingOptions::new(opts)
-            .with_mem_budget_mb(size_flag(flags, "mem-budget", 64, 1 << 20)? >> 20);
-        // The `ingest` group of docs/METRICS.md; the engine groups stay
-        // empty, no engine runs.
-        let metrics = metrics_path(flags)?.map(|path| (path, Arc::new(FlightRecorder::new())));
-        if let Some((_, recorder)) = &metrics {
-            sopts = sopts.with_recorder(recorder.clone());
-        }
-        let report = convert_streaming(Path::new(input), dir, name, &sopts)?;
-        if let Some((path, recorder)) = metrics {
-            std::fs::write(&path, recorder.snapshot().to_json())?;
-            writeln!(out, "metrics written to {path}")?;
-        }
-        paths = report.paths.clone();
-        writeln!(
-            out,
-            "converted (streaming): {} tiles, {} data in {} chunks of {} edges \
-             ({} pwrites, {} chunks written)",
-            report.tile_count,
-            human_bytes(report.data_bytes),
-            report.chunks,
-            report.chunk_edges,
-            report.write.pwrites,
-            report.write.flushes,
-        )?;
-    } else {
-        let el = load_edges(Path::new(input), flags)?;
-        let store = TileStore::build(&el, &opts)?;
-        std::fs::create_dir_all(dir)?;
-        paths = crate::tile::write_store(&store, dir, name)?;
-        writeln!(
-            out,
-            "converted: {} tiles in {} groups, {} data + {} index",
-            store.tile_count(),
-            store.layout().groups().len(),
-            human_bytes(store.data_bytes()),
-            human_bytes(store.index_bytes()),
-        )?;
+    let mut sopts = StreamingOptions::new(opts)
+        .with_mem_budget_mb(size_flag(flags, "mem-budget", 64, 1 << 20)? >> 20);
+    // The `ingest` group of docs/METRICS.md; the engine groups stay empty,
+    // no engine runs.
+    let metrics = metrics_path(flags)?.map(|path| (path, Arc::new(FlightRecorder::new())));
+    if let Some((_, recorder)) = &metrics {
+        sopts = sopts.with_recorder(recorder.clone());
     }
+    // A binary edge file is read twice, a chunk at a time; a text one is
+    // parsed into memory first.
+    let input = Path::new(input);
+    let report = if flags.has("text") || input.extension().is_some_and(|e| e == "txt") {
+        convert_edges(&load_text(input, flags)?, dir, name, &sopts)?
+    } else {
+        convert_streaming(input, dir, name, &sopts)?
+    };
+    if let Some((path, recorder)) = metrics {
+        std::fs::write(&path, recorder.snapshot().to_json())?;
+        writeln!(out, "metrics written to {path}")?;
+    }
+    let paths = &report.paths;
+    writeln!(
+        out,
+        "converted: {} tiles, {} data in {} chunks of {} edges \
+         ({} pwrites, {} chunks written)",
+        report.tile_count,
+        human_bytes(report.data_bytes),
+        report.chunks,
+        report.chunk_edges,
+        report.write.pwrites,
+        report.write.flushes,
+    )?;
     if flags.has("compress") {
         let codec = Codec::parse(&flags.get("codec", "varint".to_string())?)?;
         let coded_name = format!("{name}c");
-        let (cpaths, report) = recode_store_files(&paths, dir, &coded_name, codec)?;
+        let (cpaths, report) = recode_store_files(paths, dir, &coded_name, codec)?;
         print_codec_report(out, &report, &cpaths.tiles)?;
     }
     writeln!(out, "  {:?}\n  {:?}", paths.tiles, paths.start)?;
@@ -770,8 +752,8 @@ commands:
                                --directed, --seed N, --text)
   convert  <input> <dir> <n>   edge list (binary or --text) -> tile store
                                (--directed, --tile-bits N, --group-side N,
-                               --no-symmetry; --streaming [--mem-budget MB]
-                               [--metrics-json P] converts out of core;
+                               --no-symmetry, --mem-budget MB working set,
+                               --metrics-json P ingest counters;
                                --compress [--codec C] also writes a coded
                                <n>c store)
   info     <dir> <name>        store geometry, sizes, occupancy, codec
@@ -837,7 +819,6 @@ const COMMANDS: &[Command] = &[
             "tile-bits",
             "group-side",
             "no-symmetry",
-            "streaming",
             "mem-budget",
             "metrics-json",
             "compress",
@@ -1339,15 +1320,7 @@ mod tests {
         assert_eq!(run(&s(&["generate", "kron:8:4", &els])), 0);
         for bad in ["0", "18446744073709551615"] {
             assert_eq!(
-                run(&s(&[
-                    "convert",
-                    &els,
-                    &dbs,
-                    "g",
-                    "--streaming",
-                    "--mem-budget",
-                    bad,
-                ])),
+                run(&s(&["convert", &els, &dbs, "g", "--mem-budget", bad])),
                 2,
                 "--mem-budget {bad} must be a usage error"
             );
@@ -1369,7 +1342,6 @@ mod tests {
                 &els,
                 &dbs,
                 "g",
-                "--streaming",
                 "--mem-budget",
                 "1",
                 "--tile-bits",
@@ -1387,30 +1359,24 @@ mod tests {
             metrics.contains("\"chunks_pass2\": 1,") && metrics.contains("\"pwrites\": 1,"),
             "{metrics}"
         );
-        assert_eq!(
-            run(&s(&[
-                "convert",
-                &els,
-                &dbs,
-                "x",
-                "--streaming",
-                "--metrics-json"
-            ])),
-            2
-        );
-        // The streamed store is a first-class citizen: info and queries
+        assert_eq!(run(&s(&["convert", &els, &dbs, "x", "--metrics-json"])), 2);
+        // The converted store is a first-class citizen: info and queries
         // work off the files it wrote.
         assert_eq!(run(&s(&["info", &dbs, "g"])), 0);
         assert_eq!(run(&s(&["bfs", &dbs, "g", "--root", "0"])), 0);
 
-        // Streamed output matches the in-memory conversion byte for byte.
+        // A text copy of the same graph converts to the same bytes.
+        let txt = dir.path().join("g.txt");
+        let txts = txt.to_str().unwrap().to_string();
+        assert_eq!(run(&s(&["generate", "kron:10:8", &txts, "--text"])), 0);
         let db2 = dir.path().join("db2");
         assert_eq!(
             run(&s(&[
                 "convert",
-                &els,
+                &txts,
                 db2.to_str().unwrap(),
                 "g",
+                "--text",
                 "--tile-bits",
                 "6",
                 "--group-side",
@@ -1422,26 +1388,22 @@ mod tests {
             assert_eq!(
                 std::fs::read(db.join(f)).unwrap(),
                 std::fs::read(db2.join(f)).unwrap(),
-                "{f} differs between streaming and in-memory conversion"
+                "{f} differs between the binary and the text input"
             );
         }
 
-        // Unsupported flag combinations are usage errors.
-        assert_eq!(
-            run(&s(&["convert", &els, &dbs, "x", "--streaming", "--text"])),
-            2
-        );
+        // --streaming is retired: an undeclared flag like any other.
+        assert_eq!(run(&s(&["convert", &els, &dbs, "x", "--streaming"])), 2);
         assert_eq!(run(&s(&["convert", &els, &dbs, "x", "--codec", "ef"])), 2);
 
-        // --streaming composes with --compress: the raw pair lands first,
-        // then a recode pass writes the coded sibling.
+        // --compress recodes after the conversion: the raw pair lands
+        // first, then a recode pass writes the coded sibling.
         assert_eq!(
             run(&s(&[
                 "convert",
                 &els,
                 &dbs,
                 "x",
-                "--streaming",
                 "--compress",
                 "--codec",
                 "zeta",

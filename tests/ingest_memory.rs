@@ -98,7 +98,10 @@ impl Recorder for Pass2Gauge {
 }
 
 /// Pass-2 working-set budget: far below what the larger graph's edges take.
-const BUDGET_BYTES: usize = 8 << 20;
+/// A chunk is never longer than the graph, so the budget's chunk (131 072
+/// edges) is no longer than the smaller graph either: both graphs are
+/// streamed in chunks of the one size, and only the edge count differs.
+const BUDGET_BYTES: usize = 2 << 20;
 
 /// What pass 2 may hold beside its budget (the module docs of
 /// `gstore_tile::stream`): per tile the start-edge index and the rolling

@@ -31,8 +31,8 @@ fn streamed_and_recoded_bytes_are_the_same_on_1_2_and_4_threads() {
     let els = el.to_str().unwrap();
     gstore("2", &["generate", "kron:14:8", els]);
 
-    // The references, made in this process: the in-memory converter, and a
-    // plain tile-by-tile encode of its store.
+    // The references, made in this process: the store built from the
+    // resident edge list, and a plain tile-by-tile encode of it.
     let edges = EdgeList::read_binary(&el).unwrap();
     let copts = ConversionOptions::new(8).with_group_side(4);
     let store = TileStore::build(&edges, &copts).unwrap();
@@ -63,7 +63,6 @@ fn streamed_and_recoded_bytes_are_the_same_on_1_2_and_4_threads() {
                 els,
                 dbs,
                 "g",
-                "--streaming",
                 "--mem-budget",
                 "1",
                 "--tile-bits",

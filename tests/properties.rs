@@ -67,9 +67,9 @@ proptest! {
         prop_assert_eq!(back.start_edge(), store.start_edge());
     }
 
-    /// The streaming out-of-core converter produces byte-identical
-    /// `.tiles`/`.start` pairs (and the same degree array) as the
-    /// in-memory converter, for every layout, encoding, kind, tuple
+    /// The converter reading an edge file produces byte-identical
+    /// `.tiles`/`.start` pairs (and the same degree array) as reading the
+    /// resident edge list, for every layout, encoding, kind, tuple
     /// width, and chunk size. Every worker shares one chunk, so the sizes
     /// around the worker count (fewer edges than workers, one more) and
     /// around the edge count (one chunk exactly, one plus a one-edge tail)
