@@ -10,7 +10,7 @@ use gstore_graph::EdgeList;
 use gstore_io::{hdd_array, MemBackend, SsdArraySim, StorageBackend, TieredBackend};
 use gstore_scr::ScrConfig;
 use gstore_tile::recode::report_for;
-use gstore_tile::{encode_store, Codec, TileIndex};
+use gstore_tile::{encode_store, Codec};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -80,11 +80,7 @@ pub fn ext_tiered(scale: &Scale) {
         ));
         let tiered: Arc<dyn StorageBackend> =
             Arc::new(TieredBackend::new(fast.clone(), slow.clone(), boundary).unwrap());
-        let index = TileIndex::raw(
-            store.layout().clone(),
-            store.encoding(),
-            store.start_edge().to_vec(),
-        );
+        let index = store.index();
         let mut engine = cfg.clone().backend(index, tiered).build().unwrap();
         let mut pr = PageRank::new(tiling, deg.clone(), 0.85).with_iterations(iters);
         let t0 = Instant::now();

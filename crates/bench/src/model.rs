@@ -13,7 +13,7 @@ use gstore_core::{Algorithm, EngineBuilder, GStoreEngine, RunStats};
 use gstore_graph::Result;
 use gstore_io::{ArrayConfig, MemBackend, SsdArraySim, StorageBackend};
 use gstore_metrics::EngineMetrics;
-use gstore_tile::{TileIndex, TileStore};
+use gstore_tile::TileStore;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -105,11 +105,7 @@ fn run_gstore_on_sim_inner(
     max_iters: u32,
 ) -> Result<(RunStats, Measured, Option<EngineMetrics>)> {
     let sim = sim_for_store(store, devices);
-    let index = TileIndex::raw(
-        store.layout().clone(),
-        store.encoding(),
-        store.start_edge().to_vec(),
-    );
+    let index = store.index();
     let backend: Arc<dyn StorageBackend> = sim.clone();
     let mut engine = builder.backend(index, backend).build()?;
     let start = Instant::now();
@@ -250,11 +246,7 @@ mod tests {
         }
 
         let sim = sim_for_store(&store, 2);
-        let index = TileIndex::raw(
-            store.layout().clone(),
-            store.encoding(),
-            store.start_edge().to_vec(),
-        );
+        let index = store.index();
         let mut engine = builder().backend(index, sim.clone()).build().unwrap();
         let mut qs = queries();
         let mut batch = QueryBatch::new();

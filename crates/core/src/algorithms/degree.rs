@@ -1,14 +1,14 @@
 //! Degree counting over tiles.
 //!
 //! A one-sweep algorithm producing out-degrees (directed) or undirected
-//! degrees from the tile store alone — the engine uses it to bootstrap
-//! PageRank when only the on-disk tile files are available (§IV.C's degree
-//! metadata).
+//! degrees from the tiles alone: the `degrees` query. The store's own
+//! compact degree array (§IV.C) is written at conversion and read with
+//! the index ([`gstore_tile::TileIndex::degrees`]); this sweep recounts
+//! it from the edges.
 
 use crate::algorithm::{Algorithm, IterationOutcome, ShardSides, UpdateMode};
 use crate::atomics::add_unsync_u64;
 use crate::view::TileView;
-use gstore_graph::degree::CompactDegrees;
 use gstore_tile::Tiling;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -32,11 +32,6 @@ impl DegreeCount {
             .iter()
             .map(|d| d.load(Ordering::Relaxed))
             .collect()
-    }
-
-    /// Degrees in the paper's compact 2-byte encoding (§IV.C).
-    pub fn compact(&self) -> gstore_graph::Result<CompactDegrees> {
-        CompactDegrees::from_degrees(&self.degrees())
     }
 }
 
@@ -93,7 +88,9 @@ mod tests {
         let store = store_from_edges(&el, 3);
         let mut dc = DegreeCount::new(*store.layout().tiling());
         run_in_memory(&store, &mut dc, 1);
-        let want = CompactDegrees::from_edge_list(&el).unwrap().to_vec();
+        let want = gstore_graph::CompactDegrees::from_edge_list(&el)
+            .unwrap()
+            .to_vec();
         assert_eq!(dc.degrees(), want);
     }
 
@@ -109,15 +106,5 @@ mod tests {
         let mut dc = DegreeCount::new(*store.layout().tiling());
         run_in_memory(&store, &mut dc, 1);
         assert_eq!(dc.degrees(), vec![2, 0, 1]);
-    }
-
-    #[test]
-    fn compact_encoding_roundtrip() {
-        let el = EdgeList::new(2, GraphKind::Undirected, vec![Edge::new(0, 1)]).unwrap();
-        let store = store_from_edges(&el, 1);
-        let mut dc = DegreeCount::new(*store.layout().tiling());
-        run_in_memory(&store, &mut dc, 1);
-        let c = dc.compact().unwrap();
-        assert_eq!(c.to_vec(), vec![1, 1]);
     }
 }

@@ -128,11 +128,7 @@ impl EngineBuilder {
     /// full pipeline — AIO, segments, pool — still executes (tests,
     /// experiments).
     pub fn store(mut self, store: &TileStore) -> Self {
-        let index = TileIndex::raw(
-            store.layout().clone(),
-            store.encoding(),
-            store.start_edge().to_vec(),
-        );
+        let index = store.index();
         self.source = BuilderSource::Backend {
             index,
             backend: Arc::new(MemBackend::new(store.data().to_vec())),

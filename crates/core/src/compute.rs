@@ -600,14 +600,6 @@ mod tests {
     use gstore_graph::{reference, Csr, CsrDirection, Edge, EdgeList, GraphKind};
     use gstore_tile::{encode_store, Codec, TileStore};
 
-    fn index_of(store: &TileStore) -> TileIndex {
-        TileIndex::raw(
-            store.layout().clone(),
-            store.encoding(),
-            store.start_edge().to_vec(),
-        )
-    }
-
     fn full_batch(store: &TileStore) -> Vec<(u64, &[u8])> {
         (0..store.tile_count())
             .map(|t| (t, store.tile_bytes(t)))
@@ -640,7 +632,7 @@ mod tests {
         for kind in [GraphKind::Undirected, GraphKind::Directed] {
             let el = generate_rmat(&RmatParams::kron(8, 8).with_kind(kind)).unwrap();
             let store = store_from_edges(&el, 3);
-            let index = index_of(&store);
+            let index = store.index();
             let batch = masked(&full_batch(&store), 1);
             for shard_count in [1usize, 2, 7] {
                 let shards = plan_shards(&index, &batch, 1, shard_count);
@@ -703,7 +695,7 @@ mod tests {
         // the union-find reference's.
         let el = generate_rmat(&RmatParams::kron(8, 8)).unwrap();
         let store = store_from_edges(&el, 3);
-        let index = index_of(&store);
+        let index = store.index();
         let mut wcc = Wcc::new(*store.layout().tiling());
         let first = sweep_to_convergence(&index, &full_batch(&store), &mut wcc);
         assert_eq!(first.edges, el.edge_count());
@@ -719,7 +711,7 @@ mod tests {
         for kind in [GraphKind::Undirected, GraphKind::Directed] {
             let el = generate_rmat(&RmatParams::kron(8, 8).with_kind(kind)).unwrap();
             let store = store_from_edges(&el, 3);
-            let (index, batch) = (index_of(&store), full_batch(&store));
+            let (index, batch) = (store.index(), full_batch(&store));
             let tiling = *store.layout().tiling();
             let mut bfs = Bfs::new(tiling, 0);
             sweep_to_convergence(&index, &batch, &mut bfs);
@@ -753,7 +745,7 @@ mod tests {
         // must reflect only the tiles its mask covered.
         let el = generate_rmat(&RmatParams::kron(8, 8)).unwrap();
         let store = store_from_edges(&el, 3);
-        let index = index_of(&store);
+        let index = store.index();
         let batch = full_batch(&store);
         let deg = degrees(&el);
 
@@ -825,7 +817,7 @@ mod tests {
         // its half of the batch, and counters reflect the split.
         let el = generate_rmat(&RmatParams::kron(7, 6)).unwrap();
         let store = store_from_edges(&el, 2);
-        let index = index_of(&store);
+        let index = store.index();
         let batch = full_batch(&store);
         let wcc0 = Wcc::new(*store.layout().tiling());
         let wcc1 = Wcc::new(*store.layout().tiling());
@@ -890,7 +882,7 @@ mod tests {
             let store = store_from_edges(&el, 3);
             let tiling = *store.layout().tiling();
             let deg = degrees(&el);
-            let raw_index = index_of(&store);
+            let raw_index = store.index();
             let raw_batch = full_batch(&store);
 
             let mut bfs_raw = Bfs::new(tiling, 0);
@@ -966,7 +958,7 @@ mod tests {
         assert_eq!(store.tile_count(), 4);
         assert!((0..4).any(|t| store.tile_edge_count(t) > WAVE_KEYS as u64));
         let tiling = *store.layout().tiling();
-        let raw_index = index_of(&store);
+        let raw_index = store.index();
         let raw_batch = full_batch(&store);
         let mut bfs_raw = Bfs::new(tiling, 0);
         let mut wcc_raw = Wcc::new(tiling);
@@ -1071,7 +1063,7 @@ mod tests {
     fn llc_estimate_scales_with_group_side() {
         let el = generate_rmat(&RmatParams::kron(8, 4)).unwrap();
         let store = store_from_edges(&el, 3);
-        let index = index_of(&store);
+        let index = store.index();
         let est = llc_resident_estimate(&index);
         let q = index.layout.group_side() as u64;
         assert_eq!(est, 2 * q * index.layout.tiling().tile_span() * 16);

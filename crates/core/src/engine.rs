@@ -438,14 +438,6 @@ impl GStoreEngine {
         self.recorder.as_ref().map(|r| r.snapshot())
     }
 
-    /// Clears the flight recorder (e.g. between algorithm runs, to scope
-    /// [`GStoreEngine::metrics`] to one run). No-op without metrics.
-    pub fn reset_metrics(&self) {
-        if let Some(rec) = &self.recorder {
-            rec.reset();
-        }
-    }
-
     /// A stage clock's start, taken only when recording.
     fn clock(&self) -> Option<Instant> {
         self.recorder.as_ref().map(|_| Instant::now())
@@ -1095,11 +1087,7 @@ mod tests {
         // and reference-accurate ranks for PageRank.
         use gstore_io::JitterBackend;
         let (el, store) = kron_store(8, 4, 4, 2);
-        let index = TileIndex::raw(
-            store.layout().clone(),
-            store.encoding(),
-            store.start_edge().to_vec(),
-        );
+        let index = store.index();
         let make_engine = || {
             let backend = Arc::new(JitterBackend::new(
                 Arc::new(MemBackend::new(store.data().to_vec())),
@@ -1395,7 +1383,7 @@ mod tests {
                 .unwrap();
             let reader = engine.point_reader();
             for v in 0..64 {
-                reader.degree(v).unwrap();
+                reader.neighbors(v).unwrap();
             }
             let m = engine.metrics().unwrap();
             assert!(m[Counter::PointreadTilesFetched] > 0, "{io_backend}");
@@ -1653,11 +1641,7 @@ mod tests {
     #[test]
     fn backend_shorter_than_index_rejected() {
         let (_, store) = kron_store(8, 4, 4, 2);
-        let index = TileIndex::raw(
-            store.layout().clone(),
-            store.encoding(),
-            store.start_edge().to_vec(),
-        );
+        let index = store.index();
         let backend = Arc::new(MemBackend::new(vec![0u8; 4]));
         assert!(tiny(&store).backend(index, backend).build().is_err());
     }

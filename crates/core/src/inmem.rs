@@ -11,7 +11,7 @@ use crate::algorithm::{Algorithm, IterationOutcome, RunStats};
 use crate::compute;
 use crate::engine::select_tiles;
 use gstore_graph::EdgeList;
-use gstore_tile::{ConversionOptions, TileIndex, TileStore};
+use gstore_tile::{ConversionOptions, TileStore};
 use std::time::Instant;
 
 /// Convenience: builds an SNB tile store with `tile_bits`-sized tiles.
@@ -24,11 +24,7 @@ pub fn store_from_edges(el: &EdgeList, tile_bits: u32) -> TileStore {
 pub fn run_in_memory(store: &TileStore, alg: &mut dyn Algorithm, max_iters: u32) -> RunStats {
     let start = Instant::now();
     let mut stats = RunStats::default();
-    let index = TileIndex::raw(
-        store.layout().clone(),
-        store.encoding(),
-        store.start_edge().to_vec(),
-    );
+    let index = store.index();
     for iteration in 0..max_iters {
         alg.begin_iteration(iteration);
         let tiles: Vec<(u64, &[u8])> = (select_tiles(store.layout(), &*alg).into_iter())

@@ -8,6 +8,7 @@
 //! [`StorageBackend`], and [`TileView`] decodes just the rows that mention
 //! `v` — GraphChi-DB's partitioned-sort double duty and FlashGraph's
 //! selective page model (PAPERS.md), applied to the paper's tile format.
+//! `degree` fetches nothing: it reads the index's degree array (§IV.C).
 //!
 //! Skewed request streams (the common case for graph serving) hit the same
 //! few tiles over and over, so a [`PointReader`] keeps a *hot-tile cache*:
@@ -374,16 +375,14 @@ impl PointReader {
         Ok(out)
     }
 
-    /// The degree of `v` (out-degree for directed stores), counted without
-    /// materialising the adjacency.
+    /// The degree of `v` (out-degree for directed stores): a lookup in
+    /// the index's degree array, which reads no tile.
     pub fn degree(&self, v: VertexId) -> Result<u64> {
         self.check_vertex(v)?;
         let started = Instant::now();
-        let mut touch = Touch::default();
-        let mut count = 0u64;
-        self.for_each_neighbor(v, &mut touch, &mut |_| count += 1)?;
-        self.record(touch, started);
-        Ok(count)
+        let degree = self.index.degrees().degree(v);
+        self.record(Touch::default(), started);
+        Ok(degree)
     }
 
     /// Every vertex within `k` hops of `v` (including `v` itself),
@@ -496,11 +495,7 @@ mod tests {
     use std::sync::Barrier;
 
     fn reader_for(store: &TileStore, cache_bytes: u64) -> PointReader {
-        let index = TileIndex::raw(
-            store.layout().clone(),
-            store.encoding(),
-            store.start_edge().to_vec(),
-        );
+        let index = store.index();
         let backend = Arc::new(MemBackend::new(store.data().to_vec()));
         PointReader::new(index, backend, cache_bytes)
     }
@@ -656,11 +651,7 @@ mod tests {
     fn hot_cache_serves_repeats_without_io() {
         let el = generate_rmat(&RmatParams::kron(8, 8)).unwrap();
         let store = TileStore::build(&el, &ConversionOptions::new(4)).unwrap();
-        let index = TileIndex::raw(
-            store.layout().clone(),
-            store.encoding(),
-            store.start_edge().to_vec(),
-        );
+        let index = store.index();
         let backend = Arc::new(MemBackend::new(store.data().to_vec()));
         let rec = Arc::new(FlightRecorder::new());
         let reader = PointReader::open(
@@ -692,6 +683,42 @@ mod tests {
         assert_eq!(reader.buffer_stats().outstanding, 0);
     }
 
+    /// `degree` answers from the index's degree array: the edge list's
+    /// degrees (self-loops once, both symmetry options), one `pointread`
+    /// event per read, and no tile fetched, hit or read.
+    #[test]
+    fn degree_is_a_lookup_that_reads_no_tile() {
+        let base = generate_rmat(&RmatParams::kron(8, 8)).unwrap().into_edges();
+        let loops = [Edge::new(5, 5), Edge::new(200, 200), Edge::new(5, 5)];
+        for kind in [GraphKind::Directed, GraphKind::Undirected] {
+            let edges = base.iter().copied().chain(loops).collect();
+            let el = EdgeList::new(256, kind, edges).unwrap();
+            let want = gstore_graph::CompactDegrees::from_edge_list(&el).unwrap();
+            for opts in [
+                ConversionOptions::new(5),
+                ConversionOptions::new(5).without_symmetry(),
+            ] {
+                let store = TileStore::build(&el, &opts).unwrap();
+                let rec = Arc::new(FlightRecorder::new());
+                let reader = PointReader::open(
+                    store.index().into(),
+                    Arc::new(MemBackend::new(store.data().to_vec())),
+                    1 << 20,
+                    Some(Arc::clone(&rec) as Arc<dyn Recorder>),
+                    None,
+                );
+                for v in 0..256 {
+                    assert_eq!(reader.degree(v).unwrap(), want.degree(v), "{kind:?} {v}");
+                }
+                let m = rec.snapshot();
+                assert_eq!(m[Counter::PointreadLookups], 256);
+                assert_eq!(m[Counter::PointreadTilesFetched], 0);
+                assert_eq!(m[Counter::PointreadCacheHits], 0);
+                assert_eq!(m[Counter::PointreadBytesRead], 0);
+            }
+        }
+    }
+
     #[test]
     fn zipf_stream_stays_resident_and_reads_far_less_than_a_sweep() {
         // One client on a cold reader whose cache holds half the store.
@@ -704,11 +731,7 @@ mod tests {
         let store = TileStore::build(&el, &ConversionOptions::new(9).with_group_side(8)).unwrap();
         let sweep = store.data_bytes() as f64;
         let stream = |keys: &[VertexId]| {
-            let index = TileIndex::raw(
-                store.layout().clone(),
-                store.encoding(),
-                store.start_edge().to_vec(),
-            );
+            let index = store.index();
             let rec = Arc::new(FlightRecorder::new());
             let reader = PointReader::open(
                 index.into(),
@@ -844,7 +867,10 @@ mod tests {
                                 } else {
                                     draw % n
                                 };
-                                visits += tiles_of(v);
+                                // A degree read visits no tile.
+                                if i % 3 != 1 {
+                                    visits += tiles_of(v);
+                                }
                                 let want = sorted(csr.neighbors(v).to_vec());
                                 match i % 3 {
                                     0 => assert_eq!(sorted(reader.neighbors(v).unwrap()), want),
@@ -920,11 +946,7 @@ mod tests {
     fn fault_surfaces_typed_error_and_retry_succeeds() {
         let el = generate_rmat(&RmatParams::kron(8, 8)).unwrap();
         let store = TileStore::build(&el, &ConversionOptions::new(4)).unwrap();
-        let index = TileIndex::raw(
-            store.layout().clone(),
-            store.encoding(),
-            store.start_edge().to_vec(),
-        );
+        let index = store.index();
         let backend = Arc::new(MemBackend::new(store.data().to_vec()));
         let fault = IoFaultInjector::new(FaultPolicy::FirstN(1));
         let reader = PointReader::open(index.into(), backend, 1 << 20, None, Some(fault.clone()));

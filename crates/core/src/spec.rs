@@ -76,12 +76,6 @@ impl QuerySpec {
             _ => QueryKind::Point,
         }
     }
-
-    /// True for queries that need the out-degree vector precomputed
-    /// (one [`DegreeCount`] sweep) before they can be built.
-    pub fn needs_degrees(&self) -> bool {
-        matches!(self, QuerySpec::PageRank { .. })
-    }
 }
 
 fn check_vertex(vertex: VertexId, vertex_count: u64) -> Result<()> {
@@ -172,8 +166,10 @@ pub enum SweepQuery {
 
 impl SweepQuery {
     /// Instantiates `spec` over `tiling`. `degrees` is required for
-    /// PageRank ([`QuerySpec::needs_degrees`]); vertex arguments are
-    /// range-checked here so a bad root is a typed error, not a panic.
+    /// PageRank: the store's own, [`TileIndex::degrees`]; vertex arguments
+    /// are range-checked here so a bad root is a typed error, not a panic.
+    ///
+    /// [`TileIndex::degrees`]: gstore_tile::TileIndex::degrees
     pub fn new(spec: &QuerySpec, tiling: Tiling, degrees: Option<&[u64]>) -> Result<Self> {
         match *spec {
             QuerySpec::Bfs { root } => {
@@ -182,9 +178,7 @@ impl SweepQuery {
             }
             QuerySpec::PageRank { iters } => {
                 let deg = degrees.ok_or_else(|| {
-                    GraphError::InvalidParameter(
-                        "pagerank needs a precomputed degree vector".into(),
-                    )
+                    GraphError::InvalidParameter("pagerank needs the store's degree array".into())
                 })?;
                 Ok(SweepQuery::PageRank(
                     PageRank::new(tiling, deg.to_vec(), DEFAULT_DAMPING).with_iterations(iters),
@@ -626,10 +620,11 @@ mod tests {
     fn kind_and_degree_requirements() {
         let sweep: QuerySpec = "pagerank:3".parse().unwrap();
         assert_eq!(sweep.kind(), QueryKind::Sweep);
-        assert!(sweep.needs_degrees());
+        let tiling = Tiling::new(8, 2, gstore_graph::GraphKind::Directed).unwrap();
+        assert!(SweepQuery::new(&sweep, tiling, None).is_err());
+        assert!(SweepQuery::new(&sweep, tiling, Some(&[0; 8])).is_ok());
         let point: QuerySpec = "khop:0:2".parse().unwrap();
         assert_eq!(point.kind(), QueryKind::Point);
-        assert!(!point.needs_degrees());
     }
 
     #[test]
@@ -638,9 +633,7 @@ mod tests {
         let store = store_from_edges(&el, 3);
         let tiling = *store.layout().tiling();
 
-        let mut dc = DegreeCount::new(tiling);
-        run_in_memory(&store, &mut dc, 1);
-        let degrees = dc.degrees();
+        let degrees = store.degrees().to_vec();
 
         for spec in ["bfs:0", "pagerank:4", "wcc", "kcore:2", "degrees"] {
             let q: QuerySpec = spec.parse().unwrap();

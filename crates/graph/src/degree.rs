@@ -2,53 +2,45 @@
 //!
 //! Power-law graphs have mostly tiny degrees with a few enormous ones.
 //! G-Store stores each degree in 2 bytes: values up to `i16::MAX` are kept
-//! inline with the MSB clear; larger degrees set the MSB and store an index
-//! into a small `u64` overflow table. This halves the degree array compared
-//! to a flat `u32` layout (e.g. 4 GB -> 2 GB for Kron-30-16) and is valid
-//! whenever fewer than 32,768 vertices exceed the inline range.
+//! inline with the MSB clear; a larger degree sets the MSB and lives in a
+//! vertex-sorted hub table of `(vertex, degree)` pairs, found by binary
+//! search. This halves the degree array compared to a flat `u32` layout
+//! (e.g. 4 GB -> 2 GB for Kron-30-16), and the hub table has no size limit.
 
-use crate::csr::Csr;
 use crate::edgelist::EdgeList;
 use crate::types::{GraphError, Result, VertexId};
 
 /// Largest degree representable inline (15 bits).
 pub const INLINE_MAX: u64 = i16::MAX as u64; // 32,767
-/// Maximum number of overflow entries the MSB scheme can index.
-pub const MAX_OVERFLOW: usize = 1 << 15;
 
-const OVERFLOW_FLAG: u16 = 1 << 15;
+/// The inline entry of a hub: the MSB alone.
+const HUB_FLAG: u16 = 1 << 15;
 
-/// Degree array with 2-byte entries and an overflow table for hubs.
+/// Degree array with 2-byte entries and a hub table for the rest.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompactDegrees {
     inline: Vec<u16>,
-    overflow: Vec<u64>,
+    /// `(vertex, degree)` of every vertex above [`INLINE_MAX`], ascending
+    /// by vertex.
+    hubs: Vec<(VertexId, u64)>,
 }
 
 impl CompactDegrees {
     /// Builds from a plain degree vector.
-    ///
-    /// Fails with [`GraphError::InvalidParameter`] when more than
-    /// [`MAX_OVERFLOW`] vertices exceed [`INLINE_MAX`], the documented
-    /// limit of the optimization.
-    pub fn from_degrees(degrees: &[u64]) -> Result<Self> {
-        let mut inline = Vec::with_capacity(degrees.len());
-        let mut overflow = Vec::new();
-        for &d in degrees {
-            if d <= INLINE_MAX {
-                inline.push(d as u16);
-            } else {
-                if overflow.len() >= MAX_OVERFLOW {
-                    return Err(GraphError::InvalidParameter(format!(
-                        "more than {MAX_OVERFLOW} vertices exceed degree {INLINE_MAX}; \
-                         compact degree encoding is inapplicable"
-                    )));
+    pub fn from_degrees(degrees: &[u64]) -> Self {
+        let mut hubs = Vec::new();
+        let inline = (0..)
+            .zip(degrees)
+            .map(|(v, &d)| {
+                if d <= INLINE_MAX {
+                    d as u16
+                } else {
+                    hubs.push((v, d));
+                    HUB_FLAG
                 }
-                inline.push(OVERFLOW_FLAG | overflow.len() as u16);
-                overflow.push(d);
-            }
-        }
-        Ok(CompactDegrees { inline, overflow })
+            })
+            .collect();
+        CompactDegrees { inline, hubs }
     }
 
     /// Out-degree (or undirected degree) array of an edge list.
@@ -61,13 +53,47 @@ impl CompactDegrees {
                 degrees[e.dst as usize] += 1;
             }
         }
-        Self::from_degrees(&degrees)
+        Ok(Self::from_degrees(&degrees))
     }
 
-    /// Degree array of a CSR (degree in the CSR's stored direction).
-    pub fn from_csr(csr: &Csr) -> Result<Self> {
-        let degrees: Vec<u64> = (0..csr.vertex_count()).map(|v| csr.degree(v)).collect();
-        Self::from_degrees(&degrees)
+    /// Reassembles the array from its two parts, as [`Self::inline`] and
+    /// [`Self::hubs`] return them. Fails with [`GraphError::Format`]
+    /// unless the flagged inline entries and the hub table name the same
+    /// vertices in the same order, and every hub is above [`INLINE_MAX`].
+    pub fn from_parts(inline: Vec<u16>, hubs: Vec<(VertexId, u64)>) -> Result<Self> {
+        let mut table = hubs.iter();
+        for (v, &raw) in (0..).zip(&inline) {
+            if raw & HUB_FLAG == 0 {
+                continue;
+            }
+            match table.next() {
+                Some(&(hub, d)) if raw == HUB_FLAG && hub == v && d > INLINE_MAX => {}
+                _ => {
+                    return Err(GraphError::Format(format!(
+                        "inline entry {raw:#06x} of vertex {v} has no matching hub-table row"
+                    )))
+                }
+            }
+        }
+        if let Some(&(hub, _)) = table.next() {
+            return Err(GraphError::Format(format!(
+                "hub table lists vertex {hub}, whose inline entry is not a hub's"
+            )));
+        }
+        Ok(CompactDegrees { inline, hubs })
+    }
+
+    /// The 2-byte entries, one per vertex: a degree, or the MSB alone for
+    /// a vertex in the hub table.
+    #[inline]
+    pub fn inline(&self) -> &[u16] {
+        &self.inline
+    }
+
+    /// The hub table: `(vertex, degree)`, ascending by vertex.
+    #[inline]
+    pub fn hubs(&self) -> &[(VertexId, u64)] {
+        &self.hubs
     }
 
     /// Number of vertices covered.
@@ -85,22 +111,38 @@ impl CompactDegrees {
     #[inline]
     pub fn degree(&self, v: VertexId) -> u64 {
         let raw = self.inline[v as usize];
-        if raw & OVERFLOW_FLAG == 0 {
-            raw as u64
-        } else {
-            self.overflow[(raw & !OVERFLOW_FLAG) as usize]
+        if raw & HUB_FLAG == 0 {
+            return raw as u64;
         }
+        let at = self
+            .hubs
+            .binary_search_by_key(&v, |&(hub, _)| hub)
+            .expect("every flagged entry has a hub-table row");
+        self.hubs[at].1
     }
 
-    /// Number of vertices whose degree lives in the overflow table.
+    /// Sum of all degrees, saturating at `u64::MAX`.
+    pub fn total(&self) -> u64 {
+        let inline: u64 = self
+            .inline
+            .iter()
+            .filter(|&&raw| raw & HUB_FLAG == 0)
+            .map(|&raw| raw as u64)
+            .sum();
+        self.hubs
+            .iter()
+            .fold(inline, |sum, &(_, d)| sum.saturating_add(d))
+    }
+
+    /// Number of vertices whose degree lives in the hub table.
     #[inline]
-    pub fn overflow_count(&self) -> usize {
-        self.overflow.len()
+    pub fn hub_count(&self) -> usize {
+        self.hubs.len()
     }
 
     /// Bytes used by this compact encoding.
     pub fn size_bytes(&self) -> u64 {
-        (self.inline.len() * 2 + self.overflow.len() * 8) as u64
+        (self.inline.len() * 2 + self.hubs.len() * 16) as u64
     }
 
     /// Bytes a flat array with `width` bytes per entry would use, for
@@ -121,34 +163,60 @@ mod tests {
     use crate::types::{Edge, GraphKind};
 
     #[test]
-    fn inline_and_overflow_mix() {
+    fn inline_and_hub_mix() {
         let degrees = vec![0, 1, INLINE_MAX, INLINE_MAX + 1, 5, 1 << 40];
-        let c = CompactDegrees::from_degrees(&degrees).unwrap();
+        let c = CompactDegrees::from_degrees(&degrees);
         assert_eq!(c.to_vec(), degrees);
-        assert_eq!(c.overflow_count(), 2);
+        assert_eq!(c.hubs(), &[(3, INLINE_MAX + 1), (5, 1 << 40)]);
+        assert_eq!(c.total(), degrees.iter().sum::<u64>());
     }
 
     #[test]
     fn boundary_values() {
-        let c = CompactDegrees::from_degrees(&[INLINE_MAX]).unwrap();
-        assert_eq!(c.overflow_count(), 0);
-        let c = CompactDegrees::from_degrees(&[INLINE_MAX + 1]).unwrap();
-        assert_eq!(c.overflow_count(), 1);
+        let c = CompactDegrees::from_degrees(&[INLINE_MAX]);
+        assert_eq!(c.hub_count(), 0);
+        let c = CompactDegrees::from_degrees(&[INLINE_MAX + 1]);
+        assert_eq!(c.hub_count(), 1);
         assert_eq!(c.degree(0), INLINE_MAX + 1);
     }
 
+    /// The old overflow index had 15 bits, so 32 768 hubs were the most it
+    /// could hold; the hub table has no such limit.
     #[test]
-    fn too_many_hubs_rejected() {
-        let degrees = vec![INLINE_MAX + 1; MAX_OVERFLOW + 1];
-        assert!(CompactDegrees::from_degrees(&degrees).is_err());
-        let degrees = vec![INLINE_MAX + 1; MAX_OVERFLOW];
-        assert!(CompactDegrees::from_degrees(&degrees).is_ok());
+    fn more_hubs_than_fifteen_bits_can_index() {
+        let degrees: Vec<u64> = (0..40_000u64)
+            .map(|v| if v % 8 == 0 { 3 } else { INLINE_MAX + 1 + v })
+            .collect();
+        let c = CompactDegrees::from_degrees(&degrees);
+        assert_eq!(c.hub_count(), 35_000);
+        assert_eq!(c.to_vec(), degrees);
+    }
+
+    #[test]
+    fn from_parts_accepts_its_own_parts_and_nothing_inconsistent() {
+        let c = CompactDegrees::from_degrees(&[4, INLINE_MAX + 9, 0, 1 << 20]);
+        let back = CompactDegrees::from_parts(c.inline().to_vec(), c.hubs().to_vec()).unwrap();
+        assert_eq!(back, c);
+        let bad = |inline: &[u16], hubs: &[(VertexId, u64)]| {
+            let r = CompactDegrees::from_parts(inline.to_vec(), hubs.to_vec());
+            assert!(
+                matches!(r, Err(GraphError::Format(_))),
+                "{inline:?} {hubs:?}"
+            );
+        };
+        let big = INLINE_MAX + 1;
+        bad(&[HUB_FLAG, 0], &[]); // a flagged entry without a row
+        bad(&[0, 0], &[(1, big)]); // a row without a flagged entry
+        bad(&[HUB_FLAG, HUB_FLAG], &[(1, big), (0, big)]); // out of order
+        bad(&[HUB_FLAG], &[(0, 7)]); // a hub that fits inline
+        bad(&[HUB_FLAG | 1], &[(0, big)]); // a non-canonical flag
+        bad(&[HUB_FLAG], &[(0, big), (0, big)]); // a duplicate row
     }
 
     #[test]
     fn sizes_halve_flat_u32() {
         let degrees = vec![3u64; 1000];
-        let c = CompactDegrees::from_degrees(&degrees).unwrap();
+        let c = CompactDegrees::from_degrees(&degrees);
         assert_eq!(c.size_bytes(), 2000);
         assert_eq!(c.flat_size_bytes(4), 4000);
     }
@@ -178,24 +246,10 @@ mod tests {
     }
 
     #[test]
-    fn from_csr_matches_csr_degrees() {
-        let el = EdgeList::new(
-            4,
-            GraphKind::Directed,
-            vec![Edge::new(0, 1), Edge::new(0, 2), Edge::new(3, 0)],
-        )
-        .unwrap();
-        let csr = Csr::from_edge_list(&el, crate::csr::CsrDirection::Out);
-        let c = CompactDegrees::from_csr(&csr).unwrap();
-        for v in 0..4 {
-            assert_eq!(c.degree(v), csr.degree(v));
-        }
-    }
-
-    #[test]
     fn empty() {
-        let c = CompactDegrees::from_degrees(&[]).unwrap();
+        let c = CompactDegrees::from_degrees(&[]);
         assert!(c.is_empty());
         assert_eq!(c.size_bytes(), 0);
+        assert_eq!(c.total(), 0);
     }
 }

@@ -36,8 +36,7 @@ pub use proto::{read_frame, write_frame, Reply, MAX_FRAME, MAX_REQUEST};
 use crate::queue::{Admission, QueuedSweep};
 use gstore_core::spec::run_point;
 use gstore_core::{
-    BatchRunStats, DegreeCount, GStoreEngine, PointReader, QueryBatch, QueryKind, QuerySpec,
-    SweepQuery,
+    BatchRunStats, GStoreEngine, PointReader, QueryBatch, QueryKind, QuerySpec, SweepQuery,
 };
 use gstore_graph::{GraphError, Result};
 use gstore_metrics::{NoopRecorder, Recorder};
@@ -160,12 +159,9 @@ impl ServerHandle {
 
 /// Starts the daemon over `engine`. The engine must have been built with
 /// metrics if serve counters are wanted; it is consumed by the sweep loop
-/// and returned by [`ServerHandle::shutdown`].
-///
-/// Startup runs one [`DegreeCount`] sweep to precompute the out-degree
-/// vector PageRank queries need, then clears the tile cache and the
-/// flight recorder so served traffic starts from a clean slate.
-pub fn serve(mut engine: GStoreEngine, opts: ServeOptions) -> Result<ServerHandle> {
+/// and returned by [`ServerHandle::shutdown`]. PageRank queries read the
+/// store's own degree array, so startup runs no sweep.
+pub fn serve(engine: GStoreEngine, opts: ServeOptions) -> Result<ServerHandle> {
     let tiling = *engine.index().layout.tiling();
     let max_batch = opts.max_batch.clamp(1, QueryBatch::MAX_QUERIES);
     let queue_capacity = if opts.queue_capacity == 0 {
@@ -173,13 +169,7 @@ pub fn serve(mut engine: GStoreEngine, opts: ServeOptions) -> Result<ServerHandl
     } else {
         opts.queue_capacity
     };
-
-    // Degree precompute: one sweep, then back to a cold, quiet engine.
-    let mut dc = DegreeCount::new(tiling);
-    engine.run(&mut dc, opts.max_iters)?;
-    let degrees = dc.degrees();
-    engine.clear_cache();
-    engine.reset_metrics();
+    let degrees = engine.index().degrees().to_vec();
 
     let rec: Arc<dyn Recorder> = engine
         .recorder_handle()

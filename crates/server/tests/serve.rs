@@ -11,7 +11,7 @@ use gstore_io::{MemBackend, StorageBackend};
 use gstore_metrics::{Counter::*, Hist};
 use gstore_scr::ScrConfig;
 use gstore_server::{read_frame, serve, Client, Reply, ServeOptions, MAX_REQUEST};
-use gstore_tile::{ConversionOptions, TileIndex, TileStore};
+use gstore_tile::{ConversionOptions, TileStore};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -57,11 +57,8 @@ const MIXED: [&str; 9] = [
 /// daemon (fresh engine per sweep so nothing is shared).
 fn reference_answers(store: &TileStore, specs: &[&str], walk_seed: u64) -> Vec<QueryValue> {
     let tiling = *store.layout().tiling();
-    let mut engine = engine_for(store);
-    let mut dc = gstore_core::DegreeCount::new(tiling);
-    engine.run(&mut dc, 1000).unwrap();
-    let degrees = dc.degrees();
-    engine.clear_cache();
+    let engine = engine_for(store);
+    let degrees = store.degrees().to_vec();
     let reader = engine.point_reader();
     specs
         .iter()
@@ -280,11 +277,7 @@ impl StorageBackend for ArmedFault {
 #[test]
 fn injected_io_fault_mid_sweep_is_survivable() {
     let store = small_store();
-    let index = TileIndex::raw(
-        store.layout().clone(),
-        store.encoding(),
-        store.start_edge().to_vec(),
-    );
+    let index = store.index();
     let inner: Arc<dyn StorageBackend> = Arc::new(MemBackend::new(store.data().to_vec()));
     let fault_backend = Arc::new(ArmedFault::new(inner));
     let engine = GStoreEngine::builder()
@@ -293,7 +286,6 @@ fn injected_io_fault_mid_sweep_is_survivable() {
         .metrics(true)
         .build()
         .unwrap();
-    // Unarmed: the startup degree sweep runs clean.
     let handle = serve(engine, ServeOptions::default()).unwrap();
     let addr = handle.local_addr().to_string();
 

@@ -1,10 +1,12 @@
 //! On-disk persistence of tile stores (§IV.B, §V.A).
 //!
-//! A store occupies two files, exactly as in the paper:
+//! A store occupies three files, as in the paper:
 //! * `<name>.tiles` — every tile's encoded edges, concatenated in
 //!   physical-group order (one sequential run per group);
 //! * `<name>.start` — the start-edge index plus a self-describing header
-//!   (tiling geometry, group side, encoding).
+//!   (tiling geometry, group side, encoding);
+//! * `<name>.deg` — the compact degree array (§IV.C; its layout is in
+//!   `docs/FORMAT.md`).
 //!
 //! Two header versions coexist. Version 1 is the raw format: tile `i`
 //! occupies `start_edge[i] * bpe .. start_edge[i+1] * bpe` of the data
@@ -16,10 +18,11 @@
 
 use crate::bitcodec::Codec;
 use crate::codec::EdgeEncoding;
+use crate::deg::{deg_path, read_deg_file, write_deg_file};
 use crate::grouping::GroupedLayout;
 use crate::layout::Tiling;
 use crate::store::TileStore;
-use gstore_graph::{GraphError, GraphKind, Result};
+use gstore_graph::{CompactDegrees, GraphError, GraphKind, Result};
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::os::unix::fs::FileExt;
@@ -31,11 +34,14 @@ const VERSION: u32 = 1;
 const CODED_VERSION: u32 = 2;
 const HEADER_BYTES: usize = 48;
 
-/// Paths of the two files backing a stored graph.
+/// Paths of the three files backing a stored graph.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TilePaths {
     pub tiles: PathBuf,
     pub start: PathBuf,
+    /// Beside `start`, with the same stem: where [`TileIndex::read`]
+    /// looks for it.
+    pub deg: PathBuf,
 }
 
 impl TilePaths {
@@ -44,14 +50,16 @@ impl TilePaths {
         TilePaths {
             tiles: dir.join(format!("{name}.tiles")),
             start: dir.join(format!("{name}.start")),
+            deg: dir.join(format!("{name}.deg")),
         }
     }
 }
 
-/// Writes a store's two files to disk. Returns the paths.
+/// Writes a store's three files to disk. Returns the paths.
 pub fn write_store(store: &TileStore, dir: &Path, name: &str) -> Result<TilePaths> {
     let paths = TilePaths::new(dir, name);
     std::fs::write(&paths.tiles, store.data())?;
+    write_deg_file(&paths.deg, store.degrees())?;
     write_start_file(
         &paths.start,
         store.layout(),
@@ -126,9 +134,9 @@ pub(crate) fn write_start_file_with(
     Ok(())
 }
 
-/// Parsed header + start-edge index of a stored graph; cheap relative to
-/// the tile data, always loaded fully (the paper keeps the start-edge file
-/// in memory too).
+/// Parsed header + start-edge index + degree array of a stored graph;
+/// cheap relative to the tile data, always loaded fully (the paper keeps
+/// the start-edge file and the degree array in memory too).
 #[derive(Debug, Clone)]
 pub struct TileIndex {
     pub layout: GroupedLayout,
@@ -141,22 +149,14 @@ pub struct TileIndex {
     /// store is coded; `None` for raw stores, whose byte ranges derive from
     /// `start_edge` alone.
     pub comp_offsets: Option<Vec<u64>>,
+    /// Checked against the layout and the edge count wherever it comes
+    /// from, so not public.
+    pub(crate) degrees: CompactDegrees,
 }
 
 impl TileIndex {
-    /// An index over a raw (uncoded) store — the common constructor for
-    /// in-memory stores and tests.
-    pub fn raw(layout: GroupedLayout, encoding: EdgeEncoding, start_edge: Vec<u64>) -> Self {
-        TileIndex {
-            layout,
-            encoding,
-            start_edge,
-            codec: Codec::RawSnb,
-            comp_offsets: None,
-        }
-    }
-
-    /// Reads and validates a `.start` file (either header version).
+    /// Reads and validates a `.start` file (either header version) and the
+    /// `.deg` file beside it, which must agree with it.
     pub fn read(path: &Path) -> Result<Self> {
         let file = File::open(path)?;
         let mut r = BufReader::new(file);
@@ -232,13 +232,22 @@ impl TileIndex {
         } else {
             None
         };
+        let degrees = read_deg_file(&deg_path(path), &layout, edge_count)?;
         Ok(TileIndex {
             layout,
             encoding,
             start_edge,
             codec,
             comp_offsets,
+            degrees,
         })
+    }
+
+    /// The store's compact degree array: out-degrees on a directed graph,
+    /// undirected degrees otherwise.
+    #[inline]
+    pub fn degrees(&self) -> &CompactDegrees {
+        &self.degrees
     }
 
     #[inline]
@@ -388,6 +397,7 @@ impl TileFile {
             self.index.encoding,
             data,
             self.index.start_edge,
+            self.index.degrees,
         )
     }
 }

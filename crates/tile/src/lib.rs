@@ -6,9 +6,10 @@
 //! tiles are arranged on disk in cache-sized physical groups ([`grouping`]);
 //! one two-pass converter ([`stream`]) turns an edge file or an in-memory
 //! edge list into that layout under the options of [`mod@convert`]; the
-//! result is a [`TileStore`] persisted as a data file plus a start-edge
-//! index ([`mod@file`]). [`sizing`] reproduces the paper's Table II storage
-//! arithmetic and [`stats`] the tile/group occupancy figures; [`bitcodec`]
+//! result is a [`TileStore`] persisted as a data file, a start-edge index
+//! and the compact degree array the first pass counts ([`mod@file`]).
+//! [`sizing`] reproduces the paper's Table II storage arithmetic and
+//! [`stats`] the tile/group occupancy figures; [`bitcodec`]
 //! implements the paper's future-work tile compression.
 //!
 //! ```
@@ -32,6 +33,7 @@
 pub mod bitcodec;
 pub mod codec;
 pub mod convert;
+mod deg;
 pub mod file;
 pub mod grouping;
 pub mod layout;

@@ -1,11 +1,11 @@
 //! Re-encoding raw stores with a bit-level tile codec, in memory or on
 //! disk.
 //!
-//! A coded store keeps the `.tiles`/`.start` file pair: the data file
+//! A coded store keeps the `.tiles`/`.start`/`.deg` files: the data file
 //! holds each tile's codec stream (concatenated in the same physical-group
-//! order as raw stores), and the version-2 `.start` header carries the
-//! codec tag plus the per-tile compressed offset table (see
-//! [`crate::file`]). The sweep engine, query batches, and point reads all
+//! order as raw stores), the version-2 `.start` header carries the codec
+//! tag plus the per-tile compressed offset table (see [`crate::file`]),
+//! and the `.deg` is the raw store's, byte for byte. The sweep engine, query batches, and point reads all
 //! consume either format through the same [`crate::TileIndex`] byte
 //! ranges; decoding happens on the fly in the view layer.
 //!
@@ -19,6 +19,7 @@
 
 use crate::bitcodec::Codec;
 use crate::codec::EdgeEncoding;
+use crate::deg::write_deg_file;
 use crate::file::{write_start_file_with, TileFile, TileIndex, TilePaths};
 use crate::store::TileStore;
 use gstore_graph::{GraphError, Result};
@@ -76,20 +77,11 @@ fn require_snb(encoding: EdgeEncoding) -> Result<()> {
 /// SSD simulator. `Codec::RawSnb` returns a plain raw index over a copy of
 /// the store's bytes.
 pub fn encode_store(store: &TileStore, codec: Codec) -> Result<(TileIndex, Vec<u8>)> {
+    let mut index = store.index();
     if codec == Codec::RawSnb {
-        let index = TileIndex::raw(
-            store.layout().clone(),
-            store.encoding(),
-            store.start_edge().to_vec(),
-        );
         return Ok((index, store.data().to_vec()));
     }
     require_snb(store.encoding())?;
-    let mut index = TileIndex::raw(
-        store.layout().clone(),
-        store.encoding(),
-        store.start_edge().to_vec(),
-    );
     let mut data = Vec::with_capacity(store.data().len() / 2 + 16);
     let source = WaveSource::Mem(store.data());
     let comp_offsets = encode_waves(&index, source, codec, WAVE_BYTES, |coded| {
@@ -213,8 +205,8 @@ pub fn report_for(index: &TileIndex) -> CodecReport {
     }
 }
 
-/// Writes an in-memory store to `dir/name.tiles` + `dir/name.start` in
-/// coded form.
+/// Writes an in-memory store to `dir/name.{tiles,start,deg}` in coded
+/// form.
 pub fn write_coded_store(
     store: &TileStore,
     dir: &Path,
@@ -224,6 +216,7 @@ pub fn write_coded_store(
     let (index, data) = encode_store(store, codec)?;
     let paths = TilePaths::new(dir, name);
     std::fs::write(&paths.tiles, &data)?;
+    write_deg_file(&paths.deg, index.degrees())?;
     write_start_file_with(
         &paths.start,
         &index.layout,
@@ -237,13 +230,14 @@ pub fn write_coded_store(
 
 /// Re-encodes an on-disk store wave by wave — O(wave) memory, no
 /// full-store materialisation. `src` may itself be raw or coded (tiles are
-/// decoded first when it is); the output pair lands at `dir/name.*`.
+/// decoded first when it is); the output store lands at `dir/name.*`, its
+/// `.deg` a copy of the source's degree array.
 ///
-/// Both files are written under temporary names (`name.tiles.tmp`,
-/// `name.start.tmp`) and renamed at the end, `.tiles` first and `.start`
-/// last. An error while encoding or writing removes the temporaries and
-/// leaves the final names as they were, so it never leaves half a pair
-/// there; only a failing `.start` rename, after the `.tiles` one, could.
+/// All three files are written under temporary names (`name.tiles.tmp`,
+/// `name.deg.tmp`, `name.start.tmp`) and renamed at the end, `.tiles`
+/// first and `.start` last. An error while encoding or writing removes the
+/// temporaries and leaves the final names as they were, so it never leaves
+/// half a store there; only a failing rename after the `.tiles` one could.
 /// Nothing is synced (no `sync_all`, no directory sync): the output is
 /// not durable across a power loss.
 pub fn recode_store_files(
@@ -269,6 +263,7 @@ pub fn recode_store_files(
     let tmp = TilePaths {
         tiles: dir.join(format!("{name}.tiles.tmp")),
         start: dir.join(format!("{name}.start.tmp")),
+        deg: dir.join(format!("{name}.deg.tmp")),
     };
     let index = tf.index();
     let written = (|| {
@@ -282,6 +277,7 @@ pub fn recode_store_files(
             Ok(())
         })?;
         data.flush()?;
+        write_deg_file(&tmp.deg, index.degrees())?;
         write_start_file_with(
             &tmp.start,
             &index.layout,
@@ -291,13 +287,15 @@ pub fn recode_store_files(
             Some(&comp_offsets),
         )?;
         std::fs::rename(&tmp.tiles, &out.tiles)?;
+        std::fs::rename(&tmp.deg, &out.deg)?;
         std::fs::rename(&tmp.start, &out.start)?;
         Ok(comp_offsets[comp_offsets.len() - 1])
     })()
     .inspect_err(|_: &GraphError| {
         // Whichever temporaries exist; the error to report is the first.
-        let _ = std::fs::remove_file(&tmp.tiles);
-        let _ = std::fs::remove_file(&tmp.start);
+        for path in [&tmp.tiles, &tmp.deg, &tmp.start] {
+            let _ = std::fs::remove_file(path);
+        }
     })?;
     Ok((
         out,
@@ -587,7 +585,11 @@ mod tests {
         // A clean rerun into the same place succeeds, byte-identically.
         std::fs::write(&gamma.tiles, &good).unwrap();
         let (paths, _) = recode_store_files(&gamma, &out, "ef", Codec::EliasFano).unwrap();
-        assert_eq!(dir_entries(&out), ["ef.start", "ef.tiles"]);
+        assert_eq!(dir_entries(&out), ["ef.deg", "ef.start", "ef.tiles"]);
+        assert_eq!(
+            std::fs::read(&paths.deg).unwrap(),
+            std::fs::read(&gamma.deg).unwrap()
+        );
         let (_, want) = sequential_reference(&store, Codec::GammaGap, Codec::EliasFano);
         let index = TileIndex::read(&paths.start).unwrap();
         assert_eq!(index.comp_offsets, Some(want));

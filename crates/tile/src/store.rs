@@ -3,13 +3,16 @@
 //!
 //! Mirrors the on-disk layout exactly — one blob of encoded edges plus a
 //! `tile_count + 1` prefix array of edge offsets, the analogue of CSR's
-//! beg-pos but per tile.
+//! beg-pos but per tile, plus the compact degree array.
 
+use crate::bitcodec::Codec;
 use crate::codec::EdgeEncoding;
 use crate::convert::{convert, ConversionOptions};
+use crate::deg::check_degrees;
+use crate::file::TileIndex;
 use crate::grouping::{GroupInfo, GroupedLayout};
 use crate::layout::TileCoord;
-use gstore_graph::{Edge, EdgeList, GraphError, Result};
+use gstore_graph::{CompactDegrees, Edge, EdgeList, GraphError, Result};
 
 /// A fully materialised tile-format graph.
 #[derive(Debug, Clone)]
@@ -21,6 +24,8 @@ pub struct TileStore {
     /// `start_edge[k]` = index of the first edge of linear tile `k`;
     /// `start_edge[tile_count]` = total edge count.
     pub(crate) start_edge: Vec<u64>,
+    /// Degree of every vertex, counted by the conversion's first pass.
+    pub(crate) degrees: CompactDegrees,
 }
 
 impl TileStore {
@@ -30,12 +35,15 @@ impl TileStore {
         convert(el, opts)
     }
 
-    /// Reassembles a store from raw parts, validating invariants.
+    /// Reassembles a store from raw parts, validating invariants: the
+    /// degree array is checked against the layout and the edge count as
+    /// a `.deg` file is.
     pub fn from_raw_parts(
         layout: GroupedLayout,
         encoding: EdgeEncoding,
         data: Vec<u8>,
         start_edge: Vec<u64>,
+        degrees: CompactDegrees,
     ) -> Result<Self> {
         let tc = layout.tile_count() as usize;
         if start_edge.len() != tc + 1 {
@@ -59,12 +67,35 @@ impl TileStore {
                 total
             )));
         }
+        check_degrees(&layout, total, &degrees)?;
         Ok(TileStore {
             layout,
             encoding,
             data,
             start_edge,
+            degrees,
         })
+    }
+
+    /// The store's index, as [`TileIndex::read`] would load it from the
+    /// files [`crate::write_store`] writes: the way to serve an in-memory
+    /// store from any storage backend.
+    pub fn index(&self) -> TileIndex {
+        TileIndex {
+            layout: self.layout.clone(),
+            encoding: self.encoding,
+            start_edge: self.start_edge.clone(),
+            codec: Codec::RawSnb,
+            comp_offsets: None,
+            degrees: self.degrees.clone(),
+        }
+    }
+
+    /// The compact degree array: out-degrees on a directed graph,
+    /// undirected degrees otherwise.
+    #[inline]
+    pub fn degrees(&self) -> &CompactDegrees {
+        &self.degrees
     }
 
     #[inline]
@@ -253,35 +284,27 @@ mod tests {
     fn from_raw_parts_validates() {
         let tiling = Tiling::new(8, 2, GraphKind::Directed).unwrap();
         let layout = GroupedLayout::ungrouped(tiling).unwrap();
+        // Two edges, out of vertices 0 and 5.
+        let degrees = CompactDegrees::from_degrees(&[1, 0, 0, 0, 0, 1, 0, 0]);
+        let parts = |data: usize, start_edge: &[u64], degrees: &CompactDegrees| {
+            TileStore::from_raw_parts(
+                layout.clone(),
+                EdgeEncoding::Snb,
+                vec![0u8; data],
+                start_edge.to_vec(),
+                degrees.clone(),
+            )
+        };
         // 4 tiles -> start_edge needs 5 entries.
-        let ok = TileStore::from_raw_parts(
-            layout.clone(),
-            EdgeEncoding::Snb,
-            vec![0u8; 8],
-            vec![0, 1, 2, 2, 2],
-        );
-        assert!(ok.is_ok());
-        assert!(TileStore::from_raw_parts(
-            layout.clone(),
-            EdgeEncoding::Snb,
-            vec![0u8; 8],
-            vec![0, 1, 2, 2]
-        )
-        .is_err());
-        assert!(TileStore::from_raw_parts(
-            layout.clone(),
-            EdgeEncoding::Snb,
-            vec![0u8; 8],
-            vec![0, 2, 1, 2, 2]
-        )
-        .is_err());
-        assert!(TileStore::from_raw_parts(
-            layout,
-            EdgeEncoding::Snb,
-            vec![0u8; 9],
-            vec![0, 1, 2, 2, 2]
-        )
-        .is_err());
+        assert!(parts(8, &[0, 1, 2, 2, 2], &degrees).is_ok());
+        assert!(parts(8, &[0, 1, 2, 2], &degrees).is_err());
+        assert!(parts(8, &[0, 2, 1, 2, 2], &degrees).is_err());
+        assert!(parts(9, &[0, 1, 2, 2, 2], &degrees).is_err());
+        // Degrees for another vertex count, or another edge count.
+        let short = CompactDegrees::from_degrees(&[1, 1]);
+        assert!(parts(8, &[0, 1, 2, 2, 2], &short).is_err());
+        let three = CompactDegrees::from_degrees(&[2, 0, 0, 0, 0, 1, 0, 0]);
+        assert!(parts(8, &[0, 1, 2, 2, 2], &three).is_err());
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //!
 //! - **Pass 1** counts edges per tile (sub-ranges in parallel into
 //!   per-worker partial arrays, merged per chunk) and accumulates the degree
-//!   array. A prefix sum over the counts yields the global start-edge index.
+//!   array, which becomes the store's `.deg`. A prefix sum over the counts
+//!   yields the global start-edge index.
 //! - **Pass 2** re-reads the source. Per chunk, the sub-ranges count their
 //!   per-tile populations in parallel; a sequential O(touched tiles) step
 //!   lays the chunk out **tile-major** in one pack buffer — tile by tile,
@@ -17,14 +18,15 @@
 //!   claims the tile's contiguous final range against a rolling cursor; the
 //!   sub-ranges then counting-sort into their pack positions in parallel.
 //!   Each touched tile is then **one** positioned write per chunk, straight
-//!   from the pack. One thread writes the pack out while the caller reads
-//!   the next chunk: buffered writes to one file serialise in the kernel,
-//!   so splitting them across workers buys nothing (measured: 29 ms split
-//!   against 26 ms on one thread), hiding the next read behind them does.
+//!   from the pack. One writer thread, kept for the whole pass, writes each
+//!   pack out while the caller reads the next chunk: buffered writes to one
+//!   file serialise in the kernel, so splitting them across workers buys
+//!   nothing (measured: 29 ms split against 26 ms on one thread), hiding
+//!   the next read behind them does.
 //!
-//! [`convert_streaming`] and [`convert_edges`] write the `.start` file
-//! between the passes, so a pass-2 failure leaves a header-consistent pair
-//! behind for retry, and scatter into the `.tiles` file;
+//! [`convert_streaming`] and [`convert_edges`] write the `.deg` and `.start`
+//! files between the passes, so a pass-2 failure leaves a header-consistent
+//! store behind for retry, and scatter into the `.tiles` file;
 //! [`crate::convert()`] scatters into a [`MemWriteBackend`] whose bytes
 //! become the store. The bytes depend on neither the source, nor the
 //! worker count, nor the chunk size.
@@ -42,7 +44,7 @@
 use std::marker::PhantomData;
 use std::ops::Range;
 use std::path::Path;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 use gstore_graph::{
@@ -57,6 +59,7 @@ use rayon::prelude::*;
 
 use crate::codec::EdgeEncoding;
 use crate::convert::{fold_orientations, resolve_layout, write_edge, ConversionOptions};
+use crate::deg::write_deg_file;
 use crate::file::{write_start_file, TilePaths};
 use crate::grouping::GroupedLayout;
 use crate::store::TileStore;
@@ -130,7 +133,7 @@ impl StreamingOptions {
 /// What a conversion to files produced and how it behaved.
 #[derive(Debug, Clone)]
 pub struct StreamingReport {
-    /// Where the `.tiles`/`.start` pair landed.
+    /// Where the `.tiles`, `.start` and `.deg` files landed.
     pub paths: TilePaths,
     pub vertex_count: u64,
     /// Stored edge count (after mirroring policy), i.e. `.tiles` records.
@@ -142,9 +145,6 @@ pub struct StreamingReport {
     pub chunk_edges: usize,
     /// Chunks read per pass.
     pub chunks: u64,
-    /// Compact degree array accumulated during pass 1; `None` when the
-    /// graph has too many overflow hubs for the compact form.
-    pub degrees: Option<CompactDegrees>,
     pub pass1_ns: u64,
     pub pass2_ns: u64,
     /// Pass-2 write totals: `pwrites` positioned writes (one per tile a
@@ -153,8 +153,9 @@ pub struct StreamingReport {
     pub write: BatchWriterStats,
 }
 
-/// Streams the binary edge file `edge_path` into `dir/name.tiles` +
-/// `dir/name.start`, holding O(tile_count + budget) bytes.
+/// Streams the binary edge file `edge_path` into `dir/name.tiles`,
+/// `dir/name.start` and `dir/name.deg`, holding O(tile_count + vertices +
+/// budget) bytes.
 pub fn convert_streaming(
     edge_path: &Path,
     dir: &Path,
@@ -164,8 +165,8 @@ pub fn convert_streaming(
     convert_into_dir(&mut EdgeChunks::open(edge_path, 1)?, dir, name, opts)
 }
 
-/// Converts a resident edge list into `dir/name.tiles` + `dir/name.start`:
-/// the same bytes as [`convert_streaming`] on the list's binary file.
+/// Converts a resident edge list into `dir/name.{tiles,start,deg}`: the
+/// same bytes as [`convert_streaming`] on the list's binary file.
 pub fn convert_edges(
     el: &EdgeList,
     dir: &Path,
@@ -188,8 +189,9 @@ fn convert_into_dir(
 }
 
 /// [`convert_streaming`] with an injectable tile-data backend: the
-/// `.start` file is written to `paths.start`, tile bytes go to `backend`
-/// (which fault tests may wrap). `paths.tiles` only labels the report.
+/// `.start` and `.deg` files are written to `paths.start` and
+/// `paths.deg`, tile bytes go to `backend` (which fault tests may wrap).
+/// `paths.tiles` only labels the report.
 pub fn convert_streaming_to(
     edge_path: &Path,
     backend: Arc<dyn WritableBackend>,
@@ -214,12 +216,18 @@ pub(crate) fn convert_to_memory(
     let sink = MemWriteBackend::new();
     scatter_pass(&mut source, &index, &sink, &sopts, workers)?;
     let data = sink.into_inner();
-    TileStore::from_raw_parts(index.layout, opts.encoding, data, index.start_edge)
+    TileStore::from_raw_parts(
+        index.layout,
+        opts.encoding,
+        data,
+        index.start_edge,
+        index.degrees,
+    )
 }
 
-/// Pass 1, the `.start` file, pass 2, with every chunk cut into at most
-/// `workers` sub-ranges. The bytes do not depend on `workers`; tests sweep
-/// it without resizing the process-wide pool.
+/// Pass 1, the `.deg` and `.start` files, pass 2, with every chunk cut into
+/// at most `workers` sub-ranges. The bytes do not depend on `workers`;
+/// tests sweep it without resizing the process-wide pool.
 fn convert_source(
     source: &mut impl EdgeSource,
     backend: &dyn WritableBackend,
@@ -230,7 +238,8 @@ fn convert_source(
     let encoding = opts.convert.encoding;
     let index = count_pass(source, opts, workers)?;
     // The index is complete before any tile byte exists; write it now so a
-    // pass-2 failure leaves a header-consistent pair behind for retry.
+    // pass-2 failure leaves a header-consistent store behind for retry.
+    write_deg_file(&paths.deg, &index.degrees)?;
     write_start_file(&paths.start, &index.layout, encoding, &index.start_edge)?;
     let (write, pass2_ns) = scatter_pass(source, &index, backend, opts, workers)?;
     let meta = source.meta();
@@ -242,7 +251,6 @@ fn convert_source(
         data_bytes: index.total_edges * encoding.bytes_per_edge() as u64,
         chunk_edges: index.chunk_edges,
         chunks: meta.edge_count.div_ceil(index.chunk_edges as u64),
-        degrees: index.degrees,
         pass1_ns: index.pass1_ns,
         pass2_ns,
         write,
@@ -340,7 +348,7 @@ struct Index {
     /// Stored edges (more than the input's when mirrors are duplicated).
     total_edges: u64,
     chunk_edges: usize,
-    degrees: Option<CompactDegrees>,
+    degrees: CompactDegrees,
     pass1_ns: u64,
 }
 
@@ -372,7 +380,7 @@ fn count_pass(
         .map(|_| Mutex::new(vec![0u64; tile_count]))
         .collect();
     let mut start_edge = vec![0u64; tile_count + 1];
-    let mut degrees = vec![0u64; meta.vertex_count as usize];
+    let mut degrees = vec![0u64; layout.tiling().vertex_count() as usize];
     while let Some(chunk) = source.next_chunk()? {
         for_each_part(&sub_ranges(chunk.len(), workers), |w, part| {
             let mut acc = lock(&partials[w]);
@@ -402,7 +410,7 @@ fn count_pass(
     for t in 0..tile_count {
         start_edge[t + 1] += start_edge[t];
     }
-    let compact = CompactDegrees::from_degrees(&degrees).ok();
+    let compact = CompactDegrees::from_degrees(&degrees);
     drop(degrees);
     let pass1_ns = pass1.elapsed().as_nanos() as u64;
     if let Some(rec) = &opts.recorder {
@@ -454,38 +462,54 @@ fn scatter_pass(
             .map(|_| Mutex::new(ChunkCursors::new(tile_count)))
             .collect(),
         touched: Vec::new(),
-        runs: Vec::new(),
-        pack: pool.acquire(
+    };
+    let mut pack = Pack {
+        buf: pool.acquire(
             (index.chunk_edges * pack_bytes_per_edge(opts, index.duplicate_mirror)).max(16),
         ),
+        len: 0,
+        runs: Vec::new(),
     };
-    let mut write = BatchWriterStats::default();
-    let mut next = source.next_chunk()?;
-    while let Some(chunk) = next {
-        if let Some(rec) = &opts.recorder {
-            let n = chunk.len() as u64;
-            rec.ingest_chunk(2, n, n * chunk_bytes);
-        }
-        let (packed, runs) = scatter.pack_chunk(chunk);
-        if let Some(rec) = &opts.recorder {
-            rec.ingest_staging(packed.len() as u64);
-        }
-        // The chunk now lives in the pack alone, so the source reads the
-        // next one while the pack is written out.
-        let (written, read) = std::thread::scope(|s| {
-            let writer = s.spawn(|| write_runs(backend, packed, runs));
-            let read = source.next_chunk();
-            (writer.join(), read)
+    // One writer for the pass. The pack goes to it and comes back, so the
+    // next chunk is packed only once the last one is written out.
+    let write = std::thread::scope(|s| -> Result<BatchWriterStats> {
+        let (to_writer, packs) = mpsc::channel::<Pack>();
+        let (to_packer, written) = mpsc::channel();
+        s.spawn(move || {
+            for pack in packs {
+                let done = write_runs(backend, &pack.buf.as_slice()[..pack.len], &pack.runs);
+                // Fails only once the packer is gone, which sends no more.
+                let _ = to_packer.send((pack, done));
+            }
         });
-        written.expect("the pack writer panicked")?;
-        next = read?;
-        write.flushes += 1;
-        write.pwrites += runs.len() as u64;
-        write.bytes_written += packed.len() as u64;
-        if let Some(rec) = &opts.recorder {
-            rec.ingest_flush(packed.len() as u64, runs.len() as u64);
+        let mut write = BatchWriterStats::default();
+        let mut next = source.next_chunk()?;
+        while let Some(chunk) = next {
+            if let Some(rec) = &opts.recorder {
+                let n = chunk.len() as u64;
+                rec.ingest_chunk(2, n, n * chunk_bytes);
+            }
+            scatter.pack_chunk(chunk, &mut pack);
+            if let Some(rec) = &opts.recorder {
+                rec.ingest_staging(pack.len as u64);
+            }
+            // The chunk now lives in the pack alone, so the source reads
+            // the next one while the pack is written out.
+            to_writer.send(pack).expect("the pack writer panicked");
+            let read = source.next_chunk();
+            let done;
+            (pack, done) = written.recv().expect("the pack writer panicked");
+            done?;
+            next = read?;
+            write.flushes += 1;
+            write.pwrites += pack.runs.len() as u64;
+            write.bytes_written += pack.len as u64;
+            if let Some(rec) = &opts.recorder {
+                rec.ingest_flush(pack.len as u64, pack.runs.len() as u64);
+            }
         }
-    }
+        Ok(write)
+    })?;
     debug_assert!(scatter
         .cursor
         .iter()
@@ -608,17 +632,22 @@ struct ChunkScatter<'a> {
     workers: Vec<Mutex<ChunkCursors>>,
     /// Tiles the current chunk touches, ascending.
     touched: Vec<u64>,
-    /// The current chunk's writes, ascending in file and pack offset.
+}
+
+/// One chunk, packed: what the writer thread writes out.
+struct Pack {
+    /// The chunk's records, tile-major, in the first `len` bytes.
+    buf: gstore_io::PooledBuf,
+    len: usize,
+    /// The writes that land them, ascending in file and pack offset.
     runs: Vec<WriteRun>,
-    /// The current chunk's records, tile-major.
-    pack: gstore_io::PooledBuf,
 }
 
 impl ChunkScatter<'_> {
-    /// Counting-sorts one chunk into the pack, tile-major. Returns the
-    /// packed bytes and the writes that land them: one per touched tile,
-    /// neighbours that are also adjacent in the file merged.
-    fn pack_chunk(&mut self, chunk: impl EdgeRun) -> (&[u8], &[WriteRun]) {
+    /// Counting-sorts one chunk into `pack`, tile-major, with the writes
+    /// that land it: one per touched tile, neighbours that are also
+    /// adjacent in the file merged.
+    fn pack_chunk(&mut self, chunk: impl EdgeRun, pack: &mut Pack) {
         let (layout, duplicate_mirror, bpe) = (self.layout, self.duplicate_mirror, self.bpe);
         let parts = sub_ranges(chunk.len(), self.workers.len());
         let workers = &self.workers[..parts.len()];
@@ -640,7 +669,7 @@ impl ChunkScatter<'_> {
         }
         self.touched.sort_unstable();
         self.touched.dedup();
-        self.runs.clear();
+        pack.runs.clear();
         let mut at = 0u64;
         for &t in &self.touched {
             let t = t as usize;
@@ -650,7 +679,7 @@ impl ChunkScatter<'_> {
                 at += state.counts[t];
             }
             push_run(
-                &mut self.runs,
+                &mut pack.runs,
                 WriteRun {
                     offset: self.cursor[t] * bpe as u64,
                     lo: lo as usize * bpe,
@@ -663,8 +692,8 @@ impl ChunkScatter<'_> {
 
         // Phase B (parallel): every sub-range encodes its edges into the
         // slots the prefix step gave it.
-        let packed = &mut self.pack.as_mut_slice()[..at as usize * bpe];
-        let slots = PackSlots::new(packed);
+        pack.len = at as usize * bpe;
+        let slots = PackSlots::new(&mut pack.buf.as_mut_slice()[..pack.len]);
         let tiling = *layout.tiling();
         let span_mask = tiling.tile_span() - 1;
         let encoding = self.encoding;
@@ -690,7 +719,6 @@ impl ChunkScatter<'_> {
                 }
             }
         });
-        (packed, &self.runs)
     }
 }
 
@@ -867,19 +895,21 @@ mod tests {
             el.write_binary(&edge_path, width).unwrap();
             let want = convert_to_memory(&el, &copts, 1).unwrap();
             let paths = TilePaths::new(dir.path(), "g");
-            let degrees = CompactDegrees::from_edge_list(&el).ok();
+            let degrees = CompactDegrees::from_edge_list(&el).unwrap();
+            assert_eq!(want.degrees(), &degrees);
             let check = |label: &str, chunk: usize, (data, report): (Vec<u8>, StreamingReport)| {
                 assert_eq!(data, want.data(), "{label}");
                 assert_eq!(report.data_bytes, want.data_bytes(), "{label}");
                 assert_eq!(report.edge_count, want.edge_count(), "{label}");
                 assert_eq!(report.chunks, (n as u64).div_ceil(chunk as u64), "{label}");
-                assert_eq!(report.degrees, degrees, "{label}");
                 let index = crate::file::TileIndex::read(&paths.start).unwrap();
                 assert_eq!(index.start_edge, want.start_edge(), "{label}");
+                assert_eq!(index.degrees(), &degrees, "{label}");
             };
             for workers in [1usize, 2, 3, 4, 7] {
                 let store = convert_to_memory(&el, &copts, workers).unwrap();
                 assert_eq!(store.data(), want.data(), "in memory, workers={workers}");
+                assert_eq!(store.degrees(), &degrees, "in memory, workers={workers}");
                 for chunk in [1, 2, workers.max(2) - 1, workers + 1, 97, n / 4, n, n + 1] {
                     let opts = StreamingOptions::new(copts).with_chunk_edges(chunk);
                     let label = format!("workers={workers} chunk={chunk} {copts:?}");

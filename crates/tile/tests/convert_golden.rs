@@ -8,13 +8,16 @@
 //! Text input is the same graph written with `write_text` and read back,
 //! its vertex count read back from the header. The tuple width is that
 //! of the binary file the streaming entry point reads.
+//!
+//! Every entry point also writes the same `.deg` file, and the degrees it
+//! holds are those of the edge list.
 
 use gstore_graph::gen::{generate_rmat, RmatParams};
 use gstore_graph::text::{read_text, write_text};
-use gstore_graph::{Edge, EdgeList, GraphKind, TupleWidth};
+use gstore_graph::{CompactDegrees, Edge, EdgeList, GraphKind, TupleWidth};
 use gstore_tile::{
     convert_edges, convert_streaming, write_store, ConversionOptions, EdgeEncoding,
-    StreamingOptions, TilePaths, TileStore,
+    StreamingOptions, TileIndex, TilePaths, TileStore,
 };
 use std::fmt::Write;
 use std::path::Path;
@@ -73,15 +76,25 @@ fn render_group(kind: GraphKind, encoding: EdgeEncoding) -> String {
                     );
 
                     let store = TileStore::build(&el, &opts).unwrap();
-                    let built = hashes(&write_store(&store, dir.path(), "m").unwrap());
+                    let paths = write_store(&store, dir.path(), "m").unwrap();
+                    let built = hashes(&paths);
+                    let degrees = TileIndex::read(&paths.start).unwrap().degrees().clone();
+                    assert_eq!(
+                        degrees,
+                        CompactDegrees::from_edge_list(&el).unwrap(),
+                        "{label}"
+                    );
+                    let deg = std::fs::read(&paths.deg).unwrap();
 
                     let edge_path = dir.path().join("g.el");
                     el.write_binary(&edge_path, width).unwrap();
                     let sopts = StreamingOptions::new(opts).with_chunk_edges(300);
                     let report = convert_streaming(&edge_path, dir.path(), "s", &sopts).unwrap();
                     assert_eq!(hashes(&report.paths), built, "{label}: streamed");
+                    assert_eq!(std::fs::read(&report.paths.deg).unwrap(), deg, "{label}");
                     let report = convert_edges(&el, dir.path(), "e", &sopts).unwrap();
                     assert_eq!(hashes(&report.paths), built, "{label}: from the list");
+                    assert_eq!(std::fs::read(&report.paths.deg).unwrap(), deg, "{label}");
 
                     writeln!(out, "{label} tiles={:016x} start={:016x}", built.0, built.1).unwrap();
                 }

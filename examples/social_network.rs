@@ -29,10 +29,8 @@ fn main() -> gstore::graph::Result<()> {
         .build()?;
 
     // -- PageRank: who are the influencers? --
-    // Degrees come from the store itself via a one-sweep DegreeCount.
-    let mut dc = DegreeCount::new(tiling);
-    engine.run(&mut dc, 1)?;
-    let degrees = dc.degrees();
+    // Degrees come with the store: the compact array its conversion counted.
+    let degrees = store.degrees().to_vec();
     let mut pr = PageRank::new(tiling, degrees.clone(), 0.85).with_tolerance(1e-9);
     let stats = engine.run(&mut pr, 100)?;
     println!("\nPageRank converged in {} iterations", stats.iterations);

@@ -11,7 +11,6 @@
 use gstore::io::{ArrayConfig, SsdArraySim};
 use gstore::prelude::*;
 use gstore::tile::sizing::human_bytes;
-use gstore::tile::TileIndex;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -32,9 +31,7 @@ fn main() -> gstore::graph::Result<()> {
         store.data_bytes() / 4 + 2 * segment,
     )?);
 
-    let mut dc = DegreeCount::new(*store.layout().tiling());
-    builder.clone().store(&store).build()?.run(&mut dc, 1)?;
-    let degrees = dc.degrees();
+    let degrees = store.degrees().to_vec();
 
     println!("\ndevices  algorithm  modelled   io time    compute    metric");
     for devices in [1usize, 2, 4, 8] {
@@ -43,11 +40,7 @@ fn main() -> gstore::graph::Result<()> {
                 Arc::new(MemBackend::new(store.data().to_vec())),
                 ArrayConfig::new(devices),
             ));
-            let index = TileIndex::raw(
-                store.layout().clone(),
-                store.encoding(),
-                store.start_edge().to_vec(),
-            );
+            let index = store.index();
             let backend: Arc<dyn StorageBackend> = sim.clone();
             let mut engine = builder.clone().backend(index, backend).build()?;
             let t0 = Instant::now();

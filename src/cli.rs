@@ -25,7 +25,7 @@ use crate::graph::{text, CompactDegrees, EdgeList, GraphError, GraphKind, Result
 use crate::prelude::*;
 use crate::tile::sizing::human_bytes;
 use crate::tile::stats::index_stats;
-use crate::tile::{convert_edges, recode_store_files, Codec, CodecReport, TileFile};
+use crate::tile::{convert_edges, recode_store_files, Codec, TileFile};
 use gstore_metrics::FlightRecorder;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -264,16 +264,11 @@ fn cmd_convert(out: &mut dyn Write, pos: &[String], flags: &Flags) -> Result<()>
     let [input, dir, name] = pos else {
         return Err(GraphError::InvalidParameter(
             "usage: convert <input> <dir> <name> [--text] [--directed] \
-             [--tile-bits N] [--group-side N] [--no-symmetry] [--compress] \
-             [--codec varint|gamma|zeta|ef] [--mem-budget MB] [--metrics-json PATH]"
+             [--tile-bits N] [--group-side N] [--no-symmetry] [--mem-budget MB] \
+             [--metrics-json PATH]"
                 .into(),
         ));
     };
-    if flags.has("codec") && !flags.has("compress") {
-        return Err(GraphError::InvalidParameter(
-            "--codec only makes sense with --compress".into(),
-        ));
-    }
     let mut opts = ConversionOptions::new(flags.get("tile-bits", 12u32)?)
         .with_group_side(flags.get("group-side", 16u32)?);
     if flags.has("no-symmetry") {
@@ -312,26 +307,10 @@ fn cmd_convert(out: &mut dyn Write, pos: &[String], flags: &Flags) -> Result<()>
         report.write.pwrites,
         report.write.flushes,
     )?;
-    if flags.has("compress") {
-        let codec = Codec::parse(&flags.get("codec", "varint".to_string())?)?;
-        let coded_name = format!("{name}c");
-        let (cpaths, report) = recode_store_files(paths, dir, &coded_name, codec)?;
-        print_codec_report(out, &report, &cpaths.tiles)?;
-    }
-    writeln!(out, "  {:?}\n  {:?}", paths.tiles, paths.start)?;
-    Ok(())
-}
-
-/// One-line summary of a coded store a command just wrote.
-fn print_codec_report(out: &mut dyn Write, report: &CodecReport, tiles: &Path) -> Result<()> {
     writeln!(
         out,
-        "  coded ({}): {} on disk, {:.2} bytes/edge ({:.2}x vs raw SNB) at {:?}",
-        report.codec.name(),
-        human_bytes(report.disk_bytes),
-        report.bytes_per_edge(),
-        report.ratio(),
-        tiles
+        "  {:?}\n  {:?}\n  {:?}",
+        paths.tiles, paths.start, paths.deg
     )?;
     Ok(())
 }
@@ -382,9 +361,12 @@ fn cmd_info(out: &mut dyn Write, pos: &[String], _flags: &Flags) -> Result<()> {
         )?;
         writeln!(
             out,
-            "size     : {} tile data, {} start-edge index",
+            "size     : {} tile data, {} start-edge index, {} degree array \
+             ({} hubs)",
             human_bytes(index.data_bytes()),
-            human_bytes((index.tile_count() + 1) * 8)
+            human_bytes((index.tile_count() + 1) * 8),
+            human_bytes(index.degrees().size_bytes()),
+            index.degrees().hub_count()
         )?;
         // Codec accounting comes from the index alone: disk bytes are the
         // last compressed offset, logical bytes are edges x SNB width.
@@ -413,8 +395,9 @@ fn cmd_info(out: &mut dyn Write, pos: &[String], _flags: &Flags) -> Result<()> {
                 bpe(index.data_bytes())
             )?;
         }
-        let on_disk =
-            std::fs::metadata(&paths.tiles)?.len() + std::fs::metadata(&paths.start)?.len();
+        let on_disk = std::fs::metadata(&paths.tiles)?.len()
+            + std::fs::metadata(&paths.start)?.len()
+            + std::fs::metadata(&paths.deg)?.len();
         writeln!(
             out,
             "on disk  : {} total, {:.2} bytes/edge",
@@ -433,24 +416,14 @@ fn cmd_info(out: &mut dyn Write, pos: &[String], _flags: &Flags) -> Result<()> {
     Ok(())
 }
 
-/// Builds a [`SweepQuery`] for each spec over `engine`'s store. PageRank
-/// needs out-degrees: when a spec asks for them, one [`DegreeCount`]
-/// sweep runs first, then the cache is cleared and the metrics reset, so
-/// `--metrics-json` covers the queries alone.
-fn sweep_queries(engine: &mut GStoreEngine, specs: &[QuerySpec]) -> Result<Vec<SweepQuery>> {
-    let tiling = *engine.index().layout.tiling();
-    let degrees = if specs.iter().any(QuerySpec::needs_degrees) {
-        let mut dc = DegreeCount::new(tiling);
-        engine.run(&mut dc, 1)?;
-        engine.clear_cache();
-        engine.reset_metrics();
-        Some(dc.degrees())
-    } else {
-        None
-    };
+/// Builds a [`SweepQuery`] for each spec over `engine`'s store; PageRank
+/// takes the store's own degree array.
+fn sweep_queries(engine: &GStoreEngine, specs: &[QuerySpec]) -> Result<Vec<SweepQuery>> {
+    let index = engine.index();
+    let degrees = index.degrees().to_vec();
     specs
         .iter()
-        .map(|q| SweepQuery::new(q, tiling, degrees.as_deref()))
+        .map(|q| SweepQuery::new(q, *index.layout.tiling(), Some(&degrees)))
         .collect()
 }
 
@@ -524,16 +497,14 @@ fn print_degree_distribution(out: &mut dyn Write, degrees: &[u64]) -> Result<()>
             writeln!(out, "  degree {label:>12}: {count}")?;
         }
     }
-    match CompactDegrees::from_degrees(degrees) {
-        Ok(c) => writeln!(
-            out,
-            "  compact encoding: {} vs {} flat u32 ({} hub overflow entries)",
-            human_bytes(c.size_bytes()),
-            human_bytes(c.flat_size_bytes(4)),
-            c.overflow_count()
-        )?,
-        Err(e) => writeln!(out, "  compact encoding inapplicable: {e}")?,
-    }
+    let c = CompactDegrees::from_degrees(degrees);
+    writeln!(
+        out,
+        "  compact encoding: {} vs {} flat u32 ({} hub-table entries)",
+        human_bytes(c.size_bytes()),
+        human_bytes(c.flat_size_bytes(4)),
+        c.hub_count()
+    )?;
     Ok(())
 }
 
@@ -741,7 +712,15 @@ fn cmd_compress(out: &mut dyn Write, pos: &[String], flags: &Flags) -> Result<()
         report.edge_count,
         report.codec.name()
     )?;
-    print_codec_report(out, &report, &cpaths.tiles)?;
+    writeln!(
+        out,
+        "  coded ({}): {} on disk, {:.2} bytes/edge ({:.2}x vs raw SNB) at {:?}",
+        report.codec.name(),
+        human_bytes(report.disk_bytes),
+        report.bytes_per_edge(),
+        report.ratio(),
+        cpaths.tiles
+    )?;
     Ok(())
 }
 
@@ -753,9 +732,8 @@ commands:
   convert  <input> <dir> <n>   edge list (binary or --text) -> tile store
                                (--directed, --tile-bits N, --group-side N,
                                --no-symmetry, --mem-budget MB working set,
-                               --metrics-json P ingest counters;
-                               --compress [--codec C] also writes a coded
-                               <n>c store)
+                               --metrics-json P ingest counters; writes
+                               <n>.tiles, <n>.start and <n>.deg)
   info     <dir> <name>        store geometry, sizes, occupancy, codec
                                accounting (bytes/edge, compression ratio)
   bfs      <dir> <name>        breadth-first search (--root R)
@@ -821,8 +799,6 @@ const COMMANDS: &[Command] = &[
             "no-symmetry",
             "mem-budget",
             "metrics-json",
-            "compress",
-            "codec",
         ]],
     },
     Command {
@@ -1025,10 +1001,10 @@ mod tests {
                 "6",
                 "--group-side",
                 "4",
-                "--compress",
             ])),
             0
         );
+        assert_eq!(run(&s(&["compress", &dbs, "g"])), 0);
         assert_eq!(run(&s(&["info", &dbs, "g"])), 0);
         assert_eq!(run(&s(&["bfs", &dbs, "g", "--root", "0"])), 0);
         let metrics_path = dir.path().join("bfs-metrics.json");
@@ -1075,7 +1051,7 @@ mod tests {
         assert_eq!(run(&s(&["batch", &dbs, "g", "bogus:1"])), 2);
         assert_eq!(run(&s(&["batch", &dbs, "g", "kcore:x"])), 2);
 
-        // --compress wrote a coded sibling store; it is a first-class
+        // `compress` wrote a coded sibling store; it is a first-class
         // citizen of every command.
         assert!(db.join("gc.tiles").exists());
         assert_eq!(run(&s(&["info", &dbs, "gc"])), 0);
@@ -1156,6 +1132,15 @@ mod tests {
         assert_eq!(run(&s(&["query", &dbs, "g", "bogus:0"])), 2);
         assert_eq!(run(&s(&["query", &dbs, "g", "khop:0:x"])), 2);
         assert_eq!(run(&s(&["query", &dbs, "g", "degree:999999"])), 2);
+        // A store without its `.deg` does not open: the error names the
+        // file and the command that writes one.
+        std::fs::rename(db.join("g.deg"), db.join("g.deg.away")).unwrap();
+        let err = dispatch("query", &s(&[&dbs, "g", "degree:0"]), &mut std::io::sink());
+        assert!(
+            matches!(&err, Err(GraphError::Format(m)) if m.contains("g.deg") && m.contains("gstore convert")),
+            "{err:?}"
+        );
+        assert_eq!(run(&s(&["query", &dbs, "g", "degree:0"])), 2);
     }
 
     #[test]
@@ -1384,7 +1369,7 @@ mod tests {
             ])),
             0
         );
-        for f in ["g.tiles", "g.start"] {
+        for f in ["g.tiles", "g.start", "g.deg"] {
             assert_eq!(
                 std::fs::read(db.join(f)).unwrap(),
                 std::fs::read(db2.join(f)).unwrap(),
@@ -1392,26 +1377,19 @@ mod tests {
             );
         }
 
-        // --streaming is retired: an undeclared flag like any other.
-        assert_eq!(run(&s(&["convert", &els, &dbs, "x", "--streaming"])), 2);
-        assert_eq!(run(&s(&["convert", &els, &dbs, "x", "--codec", "ef"])), 2);
-
-        // --compress recodes after the conversion: the raw pair lands
-        // first, then a recode pass writes the coded sibling.
+        // --streaming, --compress and --codec are retired: undeclared
+        // flags like any other. `compress` writes a coded store.
+        for retired in [&["--streaming"][..], &["--compress"], &["--codec", "ef"]] {
+            let mut args = s(&["convert", &els, &dbs, "x"]);
+            args.extend(s(retired));
+            assert_eq!(run(&args), 2, "{retired:?}");
+        }
+        assert!(!db.join("x.start").exists());
         assert_eq!(
-            run(&s(&[
-                "convert",
-                &els,
-                &dbs,
-                "x",
-                "--compress",
-                "--codec",
-                "zeta",
-                "--tile-bits",
-                "6",
-            ])),
+            run(&s(&["convert", &els, &dbs, "x", "--tile-bits", "6"])),
             0
         );
+        assert_eq!(run(&s(&["compress", &dbs, "x", "--codec", "zeta"])), 0);
         assert!(db.join("xc.tiles").exists());
         assert_eq!(run(&s(&["wcc", &dbs, "xc"])), 0);
     }

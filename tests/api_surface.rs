@@ -103,11 +103,7 @@ fn builder_sources_are_equivalent() {
 
     let dir = tempfile::tempdir().unwrap();
     let paths = gstore::tile::write_store(&store, dir.path(), "api").unwrap();
-    let index = gstore::tile::TileIndex::raw(
-        store.layout().clone(),
-        store.encoding(),
-        store.start_edge().to_vec(),
-    );
+    let index = store.index();
     let backend: Arc<dyn StorageBackend> = Arc::new(MemBackend::new(store.data().to_vec()));
 
     let mut via_paths = GStoreEngine::builder()

@@ -133,7 +133,10 @@ fn stream(edge_factor: u64) -> (u64, u64, u64, u64) {
         + pass2_unbudgeted_bytes(
             report.tile_count,
             rayon::current_num_threads() as u64,
-            report.degrees.as_ref().map_or(0, |d| d.size_bytes()),
+            gstore::tile::TileIndex::read(&report.paths.start)
+                .unwrap()
+                .degrees()
+                .size_bytes(),
         );
     let peak = gauge.peak_live_bytes.load(Ordering::Relaxed);
     (el.edge_count(), allocated, peak, bound)

@@ -7,7 +7,7 @@ use gstore::graph::gen::{generate_powerlaw, generate_rmat, PowerLawParams, RmatP
 use gstore::graph::{reference, CompactDegrees};
 use gstore::io::{ArrayConfig, FaultPolicy, IoFaultInjector, SsdArraySim};
 use gstore::prelude::*;
-use gstore::tile::{Codec, TileIndex};
+use gstore::tile::Codec;
 use std::sync::Arc;
 
 fn kron(scale: u32, ef: u64, kind: GraphKind) -> EdgeList {
@@ -19,14 +19,6 @@ fn small(store: &TileStore) -> EngineBuilder {
     GStoreEngine::builder()
         .store(store)
         .scr(ScrConfig::new(seg, seg * 2 + store.data_bytes() / 3 + 512).unwrap())
-}
-
-fn index_of(store: &TileStore) -> TileIndex {
-    TileIndex::raw(
-        store.layout().clone(),
-        store.encoding(),
-        store.start_edge().to_vec(),
-    )
 }
 
 #[test]
@@ -76,7 +68,7 @@ fn simulated_ssd_array_pipeline() {
     ));
     let backend: Arc<dyn StorageBackend> = sim.clone();
     let mut engine = small(&store)
-        .backend(index_of(&store), backend)
+        .backend(store.index(), backend)
         .build()
         .unwrap();
     let mut bfs = Bfs::new(*store.layout().tiling(), 0);
@@ -98,7 +90,7 @@ fn fault_injection_surfaces_errors_without_panic() {
     for policy in [FaultPolicy::EveryNth(2), FaultPolicy::FirstN(1)] {
         let backend = Arc::new(MemBackend::new(store.data().to_vec()));
         let mut engine = small(&store)
-            .backend(index_of(&store), backend)
+            .backend(store.index(), backend)
             .io_fault(IoFaultInjector::new(policy))
             .build()
             .unwrap();
@@ -210,7 +202,7 @@ fn tiered_backend_runs_identically() {
     let tiered: Arc<dyn StorageBackend> =
         Arc::new(TieredBackend::new(ssd.clone(), hdd.clone(), store.data_bytes() / 3).unwrap());
     let mut engine = small(&store)
-        .backend(index_of(&store), tiered)
+        .backend(store.index(), tiered)
         .build()
         .unwrap();
     let mut bfs = Bfs::new(*store.layout().tiling(), 0);
@@ -243,8 +235,8 @@ fn multiple_roots_and_reruns_share_engine() {
 
 #[test]
 fn degree_then_pagerank_bootstrap_from_disk_only() {
-    // A downstream user has only the two files on disk; degrees must be
-    // derivable from the store itself.
+    // A downstream user has only the store's files on disk: the degrees
+    // come with the index, and a degree sweep over the tiles agrees.
     let dir = tempfile::tempdir().unwrap();
     let el = kron(9, 6, GraphKind::Directed);
     let store = TileStore::build(&el, &ConversionOptions::new(5)).unwrap();
@@ -253,11 +245,13 @@ fn degree_then_pagerank_bootstrap_from_disk_only() {
 
     let opened = gstore::tile::TileFile::open(&paths).unwrap();
     let tiling = *opened.index().layout.tiling();
+    let degrees = opened.index().degrees().to_vec();
     let store = opened.load_all().unwrap();
     let mut engine = small(&store).build().unwrap();
     let mut dc = DegreeCount::new(tiling);
     engine.run(&mut dc, 1).unwrap();
-    let mut pr = PageRank::new(tiling, dc.degrees(), 0.85).with_iterations(8);
+    assert_eq!(dc.degrees(), degrees);
+    let mut pr = PageRank::new(tiling, degrees, 0.85).with_iterations(8);
     engine.run(&mut pr, 8).unwrap();
     let csr = Csr::from_edge_list(&el, CsrDirection::Out);
     let want = reference::pagerank(&csr, 8, 0.85);

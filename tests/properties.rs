@@ -126,7 +126,13 @@ proptest! {
             std::fs::read(&report.paths.start).unwrap(),
             std::fs::read(&mem_paths.start).unwrap()
         );
-        prop_assert_eq!(report.degrees, CompactDegrees::from_edge_list(&el).ok());
+        // The `.deg` as well: the same bytes, and the edge list's degrees.
+        prop_assert_eq!(
+            std::fs::read(&report.paths.deg).unwrap(),
+            std::fs::read(&mem_paths.deg).unwrap()
+        );
+        let index = gstore::tile::TileIndex::read(&report.paths.start).unwrap();
+        prop_assert_eq!(index.degrees(), &CompactDegrees::from_edge_list(&el).unwrap());
     }
 
     /// Engine BFS equals reference BFS on arbitrary graphs and roots.
@@ -553,7 +559,6 @@ proptest! {
         use gstore::core::KCore;
         use gstore::graph::gen::{generate_rmat, RmatParams};
         use gstore::io::JitterBackend;
-        use gstore::tile::TileIndex;
         use std::sync::Arc;
 
         let kind = if directed { GraphKind::Directed } else { GraphKind::Undirected };
@@ -562,7 +567,7 @@ proptest! {
             &el,
             &ConversionOptions::new(tile_bits).with_group_side(q),
         ).unwrap();
-        let index = TileIndex::raw(store.layout().clone(), store.encoding(), store.start_edge().to_vec());
+        let index = store.index();
         let tiling = *store.layout().tiling();
         let seg = (store.data_bytes() / 3).max(64);
         let make_engine = || {
@@ -620,7 +625,6 @@ proptest! {
         use gstore::core::KCore;
         use gstore::graph::gen::{generate_rmat, RmatParams};
         use gstore::io::JitterBackend;
-        use gstore::tile::TileIndex;
         use std::sync::Arc;
 
         let kind = if directed { GraphKind::Directed } else { GraphKind::Undirected };
@@ -629,7 +633,7 @@ proptest! {
             &el,
             &ConversionOptions::new(tile_bits).with_group_side(q),
         ).unwrap();
-        let index = TileIndex::raw(store.layout().clone(), store.encoding(), store.start_edge().to_vec());
+        let index = store.index();
         let tiling = *store.layout().tiling();
         let root = root_seed % el.vertex_count();
         let seg = (store.data_bytes() / 3).max(64);
@@ -796,8 +800,9 @@ fn selective_bfs_never_misses_frontier_tiles() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Corrupting any single byte of the on-disk store files must yield a
-    /// clean error or a still-consistent store — never a panic.
+    /// Corrupting any single byte of the on-disk store files — the
+    /// start-edge index or the degree array — must yield a clean error or
+    /// a still-consistent store — never a panic.
     #[test]
     fn mutated_store_files_never_panic(pos_seed in any::<u64>(), val in any::<u8>()) {
         use gstore::graph::gen::{generate_rmat, RmatParams};
@@ -806,19 +811,26 @@ proptest! {
         let store = TileStore::build(&el, &ConversionOptions::new(4)).unwrap();
         let paths = gstore::tile::write_store(&store, dir.path(), "m").unwrap();
 
-        // Mutate one byte of the start-edge file.
-        let mut idx = std::fs::read(&paths.start).unwrap();
-        let at = (pos_seed as usize) % idx.len();
-        idx[at] ^= val | 1; // guarantee a change
-        std::fs::write(&paths.start, &idx).unwrap();
-        match gstore::tile::TileFile::open(&paths) {
-            Err(_) => {} // rejected: fine
-            Ok(tf) => {
-                // Accepted: whatever loads must stay internally consistent.
-                if let Ok(s) = tf.load_all() {
-                    prop_assert_eq!(s.start_edge().len() as u64, s.tile_count() + 1);
+        // Mutate one byte of one of the two index files.
+        for file in [&paths.start, &paths.deg] {
+            let good = std::fs::read(file).unwrap();
+            let mut bytes = good.clone();
+            let at = (pos_seed as usize) % bytes.len();
+            bytes[at] ^= val | 1; // guarantee a change
+            std::fs::write(file, &bytes).unwrap();
+            match gstore::tile::TileFile::open(&paths) {
+                Err(_) => {} // rejected: fine
+                Ok(tf) => {
+                    // Accepted: whatever loads must stay internally
+                    // consistent, and every degree must be readable.
+                    let degrees = tf.index().degrees().to_vec();
+                    prop_assert_eq!(degrees.len() as u64, store.layout().tiling().vertex_count());
+                    if let Ok(s) = tf.load_all() {
+                        prop_assert_eq!(s.start_edge().len() as u64, s.tile_count() + 1);
+                    }
                 }
             }
+            std::fs::write(file, &good).unwrap();
         }
     }
 
@@ -884,7 +896,6 @@ proptest! {
         cache_kb in 0u64..64,
     ) {
         use gstore::io::JitterBackend;
-        use gstore::tile::TileIndex;
         use std::sync::Arc;
 
         let enc = match enc_sel {
@@ -896,7 +907,7 @@ proptest! {
             &el,
             &ConversionOptions::new(tile_bits).with_group_side(q).with_encoding(enc),
         ).unwrap();
-        let index = TileIndex::raw(store.layout().clone(), store.encoding(), store.start_edge().to_vec());
+        let index = store.index();
         let base = Arc::new(MemBackend::new(store.data().to_vec()));
         let seg = (store.data_bytes() / 3).max(64);
         let builder = GStoreEngine::builder()
@@ -980,5 +991,104 @@ fn point_reads_survive_mid_request_io_error() {
         want.sort_unstable();
         assert_eq!(got, want, "{io_backend}");
         assert_eq!(reader.buffer_stats().outstanding, 0, "{io_backend}");
+    }
+}
+
+/// Inputs the daemon parses from a client, or a client from the daemon:
+/// a known prefix (so the arbitrary tail reaches past the first branch)
+/// followed by arbitrary bytes.
+fn wire_text(prefix: usize, tail: &[u8]) -> String {
+    const PREFIXES: [&str; 12] = [
+        "",
+        "bfs:",
+        "pagerank:",
+        "khop:1:",
+        "walk:",
+        "OK ",
+        "ERR ",
+        "OK pagerank top=",
+        "OK neighbors n=2 v=",
+        "degrees max=",
+        "bfs visited=3 max_depth=",
+        "khop n=1 v=",
+    ];
+    format!(
+        "{}{}",
+        PREFIXES[prefix % PREFIXES.len()],
+        String::from_utf8_lossy(tail)
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The four parsers behind the serve protocol's trust boundary take
+    /// any bytes: each gives a value or a typed error, never a panic, and
+    /// never runs away with the input.
+    #[test]
+    fn query_spec_parse_never_panics(
+        prefix in 0usize..64,
+        tail in proptest::collection::vec(any::<u8>(), 0..48),
+    ) {
+        let text = wire_text(prefix, &tail);
+        match text.parse::<QuerySpec>() {
+            // A spec that parses round-trips through its text form.
+            Ok(spec) => prop_assert_eq!(spec.to_string().parse::<QuerySpec>().unwrap(), spec),
+            Err(e) => prop_assert!(matches!(e, gstore::graph::GraphError::InvalidParameter(_))),
+        }
+    }
+
+    #[test]
+    fn query_value_decode_never_panics(
+        prefix in 0usize..64,
+        tail in proptest::collection::vec(any::<u8>(), 0..64),
+    ) {
+        let text = wire_text(prefix, &tail);
+        let text = text.strip_prefix("OK ").unwrap_or(&text);
+        if let Err(e) = QueryValue::decode(text) {
+            prop_assert!(matches!(e, gstore::graph::GraphError::Format(_)));
+        }
+    }
+
+    #[test]
+    fn reply_parse_never_panics(
+        prefix in 0usize..64,
+        tail in proptest::collection::vec(any::<u8>(), 0..64),
+    ) {
+        if let Err(e) = gstore::server::Reply::parse(&wire_text(prefix, &tail)) {
+            prop_assert_eq!(e.kind(), std::io::ErrorKind::InvalidData);
+        }
+    }
+
+    /// A stream of arbitrary bytes, optionally behind a small plausible
+    /// length: frames come out until a clean end or a typed error, and
+    /// each frame consumes its header, so the loop ends.
+    #[test]
+    fn read_frame_never_panics(
+        len in 0u32..80,
+        framed in any::<bool>(),
+        bytes in proptest::collection::vec(any::<u8>(), 0..96),
+    ) {
+        let mut stream = Vec::new();
+        if framed {
+            stream.extend_from_slice(&len.to_le_bytes());
+        }
+        stream.extend_from_slice(&bytes);
+        let mut r = stream.as_slice();
+        let mut frames = 0;
+        loop {
+            match gstore::server::read_frame(&mut r) {
+                Ok(Some(_)) => frames += 1,
+                Ok(None) => break,
+                Err(e) => {
+                    prop_assert!(matches!(
+                        e.kind(),
+                        std::io::ErrorKind::InvalidData | std::io::ErrorKind::UnexpectedEof
+                    ));
+                    break;
+                }
+            }
+            prop_assert!(frames <= stream.len() / 4);
+        }
     }
 }
