@@ -6,12 +6,13 @@ use crate::model::{
     fmt_phase_split, fmt_secs, fmt_x, fmt_zero_copy, run_gstore_instrumented, run_gstore_on_sim,
 };
 use crate::table::{note, print_table};
-use crate::workloads::{degrees, Scale};
+use crate::workloads::Scale;
 use gstore_cachesim::CacheHierarchy;
 use gstore_core::{inmem, Bfs, EngineBuilder, GStoreEngine, PageRank, Wcc};
 use gstore_graph::EdgeList;
 use gstore_scr::ScrConfig;
 use gstore_tile::{ConversionOptions, EdgeEncoding, TileStore};
+use std::sync::Arc;
 use std::time::Instant;
 
 const PR_ITERS: u32 = 5;
@@ -24,7 +25,6 @@ fn scr_config(total: u64) -> EngineBuilder {
 /// Figure 10: speedup from symmetry and SNB, at a fixed memory budget.
 pub fn fig10(scale: &Scale) {
     let el = scale.kron();
-    let deg = degrees(&el);
     let variants: Vec<(&str, TileStore)> = vec![
         ("Base", scale.store_with(&el, EdgeEncoding::Tuple8, false)),
         (
@@ -46,7 +46,8 @@ pub fn fig10(scale: &Scale) {
         let tiling = *store.layout().tiling();
         let mut bfs = Bfs::new(tiling, 0);
         let (_, m_bfs) = run_gstore_on_sim(store, scr_config(budget), 2, &mut bfs, 10_000).unwrap();
-        let mut pr = PageRank::new(tiling, deg.clone(), 0.85).with_iterations(PR_ITERS);
+        let mut pr =
+            PageRank::over(tiling, Arc::clone(store.degrees()), 0.85).with_iterations(PR_ITERS);
         let (_, m_pr) = run_gstore_on_sim(store, scr_config(budget), 2, &mut pr, PR_ITERS).unwrap();
         let (b0, p0) = *base.get_or_insert((m_bfs.runtime(), m_pr.runtime()));
         rows.push(vec![
@@ -84,7 +85,6 @@ pub fn fig11(scale: &Scale) {
         ..*scale
     };
     let el = big.kron();
-    let deg = degrees(&el);
     let iters = 2u32;
     let p = {
         let t = gstore_tile::Tiling::new(
@@ -108,7 +108,8 @@ pub fn fig11(scale: &Scale) {
         let mut best = f64::INFINITY;
         for _ in 0..2 {
             let mut pr =
-                PageRank::new(*store.layout().tiling(), deg.clone(), 0.85).with_iterations(iters);
+                PageRank::over(*store.layout().tiling(), Arc::clone(store.degrees()), 0.85)
+                    .with_iterations(iters);
             let t0 = Instant::now();
             inmem::run_in_memory(&store, &mut pr, iters);
             best = best.min(t0.elapsed().as_secs_f64());
@@ -197,7 +198,6 @@ pub fn fig12(scale: &Scale) {
 pub fn fig13(scale: &Scale) {
     let el = scale.kron();
     let store = scale.store(&el);
-    let deg = degrees(&el);
     let tiling = *store.layout().tiling();
     let total = store.data_bytes() / 2 + 2 * SEGMENT;
     let scr = scr_config(total);
@@ -224,10 +224,10 @@ pub fn fig13(scale: &Scale) {
         ]);
     };
     run("BFS", &|| Box::new(Bfs::new(tiling, 0)), 10_000);
-    let d = deg.clone();
+    let d = Arc::clone(store.degrees());
     run(
         "PageRank",
-        &move || Box::new(PageRank::new(tiling, d.clone(), 0.85).with_iterations(PR_ITERS)),
+        &move || Box::new(PageRank::over(tiling, Arc::clone(&d), 0.85).with_iterations(PR_ITERS)),
         PR_ITERS,
     );
     run("WCC", &|| Box::new(Wcc::new(tiling)), 10_000);
@@ -261,7 +261,6 @@ pub fn fig14(scale: &Scale) {
     let mut rows = Vec::new();
     for (name, el) in &workloads {
         let store = scale.store(el);
-        let deg = degrees(el);
         let tiling = *store.layout().tiling();
         let data = store.data_bytes();
         let mut base: Option<[f64; 3]> = None;
@@ -270,7 +269,8 @@ pub fn fig14(scale: &Scale) {
             let cfg = scr_config(total);
             let mut bfs = Bfs::new(tiling, 0);
             let (_, mb) = run_gstore_on_sim(&store, cfg.clone(), 2, &mut bfs, 10_000).unwrap();
-            let mut pr = PageRank::new(tiling, deg.clone(), 0.85).with_iterations(PR_ITERS);
+            let mut pr =
+                PageRank::over(tiling, Arc::clone(store.degrees()), 0.85).with_iterations(PR_ITERS);
             // Instrument PageRank: the measured rewind share shows how much
             // work each cache budget actually moves out of the I/O path.
             let (_, mp, ep) =
@@ -310,7 +310,6 @@ pub fn fig14(scale: &Scale) {
 pub fn fig15(scale: &Scale) {
     let el = scale.kron();
     let store = scale.store(&el);
-    let deg = degrees(&el);
     let tiling = *store.layout().tiling();
     let total = store.data_bytes() / 4 + 2 * SEGMENT;
     let mut rows = Vec::new();
@@ -319,7 +318,8 @@ pub fn fig15(scale: &Scale) {
         let mut bfs = Bfs::new(tiling, 0);
         let (_, mb) =
             run_gstore_on_sim(&store, scr_config(total), devices, &mut bfs, 10_000).unwrap();
-        let mut pr = PageRank::new(tiling, deg.clone(), 0.85).with_iterations(PR_ITERS);
+        let mut pr =
+            PageRank::over(tiling, Arc::clone(store.degrees()), 0.85).with_iterations(PR_ITERS);
         let (_, mp) =
             run_gstore_on_sim(&store, scr_config(total), devices, &mut pr, PR_ITERS).unwrap();
         let mut wcc = Wcc::new(tiling);

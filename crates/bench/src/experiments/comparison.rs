@@ -3,12 +3,13 @@
 
 use crate::model::{fmt_secs, fmt_x, run_gstore_on_sim, sim_for_blob, Measured};
 use crate::table::{note, print_table};
-use crate::workloads::{degrees, Scale};
+use crate::workloads::Scale;
 use gstore_baselines::flashgraph::{self, FlashGraphConfig, FlashGraphEngine};
 use gstore_baselines::xstream::{self, XStreamConfig, XStreamEngine};
 use gstore_core::{Bfs, EngineBuilder, GStoreEngine, PageRank, Wcc};
 use gstore_graph::EdgeList;
 use gstore_scr::ScrConfig;
+use std::sync::Arc;
 use std::time::Instant;
 
 const PR_ITERS: u32 = 5;
@@ -34,12 +35,12 @@ struct EngineTimes {
 
 fn run_gstore(scale: &Scale, el: &EdgeList) -> EngineTimes {
     let store = scale.store(el);
-    let deg = degrees(el);
     let tiling = *store.layout().tiling();
     let cfg = gstore_config(store.data_bytes());
     let mut bfs = Bfs::new(tiling, 0);
     let (_, m_bfs) = run_gstore_on_sim(&store, cfg.clone(), DEVICES, &mut bfs, 10_000).unwrap();
-    let mut pr = PageRank::new(tiling, deg, 0.85).with_iterations(PR_ITERS);
+    let mut pr =
+        PageRank::over(tiling, Arc::clone(store.degrees()), 0.85).with_iterations(PR_ITERS);
     let (_, m_pr) = run_gstore_on_sim(&store, cfg.clone(), DEVICES, &mut pr, PR_ITERS).unwrap();
     let mut wcc = Wcc::new(tiling);
     let (_, m_wcc) = run_gstore_on_sim(&store, cfg, DEVICES, &mut wcc, 10_000).unwrap();
@@ -215,7 +216,6 @@ pub fn table3(scale: &Scale) {
     };
     let el = big.kron();
     let store = big.store(&el);
-    let deg = degrees(&el);
     let tiling = *store.layout().tiling();
     let cfg = gstore_config(store.data_bytes());
 
@@ -229,7 +229,8 @@ pub fn table3(scale: &Scale) {
         format!("{} iters", stats.iterations),
         format!("{:.0} MTEPS", edges as f64 / 1e6 / m.runtime()),
     ]);
-    let mut pr = PageRank::new(tiling, deg, 0.85).with_iterations(PR_ITERS);
+    let mut pr =
+        PageRank::over(tiling, Arc::clone(store.degrees()), 0.85).with_iterations(PR_ITERS);
     let (stats, m) = run_gstore_on_sim(&store, cfg.clone(), 8, &mut pr, PR_ITERS).unwrap();
     rows.push(vec![
         "PageRank".into(),

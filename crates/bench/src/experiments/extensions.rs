@@ -4,7 +4,7 @@
 
 use crate::model::{fmt_secs, fmt_x, run_gstore_on_sim, scaled_array_config};
 use crate::table::{note, print_table};
-use crate::workloads::{degrees, Scale};
+use crate::workloads::Scale;
 use gstore_core::{GStoreEngine, PageRank};
 use gstore_graph::EdgeList;
 use gstore_io::{hdd_array, MemBackend, SsdArraySim, StorageBackend, TieredBackend};
@@ -60,7 +60,6 @@ pub fn ext_compress(scale: &Scale) {
 pub fn ext_tiered(scale: &Scale) {
     let el = scale.kron();
     let store = scale.store(&el);
-    let deg = degrees(&el);
     let tiling = *store.layout().tiling();
     let data = store.data_bytes();
     let seg = 256 << 10;
@@ -82,7 +81,8 @@ pub fn ext_tiered(scale: &Scale) {
             Arc::new(TieredBackend::new(fast.clone(), slow.clone(), boundary).unwrap());
         let index = store.index();
         let mut engine = cfg.clone().backend(index, tiered).build().unwrap();
-        let mut pr = PageRank::new(tiling, deg.clone(), 0.85).with_iterations(iters);
+        let mut pr =
+            PageRank::over(tiling, Arc::clone(store.degrees()), 0.85).with_iterations(iters);
         let t0 = Instant::now();
         engine.run(&mut pr, iters).unwrap();
         let wall = t0.elapsed().as_secs_f64();
@@ -122,7 +122,6 @@ pub fn ext_gridgraph(scale: &Scale) {
 
     let el = scale.kron();
     let store = scale.store(&el);
-    let deg = degrees(&el);
     let tiling = *store.layout().tiling();
     let seg = 256u64 << 10;
     let budget = store.data_bytes() / 2;
@@ -158,7 +157,8 @@ pub fn ext_gridgraph(scale: &Scale) {
             run_gstore_on_sim(&store, cfg.clone(), 2, &mut a, 10_000).unwrap()
         }
         1 => {
-            let mut a = PageRank::new(tiling, deg.clone(), 0.85).with_iterations(iters);
+            let mut a =
+                PageRank::over(tiling, Arc::clone(store.degrees()), 0.85).with_iterations(iters);
             run_gstore_on_sim(&store, cfg.clone(), 2, &mut a, iters).unwrap()
         }
         _ => {

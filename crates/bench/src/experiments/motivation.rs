@@ -2,10 +2,11 @@
 
 use crate::model::{fmt_secs, fmt_x, run_gstore_on_sim, sim_for_blob};
 use crate::table::{note, print_table};
-use crate::workloads::{degrees, Scale};
+use crate::workloads::Scale;
 use gstore_baselines::xstream::{self, XStreamConfig, XStreamEngine};
 use gstore_core::{inmem, GStoreEngine, PageRank};
 use gstore_tile::{ConversionOptions, TileStore};
+use std::sync::Arc;
 use std::time::Instant;
 
 const PR_ITERS: u32 = 3;
@@ -56,7 +57,6 @@ pub fn fig2a(scale: &Scale) {
 /// (metadata-access localisation).
 pub fn fig2b(scale: &Scale) {
     let el = scale.kron();
-    let deg = degrees(&el);
     // SNB locals cap tiles at 2^16 vertices, so the coarsest grid of a
     // scale-N graph has 2^(N-16) partitions (4 for the default scale 18).
     let max_bits = scale.kron_scale.min(gstore_tile::MAX_TILE_BITS);
@@ -67,8 +67,8 @@ pub fn fig2b(scale: &Scale) {
         let store = TileStore::build(&el, &ConversionOptions::new(bits)).unwrap();
         let partitions = store.layout().tiling().partitions();
         let start = Instant::now();
-        let mut pr =
-            PageRank::new(*store.layout().tiling(), deg.clone(), 0.85).with_iterations(PR_ITERS);
+        let mut pr = PageRank::over(*store.layout().tiling(), Arc::clone(store.degrees()), 0.85)
+            .with_iterations(PR_ITERS);
         inmem::run_in_memory(&store, &mut pr, PR_ITERS);
         let t = start.elapsed().as_secs_f64();
         let base = *baseline.get_or_insert(t);
@@ -86,7 +86,6 @@ pub fn fig2b(scale: &Scale) {
 /// I/O-bound run (motivating spending memory on caching instead).
 pub fn fig2c(scale: &Scale) {
     let el = scale.kron();
-    let deg = degrees(&el);
     let store = scale.store(&el);
     let data = store.data_bytes().max(1 << 20);
     let mut rows = Vec::new();
@@ -95,8 +94,8 @@ pub fn fig2c(scale: &Scale) {
         let seg = (data / frac).max(4096);
         // Base policy: all memory is streaming segments, no cache pool.
         let cfg = GStoreEngine::builder().base_policy(seg * 2);
-        let mut pr =
-            PageRank::new(*store.layout().tiling(), deg.clone(), 0.85).with_iterations(PR_ITERS);
+        let mut pr = PageRank::over(*store.layout().tiling(), Arc::clone(store.degrees()), 0.85)
+            .with_iterations(PR_ITERS);
         let (_, m) = run_gstore_on_sim(&store, cfg, 1, &mut pr, PR_ITERS).unwrap();
         let runtime = m.runtime();
         let base = *baseline.get_or_insert(runtime);

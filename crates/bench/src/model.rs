@@ -129,12 +129,12 @@ fn run_gstore_on_sim_inner(
 pub fn metrics_json_for_scale(scale: &crate::workloads::Scale) -> Result<String> {
     let el = scale.kron();
     let store = scale.store(&el);
-    let deg = crate::workloads::degrees(&el);
     let tiling = *store.layout().tiling();
     let seg = (store.data_bytes() / 8).max(4096);
     let total = store.data_bytes() / 2 + 2 * seg + 4096;
     let cfg = GStoreEngine::builder().scr(gstore_scr::ScrConfig::new(seg, total)?);
-    let mut pr = gstore_core::PageRank::new(tiling, deg, 0.85).with_iterations(5);
+    let mut pr =
+        gstore_core::PageRank::over(tiling, Arc::clone(store.degrees()), 0.85).with_iterations(5);
     let (_, _, metrics) = run_gstore_instrumented(&store, cfg, 2, &mut pr, 5)?;
     Ok(metrics.to_json())
 }
@@ -222,12 +222,11 @@ mod tests {
         let s = Scale::quick();
         let el = s.kron();
         let store = s.store(&el);
-        let tiling = *store.layout().tiling();
-        let deg = crate::workloads::degrees(&el);
+        let index = store.index();
         let queries = || {
             SPECS.map(|spec| {
                 let spec: QuerySpec = spec.parse().unwrap();
-                SweepQuery::new(&spec, tiling, Some(&deg)).unwrap()
+                SweepQuery::for_index(&spec, &index).unwrap()
             })
         };
         let seg = (store.data_bytes() / 8).max(4096);

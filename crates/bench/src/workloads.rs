@@ -5,7 +5,7 @@
 //! affect all experiments uniformly.
 
 use gstore_graph::gen::{generate_powerlaw, generate_rmat, PowerLawParams, RmatParams};
-use gstore_graph::{CompactDegrees, EdgeList, GraphKind};
+use gstore_graph::{EdgeList, GraphKind};
 use gstore_tile::{ConversionOptions, EdgeEncoding, TileStore};
 
 /// Global scaling knobs.
@@ -116,11 +116,6 @@ impl Scale {
     }
 }
 
-/// Degree vector for PageRank (out-degree / undirected degree).
-pub fn degrees(el: &EdgeList) -> Vec<u64> {
-    CompactDegrees::from_edge_list(el).unwrap().to_vec()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -135,7 +130,7 @@ mod tests {
         let store = s.store(&k);
         assert_eq!(store.edge_count(), k.edge_count());
         assert!(store.layout().tiling().partitions() >= 16);
-        assert_eq!(degrees(&k).len(), k.vertex_count() as usize);
+        assert_eq!(store.degrees().len(), k.vertex_count() as usize);
     }
 
     #[test]

@@ -10,15 +10,19 @@
 use crate::algorithm::{Algorithm, IterationOutcome, ShardSides, UpdateMode};
 use crate::atomics::{atomic_f64_vec, AtomicF64};
 use crate::view::TileView;
+use gstore_graph::CompactDegrees;
 use gstore_tile::Tiling;
+use std::sync::Arc;
 
-/// Tile-based PageRank.
+/// Tile-based PageRank. Its own state is 24 B per vertex (`rank`, `share`,
+/// `next`); the divisor is the store's 2 B-per-vertex degree array, shared
+/// with the index, not copied.
 pub struct PageRank {
     rank: Vec<f64>,
     /// Precomputed `rank[v] / degree[v]` for the current iteration.
     share: Vec<f64>,
     next: Vec<AtomicF64>,
-    degree: Vec<u64>,
+    pub(crate) degree: Arc<CompactDegrees>,
     damping: f64,
     /// Stop when the L1 rank change falls below this.
     tolerance: f64,
@@ -31,8 +35,8 @@ pub struct PageRank {
 
 impl PageRank {
     /// `degree` must be the out-degree (directed) or undirected degree of
-    /// every vertex — the divisor of the push.
-    pub fn new(tiling: Tiling, degree: Vec<u64>, damping: f64) -> Self {
+    /// every vertex — the divisor of the push: the store's own array.
+    pub fn over(tiling: Tiling, degree: Arc<CompactDegrees>, damping: f64) -> Self {
         let n = tiling.vertex_count() as usize;
         assert_eq!(degree.len(), n, "degree array must cover every vertex");
         PageRank {
@@ -46,6 +50,16 @@ impl PageRank {
             last_delta: f64::INFINITY,
             symmetric: tiling.symmetric(),
         }
+    }
+
+    /// [`Self::over`] a plain degree vector, compacted first.
+    #[doc(hidden)]
+    pub fn new(tiling: Tiling, degree: Vec<u64>, damping: f64) -> Self {
+        Self::over(
+            tiling,
+            Arc::new(CompactDegrees::from_degrees(&degree)),
+            damping,
+        )
     }
 
     /// Fixed iteration count (the paper reports per-iteration times).
@@ -99,9 +113,13 @@ impl Algorithm for PageRank {
     }
 
     fn begin_iteration(&mut self, _iteration: u32) {
+        // A hub's inline entry is its flag, never 0: the hub table redoes it.
         for (i, s) in self.share.iter_mut().enumerate() {
-            let d = self.degree[i];
+            let d = self.degree.inline()[i];
             *s = if d == 0 { 0.0 } else { self.rank[i] / d as f64 };
+        }
+        for &(v, d) in self.degree.hubs() {
+            self.share[v as usize] = self.rank[v as usize] / d as f64;
         }
         for cell in &self.next {
             cell.store(0.0);
@@ -133,7 +151,7 @@ impl Algorithm for PageRank {
         let dangling: f64 = self
             .rank
             .iter()
-            .zip(&self.degree)
+            .zip(self.degree.inline())
             .filter(|(_, &d)| d == 0)
             .map(|(r, _)| r)
             .sum();
@@ -158,12 +176,12 @@ mod tests {
     use super::*;
     use crate::inmem::{run_in_memory, store_from_edges};
     use gstore_graph::csr::{Csr, CsrDirection};
-    use gstore_graph::degree::CompactDegrees;
+    use gstore_graph::degree::INLINE_MAX;
     use gstore_graph::reference;
     use gstore_graph::{Edge, EdgeList, GraphKind};
 
-    fn degrees(el: &EdgeList) -> Vec<u64> {
-        CompactDegrees::from_edge_list(el).unwrap().to_vec()
+    fn degrees(el: &EdgeList) -> Arc<CompactDegrees> {
+        Arc::new(CompactDegrees::from_edge_list(el).unwrap())
     }
 
     fn assert_close(a: &[f64], b: &[f64], tol: f64) {
@@ -188,7 +206,7 @@ mod tests {
         .unwrap();
         let store = store_from_edges(&el, 1);
         let mut pr =
-            PageRank::new(*store.layout().tiling(), degrees(&el), 0.85).with_iterations(30);
+            PageRank::over(*store.layout().tiling(), degrees(&el), 0.85).with_iterations(30);
         run_in_memory(&store, &mut pr, 30);
         for r in pr.ranks() {
             assert!((r - 0.25).abs() < 1e-9);
@@ -202,7 +220,7 @@ mod tests {
         let store = store_from_edges(&el, 4);
         let iters = 20;
         let mut pr =
-            PageRank::new(*store.layout().tiling(), degrees(&el), 0.85).with_iterations(iters);
+            PageRank::over(*store.layout().tiling(), degrees(&el), 0.85).with_iterations(iters);
         run_in_memory(&store, &mut pr, iters);
         let csr = Csr::from_edge_list(&el, CsrDirection::Out);
         let want = reference::pagerank(&csr, iters as usize, 0.85);
@@ -219,7 +237,7 @@ mod tests {
         assert!(store.layout().tiling().symmetric());
         let iters = 15;
         let mut pr =
-            PageRank::new(*store.layout().tiling(), degrees(&el), 0.85).with_iterations(iters);
+            PageRank::over(*store.layout().tiling(), degrees(&el), 0.85).with_iterations(iters);
         run_in_memory(&store, &mut pr, iters);
         let csr = Csr::from_edge_list(&el, CsrDirection::Out); // doubled
         let want = reference::pagerank(&csr, iters as usize, 0.85);
@@ -236,7 +254,7 @@ mod tests {
         .unwrap();
         let store = store_from_edges(&el, 1);
         let mut pr =
-            PageRank::new(*store.layout().tiling(), degrees(&el), 0.85).with_iterations(50);
+            PageRank::over(*store.layout().tiling(), degrees(&el), 0.85).with_iterations(50);
         run_in_memory(&store, &mut pr, 50);
         let sum: f64 = pr.ranks().iter().sum();
         assert!((sum - 1.0).abs() < 1e-9, "sum = {sum}");
@@ -252,7 +270,7 @@ mod tests {
         .unwrap();
         let store = store_from_edges(&el, 1);
         let mut pr =
-            PageRank::new(*store.layout().tiling(), degrees(&el), 0.85).with_tolerance(1e-12);
+            PageRank::over(*store.layout().tiling(), degrees(&el), 0.85).with_tolerance(1e-12);
         let stats = run_in_memory(&store, &mut pr, 1000);
         assert!(stats.iterations < 1000);
         assert!(pr.last_delta() <= 1e-12);
@@ -270,16 +288,55 @@ mod tests {
         .unwrap();
         let store = store_from_edges(&el, 1);
         let mut pr =
-            PageRank::new(*store.layout().tiling(), degrees(&el), 0.85).with_iterations(20);
+            PageRank::over(*store.layout().tiling(), degrees(&el), 0.85).with_iterations(20);
         run_in_memory(&store, &mut pr, 20);
         let sum: f64 = pr.ranks().iter().sum();
         assert!((sum - 1.0).abs() < 1e-9);
+    }
+
+    /// A star whose centre's degree is above [`INLINE_MAX`], so the
+    /// divisor comes from the hub table, plus a short chain off a leaf.
+    /// Directed, every other leaf links back to the centre.
+    fn star_with_chain(kind: GraphKind) -> EdgeList {
+        const LEAVES: u64 = 40_000;
+        let mut edges: Vec<Edge> = (1..=LEAVES).map(|v| Edge::new(0, v)).collect();
+        if kind.is_directed() {
+            edges.extend((1..=LEAVES).step_by(2).map(|v| Edge::new(v, 0)));
+        }
+        edges.extend([
+            Edge::new(1, LEAVES + 1),
+            Edge::new(LEAVES + 1, LEAVES + 2),
+            Edge::new(LEAVES + 2, LEAVES + 3),
+        ]);
+        EdgeList::new(LEAVES + 4, kind, edges).unwrap()
+    }
+
+    #[test]
+    fn hub_divisor_matches_reference() {
+        for kind in [GraphKind::Directed, GraphKind::Undirected] {
+            let el = star_with_chain(kind);
+            let store = store_from_edges(&el, 12);
+            assert_eq!(store.degrees().hubs(), &[(0, 40_000)], "{kind:?}");
+            assert!(store.degrees().degree(0) > INLINE_MAX);
+            let iters = 20;
+            let mut pr =
+                PageRank::over(*store.layout().tiling(), Arc::clone(store.degrees()), 0.85)
+                    .with_iterations(iters);
+            run_in_memory(&store, &mut pr, iters);
+            let csr = Csr::from_edge_list(&el, CsrDirection::Out);
+            let want = reference::pagerank(&csr, iters as usize, 0.85);
+            assert_close(pr.ranks(), &want, 1e-9);
+        }
     }
 
     #[test]
     #[should_panic(expected = "degree array")]
     fn wrong_degree_length_panics() {
         let tiling = Tiling::new(4, 1, GraphKind::Directed).unwrap();
-        let _ = PageRank::new(tiling, vec![1, 2], 0.85);
+        let _ = PageRank::over(
+            tiling,
+            Arc::new(CompactDegrees::from_degrees(&[1, 2])),
+            0.85,
+        );
     }
 }

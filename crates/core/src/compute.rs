@@ -599,6 +599,7 @@ mod tests {
     use gstore_graph::gen::{generate_rmat, RmatParams};
     use gstore_graph::{reference, Csr, CsrDirection, Edge, EdgeList, GraphKind};
     use gstore_tile::{encode_store, Codec, TileStore};
+    use std::sync::Arc;
 
     fn full_batch(store: &TileStore) -> Vec<(u64, &[u8])> {
         (0..store.tile_count())
@@ -620,10 +621,8 @@ mod tests {
         batch.iter().map(|&(t, b)| (t, b, mask)).collect()
     }
 
-    fn degrees(el: &gstore_graph::EdgeList) -> Vec<u64> {
-        gstore_graph::degree::CompactDegrees::from_edge_list(el)
-            .unwrap()
-            .to_vec()
+    fn degrees(el: &gstore_graph::EdgeList) -> Arc<gstore_graph::CompactDegrees> {
+        Arc::new(gstore_graph::CompactDegrees::from_edge_list(el).unwrap())
     }
 
     #[test]
@@ -727,8 +726,8 @@ mod tests {
             );
             let mut dc = crate::DegreeCount::new(tiling);
             sweep_to_convergence(&index, &batch, &mut dc);
-            assert_eq!(dc.degrees(), degrees(&el), "{kind:?}");
-            let mut pr = PageRank::new(tiling, degrees(&el), 0.85).with_iterations(10);
+            assert_eq!(dc.degrees(), degrees(&el).to_vec(), "{kind:?}");
+            let mut pr = PageRank::over(tiling, degrees(&el), 0.85).with_iterations(10);
             sweep_to_convergence(&index, &batch, &mut pr);
             let csr = Csr::from_edge_list(&el, CsrDirection::Out);
             let want = reference::pagerank(&csr, 10, 0.85);
@@ -752,10 +751,10 @@ mod tests {
         let mut wcc_solo = Wcc::new(*store.layout().tiling());
         let mut kc_solo = KCore::new(*store.layout().tiling(), 2);
         let mut pr_solo =
-            PageRank::new(*store.layout().tiling(), deg.clone(), 0.85).with_iterations(3);
+            PageRank::over(*store.layout().tiling(), deg.clone(), 0.85).with_iterations(3);
         let mut wcc = Wcc::new(*store.layout().tiling());
         let mut kc = KCore::new(*store.layout().tiling(), 2);
-        let mut pr = PageRank::new(*store.layout().tiling(), deg, 0.85).with_iterations(3);
+        let mut pr = PageRank::over(*store.layout().tiling(), deg, 0.85).with_iterations(3);
 
         for iter in 0..3 {
             wcc_solo.begin_iteration(iter);
@@ -888,7 +887,7 @@ mod tests {
             let mut bfs_raw = Bfs::new(tiling, 0);
             let mut wcc_raw = Wcc::new(tiling);
             let mut kc_raw = KCore::new(tiling, 2);
-            let mut pr_raw = PageRank::new(tiling, deg.clone(), 0.85).with_iterations(4);
+            let mut pr_raw = PageRank::over(tiling, deg.clone(), 0.85).with_iterations(4);
             let (out, scratch) = run_to_convergence(
                 &raw_index,
                 &raw_batch,
@@ -901,7 +900,7 @@ mod tests {
                 let batch = coded_batch(&index, &data);
                 let what = format!("{} {kind:?}", codec.name());
 
-                let mut pr = PageRank::new(tiling, deg.clone(), 0.85).with_iterations(4);
+                let mut pr = PageRank::over(tiling, deg.clone(), 0.85).with_iterations(4);
                 pr.begin_iteration(0);
                 let solo = process_batch(&index, &pr, &batch);
                 assert_eq!(solo.decoded_edges, el.edge_count(), "{what}");
@@ -910,7 +909,7 @@ mod tests {
                 let mut bfs = Bfs::new(tiling, 0);
                 let mut wcc = Wcc::new(tiling);
                 let mut kc = KCore::new(tiling, 2);
-                let mut pr = PageRank::new(tiling, deg.clone(), 0.85).with_iterations(4);
+                let mut pr = PageRank::over(tiling, deg.clone(), 0.85).with_iterations(4);
                 let (out, _) =
                     run_to_convergence(&index, &batch, &mut [&mut bfs, &mut wcc, &mut kc, &mut pr]);
                 assert_eq!(out.decoded_edges, el.edge_count(), "{what}");

@@ -899,10 +899,8 @@ mod tests {
     fn pagerank_through_pipeline_matches_reference() {
         let (el, store) = kron_store(8, 6, 4, 2);
         let mut engine = tiny(&store).build().unwrap();
-        let deg = gstore_graph::CompactDegrees::from_edge_list(&el)
-            .unwrap()
-            .to_vec();
-        let mut pr = PageRank::new(*store.layout().tiling(), deg, 0.85).with_iterations(10);
+        let deg = Arc::new(gstore_graph::CompactDegrees::from_edge_list(&el).unwrap());
+        let mut pr = PageRank::over(*store.layout().tiling(), deg, 0.85).with_iterations(10);
         engine.run(&mut pr, 10).unwrap();
         let csr = Csr::from_edge_list(&el, CsrDirection::Out);
         let want = reference::pagerank(&csr, 10, 0.85);
@@ -932,11 +930,9 @@ mod tests {
             .scr(ScrConfig::new(seg, total).unwrap())
             .build()
             .unwrap();
-        let deg = gstore_graph::CompactDegrees::from_edge_list(&el)
-            .unwrap()
-            .to_vec();
+        let deg = Arc::new(gstore_graph::CompactDegrees::from_edge_list(&el).unwrap());
         let iters = 5u32;
-        let mut pr = PageRank::new(*store.layout().tiling(), deg, 0.85).with_iterations(iters);
+        let mut pr = PageRank::over(*store.layout().tiling(), deg, 0.85).with_iterations(iters);
         let stats = engine.run(&mut pr, iters).unwrap();
         // First iteration fetches everything once; the rest rewind.
         assert_eq!(stats.tiles_fetched, store.tile_count());
@@ -954,10 +950,8 @@ mod tests {
             .base_policy((store.data_bytes() * 3).max(4096))
             .build()
             .unwrap();
-        let deg = gstore_graph::CompactDegrees::from_edge_list(&el)
-            .unwrap()
-            .to_vec();
-        let mut pr = PageRank::new(*store.layout().tiling(), deg, 0.85).with_iterations(3);
+        let deg = Arc::new(gstore_graph::CompactDegrees::from_edge_list(&el).unwrap());
+        let mut pr = PageRank::over(*store.layout().tiling(), deg, 0.85).with_iterations(3);
         let stats = engine.run(&mut pr, 3).unwrap();
         assert_eq!(stats.tiles_from_cache, 0);
         assert_eq!(stats.tiles_fetched, store.tile_count() * 3);
@@ -989,9 +983,7 @@ mod tests {
             "edges outside the last tile"
         );
         let seg = store.data_bytes() / 2;
-        let deg = gstore_graph::CompactDegrees::from_edge_list(&el)
-            .unwrap()
-            .to_vec();
+        let deg = Arc::new(gstore_graph::CompactDegrees::from_edge_list(&el).unwrap());
         let tiling = *store.layout().tiling();
         let root = layout.tiling().partition_range(last.row).start;
         let idle = |e: &GStoreEngine| {
@@ -1010,7 +1002,7 @@ mod tests {
         ] {
             let iters = 3;
             let mut engine = builder.clone().build().unwrap();
-            let mut pr = PageRank::new(tiling, deg.clone(), 0.85).with_iterations(iters);
+            let mut pr = PageRank::over(tiling, deg.clone(), 0.85).with_iterations(iters);
             let s = engine.run(&mut pr, iters).unwrap();
             let csr = Csr::from_edge_list(&el, CsrDirection::Out);
             for (a, b) in pr.ranks().iter().zip(&reference::pagerank(&csr, 3, 0.85)) {
@@ -1111,10 +1103,8 @@ mod tests {
         make_engine().run(&mut wcc, 1000).unwrap();
         assert_eq!(wcc.labels(), reference::wcc_labels(&el));
 
-        let deg = gstore_graph::CompactDegrees::from_edge_list(&el)
-            .unwrap()
-            .to_vec();
-        let mut pr = PageRank::new(*store.layout().tiling(), deg, 0.85).with_iterations(10);
+        let deg = Arc::new(gstore_graph::CompactDegrees::from_edge_list(&el).unwrap());
+        let mut pr = PageRank::over(*store.layout().tiling(), deg, 0.85).with_iterations(10);
         make_engine().run(&mut pr, 10).unwrap();
         let csr = Csr::from_edge_list(&el, CsrDirection::Out);
         for (a, b) in pr.ranks().iter().zip(&reference::pagerank(&csr, 10, 0.85)) {
@@ -1408,10 +1398,8 @@ mod tests {
             .metrics(true)
             .build()
             .unwrap();
-        let deg = gstore_graph::CompactDegrees::from_edge_list(&el)
-            .unwrap()
-            .to_vec();
-        let mut pr = PageRank::new(*store.layout().tiling(), deg, 0.85).with_iterations(3);
+        let deg = Arc::new(gstore_graph::CompactDegrees::from_edge_list(&el).unwrap());
+        let mut pr = PageRank::over(*store.layout().tiling(), deg, 0.85).with_iterations(3);
         let stats = engine.run(&mut pr, 3).unwrap();
         let m = engine.metrics().unwrap();
         assert!(stats.bytes_read > 0);
@@ -1435,10 +1423,8 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(engine.decode.scratch_bytes(), 0);
-        let deg = gstore_graph::CompactDegrees::from_edge_list(&el)
-            .unwrap()
-            .to_vec();
-        let mut pr = PageRank::new(*store.layout().tiling(), deg, 0.85).with_iterations(3);
+        let deg = Arc::new(gstore_graph::CompactDegrees::from_edge_list(&el).unwrap());
+        let mut pr = PageRank::over(*store.layout().tiling(), deg, 0.85).with_iterations(3);
         let stats = engine.run(&mut pr, 3).unwrap();
         assert_eq!(stats.tiles_from_cache, store.tile_count() * 2);
         assert_eq!(engine.decode.scratch_bytes(), compute::WAVE_KEYS * 4);
@@ -1456,10 +1442,8 @@ mod tests {
         // engine's own RunStats bookkeeping.
         let (el, store) = kron_store(8, 6, 4, 2);
         let mut engine = tiny(&store).metrics(true).build().unwrap();
-        let deg = gstore_graph::CompactDegrees::from_edge_list(&el)
-            .unwrap()
-            .to_vec();
-        let mut pr = PageRank::new(*store.layout().tiling(), deg, 0.85).with_iterations(4);
+        let deg = Arc::new(gstore_graph::CompactDegrees::from_edge_list(&el).unwrap());
+        let mut pr = PageRank::over(*store.layout().tiling(), deg, 0.85).with_iterations(4);
         let stats = engine.run(&mut pr, 4).unwrap();
         let m = engine.metrics().expect("metrics enabled");
 
@@ -1538,9 +1522,7 @@ mod tests {
         // is applied with plain writes, BFS's and degree counting's too.
         let (el, store) = kron_store(9, 8, 4, 4);
         let tiling = *store.layout().tiling();
-        let deg = gstore_graph::CompactDegrees::from_edge_list(&el)
-            .unwrap()
-            .to_vec();
+        let deg = Arc::new(gstore_graph::CompactDegrees::from_edge_list(&el).unwrap());
         let run = |alg: &mut dyn Algorithm, iters: u32| {
             let mut engine = tiny(&store).metrics(true).build().unwrap();
             let stats = engine.run(alg, iters).unwrap();
@@ -1551,7 +1533,7 @@ mod tests {
         let mut wcc = Wcc::new(tiling);
         run(&mut wcc, 1000);
         assert_eq!(wcc.labels(), reference::wcc_labels(&el));
-        let mut pr = PageRank::new(tiling, deg.clone(), 0.85).with_iterations(8);
+        let mut pr = PageRank::over(tiling, deg.clone(), 0.85).with_iterations(8);
         run(&mut pr, 8);
         let want = reference::pagerank(&Csr::from_edge_list(&el, CsrDirection::Out), 8, 0.85);
         for (s, a) in pr.ranks().iter().zip(&want) {
@@ -1565,7 +1547,7 @@ mod tests {
         );
         let mut dc = DegreeCount::new(tiling);
         run(&mut dc, 1);
-        assert_eq!(dc.degrees(), deg);
+        assert_eq!(dc.degrees(), deg.to_vec());
     }
 
     #[test]
@@ -1661,10 +1643,8 @@ mod tests {
     fn pool_stats_reflect_activity() {
         let (el, store) = kron_store(8, 6, 4, 2);
         let mut engine = tiny(&store).build().unwrap();
-        let deg = gstore_graph::CompactDegrees::from_edge_list(&el)
-            .unwrap()
-            .to_vec();
-        let mut pr = PageRank::new(*store.layout().tiling(), deg, 0.85).with_iterations(3);
+        let deg = Arc::new(gstore_graph::CompactDegrees::from_edge_list(&el).unwrap());
+        let mut pr = PageRank::over(*store.layout().tiling(), deg, 0.85).with_iterations(3);
         engine.run(&mut pr, 3).unwrap();
         let ps = engine.pool_stats();
         assert!(ps.inserted > 0);
@@ -1742,16 +1722,14 @@ mod tests {
         // order regardless of co-scheduled queries — and PageRank's f64
         // ranks agree within accumulation tolerance.
         let (el, store) = kron_store(9, 8, 4, 4);
-        let deg = gstore_graph::CompactDegrees::from_edge_list(&el)
-            .unwrap()
-            .to_vec();
+        let deg = Arc::new(gstore_graph::CompactDegrees::from_edge_list(&el).unwrap());
         let tiling = *store.layout().tiling();
 
         let mut bfs0_s = Bfs::new(tiling, 0);
         let mut bfs7_s = Bfs::new(tiling, 7);
         let mut wcc_s = Wcc::new(tiling);
         let mut kc_s = crate::KCore::new(tiling, 3);
-        let mut pr_s = PageRank::new(tiling, deg.clone(), 0.85).with_iterations(10);
+        let mut pr_s = PageRank::over(tiling, deg.clone(), 0.85).with_iterations(10);
         let mut seq_stats = Vec::new();
         let algs: Vec<&mut dyn Algorithm> =
             vec![&mut bfs0_s, &mut bfs7_s, &mut wcc_s, &mut kc_s, &mut pr_s];
@@ -1764,7 +1742,7 @@ mod tests {
         let mut bfs7 = Bfs::new(tiling, 7);
         let mut wcc = Wcc::new(tiling);
         let mut kc = crate::KCore::new(tiling, 3);
-        let mut pr = PageRank::new(tiling, deg, 0.85).with_iterations(10);
+        let mut pr = PageRank::over(tiling, deg, 0.85).with_iterations(10);
         let mut engine = tiny(&store).build().unwrap();
         let mut batch = QueryBatch::new();
         batch.push(&mut bfs0).unwrap();
@@ -1809,14 +1787,12 @@ mod tests {
         // Σ_q bytes − aggregate.bytes == bytes_amortized, and the
         // query_batch recorder group reconciles against both.
         let (el, store) = kron_store(8, 6, 4, 2);
-        let deg = gstore_graph::CompactDegrees::from_edge_list(&el)
-            .unwrap()
-            .to_vec();
+        let deg = Arc::new(gstore_graph::CompactDegrees::from_edge_list(&el).unwrap());
         let tiling = *store.layout().tiling();
         let mut engine = tiny(&store).metrics(true).build().unwrap();
         let mut bfs = Bfs::new(tiling, 0);
         let mut wcc = Wcc::new(tiling);
-        let mut pr = PageRank::new(tiling, deg, 0.85).with_iterations(5);
+        let mut pr = PageRank::over(tiling, deg, 0.85).with_iterations(5);
         let mut batch = QueryBatch::new();
         batch.push(&mut bfs).unwrap();
         batch.push(&mut wcc).unwrap();
@@ -1867,13 +1843,11 @@ mod tests {
         // BFS detaches, its selective frontier stops inflating the union,
         // and it is never dispatched again (its iteration count freezes).
         let (el, store) = kron_store(9, 8, 4, 4);
-        let deg = gstore_graph::CompactDegrees::from_edge_list(&el)
-            .unwrap()
-            .to_vec();
+        let deg = Arc::new(gstore_graph::CompactDegrees::from_edge_list(&el).unwrap());
         let tiling = *store.layout().tiling();
         let mut engine = tiny(&store).metrics(true).build().unwrap();
         let mut bfs = Bfs::new(tiling, 0);
-        let mut pr = PageRank::new(tiling, deg, 0.85).with_iterations(10);
+        let mut pr = PageRank::over(tiling, deg, 0.85).with_iterations(10);
         let mut batch = QueryBatch::new();
         batch.push(&mut bfs).unwrap();
         batch.push(&mut pr).unwrap();

@@ -8,8 +8,8 @@
 //!   tiles with a hot-tile cache;
 //! * [`inmem`] — a no-I/O runner for in-memory experiments;
 //! * [`algorithms`] — BFS, PageRank, WCC (+ k-core, degree counting);
-//! * [`spec`] — the typed query surface: [`SweepQuery::new`] builds every
-//!   sweep from a [`QuerySpec`];
+//! * [`spec`] — the typed query surface: [`SweepQuery::for_index`] builds
+//!   every sweep from a [`QuerySpec`] and the store's index;
 //! * [`algorithm::Algorithm`] — the trait new algorithms implement;
 //! * [`atomics`], [`view`] — building blocks for writing algorithms.
 //!

@@ -14,11 +14,12 @@
 use crate::algorithm::Algorithm;
 use crate::algorithms::{Bfs, DegreeCount, KCore, PageRank, Wcc, UNREACHED};
 use crate::pointread::PointReader;
-use gstore_graph::{GraphError, Result, VertexId};
-use gstore_tile::Tiling;
+use gstore_graph::{CompactDegrees, GraphError, Result, VertexId};
+use gstore_tile::{TileIndex, Tiling};
 use std::fmt;
 use std::io::Write;
 use std::str::FromStr;
+use std::sync::Arc;
 
 /// PageRank damping used by every spec-driven surface (CLI, serve, bench).
 pub const DEFAULT_DAMPING: f64 = 0.85;
@@ -153,8 +154,8 @@ fn parse_field<T: FromStr>(spec: &str, s: &str, what: &str) -> Result<T> {
 }
 
 /// A sweep spec instantiated as a concrete algorithm, so its result can
-/// be extracted after the run converges. [`SweepQuery::new`] is the one
-/// place a sweep algorithm is built from a spec: the server, every CLI
+/// be extracted after the run converges. [`SweepQuery::for_index`] is the
+/// one place a sweep algorithm is built from a spec: the server, every CLI
 /// sweep command and the bench all run sweeps through this wrapper.
 pub enum SweepQuery {
     Bfs(Bfs),
@@ -165,25 +166,35 @@ pub enum SweepQuery {
 }
 
 impl SweepQuery {
-    /// Instantiates `spec` over `tiling`. `degrees` is required for
-    /// PageRank: the store's own, [`TileIndex::degrees`]; vertex arguments
-    /// are range-checked here so a bad root is a typed error, not a panic.
-    ///
-    /// [`TileIndex::degrees`]: gstore_tile::TileIndex::degrees
+    /// Instantiates `spec` over the store `index` describes, PageRank on
+    /// the index's own degree array; vertex arguments are range-checked
+    /// here so a bad root is a typed error, not a panic.
+    pub fn for_index(spec: &QuerySpec, index: &TileIndex) -> Result<Self> {
+        Self::build(spec, *index.layout.tiling(), || Arc::clone(index.degrees()))
+    }
+
+    /// [`Self::for_index`] over a bare tiling and a plain degree vector,
+    /// compacted for PageRank (which panics without one).
+    #[doc(hidden)]
     pub fn new(spec: &QuerySpec, tiling: Tiling, degrees: Option<&[u64]>) -> Result<Self> {
+        Self::build(spec, tiling, || {
+            Arc::new(CompactDegrees::from_degrees(degrees.unwrap_or_default()))
+        })
+    }
+
+    fn build(
+        spec: &QuerySpec,
+        tiling: Tiling,
+        degrees: impl FnOnce() -> Arc<CompactDegrees>,
+    ) -> Result<Self> {
         match *spec {
             QuerySpec::Bfs { root } => {
                 check_vertex(root, tiling.vertex_count())?;
                 Ok(SweepQuery::Bfs(Bfs::new(tiling, root)))
             }
-            QuerySpec::PageRank { iters } => {
-                let deg = degrees.ok_or_else(|| {
-                    GraphError::InvalidParameter("pagerank needs the store's degree array".into())
-                })?;
-                Ok(SweepQuery::PageRank(
-                    PageRank::new(tiling, deg.to_vec(), DEFAULT_DAMPING).with_iterations(iters),
-                ))
-            }
+            QuerySpec::PageRank { iters } => Ok(SweepQuery::PageRank(
+                PageRank::over(tiling, degrees(), DEFAULT_DAMPING).with_iterations(iters),
+            )),
             QuerySpec::Wcc => Ok(SweepQuery::Wcc(Wcc::new(tiling))),
             QuerySpec::KCore { k } => Ok(SweepQuery::KCore(KCore::new(tiling, k))),
             QuerySpec::Degrees => Ok(SweepQuery::Degrees(DegreeCount::new(tiling))),
@@ -620,24 +631,37 @@ mod tests {
     fn kind_and_degree_requirements() {
         let sweep: QuerySpec = "pagerank:3".parse().unwrap();
         assert_eq!(sweep.kind(), QueryKind::Sweep);
-        let tiling = Tiling::new(8, 2, gstore_graph::GraphKind::Directed).unwrap();
-        assert!(SweepQuery::new(&sweep, tiling, None).is_err());
-        assert!(SweepQuery::new(&sweep, tiling, Some(&[0; 8])).is_ok());
+        let el = generate_rmat(&RmatParams::kron(3, 2)).unwrap();
+        let index = store_from_edges(&el, 2).index();
+        assert!(SweepQuery::for_index(&sweep, &index).is_ok());
         let point: QuerySpec = "khop:0:2".parse().unwrap();
         assert_eq!(point.kind(), QueryKind::Point);
+    }
+
+    /// PageRank divides by the index's own array, and an in-memory store's
+    /// index shares the store's: one degree array in memory.
+    #[test]
+    fn pagerank_shares_the_index_degree_array() {
+        let el = generate_rmat(&RmatParams::kron(6, 4)).unwrap();
+        let store = store_from_edges(&el, 3);
+        let index = store.index();
+        assert!(Arc::ptr_eq(index.degrees(), store.degrees()));
+        let sweep = SweepQuery::for_index(&QuerySpec::PageRank { iters: 2 }, &index).unwrap();
+        let SweepQuery::PageRank(pr) = &sweep else {
+            panic!("pagerank:2 builds a PageRank");
+        };
+        assert!(Arc::ptr_eq(&pr.degree, index.degrees()));
     }
 
     #[test]
     fn sweep_results_match_direct_algorithm_runs() {
         let el = generate_rmat(&RmatParams::kron(7, 4)).unwrap();
         let store = store_from_edges(&el, 3);
-        let tiling = *store.layout().tiling();
-
-        let degrees = store.degrees().to_vec();
+        let index = store.index();
 
         for spec in ["bfs:0", "pagerank:4", "wcc", "kcore:2", "degrees"] {
             let q: QuerySpec = spec.parse().unwrap();
-            let mut sweep = SweepQuery::new(&q, tiling, Some(&degrees)).unwrap();
+            let mut sweep = SweepQuery::for_index(&q, &index).unwrap();
             run_in_memory(&store, sweep.algorithm_mut(), 1000);
             let value = sweep.result();
             // The result survives the wire encoding bit for bit.
@@ -647,9 +671,9 @@ mod tests {
         }
 
         // Spot-check one extraction against the raw algorithm.
-        let mut wcc = Wcc::new(tiling);
+        let mut wcc = Wcc::new(*store.layout().tiling());
         run_in_memory(&store, &mut wcc, 1000);
-        let mut sweep = SweepQuery::new(&QuerySpec::Wcc, tiling, None).unwrap();
+        let mut sweep = SweepQuery::for_index(&QuerySpec::Wcc, &index).unwrap();
         run_in_memory(&store, sweep.algorithm_mut(), 1000);
         assert_eq!(
             sweep.result(),
@@ -662,24 +686,19 @@ mod tests {
     #[test]
     fn factory_rejects_mismatched_kinds_and_bad_roots() {
         let el = generate_rmat(&RmatParams::kron(6, 4)).unwrap();
-        let store = store_from_edges(&el, 3);
-        let tiling = *store.layout().tiling();
-        let n = tiling.vertex_count();
+        let index = store_from_edges(&el, 3).index();
+        let n = index.layout.tiling().vertex_count();
 
         let point: QuerySpec = "degree:0".parse().unwrap();
         assert!(matches!(
-            SweepQuery::new(&point, tiling, None),
+            SweepQuery::for_index(&point, &index),
             Err(GraphError::InvalidParameter(_))
         ));
         assert!(matches!(
-            SweepQuery::new(&QuerySpec::Bfs { root: n }, tiling, None),
+            SweepQuery::for_index(&QuerySpec::Bfs { root: n }, &index),
             Err(GraphError::VertexOutOfRange { .. })
         ));
-        assert!(matches!(
-            SweepQuery::new(&QuerySpec::PageRank { iters: 2 }, tiling, None),
-            Err(GraphError::InvalidParameter(_))
-        ));
-        let mut wcc = SweepQuery::new(&QuerySpec::Wcc, tiling, None).unwrap();
+        let mut wcc = SweepQuery::for_index(&QuerySpec::Wcc, &index).unwrap();
         assert_eq!(wcc.algorithm_mut().name(), "wcc");
     }
 

@@ -54,8 +54,8 @@ fn render() -> String {
         let el = generate_rmat(&RmatParams::kron(10, 8).with_kind(kind)).unwrap();
         let store = TileStore::build(&el, &ConversionOptions::new(6).with_group_side(4)).unwrap();
         let tiling = *store.layout().tiling();
-        let deg = CompactDegrees::from_edge_list(&el).unwrap().to_vec();
-        let pagerank = || PageRank::new(tiling, deg.clone(), 0.85).with_iterations(ITERS);
+        let deg = Arc::new(CompactDegrees::from_edge_list(&el).unwrap());
+        let pagerank = || PageRank::over(tiling, deg.clone(), 0.85).with_iterations(ITERS);
 
         let mut pr = pagerank();
         run_in_memory(&store, &mut pr, ITERS);

@@ -136,7 +136,7 @@ fn render() -> String {
     let el = generate_rmat(&RmatParams::kron(9, 8)).unwrap();
     let store = TileStore::build(&el, &ConversionOptions::new(4).with_group_side(4)).unwrap();
     let tiling = *store.layout().tiling();
-    let deg = CompactDegrees::from_edge_list(&el).unwrap().to_vec();
+    let deg = Arc::new(CompactDegrees::from_edge_list(&el).unwrap());
     let mut out = String::new();
     let cases = [
         ("raw scr", Codec::RawSnb, Policy::Scr),
@@ -151,7 +151,7 @@ fn render() -> String {
         dump(&mut out, &e);
 
         let mut e = engine(&store, codec, policy);
-        let mut pr = PageRank::new(tiling, deg.clone(), 0.85).with_iterations(4);
+        let mut pr = PageRank::over(tiling, deg.clone(), 0.85).with_iterations(4);
         let s = e.run(&mut pr, 4).unwrap();
         writeln!(out, "{label} pagerank: {}", stats_line(&s)).unwrap();
         dump(&mut out, &e);
@@ -160,7 +160,7 @@ fn render() -> String {
         let mut b0 = Bfs::new(tiling, 0);
         let mut b7 = Bfs::new(tiling, 7);
         let mut b100 = Bfs::new(tiling, 100);
-        let mut pr = PageRank::new(tiling, deg.clone(), 0.85).with_iterations(4);
+        let mut pr = PageRank::over(tiling, deg.clone(), 0.85).with_iterations(4);
         let mut batch = QueryBatch::new();
         let queries: [&mut dyn Algorithm; 4] = [&mut b0, &mut b7, &mut b100, &mut pr];
         for q in queries {

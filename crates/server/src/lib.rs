@@ -40,7 +40,6 @@ use gstore_core::{
 };
 use gstore_graph::{GraphError, Result};
 use gstore_metrics::{NoopRecorder, Recorder};
-use gstore_tile::Tiling;
 use std::io::{self, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -83,8 +82,6 @@ struct Shared {
     reader: PointReader,
     admission: Admission,
     rec: Arc<dyn Recorder>,
-    tiling: Tiling,
-    degrees: Vec<u64>,
     walk_seed: u64,
     shutdown: AtomicBool,
     /// One slot per live connection. A connection thread frees its slot
@@ -159,17 +156,15 @@ impl ServerHandle {
 
 /// Starts the daemon over `engine`. The engine must have been built with
 /// metrics if serve counters are wanted; it is consumed by the sweep loop
-/// and returned by [`ServerHandle::shutdown`]. PageRank queries read the
+/// and returned by [`ServerHandle::shutdown`]. PageRank queries share the
 /// store's own degree array, so startup runs no sweep.
 pub fn serve(engine: GStoreEngine, opts: ServeOptions) -> Result<ServerHandle> {
-    let tiling = *engine.index().layout.tiling();
     let max_batch = opts.max_batch.clamp(1, QueryBatch::MAX_QUERIES);
     let queue_capacity = if opts.queue_capacity == 0 {
         2 * max_batch
     } else {
         opts.queue_capacity
     };
-    let degrees = engine.index().degrees().to_vec();
 
     let rec: Arc<dyn Recorder> = engine
         .recorder_handle()
@@ -181,8 +176,6 @@ pub fn serve(engine: GStoreEngine, opts: ServeOptions) -> Result<ServerHandle> {
         reader: engine.point_reader(),
         admission: Admission::new(queue_capacity),
         rec: Arc::clone(&rec),
-        tiling,
-        degrees,
         walk_seed: opts.walk_seed,
         shutdown: AtomicBool::new(false),
         conns: Mutex::new(Vec::new()),
@@ -298,7 +291,7 @@ fn answer(line: &str, shared: &Arc<Shared>) -> Option<Reply> {
     }
     // Sweep: instantiate here so a bad argument (e.g. out-of-range BFS
     // root) is refused before it ever occupies a queue slot.
-    let query = match SweepQuery::new(&spec, shared.tiling, Some(&shared.degrees)) {
+    let query = match SweepQuery::for_index(&spec, shared.reader.index()) {
         Ok(query) => query,
         Err(e) => return Some(Reply::error(&e)),
     };

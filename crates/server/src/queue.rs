@@ -92,14 +92,15 @@ impl Admission {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gstore_core::inmem::store_from_edges;
     use gstore_core::{QuerySpec, SweepQuery};
-    use gstore_graph::GraphKind;
-    use gstore_tile::Tiling;
+    use gstore_graph::{EdgeList, GraphKind};
     use std::sync::Arc;
 
     fn dummy() -> (QueuedSweep, mpsc::Receiver<Reply>) {
-        let tiling = Tiling::new(4, 2, GraphKind::Directed).unwrap();
-        let query = SweepQuery::new(&QuerySpec::Wcc, tiling, None).unwrap();
+        let el = EdgeList::new(4, GraphKind::Directed, vec![]).unwrap();
+        let index = store_from_edges(&el, 2).index();
+        let query = SweepQuery::for_index(&QuerySpec::Wcc, &index).unwrap();
         let (tx, rx) = mpsc::channel();
         (QueuedSweep { query, reply: tx }, rx)
     }

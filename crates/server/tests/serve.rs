@@ -56,9 +56,7 @@ const MIXED: [&str; 9] = [
 /// Solo-engine reference answers for each spec, computed without the
 /// daemon (fresh engine per sweep so nothing is shared).
 fn reference_answers(store: &TileStore, specs: &[&str], walk_seed: u64) -> Vec<QueryValue> {
-    let tiling = *store.layout().tiling();
     let engine = engine_for(store);
-    let degrees = store.degrees().to_vec();
     let reader = engine.point_reader();
     specs
         .iter()
@@ -70,7 +68,7 @@ fn reference_answers(store: &TileStore, specs: &[&str], walk_seed: u64) -> Vec<Q
                 }
                 gstore_core::QueryKind::Sweep => {
                     let mut solo = engine_for(store);
-                    let mut query = SweepQuery::new(&q, tiling, Some(&degrees)).unwrap();
+                    let mut query = SweepQuery::for_index(&q, engine.index()).unwrap();
                     solo.run(query.algorithm_mut(), 10_000).unwrap();
                     query.result()
                 }

@@ -27,6 +27,7 @@ use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 const MAGIC: &[u8; 4] = b"GSTM";
 const VERSION: u32 = 1;
@@ -150,8 +151,8 @@ pub struct TileIndex {
     /// `start_edge` alone.
     pub comp_offsets: Option<Vec<u64>>,
     /// Checked against the layout and the edge count wherever it comes
-    /// from, so not public.
-    pub(crate) degrees: CompactDegrees,
+    /// from, so not public. Shared, never copied: see [`Self::degrees`].
+    pub(crate) degrees: Arc<CompactDegrees>,
 }
 
 impl TileIndex {
@@ -232,7 +233,7 @@ impl TileIndex {
         } else {
             None
         };
-        let degrees = read_deg_file(&deg_path(path), &layout, edge_count)?;
+        let degrees = Arc::new(read_deg_file(&deg_path(path), &layout, edge_count)?);
         Ok(TileIndex {
             layout,
             encoding,
@@ -244,9 +245,9 @@ impl TileIndex {
     }
 
     /// The store's compact degree array: out-degrees on a directed graph,
-    /// undirected degrees otherwise.
+    /// undirected degrees otherwise; PageRank shares it, never copies it.
     #[inline]
-    pub fn degrees(&self) -> &CompactDegrees {
+    pub fn degrees(&self) -> &Arc<CompactDegrees> {
         &self.degrees
     }
 

@@ -13,6 +13,7 @@ use crate::file::TileIndex;
 use crate::grouping::{GroupInfo, GroupedLayout};
 use crate::layout::TileCoord;
 use gstore_graph::{CompactDegrees, Edge, EdgeList, GraphError, Result};
+use std::sync::Arc;
 
 /// A fully materialised tile-format graph.
 #[derive(Debug, Clone)]
@@ -25,7 +26,7 @@ pub struct TileStore {
     /// `start_edge[tile_count]` = total edge count.
     pub(crate) start_edge: Vec<u64>,
     /// Degree of every vertex, counted by the conversion's first pass.
-    pub(crate) degrees: CompactDegrees,
+    pub(crate) degrees: Arc<CompactDegrees>,
 }
 
 impl TileStore {
@@ -43,7 +44,7 @@ impl TileStore {
         encoding: EdgeEncoding,
         data: Vec<u8>,
         start_edge: Vec<u64>,
-        degrees: CompactDegrees,
+        degrees: Arc<CompactDegrees>,
     ) -> Result<Self> {
         let tc = layout.tile_count() as usize;
         if start_edge.len() != tc + 1 {
@@ -87,14 +88,14 @@ impl TileStore {
             start_edge: self.start_edge.clone(),
             codec: Codec::RawSnb,
             comp_offsets: None,
-            degrees: self.degrees.clone(),
+            degrees: Arc::clone(&self.degrees),
         }
     }
 
     /// The compact degree array: out-degrees on a directed graph,
     /// undirected degrees otherwise.
     #[inline]
-    pub fn degrees(&self) -> &CompactDegrees {
+    pub fn degrees(&self) -> &Arc<CompactDegrees> {
         &self.degrees
     }
 
@@ -292,7 +293,7 @@ mod tests {
                 EdgeEncoding::Snb,
                 vec![0u8; data],
                 start_edge.to_vec(),
-                degrees.clone(),
+                Arc::new(degrees.clone()),
             )
         };
         // 4 tiles -> start_edge needs 5 entries.

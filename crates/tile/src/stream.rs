@@ -221,7 +221,7 @@ pub(crate) fn convert_to_memory(
         opts.encoding,
         data,
         index.start_edge,
-        index.degrees,
+        Arc::new(index.degrees),
     )
 }
 
@@ -895,7 +895,7 @@ mod tests {
             el.write_binary(&edge_path, width).unwrap();
             let want = convert_to_memory(&el, &copts, 1).unwrap();
             let paths = TilePaths::new(dir.path(), "g");
-            let degrees = CompactDegrees::from_edge_list(&el).unwrap();
+            let degrees = Arc::new(CompactDegrees::from_edge_list(&el).unwrap());
             assert_eq!(want.degrees(), &degrees);
             let check = |label: &str, chunk: usize, (data, report): (Vec<u8>, StreamingReport)| {
                 assert_eq!(data, want.data(), "{label}");

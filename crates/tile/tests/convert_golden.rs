@@ -80,7 +80,7 @@ fn render_group(kind: GraphKind, encoding: EdgeEncoding) -> String {
                     let built = hashes(&paths);
                     let degrees = TileIndex::read(&paths.start).unwrap().degrees().clone();
                     assert_eq!(
-                        degrees,
+                        *degrees,
                         CompactDegrees::from_edge_list(&el).unwrap(),
                         "{label}"
                     );

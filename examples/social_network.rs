@@ -10,6 +10,7 @@
 
 use gstore::graph::gen::{generate_powerlaw, PowerLawParams};
 use gstore::prelude::*;
+use std::sync::Arc;
 
 fn main() -> gstore::graph::Result<()> {
     // Twitter at 1/2000 scale: ~26k users, ~1M follow edges.
@@ -30,8 +31,8 @@ fn main() -> gstore::graph::Result<()> {
 
     // -- PageRank: who are the influencers? --
     // Degrees come with the store: the compact array its conversion counted.
-    let degrees = store.degrees().to_vec();
-    let mut pr = PageRank::new(tiling, degrees.clone(), 0.85).with_tolerance(1e-9);
+    let degrees = store.degrees();
+    let mut pr = PageRank::over(tiling, Arc::clone(degrees), 0.85).with_tolerance(1e-9);
     let stats = engine.run(&mut pr, 100)?;
     println!("\nPageRank converged in {} iterations", stats.iterations);
     let mut ranked: Vec<(usize, f64)> = pr.ranks().iter().copied().enumerate().collect();
@@ -40,7 +41,7 @@ fn main() -> gstore::graph::Result<()> {
     for (user, rank) in ranked.iter().take(5) {
         println!(
             "  user {user:>8}  rank {rank:.6}  out-degree {}",
-            degrees[*user]
+            degrees.degree(*user as u64)
         );
     }
 

@@ -31,8 +31,6 @@ fn main() -> gstore::graph::Result<()> {
         store.data_bytes() / 4 + 2 * segment,
     )?);
 
-    let degrees = store.degrees().to_vec();
-
     println!("\ndevices  algorithm  modelled   io time    compute    metric");
     for devices in [1usize, 2, 4, 8] {
         for alg in ["bfs", "pagerank", "wcc"] {
@@ -52,8 +50,9 @@ fn main() -> gstore::graph::Result<()> {
                     (stats, m)
                 }
                 "pagerank" => {
-                    let mut pr = PageRank::new(*store.layout().tiling(), degrees.clone(), 0.85)
-                        .with_iterations(5);
+                    let mut pr =
+                        PageRank::over(*store.layout().tiling(), Arc::clone(store.degrees()), 0.85)
+                            .with_iterations(5);
                     let stats = engine.run(&mut pr, 5)?;
                     (stats, "5 iterations".to_string())
                 }

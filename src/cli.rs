@@ -416,22 +416,11 @@ fn cmd_info(out: &mut dyn Write, pos: &[String], _flags: &Flags) -> Result<()> {
     Ok(())
 }
 
-/// Builds a [`SweepQuery`] for each spec over `engine`'s store; PageRank
-/// takes the store's own degree array.
-fn sweep_queries(engine: &GStoreEngine, specs: &[QuerySpec]) -> Result<Vec<SweepQuery>> {
-    let index = engine.index();
-    let degrees = index.degrees().to_vec();
-    specs
-        .iter()
-        .map(|q| SweepQuery::new(q, *index.layout.tiling(), Some(&degrees)))
-        .collect()
-}
-
 /// Runs one sweep spec as a query of its own: a plain
 /// [`GStoreEngine::run`], not a one-query batch, so the metrics JSON is
 /// that of a single run.
 fn run_sweep(engine: &mut GStoreEngine, spec: QuerySpec) -> Result<(SweepQuery, RunStats)> {
-    let mut q = sweep_queries(engine, &[spec])?.remove(0);
+    let mut q = SweepQuery::for_index(&spec, engine.index())?;
     let stats = engine.run(q.algorithm_mut(), u32::MAX)?;
     Ok((q, stats))
 }
@@ -441,7 +430,10 @@ fn run_sweep_batch(
     engine: &mut GStoreEngine,
     specs: &[QuerySpec],
 ) -> Result<(Vec<SweepQuery>, BatchRunStats)> {
-    let mut queries = sweep_queries(engine, specs)?;
+    let mut queries: Vec<SweepQuery> = specs
+        .iter()
+        .map(|q| SweepQuery::for_index(q, engine.index()))
+        .collect::<Result<_>>()?;
     let mut batch = QueryBatch::new();
     for q in &mut queries {
         batch.push(q.algorithm_mut())?;
@@ -469,14 +461,18 @@ fn cmd_sweep(out: &mut dyn Write, pos: &[String], flags: &Flags, spec: QuerySpec
         human_bytes(stats.bytes_read)
     )?;
     if let SweepQuery::Degrees(dc) = &q {
-        print_degree_distribution(out, &dc.degrees())?;
+        print_degree_distribution(out, &dc.degrees(), engine.index().degrees())?;
     }
     write_metrics(&engine, flags, out)
 }
 
-/// The degree distribution and the paper's compact 2-byte degree
-/// encoding (§IV.C) that `gstore degrees` reports.
-fn print_degree_distribution(out: &mut dyn Write, degrees: &[u64]) -> Result<()> {
+/// The degree distribution of the sweep's `degrees` and the size of the
+/// store's compact 2-byte encoding `c` (§IV.C) that `gstore degrees` reports.
+fn print_degree_distribution(
+    out: &mut dyn Write,
+    degrees: &[u64],
+    c: &CompactDegrees,
+) -> Result<()> {
     let dist = crate::graph::stats::DegreeDistribution::from_degrees(degrees);
     writeln!(
         out,
@@ -497,7 +493,6 @@ fn print_degree_distribution(out: &mut dyn Write, degrees: &[u64]) -> Result<()>
             writeln!(out, "  degree {label:>12}: {count}")?;
         }
     }
-    let c = CompactDegrees::from_degrees(degrees);
     writeln!(
         out,
         "  compact encoding: {} vs {} flat u32 ({} hub-table entries)",

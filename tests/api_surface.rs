@@ -183,7 +183,6 @@ fn builder_knobs_take_effect() {
 #[test]
 fn query_spec_surface() {
     let store = small_store();
-    let tiling = *store.layout().tiling();
 
     let sweep: QuerySpec = "bfs:0".parse().unwrap();
     assert_eq!(sweep.kind(), QueryKind::Sweep);
@@ -193,7 +192,7 @@ fn query_spec_surface() {
         .scr(scr_for(&store))
         .build()
         .unwrap();
-    let mut query = SweepQuery::new(&sweep, tiling, None).unwrap();
+    let mut query = SweepQuery::for_index(&sweep, engine.index()).unwrap();
     engine.run(query.algorithm_mut(), 1000).unwrap();
     let value = query.result();
     assert_eq!(QueryValue::decode(&value.encode()).unwrap(), value);

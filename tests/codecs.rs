@@ -41,7 +41,7 @@ fn engine_for(store: &TileStore, codec: Codec) -> GStoreEngine {
 fn compressed_sweeps_match_raw() {
     let (el, store) = fixture();
     let tiling = *store.layout().tiling();
-    let deg = CompactDegrees::from_edge_list(&el).unwrap().to_vec();
+    let deg = Arc::new(CompactDegrees::from_edge_list(&el).unwrap());
 
     let mut bfs_raw = Bfs::new(tiling, 0);
     engine_for(&store, Codec::RawSnb)
@@ -51,7 +51,7 @@ fn compressed_sweeps_match_raw() {
     engine_for(&store, Codec::RawSnb)
         .run(&mut wcc_raw, 10_000)
         .unwrap();
-    let mut pr_raw = PageRank::new(tiling, deg.clone(), 0.85).with_iterations(5);
+    let mut pr_raw = PageRank::over(tiling, deg.clone(), 0.85).with_iterations(5);
     engine_for(&store, Codec::RawSnb)
         .run(&mut pr_raw, 5)
         .unwrap();
@@ -66,7 +66,7 @@ fn compressed_sweeps_match_raw() {
         engine.run(&mut wcc, 10_000).unwrap();
         assert_eq!(wcc.labels(), wcc_raw.labels(), "{} wcc", codec.name());
 
-        let mut pr = PageRank::new(tiling, deg.clone(), 0.85).with_iterations(5);
+        let mut pr = PageRank::over(tiling, deg.clone(), 0.85).with_iterations(5);
         engine.run(&mut pr, 5).unwrap();
         for (c, r) in pr.ranks().iter().zip(pr_raw.ranks()) {
             assert!((c - r).abs() < 1e-9, "{}: rank {c} vs {r}", codec.name());
@@ -86,7 +86,7 @@ fn compressed_sweeps_match_raw() {
 fn compressed_batches_match_raw() {
     let (el, store) = fixture();
     let tiling = *store.layout().tiling();
-    let deg = CompactDegrees::from_edge_list(&el).unwrap().to_vec();
+    let deg = Arc::new(CompactDegrees::from_edge_list(&el).unwrap());
 
     let mut bfs_raw = Bfs::new(tiling, 0);
     engine_for(&store, Codec::RawSnb)
@@ -96,7 +96,7 @@ fn compressed_batches_match_raw() {
     engine_for(&store, Codec::RawSnb)
         .run(&mut wcc_raw, 10_000)
         .unwrap();
-    let mut pr_raw = PageRank::new(tiling, deg.clone(), 0.85).with_iterations(4);
+    let mut pr_raw = PageRank::over(tiling, deg.clone(), 0.85).with_iterations(4);
     engine_for(&store, Codec::RawSnb)
         .run(&mut pr_raw, 4)
         .unwrap();
@@ -104,7 +104,7 @@ fn compressed_batches_match_raw() {
     for codec in Codec::CODED {
         let mut bfs = Bfs::new(tiling, 0);
         let mut wcc = Wcc::new(tiling);
-        let mut pr = PageRank::new(tiling, deg.clone(), 0.85).with_iterations(4);
+        let mut pr = PageRank::over(tiling, deg.clone(), 0.85).with_iterations(4);
         let mut batch = QueryBatch::new();
         batch.push(&mut bfs).unwrap();
         batch.push(&mut wcc).unwrap();
@@ -197,9 +197,9 @@ fn coded_engines_report_codec_metrics() {
     // reconcile disk vs logical volume with the index's own accounting.
     let (el, store) = fixture();
     let tiling = *store.layout().tiling();
-    let deg = CompactDegrees::from_edge_list(&el).unwrap().to_vec();
+    let deg = Arc::new(CompactDegrees::from_edge_list(&el).unwrap());
     let mut engine = recording_engine(&store, Codec::ZetaGap);
-    let mut pr = PageRank::new(tiling, deg, 0.85).with_iterations(3);
+    let mut pr = PageRank::over(tiling, deg, 0.85).with_iterations(3);
     engine.run(&mut pr, 3).unwrap();
     let m = engine.metrics().unwrap();
     assert!(m[Counter::CodecTilesDecoded] > 0);
@@ -223,7 +223,7 @@ fn decode_stage_decodes_each_stored_edge_once_per_sweep() {
         let el = generate_rmat(&RmatParams::kron(8, 4).with_kind(kind)).unwrap();
         let store = TileStore::build(&el, &ConversionOptions::new(4).with_group_side(2)).unwrap();
         let tiling = *store.layout().tiling();
-        let deg = CompactDegrees::from_edge_list(&el).unwrap().to_vec();
+        let deg = Arc::new(CompactDegrees::from_edge_list(&el).unwrap());
         for codec in Codec::ALL {
             let what = format!("{} {kind:?}", codec.name());
             let decoded = |engine: &GStoreEngine| {
@@ -234,7 +234,7 @@ fn decode_stage_decodes_each_stored_edge_once_per_sweep() {
             };
 
             let mut engine = recording_engine(&store, codec);
-            let mut pr = PageRank::new(tiling, deg.clone(), 0.85).with_iterations(3);
+            let mut pr = PageRank::over(tiling, deg.clone(), 0.85).with_iterations(3);
             let stats = engine.run(&mut pr, 3).unwrap();
             assert_eq!(stats.edges_processed, 3 * el.edge_count(), "{what}");
             assert!(
@@ -257,7 +257,7 @@ fn decode_stage_decodes_each_stored_edge_once_per_sweep() {
             let mut bfs = Bfs::new(tiling, 0);
             let mut wcc = Wcc::new(tiling);
             let mut kc = KCore::new(tiling, 2);
-            let mut pr = PageRank::new(tiling, deg.clone(), 0.85).with_iterations(30);
+            let mut pr = PageRank::over(tiling, deg.clone(), 0.85).with_iterations(30);
             let mut batch = QueryBatch::new();
             batch.push(&mut bfs).unwrap();
             batch.push(&mut wcc).unwrap();
@@ -397,14 +397,14 @@ proptest! {
         ).unwrap();
         let tiling = *store.layout().tiling();
         let root = root_seed % el.vertex_count();
-        let deg = CompactDegrees::from_edge_list(&el).unwrap().to_vec();
+        let deg = Arc::new(CompactDegrees::from_edge_list(&el).unwrap());
 
         let mut results = Vec::new();
         for codec in [Codec::RawSnb, codec] {
             let mut bfs = Bfs::new(tiling, root);
             let mut wcc = Wcc::new(tiling);
             let mut kc = KCore::new(tiling, 2);
-            let mut pr = PageRank::new(tiling, deg.clone(), 0.85).with_iterations(4);
+            let mut pr = PageRank::over(tiling, deg.clone(), 0.85).with_iterations(4);
             let mut batch = QueryBatch::new();
             batch.push(&mut bfs).unwrap();
             batch.push(&mut wcc).unwrap();

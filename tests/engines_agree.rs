@@ -8,6 +8,7 @@ use gstore::baselines::xstream::{XStreamConfig, XStreamEngine};
 use gstore::graph::gen::{generate_powerlaw, generate_rmat, PowerLawParams, RmatParams};
 use gstore::graph::{reference, CompactDegrees};
 use gstore::prelude::*;
+use std::sync::Arc;
 
 const PR_ITERS: u32 = 10;
 const DAMPING: f64 = 0.85;
@@ -38,8 +39,8 @@ fn gstore_run(el: &EdgeList) -> (Vec<u32>, Vec<f64>, Vec<u64>) {
     let mut bfs = Bfs::new(tiling, 0);
     engine.run(&mut bfs, 10_000).unwrap();
     engine.clear_cache();
-    let deg = CompactDegrees::from_edge_list(el).unwrap().to_vec();
-    let mut pr = PageRank::new(tiling, deg, DAMPING).with_iterations(PR_ITERS);
+    let deg = Arc::new(CompactDegrees::from_edge_list(el).unwrap());
+    let mut pr = PageRank::over(tiling, deg, DAMPING).with_iterations(PR_ITERS);
     engine.run(&mut pr, PR_ITERS).unwrap();
     engine.clear_cache();
     let mut wcc = Wcc::new(tiling);
@@ -101,9 +102,9 @@ fn io_accounting_reflects_architectures() {
         .scr(ScrConfig::new(seg, 2 * seg + 2 * store.data_bytes()).unwrap())
         .build()
         .unwrap();
-    let deg = CompactDegrees::from_edge_list(&el).unwrap().to_vec();
+    let deg = Arc::new(CompactDegrees::from_edge_list(&el).unwrap());
     let iters = 4u32;
-    let mut pr = PageRank::new(*store.layout().tiling(), deg, DAMPING).with_iterations(iters);
+    let mut pr = PageRank::over(*store.layout().tiling(), deg, DAMPING).with_iterations(iters);
     let gs = engine.run(&mut pr, iters).unwrap();
     assert_eq!(
         gs.bytes_read,

@@ -42,8 +42,8 @@ fn file_backed_pipeline_all_algorithms() {
 
     // PageRank (fresh engine cache to make runs independent)
     engine.clear_cache();
-    let deg = CompactDegrees::from_edge_list(&el).unwrap().to_vec();
-    let mut pr = PageRank::new(tiling, deg, 0.85).with_iterations(12);
+    let deg = Arc::new(CompactDegrees::from_edge_list(&el).unwrap());
+    let mut pr = PageRank::over(tiling, deg, 0.85).with_iterations(12);
     engine.run(&mut pr, 12).unwrap();
     let csr = Csr::from_edge_list(&el, CsrDirection::Out);
     let want = reference::pagerank(&csr, 12, 0.85);
@@ -245,13 +245,13 @@ fn degree_then_pagerank_bootstrap_from_disk_only() {
 
     let opened = gstore::tile::TileFile::open(&paths).unwrap();
     let tiling = *opened.index().layout.tiling();
-    let degrees = opened.index().degrees().to_vec();
+    let degrees = Arc::clone(opened.index().degrees());
     let store = opened.load_all().unwrap();
     let mut engine = small(&store).build().unwrap();
     let mut dc = DegreeCount::new(tiling);
     engine.run(&mut dc, 1).unwrap();
-    assert_eq!(dc.degrees(), degrees);
-    let mut pr = PageRank::new(tiling, degrees, 0.85).with_iterations(8);
+    assert_eq!(dc.degrees(), degrees.to_vec());
+    let mut pr = PageRank::over(tiling, degrees, 0.85).with_iterations(8);
     engine.run(&mut pr, 8).unwrap();
     let csr = Csr::from_edge_list(&el, CsrDirection::Out);
     let want = reference::pagerank(&csr, 8, 0.85);

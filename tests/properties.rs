@@ -6,6 +6,7 @@ use gstore::prelude::*;
 use gstore::scr::{CacheHint, CachePool};
 use gstore::tile::Codec;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// Strategy: a small arbitrary graph (vertex count, kind, edges).
 fn arb_graph() -> impl Strategy<Value = EdgeList> {
@@ -132,7 +133,7 @@ proptest! {
             std::fs::read(&mem_paths.deg).unwrap()
         );
         let index = gstore::tile::TileIndex::read(&report.paths.start).unwrap();
-        prop_assert_eq!(index.degrees(), &CompactDegrees::from_edge_list(&el).unwrap());
+        prop_assert_eq!(&**index.degrees(), &CompactDegrees::from_edge_list(&el).unwrap());
     }
 
     /// Engine BFS equals reference BFS on arbitrary graphs and roots.
@@ -176,8 +177,8 @@ proptest! {
             .scr(ScrConfig::new(seg, seg * 3).unwrap())
             .build()
             .unwrap();
-        let deg = gstore::graph::CompactDegrees::from_edge_list(&el).unwrap().to_vec();
-        let mut pr = PageRank::new(*store.layout().tiling(), deg, 0.85).with_iterations(5);
+        let deg = Arc::new(gstore::graph::CompactDegrees::from_edge_list(&el).unwrap());
+        let mut pr = PageRank::over(*store.layout().tiling(), deg, 0.85).with_iterations(5);
         engine.run(&mut pr, 5).unwrap();
         let sum: f64 = pr.ranks().iter().sum();
         prop_assert!((sum - 1.0).abs() < 1e-9, "sum = {}", sum);
@@ -334,7 +335,6 @@ proptest! {
         workers in 1usize..5,
     ) {
         use gstore::io::{AioEngine, AioRequest, IoEngine, MemBackend};
-        use std::sync::Arc;
         let data: Vec<u8> = (0..8192).map(|i| (i % 251) as u8).collect();
         let engine = AioEngine::new(Arc::new(MemBackend::new(data.clone())), workers, 32);
         let mut seen = std::collections::HashMap::new();
@@ -425,7 +425,6 @@ proptest! {
         devices in 1usize..9,
     ) {
         use gstore::io::{ArrayConfig, MemBackend, SsdArraySim, StorageBackend};
-        use std::sync::Arc;
         let sim = SsdArraySim::new(
             Arc::new(MemBackend::new(vec![0u8; 1 << 20])),
             ArrayConfig::new(devices),
@@ -559,7 +558,6 @@ proptest! {
         use gstore::core::KCore;
         use gstore::graph::gen::{generate_rmat, RmatParams};
         use gstore::io::JitterBackend;
-        use std::sync::Arc;
 
         let kind = if directed { GraphKind::Directed } else { GraphKind::Undirected };
         let el = generate_rmat(&RmatParams::kron(7, 4).with_seed(seed).with_kind(kind)).unwrap();
@@ -593,8 +591,8 @@ proptest! {
         make_engine().run(&mut kc, 10_000).unwrap();
         prop_assert_eq!(kc.membership(), kcore_reference(&el, 3));
 
-        let deg = CompactDegrees::from_edge_list(&el).unwrap().to_vec();
-        let mut pr = PageRank::new(tiling, deg, 0.85).with_iterations(5);
+        let deg = Arc::new(CompactDegrees::from_edge_list(&el).unwrap());
+        let mut pr = PageRank::over(tiling, deg, 0.85).with_iterations(5);
         make_engine().run(&mut pr, 5).unwrap();
         let want = reference::pagerank(&Csr::from_edge_list(&el, CsrDirection::Out), 5, 0.85);
         for (s, r) in pr.ranks().iter().zip(&want) {
@@ -625,7 +623,6 @@ proptest! {
         use gstore::core::KCore;
         use gstore::graph::gen::{generate_rmat, RmatParams};
         use gstore::io::JitterBackend;
-        use std::sync::Arc;
 
         let kind = if directed { GraphKind::Directed } else { GraphKind::Undirected };
         let el = generate_rmat(&RmatParams::kron(7, 4).with_seed(seed).with_kind(kind)).unwrap();
@@ -647,7 +644,7 @@ proptest! {
                 b.backend(index.clone(), base).build().unwrap()
             }
         };
-        let deg = gstore::graph::CompactDegrees::from_edge_list(&el).unwrap().to_vec();
+        let deg = Arc::new(gstore::graph::CompactDegrees::from_edge_list(&el).unwrap());
 
         // Sequential arm: one engine per query.
         let mut bfs_solo = Bfs::new(tiling, root);
@@ -656,14 +653,14 @@ proptest! {
         make_engine().run(&mut wcc_solo, 10_000).unwrap();
         let mut kc_solo = KCore::new(tiling, 2);
         make_engine().run(&mut kc_solo, 10_000).unwrap();
-        let mut pr_solo = PageRank::new(tiling, deg.clone(), 0.85).with_iterations(4);
+        let mut pr_solo = PageRank::over(tiling, deg.clone(), 0.85).with_iterations(4);
         let pr_stats = make_engine().run(&mut pr_solo, 10_000).unwrap();
 
         // Batch arm: the same four queries over one shared scan.
         let mut bfs = Bfs::new(tiling, root);
         let mut wcc = Wcc::new(tiling);
         let mut kc = KCore::new(tiling, 2);
-        let mut pr = PageRank::new(tiling, deg, 0.85).with_iterations(4);
+        let mut pr = PageRank::over(tiling, deg, 0.85).with_iterations(4);
         let mut batch = QueryBatch::new();
         batch.push(&mut bfs).unwrap();
         batch.push(&mut wcc).unwrap();
@@ -823,8 +820,8 @@ proptest! {
                 Ok(tf) => {
                     // Accepted: whatever loads must stay internally
                     // consistent, and every degree must be readable.
-                    let degrees = tf.index().degrees().to_vec();
-                    prop_assert_eq!(degrees.len() as u64, store.layout().tiling().vertex_count());
+                    let degrees = tf.index().degrees().len();
+                    prop_assert_eq!(degrees as u64, store.layout().tiling().vertex_count());
                     if let Ok(s) = tf.load_all() {
                         prop_assert_eq!(s.start_edge().len() as u64, s.tile_count() + 1);
                     }
@@ -896,7 +893,6 @@ proptest! {
         cache_kb in 0u64..64,
     ) {
         use gstore::io::JitterBackend;
-        use std::sync::Arc;
 
         let enc = match enc_sel {
             0 => EdgeEncoding::Snb,

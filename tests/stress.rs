@@ -8,6 +8,7 @@
 use gstore::graph::gen::{generate_rmat, RmatParams};
 use gstore::graph::{reference, CompactDegrees};
 use gstore::prelude::*;
+use std::sync::Arc;
 
 /// Scale-20 graph (1M vertices, 16M edges) through real files with a
 /// memory budget of one eighth of the data: many segments, heavy pool
@@ -36,8 +37,8 @@ fn scale20_file_backed_soak() {
     assert!(stats.bytes_read > 0);
 
     engine.clear_cache();
-    let deg = CompactDegrees::from_edge_list(&el).unwrap().to_vec();
-    let mut pr = PageRank::new(tiling, deg, 0.85).with_iterations(5);
+    let deg = Arc::new(CompactDegrees::from_edge_list(&el).unwrap());
+    let mut pr = PageRank::over(tiling, deg, 0.85).with_iterations(5);
     engine.run(&mut pr, 5).unwrap();
     let sum: f64 = pr.ranks().iter().sum();
     assert!((sum - 1.0).abs() < 1e-9);
